@@ -8,7 +8,7 @@ value because the raw subspace mean is suppressed by c and would never reach
 the two-qubit bound on its own (see witness module notes).
 
 Exit codes: 0 success, 2 bad arguments, 3 state validation failure,
-4 selftest failure.  ENTWIT_THREADS caps sweep parallelism.
+4 selftest failure.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +27,6 @@ from .qstate import Dims, StateValidationError, negativity
 from .states import StateSpec, max_entangled, pure_from_schmidt, random_density
 from .witness import (
     OptimizerConfig,
-    TAU_C,
     TAU_DETECT,
     WitnessSettings,
     bell_max,
@@ -107,7 +104,8 @@ class ScanResult:
 def _eval_state(rho) -> tuple[float, float, float, float]:
     rep = cren_lower_bound(rho)
     d_nl = max(r.nonlinear_max for r in rep.reports) - 1.0
-    d_bell = max(r.bell_max / r.c for r in rep.reports if r.c > TAU_C) - 2.0
+    # empty subspaces report bell_max = 0 and cannot raise the maximum
+    d_bell = max(r.bell_max / r.c if r.bell_max else 0.0 for r in rep.reports) - 2.0
     return d_nl, d_bell, rep.bound, rep.negativity
 
 
@@ -119,33 +117,13 @@ def _point_spec(cfg: SweepConfig, value: float, base_seed: int, index: int) -> S
     return StateSpec(cfg.family, params)
 
 
-def _thread_cap(points: int) -> int:
-    raw = os.environ.get("ENTWIT_THREADS", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-            if cap < 1:
-                raise ValueError
-        except ValueError:
-            print(f"error: ENTWIT_THREADS must be a positive integer, got {raw!r}", file=sys.stderr)
-            raise SystemExit(2) from None
-    else:
-        cap = os.cpu_count() or 1
-    return min(cap, points)
-
-
-def run_scan(cfg: SweepConfig, base_seed: int = 0, threads: int | None = None) -> ScanResult:
-    """Evaluate the sweep grid (concurrently) and optionally bisect both
-    detection thresholds.  Deterministic for fixed cfg and base_seed."""
-    grid = np.linspace(cfg.lo, cfg.hi, cfg.points)
-
-    def work(item):
-        i, v = item
+def run_scan(cfg: SweepConfig, base_seed: int = 0) -> ScanResult:
+    """Evaluate the sweep grid and optionally bisect both detection
+    thresholds.  Deterministic for fixed cfg and base_seed."""
+    points = []
+    for i, v in enumerate(np.linspace(cfg.lo, cfg.hi, cfg.points)):
         rho = _point_spec(cfg, float(v), base_seed, i).build()
-        return ScanPoint(float(v), *_eval_state(rho))
-
-    with ThreadPoolExecutor(max_workers=threads or _thread_cap(cfg.points)) as pool:
-        points = list(pool.map(work, enumerate(grid)))
+        points.append(ScanPoint(float(v), *_eval_state(rho)))
 
     nl = bell = None
     if cfg.bisect:

@@ -38,7 +38,7 @@ from .qstate import (
     pure_negativity,
     trace_norm,
 )
-from .witness import SubspaceReport, TAU_C, subspace_reports
+from .witness import SubspaceReport, subspace_reports
 
 
 @dataclass(frozen=True)
@@ -53,18 +53,17 @@ class CrenBoundReport:
     m_normalizer: int
 
 
-def _assemble(reports: list[SubspaceReport], dims: Dims, literal_min: bool) -> tuple[float, float]:
-    big_m = min(dims.m, dims.n)
+def _bound(c, d, dims: Dims, literal_min: bool) -> float:
+    """The bound formula from subspace weights c and violations d, in report order.
+
+    Empty subspaces carry d = 0 and c <= TAU_C, so they add only their weight,
+    which the baseline (m-1)(n-1) = sum_ab c_ab subtracts again.
+    """
+    clip = min if literal_min else max
     total = 0.0
-    sum_c = 0.0
-    for r in reports:
-        if r.c <= TAU_C:
-            continue
-        x = min(0.0, r.d) if literal_min else r.x
-        total += abs(r.c) * (x / 2.0 + 1.0)
-        sum_c += r.c
-    bound = (total - (dims.m - 1) * (dims.n - 1)) / (big_m - 1)
-    return bound, sum_c
+    for ci, di in zip(c, d):
+        total += abs(ci) * (clip(0.0, di) / 2.0 + 1.0)
+    return (total - (dims.m - 1) * (dims.n - 1)) / (min(dims.m, dims.n) - 1)
 
 
 def cren_lower_bound(rho: DensityMatrix, literal_min: bool = False) -> CrenBoundReport:
@@ -74,12 +73,12 @@ def cren_lower_bound(rho: DensityMatrix, literal_min: bool = False) -> CrenBound
     for comparing against the clip-above default, see the module docstring.
     """
     reports = subspace_reports(rho)
-    bound, sum_c = _assemble(reports, rho.dims, literal_min)
+    c = [r.c for r in reports]
     return CrenBoundReport(
-        bound=bound,
+        bound=_bound(c, [r.d for r in reports], rho.dims, literal_min),
         negativity=negativity(rho),
         reports=reports,
-        sum_c=sum_c,
+        sum_c=sum(c),
         m_normalizer=min(rho.dims.m, rho.dims.n),
     )
 
@@ -90,16 +89,7 @@ def bound_from_rows(rows: list[dict], dims: Dims, literal_min: bool = False) -> 
     Uses only the c and d columns, so a round trip through CSV checks the
     whole serialization path.
     """
-    big_m = min(dims.m, dims.n)
-    total = 0.0
-    for row in rows:
-        c = row["c"]
-        if c <= TAU_C:
-            continue
-        d = row["d"]
-        x = min(0.0, d) if literal_min else max(0.0, d)
-        total += abs(c) * (x / 2.0 + 1.0)
-    return (total - (dims.m - 1) * (dims.n - 1)) / (big_m - 1)
+    return _bound([row["c"] for row in rows], [row["d"] for row in rows], dims, literal_min)
 
 
 def pure_sum_identity(psi: PureState) -> tuple[float, float]:

@@ -115,13 +115,16 @@ def validate_density(mat: np.ndarray, dims: Dims) -> DensityMatrix:
 
     Raises
     ------
-    DimensionMismatchError, NotHermitianError, TraceError, NotPositiveError
-        One distinct error per violated invariant, in that check order.
+    DimensionMismatchError, StateValidationError, NotHermitianError, TraceError, NotPositiveError
+        One distinct error per violated invariant, in that check order; a NaN
+        or infinite entry raises the plain StateValidationError.
     """
     mat = np.asarray(mat, dtype=complex)
     side = dims.total
     if mat.shape != (side, side):
         raise DimensionMismatchError(f"expected {side}x{side} matrix for dims {dims.m}x{dims.n}, got {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise StateValidationError("matrix has NaN or infinite entries")
     herm_dev = np.max(np.abs(mat - mat.conj().T))
     if herm_dev > TAU_HERM:
         raise NotHermitianError(f"Hermiticity deviation {herm_dev:.3e} exceeds {TAU_HERM}")
@@ -139,6 +142,8 @@ def validate_pure(vec: np.ndarray, dims: Dims) -> PureState:
     vec = np.asarray(vec, dtype=complex).ravel()
     if vec.shape != (dims.total,):
         raise DimensionMismatchError(f"expected vector of length {dims.total}, got {vec.shape}")
+    if not np.isfinite(vec).all():
+        raise StateValidationError("vector has NaN or infinite entries")
     norm_dev = abs(np.linalg.norm(vec) - 1.0)
     if norm_dev > TAU_NORM:
         raise StateValidationError(f"norm deviates from 1 by {norm_dev:.3e}")
@@ -146,8 +151,8 @@ def validate_pure(vec: np.ndarray, dims: Dims) -> PureState:
 
 
 def partial_transpose_mat(mat: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Transpose party A's indices of a raw matrix: ((i,a),(j,b)) -> ((j,a),(i,b))."""
-    return np.ascontiguousarray(mat.reshape(m, n, m, n).transpose(2, 1, 0, 3).reshape(m * n, m * n))
+    """Transpose party A's indices of a raw matrix or a stack of them: ((i,a),(j,b)) -> ((j,a),(i,b))."""
+    return np.ascontiguousarray(mat.reshape(-1, m, n, m, n).swapaxes(1, 3).reshape(mat.shape))
 
 
 def partial_transpose(rho: DensityMatrix) -> np.ndarray:

@@ -22,8 +22,8 @@ applies to it:
   subspace projectors; only that choice makes the normalized witness equal
   the plain two-qubit witness on rho_ab.
 
-Everything here is a pure function of immutable inputs; per-subspace work is
-safe to run concurrently.
+Every per-subspace figure comes from one kernel that gathers the blocks of
+all subspace pairs at once and solves them in one eigensolve and one SVD.
 """
 
 from __future__ import annotations
@@ -59,14 +59,9 @@ from .qstate import (
 TAU_C = 1e-12
 TAU_DETECT = 1e-8
 
-# generator restricted to its own 2-dim subspace, and its two-party sandwich
-_Y2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-_K4 = np.kron(_Y2, _Y2)  # symmetric, K^2 = I
-
-_ID2 = np.eye(2, dtype=complex)
-_KRON_PP = [[np.kron(PAULI[i], PAULI[j]) for j in range(3)] for i in range(3)]
-_KRON_PI = [np.kron(PAULI[i], _ID2) for i in range(3)]
-_KRON_IP = [np.kron(_ID2, PAULI[i]) for i in range(3)]
+# signs of the two-party generator sandwich Y (x) Y on a reversed 4x4 block
+_YY_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0], [1.0, -1.0, -1.0, 1.0])
+_SIGMA_PAIRS = np.array([[np.kron(a, b) for b in (np.eye(2), *PAULI)] for a in (np.eye(2), *PAULI)])
 
 
 @dataclass(frozen=True)
@@ -150,40 +145,54 @@ def _check_pairs(dims: Dims, alpha: GeneratorPair, beta: GeneratorPair) -> None:
         )
 
 
-def _compressed_block(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair):
-    """Weight c and the 4x4 block of (L (x) L) rho (L (x) L)^dag.
+# ---------------------------------------------------------------------------
+# the subspace kernel: every per-subspace figure starts from _blocks
 
-    The sandwich acts on the retained block as the local rotation Y (x) Y with
-    Y = [[0,1],[-1,0]], so only the 4x4 slice of rho is ever touched.
+def _blocks(rho: DensityMatrix, pairs):
+    """Weights c >= 0, live mask c > TAU_C and states rho_ab of the (alpha, beta) pairs.
+
+    The sandwich by L (x) L acts on a gathered 4x4 block as Y (x) Y with
+    Y = [[0,1],[-1,0]]: a reversal of the block basis with the middle two
+    vectors negated, exact in floating point.  Blocks of empty pairs are
+    left unnormalized and must not be read.
     """
     n = rho.dims.n
-    idx = [
-        alpha.j * n + beta.j,
-        alpha.j * n + beta.k,
-        alpha.k * n + beta.j,
-        alpha.k * n + beta.k,
-    ]
-    raw = rho.mat[np.ix_(idx, idx)]
-    c = float(np.real(raw[0, 0] + raw[1, 1] + raw[2, 2] + raw[3, 3]))
-    return c, _K4 @ raw @ _K4
+    ja, ka, jb, kb = np.array([(a.j, a.k, b.j, b.k) for a, b in pairs]).T
+    rows = np.stack([ka * n + kb, ka * n + jb, ja * n + kb, ja * n + jb], axis=1)
+    blk = rho.mat[rows[:, :, None], rows[:, None, :]]
+    blk *= _YY_SIGNS
+    c = np.maximum(blk[:, 3, 3].real + blk[:, 2, 2].real + blk[:, 1, 1].real + blk[:, 0, 0].real, 0.0)
+    live = c > TAU_C
+    blk /= np.where(live, c, 1.0)[:, None, None]
+    blk += blk.conj().transpose(0, 2, 1)
+    blk *= 0.5
+    return c, live, blk
 
 
-def _expect(mat: np.ndarray, op: np.ndarray) -> float:
-    # Tr(mat @ op) for Hermitian op without forming the product
-    return float(np.real((mat * op.T).sum()))
+def _correlations(rho_ab: np.ndarray) -> np.ndarray:
+    """Tr(rho_ab sigma_mu (x) sigma_nu), sigma_0 = I, of one block or a stack:
+    T = [..., 1:, 1:] and the Bloch vectors r = [..., 1:, 0], s = [..., 0, 1:]."""
+    return np.einsum("...ab,ijba->...ij", rho_ab, _SIGMA_PAIRS).real
 
 
-def _pauli_stats(mat: np.ndarray):
-    """Correlation matrix T and local Bloch vectors (r, s) of a 4x4 block."""
-    t = np.empty((3, 3))
-    r = np.empty(3)
-    s = np.empty(3)
-    for i in range(3):
-        r[i] = _expect(mat, _KRON_PI[i])
-        s[i] = _expect(mat, _KRON_IP[i])
-        for j in range(3):
-            t[i, j] = _expect(mat, _KRON_PP[i][j])
-    return t, r, s
+def _reports(rho: DensityMatrix, pairs) -> list[SubspaceReport]:
+    """Reports of the (alpha, beta) pairs: lambda_min of every partial
+    transpose in one eigensolve, every CHSH maximum in one SVD."""
+    c, live, blk = _blocks(rho, pairs)
+    sv = np.linalg.svd(_correlations(blk)[:, 1:, 1:], compute_uv=False)
+    bmax = np.where(live, c * 2.0 * np.sqrt(sv[:, 0] ** 2 + sv[:, 1] ** 2), 0.0)
+    lam = np.where(live, np.linalg.eigvalsh(partial_transpose_mat(blk, 2, 2))[:, 0], 0.0)
+    nmax = 1.0 - 4.0 * lam
+    d = nmax - 1.0
+    cols = zip(*(col.tolist() for col in (c, lam, bmax, nmax, d, np.maximum(0.0, d))))
+    return [SubspaceReport(a, b, *row) for (a, b), row in zip(pairs, cols)]
+
+
+def _pair_block(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair):
+    """Weight c and rho_ab of one subspace pair; rho_ab is None when it is empty."""
+    _check_pairs(rho.dims, alpha, beta)
+    c, live, blk = _blocks(rho, [(alpha, beta)])
+    return float(c[0]), (blk[0] if live[0] else None)
 
 
 def project_state(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair) -> ProjectedState:
@@ -193,12 +202,8 @@ def project_state(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair)
     two-qubit state on basis (|j l>, |j m>, |k l>, |k m>); an empty subspace
     (c <= TAU_C) is a value, not an error.
     """
-    _check_pairs(rho.dims, alpha, beta)
-    c, blk = _compressed_block(rho, alpha, beta)
-    if c <= TAU_C:
-        return ProjectedState(c=max(c, 0.0), rho_ab=None)
-    rho_ab = validate_density((blk + blk.conj().T) / (2.0 * c), Dims(2, 2))
-    return ProjectedState(c=c, rho_ab=rho_ab)
+    c, rho_ab = _pair_block(rho, alpha, beta)
+    return ProjectedState(c=c, rho_ab=None if rho_ab is None else validate_density(rho_ab, Dims(2, 2)))
 
 
 def c_coefficient(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair) -> float:
@@ -246,13 +251,7 @@ def bell_max(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair) -> f
     by the subspace weight; 0 for an empty subspace.  For entanglement
     thresholds compare bell_max / c against 2, not bell_max itself.
     """
-    _check_pairs(rho.dims, alpha, beta)
-    c, blk = _compressed_block(rho, alpha, beta)
-    if c <= TAU_C:
-        return 0.0
-    t, _, _ = _pauli_stats(blk / c)
-    sv = np.linalg.svd(t, compute_uv=False)
-    return float(c * 2.0 * math.sqrt(sv[0] ** 2 + sv[1] ** 2))
+    return subspace_report(rho, alpha, beta).bell_max
 
 
 def nonlinear_value(rho: DensityMatrix, s: WitnessSettings) -> float:
@@ -277,8 +276,8 @@ def nonlinear_normalized(rho: DensityMatrix, s: WitnessSettings) -> float:
 
     Raises on an empty subspace (nothing to normalize).
     """
-    c, _ = _compressed_block(rho, s.alpha, s.beta)
-    if c <= TAU_C:
+    c, rho_ab = _pair_block(rho, s.alpha, s.beta)
+    if rho_ab is None:
         raise ValueError("empty subspace: c <= TAU_C")
     return nonlinear_value(rho, s) / c
 
@@ -289,41 +288,19 @@ def nonlinear_max(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair)
     Equals 1 - 4*lambda_min(rho_ab^{T_A}); above 1 exactly when the compressed
     state is entangled.  Empty subspaces return 1 (no violation possible).
     """
-    _check_pairs(rho.dims, alpha, beta)
-    c, blk = _compressed_block(rho, alpha, beta)
-    if c <= TAU_C:
-        return 1.0
-    return 1.0 - 4.0 * _lambda_min_pt(blk / c)
-
-
-def _lambda_min_pt(mat4: np.ndarray) -> float:
-    pt = partial_transpose_mat(mat4, 2, 2)
-    return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)[0])
+    return subspace_report(rho, alpha, beta).nonlinear_max
 
 
 def subspace_report(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair) -> SubspaceReport:
-    """All per-subspace figures from one block extraction."""
+    """All per-subspace figures of one pair."""
     _check_pairs(rho.dims, alpha, beta)
-    c, blk = _compressed_block(rho, alpha, beta)
-    if c <= TAU_C:
-        return SubspaceReport(alpha, beta, max(c, 0.0), 0.0, 0.0, 1.0, 0.0, 0.0)
-    norm = blk / c
-    lam = _lambda_min_pt(norm)
-    t, _, _ = _pauli_stats(norm)
-    sv = np.linalg.svd(t, compute_uv=False)
-    bmax = float(c * 2.0 * math.sqrt(sv[0] ** 2 + sv[1] ** 2))
-    nmax = 1.0 - 4.0 * lam
-    d = nmax - 1.0
-    return SubspaceReport(alpha, beta, c, lam, bmax, nmax, d, max(0.0, d))
+    return _reports(rho, [(alpha, beta)])[0]
 
 
 def subspace_reports(rho: DensityMatrix) -> list[SubspaceReport]:
     """Reports for all subspace pairs in lexicographic (alpha, beta) order."""
-    out = []
-    for alpha, _ in so_generators(rho.dims.m):
-        for beta, _ in so_generators(rho.dims.n):
-            out.append(subspace_report(rho, alpha, beta))
-    return out
+    betas = [beta for beta, _ in so_generators(rho.dims.n)]
+    return _reports(rho, [(alpha, beta) for alpha, _ in so_generators(rho.dims.m) for beta in betas])
 
 
 def detect_entanglement(rho: DensityMatrix) -> tuple[bool, list[SubspaceReport]]:
@@ -428,11 +405,11 @@ def optimize_settings(
     (8 spherical angles) and returns (BellSettings, value).  Deterministic
     for a fixed cfg.seed.
     """
-    _check_pairs(rho.dims, alpha, beta)
-    c, blk = _compressed_block(rho, alpha, beta)
-    if c <= TAU_C:
+    c, rho_ab = _pair_block(rho, alpha, beta)
+    if rho_ab is None:
         raise ValueError("empty subspace: c <= TAU_C")
-    t, r, s = _pauli_stats(blk / c)
+    corr = _correlations(rho_ab)
+    t, r, s = corr[1:, 1:], corr[1:, 0], corr[0, 1:]
     if kind == "nonlinear":
         neg, nang = _nonlinear_objective(t, r, s), 6
     elif kind == "bell":

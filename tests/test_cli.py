@@ -108,6 +108,14 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["detect", "--family", "isotropic", "--d", "3", "--x", "2.0"])
         assert code == 3 and "error" in err
 
+    def test_non_finite_state_file(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        doc = json.loads(to_json(isotropic(2, 0.0)))
+        doc["re"][0][0] = float("nan")
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, ["detect", "--state", str(path)])
+        assert code == 3 and "NaN or infinite" in err and "Traceback" not in err
+
     def test_missing_state_file(self, capsys):
         code, _, _ = run_cli(capsys, ["detect", "--state", "/nonexistent/state.json"])
         assert code == 3
@@ -171,23 +179,13 @@ class TestScan:
             assert doc["nonlinear"]["threshold"] is None
             assert doc["nonlinear"]["status"] == "no threshold in range"
 
-    def test_thread_cap_does_not_change_output(self, capsys, monkeypatch):
-        argv = [
-            "scan", "--family", "isotropic", "--d", "3",
-            "--scan-param", "x", "--range", "0.1:0.4", "--points", "6",
-        ]
-        code1, out1, _ = run_cli(capsys, argv)
-        monkeypatch.setenv("ENTWIT_THREADS", "2")
-        code2, out2, _ = run_cli(capsys, argv)
-        assert code1 == code2 == 0 and out1 == out2
-
-    def test_bad_thread_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("ENTWIT_THREADS", "zero")
-        code, _, err = run_cli(
-            capsys,
-            ["scan", "--family", "isotropic", "--d", "3", "--scan-param", "x", "--range", "0.1:0.4", "--points", "3"],
-        )
-        assert code == 2 and "ENTWIT_THREADS" in err
+    def test_negative_range_start_needs_equals_form(self, capsys):
+        argv = ["scan", "--family", "isotropic", "--d", "3", "--scan-param", "x", "--points", "3"]
+        code, out, _ = run_cli(capsys, argv + ["--range=-0.1:0.4"])
+        assert code == 0
+        assert [float(ln.split(",")[0]) for ln in out.splitlines()[1:]] == [-0.1, 0.15, 0.4]
+        code, _, err = run_cli(capsys, argv + ["--range", "-0.1:0.4"])
+        assert code == 2 and "expected one argument" in err
 
     def test_csv_file_side_output(self, capsys, tmp_path):
         path = tmp_path / "scan.csv"

@@ -1,0 +1,63 @@
+"""Property tests: local basis permutations and local diagonal phases are
+local unitaries, so they map the set of subspace pairs onto itself and leave
+every per-subspace figure, the bound and the detection verdict unchanged.
+This guards the index bookkeeping of the batched block gather."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from entwit.cren import cren_lower_bound
+from entwit.qstate import Dims, validate_density
+from entwit.witness import detect_entanglement, subspace_reports
+
+
+@st.composite
+def transformed_states(draw):
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 4))
+    rank = draw(st.integers(1, m * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(m * n, rank)) + 1j * rng.normal(size=(m * n, rank))
+    # drop local basis vectors from the support so that some subspaces are empty
+    keep_a = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    keep_b = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    keep_a[draw(st.integers(0, m - 1))] = keep_b[draw(st.integers(0, n - 1))] = True
+    g *= np.kron(keep_a, keep_b)[:, None]
+    mat = g @ g.conj().T
+    perm_a = draw(st.permutations(range(m)))
+    perm_b = draw(st.permutations(range(n)))
+    phase_a = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, m))
+    phase_b = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+    # U |i> = phase_i |perm(i)> on each side
+    u_a = np.zeros((m, m), dtype=complex)
+    u_a[perm_a, range(m)] = phase_a
+    u_b = np.zeros((n, n), dtype=complex)
+    u_b[perm_b, range(n)] = phase_b
+    u = np.kron(u_a, u_b)
+    dims = Dims(m, n)
+    rho = validate_density(mat / np.trace(mat).real, dims)
+    moved = validate_density(u @ rho.mat @ u.conj().T, dims)
+    return rho, moved, perm_a, perm_b
+
+
+def _figures(rho, perm_a=None, perm_b=None):
+    out = {}
+    for r in subspace_reports(rho):
+        key = (r.alpha.j, r.alpha.k, r.beta.j, r.beta.k)
+        if perm_a is not None:
+            key = (*sorted((perm_a[key[0]], perm_a[key[1]])), *sorted((perm_b[key[2]], perm_b[key[3]])))
+        out[key] = (r.c, r.lambda_min, r.nonlinear_max, r.bell_max)
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(transformed_states())
+def test_local_permutations_and_phases_leave_every_figure_unchanged(case):
+    rho, moved, perm_a, perm_b = case
+    before = _figures(rho, perm_a, perm_b)
+    after = _figures(moved)
+    assert before.keys() == after.keys()
+    for key, figures in before.items():
+        assert np.max(np.abs(np.subtract(figures, after[key]))) < 1e-10, key
+    assert abs(cren_lower_bound(rho).bound - cren_lower_bound(moved).bound) < 1e-10
+    assert detect_entanglement(rho)[0] == detect_entanglement(moved)[0]

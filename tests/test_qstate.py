@@ -72,6 +72,21 @@ class TestValidateDensity:
         with pytest.raises(DimensionMismatchError):
             Dims(1, 3)
 
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, where, bad):
+        # NaN fails every comparison: without a finiteness check it passes the
+        # other checks on the diagonal and reaches the eigensolver off it
+        mat = (np.eye(4) / 4).astype(complex)
+        mat[where] = bad
+        mat[where[::-1]] = bad
+        with pytest.raises(StateValidationError, match="NaN or infinite"):
+            validate_density(mat, Dims(2, 2))
+
+    def test_non_finite_pure_vector_rejected(self):
+        with pytest.raises(StateValidationError, match="NaN or infinite"):
+            validate_pure([np.nan, 0.0, 0.0, 0.0], Dims(2, 2))
+
     def test_matrix_is_readonly(self):
         rho = validate_density(np.eye(4) / 4, Dims(2, 2))
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ import pytest
 from entwit.generators import (
     GeneratorPair,
     PAULI,
+    generator_matrix,
     rotation_zyz,
     so_generators,
     triad_from_rotation,
@@ -29,6 +30,7 @@ from entwit.witness import (
     BellSettings,
     CSV_HEADER,
     OptimizerConfig,
+    TAU_C,
     TAU_DETECT,
     WitnessSettings,
     bell_max,
@@ -44,6 +46,7 @@ from entwit.witness import (
     optimize_settings,
     project_state,
     reports_to_csv,
+    subspace_report,
     subspace_reports,
 )
 
@@ -156,6 +159,68 @@ class TestProjection:
         rho = max_ent(3)
         with pytest.raises(ValueError):
             project_state(rho, GeneratorPair(0, 1, 2), GeneratorPair(0, 1, 3))
+
+
+class TestKernel:
+    """The batched kernel against a per-pair oracle that forms each generator
+    sandwich as a full-size matrix product and solves every block on its own.
+
+    The report figures do not change under a local unitary on a block, so a
+    wrong basis order or sign in the gather shows only in rho_ab."""
+
+    @staticmethod
+    def oracle(rho, alpha, beta):
+        n = rho.dims.n
+        ll = np.kron(generator_matrix(alpha), generator_matrix(beta))
+        idx = [alpha.j * n + beta.j, alpha.j * n + beta.k, alpha.k * n + beta.j, alpha.k * n + beta.k]
+        blk = (ll @ rho.mat @ ll.T)[np.ix_(idx, idx)]
+        c = np.trace(blk).real
+        if c <= TAU_C:
+            return max(c, 0.0), 0.0, 0.0, 1.0, None
+        norm = blk / c
+        pt = norm.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
+        lam = np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)[0]
+        t = np.array([[np.trace(norm @ np.kron(PAULI[i], PAULI[j])).real for j in range(3)] for i in range(3)])
+        sv = np.linalg.svd(t, compute_uv=False)
+        return c, lam, c * 2.0 * math.hypot(sv[0], sv[1]), 1.0 - 4.0 * lam, norm
+
+    @pytest.mark.parametrize(
+        "m, n, rank, support, stride",
+        [
+            (2, 2, 4, None, 1),
+            (3, 3, 2, None, 1),
+            (3, 5, 15, None, 1),
+            (5, 4, 20, None, 1),
+            (3, 4, 3, [0, 1, 5], 1),
+            (6, 12, 72, None, 11),  # every 11th of the 990 pairs
+            (12, 12, 144, None, 43),  # every 43rd of the 4356 pairs
+        ],
+    )
+    def test_reports_match_per_pair_oracle(self, m, n, rank, support, stride):
+        rng = np.random.default_rng(100 * m + n)
+        mat = rand_density(rng, m, n, rank).mat
+        if support is not None:  # zero rows and columns: some subspaces are empty
+            keep = np.isin(np.arange(m * n), support)
+            mat = mat * np.outer(keep, keep)
+            mat /= np.trace(mat).real
+        rho = validate_density(mat, Dims(m, n))
+        reports = subspace_reports(rho)
+        assert [(r.alpha, r.beta) for r in reports] == [
+            (a, b) for a, _ in so_generators(m) for b, _ in so_generators(n)
+        ]
+        for r in reports[::stride]:
+            c, lam, bmax, nmax, norm = self.oracle(rho, r.alpha, r.beta)
+            want = (c, lam, bmax, nmax, nmax - 1.0, max(0.0, nmax - 1.0))
+            single = subspace_report(rho, r.alpha, r.beta)
+            for got in (r, single):
+                fields = (got.c, got.lambda_min, got.bell_max, got.nonlinear_max, got.d, got.x)
+                assert np.max(np.abs(np.subtract(fields, want))) < 1e-12
+            rho_ab = project_state(rho, r.alpha, r.beta).rho_ab
+            assert (rho_ab is None) == (norm is None)
+            if norm is not None:
+                assert np.max(np.abs(rho_ab.mat - norm)) < 1e-12
+        if support is not None:
+            assert any(r.c == 0.0 and r.nonlinear_max == 1.0 for r in reports)
 
 
 class TestCCoefficient:
