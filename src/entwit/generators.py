@@ -9,7 +9,6 @@ the x and z components, leaving the +-1 block spectrum intact).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,18 +120,25 @@ def triad_from_rotation(rot: np.ndarray) -> ObservableTriad:
     return ObservableTriad(u @ vt)
 
 
-def rotation_zyz(t1: float, t2: float, t3: float) -> np.ndarray:
-    """Proper rotation Rz(t1) Ry(t2) Rz(t3); covers SO(3) as angles range freely."""
-    ca, sa = math.cos(t1), math.sin(t1)
-    cb, sb = math.cos(t2), math.sin(t2)
-    cg, sg = math.cos(t3), math.sin(t3)
-    return np.array(
-        [
-            [ca * cb * cg - sa * sg, -ca * cb * sg - sa * cg, ca * sb],
-            [sa * cb * cg + ca * sg, -sa * cb * sg + ca * cg, sa * sb],
-            [-sb * cg, sb * sg, cb],
-        ]
-    )
+def rotation_zyz(t1, t2, t3) -> np.ndarray:
+    """Proper rotation Rz(t1) Ry(t2) Rz(t3); covers SO(3) as angles range freely.
+
+    Angle arrays broadcast: the result has shape (..., 3, 3).
+    """
+    ca, sa = np.cos(t1), np.sin(t1)
+    cb, sb = np.cos(t2), np.sin(t2)
+    cg, sg = np.cos(t3), np.sin(t3)
+    rot = np.empty(np.broadcast(ca, cb, cg).shape + (3, 3))
+    rot[..., 0, 0] = ca * cb * cg - sa * sg
+    rot[..., 0, 1] = -ca * cb * sg - sa * cg
+    rot[..., 0, 2] = ca * sb
+    rot[..., 1, 0] = sa * cb * cg + ca * sg
+    rot[..., 1, 1] = -sa * cb * sg + ca * cg
+    rot[..., 1, 2] = sa * sb
+    rot[..., 2, 0] = -sb * cg
+    rot[..., 2, 1] = sb * sg
+    rot[..., 2, 2] = cb
+    return rot
 
 
 def tilde_operator(ell: np.ndarray, obs: EmbeddedObservable) -> np.ndarray:

@@ -24,6 +24,11 @@ applies to it:
 
 Every per-subspace figure comes from one kernel that gathers the blocks of
 all subspace pairs at once and solves them in one eigensolve and one SVD.
+
+Measurement settings come from a separate numeric search (optimize_settings):
+a multi-start BFGS ascent with analytic gradients over the measurement
+angles.  It reads only the correlation table of a block, never lambda_min or
+the SVD, so its agreement with the closed forms is an independent check.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .generators import (
     GeneratorPair,
@@ -132,6 +136,12 @@ class SubspaceReport:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Budget of optimize_settings: `restarts` random starts drawn from
+    default_rng(`seed`); a restart stops once its accepted step falls below
+    `step_tol` (max-norm over the angles, radians); `max_evals` caps the
+    batched objective evaluations of one call, each of which evaluates
+    every restart."""
+
     restarts: int = 32
     seed: int = 0
     step_tol: float = 1e-7
@@ -319,75 +329,124 @@ def best_report(reports: list[SubspaceReport]) -> SubspaceReport:
 
 
 # ---------------------------------------------------------------------------
-# numeric settings search, used as an independent check of the closed forms
+# numeric settings search, used as an independent check of the closed forms:
+# it reads only the correlation table of the block, never lambda_min or the SVD
 
-def _nonlinear_objective(t, r, s):
-    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = t.tolist()
-    r0, r1, r2 = r.tolist()
-    s0, s1, s2 = s.tolist()
-    cos, sin, hypot = math.cos, math.sin, math.hypot
-
-    def neg(x):
-        ca, sa = cos(x[0]), sin(x[0])
-        cb, sb = cos(x[1]), sin(x[1])
-        cg, sg = cos(x[2]), sin(x[2])
-        a10, a11, a12 = ca * cb * cg - sa * sg, -ca * cb * sg - sa * cg, ca * sb
-        a20, a21, a22 = sa * cb * cg + ca * sg, -sa * cb * sg + ca * cg, sa * sb
-        a30, a31, a32 = -sb * cg, sb * sg, cb
-        ca, sa = cos(x[3]), sin(x[3])
-        cb, sb = cos(x[4]), sin(x[4])
-        cg, sg = cos(x[5]), sin(x[5])
-        b10, b11, b12 = ca * cb * cg - sa * sg, -ca * cb * sg - sa * cg, ca * sb
-        b20, b21, b22 = sa * cb * cg + ca * sg, -sa * cb * sg + ca * cg, sa * sb
-        b30, b31, b32 = -sb * cg, sb * sg, cb
-        u0 = a10 * t00 + a11 * t10 + a12 * t20
-        u1 = a10 * t01 + a11 * t11 + a12 * t21
-        u2 = a10 * t02 + a11 * t12 + a12 * t22
-        v0 = a20 * t00 + a21 * t10 + a22 * t20
-        v1 = a20 * t01 + a21 * t11 + a22 * t21
-        v2 = a20 * t02 + a21 * t12 + a22 * t22
-        w0 = a30 * t00 + a31 * t10 + a32 * t20
-        w1 = a30 * t01 + a31 * t11 + a32 * t21
-        w2 = a30 * t02 + a31 * t12 + a32 * t22
-        corr = u0 * b10 + u1 * b11 + u2 * b12 + v0 * b20 + v1 * b21 + v2 * b22
-        summ = a30 * r0 + a31 * r1 + a32 * r2 + b30 * s0 + b31 * s1 + b32 * s2
-        last = w0 * b30 + w1 * b31 + w2 * b32
-        return -(hypot(corr, summ) - last)
-
-    return neg
+_GRAD_TOL = 1e-10  # max-norm of the gradient at which a restart has converged
+_ARMIJO = 1e-4  # sufficient-increase constant of the backtracking line search
 
 
-def _bell_objective(t, c):
-    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = t.tolist()
-    cos, sin = math.cos, math.sin
-
-    def neg(x):
-        st, ct = sin(x[0]), cos(x[0])
-        a10, a11, a12 = st * cos(x[1]), st * sin(x[1]), ct
-        st, ct = sin(x[2]), cos(x[2])
-        a20, a21, a22 = st * cos(x[3]), st * sin(x[3]), ct
-        st, ct = sin(x[4]), cos(x[4])
-        b10, b11, b12 = st * cos(x[5]), st * sin(x[5]), ct
-        st, ct = sin(x[6]), cos(x[6])
-        b20, b21, b22 = st * cos(x[7]), st * sin(x[7]), ct
-        u0 = a10 * t00 + a11 * t10 + a12 * t20
-        u1 = a10 * t01 + a11 * t11 + a12 * t21
-        u2 = a10 * t02 + a11 * t12 + a12 * t22
-        v0 = a20 * t00 + a21 * t10 + a22 * t20
-        v1 = a20 * t01 + a21 * t11 + a22 * t21
-        v2 = a20 * t02 + a21 * t12 + a22 * t22
-        val = (
-            u0 * (b10 + b20) + u1 * (b11 + b21) + u2 * (b12 + b22)
-            + v0 * (b10 - b20) + v1 * (b11 - b21) + v2 * (b12 - b22)
-        )
-        return -abs(val) * c
-
-    return neg
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("ri,ri->r", u, v)
 
 
-def _sph(theta: float, phi: float) -> np.ndarray:
-    st = math.sin(theta)
-    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+def _zyz_gradient(ang: np.ndarray, rot: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient over ZYZ angles (..., 3) of a function with df/dR = g at R = rot.
+
+    dR/dt1 = Gz R, dR/dt2 = K(t1) R and dR/dt3 = R Gz, with Gz the generator
+    of Rz and K(t1) = Rz(t1) Gy Rz(t1)^T the rotated generator of Ry.
+    """
+    rows = g @ np.swapaxes(rot, -1, -2)  # g_k . R_l
+    cols = np.swapaxes(g, -1, -2) @ rot  # g^T R
+    ca, sa = np.cos(ang[..., 0]), np.sin(ang[..., 0])
+    out = np.empty_like(ang)
+    out[..., 0] = rows[..., 1, 0] - rows[..., 0, 1]
+    out[..., 1] = ca * (rows[..., 0, 2] - rows[..., 2, 0]) + sa * (rows[..., 1, 2] - rows[..., 2, 1])
+    out[..., 2] = cols[..., 0, 1] - cols[..., 1, 0]
+    return out
+
+
+def _nonlinear_fg(x: np.ndarray, t: np.ndarray, r: np.ndarray, s: np.ndarray):
+    """Normalized nonlinear witness and its gradient at ZYZ angles x (R, 6).
+
+    Rows of Rzyz(x[:, :3]) and Rzyz(x[:, 3:]) are the triads of A and B;
+    t is the correlation matrix of rho_ab and r, s its Bloch vectors.
+    """
+    ang = x.reshape(len(x), 2, 3)
+    rot = rotation_zyz(ang[..., 0], ang[..., 1], ang[..., 2])
+    a, b = rot[:, 0], rot[:, 1]
+    at = a @ t  # rows a_k^T T
+    bt = b @ t.T  # rows (T b_k)^T
+    corr = np.einsum("rkj,rkj->r", a[:, :2], bt[:, :2])
+    summ = a[:, 2] @ r + b[:, 2] @ s
+    last = _dot(a[:, 2], bt[:, 2])
+    h = np.hypot(corr, summ)
+    safe = np.where(h > 0.0, h, 1.0)
+    w = np.stack([corr / safe, corr / safe, -np.ones_like(h)], axis=1)[:, None, :, None]
+    g = np.stack([bt, at], axis=1) * w  # df/dA and df/dB
+    g[:, :, 2] += (summ / safe)[:, None, None] * np.stack([r, s])
+    return h - last, _zyz_gradient(ang, rot, g).reshape(x.shape)
+
+
+def _sph(theta, phi) -> np.ndarray:
+    """Unit vectors at spherical angles; arrays broadcast to shape (..., 3)."""
+    st = np.sin(theta)
+    v = np.empty(np.broadcast(theta, phi).shape + (3,))
+    v[..., 0] = st * np.cos(phi)
+    v[..., 1] = st * np.sin(phi)
+    v[..., 2] = np.cos(theta)
+    return v
+
+
+def _bell_fg(x: np.ndarray, t: np.ndarray):
+    """|CHSH| of rho_ab and its gradient at spherical angles x (R, 8).
+
+    Angle pairs (theta, phi) give the directions a1, a2, b1, b2 in that order;
+    t is the correlation matrix of rho_ab.
+    """
+    th, ph = x[:, 0::2], x[:, 1::2]
+    v = _sph(th, ph)  # (R, 4, 3)
+    ct, st, cp, sp = v[..., 2], np.sin(th), np.cos(ph), np.sin(ph)
+    ta = v[:, :2] @ t  # rows a_k^T T
+    bp, bm = v[:, 2] + v[:, 3], v[:, 2] - v[:, 3]
+    val = _dot(ta[:, 0], bp) + _dot(ta[:, 1], bm)
+    dv = np.stack([bp @ t.T, bm @ t.T, ta[:, 0] + ta[:, 1], ta[:, 0] - ta[:, 1]], axis=1)
+    dv *= np.sign(val)[:, None, None]
+    grad = np.empty_like(x)
+    grad[:, 0::2] = ct * (cp * dv[..., 0] + sp * dv[..., 1]) - st * dv[..., 2]
+    grad[:, 1::2] = st * (cp * dv[..., 1] - sp * dv[..., 0])
+    return np.abs(val), grad
+
+
+def _ascend(fg, x: np.ndarray, step_tol: float, max_evals: int):
+    """Maximize fg from every row of x at once: BFGS with Armijo backtracking.
+
+    fg maps angles (R, n) to values (R,) and gradients (R, n).  Each pass
+    evaluates fg once at every row's trial point; a row that fails the
+    Armijo test halves its step, a row that passes takes it and updates its
+    inverse Hessian.  A row stops when its gradient (max-norm) falls below
+    _GRAD_TOL, its accepted step below step_tol, or its line search stalls
+    below step_tol.  max_evals caps the calls of fg.  Returns the final
+    angles and their values.
+    """
+    x = np.array(x, dtype=float)
+    f, g = fg(x)
+    evals = 1
+    eye = np.eye(x.shape[1])
+    hinv = np.broadcast_to(eye, (len(x),) + eye.shape).copy()  # inverse Hessian of -f
+    p, step = g.copy(), np.ones(len(x))
+    active = np.abs(g).max(axis=1) > _GRAD_TOL
+    while active.any() and evals < max_evals:
+        trial = x + step[:, None] * p
+        ft, gt = fg(trial)
+        evals += 1
+        ok = active & (ft >= f + _ARMIJO * step * _dot(p, g))
+        back = active & ~ok
+        step[back] *= 0.5
+        active &= ~(back & (step * np.abs(p).max(axis=1) < step_tol))
+        if not ok.any():
+            continue
+        sx, y = trial - x, g - gt
+        sy = _dot(sx, y)
+        # update the rows that passed where the curvature condition holds
+        inv_sy = np.divide(1.0, sy, out=np.zeros_like(sy), where=ok & (sy > 0.0))
+        hy = np.einsum("rij,rj->ri", hinv, y)
+        hinv -= inv_sy[:, None, None] * (sx[:, :, None] * hy[:, None, :] + hy[:, :, None] * sx[:, None, :])
+        hinv += (inv_sy + inv_sy**2 * _dot(y, hy))[:, None, None] * sx[:, :, None] * sx[:, None, :]
+        x[ok], f[ok], g[ok] = trial[ok], ft[ok], gt[ok]
+        p[ok], step[ok] = np.einsum("rij,rj->ri", hinv[ok], g[ok]), 1.0
+        active &= ~(ok & ((np.abs(sx).max(axis=1) < step_tol) | (np.abs(g).max(axis=1) <= _GRAD_TOL)))
+    return x, f
 
 
 def optimize_settings(
@@ -397,13 +456,16 @@ def optimize_settings(
     kind: str,
     cfg: OptimizerConfig = OptimizerConfig(),
 ):
-    """Multi-start Nelder-Mead search over measurement settings.
+    """Multi-start quasi-Newton search over measurement settings.
 
     kind="nonlinear" maximizes the normalized witness over two same-handed
     triads (6 angles, ZYZ per side) and returns (WitnessSettings, value);
     kind="bell" maximizes |bell_value| over four independent directions
-    (8 spherical angles) and returns (BellSettings, value).  Deterministic
-    for a fixed cfg.seed.
+    (8 spherical angles) and returns (BellSettings, value).  All restarts,
+    drawn uniformly from default_rng(cfg.seed), climb together by BFGS with
+    analytic gradients (see _ascend).  The search reads only the correlation
+    table of the compressed block, never the closed forms.  Deterministic
+    for a fixed cfg.
     """
     c, rho_ab = _pair_block(rho, alpha, beta)
     if rho_ab is None:
@@ -411,42 +473,27 @@ def optimize_settings(
     corr = _correlations(rho_ab)
     t, r, s = corr[1:, 1:], corr[1:, 0], corr[0, 1:]
     if kind == "nonlinear":
-        neg, nang = _nonlinear_objective(t, r, s), 6
+        fg, nang, scale = (lambda x: _nonlinear_fg(x, t, r, s)), 6, 1.0
     elif kind == "bell":
-        neg, nang = _bell_objective(t, c), 8
+        # the search runs on rho_ab; bell_value on rho carries the weight c
+        fg, nang, scale = (lambda x: _bell_fg(x, t)), 8, c
     else:
         raise ValueError(f"unknown witness kind {kind!r}")
 
-    rng = np.random.default_rng(cfg.seed)
-    best_val, best_x = -np.inf, None
-    for _ in range(cfg.restarts):
-        x0 = rng.uniform(0.0, 2.0 * np.pi, nang)
-        res = minimize(
-            neg,
-            x0,
-            method="Nelder-Mead",
-            options=dict(xatol=cfg.step_tol, fatol=1e-12, maxfev=cfg.max_evals),
-        )
-        if -res.fun > best_val:
-            best_val, best_x = -res.fun, res.x
-
+    starts = np.random.default_rng(cfg.seed).uniform(0.0, 2.0 * np.pi, (cfg.restarts, nang))
+    x, f = _ascend(fg, starts, cfg.step_tol, cfg.max_evals)
+    best = int(np.argmax(f))
+    x = x[best]
     if kind == "nonlinear":
         settings = WitnessSettings(
             alpha,
             beta,
-            triad_from_rotation(rotation_zyz(*best_x[:3])),
-            triad_from_rotation(rotation_zyz(*best_x[3:])),
+            triad_from_rotation(rotation_zyz(*x[:3])),
+            triad_from_rotation(rotation_zyz(*x[3:])),
         )
     else:
-        settings = BellSettings(
-            alpha,
-            beta,
-            _sph(best_x[0], best_x[1]),
-            _sph(best_x[2], best_x[3]),
-            _sph(best_x[4], best_x[5]),
-            _sph(best_x[6], best_x[7]),
-        )
-    return settings, float(best_val)
+        settings = BellSettings(alpha, beta, *_sph(x[0::2], x[1::2]))
+    return settings, float(scale * f[best])
 
 
 # ---------------------------------------------------------------------------

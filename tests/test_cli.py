@@ -259,3 +259,15 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["entangled"] is True
+
+
+def test_cli_import_does_not_load_scipy():
+    # start-up of detect, bound and scan stays free of the SciPy import
+    proc = subprocess.run(
+        [sys.executable, "-c", "import entwit.cli, sys; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

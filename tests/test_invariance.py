@@ -1,14 +1,28 @@
-"""Property tests: local basis permutations and local diagonal phases are
-local unitaries, so they map the set of subspace pairs onto itself and leave
-every per-subspace figure, the bound and the detection verdict unchanged.
-This guards the index bookkeeping of the batched block gather."""
+"""Property tests.
+
+Local basis permutations and local diagonal phases are local unitaries, so
+they map the set of subspace pairs onto itself and leave every per-subspace
+figure, the bound and the detection verdict unchanged.  This guards the
+index bookkeeping of the batched block gather.
+
+The settings search maximizes over measurable settings, so it can never
+beat the closed-form maxima; a search that does has a wrong objective.
+"""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from entwit.cren import cren_lower_bound
+from entwit.generators import so_generators
 from entwit.qstate import Dims, validate_density
-from entwit.witness import detect_entanglement, subspace_reports
+from entwit.witness import (
+    OptimizerConfig,
+    bell_max,
+    detect_entanglement,
+    nonlinear_max,
+    optimize_settings,
+    subspace_reports,
+)
 
 
 @st.composite
@@ -61,3 +75,29 @@ def test_local_permutations_and_phases_leave_every_figure_unchanged(case):
         assert np.max(np.abs(np.subtract(figures, after[key]))) < 1e-10, key
     assert abs(cren_lower_bound(rho).bound - cren_lower_bound(moved).bound) < 1e-10
     assert detect_entanglement(rho)[0] == detect_entanglement(moved)[0]
+
+
+@st.composite
+def states_and_pairs(draw):
+    m = draw(st.integers(2, 3))
+    n = draw(st.integers(2, 3))
+    rank = draw(st.integers(1, m * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(m * n, rank)) + 1j * rng.normal(size=(m * n, rank))
+    mat = g @ g.conj().T
+    rho = validate_density(mat / np.trace(mat).real, Dims(m, n))
+    alpha = draw(st.sampled_from([p for p, _ in so_generators(m)]))
+    beta = draw(st.sampled_from([p for p, _ in so_generators(n)]))
+    return rho, alpha, beta
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(states_and_pairs(), st.integers(0, 2**16))
+def test_settings_search_reaches_but_never_beats_the_closed_forms(case, seed):
+    rho, alpha, beta = case
+    cfg = OptimizerConfig(restarts=4, seed=seed, step_tol=1e-5)
+    for kind, closed in (("nonlinear", nonlinear_max), ("bell", bell_max)):
+        _, value = optimize_settings(rho, alpha, beta, kind, cfg)
+        gap = value - closed(rho, alpha, beta)
+        assert gap <= 1e-9, (kind, gap)
+        assert gap > -1e-4, (kind, gap)

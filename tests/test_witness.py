@@ -33,6 +33,8 @@ from entwit.witness import (
     TAU_C,
     TAU_DETECT,
     WitnessSettings,
+    _bell_fg,
+    _nonlinear_fg,
     bell_max,
     bell_value,
     best_report,
@@ -110,6 +112,72 @@ def two_qubit_chsh(rho_ab_mat, a1, a2, b1, b2):
         - np.kron(pauli_dot(a2), pauli_dot(b2))
     )
     return np.trace(rho_ab_mat @ op).real
+
+
+# Scalar negated objectives of the settings search, one start at a time:
+# the reference for the batched objectives and their gradients.
+def _nonlinear_objective(t, r, s):
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = t.tolist()
+    r0, r1, r2 = r.tolist()
+    s0, s1, s2 = s.tolist()
+    cos, sin, hypot = math.cos, math.sin, math.hypot
+
+    def neg(x):
+        ca, sa = cos(x[0]), sin(x[0])
+        cb, sb = cos(x[1]), sin(x[1])
+        cg, sg = cos(x[2]), sin(x[2])
+        a10, a11, a12 = ca * cb * cg - sa * sg, -ca * cb * sg - sa * cg, ca * sb
+        a20, a21, a22 = sa * cb * cg + ca * sg, -sa * cb * sg + ca * cg, sa * sb
+        a30, a31, a32 = -sb * cg, sb * sg, cb
+        ca, sa = cos(x[3]), sin(x[3])
+        cb, sb = cos(x[4]), sin(x[4])
+        cg, sg = cos(x[5]), sin(x[5])
+        b10, b11, b12 = ca * cb * cg - sa * sg, -ca * cb * sg - sa * cg, ca * sb
+        b20, b21, b22 = sa * cb * cg + ca * sg, -sa * cb * sg + ca * cg, sa * sb
+        b30, b31, b32 = -sb * cg, sb * sg, cb
+        u0 = a10 * t00 + a11 * t10 + a12 * t20
+        u1 = a10 * t01 + a11 * t11 + a12 * t21
+        u2 = a10 * t02 + a11 * t12 + a12 * t22
+        v0 = a20 * t00 + a21 * t10 + a22 * t20
+        v1 = a20 * t01 + a21 * t11 + a22 * t21
+        v2 = a20 * t02 + a21 * t12 + a22 * t22
+        w0 = a30 * t00 + a31 * t10 + a32 * t20
+        w1 = a30 * t01 + a31 * t11 + a32 * t21
+        w2 = a30 * t02 + a31 * t12 + a32 * t22
+        corr = u0 * b10 + u1 * b11 + u2 * b12 + v0 * b20 + v1 * b21 + v2 * b22
+        summ = a30 * r0 + a31 * r1 + a32 * r2 + b30 * s0 + b31 * s1 + b32 * s2
+        last = w0 * b30 + w1 * b31 + w2 * b32
+        return -(hypot(corr, summ) - last)
+
+    return neg
+
+
+def _bell_objective(t, c):
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = t.tolist()
+    cos, sin = math.cos, math.sin
+
+    def neg(x):
+        st, ct = sin(x[0]), cos(x[0])
+        a10, a11, a12 = st * cos(x[1]), st * sin(x[1]), ct
+        st, ct = sin(x[2]), cos(x[2])
+        a20, a21, a22 = st * cos(x[3]), st * sin(x[3]), ct
+        st, ct = sin(x[4]), cos(x[4])
+        b10, b11, b12 = st * cos(x[5]), st * sin(x[5]), ct
+        st, ct = sin(x[6]), cos(x[6])
+        b20, b21, b22 = st * cos(x[7]), st * sin(x[7]), ct
+        u0 = a10 * t00 + a11 * t10 + a12 * t20
+        u1 = a10 * t01 + a11 * t11 + a12 * t21
+        u2 = a10 * t02 + a11 * t12 + a12 * t22
+        v0 = a20 * t00 + a21 * t10 + a22 * t20
+        v1 = a20 * t01 + a21 * t11 + a22 * t21
+        v2 = a20 * t02 + a21 * t12 + a22 * t22
+        val = (
+            u0 * (b10 + b20) + u1 * (b11 + b21) + u2 * (b12 + b22)
+            + v0 * (b10 - b20) + v1 * (b11 - b21) + v2 * (b12 - b22)
+        )
+        return -abs(val) * c
+
+    return neg
 
 
 class TestProjection:
@@ -361,6 +429,54 @@ class TestOptimizer:
             s_bl, v_bl = optimize_settings(rho, alpha, beta, "bell", self.CFG)
             assert abs(v_bl - bell_max(rho, alpha, beta)) < 1e-4
             assert abs(abs(bell_value(rho, s_bl)) - v_bl) < 1e-9
+
+    @staticmethod
+    def objectives(kind, rng):
+        """Batched objective, scalar oracle and angle count on a random table."""
+        t, r, s = rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+        if kind == "nonlinear":
+            return (lambda x: _nonlinear_fg(x, t, r, s)), _nonlinear_objective(t, r, s), 6
+        return (lambda x: _bell_fg(x, t)), _bell_objective(t, 1.0), 8
+
+    @pytest.mark.parametrize("kind", ["nonlinear", "bell"])
+    def test_batched_objective_matches_scalar_oracle(self, kind):
+        rng = np.random.default_rng(31)
+        fg, neg, nang = self.objectives(kind, rng)
+        x = rng.uniform(-2 * np.pi, 4 * np.pi, (32, nang))
+        values, _ = fg(x)
+        assert np.max(np.abs(values + np.array([neg(row) for row in x]))) < 1e-14
+
+    @pytest.mark.parametrize("kind", ["nonlinear", "bell"])
+    def test_gradient_matches_central_differences(self, kind):
+        rng = np.random.default_rng(32)
+        fg, _, nang = self.objectives(kind, rng)
+        x = rng.uniform(0, 2 * np.pi, (16, nang))
+        _, grad = fg(x)
+        h = 1e-6
+        for i in range(nang):
+            e = np.zeros(nang)
+            e[i] = h
+            central = (fg(x + e)[0] - fg(x - e)[0]) / (2 * h)
+            assert np.max(np.abs(central - grad[:, i])) < 1e-6, i
+
+    def test_single_evaluation_returns_the_best_start(self):
+        rng = np.random.default_rng(66)
+        rho = rand_density(rng, 3, 3)
+        alpha, beta = GeneratorPair(0, 1, 3), GeneratorPair(1, 2, 3)
+        cfg = OptimizerConfig(restarts=5, seed=3, max_evals=1)
+        p = project_state(rho, alpha, beta)
+        sig = [ID2, *PAULI]
+        table = np.array([[np.trace(p.rho_ab.mat @ np.kron(a, b)).real for b in sig] for a in sig])
+        s_nl, v_nl = optimize_settings(rho, alpha, beta, "nonlinear", cfg)
+        assert abs(nonlinear_normalized(rho, s_nl) - v_nl) < 1e-9
+        neg = _nonlinear_objective(table[1:, 1:], table[1:, 0], table[0, 1:])
+        starts = np.random.default_rng(3).uniform(0, 2 * np.pi, (5, 6))
+        assert abs(v_nl - max(-neg(x) for x in starts)) < 1e-12
+        s_bl, v_bl = optimize_settings(rho, alpha, beta, "bell", cfg)
+        assert abs(abs(bell_value(rho, s_bl)) - v_bl) < 1e-9
+        neg = _bell_objective(table[1:, 1:], p.c)
+        starts = np.random.default_rng(3).uniform(0, 2 * np.pi, (5, 8))
+        assert abs(v_bl - max(-neg(x) for x in starts)) < 1e-12
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(77)
