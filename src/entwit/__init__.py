@@ -10,6 +10,8 @@ witness, cren, and states for the conventions; the `entwit` console script
 (entwit.cli) exposes detection, bound computation, and parameter sweeps.
 """
 
+from types import ModuleType as _ModuleType
+
 from .qstate import (
     TAU_EQ,
     TAU_HERM,
@@ -61,7 +63,6 @@ from .witness import (
     bell_max,
     bell_value,
     best_report,
-    c_coefficient,
     csv_rows,
     detect_entanglement,
     estimate_mean_shots,
@@ -97,80 +98,7 @@ from .states import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BellSettings",
-    "CrenBoundReport",
-    "DensityMatrix",
-    "DimensionMismatchError",
-    "Dims",
-    "EmbeddedObservable",
-    "GeneratorPair",
-    "NotHermitianError",
-    "NotPositiveError",
-    "ObservableTriad",
-    "OptimizerConfig",
-    "PAULI",
-    "ProjectedState",
-    "PureState",
-    "SchmidtDecomposition",
-    "StateSpec",
-    "StateValidationError",
-    "SubspaceReport",
-    "TAU_C",
-    "TAU_DETECT",
-    "TAU_EQ",
-    "TAU_HERM",
-    "TAU_NORM",
-    "TAU_PSD",
-    "TAU_TR",
-    "TraceError",
-    "WitnessSettings",
-    "bell_max",
-    "bell_value",
-    "bennett_rho",
-    "best_report",
-    "bound_from_rows",
-    "c_coefficient",
-    "cren_lower_bound",
-    "cren_pure",
-    "csv_rows",
-    "detect_entanglement",
-    "embed_observable",
-    "estimate_mean_shots",
-    "example1_mixture",
-    "example2_mixture",
-    "from_json",
-    "generator_matrix",
-    "isotropic",
-    "max_entangled",
-    "negativity",
-    "nonlinear_max",
-    "nonlinear_normalized",
-    "nonlinear_value",
-    "optimize_settings",
-    "partial_transpose",
-    "partial_transpose_mat",
-    "project_state",
-    "pure_from_schmidt",
-    "pure_negativity",
-    "pure_sum_identity",
-    "random_density",
-    "random_pure",
-    "realignment_value",
-    "report_to_json",
-    "reports_to_csv",
-    "rho_a",
-    "rotation_zyz",
-    "schmidt",
-    "so_generators",
-    "subspace_projector",
-    "subspace_report",
-    "subspace_reports",
-    "tilde_operator",
-    "to_json",
-    "trace_norm",
-    "triad_from_rotation",
-    "validate_density",
-    "validate_pure",
-    "__version__",
-]
+# every name imported above, so the import lists are the one list of the API
+__all__ = sorted(
+    name for name, obj in globals().items() if not name.startswith("_") and not isinstance(obj, _ModuleType)
+) + ["__version__"]

@@ -7,7 +7,9 @@ max_ab (bell_max / c) - 2.  The Bell difference uses the weight-normalized
 value because the raw subspace mean is suppressed by c and would never reach
 the two-qubit bound on its own (see witness module notes).
 
-Exit codes: 0 success, 2 bad arguments, 3 state validation failure,
+Exit codes: 0 success, 2 bad arguments (flags, including a flag the family
+does not take, and sweep config), 3 an error raised while building a state
+(parameter outside its domain, unreadable state file, invalid matrix),
 4 selftest failure.
 """
 
@@ -24,7 +26,7 @@ import numpy as np
 from .cren import cren_lower_bound, pure_sum_identity, report_to_json
 from .generators import GeneratorPair, PAULI, rotation_zyz, triad_from_rotation
 from .qstate import Dims, StateValidationError, negativity
-from .states import StateSpec, max_entangled, pure_from_schmidt, random_density
+from .states import FILE_FAMILY, StateSpec, _FAMILIES, max_entangled, pure_from_schmidt, random_density
 from .witness import (
     OptimizerConfig,
     TAU_DETECT,
@@ -42,14 +44,37 @@ from .witness import (
 
 SCAN_HEADER = "param,nonlinear_D,bell_D,bound,negativity"
 
-_CLI_FAMILIES = (
-    "isotropic",
-    "max_entangled",
-    "bennett_mix",
-    "rho_a_mix",
-    "random_pure",
-    "random_density",
+# state flag -> (type, help); also the --scan-param choices
+_STATE_FLAGS = {
+    "d": (int, "local dimension"),
+    "x": (float, "isotropic mixing parameter"),
+    "p": (float, "mixture weight"),
+    "a": (float, "weakly inseparable family parameter"),
+}
+# every family whose parameters are all state flags, the seed or the rank
+_CLI_FAMILIES = tuple(
+    family for family, (names, _) in _FAMILIES.items() if set(names) <= {*_STATE_FLAGS, "seed", "rank"}
 )
+
+
+def _family_spec(family: str, flags: dict, seed: int) -> StateSpec:
+    """A family's StateSpec from its flag values, --seed (random families) and
+    rank d^2; a flag the family does not take, or lacks, is a ValueError naming it."""
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    names = _FAMILIES[family][0]
+    for name in flags:
+        if name not in names:
+            raise ValueError(f"family {family} does not take --{name}")
+    for name in names:
+        if name not in flags and name not in ("seed", "rank"):
+            raise ValueError(f"family {family} requires --{name}")
+    params = dict(flags)
+    if "seed" in names:
+        params["seed"] = seed
+    if "rank" in names:
+        params["rank"] = params["d"] ** 2
+    return StateSpec(family, params)
 
 
 @dataclass(frozen=True)
@@ -74,6 +99,7 @@ class SweepConfig:
             raise ValueError("bisect tolerance must be > 0")
         if self.param_name in self.fixed:
             raise ValueError(f"swept parameter {self.param_name!r} also given as a fixed value")
+        _point_spec(self, self.lo, 0)  # flag errors surface here, before any state is built
 
 
 @dataclass(frozen=True)
@@ -109,12 +135,8 @@ def _eval_state(rho) -> tuple[float, float, float, float]:
     return d_nl, d_bell, rep.bound, rep.negativity
 
 
-def _point_spec(cfg: SweepConfig, value: float, base_seed: int, index: int) -> StateSpec:
-    params = dict(cfg.fixed)
-    params[cfg.param_name] = value
-    if cfg.family in ("random_pure", "random_density"):
-        params["seed"] = base_seed + index
-    return StateSpec(cfg.family, params)
+def _point_spec(cfg: SweepConfig, value: float, seed: int) -> StateSpec:
+    return _family_spec(cfg.family, {**cfg.fixed, cfg.param_name: value}, seed)
 
 
 def run_scan(cfg: SweepConfig, base_seed: int = 0) -> ScanResult:
@@ -122,7 +144,7 @@ def run_scan(cfg: SweepConfig, base_seed: int = 0) -> ScanResult:
     thresholds.  Deterministic for fixed cfg and base_seed."""
     points = []
     for i, v in enumerate(np.linspace(cfg.lo, cfg.hi, cfg.points)):
-        rho = _point_spec(cfg, float(v), base_seed, i).build()
+        rho = _point_spec(cfg, float(v), base_seed + i).build()
         points.append(ScanPoint(float(v), *_eval_state(rho)))
 
     nl = bell = None
@@ -147,7 +169,7 @@ def _bisect_threshold(cfg: SweepConfig, base_seed: int, points: list[ScanPoint],
     counter = [cfg.points]
 
     def probe(v: float) -> float:
-        rho = _point_spec(cfg, v, base_seed, counter[0]).build()
+        rho = _point_spec(cfg, v, base_seed + counter[0]).build()
         counter[0] += 1
         d_nl, d_bell, _, _ = _eval_state(rho)
         return d_nl if kind == "nonlinear" else d_bell
@@ -184,48 +206,31 @@ def _threshold_doc(t: Threshold | None):
 def _add_state_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state", metavar="PATH", help="JSON state document to load")
     p.add_argument("--family", choices=_CLI_FAMILIES, help="built-in state family")
-    p.add_argument("--d", type=int, help="local dimension")
-    p.add_argument("--x", type=float, help="isotropic mixing parameter")
-    p.add_argument("--p", type=float, help="mixture weight")
-    p.add_argument("--a", type=float, help="weakly inseparable family parameter")
+    for name, (kind, text) in _STATE_FLAGS.items():
+        p.add_argument(f"--{name}", type=kind, help=text)
     p.add_argument("--seed", type=int, default=0, help="seed for random families and checks")
 
 
-def _require(parser, args, names) -> dict:
-    params = {}
-    for name in names:
-        val = getattr(args, name, None)
-        if val is None:
-            parser.error(f"--family {args.family} requires --{name}")
-        params[name] = val
-    return params
+def _flags(args) -> dict:
+    return {name: getattr(args, name) for name in _STATE_FLAGS if getattr(args, name) is not None}
 
 
 def _spec_from_args(parser, args) -> StateSpec:
-    if args.state and args.family:
-        parser.error("give either --state or --family, not both")
+    if bool(args.state) == bool(args.family):
+        parser.error("exactly one of --state or --family is required")
+    flags = _flags(args)
     if args.state:
-        return StateSpec("json_file", {"path": args.state})
-    if not args.family:
-        parser.error("one of --state or --family is required")
-    fam = args.family
-    if fam == "isotropic":
-        return StateSpec(fam, _require(parser, args, ("d", "x")))
-    if fam == "max_entangled":
-        return StateSpec(fam, _require(parser, args, ("d",)))
-    if fam == "bennett_mix":
-        return StateSpec(fam, _require(parser, args, ("p",)))
-    if fam == "rho_a_mix":
-        return StateSpec(fam, _require(parser, args, ("a", "p")))
-    if fam == "random_pure":
-        return StateSpec(fam, {**_require(parser, args, ("d",)), "seed": args.seed})
-    params = _require(parser, args, ("d",))
-    return StateSpec(fam, {**params, "rank": params["d"] ** 2, "seed": args.seed})
-
-
-def _build_state(spec: StateSpec):
+        flags["path"] = args.state
     try:
-        return spec.build()
+        return _family_spec(args.family or FILE_FAMILY, flags, args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _build_state(make, *args):
+    """make(*args); an error raised while building a state exits 3."""
+    try:
+        return make(*args)
     except (StateValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(3) from None
@@ -243,7 +248,7 @@ def _emit(doc: dict, json_path: str | None) -> None:
 # subcommands
 
 def cmd_detect(parser, args) -> int:
-    rho = _build_state(_spec_from_args(parser, args))
+    rho = _build_state(_spec_from_args(parser, args).build)
     flag, reports = detect_entanglement(rho)
     top = best_report(reports)
     doc = {
@@ -258,7 +263,7 @@ def cmd_detect(parser, args) -> int:
 
 
 def cmd_bound(parser, args) -> int:
-    rho = _build_state(_spec_from_args(parser, args))
+    rho = _build_state(_spec_from_args(parser, args).build)
     rep = cren_lower_bound(rho, literal_min=args.literal_min)
     text = report_to_json(rep)
     doc = json.loads(text)
@@ -270,18 +275,14 @@ def cmd_bound(parser, args) -> int:
 
 
 def cmd_scan(parser, args) -> int:
-    if not args.family:
-        parser.error("scan requires --family")
+    if not args.family or args.state:
+        parser.error("scan requires --family and takes no --state")
     try:
         lo_s, hi_s = args.range.split(":")
         lo, hi = float(lo_s), float(hi_s)
     except ValueError:
         parser.error(f"--range must look like lo:hi, got {args.range!r}")
-    fixed = {}
-    for name in ("d", "x", "p", "a"):
-        val = getattr(args, name)
-        if val is not None and name != args.scan_param:
-            fixed[name] = val
+    fixed = {name: val for name, val in _flags(args).items() if name != args.scan_param}
     try:
         cfg = SweepConfig(
             family=args.family,
@@ -293,12 +294,9 @@ def cmd_scan(parser, args) -> int:
             bisect=args.bisect,
             bisect_tol=args.tol,
         )
-        result = run_scan(cfg, base_seed=args.seed)
     except ValueError as exc:
         parser.error(str(exc))
-    except (StateValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    result = _build_state(run_scan, cfg, args.seed)
 
     text = scan_csv(result)
     sys.stdout.write(text)
@@ -426,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="sweep one parameter, emit CSV, optionally bisect thresholds")
     _add_state_flags(p)
-    p.add_argument("--scan-param", required=True, choices=("d", "x", "p", "a"))
+    p.add_argument("--scan-param", required=True, choices=tuple(_STATE_FLAGS))
     p.add_argument("--range", required=True, metavar="LO:HI")
     p.add_argument("--points", type=int, default=100)
     p.add_argument("--bisect", action="store_true", help="bisect the detection onset of both witnesses")

@@ -5,15 +5,20 @@ dimension, the 3x3 tiles UPB bound entangled state [C. H. Bennett et al.,
 Phys. Rev. Lett. 82, 5385 (1999)] and its mixture with the maximally
 entangled projector, the weakly inseparable 3x3 family of
 [P. Horodecki, Phys. Lett. A 232, 333 (1997)] and its mixture, canonical
-Schmidt-form pure states, and Ginibre random states.  StateSpec maps a small
-parameter dict (as it arrives from CLI flags or JSON) onto these
-constructors.
+Schmidt-form pure states, Ginibre random states, and a state read from a
+JSON document.
+
+One table, _FAMILIES, names each family with its parameter names and its
+constructor.  A StateSpec is a family plus a parameter dict (as it arrives
+from CLI flags or a JSON spec); it is checked against the table and built
+through it, and the CLI takes its --family choices and its flag rule from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -148,15 +153,29 @@ def pure_from_schmidt(mu, d: int) -> PureState:
     return validate_pure(vec, Dims(d, d))
 
 
+def _read(name: str, value):
+    """d and rank must be integral (3.0 is fine, 2.5 an error, never a truncation);
+    x, p and a are reals; seed, mu and path pass as given."""
+    if name in ("d", "rank"):
+        if not float(value).is_integer():
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        return int(float(value))
+    return float(value) if name in ("x", "p", "a") else value
+
+
+# the family of a state read from a JSON document (the CLI's --state PATH)
+FILE_FAMILY = "json_file"
+
+# family -> (parameter names, constructor called with them as keywords)
 _FAMILIES = {
-    "isotropic": ("d", "x"),
-    "max_entangled": ("d",),
-    "bennett_mix": ("p",),
-    "rho_a_mix": ("a", "p"),
-    "random_pure": ("d", "seed"),
-    "random_density": ("d", "rank", "seed"),
-    "schmidt_pure": ("mu", "d"),
-    "json_file": ("path",),
+    "isotropic": (("d", "x"), isotropic),
+    "max_entangled": (("d",), lambda d: max_entangled(d).projector()),
+    "bennett_mix": (("p",), example1_mixture),
+    "rho_a_mix": (("a", "p"), example2_mixture),
+    "random_pure": (("d", "seed"), lambda d, seed: random_pure(Dims(d, d), seed).projector()),
+    "random_density": (("d", "rank", "seed"), lambda d, rank, seed: random_density(Dims(d, d), rank, seed)),
+    "schmidt_pure": (("mu", "d"), lambda mu, d: pure_from_schmidt(mu, d).projector()),
+    FILE_FAMILY: (("path",), lambda path: from_json(Path(path).read_text(encoding="utf-8"))),
 }
 
 
@@ -170,10 +189,9 @@ class StateSpec:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; known: {sorted(_FAMILIES)}")
-        want = set(_FAMILIES[self.family])
-        got = set(self.params)
-        if got != want:
-            raise ValueError(f"family {self.family!r} needs params {sorted(want)}, got {sorted(got)}")
+        want = set(_FAMILIES[self.family][0])
+        if set(self.params) != want:
+            raise ValueError(f"family {self.family!r} needs params {sorted(want)}, got {sorted(self.params)}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StateSpec":
@@ -184,22 +202,5 @@ class StateSpec:
         return cls(family=family, params=doc)
 
     def build(self) -> DensityMatrix:
-        p = self.params
-        if self.family == "isotropic":
-            return isotropic(int(p["d"]), float(p["x"]))
-        if self.family == "max_entangled":
-            return max_entangled(int(p["d"])).projector()
-        if self.family == "bennett_mix":
-            return example1_mixture(float(p["p"]))
-        if self.family == "rho_a_mix":
-            return example2_mixture(float(p["a"]), float(p["p"]))
-        if self.family == "random_pure":
-            d = int(p["d"])
-            return random_pure(Dims(d, d), p["seed"]).projector()
-        if self.family == "random_density":
-            d = int(p["d"])
-            return random_density(Dims(d, d), int(p["rank"]), p["seed"])
-        if self.family == "schmidt_pure":
-            return pure_from_schmidt(p["mu"], int(p["d"])).projector()
-        with open(p["path"], "r", encoding="utf-8") as fh:
-            return from_json(fh.read())
+        names, make = _FAMILIES[self.family]
+        return make(**{name: _read(name, self.params[name]) for name in names})

@@ -55,7 +55,6 @@ from .qstate import (
     Dims,
     NotHermitianError,
     TAU_HERM,
-    partial_transpose,
     partial_transpose_mat,
     validate_density,
 )
@@ -214,19 +213,6 @@ def project_state(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair)
     """
     c, rho_ab = _pair_block(rho, alpha, beta)
     return ProjectedState(c=c, rho_ab=None if rho_ab is None else validate_density(rho_ab, Dims(2, 2)))
-
-
-def c_coefficient(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair) -> float:
-    """Subspace weight through the partially transposed state.
-
-    Tr((L (x) L) rho^{T_A} (L (x) L)) equals project_state's c because the
-    double sandwich collapses to the diagonal projector P_alpha (x) P_beta,
-    which the partial transpose leaves fixed.  Kept as a genuinely independent
-    full-matrix code path for cross-checks.
-    """
-    _check_pairs(rho.dims, alpha, beta)
-    ll = np.kron(generator_matrix(alpha), generator_matrix(beta))
-    return float(np.real(np.trace(ll @ partial_transpose(rho) @ ll)))
 
 
 def _tilde(pair: GeneratorPair, direction: np.ndarray) -> np.ndarray:

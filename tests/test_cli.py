@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from entwit.cli import SCAN_HEADER, SweepConfig, main, run_scan, scan_csv
+from entwit.cli import _CLI_FAMILIES, SCAN_HEADER, SweepConfig, main, run_scan, scan_csv
 from entwit.qstate import Dims, to_json, validate_density
 from entwit.states import isotropic
 
@@ -235,6 +235,67 @@ class TestSelftest:
         assert code == 0
         info = [ln for ln in out.splitlines() if ln.startswith("INFO") and "literal-min" in ln]
         assert len(info) == 1 and "divergence expected" in info[0]
+
+
+# each CLI family: its required flags, and one of its parameters to scan
+FAMILY_CASES = {
+    "isotropic": (["--d", "3", "--x", "0.5"], ["--scan-param", "x", "--range", "0.1:0.4"]),
+    "max_entangled": (["--d", "3"], ["--scan-param", "d", "--range", "2:4"]),
+    "bennett_mix": (["--p", "0.3"], ["--scan-param", "p", "--range", "0:1"]),
+    "rho_a_mix": (["--a", "0.236", "--p", "0.1"], ["--scan-param", "a", "--range", "0.2:0.8"]),
+    "random_pure": (["--d", "3"], ["--scan-param", "d", "--range", "2:4"]),
+    "random_density": (["--d", "3"], ["--scan-param", "d", "--range", "2:4"]),
+}
+
+
+class TestFamilies:
+    def test_cases_cover_every_cli_family(self):
+        assert set(FAMILY_CASES) == set(_CLI_FAMILIES)
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_CASES))
+    def test_detect_and_scan(self, capsys, family):
+        flags, scan = FAMILY_CASES[family]
+        code, out, err = run_cli(capsys, ["detect", "--family", family, *flags])
+        assert code == 0, err
+        assert set(json.loads(out)) >= {"entangled", "negativity"}
+        code, out, err = run_cli(capsys, ["scan", "--family", family, *flags, *scan, "--points", "3"])
+        assert code == 0, err
+        assert out.splitlines()[0] == SCAN_HEADER and len(out.splitlines()) == 4
+
+    @pytest.mark.parametrize(
+        "command",
+        [["detect"], ["bound"], ["scan", "--scan-param", "p", "--range", "0:1", "--points", "3"]],
+    )
+    def test_flag_the_family_does_not_take(self, capsys, command):
+        code, out, err = run_cli(capsys, [*command, "--family", "bennett_mix", "--p", "0.3", "--x", "0.5"])
+        assert code == 2 and "--x" in err and out == ""
+
+    def test_family_flag_with_state_file(self, capsys, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(to_json(isotropic(2, 0.0)))
+        code, out, err = run_cli(capsys, ["detect", "--state", str(path), "--d", "2"])
+        assert code == 2 and "--d" in err and out == ""
+
+    def test_sweep_config_checks_the_family_params(self):
+        with pytest.raises(ValueError, match="--x"):
+            SweepConfig(family="bennett_mix", fixed={"x": 0.5}, param_name="p", lo=0.0, hi=1.0, points=3)
+        with pytest.raises(ValueError, match="--d"):
+            SweepConfig(family="isotropic", fixed={}, param_name="x", lo=0.0, hi=1.0, points=3)
+
+    def test_scan_value_outside_the_domain_exits_3(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["scan", "--family", "isotropic", "--d", "3", "--scan-param", "x", "--range", "0:2", "--points", "3"],
+        )
+        assert code == 3 and "error" in err and out == ""
+
+    def test_fractional_d_is_rejected_not_truncated(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["scan", "--family", "random_pure", "--d", "3", "--scan-param", "d", "--range", "2:4", "--points", "4"],
+        )
+        assert code == 3 and "d must be an integer" in err
+        assert "2.666" not in out
 
 
 class TestScanCsvApi:

@@ -233,6 +233,7 @@ class TestStateSpec:
             ({"family": "rho_a_mix", "a": 0.236, "p": 0.1}, example2_mixture(0.236, 0.1).mat),
             ({"family": "random_pure", "d": 2, "seed": 9}, random_pure(Dims(2, 2), 9).projector().mat),
             ({"family": "random_density", "d": 2, "rank": 3, "seed": 9}, random_density(Dims(2, 2), 3, 9).mat),
+            ({"family": "random_density", "d": 3.0, "rank": 9.0, "seed": 1}, random_density(Dims(3, 3), 9, 1).mat),
             ({"family": "schmidt_pure", "mu": [0.5, 0.5], "d": 2}, pure_from_schmidt([0.5, 0.5], 2).projector().mat),
             ({"family": "json_file", "path": str(path)}, isotropic(2, 0.5).mat),
         ]
@@ -249,3 +250,7 @@ class TestStateSpec:
             StateSpec.from_dict({"d": 3, "x": 0.3})
         with pytest.raises(ValueError):
             StateSpec.from_dict({"family": "isotropic", "d": 3, "x": 0.3, "p": 1})
+        with pytest.raises(ValueError, match="d must be an integer"):
+            StateSpec.from_dict({"family": "random_pure", "d": 2.5, "seed": 0}).build()
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            StateSpec.from_dict({"family": "random_density", "d": 2, "rank": 2.5, "seed": 0}).build()

@@ -21,9 +21,11 @@ from entwit.generators import (
     triad_from_rotation,
 )
 from entwit.qstate import (
+    DensityMatrix,
     Dims,
     NotHermitianError,
     negativity,
+    partial_transpose,
     validate_density,
 )
 from entwit.witness import (
@@ -34,11 +36,11 @@ from entwit.witness import (
     TAU_DETECT,
     WitnessSettings,
     _bell_fg,
+    _check_pairs,
     _nonlinear_fg,
     bell_max,
     bell_value,
     best_report,
-    c_coefficient,
     csv_rows,
     detect_entanglement,
     estimate_mean_shots,
@@ -289,6 +291,19 @@ class TestKernel:
                 assert np.max(np.abs(rho_ab.mat - norm)) < 1e-12
         if support is not None:
             assert any(r.c == 0.0 and r.nonlinear_max == 1.0 for r in reports)
+
+
+def c_coefficient(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair) -> float:
+    """Subspace weight through the partially transposed state.
+
+    Tr((L (x) L) rho^{T_A} (L (x) L)) equals project_state's c because the
+    double sandwich collapses to the diagonal projector P_alpha (x) P_beta,
+    which the partial transpose leaves fixed.  Kept as a genuinely independent
+    full-matrix code path for cross-checks.
+    """
+    _check_pairs(rho.dims, alpha, beta)
+    ll = np.kron(generator_matrix(alpha), generator_matrix(beta))
+    return float(np.real(np.trace(ll @ partial_transpose(rho) @ ll)))
 
 
 class TestCCoefficient:
