@@ -13,9 +13,7 @@ witness, cren, and states for the conventions; the `entwit` console script
 from types import ModuleType as _ModuleType
 
 from .qstate import (
-    TAU_EQ,
     TAU_HERM,
-    TAU_NORM,
     TAU_PSD,
     TAU_TR,
     DensityMatrix,

@@ -9,8 +9,8 @@ the two-qubit bound on its own (see witness module notes).
 
 Exit codes: 0 success, 2 bad arguments (flags, including a flag the family
 does not take, and sweep config), 3 an error raised while building a state
-(parameter outside its domain, unreadable state file, invalid matrix),
-4 selftest failure.
+(parameter outside its domain, unreadable state file, invalid matrix, an
+allocation larger than memory), 4 selftest failure.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .witness import (
     OptimizerConfig,
     TAU_DETECT,
     WitnessSettings,
+    _csv_text,
     bell_max,
     best_report,
     detect_entanglement,
@@ -95,7 +96,7 @@ class SweepConfig:
             raise ValueError("range must satisfy lo < hi")
         if self.points < 2:
             raise ValueError("points must be >= 2")
-        if self.bisect_tol <= 0:
+        if not self.bisect_tol > 0:  # also rejects NaN
             raise ValueError("bisect tolerance must be > 0")
         if self.param_name in self.fixed:
             raise ValueError(f"swept parameter {self.param_name!r} also given as a fixed value")
@@ -127,73 +128,55 @@ class ScanResult:
     bell: Threshold | None
 
 
-def _eval_state(rho) -> tuple[float, float, float, float]:
-    rep = cren_lower_bound(rho)
+def _point_spec(cfg: SweepConfig, value: float, seed: int) -> StateSpec:
+    return _family_spec(cfg.family, {**cfg.fixed, cfg.param_name: value}, seed)
+
+
+def _scan_point(cfg: SweepConfig, value: float, seed: int) -> ScanPoint:
+    """Build and evaluate the state at one value; every grid point and bisection probe comes here."""
+    rep = cren_lower_bound(_point_spec(cfg, value, seed).build())
     d_nl = max(r.nonlinear_max for r in rep.reports) - 1.0
     # empty subspaces report bell_max = 0 and cannot raise the maximum
     d_bell = max(r.bell_max / r.c if r.bell_max else 0.0 for r in rep.reports) - 2.0
-    return d_nl, d_bell, rep.bound, rep.negativity
-
-
-def _point_spec(cfg: SweepConfig, value: float, seed: int) -> StateSpec:
-    return _family_spec(cfg.family, {**cfg.fixed, cfg.param_name: value}, seed)
+    return ScanPoint(value, d_nl, d_bell, rep.bound, rep.negativity)
 
 
 def run_scan(cfg: SweepConfig, base_seed: int = 0) -> ScanResult:
     """Evaluate the sweep grid and optionally bisect both detection
     thresholds.  Deterministic for fixed cfg and base_seed."""
-    points = []
-    for i, v in enumerate(np.linspace(cfg.lo, cfg.hi, cfg.points)):
-        rho = _point_spec(cfg, float(v), base_seed + i).build()
-        points.append(ScanPoint(float(v), *_eval_state(rho)))
-
+    grid = np.linspace(cfg.lo, cfg.hi, cfg.points)
+    points = [_scan_point(cfg, float(v), base_seed + i) for i, v in enumerate(grid)]
     nl = bell = None
     if cfg.bisect:
-        nl = _bisect_threshold(cfg, base_seed, points, "nonlinear")
-        bell = _bisect_threshold(cfg, base_seed, points, "bell")
+        nl = _bisect_threshold(cfg, base_seed, points, "nonlinear_d")
+        bell = _bisect_threshold(cfg, base_seed, points, "bell_d")
     return ScanResult(points, nl, bell)
 
 
-def _bisect_threshold(cfg: SweepConfig, base_seed: int, points: list[ScanPoint], kind: str) -> Threshold:
-    def dval(pt: ScanPoint) -> float:
-        return pt.nonlinear_d if kind == "nonlinear" else pt.bell_d
-
-    flags = [dval(pt) > TAU_DETECT for pt in points]
-    first = next((i for i, f in enumerate(flags) if f), None)
+def _bisect_threshold(cfg: SweepConfig, base_seed: int, points: list[ScanPoint], field: str) -> Threshold:
+    """Bisect the first grid crossing of the ScanPoint difference `field`."""
+    first = next((i for i, pt in enumerate(points) if getattr(pt, field) > TAU_DETECT), None)
     if first is None or first == 0:
         # nothing violates, or everything does: no crossing inside the range
         return Threshold(None, "no threshold in range")
-
+    lo, hi = points[first - 1].param, points[first].param
     # probe seeds continue past the grid indices so bisection stays
     # deterministic for random families too
-    counter = [cfg.points]
-
-    def probe(v: float) -> float:
-        rho = _point_spec(cfg, v, base_seed + counter[0]).build()
-        counter[0] += 1
-        d_nl, d_bell, _, _ = _eval_state(rho)
-        return d_nl if kind == "nonlinear" else d_bell
-
-    lo, hi = points[first - 1].param, points[first].param
+    seed = base_seed + cfg.points
     while hi - lo > cfg.bisect_tol:
         mid = 0.5 * (lo + hi)
-        if probe(mid) > TAU_DETECT:
+        if getattr(_scan_point(cfg, mid, seed), field) > TAU_DETECT:
             hi = mid
         else:
             lo = mid
+        seed += 1
     return Threshold(0.5 * (lo + hi), "ok")
 
 
 def scan_csv(result: ScanResult) -> str:
-    lines = [SCAN_HEADER]
-    for pt in result.points:
-        lines.append(
-            ",".join(
-                f"{v:.12g}"
-                for v in (pt.param, pt.nonlinear_d, pt.bell_d, pt.bound, pt.negativity)
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv_text(
+        SCAN_HEADER, ((pt.param, pt.nonlinear_d, pt.bell_d, pt.bound, pt.negativity) for pt in result.points)
+    )
 
 
 def _threshold_doc(t: Threshold | None):
@@ -231,7 +214,7 @@ def _build_state(make, *args):
     """make(*args); an error raised while building a state exits 3."""
     try:
         return make(*args)
-    except (StateValidationError, ValueError, OSError) as exc:
+    except (StateValidationError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(3) from None
 
@@ -361,7 +344,7 @@ def cmd_selftest(parser, args) -> int:
     # closed forms vs numeric settings search
     rho = random_density(Dims(3, 3), 9, seed=args.seed + 1)
     alpha = beta = GeneratorPair(0, 1, 3)
-    cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed, step_tol=1e-6)
+    cfg = OptimizerConfig(restarts=8, seed=args.seed, step_tol=1e-6)
     _, v_nl = optimize_settings(rho, alpha, beta, "nonlinear", cfg)
     _, v_bl = optimize_settings(rho, alpha, beta, "bell", cfg)
     gap_nl = abs(v_nl - nonlinear_max(rho, alpha, beta))
@@ -388,11 +371,12 @@ def cmd_selftest(parser, args) -> int:
     # finite-shot estimator sanity (statistical, never gates the exit code)
     op = np.kron(PAULI[2], (PAULI[2] + PAULI[0]) / math.sqrt(2.0))
     exact = 1.0 / math.sqrt(2.0)
-    mean, err = estimate_mean_shots(max_entangled(2).projector(), op, args.shots, seed=args.seed + 2)
+    shots = 10000
+    mean, err = estimate_mean_shots(max_entangled(2).projector(), op, shots, seed=args.seed + 2)
     check(
         "shot-estimate",
         True,
-        f"mean = {mean:.6g}, exact = {exact:.6g}, stderr = {err:.3g} ({args.shots} shots)",
+        f"mean = {mean:.6g}, exact = {exact:.6g}, stderr = {err:.3g} ({shots} shots)",
         informational=True,
     )
 
@@ -434,8 +418,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the built-in oracle checks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=8, help="optimizer restarts for the agreement check")
-    p.add_argument("--shots", type=int, default=10000, help="shots for the estimator check")
     p.add_argument("--literal-min", action="store_true", help="also report the clip-below bound variant")
     p.set_defaults(handler=cmd_selftest)
 

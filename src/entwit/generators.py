@@ -2,9 +2,9 @@
 
 Each generator L = |j><k| - |k><j| (0-based, j < k) selects a 2-dimensional
 local subspace; L L^dag is the projector onto it.  A unit vector a in R^3
-embeds as the observable a.sigma placed on that subspace, and the "tilde"
-conjugation L A L^dag rotates the observable inside the subspace (it flips
-the x and z components, leaving the +-1 block spectrum intact).
+(to TAU_UNIT) embeds as the observable a.sigma on that subspace, and the
+"tilde" conjugation L A L^dag by the generator of A's own pair rotates it
+inside the subspace (flipping x and z, leaving the +-1 block spectrum intact).
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
+
+TAU_UNIT = 1e-12  # deviation allowed from a unit direction and from an orthonormal frame
 
 
 @dataclass(frozen=True)
@@ -41,8 +43,8 @@ class ObservableTriad:
 
     def __post_init__(self) -> None:
         rot = np.asarray(self.rot, dtype=float)
-        if rot.shape != (3, 3) or np.max(np.abs(rot @ rot.T - np.eye(3))) > 1e-12:
-            raise ValueError("triad rows must be orthonormal to 1e-12")
+        if rot.shape != (3, 3) or not np.max(np.abs(rot @ rot.T - np.eye(3))) <= TAU_UNIT:  # also rejects NaN
+            raise ValueError(f"triad rows must be orthonormal to {TAU_UNIT}")
         rot = rot.copy()
         rot.setflags(write=False)
         object.__setattr__(self, "rot", rot)
@@ -92,15 +94,22 @@ def subspace_projector(pair: GeneratorPair) -> np.ndarray:
     return mat
 
 
+def _unit_vector(a, name: str = "observable direction") -> np.ndarray:
+    """A read-only float copy of a, which must be a unit 3-vector to TAU_UNIT."""
+    a = np.array(a, dtype=float)
+    if a.shape != (3,) or not abs(np.linalg.norm(a) - 1.0) <= TAU_UNIT:  # also rejects NaN
+        raise ValueError(f"{name} must be a unit 3-vector")
+    a.setflags(write=False)
+    return a
+
+
 def embed_observable(pair: GeneratorPair, a: np.ndarray) -> EmbeddedObservable:
     """Place the 2x2 block a.sigma at rows/columns (j, k), zero elsewhere.
 
     The vector must be unit length; the output is Hermitian with block
     eigenvalues +-1.
     """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (3,) or abs(np.linalg.norm(a) - 1.0) > 1e-12:
-        raise ValueError("observable direction must be a unit 3-vector")
+    a = _unit_vector(a)
     mat = np.zeros((pair.dim, pair.dim), dtype=complex)
     mat[pair.j, pair.j] = a[2]
     mat[pair.j, pair.k] = a[0] - 1j * a[1]
@@ -114,8 +123,8 @@ def triad_from_rotation(rot: np.ndarray) -> ObservableTriad:
     rot = np.asarray(rot, dtype=float)
     if rot.shape != (3, 3) or np.max(np.abs(rot @ rot.T - np.eye(3))) > 1e-10:
         raise ValueError("expected an orthogonal 3x3 matrix")
-    # re-orthonormalize so the 1e-12 triad invariant holds for inputs that
-    # are only 1e-10 orthogonal
+    # re-orthonormalize so the TAU_UNIT triad invariant holds for inputs
+    # that are only 1e-10 orthogonal
     u, _, vt = np.linalg.svd(rot)
     return ObservableTriad(u @ vt)
 
@@ -141,9 +150,7 @@ def rotation_zyz(t1, t2, t3) -> np.ndarray:
     return rot
 
 
-def tilde_operator(ell: np.ndarray, obs: EmbeddedObservable) -> np.ndarray:
-    """Conjugated observable L A L^dag, supported on the same subspace as A."""
-    expected = generator_matrix(obs.pair)
-    if ell.shape != expected.shape or not np.array_equal(ell, expected):
-        raise ValueError("generator does not match the observable's subspace pair")
+def tilde_operator(obs: EmbeddedObservable) -> np.ndarray:
+    """Conjugated observable L A L^dag, L the generator of A's own pair; same support as A."""
+    ell = generator_matrix(obs.pair)
     return ell @ obs.mat @ ell.conj().T

@@ -3,7 +3,10 @@
 Conventions used throughout the package: party A has dimension ``m``, party B
 has dimension ``n``, and the composite index is row-major, ``|i,a> -> i*n + a``
 with 0-based labels.  The negativity normalizer is ``M = min(m, n)``.  All
-tolerances are absolute.
+tolerances are absolute: TAU_HERM bounds the Hermiticity deviation (checked
+only in _hermitian_part), TAU_TR the trace of a density matrix and the squared
+norm of a vector (the same sum, so a vector validate_pure accepts has a
+projector validate_density accepts), TAU_PSD the smallest eigenvalue.
 """
 
 from __future__ import annotations
@@ -17,9 +20,7 @@ import numpy as np
 # 81x81 lose at most ~3 digits, so the PSD check is one order looser.
 TAU_HERM = 1e-10
 TAU_TR = 1e-10
-TAU_NORM = 1e-10
 TAU_PSD = 1e-9
-TAU_EQ = 1e-9
 
 
 class StateValidationError(ValueError):
@@ -98,8 +99,11 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _symmetrized(mat: np.ndarray) -> np.ndarray:
-    # kills spurious imaginary parts before every eigensolve
+def _hermitian_part(mat: np.ndarray) -> np.ndarray:
+    """(M + M^dag)/2 for an eigensolve, once M is checked Hermitian to TAU_HERM."""
+    dev = np.max(np.abs(mat - mat.conj().T))
+    if dev > TAU_HERM:
+        raise NotHermitianError(f"Hermiticity deviation {dev:.3e} exceeds {TAU_HERM}")
     return (mat + mat.conj().T) / 2.0
 
 
@@ -125,28 +129,26 @@ def validate_density(mat: np.ndarray, dims: Dims) -> DensityMatrix:
         raise DimensionMismatchError(f"expected {side}x{side} matrix for dims {dims.m}x{dims.n}, got {mat.shape}")
     if not np.isfinite(mat).all():
         raise StateValidationError("matrix has NaN or infinite entries")
-    herm_dev = np.max(np.abs(mat - mat.conj().T))
-    if herm_dev > TAU_HERM:
-        raise NotHermitianError(f"Hermiticity deviation {herm_dev:.3e} exceeds {TAU_HERM}")
+    herm = _hermitian_part(mat)
     tr_dev = abs(np.trace(mat) - 1.0)
     if tr_dev > TAU_TR:
         raise TraceError(f"trace deviates from 1 by {tr_dev:.3e}")
-    lam_min = float(np.linalg.eigvalsh(_symmetrized(mat))[0])
+    lam_min = float(np.linalg.eigvalsh(herm)[0])
     if lam_min < -TAU_PSD:
         raise NotPositiveError(f"minimum eigenvalue {lam_min:.3e} below -{TAU_PSD}")
     return DensityMatrix(dims, _frozen(mat))
 
 
 def validate_pure(vec: np.ndarray, dims: Dims) -> PureState:
-    """Check norm and length of a candidate state vector."""
+    """Check the length and the squared norm (the trace of its projector) of a state vector."""
     vec = np.asarray(vec, dtype=complex).ravel()
     if vec.shape != (dims.total,):
         raise DimensionMismatchError(f"expected vector of length {dims.total}, got {vec.shape}")
     if not np.isfinite(vec).all():
         raise StateValidationError("vector has NaN or infinite entries")
-    norm_dev = abs(np.linalg.norm(vec) - 1.0)
-    if norm_dev > TAU_NORM:
-        raise StateValidationError(f"norm deviates from 1 by {norm_dev:.3e}")
+    sq_dev = abs(np.sum(vec * vec.conj()) - 1.0)
+    if sq_dev > TAU_TR:
+        raise StateValidationError(f"squared norm deviates from 1 by {sq_dev:.3e}")
     return PureState(dims, _frozen(vec))
 
 
@@ -166,11 +168,8 @@ def trace_norm(h: np.ndarray) -> float:
     The input is symmetrized before the eigensolve; deviations from
     Hermiticity beyond TAU_HERM are rejected rather than hidden.
     """
-    h = np.asarray(h, dtype=complex)
-    dev = np.max(np.abs(h - h.conj().T))
-    if dev > TAU_HERM:
-        raise NotHermitianError(f"trace_norm expects a Hermitian matrix, deviation {dev:.3e}")
-    return float(np.sum(np.abs(np.linalg.eigvalsh(_symmetrized(h)))))
+    herm = _hermitian_part(np.asarray(h, dtype=complex))
+    return float(np.sum(np.abs(np.linalg.eigvalsh(herm))))
 
 
 def negativity(rho: DensityMatrix) -> float:

@@ -26,7 +26,7 @@ from .qstate import (
     DensityMatrix,
     Dims,
     PureState,
-    TAU_NORM,
+    TAU_TR,
     from_json,
     validate_density,
     validate_pure,
@@ -145,7 +145,7 @@ def pure_from_schmidt(mu, d: int) -> PureState:
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1 or len(mu) > d:
         raise ValueError("mu must be a 1-d spectrum with length <= d")
-    if np.any(mu < 0.0) or abs(mu.sum() - 1.0) > TAU_NORM:
+    if np.any(mu < 0.0) or abs(mu.sum() - 1.0) > TAU_TR:
         raise ValueError("mu must be nonnegative and sum to 1")
     vec = np.zeros(d * d, dtype=complex)
     for i, w in enumerate(mu):

@@ -42,8 +42,8 @@ from .generators import (
     GeneratorPair,
     ObservableTriad,
     PAULI,
+    _unit_vector,
     embed_observable,
-    generator_matrix,
     rotation_zyz,
     so_generators,
     subspace_projector,
@@ -53,8 +53,7 @@ from .generators import (
 from .qstate import (
     DensityMatrix,
     Dims,
-    NotHermitianError,
-    TAU_HERM,
+    _hermitian_part,
     partial_transpose_mat,
     validate_density,
 )
@@ -97,12 +96,7 @@ class BellSettings:
 
     def __post_init__(self) -> None:
         for name in ("a1", "a2", "b1", "b2"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-12:
-                raise ValueError(f"{name} must be a unit 3-vector")
-            v = v.copy()
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _unit_vector(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -215,10 +209,6 @@ def project_state(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair)
     return ProjectedState(c=c, rho_ab=None if rho_ab is None else validate_density(rho_ab, Dims(2, 2)))
 
 
-def _tilde(pair: GeneratorPair, direction: np.ndarray) -> np.ndarray:
-    return tilde_operator(generator_matrix(pair), embed_observable(pair, direction))
-
-
 def _bell_directions(s):
     if isinstance(s, BellSettings):
         return s.a1, s.a2, s.b1, s.b2
@@ -232,10 +222,8 @@ def bell_value(rho: DensityMatrix, s) -> float:
     triad directions per side).
     """
     a1, a2, b1, b2 = _bell_directions(s)
-    ta1 = _tilde(s.alpha, a1)
-    ta2 = _tilde(s.alpha, a2)
-    tb1 = _tilde(s.beta, b1)
-    tb2 = _tilde(s.beta, b2)
+    ta1, ta2 = (tilde_operator(embed_observable(s.alpha, a)) for a in (a1, a2))
+    tb1, tb2 = (tilde_operator(embed_observable(s.beta, b)) for b in (b1, b2))
     op = np.kron(ta1, tb1) + np.kron(ta1, tb2) + np.kron(ta2, tb1) - np.kron(ta2, tb2)
     return float(np.real(np.trace(rho.mat @ op)))
 
@@ -256,8 +244,8 @@ def nonlinear_value(rho: DensityMatrix, s: WitnessSettings) -> float:
     All operators are tilde-conjugated embeddings; the sum term pairs each
     third observable with the other side's subspace projector.
     """
-    ta = [_tilde(s.alpha, s.triad_a.vector(i)) for i in range(3)]
-    tb = [_tilde(s.beta, s.triad_b.vector(i)) for i in range(3)]
+    ta = [tilde_operator(embed_observable(s.alpha, s.triad_a.vector(i))) for i in range(3)]
+    tb = [tilde_operator(embed_observable(s.beta, s.triad_b.vector(i))) for i in range(3)]
     pa = subspace_projector(s.alpha)
     pb = subspace_projector(s.beta)
     mat = rho.mat
@@ -494,10 +482,7 @@ def estimate_mean_shots(rho: DensityMatrix, obs: np.ndarray, shots: int, seed=No
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    obs = np.asarray(obs, dtype=complex)
-    if np.max(np.abs(obs - obs.conj().T)) > TAU_HERM:
-        raise NotHermitianError("observable must be Hermitian")
-    w, v = np.linalg.eigh((obs + obs.conj().T) / 2.0)
+    w, v = np.linalg.eigh(_hermitian_part(np.asarray(obs, dtype=complex)))
     probs = np.real(np.einsum("ij,jk,ki->i", v.conj().T, rho.mat, v))
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
@@ -514,18 +499,20 @@ def estimate_mean_shots(rho: DensityMatrix, obs: np.ndarray, shots: int, seed=No
 CSV_HEADER = "alpha_j,alpha_k,beta_l,beta_m,c,lambda_min,bell_max,nonlinear_max,d,x"
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.12g}"
+def _csv_text(header: str, rows) -> str:
+    """The one CSV writer: the header, then each row of numbers at 12
+    significant digits (integers print as themselves), LF line endings."""
+    lines = [header] + [",".join(f"{v:.12g}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def reports_to_csv(reports: list[SubspaceReport]) -> str:
     """CSV text, 12 significant digits, LF line endings."""
-    lines = [CSV_HEADER]
-    for r in reports:
-        fields = [str(r.alpha.j), str(r.alpha.k), str(r.beta.j), str(r.beta.k)]
-        fields += [_fmt(v) for v in (r.c, r.lambda_min, r.bell_max, r.nonlinear_max, r.d, r.x)]
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    rows = (
+        (r.alpha.j, r.alpha.k, r.beta.j, r.beta.k, r.c, r.lambda_min, r.bell_max, r.nonlinear_max, r.d, r.x)
+        for r in reports
+    )
+    return _csv_text(CSV_HEADER, rows)
 
 
 def csv_rows(text: str) -> list[dict]:

@@ -124,6 +124,30 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, ["detect", "--family", "isotropic", "--d", "3", "--x", "0.5", "--bogus"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect", "--family", "max_entangled", "--d", "200000000"],
+            ["scan", "--family", "isotropic", "--d", "3", "--scan-param", "x", "--range", "0:0.3",
+             "--points", "100000000000000000"],
+        ],
+    )
+    def test_impossible_allocation_exits_3(self, capsys, argv):
+        # both arrays (6e17 and 8e17 bytes) exceed any 64-bit address space, so
+        # the allocation fails at once whatever the overcommit setting
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3 and "error: Unable to allocate" in err and out == ""
+
+    def test_nan_bisection_tolerance_exits_2(self, capsys):
+        argv = ["scan", "--family", "isotropic", "--d", "3", "--scan-param", "x", "--range", "0.1:0.4"]
+        code, out, err = run_cli(capsys, argv + ["--points", "3", "--bisect", "--tol", "nan"])
+        assert code == 2 and "bisect tolerance" in err and out == ""
+
+    @pytest.mark.parametrize("flags", [["--restarts", "0"], ["--restarts", "-3"], ["--shots", "0"]])
+    def test_selftest_takes_no_budget_flags(self, capsys, flags):
+        code, out, err = run_cli(capsys, ["selftest", *flags])
+        assert code == 2 and "unrecognized arguments" in err and out == ""
+
 
 class TestScan:
     def test_csv_shape_and_determinism(self, capsys):
@@ -223,7 +247,7 @@ class TestScan:
 
 class TestSelftest:
     def test_passes_and_is_deterministic(self, capsys):
-        argv = ["selftest", "--seed", "7", "--restarts", "4", "--shots", "2000"]
+        argv = ["selftest", "--seed", "7"]
         code1, out1, _ = run_cli(capsys, argv)
         code2, out2, _ = run_cli(capsys, argv)
         assert code1 == code2 == 0
@@ -231,7 +255,7 @@ class TestSelftest:
         assert "FAIL" not in out1 and out1.count("PASS") == 4
 
     def test_literal_min_reports_divergence_without_failing(self, capsys):
-        code, out, _ = run_cli(capsys, ["selftest", "--literal-min", "--restarts", "4", "--shots", "1000"])
+        code, out, _ = run_cli(capsys, ["selftest", "--literal-min"])
         assert code == 0
         info = [ln for ln in out.splitlines() if ln.startswith("INFO") and "literal-min" in ln]
         assert len(info) == 1 and "divergence expected" in info[0]

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entwit.qstate import (
+    TAU_TR,
     Dims,
     DimensionMismatchError,
     NotHermitianError,
@@ -91,6 +93,39 @@ class TestValidateDensity:
         rho = validate_density(np.eye(4) / 4, Dims(2, 2))
         with pytest.raises(ValueError):
             rho.mat[0, 0] = 9.0
+
+
+class TestValidatePure:
+    """validate_pure and validate_density share TAU_TR: the squared norm of a
+    vector is the trace of its projector, so the two checks agree."""
+
+    @pytest.mark.parametrize(
+        "scale, accepted",
+        [
+            (np.sqrt(1.0 + 0.9 * TAU_TR), True),
+            (np.sqrt(1.0 - 0.9 * TAU_TR), True),
+            (1.0 + 6e-11, False),  # squared norm 1 + 1.2e-10: the projector's trace fails TAU_TR
+            (np.sqrt(1.0 - 1.2e-10), False),
+        ],
+    )
+    def test_squared_norm_boundary(self, scale, accepted):
+        vec = np.zeros(4, dtype=complex)
+        vec[0] = scale
+        if accepted:
+            assert validate_pure(vec, Dims(2, 2)).projector().dims == Dims(2, 2)
+        else:
+            with pytest.raises(StateValidationError, match="squared norm deviates"):
+                validate_pure(vec, Dims(2, 2))
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.integers(2, 4), st.integers(2, 4), st.integers(0, 2**32 - 1), st.floats(-3 * TAU_TR, 3 * TAU_TR))
+    def test_accepted_vector_has_valid_projector(self, m, n, seed, sq_dev):
+        vec = rand_pure_vec(np.random.default_rng(seed), m * n) * np.sqrt(1.0 + sq_dev)
+        try:
+            psi = validate_pure(vec, Dims(m, n))
+        except StateValidationError:
+            return
+        psi.projector()  # runs validate_density; raises TraceError if the checks disagree
 
 
 class TestPartialTranspose:
