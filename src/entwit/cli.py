@@ -16,14 +16,17 @@ allocation larger than memory), 4 selftest failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .cren import cren_lower_bound, pure_sum_identity, report_to_json
+from .cren import _assess, cren_lower_bound, pure_sum_identity, report_to_json
 from .generators import GeneratorPair, PAULI, rotation_zyz, triad_from_rotation
 from .qstate import Dims, StateValidationError, negativity
 from .states import FILE_FAMILY, StateSpec, _FAMILIES, max_entangled, pure_from_schmidt, random_density
@@ -103,8 +106,9 @@ class SweepConfig:
         _point_spec(self, self.lo, 0)  # flag errors surface here, before any state is built
 
 
-@dataclass(frozen=True)
-class ScanPoint:
+class ScanPoint(NamedTuple):
+    """One grid point or probe; its fields in order are the scan CSV row."""
+
     param: float
     nonlinear_d: float
     bell_d: float
@@ -132,40 +136,87 @@ def _point_spec(cfg: SweepConfig, value: float, seed: int) -> StateSpec:
     return _family_spec(cfg.family, {**cfg.fixed, cfg.param_name: value}, seed)
 
 
-def _scan_point(cfg: SweepConfig, value: float, seed: int) -> ScanPoint:
-    """Build and evaluate the state at one value; every grid point and bisection probe comes here."""
-    rep = cren_lower_bound(_point_spec(cfg, value, seed).build())
-    d_nl = max(r.nonlinear_max for r in rep.reports) - 1.0
-    # empty subspaces report bell_max = 0 and cannot raise the maximum
-    d_bell = max(r.bell_max / r.c if r.bell_max else 0.0 for r in rep.reports) - 2.0
-    return ScanPoint(value, d_nl, d_bell, rep.bound, rep.negativity)
+_CHUNK = 64  # grid points built, evaluated and written together
+_STACK_BLOCKS = 1 << 14  # 4x4 blocks one kernel call may hold (4 MB), so large states stack fewer at a time
+
+
+def _grid_values(cfg: SweepConfig, i0: int, i1: int) -> list[float]:
+    """Grid values i0 <= i < i1, bitwise those of np.linspace(cfg.lo, cfg.hi, cfg.points)."""
+    delta, div = cfg.hi - cfg.lo, cfg.points - 1
+    idx, step = np.arange(i0, i1, dtype=float), delta / div
+    values = cfg.lo + (idx * step if step else idx / div * delta)  # linspace's branch for a denormal step
+    if i1 == cfg.points:
+        values[-1] = cfg.hi
+    return values.tolist()
+
+
+def _scan_points(cfg: SweepConfig, values, seeds) -> list[ScanPoint]:
+    """Build the state at each value, each through its own checks, then evaluate
+    each run of equal-dims states as stacks: one kernel call and one batched
+    partial-transpose eigensolve per stack."""
+    states = [_point_spec(cfg, value, seed).build() for value, seed in zip(values, seeds)]
+    points = []
+    for dims, run in itertools.groupby(zip(values, states), key=lambda vs: vs[1].dims):
+        run = list(run)
+        per = max(1, _STACK_BLOCKS // (math.comb(dims.m, 2) * math.comb(dims.n, 2)))
+        for k in range(0, len(run), per):
+            part = run[k : k + per]
+            cols, bounds, negs = _assess(np.stack([rho.mat for _, rho in part]), dims, bell=True)
+            d_nl = cols.nonlinear_max.max(axis=1) - 1.0
+            # empty subspaces report bell_max = 0 and cannot raise the maximum
+            normed = np.divide(cols.bell_max, cols.c, out=np.zeros_like(cols.c), where=cols.live)
+            d_bell = normed.max(axis=1) - 2.0
+            rows = zip(d_nl.tolist(), d_bell.tolist(), bounds.tolist(), negs.tolist())
+            points += [ScanPoint(value, *row) for (value, _), row in zip(part, rows)]
+    return points
+
+
+def _scan_chunks(cfg: SweepConfig, base_seed: int, crossings: dict):
+    """Yield the grid's points one chunk of _CHUNK points at a time; each chunk
+    is built in full, then evaluated (see _scan_points).  The first grid
+    crossing of each detection difference, as (last value below, first value
+    above), goes into `crossings`: all that bisection needs of the grid."""
+    prev = None
+    for i0 in range(0, cfg.points, _CHUNK):
+        i1 = min(i0 + _CHUNK, cfg.points)
+        chunk = _scan_points(cfg, _grid_values(cfg, i0, i1), range(base_seed + i0, base_seed + i1))
+        for pt in chunk:
+            for field in ("nonlinear_d", "bell_d"):
+                if field not in crossings and getattr(pt, field) > TAU_DETECT:
+                    crossings[field] = (prev, pt.param)
+            prev = pt.param
+        yield chunk
+
+
+def _thresholds(cfg: SweepConfig, base_seed: int, crossings: dict):
+    """Both bisected thresholds, or (None, None) without cfg.bisect."""
+    if not cfg.bisect:
+        return None, None
+    return tuple(_bisect_threshold(cfg, base_seed, crossings.get(f), f) for f in ("nonlinear_d", "bell_d"))
 
 
 def run_scan(cfg: SweepConfig, base_seed: int = 0) -> ScanResult:
-    """Evaluate the sweep grid and optionally bisect both detection
-    thresholds.  Deterministic for fixed cfg and base_seed."""
-    grid = np.linspace(cfg.lo, cfg.hi, cfg.points)
-    points = [_scan_point(cfg, float(v), base_seed + i) for i, v in enumerate(grid)]
-    nl = bell = None
-    if cfg.bisect:
-        nl = _bisect_threshold(cfg, base_seed, points, "nonlinear_d")
-        bell = _bisect_threshold(cfg, base_seed, points, "bell_d")
-    return ScanResult(points, nl, bell)
+    """Evaluate the sweep grid chunk by chunk and optionally bisect both
+    detection thresholds, one probe state at a time.  Deterministic for
+    fixed cfg and base_seed."""
+    crossings = {}
+    points = [pt for chunk in _scan_chunks(cfg, base_seed, crossings) for pt in chunk]
+    return ScanResult(points, *_thresholds(cfg, base_seed, crossings))
 
 
-def _bisect_threshold(cfg: SweepConfig, base_seed: int, points: list[ScanPoint], field: str) -> Threshold:
-    """Bisect the first grid crossing of the ScanPoint difference `field`."""
-    first = next((i for i, pt in enumerate(points) if getattr(pt, field) > TAU_DETECT), None)
-    if first is None or first == 0:
+def _bisect_threshold(cfg: SweepConfig, base_seed: int, crossing, field: str) -> Threshold:
+    """Bisect the first grid crossing (last value below, first value above) of
+    the ScanPoint difference `field`."""
+    if crossing is None or crossing[0] is None:
         # nothing violates, or everything does: no crossing inside the range
         return Threshold(None, "no threshold in range")
-    lo, hi = points[first - 1].param, points[first].param
+    lo, hi = crossing
     # probe seeds continue past the grid indices so bisection stays
     # deterministic for random families too
     seed = base_seed + cfg.points
     while hi - lo > cfg.bisect_tol:
         mid = 0.5 * (lo + hi)
-        if getattr(_scan_point(cfg, mid, seed), field) > TAU_DETECT:
+        if getattr(_scan_points(cfg, [mid], [seed])[0], field) > TAU_DETECT:
             hi = mid
         else:
             lo = mid
@@ -174,9 +225,7 @@ def _bisect_threshold(cfg: SweepConfig, base_seed: int, points: list[ScanPoint],
 
 
 def scan_csv(result: ScanResult) -> str:
-    return _csv_text(
-        SCAN_HEADER, ((pt.param, pt.nonlinear_d, pt.bell_d, pt.bound, pt.negativity) for pt in result.points)
-    )
+    return _csv_text(SCAN_HEADER, result.points)
 
 
 def _threshold_doc(t: Threshold | None):
@@ -248,9 +297,7 @@ def cmd_detect(parser, args) -> int:
 def cmd_bound(parser, args) -> int:
     rho = _build_state(_spec_from_args(parser, args).build)
     rep = cren_lower_bound(rho, literal_min=args.literal_min)
-    text = report_to_json(rep)
-    doc = json.loads(text)
-    _emit(doc, args.json)
+    _emit(json.loads(report_to_json(rep)), args.json)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             fh.write(reports_to_csv(rep.reports))
@@ -279,15 +326,23 @@ def cmd_scan(parser, args) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    result = _build_state(run_scan, cfg, args.seed)
-
-    text = scan_csv(result)
-    sys.stdout.write(text)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    crossings = {}
+    chunks = _scan_chunks(cfg, args.seed, crossings)
+    header = SCAN_HEADER  # written with the first chunk
+    with contextlib.ExitStack() as stack:
+        sinks = [sys.stdout]
+        if args.csv:
+            sinks.append(stack.enter_context(open(args.csv, "w", encoding="utf-8", newline="")))
+        # each chunk's rows go out as soon as it is done; a build error exits 3 after them
+        while (chunk := _build_state(next, chunks, None)) is not None:
+            text = _csv_text(header, chunk)
+            header = None
+            for fh in sinks:
+                fh.write(text)
+                fh.flush()
     if args.bisect:
-        print(json.dumps({"nonlinear": _threshold_doc(result.nonlinear), "bell": _threshold_doc(result.bell)}))
+        nl, bell = _build_state(_thresholds, cfg, args.seed, crossings)
+        print(json.dumps({"nonlinear": _threshold_doc(nl), "bell": _threshold_doc(bell)}))
     return 0
 
 

@@ -24,7 +24,8 @@ maximally entangled state, which is why the shipped bound clips above.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,53 +34,66 @@ from .qstate import (
     DensityMatrix,
     Dims,
     PureState,
-    negativity,
+    _negativities,
     partial_transpose,
     pure_negativity,
     trace_norm,
 )
-from .witness import SubspaceReport, subspace_reports
+from .witness import SubspaceReport, _all_pairs_index, _reports, subspace_reports
 
 
 @dataclass(frozen=True)
 class CrenBoundReport:
-    """The bound, the plain negativity for comparison, and the per-subspace
-    terms it was assembled from."""
+    """The bound, the plain negativity for comparison, and the state they were
+    assembled from.  The bound reads only the weights c and violations d; the
+    per-subspace rows, with their Bell maxima, are built on the first read of
+    `reports`."""
 
     bound: float
     negativity: float
-    reports: list[SubspaceReport]
     sum_c: float
     m_normalizer: int
+    rho: DensityMatrix = field(repr=False, compare=False)
+
+    @cached_property
+    def reports(self) -> list[SubspaceReport]:
+        return subspace_reports(self.rho)
 
 
-def _bound(c, d, dims: Dims, literal_min: bool) -> float:
-    """The bound formula from subspace weights c and violations d, in report order.
+def _bound(c, d, dims: Dims, literal_min: bool):
+    """The bound formula from subspace weights c and violations d on the last
+    axis, summed as a running sum in report order; one bound per leading index.
 
     Empty subspaces carry d = 0 and c <= TAU_C, so they add only their weight,
     which the baseline (m-1)(n-1) = sum_ab c_ab subtracts again.
     """
-    clip = min if literal_min else max
-    total = 0.0
-    for ci, di in zip(c, d):
-        total += abs(ci) * (clip(0.0, di) / 2.0 + 1.0)
+    d = np.asarray(d, dtype=float)
+    x = np.minimum(0.0, d) if literal_min else np.maximum(0.0, d)
+    total = np.cumsum(np.abs(np.asarray(c, dtype=float)) * (x / 2.0 + 1.0), axis=-1)[..., -1]
     return (total - (dims.m - 1) * (dims.n - 1)) / (min(dims.m, dims.n) - 1)
 
 
+def _assess(stack: np.ndarray, dims: Dims, bell: bool, literal_min: bool = False):
+    """Kernel columns over all subspace pairs, bounds and negativities of a
+    stack (N, mn, mn) of validated same-dims states."""
+    cols = _reports(stack, dims.n, _all_pairs_index(dims), bell)
+    bounds = _bound(cols.c, cols.nonlinear_max - 1.0, dims, literal_min)
+    return cols, bounds, _negativities(stack, dims)
+
+
 def cren_lower_bound(rho: DensityMatrix, literal_min: bool = False) -> CrenBoundReport:
-    """Assemble the bound from all subspace reports in lexicographic order.
+    """Assemble the bound from all subspace pairs in lexicographic order.
 
     literal_min=True swaps the violation clip to X = min(0, d); only useful
     for comparing against the clip-above default, see the module docstring.
     """
-    reports = subspace_reports(rho)
-    c = [r.c for r in reports]
+    cols, bounds, negs = _assess(rho.mat[None], rho.dims, bell=False, literal_min=literal_min)
     return CrenBoundReport(
-        bound=_bound(c, [r.d for r in reports], rho.dims, literal_min),
-        negativity=negativity(rho),
-        reports=reports,
-        sum_c=sum(c),
+        bound=float(bounds[0]),
+        negativity=float(negs[0]),
+        sum_c=sum(cols.c[0].tolist()),
         m_normalizer=min(rho.dims.m, rho.dims.n),
+        rho=rho,
     )
 
 
@@ -89,7 +103,7 @@ def bound_from_rows(rows: list[dict], dims: Dims, literal_min: bool = False) -> 
     Uses only the c and d columns, so a round trip through CSV checks the
     whole serialization path.
     """
-    return _bound([row["c"] for row in rows], [row["d"] for row in rows], dims, literal_min)
+    return float(_bound([row["c"] for row in rows], [row["d"] for row in rows], dims, literal_min))
 
 
 def pure_sum_identity(psi: PureState) -> tuple[float, float]:

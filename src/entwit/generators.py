@@ -121,7 +121,7 @@ def embed_observable(pair: GeneratorPair, a: np.ndarray) -> EmbeddedObservable:
 def triad_from_rotation(rot: np.ndarray) -> ObservableTriad:
     """Wrap a 3x3 orthogonal matrix (rows = observable directions) as a triad."""
     rot = np.asarray(rot, dtype=float)
-    if rot.shape != (3, 3) or np.max(np.abs(rot @ rot.T - np.eye(3))) > 1e-10:
+    if rot.shape != (3, 3) or not np.max(np.abs(rot @ rot.T - np.eye(3))) <= 1e-10:  # also rejects NaN
         raise ValueError("expected an orthogonal 3x3 matrix")
     # re-orthonormalize so the TAU_UNIT triad invariant holds for inputs
     # that are only 1e-10 orthogonal

@@ -100,11 +100,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_part(mat: np.ndarray) -> np.ndarray:
-    """(M + M^dag)/2 for an eigensolve, once M is checked Hermitian to TAU_HERM."""
-    dev = np.max(np.abs(mat - mat.conj().T))
+    """(M + M^dag)/2 of a matrix or a stack of them for an eigensolve, once each
+    M is checked Hermitian to TAU_HERM."""
+    adj = mat.conj().swapaxes(-1, -2)
+    dev = np.max(np.abs(mat - adj))
     if dev > TAU_HERM:
         raise NotHermitianError(f"Hermiticity deviation {dev:.3e} exceeds {TAU_HERM}")
-    return (mat + mat.conj().T) / 2.0
+    return (mat + adj) / 2.0
 
 
 def validate_density(mat: np.ndarray, dims: Dims) -> DensityMatrix:
@@ -172,14 +174,20 @@ def trace_norm(h: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(herm))))
 
 
+def _negativities(mats: np.ndarray, dims: Dims) -> np.ndarray:
+    """negativity of each matrix of a stack (..., mn, mn), in one eigensolve."""
+    herm = _hermitian_part(partial_transpose_mat(mats, dims.m, dims.n))
+    norms = np.sum(np.abs(np.linalg.eigvalsh(herm)), axis=-1)
+    return (norms - 1.0) / (min(dims.m, dims.n) - 1)
+
+
 def negativity(rho: DensityMatrix) -> float:
     """Entanglement negativity (||rho^{T_A}||_tr - 1) / (min(m,n) - 1).
 
     Zero exactly on PPT states; equals 1 on a maximally entangled pair for
     any local dimension.
     """
-    big_m = min(rho.dims.m, rho.dims.n)
-    return (trace_norm(partial_transpose(rho)) - 1.0) / (big_m - 1)
+    return float(_negativities(rho.mat, rho.dims))
 
 
 def schmidt(psi: PureState) -> SchmidtDecomposition:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -71,24 +72,34 @@ def _tiles_vectors() -> list[np.ndarray]:
     ]
 
 
-def bennett_rho() -> DensityMatrix:
-    """Bound entangled state complementary to the 3x3 tiles UPB.
-
-    rho = (I_9 - sum_i |xi_i><xi_i|) / 4 with the five product vectors of the
-    unextendible product basis; each vector is unit norm as written.  PPT by
-    construction, entangled by the realignment criterion.
-    """
+# the two constant states of the mixtures, each built and validated once, on first use
+@cache
+def _bennett() -> DensityMatrix:
     mat = np.eye(9, dtype=complex)
     for xi in _tiles_vectors():
         mat -= np.outer(xi, xi.conj())
     return validate_density(mat / 4.0, Dims(3, 3))
 
 
+_qutrit_pplus = cache(lambda: max_entangled(3).projector())
+
+
+def bennett_rho() -> DensityMatrix:
+    """Bound entangled state complementary to the 3x3 tiles UPB.
+
+    rho = (I_9 - sum_i |xi_i><xi_i|) / 4 with the five product vectors of the
+    unextendible product basis; each vector is unit norm as written.  PPT by
+    construction, entangled by the realignment criterion.  Built and validated
+    once, on first use; every call returns that one read-only state.
+    """
+    return _bennett()
+
+
 def example1_mixture(p: float) -> DensityMatrix:
     """(1-p) * bennett_rho + p * P_+ on two qutrits."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
-    mat = (1.0 - p) * bennett_rho().mat + p * max_entangled(3).projector().mat
+    mat = (1.0 - p) * _bennett().mat + p * _qutrit_pplus().mat
     return validate_density(mat, Dims(3, 3))
 
 
@@ -119,7 +130,7 @@ def example2_mixture(a: float, p: float) -> DensityMatrix:
     """(1-p) * rho_a(a) + p * P_+ on two qutrits."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
-    mat = (1.0 - p) * rho_a(a).mat + p * max_entangled(3).projector().mat
+    mat = (1.0 - p) * rho_a(a).mat + p * _qutrit_pplus().mat
     return validate_density(mat, Dims(3, 3))
 
 

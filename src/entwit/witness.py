@@ -22,8 +22,12 @@ applies to it:
   subspace projectors; only that choice makes the normalized witness equal
   the plain two-qubit witness on rho_ab.
 
-Every per-subspace figure comes from one kernel that gathers the blocks of
-all subspace pairs at once and solves them in one eigensolve and one SVD.
+Every per-subspace figure comes from one kernel over a stack of same-dims
+states.  It gathers the blocks of all subspace pairs of every state at once,
+solves them in one eigensolve, and returns numpy columns shaped (states,
+pairs).  The CHSH maxima take one more SVD, which runs only for a caller that
+reads them: the bound reads only the weights and violations, and the
+SubspaceReport rows are built only where they are read.
 
 Measurement settings come from a separate numeric search (optimize_settings):
 a multi-start BFGS ascent with analytic gradients over the measurement
@@ -33,7 +37,9 @@ the SVD, so its agreement with the closed forms is an independent check.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,23 +157,40 @@ def _check_pairs(dims: Dims, alpha: GeneratorPair, beta: GeneratorPair) -> None:
 # ---------------------------------------------------------------------------
 # the subspace kernel: every per-subspace figure starts from _blocks
 
-def _blocks(rho: DensityMatrix, pairs):
-    """Weights c >= 0, live mask c > TAU_C and states rho_ab of the (alpha, beta) pairs.
+# kernel output: one (N, P) array per figure for N states and P subspace
+# pairs; bell_max is None when the Bell SVD was not asked for
+_Columns = namedtuple("_Columns", "c live lambda_min bell_max nonlinear_max")
+
+
+def _pair_index(pairs) -> np.ndarray:
+    """The (P, 4) index rows (alpha.j, alpha.k, beta.j, beta.k) of (alpha, beta) pairs."""
+    return np.array([(a.j, a.k, b.j, b.k) for a, b in pairs])
+
+
+def _all_pairs_index(dims: Dims) -> np.ndarray:
+    """_pair_index of every subspace pair in lexicographic (alpha, beta) order,
+    without building the pairs."""
+    a, b = (np.array(list(itertools.combinations(range(dim), 2))) for dim in (dims.m, dims.n))
+    return np.concatenate([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))], axis=1)
+
+
+def _blocks(stack: np.ndarray, n: int, index: np.ndarray):
+    """Weights c >= 0, live mask c > TAU_C and states rho_ab, shaped (N, P)
+    and (N, P, 4, 4), of the pairs in `index` on a stack (N, mn, mn) of states.
 
     The sandwich by L (x) L acts on a gathered 4x4 block as Y (x) Y with
     Y = [[0,1],[-1,0]]: a reversal of the block basis with the middle two
     vectors negated, exact in floating point.  Blocks of empty pairs are
     left unnormalized and must not be read.
     """
-    n = rho.dims.n
-    ja, ka, jb, kb = np.array([(a.j, a.k, b.j, b.k) for a, b in pairs]).T
+    ja, ka, jb, kb = index.T
     rows = np.stack([ka * n + kb, ka * n + jb, ja * n + kb, ja * n + jb], axis=1)
-    blk = rho.mat[rows[:, :, None], rows[:, None, :]]
+    blk = stack[:, rows[:, :, None], rows[:, None, :]]
     blk *= _YY_SIGNS
-    c = np.maximum(blk[:, 3, 3].real + blk[:, 2, 2].real + blk[:, 1, 1].real + blk[:, 0, 0].real, 0.0)
+    c = np.maximum(blk[..., 3, 3].real + blk[..., 2, 2].real + blk[..., 1, 1].real + blk[..., 0, 0].real, 0.0)
     live = c > TAU_C
-    blk /= np.where(live, c, 1.0)[:, None, None]
-    blk += blk.conj().transpose(0, 2, 1)
+    blk /= np.where(live, c, 1.0)[..., None, None]
+    blk += blk.conj().swapaxes(-1, -2)
     blk *= 0.5
     return c, live, blk
 
@@ -178,24 +201,32 @@ def _correlations(rho_ab: np.ndarray) -> np.ndarray:
     return np.einsum("...ab,ijba->...ij", rho_ab, _SIGMA_PAIRS).real
 
 
-def _reports(rho: DensityMatrix, pairs) -> list[SubspaceReport]:
-    """Reports of the (alpha, beta) pairs: lambda_min of every partial
-    transpose in one eigensolve, every CHSH maximum in one SVD."""
-    c, live, blk = _blocks(rho, pairs)
-    sv = np.linalg.svd(_correlations(blk)[:, 1:, 1:], compute_uv=False)
-    bmax = np.where(live, c * 2.0 * np.sqrt(sv[:, 0] ** 2 + sv[:, 1] ** 2), 0.0)
-    lam = np.where(live, np.linalg.eigvalsh(partial_transpose_mat(blk, 2, 2))[:, 0], 0.0)
-    nmax = 1.0 - 4.0 * lam
-    d = nmax - 1.0
-    cols = zip(*(col.tolist() for col in (c, lam, bmax, nmax, d, np.maximum(0.0, d))))
-    return [SubspaceReport(a, b, *row) for (a, b), row in zip(pairs, cols)]
+def _reports(stack: np.ndarray, n: int, index: np.ndarray, bell: bool = True) -> _Columns:
+    """Columns of the pairs in `index` on a stack of states: lambda_min of
+    every partial transpose in one eigensolve and, with `bell`, every CHSH
+    maximum in one SVD."""
+    c, live, blk = _blocks(stack, n, index)
+    bmax = None
+    if bell:
+        sv = np.linalg.svd(_correlations(blk)[..., 1:, 1:], compute_uv=False)
+        bmax = np.where(live, c * 2.0 * np.sqrt(sv[..., 0] ** 2 + sv[..., 1] ** 2), 0.0)
+    lam = np.where(live, np.linalg.eigvalsh(partial_transpose_mat(blk, 2, 2))[..., 0], 0.0)
+    return _Columns(c, live, lam, bmax, 1.0 - 4.0 * lam)
+
+
+def _report_rows(rho: DensityMatrix, pairs) -> list[SubspaceReport]:
+    """SubspaceReport rows of one state's (alpha, beta) pairs."""
+    cols = _reports(rho.mat[None], rho.dims.n, _pair_index(pairs))
+    d = cols.nonlinear_max[0] - 1.0
+    table = (cols.c[0], cols.lambda_min[0], cols.bell_max[0], cols.nonlinear_max[0], d, np.maximum(0.0, d))
+    return [SubspaceReport(a, b, *row) for (a, b), row in zip(pairs, zip(*(col.tolist() for col in table)))]
 
 
 def _pair_block(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair):
     """Weight c and rho_ab of one subspace pair; rho_ab is None when it is empty."""
     _check_pairs(rho.dims, alpha, beta)
-    c, live, blk = _blocks(rho, [(alpha, beta)])
-    return float(c[0]), (blk[0] if live[0] else None)
+    c, live, blk = _blocks(rho.mat[None], rho.dims.n, _pair_index([(alpha, beta)]))
+    return float(c[0, 0]), (blk[0, 0] if live[0, 0] else None)
 
 
 def project_state(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair) -> ProjectedState:
@@ -278,13 +309,13 @@ def nonlinear_max(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair)
 def subspace_report(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair) -> SubspaceReport:
     """All per-subspace figures of one pair."""
     _check_pairs(rho.dims, alpha, beta)
-    return _reports(rho, [(alpha, beta)])[0]
+    return _report_rows(rho, [(alpha, beta)])[0]
 
 
 def subspace_reports(rho: DensityMatrix) -> list[SubspaceReport]:
     """Reports for all subspace pairs in lexicographic (alpha, beta) order."""
     betas = [beta for beta, _ in so_generators(rho.dims.n)]
-    return _reports(rho, [(alpha, beta) for alpha, _ in so_generators(rho.dims.m) for beta in betas])
+    return _report_rows(rho, [(alpha, beta) for alpha, _ in so_generators(rho.dims.m) for beta in betas])
 
 
 def detect_entanglement(rho: DensityMatrix) -> tuple[bool, list[SubspaceReport]]:
@@ -499,10 +530,12 @@ def estimate_mean_shots(rho: DensityMatrix, obs: np.ndarray, shots: int, seed=No
 CSV_HEADER = "alpha_j,alpha_k,beta_l,beta_m,c,lambda_min,bell_max,nonlinear_max,d,x"
 
 
-def _csv_text(header: str, rows) -> str:
-    """The one CSV writer: the header, then each row of numbers at 12
-    significant digits (integers print as themselves), LF line endings."""
-    lines = [header] + [",".join(f"{v:.12g}" for v in row) for row in rows]
+def _csv_text(header: str | None, rows) -> str:
+    """The one CSV writer: the header (None for a continuation), then each row
+    of numbers at 12 significant digits (integers print as themselves), LF
+    line endings."""
+    lines = [] if header is None else [header]
+    lines += [",".join(f"{v:.12g}" for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 

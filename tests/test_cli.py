@@ -3,11 +3,24 @@
 import json
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from entwit.cli import _CLI_FAMILIES, SCAN_HEADER, SweepConfig, main, run_scan, scan_csv
+from entwit.cli import (
+    _CHUNK,
+    _CLI_FAMILIES,
+    SCAN_HEADER,
+    SweepConfig,
+    _grid_values,
+    _point_spec,
+    _scan_chunks,
+    main,
+    run_scan,
+    scan_csv,
+)
+from entwit.cren import cren_lower_bound
 from entwit.qstate import Dims, to_json, validate_density
 from entwit.states import isotropic
 
@@ -128,12 +141,13 @@ class TestExitCodes:
         "argv",
         [
             ["detect", "--family", "max_entangled", "--d", "200000000"],
-            ["scan", "--family", "isotropic", "--d", "3", "--scan-param", "x", "--range", "0:0.3",
-             "--points", "100000000000000000"],
+            # the scan streams its grid, so the impossible allocation is the state at a grid point
+            ["scan", "--family", "max_entangled", "--scan-param", "d", "--range", "200000000:200000001",
+             "--points", "2"],
         ],
     )
     def test_impossible_allocation_exits_3(self, capsys, argv):
-        # both arrays (6e17 and 8e17 bytes) exceed any 64-bit address space, so
+        # both state vectors (6e17 bytes) exceed any 64-bit address space, so
         # the allocation fails at once whatever the overcommit setting
         code, out, err = run_cli(capsys, argv)
         assert code == 3 and "error: Unable to allocate" in err and out == ""
@@ -320,6 +334,90 @@ class TestFamilies:
         )
         assert code == 3 and "d must be an integer" in err
         assert "2.666" not in out
+
+
+def point_by_point(cfg, values, seeds):
+    """The scan figures of each value from its own cren_lower_bound and report rows."""
+    out = []
+    for value, seed in zip(values, seeds):
+        rep = cren_lower_bound(_point_spec(cfg, value, seed).build())
+        d_nl = max(r.nonlinear_max for r in rep.reports) - 1.0
+        d_bell = max(r.bell_max / r.c if r.bell_max else 0.0 for r in rep.reports) - 2.0
+        out.append((value, d_nl, d_bell, rep.bound, rep.negativity))
+    return out
+
+
+class TestChunkedScan:
+    @pytest.mark.parametrize(
+        "lo, hi, points",
+        [(0.0, 1.0, 100), (0.1, 0.4, 64), (0.1, 0.4, 65), (-0.3, 0.7, 129), (1e-3, 2.5, 200), (0.0, 1e-320, 3)],
+    )
+    def test_grid_values_are_linspace(self, lo, hi, points):
+        cfg = SweepConfig(family="isotropic", fixed={"d": 3}, param_name="x", lo=lo, hi=hi, points=points)
+        got = [v for i0 in range(0, points, _CHUNK) for v in _grid_values(cfg, i0, min(i0 + _CHUNK, points))]
+        assert np.array_equal(got, np.linspace(lo, hi, points))
+
+    @pytest.mark.parametrize(
+        "family, fixed, param, lo, hi, points",
+        [
+            ("isotropic", {"d": 3}, "x", -0.1, 1.0, 70),
+            ("rho_a_mix", {"a": 0.3}, "p", 0.0, 1.0, 9),
+            ("random_density", {}, "d", 2.0, 5.0, 4),
+            ("random_pure", {}, "d", 2.0, 4.0, 3),
+        ],
+    )
+    def test_run_scan_equals_point_by_point_evaluation(self, family, fixed, param, lo, hi, points):
+        cfg = SweepConfig(family=family, fixed=fixed, param_name=param, lo=lo, hi=hi, points=points)
+        result = run_scan(cfg, base_seed=11)
+        grid = np.linspace(lo, hi, points).tolist()
+        want = point_by_point(cfg, grid, range(11, 11 + points))
+        assert [pt.param for pt in result.points] == grid
+        assert np.max(np.abs(np.subtract(result.points, want))) <= 1e-12
+
+    def test_chunks_keep_only_the_first_crossings(self):
+        cfg = SweepConfig(
+            family="isotropic", fixed={"d": 3}, param_name="x",
+            lo=0.0, hi=0.587, points=150, bisect=True, bisect_tol=1e-6,
+        )
+        crossings = {}
+        chunks = list(_scan_chunks(cfg, 3, crossings))
+        result = run_scan(cfg, base_seed=3)
+        assert [len(chunk) for chunk in chunks] == [_CHUNK, _CHUNK, 150 - 2 * _CHUNK]
+        assert [pt for chunk in chunks for pt in chunk] == result.points
+        # the nonlinear onset x = 1/4 falls between the last point of chunk 0 and the first of chunk 1
+        pts = result.points
+        assert crossings["nonlinear_d"] == (pts[_CHUNK - 1].param, pts[_CHUNK].param)
+        assert crossings["nonlinear_d"][0] <= result.nonlinear.value <= crossings["nonlinear_d"][1]
+        assert abs(result.nonlinear.value - 0.25) < 1e-5
+        # the Bell onset lies beyond the range
+        assert "bell_d" not in crossings and result.bell.status == "no threshold in range"
+
+    def test_build_error_exits_3_after_the_completed_chunks(self, capsys, tmp_path):
+        # x runs 0..2 over 200 points: the first chunk stays below x = 1, the second crosses it
+        csv_path = tmp_path / "scan.csv"
+        argv = ["scan", "--family", "isotropic", "--d", "3", "--scan-param", "x", "--range", "0:2",
+                "--points", "200", "--csv", str(csv_path)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3 and "outside positivity range" in err
+        lines = out.splitlines()
+        assert lines[0] == SCAN_HEADER and len(lines) == 1 + _CHUNK
+        assert csv_path.read_text() == out
+
+    def test_huge_grid_streams_its_first_rows(self):
+        argv = [sys.executable, "-m", "entwit.cli", "scan", "--family", "isotropic", "--d", "3",
+                "--scan-param", "x", "--range", "0:0.3", "--points", "1000000000"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+        timer = threading.Timer(10.0, proc.kill)  # a scan that prints nothing in time reads as EOF
+        timer.start()
+        try:
+            header, first = proc.stdout.readline(), proc.stdout.readline()
+        finally:
+            timer.cancel()
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+        assert header == SCAN_HEADER + "\n"
+        assert first.startswith("0,") and first.endswith("\n")
 
 
 class TestScanCsvApi:

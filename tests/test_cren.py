@@ -26,7 +26,7 @@ from entwit.states import (
     random_density,
     random_pure,
 )
-from entwit.witness import csv_rows, reports_to_csv
+from entwit.witness import csv_rows, reports_to_csv, subspace_reports
 
 
 class TestMaxEntangledQutrits:
@@ -51,6 +51,19 @@ class TestMaxEntangledQutrits:
         assert abs(rep.bound - 1.0) < 1e-12
         assert abs(rep.negativity - 1.0) < 1e-12
         assert abs(rep.sum_c - 4.0) < 1e-12 and rep.m_normalizer == 3
+
+
+class TestLazyRows:
+    def test_rows_are_built_on_first_read_and_match_subspace_reports(self):
+        rho = random_density(Dims(3, 4), 12, seed=5)
+        rep = cren_lower_bound(rho)
+        assert "reports" not in vars(rep)  # the bound never built them
+        rows = rep.reports
+        assert rep.reports is rows
+        assert rows == subspace_reports(rho)
+        # the bound read c and d from the kernel columns: the rows give it bitwise
+        assert rep.bound == bound_from_rows([{"c": r.c, "d": r.d} for r in rows], rho.dims)
+        assert rep.sum_c == sum(r.c for r in rows)
 
 
 class TestIsotropicBound:

@@ -174,6 +174,15 @@ def test_nan_directions_and_frames_are_rejected():
         ObservableTriad(np.full((3, 3), np.nan))
 
 
+def test_nan_rotation_is_rejected_before_the_svd():
+    with pytest.raises(ValueError, match="expected an orthogonal 3x3 matrix"):
+        triad_from_rotation(np.full((3, 3), np.nan))
+    bad = np.eye(3)
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError, match="expected an orthogonal 3x3 matrix"):
+        triad_from_rotation(bad)
+
+
 def test_subspace_projector_placement():
     proj = subspace_projector(GeneratorPair(0, 1, 3))
     assert np.array_equal(proj, np.diag([1.0, 1.0, 0.0]))

@@ -114,8 +114,21 @@ class TestBennettRho:
         assert np.linalg.eigvalsh(partial_transpose(rho))[0] > -1e-12
         assert realignment_value(rho) > 1.0
 
+    def test_built_once_and_read_only(self):
+        rho = bennett_rho()
+        assert bennett_rho() is rho
+        assert not rho.mat.flags.writeable
+        with pytest.raises(ValueError):
+            rho.mat[0, 0] = 0.0
+
 
 class TestExample1Mixture:
+    def test_mixes_the_constant_states_afresh(self):
+        mix = example1_mixture(0.3)
+        want = 0.7 * bennett_rho().mat + 0.3 * max_entangled(3).projector().mat
+        assert np.array_equal(mix.mat, want)
+        assert example1_mixture(0.3) is not mix and not mix.mat.flags.writeable
+
     def test_endpoints(self):
         assert np.max(np.abs(example1_mixture(0.0).mat - bennett_rho().mat)) < 1e-15
         assert np.max(np.abs(example1_mixture(1.0).mat - max_entangled(3).projector().mat)) < 1e-15

@@ -35,9 +35,11 @@ from entwit.witness import (
     TAU_C,
     TAU_DETECT,
     WitnessSettings,
+    _all_pairs_index,
     _bell_fg,
     _check_pairs,
     _nonlinear_fg,
+    _reports,
     bell_max,
     bell_value,
     best_report,
@@ -291,6 +293,38 @@ class TestKernel:
                 assert np.max(np.abs(rho_ab.mat - norm)) < 1e-12
         if support is not None:
             assert any(r.c == 0.0 and r.nonlinear_max == 1.0 for r in reports)
+
+    @pytest.mark.parametrize("m, n, with_empty", [(3, 3, False), (4, 4, False), (3, 5, False), (3, 4, True)])
+    def test_stacked_columns_equal_per_state_columns(self, m, n, with_empty):
+        rng = np.random.default_rng(7 * m + n)
+        states = [rand_density(rng, m, n, rank) for rank in (1, 2, m * n, m * n)]
+        if with_empty:  # supported on |00>, |01>, |12>: most subspaces are empty
+            keep = np.isin(np.arange(m * n), [0, 1, n + 2])
+            mat = rand_density(rng, m, n).mat * np.outer(keep, keep)
+            states.insert(1, validate_density(mat / np.trace(mat).real, Dims(m, n)))
+        index = _all_pairs_index(Dims(m, n))
+        assert [tuple(row) for row in index] == [
+            (a.j, a.k, b.j, b.k) for a, _ in so_generators(m) for b, _ in so_generators(n)
+        ]
+        stacked = _reports(np.stack([rho.mat for rho in states]), n, index)
+        no_bell = _reports(np.stack([rho.mat for rho in states]), n, index, bell=False)
+        assert no_bell.bell_max is None
+        for k, rho in enumerate(states):
+            single = _reports(rho.mat[None], n, index)
+            for name in ("c", "live", "lambda_min", "bell_max", "nonlinear_max"):
+                got, want = getattr(stacked, name), getattr(single, name)
+                assert got.shape == (len(states), len(index)) and want.shape == (1, len(index))
+                assert np.array_equal(got[k], want[0]), name
+                if name != "bell_max":
+                    assert np.array_equal(getattr(no_bell, name)[k], want[0]), name
+            # the columns are the rows subspace_reports builds
+            reports = subspace_reports(rho)
+            assert [r.c for r in reports] == stacked.c[k].tolist()
+            assert [r.bell_max for r in reports] == stacked.bell_max[k].tolist()
+            assert [r.nonlinear_max for r in reports] == stacked.nonlinear_max[k].tolist()
+        if with_empty:
+            assert not stacked.live[1].all() and stacked.live[0].all()
+            assert np.all(stacked.bell_max[1][~stacked.live[1]] == 0.0)
 
 
 def c_coefficient(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair) -> float:
