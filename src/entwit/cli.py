@@ -10,7 +10,9 @@ the two-qubit bound on its own (see witness module notes).
 Exit codes: 0 success, 2 bad arguments (flags, including a flag the family
 does not take, and sweep config), 3 an error raised while building a state
 (parameter outside its domain, unreadable state file, invalid matrix, an
-allocation larger than memory), 4 selftest failure.
+allocation larger than memory), 4 selftest failure.  A reader that closes
+stdout early (`entwit scan ... | head`) stops the command at its next write,
+quietly and with exit 0; what was already written to a file stays.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import contextlib
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -489,6 +492,11 @@ def main(argv=None) -> int:
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
+    except BrokenPipeError:
+        # the reader is gone; stdout goes to devnull so that the flush at
+        # interpreter exit does not fail on the same pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

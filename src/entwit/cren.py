@@ -16,9 +16,19 @@ the bound is tight: it collapses to the negativity through the trace-norm
 identity sum_ab ||(L (x) L) psi-projector^{T_A} (L (x) L)||_tr
 = (M-1)^2 + 2 sum_{i<j} sqrt(mu_i mu_j).
 
+The bound reads a subspace only through X_ab, so a block whose partial
+transpose is provably positive adds exactly |c_ab| and needs no eigenvalue.
+The proof is the purity ball: a Hermitian unit-trace 4x4 X with Tr X^2 = p
+has lambda_min(X) >= 1/4 - sqrt(3(p - 1/4)/4), which is > 0 iff p < 1/3, and
+the partial transpose keeps the purity of rho_ab [K. Zyczkowski, P. Horodecki,
+A. Sanpera, M. Lewenstein, Phys. Rev. A 58, 883 (1998)].  The default bound
+therefore solves only the live blocks with purity at or above 1/3 - 1e-9
+(witness._violations) and equals the all-blocks solve to the last bit.
+
 A literal clip-below variant (X = min(0, d)) is kept behind a flag for
 comparison; it discards every violation and degenerates to 0 on the
-maximally entangled state, which is why the shipped bound clips above.
+maximally entangled state, which is why the shipped bound clips above.  It
+reads every d, so it solves every block, as do the per-subspace rows.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from .qstate import (
     pure_negativity,
     trace_norm,
 )
-from .witness import SubspaceReport, _all_pairs_index, _reports, subspace_reports
+from .witness import SubspaceReport, _all_pairs_index, _reports, _violations, subspace_reports
 
 
 @dataclass(frozen=True)
@@ -73,25 +83,32 @@ def _bound(c, d, dims: Dims, literal_min: bool):
     return (total - (dims.m - 1) * (dims.n - 1)) / (min(dims.m, dims.n) - 1)
 
 
-def _assess(stack: np.ndarray, dims: Dims, bell: bool, literal_min: bool = False):
+def _assess(stack: np.ndarray, dims: Dims, bell: bool):
     """Kernel columns over all subspace pairs, bounds and negativities of a
     stack (N, mn, mn) of validated same-dims states."""
     cols = _reports(stack, dims.n, _all_pairs_index(dims), bell)
-    bounds = _bound(cols.c, cols.nonlinear_max - 1.0, dims, literal_min)
+    bounds = _bound(cols.c, cols.nonlinear_max - 1.0, dims, literal_min=False)
     return cols, bounds, _negativities(stack, dims)
 
 
 def cren_lower_bound(rho: DensityMatrix, literal_min: bool = False) -> CrenBoundReport:
     """Assemble the bound from all subspace pairs in lexicographic order.
 
-    literal_min=True swaps the violation clip to X = min(0, d); only useful
-    for comparing against the clip-above default, see the module docstring.
+    The default bound solves only the blocks the purity certificate leaves
+    open (see the module docstring).  literal_min=True swaps the violation
+    clip to X = min(0, d), which reads every violation and so solves every
+    block; it is only useful for comparing against the clip-above default.
     """
-    cols, bounds, negs = _assess(rho.mat[None], rho.dims, bell=False, literal_min=literal_min)
+    stack, index = rho.mat[None], _all_pairs_index(rho.dims)
+    if literal_min:
+        cols = _reports(stack, rho.dims.n, index, bell=False)
+        c, d = cols.c, cols.nonlinear_max - 1.0
+    else:
+        c, d = _violations(stack, rho.dims.n, index)
     return CrenBoundReport(
-        bound=float(bounds[0]),
-        negativity=float(negs[0]),
-        sum_c=sum(cols.c[0].tolist()),
+        bound=float(_bound(c, d, rho.dims, literal_min)[0]),
+        negativity=float(_negativities(stack, rho.dims)[0]),
+        sum_c=sum(c[0].tolist()),
         m_normalizer=min(rho.dims.m, rho.dims.n),
         rho=rho,
     )

@@ -56,7 +56,9 @@ def isotropic(d: int, x: float) -> DensityMatrix:
     lo = -1.0 / (d * d - 1.0)
     if x < lo - 1e-12 or x > 1.0 + 1e-12:
         raise ValueError(f"x={x} outside positivity range [{lo}, 1]")
-    mat = x * max_entangled(d).projector().mat + (1.0 - x) * np.eye(d * d) / (d * d)
+    vec = max_entangled(d).vec
+    # P_+ from its checked vector, not its validated projector: the mixture is validated once
+    mat = x * np.outer(vec, vec.conj()) + (1.0 - x) * np.eye(d * d) / (d * d)
     return validate_density(mat, Dims(d, d))
 
 

@@ -29,6 +29,13 @@ pairs).  The CHSH maxima take one more SVD, which runs only for a caller that
 reads them: the bound reads only the weights and violations, and the
 SubspaceReport rows are built only where they are read.
 
+The bound's entry point (_violations) also skips the eigensolve of every
+block whose partial transpose a purity certificate proves positive: a
+Hermitian unit-trace 4x4 X has lambda_min(X) >= 1/4 - sqrt(3(Tr X^2 - 1/4)/4),
+which is > 0 iff Tr X^2 < 1/3, and the partial transpose keeps the purity.
+Such a block's clipped violation is exactly 0.  Detection, the scan and the
+SubspaceReport rows read every lambda_min, so they solve every block.
+
 Measurement settings come from a separate numeric search (optimize_settings):
 a multi-start BFGS ascent with analytic gradients over the measurement
 angles.  It reads only the correlation table of a block, never lambda_min or
@@ -201,6 +208,11 @@ def _correlations(rho_ab: np.ndarray) -> np.ndarray:
     return np.einsum("...ab,ijba->...ij", rho_ab, _SIGMA_PAIRS).real
 
 
+def _lambda_min(blk: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the partial transpose of each 4x4 block of a stack."""
+    return np.linalg.eigvalsh(partial_transpose_mat(blk, 2, 2))[..., 0]
+
+
 def _reports(stack: np.ndarray, n: int, index: np.ndarray, bell: bool = True) -> _Columns:
     """Columns of the pairs in `index` on a stack of states: lambda_min of
     every partial transpose in one eigensolve and, with `bell`, every CHSH
@@ -210,8 +222,38 @@ def _reports(stack: np.ndarray, n: int, index: np.ndarray, bell: bool = True) ->
     if bell:
         sv = np.linalg.svd(_correlations(blk)[..., 1:, 1:], compute_uv=False)
         bmax = np.where(live, c * 2.0 * np.sqrt(sv[..., 0] ** 2 + sv[..., 1] ** 2), 0.0)
-    lam = np.where(live, np.linalg.eigvalsh(partial_transpose_mat(blk, 2, 2))[..., 0], 0.0)
+    lam = np.where(live, _lambda_min(blk), 0.0)
     return _Columns(c, live, lam, bmax, 1.0 - 4.0 * lam)
+
+
+# Purity certificate.  A Hermitian 4x4 X with Tr X = 1 and purity p = Tr X^2
+# has lambda_min(X) >= 1/4 - sqrt(3(p - 1/4)/4): the other three eigenvalues
+# sum to 1 - lambda, so p >= lambda^2 + (1 - lambda)^2/3.  The bound is > 0
+# iff p < 1/3, and it needs no positivity of X.  The partial transpose only
+# permutes entries, so rho_ab^{T_A} has the purity of rho_ab.  Below
+# 1/3 - 1e-9 the bound is at least 1.5e-9, far above the ~1e-15 error of a
+# 4x4 eigvalsh, so such a block's violation is exactly 0 without solving it.
+_PURITY_CERT = 1.0 / 3.0 - 1e-9
+
+
+def _certified(blk: np.ndarray) -> np.ndarray:
+    """Mask of the unit-trace Hermitian 4x4 blocks of a stack whose partial
+    transposes the purity certificate proves positive definite."""
+    flat = blk.reshape(blk.shape[:-2] + (16,)).view(float)  # the 32 real numbers of each block
+    return np.einsum("...k,...k->...", flat, flat) < _PURITY_CERT
+
+
+def _violations(stack: np.ndarray, n: int, index: np.ndarray):
+    """Weights c and clipped violations x = max(0, d), both (N, P), of the
+    pairs in `index` on a stack of states: the bound's only inputs.  Only the
+    live blocks the purity certificate leaves open are solved; every other
+    block has x = 0 exactly, as in the full columns of _reports."""
+    c, live, blk = _blocks(stack, n, index)
+    x = np.zeros_like(c)
+    solve = live & ~_certified(blk)
+    # (1 - 4 lambda) - 1 rather than -4 lambda: the rounding of _reports, so the bound matches it bitwise
+    x[solve] = np.maximum(0.0, (1.0 - 4.0 * _lambda_min(blk[solve])) - 1.0)
+    return c, x
 
 
 def _report_rows(rho: DensityMatrix, pairs) -> list[SubspaceReport]:

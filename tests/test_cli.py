@@ -419,6 +419,27 @@ class TestChunkedScan:
         assert header == SCAN_HEADER + "\n"
         assert first.startswith("0,") and first.endswith("\n")
 
+    def test_closed_pipe_ends_the_scan_quietly(self, tmp_path):
+        # as `entwit scan ... | head -2`: the reader leaves after two lines
+        csv_path = tmp_path / "scan.csv"
+        argv = [sys.executable, "-m", "entwit.cli", "scan", "--family", "isotropic", "--d", "3",
+                "--scan-param", "x", "--range", "0:0.3", "--points", "100000", "--csv", str(csv_path)]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            head = [proc.stdout.readline(), proc.stdout.readline()]
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 0 and err == ""
+        assert head[0] == SCAN_HEADER + "\n" and head[1].startswith("0,")
+        # the chunks written before the pipe closed stay in the file, whole
+        text = csv_path.read_text()
+        lines = text.splitlines()
+        assert text.startswith("".join(head)) and text.endswith("\n")
+        assert len(lines) > 1 and (len(lines) - 1) % _CHUNK == 0
+
 
 class TestScanCsvApi:
     def test_round_trip_values(self):

@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entwit.cren import (
+    _bound,
     bound_from_rows,
     cren_lower_bound,
     cren_pure,
@@ -20,13 +22,14 @@ from entwit.qstate import (
 )
 from entwit.states import (
     example1_mixture,
+    example2_mixture,
     isotropic,
     max_entangled,
     pure_from_schmidt,
     random_density,
     random_pure,
 )
-from entwit.witness import csv_rows, reports_to_csv, subspace_reports
+from entwit.witness import _all_pairs_index, _reports, csv_rows, reports_to_csv, subspace_reports
 
 
 class TestMaxEntangledQutrits:
@@ -64,6 +67,63 @@ class TestLazyRows:
         # the bound read c and d from the kernel columns: the rows give it bitwise
         assert rep.bound == bound_from_rows([{"c": r.c, "d": r.d} for r in rows], rho.dims)
         assert rep.sum_c == sum(r.c for r in rows)
+
+
+def assert_bitwise_full_solve(rho):
+    """The bound skips the eigensolve of every block the purity certificate
+    proves positive; the oracle solves every block, and both must agree to
+    the last bit, in both clips."""
+    cols = _reports(rho.mat[None], rho.dims.n, _all_pairs_index(rho.dims), bell=False)
+    for literal_min in (False, True):
+        rep = cren_lower_bound(rho, literal_min=literal_min)
+        assert rep.bound == float(_bound(cols.c, cols.nonlinear_max - 1.0, rho.dims, literal_min)[0])
+        assert rep.sum_c == sum(cols.c[0].tolist())
+
+
+class TestCertifiedSolve:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(2, 6), st.integers(2, 6), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_bound_equals_the_full_solve_on_random_states(self, m, n, frac, seed):
+        rank = 1 + round(frac * (m * n - 1))
+        assert_bitwise_full_solve(random_density(Dims(m, n), rank, seed=seed))
+
+    def test_bound_equals_the_full_solve_on_the_families(self):
+        grid = np.linspace(0.0, 1.0, 41)
+        states = [isotropic(3, x) for x in np.linspace(-1.0 / 8.0, 1.0, 41)]
+        states += [example1_mixture(p) for p in grid]
+        states += [example2_mixture(a, p) for a in (0.2, 0.5, 0.8) for p in grid[::4]]
+        states.append(pure_from_schmidt([0.5, 0.3, 0.2], 3).projector())
+        # supported on |00>, |01>, |12>: most subspaces are empty
+        keep = np.isin(np.arange(12), [0, 1, 6])
+        mat = random_density(Dims(3, 4), 12, seed=2).mat * np.outer(keep, keep)
+        states.append(validate_density(mat / np.trace(mat).real, Dims(3, 4)))
+        # defect (a): rounding inside a subspace of weight 2e-11 reads as a violation
+        mat = np.zeros((9, 9), dtype=complex)
+        mat[0, 0] = 1.0 - 2e-11
+        mat[4, 4] = mat[8, 8] = 1e-11
+        mat[4, 8] = mat[8, 4] = 5e-10
+        states.append(validate_density(mat, Dims(3, 3)))
+        for rho in states:
+            assert_bitwise_full_solve(rho)
+
+    @pytest.mark.parametrize("m, n, rank, solved", [(6, 12, 72, 0), (8, 8, 1, 784)])
+    def test_blocks_passed_to_the_eigensolver(self, monkeypatch, m, n, rank, solved):
+        # a full-rank Ginibre state has every block certified; a pure state
+        # violates on every block, so all C(8,2)^2 = 784 are solved
+        blocks = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            if np.shape(a)[-2:] == (4, 4):
+                blocks.append(int(np.prod(np.shape(a)[:-2])))
+            return eigvalsh(a)
+
+        rho = random_density(Dims(m, n), rank, seed=11)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        cren_lower_bound(rho)
+        assert sum(blocks) == solved
+        monkeypatch.undo()
+        assert_bitwise_full_solve(rho)
 
 
 class TestIsotropicBound:

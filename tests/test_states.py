@@ -72,6 +72,18 @@ class TestIsotropic:
             isotropic(3, -1.0 / 8.0 - 1e-6)
         isotropic(3, -1.0 / 8.0)  # boundary itself is a state
 
+    def test_validates_the_mixture_with_one_eigensolve(self, monkeypatch):
+        # P_+ comes from its checked vector; only the mixture is validated
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(np.shape(a)) or eigvalsh(a))
+        for d in (2, 3, 8):
+            calls.clear()
+            rho = isotropic(d, 0.5)
+            assert calls == [(d * d, d * d)]
+            pplus = np.outer(max_entangled(d).vec, max_entangled(d).vec.conj())
+            assert np.array_equal(rho.mat, 0.5 * pplus + 0.5 * np.eye(d * d) / (d * d))
+
     def test_twirl_invariance(self):
         # U (x) U* twirling is the defining symmetry of the family
         rng = np.random.default_rng(3)

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entwit.generators import (
     GeneratorPair,
@@ -26,6 +27,7 @@ from entwit.qstate import (
     NotHermitianError,
     negativity,
     partial_transpose,
+    partial_transpose_mat,
     validate_density,
 )
 from entwit.witness import (
@@ -35,8 +37,10 @@ from entwit.witness import (
     TAU_C,
     TAU_DETECT,
     WitnessSettings,
+    _PURITY_CERT,
     _all_pairs_index,
     _bell_fg,
+    _certified,
     _check_pairs,
     _nonlinear_fg,
     _reports,
@@ -325,6 +329,60 @@ class TestKernel:
         if with_empty:
             assert not stacked.live[1].all() and stacked.live[0].all()
             assert np.all(stacked.bell_max[1][~stacked.live[1]] == 0.0)
+
+
+def unit_trace_hermitian(rng, spectrum):
+    """U diag(spectrum) U^dag for a random unitary U; Hermitian to the last bit."""
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    x = (u * np.asarray(spectrum)) @ u.conj().T
+    return (x + x.conj().T) / 2.0
+
+
+@st.composite
+def certificate_cases(draw):
+    """Hermitian 4x4 matrices of unit trace, PSD or not: either I/4 plus a
+    traceless part of Frobenius norm s (purity 1/4 + s^2, crossing the
+    threshold near s = 0.289), or one eigenvalue t near 0 with the other
+    three near (1 - t)/3, which puts the purity within ~1e-8 of 1/3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        h = h + h.conj().T
+        h -= np.trace(h).real / 4.0 * np.eye(4)
+        return np.eye(4) / 4.0 + draw(st.floats(0.0, 0.6)) * h / np.linalg.norm(h)
+    t = draw(st.floats(-1e-8, 1e-8))
+    a, b = draw(st.floats(-1e-5, 1e-5)), draw(st.floats(-1e-5, 1e-5))
+    rest = (1.0 - t) / 3.0
+    return unit_trace_hermitian(rng, [t, rest + a, rest + b, rest - a - b])
+
+
+class TestPurityCertificate:
+    """A block whose purity lies below _PURITY_CERT has a positive definite
+    partial transpose, so the bound needs no eigensolve for it."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(certificate_cases())
+    def test_certified_blocks_have_positive_partial_transposes(self, x):
+        purity = float(np.sum(np.abs(x) ** 2))
+        certified = bool(_certified(x[None])[0])
+        assert certified == (purity < _PURITY_CERT)
+        # the lemma, p >= lambda^2 + (1 - lambda)^2/3, holds for X and for its
+        # partial transpose, which has X's purity
+        for y in (x, partial_transpose_mat(x, 2, 2)):
+            lam = np.linalg.eigvalsh(y)[0]
+            assert purity >= lam**2 + (1.0 - lam) ** 2 / 3.0 - 1e-12
+            if certified:
+                assert lam > 0.0
+
+    def test_threshold_edge(self):
+        # with t = 3e-9 the purity is 1/3 - 2e-9 (certified); with t = 1e-9
+        # it is 1/3 - 6.7e-10, inside the margin (solved)
+        rng = np.random.default_rng(5)
+        for t, want in ((3e-9, True), (1e-9, False), (0.0, False), (-1e-9, False)):
+            x = unit_trace_hermitian(rng, [t] + [(1.0 - t) / 3.0] * 3)
+            assert bool(_certified(x[None])[0]) is want, t
+        assert _certified(np.eye(4, dtype=complex)[None] / 4.0)[0]
+        assert not _certified(max_ent(2).mat[None])[0]
 
 
 def c_coefficient(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair) -> float:
