@@ -8,7 +8,9 @@ value because the raw subspace mean is suppressed by c and would never reach
 the two-qubit bound on its own (see witness module notes).
 
 Exit codes: 0 success, 2 bad arguments (flags, including a flag the family
-does not take, and sweep config), 3 an error raised while building a state
+does not take, sweep config, and a --json or --csv path that cannot be
+opened for writing; the output files are opened, and so emptied, before any
+state is built), 3 an error raised while building a state
 (parameter outside its domain, unreadable state file, invalid matrix, an
 allocation larger than memory), 4 selftest failure.  A reader that closes
 stdout early (`entwit scan ... | head`) stops the command at its next write,
@@ -271,39 +273,55 @@ def _build_state(make, *args):
         raise SystemExit(3) from None
 
 
-def _emit(doc: dict, json_path: str | None) -> None:
+def _open_outputs(stack: contextlib.ExitStack, *paths):
+    """Open each given output path for writing (None stays None), before any
+    state is built; a path that cannot be opened exits 2, naming it."""
+    files = []
+    for path in paths:
+        try:
+            files.append(path and stack.enter_context(open(path, "w", encoding="utf-8", newline="")))
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+            raise SystemExit(2) from None
+    return files
+
+
+def _emit(doc: dict, fh) -> None:
     text = json.dumps(doc, indent=2)
     print(text)
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    if fh:
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_detect(parser, args) -> int:
-    rho = _build_state(_spec_from_args(parser, args).build)
-    flag, reports = detect_entanglement(rho)
-    top = best_report(reports)
-    doc = {
-        "entangled": flag,
-        "best_subspace": {"alpha": [top.alpha.j, top.alpha.k], "beta": [top.beta.j, top.beta.k]},
-        "nonlinear_max": top.nonlinear_max,
-        "bell_max": top.bell_max,
-        "negativity": negativity(rho),
-    }
-    _emit(doc, args.json)
+    spec = _spec_from_args(parser, args)
+    with contextlib.ExitStack() as stack:
+        (json_fh,) = _open_outputs(stack, args.json)
+        rho = _build_state(spec.build)
+        flag, reports = detect_entanglement(rho)
+        top = best_report(reports)
+        doc = {
+            "entangled": flag,
+            "best_subspace": {"alpha": [top.alpha.j, top.alpha.k], "beta": [top.beta.j, top.beta.k]},
+            "nonlinear_max": top.nonlinear_max,
+            "bell_max": top.bell_max,
+            "negativity": negativity(rho),
+        }
+        _emit(doc, json_fh)
     return 0
 
 
 def cmd_bound(parser, args) -> int:
-    rho = _build_state(_spec_from_args(parser, args).build)
-    rep = cren_lower_bound(rho, literal_min=args.literal_min)
-    _emit(json.loads(report_to_json(rep)), args.json)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(reports_to_csv(rep.reports))
+    spec = _spec_from_args(parser, args)
+    with contextlib.ExitStack() as stack:
+        json_fh, csv_fh = _open_outputs(stack, args.json, args.csv)
+        rep = cren_lower_bound(_build_state(spec.build), literal_min=args.literal_min)
+        _emit(json.loads(report_to_json(rep)), json_fh)
+        if csv_fh:
+            csv_fh.write(reports_to_csv(rep.reports))
     return 0
 
 
@@ -333,9 +351,7 @@ def cmd_scan(parser, args) -> int:
     chunks = _scan_chunks(cfg, args.seed, crossings)
     header = SCAN_HEADER  # written with the first chunk
     with contextlib.ExitStack() as stack:
-        sinks = [sys.stdout]
-        if args.csv:
-            sinks.append(stack.enter_context(open(args.csv, "w", encoding="utf-8", newline="")))
+        sinks = [sys.stdout, *filter(None, _open_outputs(stack, args.csv))]
         # each chunk's rows go out as soon as it is done; a build error exits 3 after them
         while (chunk := _build_state(next, chunks, None)) is not None:
             text = _csv_text(header, chunk)

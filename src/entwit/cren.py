@@ -22,8 +22,12 @@ The proof is the purity ball: a Hermitian unit-trace 4x4 X with Tr X^2 = p
 has lambda_min(X) >= 1/4 - sqrt(3(p - 1/4)/4), which is > 0 iff p < 1/3, and
 the partial transpose keeps the purity of rho_ab [K. Zyczkowski, P. Horodecki,
 A. Sanpera, M. Lewenstein, Phys. Rev. A 58, 883 (1998)].  The default bound
-therefore solves only the live blocks with purity at or above 1/3 - 1e-9
-(witness._violations) and equals the all-blocks solve to the last bit.
+therefore gathers and solves only the live blocks with purity at or above
+1/3 - 1e-9 (witness._violations) and equals the all-blocks solve to the last
+bit.  The purities are summed from the entries of rho, one party at a time,
+over the raw blocks: the Hermitian part that the kernel solves has no larger
+Frobenius norm, so the test stays a proof for a stored matrix that is
+Hermitian only to TAU_HERM.
 
 A literal clip-below variant (X = min(0, d)) is kept behind a flag for
 comparison; it discards every violation and degenerates to 0 on the
@@ -99,12 +103,12 @@ def cren_lower_bound(rho: DensityMatrix, literal_min: bool = False) -> CrenBound
     clip to X = min(0, d), which reads every violation and so solves every
     block; it is only useful for comparing against the clip-above default.
     """
-    stack, index = rho.mat[None], _all_pairs_index(rho.dims)
+    stack = rho.mat[None]
     if literal_min:
-        cols = _reports(stack, rho.dims.n, index, bell=False)
+        cols = _reports(stack, rho.dims.n, _all_pairs_index(rho.dims), bell=False)
         c, d = cols.c, cols.nonlinear_max - 1.0
     else:
-        c, d = _violations(stack, rho.dims.n, index)
+        c, d = _violations(stack, rho.dims)
     return CrenBoundReport(
         bound=float(_bound(c, d, rho.dims, literal_min)[0]),
         negativity=float(_negativities(stack, rho.dims)[0]),

@@ -29,11 +29,15 @@ pairs).  The CHSH maxima take one more SVD, which runs only for a caller that
 reads them: the bound reads only the weights and violations, and the
 SubspaceReport rows are built only where they are read.
 
-The bound's entry point (_violations) also skips the eigensolve of every
-block whose partial transpose a purity certificate proves positive: a
-Hermitian unit-trace 4x4 X has lambda_min(X) >= 1/4 - sqrt(3(Tr X^2 - 1/4)/4),
-which is > 0 iff Tr X^2 < 1/3, and the partial transpose keeps the purity.
-Such a block's clipped violation is exactly 0.  Detection, the scan and the
+The bound's entry point (_violations) gathers and solves only the blocks
+that a purity certificate leaves open: a Hermitian unit-trace 4x4 X has
+lambda_min(X) >= 1/4 - sqrt(3(Tr X^2 - 1/4)/4), which is > 0 iff
+Tr X^2 < 1/3, and the partial transpose keeps the purity.  A certified
+block's clipped violation is exactly 0.  Every block's purity is summed from
+the entries of rho, one party at a time (_purities), so a certified block is
+never gathered.  The sum runs over the raw block, which bounds the purity of
+its Hermitian part, the matrix the kernel solves, so it certifies a stored
+matrix that is Hermitian only to TAU_HERM too.  Detection, the scan and the
 SubspaceReport rows read every lambda_min, so they solve every block.
 
 Measurement settings come from a separate numeric search (optimize_settings):
@@ -174,10 +178,15 @@ def _pair_index(pairs) -> np.ndarray:
     return np.array([(a.j, a.k, b.j, b.k) for a, b in pairs])
 
 
+def _local_pairs(dim: int) -> np.ndarray:
+    """The (C(dim,2), 2) rows (j, k), j < k, of one party's pairs in lexicographic order."""
+    return np.array(list(itertools.combinations(range(dim), 2))).reshape(-1, 2)
+
+
 def _all_pairs_index(dims: Dims) -> np.ndarray:
     """_pair_index of every subspace pair in lexicographic (alpha, beta) order,
     without building the pairs."""
-    a, b = (np.array(list(itertools.combinations(range(dim), 2))) for dim in (dims.m, dims.n))
+    a, b = _local_pairs(dims.m), _local_pairs(dims.n)
     return np.concatenate([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))], axis=1)
 
 
@@ -191,8 +200,10 @@ def _blocks(stack: np.ndarray, n: int, index: np.ndarray):
     left unnormalized and must not be read.
     """
     ja, ka, jb, kb = index.T
+    side = stack.shape[-1]
     rows = np.stack([ka * n + kb, ka * n + jb, ja * n + kb, ja * n + jb], axis=1)
-    blk = stack[:, rows[:, :, None], rows[:, None, :]]
+    flat = (rows * side)[:, :, None] + rows[:, None, :]  # entry (i, j) of each block in the flattened state
+    blk = np.take(stack.reshape(len(stack), side * side), flat, axis=1)
     blk *= _YY_SIGNS
     c = np.maximum(blk[..., 3, 3].real + blk[..., 2, 2].real + blk[..., 1, 1].real + blk[..., 0, 0].real, 0.0)
     live = c > TAU_C
@@ -236,23 +247,47 @@ def _reports(stack: np.ndarray, n: int, index: np.ndarray, bell: bool = True) ->
 _PURITY_CERT = 1.0 / 3.0 - 1e-9
 
 
-def _certified(blk: np.ndarray) -> np.ndarray:
-    """Mask of the unit-trace Hermitian 4x4 blocks of a stack whose partial
-    transposes the purity certificate proves positive definite."""
-    flat = blk.reshape(blk.shape[:-2] + (16,)).view(float)  # the 32 real numbers of each block
-    return np.einsum("...k,...k->...", flat, flat) < _PURITY_CERT
+def _purities(stack: np.ndarray, dims: Dims):
+    """Weights c >= 0 and raw purities q = sum |blk|^2 of the unnormalized
+    gathered blocks of every subspace pair, both (N, P) in _all_pairs_index
+    order, read from a stack (N, mn, mn) of states without gathering a block.
+
+    The block of (alpha, beta) holds the entries +-rho[(a,b),(a',b')] for a, a'
+    in alpha and b, b' in beta, so q is a four-term sum per party over
+    |rho|^2: first over alpha's (a, a'), then over beta's (b, b').  c sums
+    the diagonal in the order of _blocks, so it is the same number.  The
+    kernel solves the Hermitian part (A + A^dag)/2 of a raw block A, whose
+    Frobenius norm is at most that of A, so q / c^2 bounds the purity of the
+    solved rho_ab from above for a stored matrix that is Hermitian only to
+    TAU_HERM too.
+    """
+    m, n = dims.m, dims.n
+    ja, ka = _local_pairs(m).T
+    jb, kb = _local_pairs(n).T
+    w = np.square(stack.real) + np.square(stack.imag)
+    w = w.reshape(-1, m, n, m, n).transpose(0, 1, 3, 2, 4)  # axes (a, a', b, b')
+    wa = w[:, ja, ja] + w[:, ja, ka] + w[:, ka, ja] + w[:, ka, ka]
+    q = wa[..., jb, jb] + wa[..., jb, kb] + wa[..., kb, jb] + wa[..., kb, kb]
+    diag = np.diagonal(stack, axis1=-2, axis2=-1).real.reshape(-1, m, n)
+    ja, ka = ja[:, None], ka[:, None]
+    c = diag[:, ja, jb] + diag[:, ja, kb] + diag[:, ka, jb] + diag[:, ka, kb]
+    return np.maximum(c, 0.0).reshape(len(stack), -1), q.reshape(len(stack), -1)
 
 
-def _violations(stack: np.ndarray, n: int, index: np.ndarray):
-    """Weights c and clipped violations x = max(0, d), both (N, P), of the
-    pairs in `index` on a stack of states: the bound's only inputs.  Only the
-    live blocks the purity certificate leaves open are solved; every other
-    block has x = 0 exactly, as in the full columns of _reports."""
-    c, live, blk = _blocks(stack, n, index)
+def _violations(stack: np.ndarray, dims: Dims):
+    """Weights c and clipped violations x = max(0, d), both (N, P) in
+    _all_pairs_index order, on a stack of states: the bound's only inputs.
+    Only the live blocks the purity certificate leaves open are gathered
+    and solved; every other block has x = 0 exactly, as in the full columns
+    of _reports."""
+    c, q = _purities(stack, dims)
     x = np.zeros_like(c)
-    solve = live & ~_certified(blk)
-    # (1 - 4 lambda) - 1 rather than -4 lambda: the rounding of _reports, so the bound matches it bitwise
-    x[solve] = np.maximum(0.0, (1.0 - 4.0 * _lambda_min(blk[solve])) - 1.0)
+    solve = (c > TAU_C) & (q >= _PURITY_CERT * c**2)
+    cols = np.flatnonzero(solve.any(axis=0))
+    if cols.size:
+        _, _, blk = _blocks(stack, dims.n, _all_pairs_index(dims)[cols])
+        # (1 - 4 lambda) - 1 rather than -4 lambda: the rounding of _reports, so the bound matches it bitwise
+        x[solve] = np.maximum(0.0, (1.0 - 4.0 * _lambda_min(blk[solve[:, cols]])) - 1.0)
     return c, x
 
 

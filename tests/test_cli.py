@@ -157,6 +157,32 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, argv + ["--points", "3", "--bisect", "--tol", "nan"])
         assert code == 2 and "bisect tolerance" in err and out == ""
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["bound", "--family", "max_entangled", "--d", "3"], "--csv"),
+            (["detect", "--family", "isotropic", "--d", "3", "--x", "0.5"], "--json"),
+            (["scan", "--family", "bennett_mix", "--scan-param", "p", "--range", "0:1", "--points", "5"], "--csv"),
+        ],
+    )
+    def test_unwritable_output_path_exits_2(self, tmp_path, argv, flag):
+        path = tmp_path / "missing" / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "entwit.cli", *argv, flag, str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: cannot write {path}: ") and proc.stderr.count("\n") == 1
+
+    def test_output_path_is_checked_before_the_state_is_built(self, capsys, tmp_path):
+        # x = 5 is outside the isotropic domain (exit 3), but the path fails first
+        argv = ["bound", "--family", "isotropic", "--d", "3", "--x", "5", "--json", str(tmp_path / "missing" / "b.json")]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == "" and err.startswith("error: cannot write")
+
     @pytest.mark.parametrize("flags", [["--restarts", "0"], ["--restarts", "-3"], ["--shots", "0"]])
     def test_selftest_takes_no_budget_flags(self, capsys, flags):
         code, out, err = run_cli(capsys, ["selftest", *flags])

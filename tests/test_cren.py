@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entwit import witness
 from entwit.cren import (
     _bound,
     bound_from_rows,
@@ -15,6 +16,7 @@ from entwit.cren import (
     report_to_json,
 )
 from entwit.qstate import (
+    TAU_HERM,
     Dims,
     partial_transpose,
     pure_negativity,
@@ -29,7 +31,15 @@ from entwit.states import (
     random_density,
     random_pure,
 )
-from entwit.witness import _all_pairs_index, _reports, csv_rows, reports_to_csv, subspace_reports
+from entwit.witness import (
+    _all_pairs_index,
+    _blocks,
+    _purities,
+    _reports,
+    csv_rows,
+    reports_to_csv,
+    subspace_reports,
+)
 
 
 class TestMaxEntangledQutrits:
@@ -80,7 +90,43 @@ def assert_bitwise_full_solve(rho):
         assert rep.sum_c == sum(cols.c[0].tolist())
 
 
+@st.composite
+def noisy_states(draw):
+    """Random states whose stored matrix carries anti-Hermitian noise of up to
+    0.9 TAU_HERM (zero on the diagonal): validation accepts them as stored."""
+    m, n = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = random_density(Dims(m, n), draw(st.integers(1, m * n)), seed=int(rng.integers(2**32))).mat
+    k = rng.normal(size=mat.shape) + 1j * rng.normal(size=mat.shape)
+    noise = k - k.conj().T
+    np.fill_diagonal(noise, 0.0)
+    noise *= draw(st.floats(0.0, 0.45)) * TAU_HERM / np.abs(noise).max()
+    return validate_density(mat + noise, Dims(m, n))
+
+
 class TestCertifiedSolve:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(noisy_states())
+    def test_state_level_purity_is_the_raw_block_purity(self, rho):
+        # oracle: gather every raw block by hand; the kernel's blocks are
+        # Hermitized and normalized, so their purity times c^2 is no larger
+        n, index = rho.dims.n, _all_pairs_index(rho.dims)
+        ja, ka, jb, kb = index.T
+        rows = np.stack([ja * n + jb, ja * n + kb, ka * n + jb, ka * n + kb], axis=1)
+        raw = rho.mat[rows[:, :, None], rows[:, None, :]]
+        want = np.sum(np.abs(raw) ** 2, axis=(1, 2))
+        c, q = _purities(rho.mat[None], rho.dims)
+        assert np.all(np.abs(q[0] - want) <= 1e-13 * want)
+        kernel_c, live, blk = _blocks(rho.mat[None], n, index)
+        assert np.array_equal(c, kernel_c)
+        solved = np.sum(np.abs(blk[live]) ** 2, axis=(1, 2)) * c[live] ** 2
+        assert np.all(q[live] >= solved * (1.0 - 1e-13))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(noisy_states())
+    def test_bound_equals_the_full_solve_on_noisy_states(self, rho):
+        assert_bitwise_full_solve(rho)
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(2, 6), st.integers(2, 6), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
     def test_bound_equals_the_full_solve_on_random_states(self, m, n, frac, seed):
@@ -124,6 +170,22 @@ class TestCertifiedSolve:
         assert sum(blocks) == solved
         monkeypatch.undo()
         assert_bitwise_full_solve(rho)
+
+    @pytest.mark.parametrize("d, rank, gathered", [(16, 256, []), (8, 1, [784])])
+    def test_blocks_gathered(self, monkeypatch, d, rank, gathered):
+        # a certified block is never gathered: a full-rank 16x16 state gathers
+        # none of its 14,400 blocks, a pure 8x8 state all 784 in one call
+        calls = []
+        blocks = witness._blocks
+
+        def counting(stack, n, index):
+            calls.append(len(stack) * len(index))
+            return blocks(stack, n, index)
+
+        rho = random_density(Dims(d, d), rank, seed=11)
+        monkeypatch.setattr(witness, "_blocks", counting)
+        cren_lower_bound(rho)
+        assert calls == gathered
 
 
 class TestIsotropicBound:

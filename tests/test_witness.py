@@ -8,11 +8,13 @@ leans on that equivalence.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entwit import witness
 from entwit.generators import (
     GeneratorPair,
     PAULI,
@@ -40,10 +42,10 @@ from entwit.witness import (
     _PURITY_CERT,
     _all_pairs_index,
     _bell_fg,
-    _certified,
     _check_pairs,
     _nonlinear_fg,
     _reports,
+    _violations,
     bell_max,
     bell_value,
     best_report,
@@ -356,22 +358,31 @@ def certificate_cases(draw):
     return unit_trace_hermitian(rng, [t, rest + a, rest + b, rest - a - b])
 
 
+def certified(x):
+    """Whether the bound settles the one block of x, read as a 2x2 state,
+    without gathering it: that block is x itself up to signs, so it has x's
+    purity."""
+    with mock.patch.object(witness, "_blocks", wraps=witness._blocks) as gather:
+        _violations(np.asarray(x, dtype=complex)[None], Dims(2, 2))
+    return not gather.called
+
+
 class TestPurityCertificate:
     """A block whose purity lies below _PURITY_CERT has a positive definite
-    partial transpose, so the bound needs no eigensolve for it."""
+    partial transpose, so the bound neither gathers nor solves it."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(certificate_cases())
     def test_certified_blocks_have_positive_partial_transposes(self, x):
         purity = float(np.sum(np.abs(x) ** 2))
-        certified = bool(_certified(x[None])[0])
-        assert certified == (purity < _PURITY_CERT)
+        is_certified = certified(x)
+        assert is_certified == (purity < _PURITY_CERT)
         # the lemma, p >= lambda^2 + (1 - lambda)^2/3, holds for X and for its
         # partial transpose, which has X's purity
         for y in (x, partial_transpose_mat(x, 2, 2)):
             lam = np.linalg.eigvalsh(y)[0]
             assert purity >= lam**2 + (1.0 - lam) ** 2 / 3.0 - 1e-12
-            if certified:
+            if is_certified:
                 assert lam > 0.0
 
     def test_threshold_edge(self):
@@ -380,9 +391,9 @@ class TestPurityCertificate:
         rng = np.random.default_rng(5)
         for t, want in ((3e-9, True), (1e-9, False), (0.0, False), (-1e-9, False)):
             x = unit_trace_hermitian(rng, [t] + [(1.0 - t) / 3.0] * 3)
-            assert bool(_certified(x[None])[0]) is want, t
-        assert _certified(np.eye(4, dtype=complex)[None] / 4.0)[0]
-        assert not _certified(max_ent(2).mat[None])[0]
+            assert certified(x) is want, t
+        assert certified(np.eye(4) / 4.0)
+        assert not certified(max_ent(2).mat)
 
 
 def c_coefficient(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair) -> float:
