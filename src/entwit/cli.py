@@ -1,5 +1,6 @@
 """Command-line front end: detection, bound computation, parameter sweeps,
-threshold bisection, and a self-test oracle suite.
+threshold bisection, and a self-test oracle suite.  Both detection onsets
+are bisected together, one stacked evaluation per step.
 
 Sweeps emit violation-positive differences so that "curve above zero" means
 "detected": nonlinear_D = max_ab nonlinear_max - 1, and bell_D =
@@ -8,7 +9,8 @@ value because the raw subspace mean is suppressed by c and would never reach
 the two-qubit bound on its own (see witness module notes).
 
 Exit codes: 0 success, 2 bad arguments (flags, including a flag the family
-does not take, sweep config, and a --json or --csv path that cannot be
+does not take, sweep config, including a --range that is not finite or
+whose span hi - lo overflows, and a --json or --csv path that cannot be
 opened for writing; the output files are opened, and so emptied, before any
 state is built), 3 an error raised while building a state
 (parameter outside its domain, unreadable state file, invalid matrix, an
@@ -100,8 +102,8 @@ class SweepConfig:
     bisect_tol: float = 1e-5
 
     def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError("range must satisfy lo < hi")
+        if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):  # the span is inf if lo or hi is
+            raise ValueError("range must satisfy lo < hi, with lo, hi and hi - lo finite")
         if self.points < 2:
             raise ValueError("points must be >= 2")
         if not self.bisect_tol > 0:  # also rejects NaN
@@ -194,39 +196,33 @@ def _scan_chunks(cfg: SweepConfig, base_seed: int, crossings: dict):
 
 
 def _thresholds(cfg: SweepConfig, base_seed: int, crossings: dict):
-    """Both bisected thresholds, or (None, None) without cfg.bisect."""
+    """Both bisected thresholds, or (None, None) without cfg.bisect.  Round k
+    evaluates the midpoint of every bracket wider than bisect_tol in one
+    _scan_points call with seed base_seed + cfg.points + k, the probe a serial
+    bisection makes at its step k.  A crossing at the first grid point has no bracket."""
     if not cfg.bisect:
         return None, None
-    return tuple(_bisect_threshold(cfg, base_seed, crossings.get(f), f) for f in ("nonlinear_d", "bell_d"))
+    fields = ("nonlinear_d", "bell_d")
+    brackets = {f: list(crossings[f]) for f in fields if crossings.get(f, (None,))[0] is not None}
+    seed = base_seed + cfg.points
+    # a bracket whose ends are adjacent floats has no midpoint between them and stops too
+    while wide := [f for f, (lo, hi) in brackets.items() if hi - lo > cfg.bisect_tol and lo < 0.5 * (lo + hi) < hi]:
+        mids = [0.5 * (brackets[f][0] + brackets[f][1]) for f in wide]
+        for f, mid, pt in zip(wide, mids, _scan_points(cfg, mids, [seed] * len(mids))):
+            brackets[f][getattr(pt, f) > TAU_DETECT] = mid  # a violating midpoint becomes hi
+        seed += 1
+    found = {f: Threshold(0.5 * (lo + hi), "ok") for f, (lo, hi) in brackets.items()}
+    return tuple(found.get(f, Threshold(None, "no threshold in range")) for f in fields)
 
 
 def run_scan(cfg: SweepConfig, base_seed: int = 0) -> ScanResult:
     """Evaluate the sweep grid chunk by chunk and optionally bisect both
-    detection thresholds, one probe state at a time.  Deterministic for
-    fixed cfg and base_seed."""
+    detection thresholds together, one stacked evaluation per step, with the
+    probe values and seeds of a serial bisection.  Deterministic for fixed
+    cfg and base_seed."""
     crossings = {}
     points = [pt for chunk in _scan_chunks(cfg, base_seed, crossings) for pt in chunk]
     return ScanResult(points, *_thresholds(cfg, base_seed, crossings))
-
-
-def _bisect_threshold(cfg: SweepConfig, base_seed: int, crossing, field: str) -> Threshold:
-    """Bisect the first grid crossing (last value below, first value above) of
-    the ScanPoint difference `field`."""
-    if crossing is None or crossing[0] is None:
-        # nothing violates, or everything does: no crossing inside the range
-        return Threshold(None, "no threshold in range")
-    lo, hi = crossing
-    # probe seeds continue past the grid indices so bisection stays
-    # deterministic for random families too
-    seed = base_seed + cfg.points
-    while hi - lo > cfg.bisect_tol:
-        mid = 0.5 * (lo + hi)
-        if getattr(_scan_points(cfg, [mid], [seed])[0], field) > TAU_DETECT:
-            hi = mid
-        else:
-            lo = mid
-        seed += 1
-    return Threshold(0.5 * (lo + hi), "ok")
 
 
 def scan_csv(result: ScanResult) -> str:

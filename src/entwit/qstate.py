@@ -175,9 +175,9 @@ def trace_norm(h: np.ndarray) -> float:
 
 
 def _negativities(mats: np.ndarray, dims: Dims) -> np.ndarray:
-    """negativity of each matrix of a stack (..., mn, mn), in one eigensolve."""
-    herm = _hermitian_part(partial_transpose_mat(mats, dims.m, dims.n))
-    norms = np.sum(np.abs(np.linalg.eigvalsh(herm)), axis=-1)
+    """negativity of each validated state (as validate_density leaves it) of a stack
+    (..., mn, mn), in one eigensolve; (M^T_A)^dag = (M^dag)^T_A, so no Hermitization."""
+    norms = np.sum(np.abs(np.linalg.eigvalsh(partial_transpose_mat(mats, dims.m, dims.n))), axis=-1)
     return (norms - 1.0) / (min(dims.m, dims.n) - 1)
 
 

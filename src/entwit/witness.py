@@ -48,6 +48,7 @@ the SVD, so its agreement with the closed forms is an independent check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import namedtuple
@@ -183,11 +184,14 @@ def _local_pairs(dim: int) -> np.ndarray:
     return np.array(list(itertools.combinations(range(dim), 2))).reshape(-1, 2)
 
 
+@functools.cache
 def _all_pairs_index(dims: Dims) -> np.ndarray:
     """_pair_index of every subspace pair in lexicographic (alpha, beta) order,
-    without building the pairs."""
+    without building the pairs; built once per dims and read-only."""
     a, b = _local_pairs(dims.m), _local_pairs(dims.n)
-    return np.concatenate([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))], axis=1)
+    index = np.concatenate([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))], axis=1)
+    index.setflags(write=False)
+    return index
 
 
 def _blocks(stack: np.ndarray, n: int, index: np.ndarray):

@@ -4,18 +4,24 @@ import json
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from entwit import cli
 from entwit.cli import (
     _CHUNK,
     _CLI_FAMILIES,
     SCAN_HEADER,
+    TAU_DETECT,
     SweepConfig,
+    Threshold,
     _grid_values,
     _point_spec,
     _scan_chunks,
+    _scan_points,
+    _thresholds,
     main,
     run_scan,
     scan_csv,
@@ -280,6 +286,15 @@ class TestScan:
                 family="isotropic", fixed={"d": 3, "x": 0.2}, param_name="x", lo=0.1, hi=0.4, points=5
             )
 
+    @pytest.mark.parametrize("rng_arg", ["--range=0:inf", "--range=-inf:0.5", "--range=-1e308:1e308"])
+    def test_infinite_or_overflowing_range_exits_2(self, capsys, rng_arg):
+        argv = ["scan", "--family", "isotropic", "--d", "3", "--scan-param", "x", rng_arg, "--points", "5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning on the way would raise here
+            code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert "finite" in err and "Warning" not in err and "Traceback" not in err
+
     def test_scan_requires_family(self, capsys):
         code, _, err = run_cli(capsys, ["scan", "--scan-param", "x", "--range", "0.1:0.4"])
         assert code == 2 and "--family" in err
@@ -465,6 +480,137 @@ class TestChunkedScan:
         lines = text.splitlines()
         assert text.startswith("".join(head)) and text.endswith("\n")
         assert len(lines) > 1 and (len(lines) - 1) % _CHUNK == 0
+
+
+def serial_bisect_threshold(cfg, base_seed, crossing, field):
+    """Oracle: the serial bisection of one onset that the lockstep loop replaced,
+    one probe state per _scan_points call (looked up on the module, so a spy sees it)."""
+    if crossing is None or crossing[0] is None:
+        # nothing violates, or everything does: no crossing inside the range
+        return Threshold(None, "no threshold in range")
+    lo, hi = crossing
+    # probe seeds continue past the grid indices so bisection stays
+    # deterministic for random families too
+    seed = base_seed + cfg.points
+    while hi - lo > cfg.bisect_tol:
+        mid = 0.5 * (lo + hi)
+        if getattr(cli._scan_points(cfg, [mid], [seed])[0], field) > TAU_DETECT:
+            hi = mid
+        else:
+            lo = mid
+        seed += 1
+    return Threshold(0.5 * (lo + hi), "ok")
+
+
+def serial_thresholds(cfg, base_seed, crossings):
+    return tuple(serial_bisect_threshold(cfg, base_seed, crossings.get(f), f) for f in ("nonlinear_d", "bell_d"))
+
+
+def grid_crossings(cfg, base_seed):
+    crossings = {}
+    for _ in _scan_chunks(cfg, base_seed, crossings):
+        pass
+    return crossings
+
+
+def exact(thresholds):
+    """Thresholds as (repr of the value, status): equal only if bitwise equal."""
+    return [(repr(t.value), t.status) for t in thresholds]
+
+
+def stack_sizes(monkeypatch, limit=1000):
+    """The number of states of each _scan_points call from here on; more than
+    `limit` calls fail the test rather than run on."""
+    sizes = []
+
+    def spy(cfg, values, seeds):
+        sizes.append(len(values))
+        assert len(sizes) <= limit, "the bisection does not end"
+        return _scan_points(cfg, values, seeds)
+
+    monkeypatch.setattr(cli, "_scan_points", spy)
+    return sizes
+
+
+README_SCAN = dict(family="bennett_mix", fixed={}, param_name="p", lo=0.0, hi=1.0, points=100, bisect_tol=1e-6)
+
+
+class TestLockstepBisection:
+    SCANS = {
+        "readme_bennett_mix": README_SCAN,  # both onsets
+        "rho_a_mix_over_p": dict(
+            family="rho_a_mix", fixed={"a": 0.5}, param_name="p", lo=0.0, hi=1.0, points=20, bisect_tol=1e-9
+        ),
+        "rho_a_mix_over_a": dict(  # both onsets at the first grid point: no bracket
+            family="rho_a_mix", fixed={"p": 0.3}, param_name="a", lo=0.05, hi=0.95, points=20, bisect_tol=1e-9
+        ),
+        "isotropic_d4": dict(family="isotropic", fixed={"d": 4}, param_name="x", lo=0.0, hi=1.0, points=150),
+        "isotropic_d3_nonlinear_only": dict(
+            family="isotropic", fixed={"d": 3}, param_name="x", lo=0.0, hi=0.5, points=5, bisect_tol=1e-12
+        ),
+        "isotropic_d3_7_points": dict(
+            family="isotropic", fixed={"d": 3}, param_name="x", lo=0.1, hi=0.4, points=7, bisect_tol=1e-4
+        ),
+    }
+
+    @pytest.mark.parametrize("name", SCANS)
+    def test_thresholds_and_probes_are_the_serial_bisections(self, monkeypatch, name):
+        cfg = SweepConfig(bisect=True, **self.SCANS[name])
+        crossings = grid_crossings(cfg, 7)
+        probes = []
+
+        def spy(cfg, value, seed):
+            probes.append((value, seed))
+            return _point_spec(cfg, value, seed)
+
+        monkeypatch.setattr(cli, "_point_spec", spy)
+        lockstep = _thresholds(cfg, 7, crossings)
+        lockstep_probes, probes[:] = sorted(probes), []
+        serial = serial_thresholds(cfg, 7, crossings)
+        assert exact(lockstep) == exact(serial)
+        assert lockstep_probes == sorted(probes)
+        result = run_scan(cfg, base_seed=7)
+        assert exact((result.nonlinear, result.bell)) == exact(lockstep)
+
+    def test_scans_cover_two_one_and_no_brackets(self):
+        cases = set()
+        for spec in self.SCANS.values():
+            crossings = grid_crossings(SweepConfig(bisect=True, **spec), 0)
+            cases.add(sum(1 for lo, _ in crossings.values() if lo is not None))
+            cases.add("first point" if any(lo is None for lo, _ in crossings.values()) else "inside")
+        assert cases == {0, 1, 2, "first point", "inside"}
+
+    def test_a_narrower_bracket_drops_out_of_later_rounds(self, monkeypatch):
+        cfg = SweepConfig(bisect=True, **self.SCANS["isotropic_d3_7_points"])
+        crossings = {"nonlinear_d": (0.2, 0.3), "bell_d": (0.3, 0.9)}  # 10 steps and 13 steps
+        sizes = stack_sizes(monkeypatch)
+        lockstep = _thresholds(cfg, 0, crossings)
+        assert sizes == [2] * 10 + [1] * 3
+        assert exact(lockstep) == exact(serial_thresholds(cfg, 0, crossings))
+
+    def test_a_tolerance_below_the_float_spacing_ends(self, monkeypatch):
+        # once lo and hi are adjacent floats their midpoint rounds to one of them
+        # and the bracket cannot narrow; the serial bisection looped forever here
+        spec = self.SCANS["isotropic_d3_7_points"]
+        cfg = SweepConfig(bisect=True, **{**spec, "bisect_tol": 1e-300})
+        crossings = grid_crossings(cfg, 0)
+        coarse = _thresholds(SweepConfig(bisect=True, **{**spec, "bisect_tol": 1e-12}), 0, crossings)[0]
+        sizes = stack_sizes(monkeypatch, limit=64)
+        nonlinear, bell = _thresholds(cfg, 0, crossings)
+        lo, hi = crossings["nonlinear_d"]
+        assert nonlinear.status == "ok" and lo < nonlinear.value < hi
+        assert bell.status == "no threshold in range" and len(sizes) > 36  # tol 1e-12 stops at 36 rounds
+        assert abs(nonlinear.value - coarse.value) <= 1e-12
+
+    def test_readme_scan_makes_14_stacked_calls_in_place_of_28(self, monkeypatch):
+        cfg = SweepConfig(bisect=True, **README_SCAN)
+        crossings = grid_crossings(cfg, 0)
+        sizes = stack_sizes(monkeypatch)
+        _thresholds(cfg, 0, crossings)
+        assert sizes == [2] * 14
+        sizes.clear()
+        serial_thresholds(cfg, 0, crossings)
+        assert sizes == [1] * 28
 
 
 class TestScanCsvApi:

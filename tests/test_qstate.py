@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entwit.qstate import (
+    TAU_HERM,
     TAU_TR,
     Dims,
     DimensionMismatchError,
@@ -12,9 +13,11 @@ from entwit.qstate import (
     NotPositiveError,
     StateValidationError,
     TraceError,
+    _negativities,
     from_json,
     negativity,
     partial_transpose,
+    partial_transpose_mat,
     pure_negativity,
     realignment_value,
     schmidt,
@@ -217,6 +220,51 @@ class TestNegativity:
         swapped = vec.reshape(2, 3).T.reshape(6)
         rho32 = validate_density(np.outer(swapped, swapped.conj()), Dims(3, 2))
         assert negativity(rho23) == pytest.approx(negativity(rho32), abs=1e-10)
+
+
+def symmetrized_negativities(mats, dims):
+    """The negativity with each partial transpose Hermitized, (M + M^dag)/2,
+    before its eigensolve."""
+    pt = partial_transpose_mat(mats, dims.m, dims.n)
+    herm = (pt + pt.conj().swapaxes(-1, -2)) / 2.0
+    return (np.sum(np.abs(np.linalg.eigvalsh(herm)), axis=-1) - 1.0) / (min(dims.m, dims.n) - 1)
+
+
+def negativity_stack(rng, k, noise=0.0):
+    """Four validated k x k states of ranks 1, 2, k and k^2, stored exactly
+    Hermitian, plus anti-Hermitian noise with max |M - M^dag| = noise."""
+    dims, mats = Dims(k, k), []
+    for rank in (1, 2, k, k * k):
+        mat = rand_density_mat(rng, k * k, rank)
+        mat = (mat + mat.conj().T) / 2.0  # exactly Hermitian: entry (j, i) is the conjugate of (i, j)
+        g = rng.standard_normal(mat.shape) + 1j * rng.standard_normal(mat.shape)
+        anti = g - g.conj().T
+        np.fill_diagonal(anti, 0.0)
+        mat = mat + anti * (noise / np.abs(2.0 * anti).max())
+        mats.append(validate_density(mat, dims).mat)
+    return dims, np.stack(mats)
+
+
+class TestNegativityEigensolve:
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_bitwise_the_symmetrized_solve_on_exactly_hermitian_states(self, k):
+        dims, mats = negativity_stack(np.random.default_rng(k), k)
+        assert all(np.array_equal(mat, mat.conj().T) for mat in mats)
+        got = _negativities(mats, dims)
+        assert got.tobytes() == symmetrized_negativities(mats, dims).tobytes()
+        singles = [negativity(validate_density(mat, dims)) for mat in mats]
+        assert np.array(singles).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_within_d_tau_herm_of_the_symmetrized_solve_on_noisy_states(self, k):
+        # eigvalsh reads the lower triangle: a Hermitian matrix that differs from
+        # (M + M^dag)/2 by E with |E_ij| <= 0.45 TAU_HERM off the diagonal, so the
+        # trace norms differ by at most ||E||_1 <= sqrt(D) ||E||_F <= 0.45 D^1.5 TAU_HERM,
+        # and after the division by k - 1 by at most D TAU_HERM for D = k^2
+        dims, mats = negativity_stack(np.random.default_rng(100 + k), k, noise=0.9 * TAU_HERM)
+        assert all(not np.array_equal(mat, mat.conj().T) for mat in mats)
+        diff = np.abs(_negativities(mats, dims) - symmetrized_negativities(mats, dims))
+        assert np.all(diff <= k * k * TAU_HERM)
 
 
 class TestSchmidt:

@@ -300,6 +300,13 @@ class TestKernel:
         if support is not None:
             assert any(r.c == 0.0 and r.nonlinear_max == 1.0 for r in reports)
 
+    def test_all_pairs_index_is_built_once_and_read_only(self):
+        index = _all_pairs_index(Dims(3, 4))
+        assert _all_pairs_index(Dims(3, 4)) is index
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0, 0] = 1
+
     @pytest.mark.parametrize("m, n, with_empty", [(3, 3, False), (4, 4, False), (3, 5, False), (3, 4, True)])
     def test_stacked_columns_equal_per_state_columns(self, m, n, with_empty):
         rng = np.random.default_rng(7 * m + n)
