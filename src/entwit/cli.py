@@ -168,7 +168,7 @@ def _scan_points(cfg: SweepConfig, values, seeds) -> list[ScanPoint]:
         per = max(1, _STACK_BLOCKS // (math.comb(dims.m, 2) * math.comb(dims.n, 2)))
         for k in range(0, len(run), per):
             part = run[k : k + per]
-            cols, bounds, negs = _assess(np.stack([rho.mat for _, rho in part]), dims, bell=True)
+            cols, bounds, negs = _assess(np.stack([rho.mat for _, rho in part]), dims)
             d_nl = cols.nonlinear_max.max(axis=1) - 1.0
             # empty subspaces report bell_max = 0 and cannot raise the maximum
             normed = np.divide(cols.bell_max, cols.c, out=np.zeros_like(cols.c), where=cols.live)

@@ -24,10 +24,7 @@ the partial transpose keeps the purity of rho_ab [K. Zyczkowski, P. Horodecki,
 A. Sanpera, M. Lewenstein, Phys. Rev. A 58, 883 (1998)].  The default bound
 therefore gathers and solves only the live blocks with purity at or above
 1/3 - 1e-9 (witness._violations) and equals the all-blocks solve to the last
-bit.  The purities are summed from the entries of rho, one party at a time,
-over the raw blocks: the Hermitian part that the kernel solves has no larger
-Frobenius norm, so the test stays a proof for a stored matrix that is
-Hermitian only to TAU_HERM.
+bit.  The purities are summed from the entries of rho, one party at a time.
 
 A literal clip-below variant (X = min(0, d)) is kept behind a flag for
 comparison; it discards every violation and degenerates to 0 on the
@@ -87,10 +84,10 @@ def _bound(c, d, dims: Dims, literal_min: bool):
     return (total - (dims.m - 1) * (dims.n - 1)) / (min(dims.m, dims.n) - 1)
 
 
-def _assess(stack: np.ndarray, dims: Dims, bell: bool):
+def _assess(stack: np.ndarray, dims: Dims):
     """Kernel columns over all subspace pairs, bounds and negativities of a
     stack (N, mn, mn) of validated same-dims states."""
-    cols = _reports(stack, dims.n, _all_pairs_index(dims), bell)
+    cols = _reports(stack, dims.n, _all_pairs_index(dims))
     bounds = _bound(cols.c, cols.nonlinear_max - 1.0, dims, literal_min=False)
     return cols, bounds, _negativities(stack, dims)
 
@@ -105,7 +102,7 @@ def cren_lower_bound(rho: DensityMatrix, literal_min: bool = False) -> CrenBound
     """
     stack = rho.mat[None]
     if literal_min:
-        cols = _reports(stack, rho.dims.n, _all_pairs_index(rho.dims), bell=False)
+        cols = _reports(stack, rho.dims.n, _all_pairs_index(rho.dims))
         c, d = cols.c, cols.nonlinear_max - 1.0
     else:
         c, d = _violations(stack, rho.dims)

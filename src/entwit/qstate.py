@@ -4,9 +4,10 @@ Conventions used throughout the package: party A has dimension ``m``, party B
 has dimension ``n``, and the composite index is row-major, ``|i,a> -> i*n + a``
 with 0-based labels.  The negativity normalizer is ``M = min(m, n)``.  All
 tolerances are absolute: TAU_HERM bounds the Hermiticity deviation (checked
-only in _hermitian_part), TAU_TR the trace of a density matrix and the squared
-norm of a vector (the same sum, so a vector validate_pure accepts has a
-projector validate_density accepts), TAU_PSD the smallest eigenvalue.
+only in _hermitian_part, which also rejects NaN and infinite entries), TAU_TR
+the trace of a density matrix and the squared norm of a vector (the same sum,
+so a vector validate_pure accepts has a projector validate_density accepts),
+TAU_PSD the smallest eigenvalue.
 """
 
 from __future__ import annotations
@@ -61,7 +62,9 @@ class Dims:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated mixed state: Hermitian, unit trace, positive semidefinite."""
+    """A validated mixed state: unit trace, positive semidefinite and exactly
+    Hermitian, since validate_density stores the Hermitian part of its input
+    (mat == mat.conj().T to the last bit)."""
 
     dims: Dims
     mat: np.ndarray
@@ -100,8 +103,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_part(mat: np.ndarray) -> np.ndarray:
-    """(M + M^dag)/2 of a matrix or a stack of them for an eigensolve, once each
-    M is checked Hermitian to TAU_HERM."""
+    """(M + M^dag)/2 of a matrix or a stack of them, once every entry is checked
+    finite and each M Hermitian to TAU_HERM."""
+    if not np.isfinite(mat).all():
+        raise StateValidationError("matrix has NaN or infinite entries")
     adj = mat.conj().swapaxes(-1, -2)
     dev = np.max(np.abs(mat - adj))
     if dev > TAU_HERM:
@@ -110,7 +115,8 @@ def _hermitian_part(mat: np.ndarray) -> np.ndarray:
 
 
 def validate_density(mat: np.ndarray, dims: Dims) -> DensityMatrix:
-    """Check a candidate matrix and wrap it as a DensityMatrix.
+    """Check a candidate matrix and wrap its Hermitian part (M + M^dag)/2 as a
+    DensityMatrix, so every validated state is exactly Hermitian.
 
     Parameters
     ----------
@@ -129,8 +135,6 @@ def validate_density(mat: np.ndarray, dims: Dims) -> DensityMatrix:
     side = dims.total
     if mat.shape != (side, side):
         raise DimensionMismatchError(f"expected {side}x{side} matrix for dims {dims.m}x{dims.n}, got {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise StateValidationError("matrix has NaN or infinite entries")
     herm = _hermitian_part(mat)
     tr_dev = abs(np.trace(mat) - 1.0)
     if tr_dev > TAU_TR:
@@ -138,7 +142,7 @@ def validate_density(mat: np.ndarray, dims: Dims) -> DensityMatrix:
     lam_min = float(np.linalg.eigvalsh(herm)[0])
     if lam_min < -TAU_PSD:
         raise NotPositiveError(f"minimum eigenvalue {lam_min:.3e} below -{TAU_PSD}")
-    return DensityMatrix(dims, _frozen(mat))
+    return DensityMatrix(dims, _frozen(herm))
 
 
 def validate_pure(vec: np.ndarray, dims: Dims) -> PureState:
@@ -167,16 +171,16 @@ def partial_transpose(rho: DensityMatrix) -> np.ndarray:
 def trace_norm(h: np.ndarray) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix.
 
-    The input is symmetrized before the eigensolve; deviations from
-    Hermiticity beyond TAU_HERM are rejected rather than hidden.
+    The input is symmetrized before the eigensolve; non-finite entries and
+    deviations from Hermiticity beyond TAU_HERM are rejected, not hidden.
     """
     herm = _hermitian_part(np.asarray(h, dtype=complex))
     return float(np.sum(np.abs(np.linalg.eigvalsh(herm))))
 
 
 def _negativities(mats: np.ndarray, dims: Dims) -> np.ndarray:
-    """negativity of each validated state (as validate_density leaves it) of a stack
-    (..., mn, mn), in one eigensolve; (M^T_A)^dag = (M^dag)^T_A, so no Hermitization."""
+    """negativity of each validated state of a stack (..., mn, mn), in one
+    eigensolve; the partial transpose of an exactly Hermitian M is exactly Hermitian."""
     norms = np.sum(np.abs(np.linalg.eigvalsh(partial_transpose_mat(mats, dims.m, dims.n))), axis=-1)
     return (norms - 1.0) / (min(dims.m, dims.n) - 1)
 

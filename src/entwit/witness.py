@@ -24,21 +24,20 @@ applies to it:
 
 Every per-subspace figure comes from one kernel over a stack of same-dims
 states.  It gathers the blocks of all subspace pairs of every state at once,
-solves them in one eigensolve, and returns numpy columns shaped (states,
-pairs).  The CHSH maxima take one more SVD, which runs only for a caller that
-reads them: the bound reads only the weights and violations, and the
-SubspaceReport rows are built only where they are read.
+solves them in one eigensolve and one SVD, and returns numpy columns shaped
+(states, pairs).  A validated state is exactly Hermitian, so every gathered
+block is too.  The weight c of a pair and its empty rule c <= TAU_C are read
+from the diagonal of the state in one place (_weights).
 
-The bound's entry point (_violations) gathers and solves only the blocks
-that a purity certificate leaves open: a Hermitian unit-trace 4x4 X has
+The bound reads only the weights and violations, and its entry point
+(_violations) gathers and solves only the blocks that a purity certificate
+leaves open: a Hermitian unit-trace 4x4 X has
 lambda_min(X) >= 1/4 - sqrt(3(Tr X^2 - 1/4)/4), which is > 0 iff
 Tr X^2 < 1/3, and the partial transpose keeps the purity.  A certified
 block's clipped violation is exactly 0.  Every block's purity is summed from
 the entries of rho, one party at a time (_purities), so a certified block is
-never gathered.  The sum runs over the raw block, which bounds the purity of
-its Hermitian part, the matrix the kernel solves, so it certifies a stored
-matrix that is Hermitian only to TAU_HERM too.  Detection, the scan and the
-SubspaceReport rows read every lambda_min, so they solve every block.
+never gathered.  Detection, the scan and the SubspaceReport rows read every
+lambda_min, so they solve every block.
 
 Measurement settings come from a separate numeric search (optimize_settings):
 a multi-start BFGS ascent with analytic gradients over the measurement
@@ -169,8 +168,7 @@ def _check_pairs(dims: Dims, alpha: GeneratorPair, beta: GeneratorPair) -> None:
 # ---------------------------------------------------------------------------
 # the subspace kernel: every per-subspace figure starts from _blocks
 
-# kernel output: one (N, P) array per figure for N states and P subspace
-# pairs; bell_max is None when the Bell SVD was not asked for
+# kernel output: one (N, P) array per figure for N states and P subspace pairs
 _Columns = namedtuple("_Columns", "c live lambda_min bell_max nonlinear_max")
 
 
@@ -194,9 +192,21 @@ def _all_pairs_index(dims: Dims) -> np.ndarray:
     return index
 
 
+def _weights(stack: np.ndarray, n: int, index: np.ndarray):
+    """Weights c >= 0 and live mask c > TAU_C, both (N, P), of the pairs in
+    `index` on a stack (N, mn, mn) of states: the one home of the empty rule.
+    c sums the block's diagonal entries of rho in the order (ja, jb),
+    (ja, kb), (ka, jb), (ka, kb)."""
+    ja, ka, jb, kb = index.T
+    diag = np.diagonal(stack, axis1=-2, axis2=-1).real
+    c = diag[:, ja * n + jb] + diag[:, ja * n + kb] + diag[:, ka * n + jb] + diag[:, ka * n + kb]
+    c = np.maximum(c, 0.0)
+    return c, c > TAU_C
+
+
 def _blocks(stack: np.ndarray, n: int, index: np.ndarray):
-    """Weights c >= 0, live mask c > TAU_C and states rho_ab, shaped (N, P)
-    and (N, P, 4, 4), of the pairs in `index` on a stack (N, mn, mn) of states.
+    """_weights and the states rho_ab, shaped (N, P, 4, 4), of the pairs in
+    `index` on a stack (N, mn, mn) of states.
 
     The sandwich by L (x) L acts on a gathered 4x4 block as Y (x) Y with
     Y = [[0,1],[-1,0]]: a reversal of the block basis with the middle two
@@ -209,11 +219,8 @@ def _blocks(stack: np.ndarray, n: int, index: np.ndarray):
     flat = (rows * side)[:, :, None] + rows[:, None, :]  # entry (i, j) of each block in the flattened state
     blk = np.take(stack.reshape(len(stack), side * side), flat, axis=1)
     blk *= _YY_SIGNS
-    c = np.maximum(blk[..., 3, 3].real + blk[..., 2, 2].real + blk[..., 1, 1].real + blk[..., 0, 0].real, 0.0)
-    live = c > TAU_C
+    c, live = _weights(stack, n, index)
     blk /= np.where(live, c, 1.0)[..., None, None]
-    blk += blk.conj().swapaxes(-1, -2)
-    blk *= 0.5
     return c, live, blk
 
 
@@ -228,15 +235,12 @@ def _lambda_min(blk: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(partial_transpose_mat(blk, 2, 2))[..., 0]
 
 
-def _reports(stack: np.ndarray, n: int, index: np.ndarray, bell: bool = True) -> _Columns:
+def _reports(stack: np.ndarray, n: int, index: np.ndarray) -> _Columns:
     """Columns of the pairs in `index` on a stack of states: lambda_min of
-    every partial transpose in one eigensolve and, with `bell`, every CHSH
-    maximum in one SVD."""
+    every partial transpose in one eigensolve and every CHSH maximum in one SVD."""
     c, live, blk = _blocks(stack, n, index)
-    bmax = None
-    if bell:
-        sv = np.linalg.svd(_correlations(blk)[..., 1:, 1:], compute_uv=False)
-        bmax = np.where(live, c * 2.0 * np.sqrt(sv[..., 0] ** 2 + sv[..., 1] ** 2), 0.0)
+    sv = np.linalg.svd(_correlations(blk)[..., 1:, 1:], compute_uv=False)
+    bmax = np.where(live, c * 2.0 * np.sqrt(sv[..., 0] ** 2 + sv[..., 1] ** 2), 0.0)
     lam = np.where(live, _lambda_min(blk), 0.0)
     return _Columns(c, live, lam, bmax, 1.0 - 4.0 * lam)
 
@@ -251,20 +255,13 @@ def _reports(stack: np.ndarray, n: int, index: np.ndarray, bell: bool = True) ->
 _PURITY_CERT = 1.0 / 3.0 - 1e-9
 
 
-def _purities(stack: np.ndarray, dims: Dims):
-    """Weights c >= 0 and raw purities q = sum |blk|^2 of the unnormalized
-    gathered blocks of every subspace pair, both (N, P) in _all_pairs_index
-    order, read from a stack (N, mn, mn) of states without gathering a block.
-
-    The block of (alpha, beta) holds the entries +-rho[(a,b),(a',b')] for a, a'
-    in alpha and b, b' in beta, so q is a four-term sum per party over
-    |rho|^2: first over alpha's (a, a'), then over beta's (b, b').  c sums
-    the diagonal in the order of _blocks, so it is the same number.  The
-    kernel solves the Hermitian part (A + A^dag)/2 of a raw block A, whose
-    Frobenius norm is at most that of A, so q / c^2 bounds the purity of the
-    solved rho_ab from above for a stored matrix that is Hermitian only to
-    TAU_HERM too.
-    """
+def _purities(stack: np.ndarray, dims: Dims) -> np.ndarray:
+    """Raw purities q = sum |blk|^2 of the unnormalized gathered blocks of
+    every subspace pair, (N, P) in _all_pairs_index order, read from a stack
+    (N, mn, mn) of states without gathering a block: the block of (alpha,
+    beta) holds the entries +-rho[(a,b),(a',b')] for a, a' in alpha and b, b'
+    in beta, so q is a four-term sum per party over |rho|^2, first over
+    alpha's (a, a'), then over beta's (b, b')."""
     m, n = dims.m, dims.n
     ja, ka = _local_pairs(m).T
     jb, kb = _local_pairs(n).T
@@ -272,10 +269,7 @@ def _purities(stack: np.ndarray, dims: Dims):
     w = w.reshape(-1, m, n, m, n).transpose(0, 1, 3, 2, 4)  # axes (a, a', b, b')
     wa = w[:, ja, ja] + w[:, ja, ka] + w[:, ka, ja] + w[:, ka, ka]
     q = wa[..., jb, jb] + wa[..., jb, kb] + wa[..., kb, jb] + wa[..., kb, kb]
-    diag = np.diagonal(stack, axis1=-2, axis2=-1).real.reshape(-1, m, n)
-    ja, ka = ja[:, None], ka[:, None]
-    c = diag[:, ja, jb] + diag[:, ja, kb] + diag[:, ka, jb] + diag[:, ka, kb]
-    return np.maximum(c, 0.0).reshape(len(stack), -1), q.reshape(len(stack), -1)
+    return q.reshape(len(stack), -1)
 
 
 def _violations(stack: np.ndarray, dims: Dims):
@@ -284,12 +278,13 @@ def _violations(stack: np.ndarray, dims: Dims):
     Only the live blocks the purity certificate leaves open are gathered
     and solved; every other block has x = 0 exactly, as in the full columns
     of _reports."""
-    c, q = _purities(stack, dims)
+    index = _all_pairs_index(dims)
+    c, live = _weights(stack, dims.n, index)
     x = np.zeros_like(c)
-    solve = (c > TAU_C) & (q >= _PURITY_CERT * c**2)
+    solve = live & (_purities(stack, dims) >= _PURITY_CERT * c**2)
     cols = np.flatnonzero(solve.any(axis=0))
     if cols.size:
-        _, _, blk = _blocks(stack, dims.n, _all_pairs_index(dims)[cols])
+        _, _, blk = _blocks(stack, dims.n, index[cols])
         # (1 - 4 lambda) - 1 rather than -4 lambda: the rounding of _reports, so the bound matches it bitwise
         x[solve] = np.maximum(0.0, (1.0 - 4.0 * _lambda_min(blk[solve[:, cols]])) - 1.0)
     return c, x
@@ -333,6 +328,7 @@ def bell_value(rho: DensityMatrix, s) -> float:
     Accepts BellSettings or WitnessSettings (which contributes its first two
     triad directions per side).
     """
+    _check_pairs(rho.dims, s.alpha, s.beta)
     a1, a2, b1, b2 = _bell_directions(s)
     ta1, ta2 = (tilde_operator(embed_observable(s.alpha, a)) for a in (a1, a2))
     tb1, tb2 = (tilde_operator(embed_observable(s.beta, b)) for b in (b1, b2))
@@ -356,6 +352,7 @@ def nonlinear_value(rho: DensityMatrix, s: WitnessSettings) -> float:
     All operators are tilde-conjugated embeddings; the sum term pairs each
     third observable with the other side's subspace projector.
     """
+    _check_pairs(rho.dims, s.alpha, s.beta)
     ta = [tilde_operator(embed_observable(s.alpha, s.triad_a.vector(i))) for i in range(3)]
     tb = [tilde_operator(embed_observable(s.beta, s.triad_b.vector(i))) for i in range(3)]
     pa = subspace_projector(s.alpha)

@@ -32,6 +32,7 @@ from entwit.states import (
     random_pure,
 )
 from entwit.witness import (
+    TAU_C,
     _all_pairs_index,
     _blocks,
     _purities,
@@ -83,7 +84,7 @@ def assert_bitwise_full_solve(rho):
     """The bound skips the eigensolve of every block the purity certificate
     proves positive; the oracle solves every block, and both must agree to
     the last bit, in both clips."""
-    cols = _reports(rho.mat[None], rho.dims.n, _all_pairs_index(rho.dims), bell=False)
+    cols = _reports(rho.mat[None], rho.dims.n, _all_pairs_index(rho.dims))
     for literal_min in (False, True):
         rep = cren_lower_bound(rho, literal_min=literal_min)
         assert rep.bound == float(_bound(cols.c, cols.nonlinear_max - 1.0, rho.dims, literal_min)[0])
@@ -92,8 +93,9 @@ def assert_bitwise_full_solve(rho):
 
 @st.composite
 def noisy_states(draw):
-    """Random states whose stored matrix carries anti-Hermitian noise of up to
-    0.9 TAU_HERM (zero on the diagonal): validation accepts them as stored."""
+    """Random states validated from a matrix that carries anti-Hermitian noise
+    of up to 0.9 TAU_HERM (zero on the diagonal): validation accepts them and
+    stores the Hermitian part, which differs from the noiseless matrix."""
     m, n = draw(st.integers(2, 5)), draw(st.integers(2, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mat = random_density(Dims(m, n), draw(st.integers(1, m * n)), seed=int(rng.integers(2**32))).mat
@@ -108,19 +110,21 @@ class TestCertifiedSolve:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(noisy_states())
     def test_state_level_purity_is_the_raw_block_purity(self, rho):
-        # oracle: gather every raw block by hand; the kernel's blocks are
-        # Hermitized and normalized, so their purity times c^2 is no larger
+        # oracle: gather every raw block of the stored matrix by hand; the
+        # kernel's block is that block up to signs, divided by c, so its
+        # purity times c^2 is the raw purity up to rounding
         n, index = rho.dims.n, _all_pairs_index(rho.dims)
         ja, ka, jb, kb = index.T
         rows = np.stack([ja * n + jb, ja * n + kb, ka * n + jb, ka * n + kb], axis=1)
         raw = rho.mat[rows[:, :, None], rows[:, None, :]]
         want = np.sum(np.abs(raw) ** 2, axis=(1, 2))
-        c, q = _purities(rho.mat[None], rho.dims)
+        q = _purities(rho.mat[None], rho.dims)
         assert np.all(np.abs(q[0] - want) <= 1e-13 * want)
-        kernel_c, live, blk = _blocks(rho.mat[None], n, index)
-        assert np.array_equal(c, kernel_c)
+        c, live, blk = _blocks(rho.mat[None], n, index)
+        assert np.all(np.abs(c[0] - np.trace(raw, axis1=1, axis2=2).real) <= 1e-15)
+        assert np.array_equal(live, c > TAU_C)
         solved = np.sum(np.abs(blk[live]) ** 2, axis=(1, 2)) * c[live] ** 2
-        assert np.all(q[live] >= solved * (1.0 - 1e-13))
+        assert np.all(np.abs(q[live] - solved) <= 1e-13 * q[live])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(noisy_states())

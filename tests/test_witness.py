@@ -27,6 +27,7 @@ from entwit.qstate import (
     DensityMatrix,
     Dims,
     NotHermitianError,
+    StateValidationError,
     negativity,
     partial_transpose,
     partial_transpose_mat,
@@ -238,6 +239,18 @@ class TestProjection:
         with pytest.raises(ValueError):
             project_state(rho, GeneratorPair(0, 1, 2), GeneratorPair(0, 1, 3))
 
+    def test_mean_values_reject_pairs_of_other_dims(self):
+        # a 4-dim pair on a 3x3 state used to fail inside numpy's matmul
+        rho, p3, p4 = max_ent(3), GeneratorPair(0, 1, 3), GeneratorPair(0, 1, 4)
+        e, triad = np.array([1.0, 0.0, 0.0]), triad_from_rotation(np.eye(3))
+        for alpha, beta in ((p4, p3), (p3, p4)):
+            with pytest.raises(ValueError, match="pair dims .* do not match state dims"):
+                bell_value(rho, BellSettings(alpha, beta, e, e, e, e))
+            with pytest.raises(ValueError, match="pair dims .* do not match state dims"):
+                bell_value(rho, WitnessSettings(alpha, beta, triad, triad))
+            with pytest.raises(ValueError, match="pair dims .* do not match state dims"):
+                nonlinear_value(rho, WitnessSettings(alpha, beta, triad, triad))
+
 
 class TestKernel:
     """The batched kernel against a per-pair oracle that forms each generator
@@ -320,16 +333,12 @@ class TestKernel:
             (a.j, a.k, b.j, b.k) for a, _ in so_generators(m) for b, _ in so_generators(n)
         ]
         stacked = _reports(np.stack([rho.mat for rho in states]), n, index)
-        no_bell = _reports(np.stack([rho.mat for rho in states]), n, index, bell=False)
-        assert no_bell.bell_max is None
         for k, rho in enumerate(states):
             single = _reports(rho.mat[None], n, index)
             for name in ("c", "live", "lambda_min", "bell_max", "nonlinear_max"):
                 got, want = getattr(stacked, name), getattr(single, name)
                 assert got.shape == (len(states), len(index)) and want.shape == (1, len(index))
                 assert np.array_equal(got[k], want[0]), name
-                if name != "bell_max":
-                    assert np.array_equal(getattr(no_bell, name)[k], want[0]), name
             # the columns are the rows subspace_reports builds
             reports = subspace_reports(rho)
             assert [r.c for r in reports] == stacked.c[k].tolist()
@@ -717,6 +726,15 @@ class TestShotEstimator:
             estimate_mean_shots(rho, np.diag([1.0, 1j, 0, 0]), 10)
         with pytest.raises(ValueError):
             estimate_mean_shots(rho, np.eye(4), 0)
+
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_observable_rejected(self, where, bad):
+        # NaN passes every comparison against TAU_HERM and used to reach eigh
+        obs = np.eye(4, dtype=complex)
+        obs[where] = obs[where[::-1]] = bad
+        with pytest.raises(StateValidationError, match="NaN or infinite"):
+            estimate_mean_shots(max_ent(2), obs, 10, seed=1)
 
     def test_single_shot_has_zero_stderr(self):
         rho = max_ent(2)
