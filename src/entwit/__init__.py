@@ -61,7 +61,6 @@ from .witness import (
     bell_max,
     bell_value,
     best_report,
-    csv_rows,
     detect_entanglement,
     estimate_mean_shots,
     nonlinear_max,
@@ -75,9 +74,7 @@ from .witness import (
 )
 from .cren import (
     CrenBoundReport,
-    bound_from_rows,
     cren_lower_bound,
-    cren_pure,
     pure_sum_identity,
     report_to_json,
 )

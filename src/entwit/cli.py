@@ -35,7 +35,7 @@ import numpy as np
 
 from .cren import _assess, cren_lower_bound, pure_sum_identity, report_to_json
 from .generators import GeneratorPair, PAULI, rotation_zyz, triad_from_rotation
-from .qstate import Dims, StateValidationError, negativity
+from .qstate import Dims, negativity, validate_densities
 from .states import FILE_FAMILY, StateSpec, _FAMILIES, max_entangled, pure_from_schmidt, random_density
 from .witness import (
     OptimizerConfig,
@@ -144,6 +144,7 @@ def _point_spec(cfg: SweepConfig, value: float, seed: int) -> StateSpec:
 
 
 _CHUNK = 64  # grid points built, evaluated and written together
+_BUILD_ERRORS = (ValueError, OSError, MemoryError)  # a state build's errors, StateValidationError included
 _STACK_BLOCKS = 1 << 14  # 4x4 blocks one kernel call may hold (4 MB), so large states stack fewer at a time
 
 
@@ -158,23 +159,33 @@ def _grid_values(cfg: SweepConfig, i0: int, i1: int) -> list[float]:
 
 
 def _scan_points(cfg: SweepConfig, values, seeds) -> list[ScanPoint]:
-    """Build the state at each value, each through its own checks, then evaluate
-    each run of equal-dims states as stacks: one kernel call and one batched
-    partial-transpose eigensolve per stack."""
-    states = [_point_spec(cfg, value, seed).build() for value, seed in zip(values, seeds)]
+    """Build the raw matrix at each value, with its family's parameter checks,
+    then validate and evaluate each run of equal-dims states in stacks of at
+    most _STACK_BLOCKS blocks: one validate_densities call, one kernel call
+    and one batched partial-transpose eigensolve per stack.  The error raised
+    is the first failing value's, as if each state were built on its own."""
+    built, failed = [], None
+    for value, seed in zip(values, seeds):
+        try:
+            built.append((value, *_point_spec(cfg, value, seed).matrix()))
+        except _BUILD_ERRORS as exc:  # raised below, once the values before it are validated
+            failed = exc
+            break
     points = []
-    for dims, run in itertools.groupby(zip(values, states), key=lambda vs: vs[1].dims):
+    for dims, run in itertools.groupby(built, key=lambda item: item[2]):
         run = list(run)
         per = max(1, _STACK_BLOCKS // (math.comb(dims.m, 2) * math.comb(dims.n, 2)))
         for k in range(0, len(run), per):
             part = run[k : k + per]
-            cols, bounds, negs = _assess(np.stack([rho.mat for _, rho in part]), dims)
+            cols, bounds, negs = _assess(validate_densities(np.array([mat for _, mat, _ in part]), dims), dims)
             d_nl = cols.nonlinear_max.max(axis=1) - 1.0
             # empty subspaces report bell_max = 0 and cannot raise the maximum
             normed = np.divide(cols.bell_max, cols.c, out=np.zeros_like(cols.c), where=cols.live)
             d_bell = normed.max(axis=1) - 2.0
             rows = zip(d_nl.tolist(), d_bell.tolist(), bounds.tolist(), negs.tolist())
-            points += [ScanPoint(value, *row) for (value, _), row in zip(part, rows)]
+            points += [ScanPoint(value, *row) for (value, _, _), row in zip(part, rows)]
+    if failed is not None:
+        raise failed
     return points
 
 
@@ -264,7 +275,7 @@ def _build_state(make, *args):
     """make(*args); an error raised while building a state exits 3."""
     try:
         return make(*args)
-    except (StateValidationError, ValueError, OSError, MemoryError) as exc:
+    except _BUILD_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(3) from None
 

@@ -47,7 +47,6 @@ from .qstate import (
     PureState,
     _negativities,
     partial_transpose,
-    pure_negativity,
     trace_norm,
 )
 from .witness import SubspaceReport, _all_pairs_index, _reports, _violations, subspace_reports
@@ -115,15 +114,6 @@ def cren_lower_bound(rho: DensityMatrix, literal_min: bool = False) -> CrenBound
     )
 
 
-def bound_from_rows(rows: list[dict], dims: Dims, literal_min: bool = False) -> float:
-    """Rebuild the bound from serialized subspace rows (see witness.csv_rows).
-
-    Uses only the c and d columns, so a round trip through CSV checks the
-    whole serialization path.
-    """
-    return float(_bound([row["c"] for row in rows], [row["d"] for row in rows], dims, literal_min))
-
-
 def pure_sum_identity(psi: PureState) -> tuple[float, float]:
     """Both sides of the pure-state trace-norm identity.
 
@@ -153,11 +143,6 @@ def pure_sum_identity(psi: PureState) -> tuple[float, float]:
     cross = (roots.sum() ** 2 - mu.sum()) / 2.0
     rhs = (big_m - 1) ** 2 + 2.0 * cross
     return float(lhs), float(rhs)
-
-
-def cren_pure(psi: PureState) -> float:
-    """CREN of a pure state: exactly the negativity."""
-    return pure_negativity(psi)
 
 
 def report_to_json(report: CrenBoundReport) -> str:

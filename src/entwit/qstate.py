@@ -3,11 +3,11 @@
 Conventions used throughout the package: party A has dimension ``m``, party B
 has dimension ``n``, and the composite index is row-major, ``|i,a> -> i*n + a``
 with 0-based labels.  The negativity normalizer is ``M = min(m, n)``.  All
-tolerances are absolute: TAU_HERM bounds the Hermiticity deviation (checked
-only in _hermitian_part, which also rejects NaN and infinite entries), TAU_TR
+tolerances are absolute: TAU_HERM bounds the Hermiticity deviation (raised
+only by _hermitian_part, which also rejects NaN and infinite entries), TAU_TR
 the trace of a density matrix and the squared norm of a vector (the same sum,
 so a vector validate_pure accepts has a projector validate_density accepts),
-TAU_PSD the smallest eigenvalue.
+TAU_PSD the smallest eigenvalue.  validate_densities holds every density matrix check.
 """
 
 from __future__ import annotations
@@ -114,35 +114,45 @@ def _hermitian_part(mat: np.ndarray) -> np.ndarray:
     return (mat + adj) / 2.0
 
 
-def validate_density(mat: np.ndarray, dims: Dims) -> DensityMatrix:
-    """Check a candidate matrix and wrap its Hermitian part (M + M^dag)/2 as a
-    DensityMatrix, so every validated state is exactly Hermitian.
+def validate_densities(mats: np.ndarray, dims: Dims) -> np.ndarray:
+    """Check every candidate density matrix of a stack (N, m*n, m*n) in the
+    row-major product basis and return their Hermitian parts (M + M^dag)/2.
 
-    Parameters
-    ----------
-    mat : array_like, shape (m*n, m*n)
-        Candidate density matrix in the row-major product basis.
-    dims : Dims
-        Local dimensions.
-
-    Raises
-    ------
-    DimensionMismatchError, StateValidationError, NotHermitianError, TraceError, NotPositiveError
-        One distinct error per violated invariant, in that check order; a NaN
-        or infinite entry raises the plain StateValidationError.
+    Each state is checked as on its own, in this order: shape
+    (DimensionMismatchError), finite entries (StateValidationError),
+    Hermiticity to TAU_HERM (NotHermitianError), trace to TAU_TR (TraceError),
+    smallest eigenvalue against -TAU_PSD (NotPositiveError; one eigensolve for
+    all states).  A state's figures do not depend on the rest of the stack, so
+    a stack raises the error, message included, its first failing state raises alone.
     """
-    mat = np.asarray(mat, dtype=complex)
+    mats = np.asarray(mats, dtype=complex)
     side = dims.total
-    if mat.shape != (side, side):
-        raise DimensionMismatchError(f"expected {side}x{side} matrix for dims {dims.m}x{dims.n}, got {mat.shape}")
-    herm = _hermitian_part(mat)
-    tr_dev = abs(np.trace(mat) - 1.0)
-    if tr_dev > TAU_TR:
-        raise TraceError(f"trace deviates from 1 by {tr_dev:.3e}")
-    lam_min = float(np.linalg.eigvalsh(herm)[0])
-    if lam_min < -TAU_PSD:
-        raise NotPositiveError(f"minimum eigenvalue {lam_min:.3e} below -{TAU_PSD}")
-    return DensityMatrix(dims, _frozen(herm))
+    if mats.shape[1:] != (side, side):
+        raise DimensionMismatchError(f"expected {side}x{side} matrix for dims {dims.m}x{dims.n}, got {mats.shape[1:]}")
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    # the states before the first non-finite one take the other checks
+    head = mats[: int(np.argmin(finite)) if not finite.all() else len(mats)]
+    adj = head.conj().swapaxes(-1, -2)
+    herm_dev = np.abs(head - adj).max(axis=(1, 2), initial=0.0)
+    herm = (head + adj) / 2.0
+    tr_dev = np.abs(np.trace(head, axis1=1, axis2=2) - 1.0)
+    lam_min = np.linalg.eigvalsh(herm)[:, 0]
+    faults = (herm_dev > TAU_HERM) | (tr_dev > TAU_TR) | (lam_min < -TAU_PSD)
+    first = int(np.argmax(faults)) if faults.any() else len(head)
+    if first < len(mats):
+        _hermitian_part(mats[first])  # its non-finite entries or its Hermiticity, if either fails
+        if tr_dev[first] > TAU_TR:
+            raise TraceError(f"trace deviates from 1 by {tr_dev[first]:.3e}")
+        raise NotPositiveError(f"minimum eigenvalue {lam_min[first]:.3e} below -{TAU_PSD}")
+    return herm
+
+
+def validate_density(mat: np.ndarray, dims: Dims) -> DensityMatrix:
+    """Check a candidate (m*n, m*n) matrix, as the one-state case of
+    validate_densities (same checks, order and errors), and wrap its
+    Hermitian part (M + M^dag)/2 as a DensityMatrix, so every validated
+    state is exactly Hermitian."""
+    return DensityMatrix(dims, _frozen(validate_densities(np.asarray(mat, dtype=complex)[None], dims)[0]))
 
 
 def validate_pure(vec: np.ndarray, dims: Dims) -> PureState:
@@ -247,12 +257,17 @@ def to_json(rho: DensityMatrix) -> str:
     return json.dumps(doc)
 
 
-def from_json(text: str) -> DensityMatrix:
-    """Parse and validate a state from the JSON interchange document."""
+def _parse_json(text: str) -> tuple[np.ndarray, Dims]:
+    """The matrix and dims of a JSON interchange document, not yet validated."""
     try:
         doc = json.loads(text)
         dims = Dims(int(doc["dims"][0]), int(doc["dims"][1]))
         mat = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
     except (KeyError, TypeError, IndexError, json.JSONDecodeError) as exc:
         raise StateValidationError(f"malformed state document: {exc}") from exc
-    return validate_density(mat, dims)
+    return mat, dims
+
+
+def from_json(text: str) -> DensityMatrix:
+    """Parse and validate a state from the JSON interchange document."""
+    return validate_density(*_parse_json(text))

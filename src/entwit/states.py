@@ -8,10 +8,13 @@ entangled projector, the weakly inseparable 3x3 family of
 Schmidt-form pure states, Ginibre random states, and a state read from a
 JSON document.
 
-One table, _FAMILIES, names each family with its parameter names and its
-constructor.  A StateSpec is a family plus a parameter dict (as it arrives
-from CLI flags or a JSON spec); it is checked against the table and built
-through it, and the CLI takes its --family choices and its flag rule from it.
+One table, _FAMILIES, names each family with its parameter names and its raw
+constructor, which checks the parameters' domain (the error names the value)
+and returns the unvalidated matrix and its dims; the public family functions
+validate that one state.  A StateSpec is a family plus a parameter dict (as
+from CLI flags or a JSON spec), checked against the table; it gives the raw
+matrix (matrix, which the scan validates a stack at a time) or the validated
+state (build).  The CLI takes its --family choices and flag rule from the table.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .qstate import (
     Dims,
     PureState,
     TAU_TR,
-    from_json,
+    _parse_json,
     validate_density,
     validate_pure,
 )
@@ -49,17 +52,24 @@ def max_entangled(d: int) -> PureState:
     return validate_pure(vec, Dims(d, d))
 
 
-def isotropic(d: int, x: float) -> DensityMatrix:
-    """(1-x)/d^2 * I + x P_+; positive exactly for x in [-1/(d^2-1), 1]."""
+def _projector(psi: PureState) -> tuple[np.ndarray, Dims]:
+    """|psi><psi|, not yet validated, and its dims."""
+    return np.outer(psi.vec, psi.vec.conj()), psi.dims
+
+
+def _isotropic(d: int, x: float) -> tuple[np.ndarray, Dims]:
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     lo = -1.0 / (d * d - 1.0)
     if x < lo - 1e-12 or x > 1.0 + 1e-12:
         raise ValueError(f"x={x} outside positivity range [{lo}, 1]")
-    vec = max_entangled(d).vec
-    # P_+ from its checked vector, not its validated projector: the mixture is validated once
-    mat = x * np.outer(vec, vec.conj()) + (1.0 - x) * np.eye(d * d) / (d * d)
-    return validate_density(mat, Dims(d, d))
+    pplus, dims = _projector(max_entangled(d))
+    return x * pplus + (1.0 - x) * np.eye(d * d) / (d * d), dims
+
+
+def isotropic(d: int, x: float) -> DensityMatrix:
+    """(1-x)/d^2 * I + x P_+; positive exactly for x in [-1/(d^2-1), 1]."""
+    return validate_density(*_isotropic(d, x))
 
 
 def _tiles_vectors() -> list[np.ndarray]:
@@ -97,22 +107,18 @@ def bennett_rho() -> DensityMatrix:
     return _bennett()
 
 
-def example1_mixture(p: float) -> DensityMatrix:
-    """(1-p) * bennett_rho + p * P_+ on two qutrits."""
+def _example1_mixture(p: float) -> tuple[np.ndarray, Dims]:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
-    mat = (1.0 - p) * _bennett().mat + p * _qutrit_pplus().mat
-    return validate_density(mat, Dims(3, 3))
+    return (1.0 - p) * _bennett().mat + p * _qutrit_pplus().mat, Dims(3, 3)
 
 
-def rho_a(a: float) -> DensityMatrix:
-    """Weakly inseparable two-qutrit family, parameter 0 < a < 1.
+def example1_mixture(p: float) -> DensityMatrix:
+    """(1-p) * bennett_rho + p * P_+ on two qutrits."""
+    return validate_density(*_example1_mixture(p))
 
-    Diagonal weight a everywhere except the (2,0)/(2,2) corner, the P_+
-    coherence pattern at weight a, a 2x2 block mixing |20> and |22> with
-    diagonal (1+a)/2 and off-diagonal sqrt(1-a^2)/2, all over 8a+1.
-    Row-major ordering |00>, |01>, ..., |22>.
-    """
+
+def _rho_a(a: float) -> tuple[np.ndarray, Dims]:
     if not 0.0 < a < 1.0:
         raise ValueError(f"a={a} outside (0, 1)")
     mat = a * np.eye(9, dtype=complex)
@@ -125,15 +131,30 @@ def rho_a(a: float) -> DensityMatrix:
     mat[8, 8] = (1.0 + a) / 2.0
     mat[6, 8] = root
     mat[8, 6] = root
-    return validate_density(mat / (8.0 * a + 1.0), Dims(3, 3))
+    return mat / (8.0 * a + 1.0), Dims(3, 3)
+
+
+def rho_a(a: float) -> DensityMatrix:
+    """Weakly inseparable two-qutrit family, parameter 0 < a < 1.
+
+    Diagonal weight a everywhere except the (2,0)/(2,2) corner, the P_+
+    coherence pattern at weight a, a 2x2 block mixing |20> and |22> with
+    diagonal (1+a)/2 and off-diagonal sqrt(1-a^2)/2, all over 8a+1.
+    Row-major ordering |00>, |01>, ..., |22>.
+    """
+    return validate_density(*_rho_a(a))
+
+
+def _example2_mixture(a: float, p: float) -> tuple[np.ndarray, Dims]:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p={p} outside [0, 1]")
+    # raw rho_a is real symmetric, so it is bitwise its validated Hermitian part
+    return (1.0 - p) * _rho_a(a)[0] + p * _qutrit_pplus().mat, Dims(3, 3)
 
 
 def example2_mixture(a: float, p: float) -> DensityMatrix:
     """(1-p) * rho_a(a) + p * P_+ on two qutrits."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
-    mat = (1.0 - p) * rho_a(a).mat + p * _qutrit_pplus().mat
-    return validate_density(mat, Dims(3, 3))
+    return validate_density(*_example2_mixture(a, p))
 
 
 def random_pure(dims: Dims, seed=None) -> PureState:
@@ -143,14 +164,18 @@ def random_pure(dims: Dims, seed=None) -> PureState:
     return validate_pure(v / np.linalg.norm(v), dims)
 
 
-def random_density(dims: Dims, rank: int, seed=None) -> DensityMatrix:
-    """Ginibre random state G G^dag / Tr, with G of shape (mn, rank)."""
+def _random_density(dims: Dims, rank: int, seed=None) -> tuple[np.ndarray, Dims]:
     if not 1 <= rank <= dims.total:
         raise ValueError(f"rank={rank} outside [1, {dims.total}]")
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dims.total, rank)) + 1j * rng.normal(size=(dims.total, rank))
     mat = g @ g.conj().T
-    return validate_density(mat / np.trace(mat).real, dims)
+    return mat / np.trace(mat).real, dims
+
+
+def random_density(dims: Dims, rank: int, seed=None) -> DensityMatrix:
+    """Ginibre random state G G^dag / Tr, with G of shape (mn, rank)."""
+    return validate_density(*_random_density(dims, rank, seed))
 
 
 def pure_from_schmidt(mu, d: int) -> PureState:
@@ -179,16 +204,16 @@ def _read(name: str, value):
 # the family of a state read from a JSON document (the CLI's --state PATH)
 FILE_FAMILY = "json_file"
 
-# family -> (parameter names, constructor called with them as keywords)
+# family -> (parameter names, raw constructor taking them as keywords)
 _FAMILIES = {
-    "isotropic": (("d", "x"), isotropic),
-    "max_entangled": (("d",), lambda d: max_entangled(d).projector()),
-    "bennett_mix": (("p",), example1_mixture),
-    "rho_a_mix": (("a", "p"), example2_mixture),
-    "random_pure": (("d", "seed"), lambda d, seed: random_pure(Dims(d, d), seed).projector()),
-    "random_density": (("d", "rank", "seed"), lambda d, rank, seed: random_density(Dims(d, d), rank, seed)),
-    "schmidt_pure": (("mu", "d"), lambda mu, d: pure_from_schmidt(mu, d).projector()),
-    FILE_FAMILY: (("path",), lambda path: from_json(Path(path).read_text(encoding="utf-8"))),
+    "isotropic": (("d", "x"), _isotropic),
+    "max_entangled": (("d",), lambda d: _projector(max_entangled(d))),
+    "bennett_mix": (("p",), _example1_mixture),
+    "rho_a_mix": (("a", "p"), _example2_mixture),
+    "random_pure": (("d", "seed"), lambda d, seed: _projector(random_pure(Dims(d, d), seed))),
+    "random_density": (("d", "rank", "seed"), lambda d, rank, seed: _random_density(Dims(d, d), rank, seed)),
+    "schmidt_pure": (("mu", "d"), lambda mu, d: _projector(pure_from_schmidt(mu, d))),
+    FILE_FAMILY: (("path",), lambda path: _parse_json(Path(path).read_text(encoding="utf-8"))),
 }
 
 
@@ -214,6 +239,11 @@ class StateSpec:
             raise ValueError("state spec needs a 'family' key")
         return cls(family=family, params=doc)
 
-    def build(self) -> DensityMatrix:
+    def matrix(self) -> tuple[np.ndarray, Dims]:
+        """The family's raw matrix and its dims: the parameter checks run, the matrix is not validated."""
         names, make = _FAMILIES[self.family]
         return make(**{name: _read(name, self.params[name]) for name in names})
+
+    def build(self) -> DensityMatrix:
+        """The validated state."""
+        return validate_density(*self.matrix())

@@ -205,20 +205,21 @@ def _weights(stack: np.ndarray, n: int, index: np.ndarray):
 
 
 def _blocks(stack: np.ndarray, n: int, index: np.ndarray):
-    """_weights and the states rho_ab, shaped (N, P, 4, 4), of the pairs in
-    `index` on a stack (N, mn, mn) of states.
+    """_weights and the normalized blocks, shaped (N, P, 4, 4), of the pairs
+    in `index` on a stack (N, mn, mn) of states.
 
     The sandwich by L (x) L acts on a gathered 4x4 block as Y (x) Y with
     Y = [[0,1],[-1,0]]: a reversal of the block basis with the middle two
-    vectors negated, exact in floating point.  Blocks of empty pairs are
-    left unnormalized and must not be read.
+    vectors negated.  The gather only reverses, so a block is rho_ab up to
+    the local unitary Z (x) Z (the signs _YY_SIGNS, which _pair_block
+    applies), which keeps lambda_min of the partial transpose and the
+    singular values of T.  Blocks of empty pairs are unnormalized and unread.
     """
     ja, ka, jb, kb = index.T
     side = stack.shape[-1]
     rows = np.stack([ka * n + kb, ka * n + jb, ja * n + kb, ja * n + jb], axis=1)
     flat = (rows * side)[:, :, None] + rows[:, None, :]  # entry (i, j) of each block in the flattened state
     blk = np.take(stack.reshape(len(stack), side * side), flat, axis=1)
-    blk *= _YY_SIGNS
     c, live = _weights(stack, n, index)
     blk /= np.where(live, c, 1.0)[..., None, None]
     return c, live, blk
@@ -302,7 +303,7 @@ def _pair_block(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair):
     """Weight c and rho_ab of one subspace pair; rho_ab is None when it is empty."""
     _check_pairs(rho.dims, alpha, beta)
     c, live, blk = _blocks(rho.mat[None], rho.dims.n, _pair_index([(alpha, beta)]))
-    return float(c[0, 0]), (blk[0, 0] if live[0, 0] else None)
+    return float(c[0, 0]), (blk[0, 0] * _YY_SIGNS if live[0, 0] else None)
 
 
 def project_state(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair) -> ProjectedState:
@@ -624,17 +625,3 @@ def reports_to_csv(reports: list[SubspaceReport]) -> str:
         for r in reports
     )
     return _csv_text(CSV_HEADER, rows)
-
-
-def csv_rows(text: str) -> list[dict]:
-    """Parse reports_to_csv output back into numeric row dicts."""
-    lines = text.strip().split("\n")
-    if lines[0] != CSV_HEADER:
-        raise ValueError("unexpected CSV header")
-    names = CSV_HEADER.split(",")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        row = {name: (int(p) if i < 4 else float(p)) for i, (name, p) in enumerate(zip(names, parts))}
-        rows.append(row)
-    return rows

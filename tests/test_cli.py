@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from entwit import cli
+from entwit import cli, states
 from entwit.cli import (
     _CHUNK,
     _CLI_FAMILIES,
@@ -444,6 +444,12 @@ class TestChunkedScan:
         assert lines[0] == SCAN_HEADER and len(lines) == 1 + _CHUNK
         assert csv_path.read_text() == out
 
+    def test_the_first_failing_value_speaks_also_when_a_later_one_fails_to_build(self, capsys):
+        # d = 2 builds an isotropic matrix of NaN, which validation rejects; d = 2.5 fails its own build later
+        argv = ["scan", "--family", "isotropic", "--x", "nan", "--scan-param", "d", "--range", "2:4", "--points", "5"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3 and "NaN or infinite" in err and out == ""
+
     def test_huge_grid_streams_its_first_rows(self):
         argv = [sys.executable, "-m", "entwit.cli", "scan", "--family", "isotropic", "--d", "3",
                 "--scan-param", "x", "--range", "0:0.3", "--points", "1000000000"]
@@ -611,6 +617,20 @@ class TestLockstepBisection:
         sizes.clear()
         serial_thresholds(cfg, 0, crossings)
         assert sizes == [1] * 28
+
+
+    def test_readme_scan_validates_16_stacks_in_place_of_128_states(self, monkeypatch):
+        cfg = SweepConfig(bisect=True, **README_SCAN)
+        run_scan(cfg)  # the family's two constant states are validated once, here
+        stacks, singles = [], []
+        validate = cli.validate_densities
+        monkeypatch.setattr(
+            cli, "validate_densities", lambda mats, dims: stacks.append(len(mats)) or validate(mats, dims)
+        )
+        monkeypatch.setattr(states, "validate_density", lambda *args: singles.append(args))
+        run_scan(cfg)
+        assert stacks == [_CHUNK, 100 - _CHUNK] + [2] * 14 and sum(stacks) == 128
+        assert singles == []
 
 
 class TestScanCsvApi:

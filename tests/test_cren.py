@@ -1,5 +1,7 @@
 """CREN lower bound: worked values, pure-state tightness, PPT null results."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -9,9 +11,7 @@ from hypothesis import given, settings, strategies as st
 from entwit import witness
 from entwit.cren import (
     _bound,
-    bound_from_rows,
     cren_lower_bound,
-    cren_pure,
     pure_sum_identity,
     report_to_json,
 )
@@ -37,10 +37,15 @@ from entwit.witness import (
     _blocks,
     _purities,
     _reports,
-    csv_rows,
     reports_to_csv,
     subspace_reports,
 )
+
+
+def bound_from_rows(rows, dims: Dims, literal_min: bool = False) -> float:
+    """Rebuild the bound from subspace rows that carry "c" and "d" entries,
+    such as parsed CSV rows, through the bound formula alone."""
+    return float(_bound([row["c"] for row in rows], [row["d"] for row in rows], dims, literal_min))
 
 
 class TestMaxEntangledQutrits:
@@ -236,8 +241,9 @@ class TestPureExactness:
             assert abs(rep.bound - pure_negativity(psi)) < 1e-8
 
     def test_cren_pure_worked_values(self):
-        assert cren_pure(pure_from_schmidt([1.0], 2)) == 0.0
-        assert abs(cren_pure(max_entangled(2)) - 1.0) < 1e-12
+        # CREN of a pure state is its negativity
+        assert pure_negativity(pure_from_schmidt([1.0], 2)) == 0.0
+        assert abs(pure_negativity(max_entangled(2)) - 1.0) < 1e-12
 
 
 class TestPptNullResult:
@@ -294,8 +300,8 @@ class TestRebuild:
             (random_density(Dims(2, 4), 8, seed=8), Dims(2, 4)),
         ):
             rep = cren_lower_bound(rho)
-            rows = csv_rows(reports_to_csv(rep.reports))
-            got = bound_from_rows(rows, dims)
+            reader = csv.DictReader(io.StringIO(reports_to_csv(rep.reports)))
+            got = bound_from_rows([{name: float(v) for name, v in row.items()} for row in reader], dims)
             assert abs(got - rep.bound) < 1e-12
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from entwit.qstate import (
     TAU_HERM,
+    TAU_PSD,
     TAU_TR,
     Dims,
     DimensionMismatchError,
@@ -23,6 +24,7 @@ from entwit.qstate import (
     schmidt,
     to_json,
     trace_norm,
+    validate_densities,
     validate_density,
     validate_pure,
 )
@@ -96,6 +98,121 @@ class TestValidateDensity:
         rho = validate_density(np.eye(4) / 4, Dims(2, 2))
         with pytest.raises(ValueError):
             rho.mat[0, 0] = 9.0
+
+
+def one_state_checks(mat, dims):
+    """Oracle: the checks of one state written out in order (shape, finite
+    entries, Hermiticity, trace, smallest eigenvalue); returns (M + M^dag)/2."""
+    side = dims.total
+    if mat.shape != (side, side):
+        raise DimensionMismatchError(f"expected {side}x{side} matrix for dims {dims.m}x{dims.n}, got {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise StateValidationError("matrix has NaN or infinite entries")
+    dev = np.max(np.abs(mat - mat.conj().T))
+    if dev > TAU_HERM:
+        raise NotHermitianError(f"Hermiticity deviation {dev:.3e} exceeds {TAU_HERM}")
+    tr_dev = abs(np.trace(mat) - 1.0)
+    if tr_dev > TAU_TR:
+        raise TraceError(f"trace deviates from 1 by {tr_dev:.3e}")
+    herm = (mat + mat.conj().T) / 2.0
+    lam_min = float(np.linalg.eigvalsh(herm)[0])
+    if lam_min < -TAU_PSD:
+        raise NotPositiveError(f"minimum eigenvalue {lam_min:.3e} below -{TAU_PSD}")
+    return herm
+
+
+def first_error(check, mats, dims):
+    """(type, message) of the first state of `mats` that `check` rejects, or None."""
+    for mat in mats:
+        try:
+            check(mat, dims)
+        except StateValidationError as exc:
+            return type(exc), str(exc)
+    return None
+
+
+def add_fault(rng, mat, kind):
+    """`mat` with one fault that the checks must reject; a matrix that is
+    already not finite fails the first check and is returned as it is."""
+    if not np.isfinite(mat).all():
+        return mat
+    mat = mat.copy()
+    side = len(mat)
+    i, j = rng.integers(side, size=2)
+    if kind in ("nan", "inf"):
+        mat[i, j] = np.nan if kind == "nan" else rng.choice([np.inf, -np.inf])
+    elif kind == "hermiticity":
+        mat[0, 1] += rng.uniform(10.0, 1e4) * TAU_HERM  # (1, 0) keeps its value
+    elif kind == "trace":
+        mat *= 1.0 + rng.uniform(10.0, 1e4) * TAU_TR * rng.choice([-1.0, 1.0])
+    else:  # an eigenvalue moved below -TAU_PSD, trace kept
+        lam, vec = np.linalg.eigh(mat)
+        shift = lam[0] + rng.uniform(10.0, 1e4) * TAU_PSD
+        mat -= shift * np.outer(vec[:, 0], vec[:, 0].conj())
+        mat += shift * np.outer(vec[:, -1], vec[:, -1].conj())
+    return mat
+
+
+FAULTS = ("nan", "inf", "hermiticity", "trace", "psd")
+
+
+@st.composite
+def faulty_stacks(draw):
+    """A stack of valid states (each within TAU_HERM of Hermitian) into which
+    some states carry one fault, or two at once."""
+    m, n = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = []
+    for _ in range(draw(st.integers(1, 6))):
+        mat = rand_density_mat(rng, m * n, int(rng.integers(1, m * n + 1)))
+        anti = rng.standard_normal(mat.shape) + 1j * rng.standard_normal(mat.shape)
+        anti -= anti.conj().T
+        np.fill_diagonal(anti, 0.0)
+        mats.append(mat + anti * (0.4 * TAU_HERM / np.abs(anti).max()))
+    for kinds in draw(st.lists(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=2, unique=True), max_size=3)):
+        k = draw(st.integers(0, len(mats) - 1))
+        for kind in sorted(kinds, key=lambda kind: kind in ("nan", "inf")):  # finite faults first
+            mats[k] = add_fault(rng, mats[k], kind)
+    return Dims(m, n), mats
+
+
+class TestValidateStack:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(faulty_stacks())
+    def test_a_stack_passes_or_fails_as_its_states_do_one_by_one(self, case):
+        dims, mats = case
+        want = first_error(one_state_checks, mats, dims)
+        assert first_error(validate_density, mats, dims) == want
+        if want is None:
+            got = validate_densities(np.array(mats), dims)
+            assert got.tobytes() == np.array([one_state_checks(mat, dims) for mat in mats]).tobytes()
+            assert got.tobytes() == np.array([validate_density(mat, dims).mat for mat in mats]).tobytes()
+        else:
+            with pytest.raises(StateValidationError) as info:
+                validate_densities(np.array(mats), dims)
+            assert (type(info.value), str(info.value)) == want
+
+    @pytest.mark.parametrize("kinds", [(kind,) for kind in FAULTS] + [("trace", "psd"), ("nan", "hermiticity")])
+    def test_each_fault_is_caught_behind_valid_states(self, kinds):
+        # valid states, then the faulty one, then one more of each fault: only the first faulty state speaks
+        rng = np.random.default_rng(len(kinds))
+        dims = Dims(3, 3)
+        mats = [rand_density_mat(rng, 9, rank) for rank in (1, 4, 9)]
+        bad = mats[1]
+        for kind in sorted(kinds, key=lambda kind: kind in ("nan", "inf")):
+            bad = add_fault(rng, bad, kind)
+        later = [add_fault(rng, mats[0], kind) for kind in FAULTS]
+        stack = np.array(mats + [bad] + later)
+        want = first_error(one_state_checks, [bad], dims)
+        assert want is not None
+        with pytest.raises(StateValidationError) as info:
+            validate_densities(stack, dims)
+        assert (type(info.value), str(info.value)) == want
+
+    def test_shape_and_empty_stack(self):
+        with pytest.raises(DimensionMismatchError, match=r"got \(4, 4\)"):
+            validate_densities(np.zeros((2, 4, 4)), Dims(3, 3))
+        assert validate_densities(np.zeros((0, 9, 9)), Dims(3, 3)).shape == (0, 9, 9)
 
 
 class TestValidatePure:

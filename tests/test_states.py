@@ -7,6 +7,7 @@ import pytest
 
 from entwit.qstate import (
     Dims,
+    validate_density,
     negativity,
     partial_transpose,
     pure_negativity,
@@ -73,14 +74,14 @@ class TestIsotropic:
         isotropic(3, -1.0 / 8.0)  # boundary itself is a state
 
     def test_validates_the_mixture_with_one_eigensolve(self, monkeypatch):
-        # P_+ comes from its checked vector; only the mixture is validated
+        # P_+ comes from its checked vector; only the mixture is validated, as a stack of one
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(np.shape(a)) or eigvalsh(a))
         for d in (2, 3, 8):
             calls.clear()
             rho = isotropic(d, 0.5)
-            assert calls == [(d * d, d * d)]
+            assert calls == [(1, d * d, d * d)]
             pplus = np.outer(max_entangled(d).vec, max_entangled(d).vec.conj())
             assert np.array_equal(rho.mat, 0.5 * pplus + 0.5 * np.eye(d * d) / (d * d))
 
@@ -187,6 +188,12 @@ class TestRhoA:
 class TestExample2Mixture:
     def test_p_zero_is_rho_a(self):
         assert np.max(np.abs(example2_mixture(0.4, 0.0).mat - rho_a(0.4).mat)) < 1e-15
+
+    def test_mixes_the_validated_rho_a(self):
+        # the mixture reads the raw rho_a, which is real symmetric and so bitwise its validated Hermitian part
+        for a, p in ((0.05, 0.3), (0.236, 0.01), (0.9, 0.7)):
+            want = validate_density((1.0 - p) * rho_a(a).mat + p * max_entangled(3).projector().mat, Dims(3, 3))
+            assert example2_mixture(a, p).mat.tobytes() == want.mat.tobytes()
 
     def test_tiny_admixture_detected(self):
         det, _ = detect_entanglement(example2_mixture(0.236, 0.01))

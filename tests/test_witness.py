@@ -50,7 +50,6 @@ from entwit.witness import (
     bell_max,
     bell_value,
     best_report,
-    csv_rows,
     detect_entanglement,
     estimate_mean_shots,
     nonlinear_max,
@@ -740,6 +739,18 @@ class TestShotEstimator:
         rho = max_ent(2)
         mean, err = estimate_mean_shots(rho, np.kron(PAULI[2], PAULI[2]), 1, seed=4)
         assert err == 0.0 and mean in (-1.0, 1.0)
+
+
+def csv_rows(text: str) -> list[dict]:
+    """Parse reports_to_csv output back into numeric row dicts."""
+    lines = text.strip().split("\n")
+    if lines[0] != CSV_HEADER:
+        raise ValueError("unexpected CSV header")
+    names = CSV_HEADER.split(",")
+    return [
+        {name: (int(p) if i < 4 else float(p)) for i, (name, p) in enumerate(zip(names, line.split(",")))}
+        for line in lines[1:]
+    ]
 
 
 class TestCsv:
