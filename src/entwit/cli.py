@@ -247,12 +247,19 @@ def _threshold_doc(t: Threshold | None):
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+def _seed(text: str) -> int:
+    """--seed: a non-negative integer in digits; anything else is a bad argument (exit 2)."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_state_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state", metavar="PATH", help="JSON state document to load")
     p.add_argument("--family", choices=_CLI_FAMILIES, help="built-in state family")
     for name, (kind, text) in _STATE_FLAGS.items():
         p.add_argument(f"--{name}", type=kind, help=text)
-    p.add_argument("--seed", type=int, default=0, help="seed for random families and checks")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for random families and checks")
 
 
 def _flags(args) -> dict:
@@ -498,7 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_scan)
 
     p = sub.add_parser("selftest", help="run the built-in oracle checks")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--literal-min", action="store_true", help="also report the clip-below bound variant")
     p.set_defaults(handler=cmd_selftest)
 

@@ -52,6 +52,7 @@ import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -149,13 +150,23 @@ class OptimizerConfig:
     """Budget of optimize_settings: `restarts` random starts drawn from
     default_rng(`seed`); a restart stops once its accepted step falls below
     `step_tol` (max-norm over the angles, radians); `max_evals` caps the
-    batched objective evaluations of one call, each of which evaluates
-    every restart."""
+    passes of one call, each of which evaluates every restart once, the
+    starts included.  `restarts` and `max_evals` are integers >= 1, `seed`
+    an integer >= 0 and `step_tol` a number >= 0 (not NaN); anything else
+    raises ValueError naming the field."""
 
     restarts: int = 32
     seed: int = 0
     step_tol: float = 1e-7
     max_evals: int = 2000
+
+    def __post_init__(self) -> None:
+        for name, low in (("restarts", 1), ("max_evals", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+                raise ValueError(f"OptimizerConfig.{name} must be an integer >= {low}, got {value!r}")
+        if isinstance(self.step_tol, bool) or not isinstance(self.step_tol, Real) or not self.step_tol >= 0:
+            raise ValueError(f"OptimizerConfig.step_tol must be a number >= 0, got {self.step_tol!r}")
 
 
 def _check_pairs(dims: Dims, alpha: GeneratorPair, beta: GeneratorPair) -> None:
@@ -419,57 +430,46 @@ def best_report(reports: list[SubspaceReport]) -> SubspaceReport:
 _GRAD_TOL = 1e-10  # max-norm of the gradient at which a restart has converged
 _ARMIJO = 1e-4  # sufficient-increase constant of the backtracking line search
 
-
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("ri,ri->r", u, v)
-
-
-def _zyz_gradient(ang: np.ndarray, rot: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient over ZYZ angles (..., 3) of a function with df/dR = g at R = rot.
-
-    dR/dt1 = Gz R, dR/dt2 = K(t1) R and dR/dt3 = R Gz, with Gz the generator
-    of Rz and K(t1) = Rz(t1) Gy Rz(t1)^T the rotated generator of Ry.
-    """
-    rows = g @ np.swapaxes(rot, -1, -2)  # g_k . R_l
-    cols = np.swapaxes(g, -1, -2) @ rot  # g^T R
-    ca, sa = np.cos(ang[..., 0]), np.sin(ang[..., 0])
-    out = np.empty_like(ang)
-    out[..., 0] = rows[..., 1, 0] - rows[..., 0, 1]
-    out[..., 1] = ca * (rows[..., 0, 2] - rows[..., 2, 0]) + sa * (rows[..., 1, 2] - rows[..., 2, 1])
-    out[..., 2] = cols[..., 0, 1] - cols[..., 1, 0]
-    return out
+# flattened Rz(t), Ry(t), Rz(t) of the ZYZ factors as cos(t) * _ZYZ[0] + sin(t) * _ZYZ[1] + _ZYZ[2]
+_ZYZ = np.array([[[1, 0, 0, 0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 1, 0, 0, 0, 0]],
+                 [[0, -1, 0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, -1, 0, 0], [0, -1, 0, 1, 0, 0, 0, 0, 0]],
+                 [[0, 0, 0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 1]]], float)
+# axial vector (q21 - q12, q02 - q20, q10 - q01) of a 3x3 q as q.reshape(9) @ _AXIAL: entry (3i + j, k) is -eps_ijk
+_AXIAL = -np.cross(np.eye(3)[:, None], np.eye(3)).reshape(9, 3)
+_PLUS_MINUS = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
 def _nonlinear_fg(x: np.ndarray, t: np.ndarray, r: np.ndarray, s: np.ndarray):
     """Normalized nonlinear witness and its gradient at ZYZ angles x (R, 6).
 
     Rows of Rzyz(x[:, :3]) and Rzyz(x[:, 3:]) are the triads of A and B;
-    t is the correlation matrix of rho_ab and r, s its Bloch vectors.
+    t is the correlation matrix of rho_ab and r, s its Bloch vectors.  With
+    G = df/dR and q = G R^T, an angle that turns R as dR/dt = [v]_x R has
+    df/dt = v . axial(q); the ZYZ angles turn about e_z, Rz(t1) e_y and
+    Rz(t1) Ry(t2) e_z, columns of the first factor and of the first two.
     """
-    ang = x.reshape(len(x), 2, 3)
-    rot = rotation_zyz(ang[..., 0], ang[..., 1], ang[..., 2])
-    a, b = rot[:, 0], rot[:, 1]
-    at = a @ t  # rows a_k^T T
-    bt = b @ t.T  # rows (T b_k)^T
-    corr = np.einsum("rkj,rkj->r", a[:, :2], bt[:, :2])
-    summ = a[:, 2] @ r + b[:, 2] @ s
-    last = _dot(a[:, 2], bt[:, 2])
+    ang = x.reshape(-1, 2, 3)
+    cos, sin = np.cos(ang), np.sin(ang)
+    fac = (cos[..., None] * _ZYZ[0] + sin[..., None] * _ZYZ[1] + _ZYZ[2]).reshape(-1, 2, 3, 3, 3)
+    head = fac[:, :, 0] @ fac[:, :, 1]
+    rot = head @ fac[:, :, 2]  # (R, 2, 3, 3): rows a_k, then rows b_k
+    m = rot @ np.stack([t, t.T])  # rows a_k^T T, then rows (T b_k)^T
+    ab = (rot[:, 0] * m[:, 1]).sum(axis=-1)  # a_k^T T b_k
+    rs = np.stack([r, s])
+    corr, summ = ab[:, 0] + ab[:, 1], (rot[:, :, 2] * rs).sum(axis=(1, 2))
     h = np.hypot(corr, summ)
     safe = np.where(h > 0.0, h, 1.0)
-    w = np.stack([corr / safe, corr / safe, -np.ones_like(h)], axis=1)[:, None, :, None]
-    g = np.stack([bt, at], axis=1) * w  # df/dA and df/dB
-    g[:, :, 2] += (summ / safe)[:, None, None] * np.stack([r, s])
-    return h - last, _zyz_gradient(ang, rot, g).reshape(x.shape)
+    g = m[:, ::-1] * (corr / safe)[:, None, None, None]  # df/dA and df/dB
+    g[:, :, 2] = (summ / safe)[:, None, None] * rs - m[:, ::-1, 2]
+    axial = (g @ np.swapaxes(rot, -1, -2)).reshape(-1, 2, 1, 9) @ _AXIAL
+    axes = np.concatenate([fac[:, :, 0][..., [2, 1]], head[..., 2:]], axis=-1)
+    return h - ab[:, 2], (axial @ axes).reshape(x.shape)
 
 
-def _sph(theta, phi) -> np.ndarray:
-    """Unit vectors at spherical angles; arrays broadcast to shape (..., 3)."""
-    st = np.sin(theta)
-    v = np.empty(np.broadcast(theta, phi).shape + (3,))
-    v[..., 0] = st * np.cos(phi)
-    v[..., 1] = st * np.sin(phi)
-    v[..., 2] = np.cos(theta)
-    return v
+def _sph(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Unit vectors (..., k, 3) at the k spherical angle pairs (theta, phi)
+    of the last axis, from the cosines and sines of the angles."""
+    return np.stack([sin[..., 0::2] * cos[..., 1::2], sin[..., 0::2] * sin[..., 1::2], cos[..., 0::2]], axis=-1)
 
 
 def _bell_fg(x: np.ndarray, t: np.ndarray):
@@ -478,14 +478,12 @@ def _bell_fg(x: np.ndarray, t: np.ndarray):
     Angle pairs (theta, phi) give the directions a1, a2, b1, b2 in that order;
     t is the correlation matrix of rho_ab.
     """
-    th, ph = x[:, 0::2], x[:, 1::2]
-    v = _sph(th, ph)  # (R, 4, 3)
-    ct, st, cp, sp = v[..., 2], np.sin(th), np.cos(ph), np.sin(ph)
-    ta = v[:, :2] @ t  # rows a_k^T T
-    bp, bm = v[:, 2] + v[:, 3], v[:, 2] - v[:, 3]
-    val = _dot(ta[:, 0], bp) + _dot(ta[:, 1], bm)
-    dv = np.stack([bp @ t.T, bm @ t.T, ta[:, 0] + ta[:, 1], ta[:, 0] - ta[:, 1]], axis=1)
-    dv *= np.sign(val)[:, None, None]
+    cos, sin = np.cos(x), np.sin(x)
+    ct, st, cp, sp = cos[:, 0::2], sin[:, 0::2], cos[:, 1::2], sin[:, 1::2]
+    v = _sph(cos, sin)  # (R, 4, 3)
+    m = (_PLUS_MINUS @ v.reshape(-1, 2, 2, 3)) @ np.stack([t, t.T])  # rows (a1 +- a2)^T T, (T (b1 +- b2))^T
+    val = (v[:, :2] * m[:, 1]).sum(axis=(1, 2))
+    dv = m[:, ::-1].reshape(-1, 4, 3) * np.sign(val)[:, None, None]
     grad = np.empty_like(x)
     grad[:, 0::2] = ct * (cp * dv[..., 0] + sp * dv[..., 1]) - st * dv[..., 2]
     grad[:, 1::2] = st * (cp * dv[..., 1] - sp * dv[..., 0])
@@ -500,36 +498,41 @@ def _ascend(fg, x: np.ndarray, step_tol: float, max_evals: int):
     Armijo test halves its step, a row that passes takes it and updates its
     inverse Hessian.  A row stops when its gradient (max-norm) falls below
     _GRAD_TOL, its accepted step below step_tol, or its line search stalls
-    below step_tol.  max_evals caps the calls of fg.  Returns the final
-    angles and their values.
+    below step_tol.  max_evals caps the passes, the one at the starts
+    included.  A pass selects each row's update by np.where over the whole
+    batch, not by indexing.  Returns the final angles and their values.
     """
-    x = np.array(x, dtype=float)
+    x = np.asarray(x, dtype=float)
     f, g = fg(x)
     evals = 1
-    eye = np.eye(x.shape[1])
-    hinv = np.broadcast_to(eye, (len(x),) + eye.shape).copy()  # inverse Hessian of -f
-    p, step = g.copy(), np.ones(len(x))
+    hinv = np.tile(np.eye(x.shape[1]), (len(x), 1, 1))  # inverse Hessian of -f
+    p, step = g, np.ones(len(x))
     active = np.abs(g).max(axis=1) > _GRAD_TOL
     while active.any() and evals < max_evals:
-        trial = x + step[:, None] * p
+        sx = step[:, None] * p
+        trial = x + sx
         ft, gt = fg(trial)
         evals += 1
-        ok = active & (ft >= f + _ARMIJO * step * _dot(p, g))
-        back = active & ~ok
-        step[back] *= 0.5
-        active &= ~(back & (step * np.abs(p).max(axis=1) < step_tol))
-        if not ok.any():
-            continue
-        sx, y = trial - x, g - gt
-        sy = _dot(sx, y)
-        # update the rows that passed where the curvature condition holds
-        inv_sy = np.divide(1.0, sy, out=np.zeros_like(sy), where=ok & (sy > 0.0))
-        hy = np.einsum("rij,rj->ri", hinv, y)
-        hinv -= inv_sy[:, None, None] * (sx[:, :, None] * hy[:, None, :] + hy[:, :, None] * sx[:, None, :])
-        hinv += (inv_sy + inv_sy**2 * _dot(y, hy))[:, None, None] * sx[:, :, None] * sx[:, None, :]
-        x[ok], f[ok], g[ok] = trial[ok], ft[ok], gt[ok]
-        p[ok], step[ok] = np.einsum("rij,rj->ri", hinv[ok], g[ok]), 1.0
-        active &= ~(ok & ((np.abs(sx).max(axis=1) < step_tol) | (np.abs(g).max(axis=1) <= _GRAD_TOL)))
+        ok = active & (ft >= f + _ARMIJO * (sx * g).sum(axis=1))
+        size = np.abs(sx).max(axis=1)
+        stop = 0.5 * size < step_tol  # a failing row halves its step: its line search stalls
+        if ok.any():
+            y = (g - gt)[:, :, None]
+            sy = sx[:, None, :] @ y  # (R, 1, 1)
+            # update the rows that passed where the curvature condition holds:
+            # H += w u^T + u w^T with u = s / sy, w = (1 + y.Hy / sy) s / 2 - Hy
+            upd = ok[:, None, None] & (sy > 0.0)
+            inv_sy = upd / np.where(upd, sy, 1.0)
+            hy = hinv @ y
+            w = (0.5 + 0.5 * (y.transpose(0, 2, 1) @ hy) * inv_sy) * sx[:, :, None] - hy
+            wu = w @ (inv_sy * sx[:, None, :])  # an outer product, so u w^T is exactly its transpose
+            hinv += wu + wu.transpose(0, 2, 1)
+            keep = ok[:, None]
+            x, f, g = np.where(keep, trial, x), np.where(ok, ft, f), np.where(keep, gt, g)
+            p = np.where(keep, (hinv @ g[:, :, None])[:, :, 0], p)
+            stop = np.where(ok, (size < step_tol) | (np.abs(g).max(axis=1) <= _GRAD_TOL), stop)
+        active &= ~stop
+        step = np.where(ok, 1.0, 0.5 * step)
     return x, f
 
 
@@ -576,7 +579,7 @@ def optimize_settings(
             triad_from_rotation(rotation_zyz(*x[3:])),
         )
     else:
-        settings = BellSettings(alpha, beta, *_sph(x[0::2], x[1::2]))
+        settings = BellSettings(alpha, beta, *_sph(np.cos(x), np.sin(x)))
     return settings, float(scale * f[best])
 
 

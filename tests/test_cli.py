@@ -164,6 +164,21 @@ class TestExitCodes:
         assert code == 2 and "bisect tolerance" in err and out == ""
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["selftest"],
+            ["detect", "--family", "random_density", "--d", "3"],
+            ["bound", "--family", "random_density", "--d", "3"],
+            ["scan", "--family", "random_pure", "--scan-param", "d", "--range", "2:4", "--points", "3"],
+        ],
+    )
+    def test_negative_seed_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv + ["--seed", "-1"])
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert errors == [f"entwit {argv[0]}: error: argument --seed: expected a non-negative integer, got '-1'"]
+
+    @pytest.mark.parametrize(
         "argv, flag",
         [
             (["bound", "--family", "max_entangled", "--d", "3"], "--csv"),

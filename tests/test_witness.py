@@ -190,6 +190,96 @@ def _bell_objective(t, c):
     return neg
 
 
+# The settings search as it was written before its passes became whole-batch
+# array operations: einsum row dots, boolean-mask updates and a separate ZYZ
+# gradient.  It is the reference for the shipped _ascend, _nonlinear_fg and
+# _bell_fg, which must reach the same values with no more evaluations.
+def _oracle_dot(u, v):
+    return np.einsum("ri,ri->r", u, v)
+
+
+def _oracle_zyz_gradient(ang, rot, g):
+    rows = g @ np.swapaxes(rot, -1, -2)
+    cols = np.swapaxes(g, -1, -2) @ rot
+    ca, sa = np.cos(ang[..., 0]), np.sin(ang[..., 0])
+    out = np.empty_like(ang)
+    out[..., 0] = rows[..., 1, 0] - rows[..., 0, 1]
+    out[..., 1] = ca * (rows[..., 0, 2] - rows[..., 2, 0]) + sa * (rows[..., 1, 2] - rows[..., 2, 1])
+    out[..., 2] = cols[..., 0, 1] - cols[..., 1, 0]
+    return out
+
+
+def _oracle_nonlinear_fg(x, t, r, s):
+    ang = x.reshape(len(x), 2, 3)
+    rot = rotation_zyz(ang[..., 0], ang[..., 1], ang[..., 2])
+    a, b = rot[:, 0], rot[:, 1]
+    at = a @ t
+    bt = b @ t.T
+    corr = np.einsum("rkj,rkj->r", a[:, :2], bt[:, :2])
+    summ = a[:, 2] @ r + b[:, 2] @ s
+    last = _oracle_dot(a[:, 2], bt[:, 2])
+    h = np.hypot(corr, summ)
+    safe = np.where(h > 0.0, h, 1.0)
+    w = np.stack([corr / safe, corr / safe, -np.ones_like(h)], axis=1)[:, None, :, None]
+    g = np.stack([bt, at], axis=1) * w
+    g[:, :, 2] += (summ / safe)[:, None, None] * np.stack([r, s])
+    return h - last, _oracle_zyz_gradient(ang, rot, g).reshape(x.shape)
+
+
+def _oracle_sph(theta, phi):
+    st = np.sin(theta)
+    v = np.empty(np.broadcast(theta, phi).shape + (3,))
+    v[..., 0] = st * np.cos(phi)
+    v[..., 1] = st * np.sin(phi)
+    v[..., 2] = np.cos(theta)
+    return v
+
+
+def _oracle_bell_fg(x, t):
+    th, ph = x[:, 0::2], x[:, 1::2]
+    v = _oracle_sph(th, ph)
+    ct, st, cp, sp = v[..., 2], np.sin(th), np.cos(ph), np.sin(ph)
+    ta = v[:, :2] @ t
+    bp, bm = v[:, 2] + v[:, 3], v[:, 2] - v[:, 3]
+    val = _oracle_dot(ta[:, 0], bp) + _oracle_dot(ta[:, 1], bm)
+    dv = np.stack([bp @ t.T, bm @ t.T, ta[:, 0] + ta[:, 1], ta[:, 0] - ta[:, 1]], axis=1)
+    dv *= np.sign(val)[:, None, None]
+    grad = np.empty_like(x)
+    grad[:, 0::2] = ct * (cp * dv[..., 0] + sp * dv[..., 1]) - st * dv[..., 2]
+    grad[:, 1::2] = st * (cp * dv[..., 1] - sp * dv[..., 0])
+    return np.abs(val), grad
+
+
+def _oracle_ascend(fg, x, step_tol, max_evals):
+    x = np.array(x, dtype=float)
+    f, g = fg(x)
+    evals = 1
+    eye = np.eye(x.shape[1])
+    hinv = np.broadcast_to(eye, (len(x),) + eye.shape).copy()
+    p, step = g.copy(), np.ones(len(x))
+    active = np.abs(g).max(axis=1) > witness._GRAD_TOL
+    while active.any() and evals < max_evals:
+        trial = x + step[:, None] * p
+        ft, gt = fg(trial)
+        evals += 1
+        ok = active & (ft >= f + witness._ARMIJO * step * _oracle_dot(p, g))
+        back = active & ~ok
+        step[back] *= 0.5
+        active &= ~(back & (step * np.abs(p).max(axis=1) < step_tol))
+        if not ok.any():
+            continue
+        sx, y = trial - x, g - gt
+        sy = _oracle_dot(sx, y)
+        inv_sy = np.divide(1.0, sy, out=np.zeros_like(sy), where=ok & (sy > 0.0))
+        hy = np.einsum("rij,rj->ri", hinv, y)
+        hinv -= inv_sy[:, None, None] * (sx[:, :, None] * hy[:, None, :] + hy[:, :, None] * sx[:, None, :])
+        hinv += (inv_sy + inv_sy**2 * _oracle_dot(y, hy))[:, None, None] * sx[:, :, None] * sx[:, None, :]
+        x[ok], f[ok], g[ok] = trial[ok], ft[ok], gt[ok]
+        p[ok], step[ok] = np.einsum("rij,rj->ri", hinv[ok], g[ok]), 1.0
+        active &= ~(ok & ((np.abs(sx).max(axis=1) < step_tol) | (np.abs(g).max(axis=1) <= witness._GRAD_TOL)))
+    return x, f
+
+
 class TestProjection:
     def test_max_entangled_matched_subspace(self):
         rho = max_ent(3)
@@ -610,6 +700,85 @@ class TestOptimizer:
         neg = _bell_objective(table[1:, 1:], p.c)
         starts = np.random.default_rng(3).uniform(0, 2 * np.pi, (5, 8))
         assert abs(v_bl - max(-neg(x) for x in starts)) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["nonlinear", "bell"])
+    def test_search_matches_the_mask_update_oracle(self, kind):
+        """The whole-batch passes reach the values of the mask-update loop from
+        every start, and their evaluations summed over 50 tables and 3 seeds
+        are within 1% of the loop's: the same algorithm, rounded differently."""
+        rng = np.random.default_rng(1212 if kind == "nonlinear" else 1213)
+        nang = 6 if kind == "nonlinear" else 8
+        calls = {"shipped": 0, "oracle": 0}
+
+        def spy(name, fg):
+            def counted(x):
+                calls[name] += 1
+                return fg(x)
+
+            return counted
+
+        worst = 0.0
+        for _ in range(50):
+            t, r, s = rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+            if kind == "nonlinear":
+                new, old = (lambda x: _nonlinear_fg(x, t, r, s)), (lambda x: _oracle_nonlinear_fg(x, t, r, s))
+            else:
+                new, old = (lambda x: _bell_fg(x, t)), (lambda x: _oracle_bell_fg(x, t))
+            for seed in (0, 808, 9):
+                starts = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (4, nang))
+                _, f_new = witness._ascend(spy("shipped", new), starts, 1e-5, 2000)
+                _, f_old = _oracle_ascend(spy("oracle", old), starts, 1e-5, 2000)
+                worst = max(worst, np.max(np.abs(f_new - f_old)))
+        assert worst < 1e-12
+        assert abs(calls["shipped"] - calls["oracle"]) <= 0.01 * calls["oracle"], calls
+
+    @pytest.mark.parametrize("kind", ["nonlinear", "bell"])
+    def test_max_evals_counts_objective_calls(self, kind):
+        rho = rand_density(np.random.default_rng(66), 3, 3)
+        alpha, beta = GeneratorPair(0, 1, 3), GeneratorPair(1, 2, 3)
+        name = "_nonlinear_fg" if kind == "nonlinear" else "_bell_fg"
+        with mock.patch.object(witness, name, wraps=getattr(witness, name)) as spy:
+            optimize_settings(rho, alpha, beta, kind, OptimizerConfig(restarts=4, seed=1, max_evals=3))
+        assert spy.call_count == 3
+
+    @pytest.mark.parametrize("kind", ["nonlinear", "bell"])
+    def test_zero_table_stops_after_the_starts(self, kind):
+        """The maximally mixed state compresses to I/4: T = 0 and r = s = 0, so
+        the gradient vanishes at every start and the search makes one call."""
+        rho = validate_density(np.eye(9) / 9.0, Dims(3, 3))
+        pair = GeneratorPair(0, 2, 3)
+        name = "_nonlinear_fg" if kind == "nonlinear" else "_bell_fg"
+        with mock.patch.object(witness, name, wraps=getattr(witness, name)) as spy:
+            settings, value = optimize_settings(rho, pair, pair, kind, OptimizerConfig(restarts=5, seed=4))
+        assert spy.call_count == 1
+        assert value == 0.0
+        first = np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, (5, 6 if kind == "nonlinear" else 8))[0]
+        if kind == "nonlinear":
+            got, want = settings.triad_a.rot, rotation_zyz(*first[:3])
+        else:
+            th, ph = first[:2]
+            got, want = settings.a1, [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
+        assert np.max(np.abs(got - np.asarray(want))) < 1e-15
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("restarts", 0),
+            ("restarts", -1),
+            ("restarts", 2.5),
+            ("step_tol", float("nan")),
+            ("seed", -1),
+            ("max_evals", 0),
+            ("step_tol", -1e-3),
+        ],
+    )
+    def test_config_rejects_budgets_that_crash_or_never_stop(self, field, value):
+        with pytest.raises(ValueError, match=f"OptimizerConfig.{field}"):
+            OptimizerConfig(**{field: value})
+
+    def test_config_takes_numpy_integers_and_a_zero_step_tol(self):
+        cfg = OptimizerConfig(restarts=np.int64(3), seed=np.uint8(2), step_tol=0, max_evals=np.int32(5))
+        assert cfg.restarts == 3 and cfg.step_tol == 0
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(77)
