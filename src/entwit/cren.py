@@ -6,18 +6,20 @@ a pure state it is just the negativity; the convex-roof minimization itself
 is intractable and deliberately not implemented here.  What is implemented is
 a lower bound assembled entirely from two-qubit subspace data:
 
-    bound = (1/(M-1)) * [ sum_ab |c_ab| * (X_ab/2 + 1) - (m-1)(n-1) ]
+    bound = (1/(M-1)) * sum_ab max(0, -2 lambda_ab)
 
-with M = min(m, n), c_ab the subspace weights, and X_ab = max(0, d_ab) the
-clipped nonlinear witness violation.  The subtracted term equals sum_ab c_ab
-for every state, so separable states (all X = 0) land at exactly 0; on square
-dims it is the familiar (M-1)^2.  For pure states in canonical Schmidt form
-the bound is tight: it collapses to the negativity through the trace-norm
-identity sum_ab ||(L (x) L) psi-projector^{T_A} (L (x) L)||_tr
+with M = min(m, n) and lambda_ab the smallest eigenvalue of the partial
+transpose of the raw (unnormalized) block of subspace pair ab; each term is
+c_ab X_ab/2 with X_ab = max(0, d_ab) the clipped nonlinear witness violation.
+The paper's form (1/(M-1)) * [ sum_ab |c_ab| (X_ab/2 + 1) - (m-1)(n-1) ] is
+this sum plus a trace bias, as sum_ab c_ab = (m-1)(n-1) Tr rho; without it,
+separable states (all X = 0) land at exactly 0.  For pure states in canonical
+Schmidt form the bound is tight: it collapses to the negativity through the
+trace-norm identity sum_ab ||(L (x) L) psi-projector^{T_A} (L (x) L)||_tr
 = (M-1)^2 + 2 sum_{i<j} sqrt(mu_i mu_j).
 
-The bound reads a subspace only through X_ab, so a block whose partial
-transpose is provably positive adds exactly |c_ab| and needs no eigenvalue.
+The bound reads a subspace only through lambda_ab, so a block whose partial
+transpose is provably positive adds exactly 0 and needs no eigenvalue.
 The proof is the purity ball: a Hermitian unit-trace 4x4 X with Tr X^2 = p
 has lambda_min(X) >= 1/4 - sqrt(3(p - 1/4)/4), which is > 0 iff p < 1/3, and
 the partial transpose keeps the purity of rho_ab [K. Zyczkowski, P. Horodecki,
@@ -55,7 +57,7 @@ from .witness import SubspaceReport, _all_pairs_index, _reports, _violations, su
 @dataclass(frozen=True)
 class CrenBoundReport:
     """The bound, the plain negativity for comparison, and the state they were
-    assembled from.  The bound reads only the weights c and violations d; the
+    assembled from.  The bound reads only the raw lambda_min of each pair; the
     per-subspace rows, with their Bell maxima, are built on the first read of
     `reports`."""
 
@@ -70,25 +72,19 @@ class CrenBoundReport:
         return subspace_reports(self.rho)
 
 
-def _bound(c, d, dims: Dims, literal_min: bool):
-    """The bound formula from subspace weights c and violations d on the last
-    axis, summed as a running sum in report order; one bound per leading index.
-
-    Empty subspaces carry d = 0 and c <= TAU_C, so they add only their weight,
-    which the baseline (m-1)(n-1) = sum_ab c_ab subtracts again.
-    """
-    d = np.asarray(d, dtype=float)
-    x = np.minimum(0.0, d) if literal_min else np.maximum(0.0, d)
-    total = np.cumsum(np.abs(np.asarray(c, dtype=float)) * (x / 2.0 + 1.0), axis=-1)[..., -1]
-    return (total - (dims.m - 1) * (dims.n - 1)) / (min(dims.m, dims.n) - 1)
+def _bound(raw, dims: Dims, literal_min: bool):
+    """The bound from the raw lambda_min of each pair on the last axis, one
+    bound per leading index: each pair adds c X/2 = max(0, -2 raw), or
+    min(0, -2 raw) for literal_min.  Empty pairs read raw = 0 and add 0."""
+    clip = np.minimum if literal_min else np.maximum
+    return clip(0.0, -2.0 * raw).sum(axis=-1) / (min(dims.m, dims.n) - 1)
 
 
 def _assess(stack: np.ndarray, dims: Dims):
     """Kernel columns over all subspace pairs, bounds and negativities of a
     stack (N, mn, mn) of validated same-dims states."""
     cols = _reports(stack, dims.n, _all_pairs_index(dims))
-    bounds = _bound(cols.c, cols.nonlinear_max - 1.0, dims, literal_min=False)
-    return cols, bounds, _negativities(stack, dims)
+    return cols, _bound(cols.raw, dims, literal_min=False), _negativities(stack, dims)
 
 
 def cren_lower_bound(rho: DensityMatrix, literal_min: bool = False) -> CrenBoundReport:
@@ -102,11 +98,11 @@ def cren_lower_bound(rho: DensityMatrix, literal_min: bool = False) -> CrenBound
     stack = rho.mat[None]
     if literal_min:
         cols = _reports(stack, rho.dims.n, _all_pairs_index(rho.dims))
-        c, d = cols.c, cols.nonlinear_max - 1.0
+        c, raw = cols.c, cols.raw
     else:
-        c, d = _violations(stack, rho.dims)
+        c, raw = _violations(stack, rho.dims)
     return CrenBoundReport(
-        bound=float(_bound(c, d, rho.dims, literal_min)[0]),
+        bound=float(_bound(raw, rho.dims, literal_min)[0]),
         negativity=float(_negativities(stack, rho.dims)[0]),
         sum_c=sum(c[0].tolist()),
         m_normalizer=min(rho.dims.m, rho.dims.n),

@@ -258,14 +258,17 @@ def to_json(rho: DensityMatrix) -> str:
 
 
 def _parse_json(text: str) -> tuple[np.ndarray, Dims]:
-    """The matrix and dims of a JSON interchange document, not yet validated."""
+    """The matrix and two integral dims (2.0 is fine, 2.9 an error) of a JSON document, not yet validated."""
     try:
         doc = json.loads(text)
-        dims = Dims(int(doc["dims"][0]), int(doc["dims"][1]))
+        dims = doc["dims"]
         mat = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
-    except (KeyError, TypeError, IndexError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: not JSON, or a ragged matrix
         raise StateValidationError(f"malformed state document: {exc}") from exc
-    return mat, dims
+    if not (isinstance(dims, list) and len(dims) == 2
+            and all(type(v) is int or type(v) is float and v.is_integer() for v in dims)):
+        raise StateValidationError(f"malformed state document: dims must be two integers, got {dims!r}")
+    return mat, Dims(int(dims[0]), int(dims[1]))
 
 
 def from_json(text: str) -> DensityMatrix:

@@ -23,13 +23,14 @@ applies to it:
   the plain two-qubit witness on rho_ab.
 
 Every per-subspace figure comes from one kernel over a stack of same-dims
-states.  It gathers the blocks of all subspace pairs of every state at once,
-solves them in one eigensolve and one SVD, and returns numpy columns shaped
-(states, pairs).  A validated state is exactly Hermitian, so every gathered
-block is too.  The weight c of a pair and its empty rule c <= TAU_C are read
-from the diagonal of the state in one place (_weights).
+states.  It gathers the raw blocks of all subspace pairs of every state at
+once, solves them in one eigensolve and one SVD, and returns numpy columns
+shaped (states, pairs).  A validated state is exactly Hermitian, so every
+gathered block is too.  The weight c of a pair and its empty rule c <= TAU_C
+are read from the diagonal of the state in one place (_weights); c divides
+the columns, never a block.
 
-The bound reads only the weights and violations, and its entry point
+The bound reads only the raw lambda_min of each pair, and its entry point
 (_violations) gathers and solves only the blocks that a purity certificate
 leaves open: a Hermitian unit-trace 4x4 X has
 lambda_min(X) >= 1/4 - sqrt(3(Tr X^2 - 1/4)/4), which is > 0 iff
@@ -179,8 +180,8 @@ def _check_pairs(dims: Dims, alpha: GeneratorPair, beta: GeneratorPair) -> None:
 # ---------------------------------------------------------------------------
 # the subspace kernel: every per-subspace figure starts from _blocks
 
-# kernel output: one (N, P) array per figure for N states and P subspace pairs
-_Columns = namedtuple("_Columns", "c live lambda_min bell_max nonlinear_max")
+# kernel output: one (N, P) array per figure for N states and P subspace pairs; raw = c * lambda_min
+_Columns = namedtuple("_Columns", "c live raw lambda_min bell_max nonlinear_max")
 
 
 def _pair_index(pairs) -> np.ndarray:
@@ -215,25 +216,22 @@ def _weights(stack: np.ndarray, n: int, index: np.ndarray):
     return c, c > TAU_C
 
 
-def _blocks(stack: np.ndarray, n: int, index: np.ndarray):
-    """_weights and the normalized blocks, shaped (N, P, 4, 4), of the pairs
-    in `index` on a stack (N, mn, mn) of states.
+def _blocks(stack: np.ndarray, n: int, index: np.ndarray) -> np.ndarray:
+    """The raw (unnormalized) blocks, shaped (N, P, 4, 4), of the pairs in
+    `index` on a stack (N, mn, mn) of states.
 
     The sandwich by L (x) L acts on a gathered 4x4 block as Y (x) Y with
     Y = [[0,1],[-1,0]]: a reversal of the block basis with the middle two
-    vectors negated.  The gather only reverses, so a block is rho_ab up to
+    vectors negated.  The gather only reverses, so a block is c rho_ab up to
     the local unitary Z (x) Z (the signs _YY_SIGNS, which _pair_block
     applies), which keeps lambda_min of the partial transpose and the
-    singular values of T.  Blocks of empty pairs are unnormalized and unread.
+    singular values of T.
     """
     ja, ka, jb, kb = index.T
     side = stack.shape[-1]
     rows = np.stack([ka * n + kb, ka * n + jb, ja * n + kb, ja * n + jb], axis=1)
     flat = (rows * side)[:, :, None] + rows[:, None, :]  # entry (i, j) of each block in the flattened state
-    blk = np.take(stack.reshape(len(stack), side * side), flat, axis=1)
-    c, live = _weights(stack, n, index)
-    blk /= np.where(live, c, 1.0)[..., None, None]
-    return c, live, blk
+    return np.take(stack.reshape(len(stack), side * side), flat, axis=1)
 
 
 def _correlations(rho_ab: np.ndarray) -> np.ndarray:
@@ -248,13 +246,16 @@ def _lambda_min(blk: np.ndarray) -> np.ndarray:
 
 
 def _reports(stack: np.ndarray, n: int, index: np.ndarray) -> _Columns:
-    """Columns of the pairs in `index` on a stack of states: lambda_min of
-    every partial transpose in one eigensolve and every CHSH maximum in one SVD."""
-    c, live, blk = _blocks(stack, n, index)
+    """Columns of the pairs in `index` on a stack of states: the raw lambda_min
+    of every partial transpose in one eigensolve and every CHSH maximum, which
+    carries c, in one SVD; lambda_min = raw / c is the one division by c."""
+    c, live = _weights(stack, n, index)
+    blk = _blocks(stack, n, index)
     sv = np.linalg.svd(_correlations(blk)[..., 1:, 1:], compute_uv=False)
-    bmax = np.where(live, c * 2.0 * np.sqrt(sv[..., 0] ** 2 + sv[..., 1] ** 2), 0.0)
-    lam = np.where(live, _lambda_min(blk), 0.0)
-    return _Columns(c, live, lam, bmax, 1.0 - 4.0 * lam)
+    bmax = np.where(live, 2.0 * np.sqrt(sv[..., 0] ** 2 + sv[..., 1] ** 2), 0.0)
+    raw = np.where(live, _lambda_min(blk), 0.0)
+    lam = raw / np.where(live, c, 1.0)
+    return _Columns(c, live, raw, lam, bmax, 1.0 - 4.0 * lam)
 
 
 # Purity certificate.  A Hermitian 4x4 X with Tr X = 1 and purity p = Tr X^2
@@ -285,21 +286,18 @@ def _purities(stack: np.ndarray, dims: Dims) -> np.ndarray:
 
 
 def _violations(stack: np.ndarray, dims: Dims):
-    """Weights c and clipped violations x = max(0, d), both (N, P) in
-    _all_pairs_index order, on a stack of states: the bound's only inputs.
-    Only the live blocks the purity certificate leaves open are gathered
-    and solved; every other block has x = 0 exactly, as in the full columns
-    of _reports."""
+    """Weights c and raw lambda_min, both (N, P) in _all_pairs_index order, on
+    a stack of states.  Only the live blocks the purity certificate leaves
+    open are gathered and solved; every other pair reads 0, which the bound
+    clips to 0 as it does the positive value in the full _reports columns."""
     index = _all_pairs_index(dims)
     c, live = _weights(stack, dims.n, index)
-    x = np.zeros_like(c)
+    raw = np.zeros_like(c)
     solve = live & (_purities(stack, dims) >= _PURITY_CERT * c**2)
     cols = np.flatnonzero(solve.any(axis=0))
     if cols.size:
-        _, _, blk = _blocks(stack, dims.n, index[cols])
-        # (1 - 4 lambda) - 1 rather than -4 lambda: the rounding of _reports, so the bound matches it bitwise
-        x[solve] = np.maximum(0.0, (1.0 - 4.0 * _lambda_min(blk[solve[:, cols]])) - 1.0)
-    return c, x
+        raw[solve] = _lambda_min(_blocks(stack, dims.n, index[cols])[solve[:, cols]])
+    return c, raw
 
 
 def _report_rows(rho: DensityMatrix, pairs) -> list[SubspaceReport]:
@@ -313,8 +311,9 @@ def _report_rows(rho: DensityMatrix, pairs) -> list[SubspaceReport]:
 def _pair_block(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair):
     """Weight c and rho_ab of one subspace pair; rho_ab is None when it is empty."""
     _check_pairs(rho.dims, alpha, beta)
-    c, live, blk = _blocks(rho.mat[None], rho.dims.n, _pair_index([(alpha, beta)]))
-    return float(c[0, 0]), (blk[0, 0] * _YY_SIGNS if live[0, 0] else None)
+    stack, index = rho.mat[None], _pair_index([(alpha, beta)])
+    (c,), (live,) = _weights(stack, rho.dims.n, index)
+    return float(c[0]), (_blocks(stack, rho.dims.n, index)[0, 0] / c[0] * _YY_SIGNS if live[0] else None)
 
 
 def project_state(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair) -> ProjectedState:
@@ -554,6 +553,8 @@ def optimize_settings(
     table of the compressed block, never the closed forms.  Deterministic
     for a fixed cfg.
     """
+    if kind not in ("nonlinear", "bell"):
+        raise ValueError(f"unknown witness kind {kind!r}")
     c, rho_ab = _pair_block(rho, alpha, beta)
     if rho_ab is None:
         raise ValueError("empty subspace: c <= TAU_C")
@@ -561,11 +562,9 @@ def optimize_settings(
     t, r, s = corr[1:, 1:], corr[1:, 0], corr[0, 1:]
     if kind == "nonlinear":
         fg, nang, scale = (lambda x: _nonlinear_fg(x, t, r, s)), 6, 1.0
-    elif kind == "bell":
+    else:
         # the search runs on rho_ab; bell_value on rho carries the weight c
         fg, nang, scale = (lambda x: _bell_fg(x, t)), 8, c
-    else:
-        raise ValueError(f"unknown witness kind {kind!r}")
 
     starts = np.random.default_rng(cfg.seed).uniform(0.0, 2.0 * np.pi, (cfg.restarts, nang))
     x, f = _ascend(fg, starts, cfg.step_tol, cfg.max_evals)

@@ -123,6 +123,17 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["detect", "--state", str(path)])
         assert code == 3 and "error" in err
 
+    @pytest.mark.parametrize("dims, re", [([2.9, 2], None), ([2, 2], [[0.25, 0.0, 0.0, 0.0], [0.25]])])
+    def test_malformed_state_document(self, capsys, tmp_path, dims, re):
+        # a non-integral dims entry and a ragged matrix are malformed documents, never a truncation or a traceback
+        doc = json.loads(to_json(isotropic(2, 0.0)))
+        doc["dims"], doc["re"] = dims, re or doc["re"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["bound", "--state", str(path)])
+        assert code == 3 and out == ""
+        assert "malformed state document" in err and "Traceback" not in err
+
     def test_out_of_range_family_param(self, capsys):
         code, _, err = run_cli(capsys, ["detect", "--family", "isotropic", "--d", "3", "--x", "2.0"])
         assert code == 3 and "error" in err

@@ -17,6 +17,7 @@ from entwit.cren import (
 )
 from entwit.qstate import (
     TAU_HERM,
+    TAU_TR,
     Dims,
     partial_transpose,
     pure_negativity,
@@ -37,15 +38,19 @@ from entwit.witness import (
     _blocks,
     _purities,
     _reports,
+    _weights,
     reports_to_csv,
     subspace_reports,
 )
 
 
 def bound_from_rows(rows, dims: Dims, literal_min: bool = False) -> float:
-    """Rebuild the bound from subspace rows that carry "c" and "d" entries,
-    such as parsed CSV rows, through the bound formula alone."""
-    return float(_bound([row["c"] for row in rows], [row["d"] for row in rows], dims, literal_min))
+    """The paper's formula (sum_ab |c| (X/2 + 1) - (m-1)(n-1)) / (M-1), rebuilt
+    from subspace rows that carry "c" and "d" entries, such as parsed CSV rows:
+    an oracle independent of the shipped plain sum of raw-block terms."""
+    clip = min if literal_min else max
+    total = sum(abs(row["c"]) * (clip(0.0, row["d"]) / 2.0 + 1.0) for row in rows)
+    return (total - (dims.m - 1) * (dims.n - 1)) / (min(dims.m, dims.n) - 1)
 
 
 class TestMaxEntangledQutrits:
@@ -80,8 +85,8 @@ class TestLazyRows:
         rows = rep.reports
         assert rep.reports is rows
         assert rows == subspace_reports(rho)
-        # the bound read c and d from the kernel columns: the rows give it bitwise
-        assert rep.bound == bound_from_rows([{"c": r.c, "d": r.d} for r in rows], rho.dims)
+        # the paper's formula from the rows' c and d gives the bound up to rounding
+        assert abs(rep.bound - bound_from_rows([{"c": r.c, "d": r.d} for r in rows], rho.dims)) < 1e-12
         assert rep.sum_c == sum(r.c for r in rows)
 
 
@@ -92,7 +97,7 @@ def assert_bitwise_full_solve(rho):
     cols = _reports(rho.mat[None], rho.dims.n, _all_pairs_index(rho.dims))
     for literal_min in (False, True):
         rep = cren_lower_bound(rho, literal_min=literal_min)
-        assert rep.bound == float(_bound(cols.c, cols.nonlinear_max - 1.0, rho.dims, literal_min)[0])
+        assert rep.bound == float(_bound(cols.raw, rho.dims, literal_min)[0])
         assert rep.sum_c == sum(cols.c[0].tolist())
 
 
@@ -116,8 +121,7 @@ class TestCertifiedSolve:
     @given(noisy_states())
     def test_state_level_purity_is_the_raw_block_purity(self, rho):
         # oracle: gather every raw block of the stored matrix by hand; the
-        # kernel's block is that block up to signs, divided by c, so its
-        # purity times c^2 is the raw purity up to rounding
+        # kernel's block is that block with its basis reversed, unnormalized
         n, index = rho.dims.n, _all_pairs_index(rho.dims)
         ja, ka, jb, kb = index.T
         rows = np.stack([ja * n + jb, ja * n + kb, ka * n + jb, ka * n + kb], axis=1)
@@ -125,11 +129,10 @@ class TestCertifiedSolve:
         want = np.sum(np.abs(raw) ** 2, axis=(1, 2))
         q = _purities(rho.mat[None], rho.dims)
         assert np.all(np.abs(q[0] - want) <= 1e-13 * want)
-        c, live, blk = _blocks(rho.mat[None], n, index)
+        c, live = _weights(rho.mat[None], n, index)
         assert np.all(np.abs(c[0] - np.trace(raw, axis1=1, axis2=2).real) <= 1e-15)
         assert np.array_equal(live, c > TAU_C)
-        solved = np.sum(np.abs(blk[live]) ** 2, axis=(1, 2)) * c[live] ** 2
-        assert np.all(np.abs(q[live] - solved) <= 1e-13 * q[live])
+        assert np.array_equal(_blocks(rho.mat[None], n, index)[0], raw[:, ::-1, ::-1])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(noisy_states())
@@ -249,7 +252,7 @@ class TestPureExactness:
 class TestPptNullResult:
     def test_ppt_states_get_no_positive_bound(self):
         # PPT survives compression, so every subspace violation is zero and
-        # the assembled bound collapses to sum_c minus the baseline
+        # so is each term of the assembled bound
         rng = np.random.default_rng(47)
         dims_cycle = [(2, 2), (2, 3), (3, 3)]
         collected = 0
@@ -268,6 +271,19 @@ class TestPptNullResult:
             assert rep.bound <= 1e-9
             assert all(r.x == 0.0 for r in rep.reports)
         assert collected == 100, f"only {collected} PPT samples in {attempts} attempts"
+
+
+class TestTraceDeviation:
+    @pytest.mark.parametrize("d", [3, 6, 12, 16])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_maximally_mixed_state_off_unit_trace_has_zero_bound(self, d, sign):
+        # validation accepts a trace within TAU_TR of 1; the paper's form
+        # sum_ab c (X/2 + 1) - (m-1)(n-1) reads that deviation times
+        # (m-1)(n-1)/(M-1) as a bound (1.3e-9 at d = 16), the plain sum of
+        # per-pair terms does not
+        rho = validate_density(np.eye(d * d) / (d * d) * (1.0 + sign * 0.9 * TAU_TR), Dims(d, d))
+        assert abs(cren_lower_bound(rho).bound) <= 1e-12
+        assert_bitwise_full_solve(rho)
 
 
 class TestMixtureMonotonicity:

@@ -501,6 +501,22 @@ class TestJsonRoundTrip:
         with pytest.raises(StateValidationError):
             from_json("not json")
 
+    @pytest.mark.parametrize("dims", [[2.9, 2], [2, 2, 7], [2], "22", ["2", "2"], [True, 2], None])
+    def test_dims_must_be_two_integers(self, dims):
+        # no truncation of 2.9, no ignored third entry, no string read digit by digit
+        doc = {"dims": dims, "re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()}
+        with pytest.raises(StateValidationError, match="malformed state document: dims must be two integers"):
+            from_json(json.dumps(doc))
+
+    def test_integral_float_dims_are_read(self):
+        doc = {"dims": [2.0, 2], "re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()}
+        assert from_json(json.dumps(doc)).dims == Dims(2, 2)
+
+    def test_ragged_matrix_is_malformed(self):
+        doc = {"dims": [2, 2], "re": [[0.25, 0.0, 0.0, 0.0], [0.25]], "im": np.zeros((4, 4)).tolist()}
+        with pytest.raises(StateValidationError, match="malformed state document"):
+            from_json(json.dumps(doc))
+
     def test_invalid_state_in_document(self):
         doc = {"dims": [2, 2], "re": np.eye(4).tolist(), "im": np.zeros((4, 4)).tolist()}
         with pytest.raises(TraceError):

@@ -41,6 +41,7 @@ from entwit.witness import (
     TAU_DETECT,
     WitnessSettings,
     _PURITY_CERT,
+    _Columns,
     _all_pairs_index,
     _bell_fg,
     _check_pairs,
@@ -424,7 +425,7 @@ class TestKernel:
         stacked = _reports(np.stack([rho.mat for rho in states]), n, index)
         for k, rho in enumerate(states):
             single = _reports(rho.mat[None], n, index)
-            for name in ("c", "live", "lambda_min", "bell_max", "nonlinear_max"):
+            for name in _Columns._fields:
                 got, want = getattr(stacked, name), getattr(single, name)
                 assert got.shape == (len(states), len(index)) and want.shape == (1, len(index))
                 assert np.array_equal(got[k], want[0]), name
@@ -798,8 +799,12 @@ class TestOptimizer:
         mat = np.zeros((9, 9), dtype=complex)
         mat[2, 2] = 1.0
         empty = validate_density(mat, Dims(3, 3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty subspace"):
             optimize_settings(empty, pair, pair, "nonlinear")
+        # the kind is checked before the block is built, so an empty subspace
+        # does not hide a kind that could never run
+        with pytest.raises(ValueError, match="unknown witness kind 'chsh'"):
+            optimize_settings(empty, pair, pair, "chsh")
 
 
 class TestLocalUnitaryCovariance:
