@@ -1,6 +1,7 @@
 """Command-line front end: detection, bound computation, parameter sweeps,
 threshold bisection, and a self-test oracle suite.  Both detection onsets
-are bisected together, one stacked evaluation per step.
+are bisected together, one stacked evaluation per step, in which each probe
+computes only the difference its bracket reads.
 
 Sweeps emit violation-positive differences so that "curve above zero" means
 "detected": nonlinear_D = max_ab nonlinear_max - 1, and bell_D =
@@ -41,7 +42,12 @@ from .witness import (
     OptimizerConfig,
     TAU_DETECT,
     WitnessSettings,
+    _all_pairs_index,
+    _bell_maxima,
+    _blocks,
     _csv_text,
+    _nonlinear_columns,
+    _weights,
     bell_max,
     best_report,
     detect_entanglement,
@@ -158,35 +164,69 @@ def _grid_values(cfg: SweepConfig, i0: int, i1: int) -> list[float]:
     return values.tolist()
 
 
-def _scan_points(cfg: SweepConfig, values, seeds) -> list[ScanPoint]:
+def _validated_stacks(cfg: SweepConfig, values, seeds):
     """Build the raw matrix at each value, with its family's parameter checks,
-    then validate and evaluate each run of equal-dims states in stacks of at
-    most _STACK_BLOCKS blocks: one validate_densities call, one kernel call
-    and one batched partial-transpose eigensolve per stack.  The error raised
-    is the first failing value's, as if each state were built on its own."""
+    then validate each run of equal-dims states in stacks of at most
+    _STACK_BLOCKS blocks, one validate_densities call per stack, and yield
+    (dims, stack) in value order.  The error raised is the first failing
+    value's, as if each state were built on its own."""
     built, failed = [], None
     for value, seed in zip(values, seeds):
         try:
-            built.append((value, *_point_spec(cfg, value, seed).matrix()))
+            built.append(_point_spec(cfg, value, seed).matrix())
         except _BUILD_ERRORS as exc:  # raised below, once the values before it are validated
             failed = exc
             break
-    points = []
-    for dims, run in itertools.groupby(built, key=lambda item: item[2]):
-        run = list(run)
+    for dims, run in itertools.groupby(built, key=lambda item: item[1]):
+        mats = [mat for mat, _ in run]
         per = max(1, _STACK_BLOCKS // (math.comb(dims.m, 2) * math.comb(dims.n, 2)))
-        for k in range(0, len(run), per):
-            part = run[k : k + per]
-            cols, bounds, negs = _assess(validate_densities(np.array([mat for _, mat, _ in part]), dims), dims)
-            d_nl = cols.nonlinear_max.max(axis=1) - 1.0
-            # empty subspaces report bell_max = 0 and cannot raise the maximum
-            normed = np.divide(cols.bell_max, cols.c, out=np.zeros_like(cols.c), where=cols.live)
-            d_bell = normed.max(axis=1) - 2.0
-            rows = zip(d_nl.tolist(), d_bell.tolist(), bounds.tolist(), negs.tolist())
-            points += [ScanPoint(value, *row) for (value, _, _), row in zip(part, rows)]
+        for k in range(0, len(mats), per):
+            yield dims, validate_densities(np.array(mats[k : k + per]), dims)
     if failed is not None:
         raise failed
-    return points
+
+
+def _nonlinear_d(nonlinear_max: np.ndarray) -> np.ndarray:
+    """nonlinear_D of each state from its (N, P) nonlinear maxima."""
+    return nonlinear_max.max(axis=1) - 1.0
+
+
+def _bell_d(bell_max: np.ndarray, c: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """bell_D of each state from its (N, P) CHSH maxima, which carry c."""
+    # empty subspaces report bell_max = 0 and cannot raise the maximum
+    return np.divide(bell_max, c, out=np.zeros_like(c), where=live).max(axis=1) - 2.0
+
+
+def _scan_points(cfg: SweepConfig, values, seeds) -> list[ScanPoint]:
+    """The scan rows at the values (see _validated_stacks): one kernel call
+    and one batched partial-transpose eigensolve per validated stack."""
+    rows = []
+    for dims, stack in _validated_stacks(cfg, values, seeds):
+        cols, bounds, negs = _assess(stack, dims)
+        d_nl, d_bell = _nonlinear_d(cols.nonlinear_max), _bell_d(cols.bell_max, cols.c, cols.live)
+        rows += zip(d_nl.tolist(), d_bell.tolist(), bounds.tolist(), negs.tolist())
+    return [ScanPoint(value, *row) for value, row in zip(values, rows)]
+
+
+def _probe_differences(cfg: SweepConfig, fields, values, seed: int) -> list[float]:
+    """The detection difference fields[i] ("nonlinear_d" or "bell_d") of the
+    probe state at values[i], each probe with `seed`, built and validated as
+    the grid is (see _validated_stacks).  A probe solves its own witness
+    only: the partial-transpose eigensolve of its blocks for nonlinear_d,
+    their correlation SVD for bell_d; no bound and no negativity."""
+    diffs = []
+    for dims, stack in _validated_stacks(cfg, values, [seed] * len(values)):
+        index = _all_pairs_index(dims)
+        c, live = _weights(stack, dims.n, index)
+        blk = _blocks(stack, dims.n, index)
+        for i in range(len(stack)):
+            one = slice(i, i + 1)
+            if fields[len(diffs)] == "nonlinear_d":
+                d = _nonlinear_d(_nonlinear_columns(blk[one], c[one], live[one])[2])
+            else:
+                d = _bell_d(_bell_maxima(blk[one], live[one]), c[one], live[one])
+            diffs.append(float(d[0]))
+    return diffs
 
 
 def _scan_chunks(cfg: SweepConfig, base_seed: int, crossings: dict):
@@ -209,8 +249,8 @@ def _scan_chunks(cfg: SweepConfig, base_seed: int, crossings: dict):
 def _thresholds(cfg: SweepConfig, base_seed: int, crossings: dict):
     """Both bisected thresholds, or (None, None) without cfg.bisect.  Round k
     evaluates the midpoint of every bracket wider than bisect_tol in one
-    _scan_points call with seed base_seed + cfg.points + k, the probe a serial
-    bisection makes at its step k.  A crossing at the first grid point has no bracket."""
+    _probe_differences call with seed base_seed + cfg.points + k, the probe a
+    serial bisection makes at its step k.  A crossing at the first grid point has no bracket."""
     if not cfg.bisect:
         return None, None
     fields = ("nonlinear_d", "bell_d")
@@ -219,8 +259,8 @@ def _thresholds(cfg: SweepConfig, base_seed: int, crossings: dict):
     # a bracket whose ends are adjacent floats has no midpoint between them and stops too
     while wide := [f for f, (lo, hi) in brackets.items() if hi - lo > cfg.bisect_tol and lo < 0.5 * (lo + hi) < hi]:
         mids = [0.5 * (brackets[f][0] + brackets[f][1]) for f in wide]
-        for f, mid, pt in zip(wide, mids, _scan_points(cfg, mids, [seed] * len(mids))):
-            brackets[f][getattr(pt, f) > TAU_DETECT] = mid  # a violating midpoint becomes hi
+        for f, mid, d in zip(wide, mids, _probe_differences(cfg, wide, mids, seed)):
+            brackets[f][d > TAU_DETECT] = mid  # a violating midpoint becomes hi
         seed += 1
     found = {f: Threshold(0.5 * (lo + hi), "ok") for f, (lo, hi) in brackets.items()}
     return tuple(found.get(f, Threshold(None, "no threshold in range")) for f in fields)

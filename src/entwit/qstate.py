@@ -7,7 +7,9 @@ tolerances are absolute: TAU_HERM bounds the Hermiticity deviation (raised
 only by _hermitian_part, which also rejects NaN and infinite entries), TAU_TR
 the trace of a density matrix and the squared norm of a vector (the same sum,
 so a vector validate_pure accepts has a projector validate_density accepts),
-TAU_PSD the smallest eigenvalue.  validate_densities holds every density matrix check.
+TAU_PSD the smallest eigenvalue, which validation bounds by one Cholesky
+factorization of rho + TAU_PSD I and eigensolves only to name a failing
+state's eigenvalue.  validate_densities holds every density matrix check.
 """
 
 from __future__ import annotations
@@ -17,8 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Validation tolerances.  Double precision eigensolves on matrices up to
-# 81x81 lose at most ~3 digits, so the PSD check is one order looser.
+# Validation tolerances.  The Cholesky factorization of rho + TAU_PSD I that
+# decides the PSD check is backward stable: its decision can differ from the
+# exact one only where lambda_min is within about side * 1e-16 * ||rho|| of
+# -TAU_PSD, under 1e-13 for unit-trace states up to 256x256 and so far below
+# TAU_PSD (N. J. Higham, Accuracy and Stability of Numerical Algorithms,
+# 2nd ed., ch. 10).
 TAU_HERM = 1e-10
 TAU_TR = 1e-10
 TAU_PSD = 1e-9
@@ -121,9 +127,12 @@ def validate_densities(mats: np.ndarray, dims: Dims) -> np.ndarray:
     Each state is checked as on its own, in this order: shape
     (DimensionMismatchError), finite entries (StateValidationError),
     Hermiticity to TAU_HERM (NotHermitianError), trace to TAU_TR (TraceError),
-    smallest eigenvalue against -TAU_PSD (NotPositiveError; one eigensolve for
-    all states).  A state's figures do not depend on the rest of the stack, so
-    a stack raises the error, message included, its first failing state raises alone.
+    smallest eigenvalue against -TAU_PSD (NotPositiveError).  Positivity is
+    one batched Cholesky factorization of M + TAU_PSD I; only when it fails
+    does one eigensolve find the first failing state and the eigenvalue its
+    message prints.  A state's figures do not depend on the rest of the stack,
+    so a stack raises the error, message included, its first failing state
+    raises alone.
     """
     mats = np.asarray(mats, dtype=complex)
     side = dims.total
@@ -136,14 +145,18 @@ def validate_densities(mats: np.ndarray, dims: Dims) -> np.ndarray:
     herm_dev = np.abs(head - adj).max(axis=(1, 2), initial=0.0)
     herm = (head + adj) / 2.0
     tr_dev = np.abs(np.trace(head, axis1=1, axis2=2) - 1.0)
-    lam_min = np.linalg.eigvalsh(herm)[:, 0]
-    faults = (herm_dev > TAU_HERM) | (tr_dev > TAU_TR) | (lam_min < -TAU_PSD)
+    faults = (herm_dev > TAU_HERM) | (tr_dev > TAU_TR)
     first = int(np.argmax(faults)) if faults.any() else len(head)
+    try:  # the states before the first other fault, all positive definite after the shift
+        np.linalg.cholesky(herm[:first] + TAU_PSD * np.eye(side))
+    except np.linalg.LinAlgError:  # some state fails: the eigensolve names the first and its eigenvalue
+        lam_min = np.linalg.eigvalsh(herm[:first])[:, 0]
+        bad = np.flatnonzero(lam_min < -TAU_PSD)
+        if bad.size:
+            raise NotPositiveError(f"minimum eigenvalue {lam_min[bad[0]]:.3e} below -{TAU_PSD}") from None
     if first < len(mats):
         _hermitian_part(mats[first])  # its non-finite entries or its Hermiticity, if either fails
-        if tr_dev[first] > TAU_TR:
-            raise TraceError(f"trace deviates from 1 by {tr_dev[first]:.3e}")
-        raise NotPositiveError(f"minimum eigenvalue {lam_min[first]:.3e} below -{TAU_PSD}")
+        raise TraceError(f"trace deviates from 1 by {tr_dev[first]:.3e}")
     return herm
 
 

@@ -61,7 +61,7 @@ def _isotropic(d: int, x: float) -> tuple[np.ndarray, Dims]:
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     lo = -1.0 / (d * d - 1.0)
-    if x < lo - 1e-12 or x > 1.0 + 1e-12:
+    if not lo - 1e-12 <= x <= 1.0 + 1e-12:  # also rejects NaN
         raise ValueError(f"x={x} outside positivity range [{lo}, 1]")
     pplus, dims = _projector(max_entangled(d))
     return x * pplus + (1.0 - x) * np.eye(d * d) / (d * d), dims
@@ -183,8 +183,8 @@ def pure_from_schmidt(mu, d: int) -> PureState:
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1 or len(mu) > d:
         raise ValueError("mu must be a 1-d spectrum with length <= d")
-    if np.any(mu < 0.0) or abs(mu.sum() - 1.0) > TAU_TR:
-        raise ValueError("mu must be nonnegative and sum to 1")
+    if not (np.all(mu >= 0.0) and abs(mu.sum() - 1.0) <= TAU_TR):  # also rejects NaN
+        raise ValueError(f"mu must be nonnegative and sum to 1, got {mu.tolist()}")
     vec = np.zeros(d * d, dtype=complex)
     for i, w in enumerate(mu):
         vec[i * d + i] = math.sqrt(w)

@@ -24,11 +24,12 @@ applies to it:
 
 Every per-subspace figure comes from one kernel over a stack of same-dims
 states.  It gathers the raw blocks of all subspace pairs of every state at
-once, solves them in one eigensolve and one SVD, and returns numpy columns
-shaped (states, pairs).  A validated state is exactly Hermitian, so every
-gathered block is too.  The weight c of a pair and its empty rule c <= TAU_C
-are read from the diagonal of the state in one place (_weights); c divides
-the columns, never a block.
+once, solves them in one eigensolve (_nonlinear_columns) and one SVD
+(_bell_maxima), and returns numpy columns shaped (states, pairs); a scan's
+bisection probe runs only the half its bracket reads.  A validated state is
+exactly Hermitian, so every gathered block is too.  The weight c of a pair
+and its empty rule c <= TAU_C are read from the diagonal of the state in one
+place (_weights); c divides the columns, never a block.
 
 The bound reads only the raw lambda_min of each pair, and its entry point
 (_violations) gathers and solves only the blocks that a purity certificate
@@ -37,8 +38,8 @@ lambda_min(X) >= 1/4 - sqrt(3(Tr X^2 - 1/4)/4), which is > 0 iff
 Tr X^2 < 1/3, and the partial transpose keeps the purity.  A certified
 block's clipped violation is exactly 0.  Every block's purity is summed from
 the entries of rho, one party at a time (_purities), so a certified block is
-never gathered.  Detection, the scan and the SubspaceReport rows read every
-lambda_min, so they solve every block.
+never gathered.  Detection, the scan grid and the SubspaceReport rows read
+every lambda_min, so they solve every block.
 
 Measurement settings come from a separate numeric search (optimize_settings):
 a multi-start BFGS ascent with analytic gradients over the measurement
@@ -82,7 +83,17 @@ TAU_DETECT = 1e-8
 
 # signs of the two-party generator sandwich Y (x) Y on a reversed 4x4 block
 _YY_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0], [1.0, -1.0, -1.0, 1.0])
-_SIGMA_PAIRS = np.array([[np.kron(a, b) for b in (np.eye(2), *PAULI)] for a in (np.eye(2), *PAULI)])
+# Re Tr(X s) = sum_ab (Re X_ab Re s_ba - Im X_ab Im s_ba) for s = sigma_i (x) sigma_j, sigma_0 = I:
+# rows 2(4a + b) and 2(4a + b) + 1, column 4i + j, hold Re s_ba and -Im s_ba, so a real matmul of
+# blocks viewed as (re, im) pairs gives their tables, 20 times faster than an einsum.  OpenBLAS
+# runs a complex matmul of a 64-state scan chunk (576 blocks), or a real one of more than about
+# 1,500 blocks, on a second thread that keeps spinning after the call; _CORR_ROWS blocks per call
+# stay on one.
+_SIGMA_REAL = np.array(
+    [[np.kron(a, b) for b in (np.eye(2), *PAULI)] for a in (np.eye(2), *PAULI)]
+).transpose(3, 2, 0, 1).reshape(16, 16)
+_SIGMA_REAL = np.stack([_SIGMA_REAL.real, -_SIGMA_REAL.imag], axis=1).reshape(32, 16)
+_CORR_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -237,7 +248,11 @@ def _blocks(stack: np.ndarray, n: int, index: np.ndarray) -> np.ndarray:
 def _correlations(rho_ab: np.ndarray) -> np.ndarray:
     """Tr(rho_ab sigma_mu (x) sigma_nu), sigma_0 = I, of one block or a stack:
     T = [..., 1:, 1:] and the Bloch vectors r = [..., 1:, 0], s = [..., 0, 1:]."""
-    return np.einsum("...ab,ijba->...ij", rho_ab, _SIGMA_PAIRS).real
+    flat = rho_ab.reshape(-1, 16).view(np.float64)
+    out = np.empty((len(flat), 16))
+    for k in range(0, len(flat), _CORR_ROWS):
+        np.matmul(flat[k : k + _CORR_ROWS], _SIGMA_REAL, out=out[k : k + _CORR_ROWS])
+    return out.reshape(rho_ab.shape)
 
 
 def _lambda_min(blk: np.ndarray) -> np.ndarray:
@@ -245,17 +260,28 @@ def _lambda_min(blk: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(partial_transpose_mat(blk, 2, 2))[..., 0]
 
 
-def _reports(stack: np.ndarray, n: int, index: np.ndarray) -> _Columns:
-    """Columns of the pairs in `index` on a stack of states: the raw lambda_min
-    of every partial transpose in one eigensolve and every CHSH maximum, which
-    carries c, in one SVD; lambda_min = raw / c is the one division by c."""
-    c, live = _weights(stack, n, index)
-    blk = _blocks(stack, n, index)
-    sv = np.linalg.svd(_correlations(blk)[..., 1:, 1:], compute_uv=False)
-    bmax = np.where(live, 2.0 * np.sqrt(sv[..., 0] ** 2 + sv[..., 1] ** 2), 0.0)
+def _nonlinear_columns(blk: np.ndarray, c: np.ndarray, live: np.ndarray):
+    """raw lambda_min, lambda_min = raw / c (the one division by c) and
+    nonlinear_max of raw blocks (..., 4, 4) with weights c and live mask (...),
+    in one eigensolve; an empty pair reads 0, 0 and 1."""
     raw = np.where(live, _lambda_min(blk), 0.0)
     lam = raw / np.where(live, c, 1.0)
-    return _Columns(c, live, raw, lam, bmax, 1.0 - 4.0 * lam)
+    return raw, lam, 1.0 - 4.0 * lam
+
+
+def _bell_maxima(blk: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """CHSH maxima of raw blocks (..., 4, 4), which carry c, in one SVD; 0 on empty pairs."""
+    sv = np.linalg.svd(_correlations(blk)[..., 1:, 1:], compute_uv=False)
+    return np.where(live, 2.0 * np.sqrt(sv[..., 0] ** 2 + sv[..., 1] ** 2), 0.0)
+
+
+def _reports(stack: np.ndarray, n: int, index: np.ndarray) -> _Columns:
+    """Columns of the pairs in `index` on a stack of states, from one gather
+    of their raw blocks: both witnesses of every pair."""
+    c, live = _weights(stack, n, index)
+    blk = _blocks(stack, n, index)
+    raw, lam, nonlinear = _nonlinear_columns(blk, c, live)
+    return _Columns(c, live, raw, lam, _bell_maxima(blk, live), nonlinear)
 
 
 # Purity certificate.  A Hermitian 4x4 X with Tr X = 1 and purity p = Tr X^2

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from entwit import cli, states
+from entwit import cli, cren, states
 from entwit.cli import (
     _CHUNK,
     _CLI_FAMILIES,
@@ -19,6 +19,7 @@ from entwit.cli import (
     Threshold,
     _grid_values,
     _point_spec,
+    _probe_differences,
     _scan_chunks,
     _scan_points,
     _thresholds,
@@ -137,6 +138,19 @@ class TestExitCodes:
     def test_out_of_range_family_param(self, capsys):
         code, _, err = run_cli(capsys, ["detect", "--family", "isotropic", "--d", "3", "--x", "2.0"])
         assert code == 3 and "error" in err
+
+    def test_nan_family_param_is_named(self, capsys):
+        # NaN fails every comparison: the domain check must still reject it, naming the value
+        code, out, err = run_cli(capsys, ["detect", "--family", "isotropic", "--d", "3", "--x", "nan"])
+        assert code == 3 and out == "" and "x=nan outside positivity range" in err
+
+    def test_non_positive_state_file_names_its_eigenvalue(self, capsys, tmp_path):
+        path = tmp_path / "npsd.json"
+        doc = json.loads(to_json(isotropic(2, 0.0)))
+        doc["re"] = np.diag([1.5, -0.5, 0.0, 0.0]).tolist()
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["bound", "--state", str(path)])
+        assert code == 3 and out == "" and "minimum eigenvalue -5.000e-01 below -1e-09" in err
 
     def test_non_finite_state_file(self, capsys, tmp_path):
         path = tmp_path / "nan.json"
@@ -470,9 +484,19 @@ class TestChunkedScan:
         assert lines[0] == SCAN_HEADER and len(lines) == 1 + _CHUNK
         assert csv_path.read_text() == out
 
-    def test_the_first_failing_value_speaks_also_when_a_later_one_fails_to_build(self, capsys):
-        # d = 2 builds an isotropic matrix of NaN, which validation rejects; d = 2.5 fails its own build later
-        argv = ["scan", "--family", "isotropic", "--x", "nan", "--scan-param", "d", "--range", "2:4", "--points", "5"]
+    def test_the_first_failing_value_speaks_also_when_a_later_one_fails_to_build(self, capsys, monkeypatch, tmp_path):
+        # d = 2 reads a matrix of NaN, which validation rejects; d = 2.5 fails its own build later
+        path = tmp_path / "nan.json"
+        doc = json.loads(to_json(isotropic(2, 0.0)))
+        doc["re"][0][0] = float("nan")
+        path.write_text(json.dumps(doc))
+        point_spec = cli._point_spec
+        monkeypatch.setattr(
+            cli, "_point_spec",
+            lambda cfg, value, seed: states.StateSpec(states.FILE_FAMILY, {"path": str(path)}) if value == 2.0
+            else point_spec(cfg, value, seed),
+        )
+        argv = ["scan", "--family", "isotropic", "--x", "0.5", "--scan-param", "d", "--range", "2:4", "--points", "5"]
         code, out, err = run_cli(capsys, argv)
         assert code == 3 and "NaN or infinite" in err and out == ""
 
@@ -516,7 +540,7 @@ class TestChunkedScan:
 
 def serial_bisect_threshold(cfg, base_seed, crossing, field):
     """Oracle: the serial bisection of one onset that the lockstep loop replaced,
-    one probe state per _scan_points call (looked up on the module, so a spy sees it)."""
+    one probe state per _probe_differences call (looked up on the module, so a spy sees it)."""
     if crossing is None or crossing[0] is None:
         # nothing violates, or everything does: no crossing inside the range
         return Threshold(None, "no threshold in range")
@@ -526,7 +550,7 @@ def serial_bisect_threshold(cfg, base_seed, crossing, field):
     seed = base_seed + cfg.points
     while hi - lo > cfg.bisect_tol:
         mid = 0.5 * (lo + hi)
-        if getattr(cli._scan_points(cfg, [mid], [seed])[0], field) > TAU_DETECT:
+        if cli._probe_differences(cfg, [field], [mid], seed)[0] > TAU_DETECT:
             hi = mid
         else:
             lo = mid
@@ -551,16 +575,16 @@ def exact(thresholds):
 
 
 def stack_sizes(monkeypatch, limit=1000):
-    """The number of states of each _scan_points call from here on; more than
-    `limit` calls fail the test rather than run on."""
+    """The number of probe states of each _probe_differences call from here on;
+    more than `limit` calls fail the test rather than run on."""
     sizes = []
 
-    def spy(cfg, values, seeds):
+    def spy(cfg, fields, values, seed):
         sizes.append(len(values))
         assert len(sizes) <= limit, "the bisection does not end"
-        return _scan_points(cfg, values, seeds)
+        return _probe_differences(cfg, fields, values, seed)
 
-    monkeypatch.setattr(cli, "_scan_points", spy)
+    monkeypatch.setattr(cli, "_probe_differences", spy)
     return sizes
 
 
@@ -643,6 +667,50 @@ class TestLockstepBisection:
         sizes.clear()
         serial_thresholds(cfg, 0, crossings)
         assert sizes == [1] * 28
+
+    @pytest.mark.parametrize(
+        "spec, crossings, solves, svds",
+        [
+            (README_SCAN, None, 14, 14),
+            (SCANS["isotropic_d3_7_points"], {"nonlinear_d": (0.2, 0.3), "bell_d": (0.3, 0.9)}, 10, 13),
+        ],
+        ids=["readme", "narrower_bracket"],
+    )
+    def test_each_probe_solves_only_its_own_witness(self, monkeypatch, spec, crossings, solves, svds):
+        # a nonlinear probe eigensolves its 9 blocks, a Bell probe runs their 9 SVDs; no bound, no negativity
+        cfg = SweepConfig(bisect=True, **spec)
+        crossings = crossings or grid_crossings(cfg, 0)
+        calls = {"eigvalsh": [], "svd": []}
+
+        def spy(real, shapes):
+            return lambda a, *args, **kw: shapes.append(np.shape(a)) or real(a, *args, **kw)
+
+        for name, shapes in calls.items():
+            monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name), shapes))
+
+        def forbidden(*args, **kw):
+            raise AssertionError("a bisection probe computed a bound or a negativity")
+
+        monkeypatch.setattr(cren, "_negativities", forbidden)
+        monkeypatch.setattr(cren, "_bound", forbidden)
+        _thresholds(cfg, 0, crossings)
+        assert calls == {"eigvalsh": [(1, 9, 4, 4)] * solves, "svd": [(1, 9, 3, 3)] * svds}
+
+    @pytest.mark.parametrize(
+        "family, fixed, param, values",
+        [
+            ("bennett_mix", {}, "p", [0.1822, 0.5760, 0.0, 1.0]),
+            ("rho_a_mix", {"a": 0.5}, "p", [0.3, 0.05, 0.9]),
+            ("isotropic", {"d": 4}, "x", [0.2, 0.21, -0.05]),
+            ("random_density", {}, "d", [2.0, 3.0, 3.0, 5.0]),
+        ],
+    )
+    def test_probe_differences_are_the_scan_rows_fields(self, family, fixed, param, values):
+        cfg = SweepConfig(family=family, fixed=fixed, param_name=param, lo=0.0, hi=10.0, points=3)
+        for fields in (["nonlinear_d"] * len(values), ["bell_d"] * len(values), ["nonlinear_d", "bell_d"] * 2):
+            fields = fields[: len(values)]
+            want = [getattr(pt, f) for pt, f in zip(_scan_points(cfg, values, [5] * len(values)), fields)]
+            assert _probe_differences(cfg, fields, values, 5) == want
 
 
     def test_readme_scan_validates_16_stacks_in_place_of_128_states(self, monkeypatch):

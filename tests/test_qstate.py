@@ -215,6 +215,47 @@ class TestValidateStack:
         assert validate_densities(np.zeros((0, 9, 9)), Dims(3, 3)).shape == (0, 9, 9)
 
 
+def near_boundary_state(rng, d):
+    """A d*d x d*d state with smallest eigenvalue -TAU_PSD (1 +- delta),
+    log-uniform delta in [1e-6, 1], in a random unitary basis; returns the
+    matrix and that constructed eigenvalue."""
+    side = d * d
+    lam = -TAU_PSD * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 0.0))
+    rest = rng.uniform(0.1, 1.0, side - 1)
+    spec = np.concatenate([[lam], rest * (1.0 - lam) / rest.sum()])
+    u, _ = np.linalg.qr(rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side)))
+    return (u * spec) @ u.conj().T, lam
+
+
+class TestPositivityByFactorization:
+    """validate_densities decides positivity by one Cholesky factorization of
+    M + TAU_PSD I and eigensolves only to name a failing state; the decision
+    must be the eigenvalue rule lambda_min >= -TAU_PSD wherever lambda_min is
+    not within rounding of -TAU_PSD (here at least 1e-15 away)."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_accepts_exactly_the_states_at_or_above_minus_tau_psd(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            d = int(rng.integers(2, 9))
+            dims = Dims(d, d)
+            mats, lams = zip(*(near_boundary_state(rng, d) for _ in range(int(rng.integers(1, 5)))))
+            for mat, lam in zip(mats, lams):
+                err = first_error(validate_density, [mat], dims)
+                assert (err is None) == (lam >= -TAU_PSD)
+                # a failing state raises today's NotPositiveError, its eigenvalue in the message
+                assert err == first_error(one_state_checks, [mat], dims)
+            failing = [k for k, lam in enumerate(lams) if lam < -TAU_PSD]
+            if not failing:
+                assert validate_densities(np.array(mats), dims).tobytes() == np.array(
+                    [one_state_checks(mat, dims) for mat in mats]
+                ).tobytes()
+                continue
+            with pytest.raises(NotPositiveError) as info:
+                validate_densities(np.array(mats), dims)
+            assert str(info.value) == first_error(one_state_checks, [mats[failing[0]]], dims)[1]
+
+
 class TestValidatePure:
     """validate_pure and validate_density share TAU_TR: the squared norm of a
     vector is the trace of its projector, so the two checks agree."""

@@ -1,5 +1,6 @@
 """State family constructors: worked values, symmetries, detection thresholds."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from entwit.qstate import (
     Dims,
+    NotPositiveError,
     validate_density,
     negativity,
     partial_transpose,
@@ -73,17 +75,29 @@ class TestIsotropic:
             isotropic(3, -1.0 / 8.0 - 1e-6)
         isotropic(3, -1.0 / 8.0)  # boundary itself is a state
 
-    def test_validates_the_mixture_with_one_eigensolve(self, monkeypatch):
-        # P_+ comes from its checked vector; only the mixture is validated, as a stack of one
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(np.shape(a)) or eigvalsh(a))
-        for d in (2, 3, 8):
-            calls.clear()
-            rho = isotropic(d, 0.5)
-            assert calls == [(1, d * d, d * d)]
+    def test_validates_the_mixture_with_one_factorization(self, monkeypatch):
+        # P_+ comes from its checked vector; only the mixture is validated, as a stack of one:
+        # one Cholesky factorization decides positivity, and no eigensolve runs
+        calls = {"cholesky": [], "eigvalsh": []}
+        for name, shapes in calls.items():
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, real=real, shapes=shapes: shapes.append(np.shape(a)) or real(a))
+        for d, x in itertools.product((2, 3, 8), (0.5, 1.0)):  # x = 1 is the rank-one P_+ itself
+            calls["cholesky"].clear()
+            rho = isotropic(d, x)
+            assert calls == {"cholesky": [(1, d * d, d * d)], "eigvalsh": []}
             pplus = np.outer(max_entangled(d).vec, max_entangled(d).vec.conj())
-            assert np.array_equal(rho.mat, 0.5 * pplus + 0.5 * np.eye(d * d) / (d * d))
+            assert np.array_equal(rho.mat, x * pplus + (1.0 - x) * np.eye(d * d) / (d * d))
+        # a failing state takes one eigensolve more, which names its eigenvalue
+        calls["cholesky"].clear()
+        with pytest.raises(NotPositiveError, match=r"minimum eigenvalue -5\.000e-01"):
+            validate_density(np.diag([1.5, -0.5, 0.0, 0.0]), Dims(2, 2))
+        assert calls == {"cholesky": [(1, 4, 4)], "eigvalsh": [(1, 4, 4)]}
+
+    def test_nan_parameter_is_named(self):
+        # NaN fails every comparison, so the domain check is written to let only in-range values pass
+        with pytest.raises(ValueError, match="x=nan"):
+            isotropic(3, float("nan"))
 
     def test_twirl_invariance(self):
         # U (x) U* twirling is the defining symmetry of the family
@@ -252,6 +266,9 @@ class TestPureFromSchmidt:
             pure_from_schmidt([1.2, -0.2], 2)
         with pytest.raises(ValueError):
             pure_from_schmidt([0.2] * 5, 3)
+        for mu in ([float("nan"), 0.5], [float("nan")], [1.0, float("nan")]):
+            with pytest.raises(ValueError, match="nan"):
+                pure_from_schmidt(mu, 3)
 
 
 class TestStateSpec:
