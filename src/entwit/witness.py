@@ -85,15 +85,11 @@ TAU_DETECT = 1e-8
 _YY_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0], [1.0, -1.0, -1.0, 1.0])
 # Re Tr(X s) = sum_ab (Re X_ab Re s_ba - Im X_ab Im s_ba) for s = sigma_i (x) sigma_j, sigma_0 = I:
 # rows 2(4a + b) and 2(4a + b) + 1, column 4i + j, hold Re s_ba and -Im s_ba, so a real matmul of
-# blocks viewed as (re, im) pairs gives their tables, 20 times faster than an einsum.  OpenBLAS
-# runs a complex matmul of a 64-state scan chunk (576 blocks), or a real one of more than about
-# 1,500 blocks, on a second thread that keeps spinning after the call; _CORR_ROWS blocks per call
-# stay on one.
+# blocks viewed as (re, im) pairs gives their tables, 20 times faster than an einsum.
 _SIGMA_REAL = np.array(
     [[np.kron(a, b) for b in (np.eye(2), *PAULI)] for a in (np.eye(2), *PAULI)]
 ).transpose(3, 2, 0, 1).reshape(16, 16)
 _SIGMA_REAL = np.stack([_SIGMA_REAL.real, -_SIGMA_REAL.imag], axis=1).reshape(32, 16)
-_CORR_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -248,11 +244,7 @@ def _blocks(stack: np.ndarray, n: int, index: np.ndarray) -> np.ndarray:
 def _correlations(rho_ab: np.ndarray) -> np.ndarray:
     """Tr(rho_ab sigma_mu (x) sigma_nu), sigma_0 = I, of one block or a stack:
     T = [..., 1:, 1:] and the Bloch vectors r = [..., 1:, 0], s = [..., 0, 1:]."""
-    flat = rho_ab.reshape(-1, 16).view(np.float64)
-    out = np.empty((len(flat), 16))
-    for k in range(0, len(flat), _CORR_ROWS):
-        np.matmul(flat[k : k + _CORR_ROWS], _SIGMA_REAL, out=out[k : k + _CORR_ROWS])
-    return out.reshape(rho_ab.shape)
+    return (rho_ab.reshape(-1, 16).view(np.float64) @ _SIGMA_REAL).reshape(rho_ab.shape)
 
 
 def _lambda_min(blk: np.ndarray) -> np.ndarray:
