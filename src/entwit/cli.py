@@ -11,7 +11,8 @@ the two-qubit bound on its own (see witness module notes).
 
 Exit codes: 0 success, 2 bad arguments (flags, including a flag the family
 does not take, sweep config, including a --range that is not finite or
-whose span hi - lo overflows, and a --json or --csv path that cannot be
+whose span hi - lo overflows and --bisect over an integer parameter such
+as d, and a --json or --csv path that cannot be
 opened for writing; the output files are opened, and so emptied, before any
 state is built), 3 an error raised while building a state
 (parameter outside its domain, unreadable state file, invalid matrix, an
@@ -96,7 +97,8 @@ def _family_spec(family: str, flags: dict, seed: int) -> StateSpec:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One free parameter swept over a grid, everything else held fixed."""
+    """One free parameter swept over a grid, everything else held fixed;
+    bisect needs a real-valued parameter, not an integer state flag such as d."""
 
     family: str
     fixed: dict
@@ -116,6 +118,8 @@ class SweepConfig:
             raise ValueError("bisect tolerance must be > 0")
         if self.param_name in self.fixed:
             raise ValueError(f"swept parameter {self.param_name!r} also given as a fixed value")
+        if self.bisect and _STATE_FLAGS.get(self.param_name, (float,))[0] is int:
+            raise ValueError(f"--bisect needs a real-valued parameter, and {self.param_name} is an integer")
         _point_spec(self, self.lo, 0)  # flag errors surface here, before any state is built
 
 
@@ -213,7 +217,8 @@ def _probe_differences(cfg: SweepConfig, fields, values, seed: int) -> list[floa
     probe state at values[i], each probe with `seed`, built and validated as
     the grid is (see _validated_stacks).  A probe solves its own witness
     only: the partial-transpose eigensolve of its blocks for nonlinear_d,
-    their correlation SVD for bell_d; no bound and no negativity."""
+    the Gram eigensolve of their correlation tables for bell_d; no bound and
+    no negativity."""
     diffs = []
     for dims, stack in _validated_stacks(cfg, values, [seed] * len(values)):
         index = _all_pairs_index(dims)

@@ -48,6 +48,7 @@ from .qstate import (
     Dims,
     PureState,
     _negativities,
+    _real_if_exact,
     partial_transpose,
     trace_norm,
 )
@@ -95,7 +96,7 @@ def cren_lower_bound(rho: DensityMatrix, literal_min: bool = False) -> CrenBound
     clip to X = min(0, d), which reads every violation and so solves every
     block; it is only useful for comparing against the clip-above default.
     """
-    stack = rho.mat[None]
+    stack = _real_if_exact(rho.mat[None])
     if literal_min:
         cols = _reports(stack, rho.dims.n, _all_pairs_index(rho.dims))
         c, raw = cols.c, cols.raw

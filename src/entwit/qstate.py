@@ -10,6 +10,8 @@ so a vector validate_pure accepts has a projector validate_density accepts),
 TAU_PSD the smallest eigenvalue, which validation bounds by one Cholesky
 factorization of rho + TAU_PSD I and eigensolves only to name a failing
 state's eigenvalue.  validate_densities holds every density matrix check.
+A stack whose imaginary parts are all exactly 0 is factorized and solved in
+float64 (_real_if_exact); DensityMatrix.mat stays complex.
 """
 
 from __future__ import annotations
@@ -120,9 +122,17 @@ def _hermitian_part(mat: np.ndarray) -> np.ndarray:
     return (mat + adj) / 2.0
 
 
+def _real_if_exact(mats: np.ndarray) -> np.ndarray:
+    """mats as float64 when none of its imaginary parts is nonzero, else as
+    given: every factorization and eigensolve of an exactly real stack then
+    runs in real arithmetic, which agrees with the complex one to rounding."""
+    return np.ascontiguousarray(mats.real) if np.iscomplexobj(mats) and not mats.imag.any() else mats
+
+
 def validate_densities(mats: np.ndarray, dims: Dims) -> np.ndarray:
     """Check every candidate density matrix of a stack (N, m*n, m*n) in the
-    row-major product basis and return their Hermitian parts (M + M^dag)/2.
+    row-major product basis and return their Hermitian parts (M + M^dag)/2,
+    in float64 when every imaginary part of the stack is 0 (_real_if_exact).
 
     Each state is checked as on its own, in this order: shape
     (DimensionMismatchError), finite entries (StateValidationError),
@@ -134,7 +144,7 @@ def validate_densities(mats: np.ndarray, dims: Dims) -> np.ndarray:
     so a stack raises the error, message included, its first failing state
     raises alone.
     """
-    mats = np.asarray(mats, dtype=complex)
+    mats = _real_if_exact(np.asarray(mats, dtype=complex))
     side = dims.total
     if mats.shape[1:] != (side, side):
         raise DimensionMismatchError(f"expected {side}x{side} matrix for dims {dims.m}x{dims.n}, got {mats.shape[1:]}")
@@ -202,19 +212,21 @@ def trace_norm(h: np.ndarray) -> float:
 
 
 def _negativities(mats: np.ndarray, dims: Dims) -> np.ndarray:
-    """negativity of each validated state of a stack (..., mn, mn), in one
-    eigensolve; the partial transpose of an exactly Hermitian M is exactly Hermitian."""
-    norms = np.sum(np.abs(np.linalg.eigvalsh(partial_transpose_mat(mats, dims.m, dims.n))), axis=-1)
-    return (norms - 1.0) / (min(dims.m, dims.n) - 1)
+    """negativity of each validated state of a real or complex stack (..., mn, mn),
+    in one eigensolve; the partial transpose of an exactly Hermitian M is exactly Hermitian."""
+    lam = np.linalg.eigvalsh(partial_transpose_mat(mats, dims.m, dims.n))
+    return 2.0 * np.where(lam < 0.0, -lam, 0.0).sum(axis=-1) / (min(dims.m, dims.n) - 1)
 
 
 def negativity(rho: DensityMatrix) -> float:
     """Entanglement negativity (||rho^{T_A}||_tr - 1) / (min(m,n) - 1).
 
-    Zero exactly on PPT states; equals 1 on a maximally entangled pair for
-    any local dimension.
+    It is computed as -2 (sum of the negative eigenvalues of rho^{T_A}) /
+    (min(m,n) - 1), the same value at unit trace, so a trace that validation
+    accepts up to TAU_TR away from 1 adds nothing: PPT states read 0, never
+    below.  Equals 1 on a maximally entangled pair for any local dimension.
     """
-    return float(_negativities(rho.mat, rho.dims))
+    return float(_negativities(_real_if_exact(rho.mat), rho.dims))
 
 
 def schmidt(psi: PureState) -> SchmidtDecomposition:

@@ -9,7 +9,8 @@ applies to it:
 * CHSH Bell test with two measurement directions per side.  The maximum of
   |<B>| over directions is c * 2*sqrt(s1^2 + s2^2) with s1 >= s2 the largest
   singular values of the correlation matrix T_ij = Tr(rho_ab sigma_i (x) sigma_j)
-  [R. Horodecki, P. Horodecki, M. Horodecki, Phys. Lett. A 200, 340 (1995)].
+  [R. Horodecki, P. Horodecki, M. Horodecki, Phys. Lett. A 200, 340 (1995)];
+  s1^2 + s2^2 is the sum of the two largest eigenvalues of the Gram matrix T^T T.
   Note the c factor: the raw mean value on rho is suppressed by the subspace
   weight, so threshold detection applies the CHSH bound to the normalized
   compressed state (violation iff bell_max / c > 2).
@@ -24,10 +25,13 @@ applies to it:
 
 Every per-subspace figure comes from one kernel over a stack of same-dims
 states.  It gathers the raw blocks of all subspace pairs of every state at
-once, solves them in one eigensolve (_nonlinear_columns) and one SVD
+once, solves them in one eigensolve of their 4x4 partial transposes
+(_nonlinear_columns) and one of their 3x3 real Gram matrices T^T T
 (_bell_maxima), and returns numpy columns shaped (states, pairs); a scan's
 bisection probe runs only the half its bracket reads.  A validated state is
-exactly Hermitian, so every gathered block is too.  The weight c of a pair
+exactly Hermitian, so every gathered block is too.  A stack whose imaginary
+parts are all exactly 0 (qstate._real_if_exact) is gathered and solved in
+float64, which agrees with the complex solve to rounding.  The weight c of a pair
 and its empty rule c <= TAU_C are read from the diagonal of the state in one
 place (_weights); c divides the columns, never a block.
 
@@ -44,7 +48,8 @@ every lambda_min, so they solve every block.
 Measurement settings come from a separate numeric search (optimize_settings):
 a multi-start BFGS ascent with analytic gradients over the measurement
 angles.  It reads only the correlation table of a block, never lambda_min or
-the SVD, so its agreement with the closed forms is an independent check.
+the Gram eigenvalues, so its agreement with the closed forms is an
+independent check.
 """
 
 from __future__ import annotations
@@ -74,6 +79,7 @@ from .qstate import (
     DensityMatrix,
     Dims,
     _hermitian_part,
+    _real_if_exact,
     partial_transpose_mat,
     validate_density,
 )
@@ -85,7 +91,8 @@ TAU_DETECT = 1e-8
 _YY_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0], [1.0, -1.0, -1.0, 1.0])
 # Re Tr(X s) = sum_ab (Re X_ab Re s_ba - Im X_ab Im s_ba) for s = sigma_i (x) sigma_j, sigma_0 = I:
 # rows 2(4a + b) and 2(4a + b) + 1, column 4i + j, hold Re s_ba and -Im s_ba, so a real matmul of
-# blocks viewed as (re, im) pairs gives their tables, 20 times faster than an einsum.
+# blocks viewed as (re, im) pairs gives their tables, 20 times faster than an einsum; real blocks
+# need only the even rows.
 _SIGMA_REAL = np.array(
     [[np.kron(a, b) for b in (np.eye(2), *PAULI)] for a in (np.eye(2), *PAULI)]
 ).transpose(3, 2, 0, 1).reshape(16, 16)
@@ -242,9 +249,12 @@ def _blocks(stack: np.ndarray, n: int, index: np.ndarray) -> np.ndarray:
 
 
 def _correlations(rho_ab: np.ndarray) -> np.ndarray:
-    """Tr(rho_ab sigma_mu (x) sigma_nu), sigma_0 = I, of one block or a stack:
-    T = [..., 1:, 1:] and the Bloch vectors r = [..., 1:, 0], s = [..., 0, 1:]."""
-    return (rho_ab.reshape(-1, 16).view(np.float64) @ _SIGMA_REAL).reshape(rho_ab.shape)
+    """Tr(rho_ab sigma_mu (x) sigma_nu), sigma_0 = I, of one real or complex block
+    or a stack: T = [..., 1:, 1:] and the Bloch vectors r = [..., 1:, 0], s = [..., 0, 1:]."""
+    flat = rho_ab.reshape(-1, 16)
+    if np.iscomplexobj(flat):
+        return (flat.view(np.float64) @ _SIGMA_REAL).reshape(rho_ab.shape)
+    return (flat @ _SIGMA_REAL[0::2]).reshape(rho_ab.shape)
 
 
 def _lambda_min(blk: np.ndarray) -> np.ndarray:
@@ -262,9 +272,13 @@ def _nonlinear_columns(blk: np.ndarray, c: np.ndarray, live: np.ndarray):
 
 
 def _bell_maxima(blk: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """CHSH maxima of raw blocks (..., 4, 4), which carry c, in one SVD; 0 on empty pairs."""
-    sv = np.linalg.svd(_correlations(blk)[..., 1:, 1:], compute_uv=False)
-    return np.where(live, 2.0 * np.sqrt(sv[..., 0] ** 2 + sv[..., 1] ** 2), 0.0)
+    """CHSH maxima of raw blocks (..., 4, 4), which carry c; 0 on empty pairs.
+    s1^2 + s2^2 of each correlation matrix T is the sum of the two largest
+    eigenvalues of the Gram matrix T^T T, from one real symmetric eigensolve;
+    the sum is clamped at 0, which a zero T reaches up to rounding."""
+    t = _correlations(blk)[..., 1:, 1:]
+    ev = np.linalg.eigvalsh(np.swapaxes(t, -1, -2) @ t)
+    return np.where(live, 2.0 * np.sqrt(np.maximum(ev[..., 1] + ev[..., 2], 0.0)), 0.0)
 
 
 def _reports(stack: np.ndarray, n: int, index: np.ndarray) -> _Columns:
@@ -296,7 +310,7 @@ def _purities(stack: np.ndarray, dims: Dims) -> np.ndarray:
     m, n = dims.m, dims.n
     ja, ka = _local_pairs(m).T
     jb, kb = _local_pairs(n).T
-    w = np.square(stack.real) + np.square(stack.imag)
+    w = np.square(stack.real) + np.square(stack.imag) if np.iscomplexobj(stack) else np.square(stack)
     w = w.reshape(-1, m, n, m, n).transpose(0, 1, 3, 2, 4)  # axes (a, a', b, b')
     wa = w[:, ja, ja] + w[:, ja, ka] + w[:, ka, ja] + w[:, ka, ka]
     q = wa[..., jb, jb] + wa[..., jb, kb] + wa[..., kb, jb] + wa[..., kb, kb]
@@ -320,7 +334,7 @@ def _violations(stack: np.ndarray, dims: Dims):
 
 def _report_rows(rho: DensityMatrix, pairs) -> list[SubspaceReport]:
     """SubspaceReport rows of one state's (alpha, beta) pairs."""
-    cols = _reports(rho.mat[None], rho.dims.n, _pair_index(pairs))
+    cols = _reports(_real_if_exact(rho.mat[None]), rho.dims.n, _pair_index(pairs))
     d = cols.nonlinear_max[0] - 1.0
     table = (cols.c[0], cols.lambda_min[0], cols.bell_max[0], cols.nonlinear_max[0], d, np.maximum(0.0, d))
     return [SubspaceReport(a, b, *row) for (a, b), row in zip(pairs, zip(*(col.tolist() for col in table)))]
@@ -442,7 +456,7 @@ def best_report(reports: list[SubspaceReport]) -> SubspaceReport:
 
 # ---------------------------------------------------------------------------
 # numeric settings search, used as an independent check of the closed forms:
-# it reads only the correlation table of the block, never lambda_min or the SVD
+# it reads only the correlation table of the block, never lambda_min or the Gram eigenvalues
 
 _GRAD_TOL = 1e-10  # max-norm of the gradient at which a restart has converged
 _ARMIJO = 1e-4  # sufficient-increase constant of the backtracking line search

@@ -183,6 +183,23 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, argv)
         assert code == 3 and "error: Unable to allocate" in err and out == ""
 
+    def test_bisect_over_an_integer_parameter_exits_2_before_any_state(self, capsys, monkeypatch):
+        # the probes' midpoints (2.5 first) are no integers; the scan used to print its grid, then exit 3
+        argv = ["scan", "--family", "isotropic", "--x", "0.3", "--scan-param", "d", "--range", "2:5", "--points", "4"]
+
+        def forbidden(*args, **kw):
+            raise AssertionError("a state was built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(states.StateSpec, "matrix", forbidden)
+            patch.setattr(states.StateSpec, "build", forbidden)
+            code, out, err = run_cli(capsys, argv + ["--bisect"])
+        assert code == 2 and out == "" and "d is an integer" in err
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and len(out.splitlines()) == 5
+        with pytest.raises(ValueError, match="integer"):
+            SweepConfig(family="random_density", fixed={}, param_name="d", lo=2, hi=4, points=3, bisect=True)
+
     def test_nan_bisection_tolerance_exits_2(self, capsys):
         argv = ["scan", "--family", "isotropic", "--d", "3", "--scan-param", "x", "--range", "0.1:0.4"]
         code, out, err = run_cli(capsys, argv + ["--points", "3", "--bisect", "--tol", "nan"])
@@ -669,15 +686,16 @@ class TestLockstepBisection:
         assert sizes == [1] * 28
 
     @pytest.mark.parametrize(
-        "spec, crossings, solves, svds",
+        "spec, crossings, solves, grams",
         [
             (README_SCAN, None, 14, 14),
             (SCANS["isotropic_d3_7_points"], {"nonlinear_d": (0.2, 0.3), "bell_d": (0.3, 0.9)}, 10, 13),
         ],
         ids=["readme", "narrower_bracket"],
     )
-    def test_each_probe_solves_only_its_own_witness(self, monkeypatch, spec, crossings, solves, svds):
-        # a nonlinear probe eigensolves its 9 blocks, a Bell probe runs their 9 SVDs; no bound, no negativity
+    def test_each_probe_solves_only_its_own_witness(self, monkeypatch, spec, crossings, solves, grams):
+        # a nonlinear probe eigensolves its 9 partial transposes, a Bell probe the 9 Gram matrices
+        # of their correlation tables; no SVD, no bound, no negativity
         cfg = SweepConfig(bisect=True, **spec)
         crossings = crossings or grid_crossings(cfg, 0)
         calls = {"eigvalsh": [], "svd": []}
@@ -694,7 +712,8 @@ class TestLockstepBisection:
         monkeypatch.setattr(cren, "_negativities", forbidden)
         monkeypatch.setattr(cren, "_bound", forbidden)
         _thresholds(cfg, 0, crossings)
-        assert calls == {"eigvalsh": [(1, 9, 4, 4)] * solves, "svd": [(1, 9, 3, 3)] * svds}
+        assert sorted(calls["eigvalsh"]) == [(1, 9, 3, 3)] * grams + [(1, 9, 4, 4)] * solves
+        assert calls["svd"] == []
 
     @pytest.mark.parametrize(
         "family, fixed, param, values",

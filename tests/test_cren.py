@@ -19,6 +19,7 @@ from entwit.qstate import (
     TAU_HERM,
     TAU_TR,
     Dims,
+    _real_if_exact,
     partial_transpose,
     pure_negativity,
     validate_density,
@@ -93,8 +94,9 @@ class TestLazyRows:
 def assert_bitwise_full_solve(rho):
     """The bound skips the eigensolve of every block the purity certificate
     proves positive; the oracle solves every block, and both must agree to
-    the last bit, in both clips."""
-    cols = _reports(rho.mat[None], rho.dims.n, _all_pairs_index(rho.dims))
+    the last bit, in both clips, solving the stack the bound solves (real
+    when every imaginary part is 0)."""
+    cols = _reports(_real_if_exact(rho.mat[None]), rho.dims.n, _all_pairs_index(rho.dims))
     for literal_min in (False, True):
         rep = cren_lower_bound(rho, literal_min=literal_min)
         assert rep.bound == float(_bound(cols.raw, rho.dims, literal_min)[0])

@@ -28,6 +28,7 @@ from entwit.qstate import (
     validate_density,
     validate_pure,
 )
+from entwit.states import _isotropic
 
 
 def rand_pure_vec(rng, size):
@@ -214,6 +215,17 @@ class TestValidateStack:
             validate_densities(np.zeros((2, 4, 4)), Dims(3, 3))
         assert validate_densities(np.zeros((0, 9, 9)), Dims(3, 3)).shape == (0, 9, 9)
 
+    def test_an_exactly_real_stack_is_returned_real(self):
+        # the input decides: no imaginary part at all gives float64, one nonzero entry complex128;
+        # a validated DensityMatrix stays complex either way
+        dims = Dims(2, 3)
+        mats = np.stack([np.eye(6, dtype=complex) / 6, np.diag(np.arange(6.0)) / 15])
+        got = validate_densities(mats, dims)
+        assert got.dtype == np.float64 and np.array_equal(got, mats.real)
+        mats[1, 4, 5], mats[1, 5, 4] = 1e-3j, -1e-3j
+        assert validate_densities(mats, dims).dtype == np.complex128
+        assert validate_density(mats[0].real, dims).mat.dtype == np.complex128
+
 
 def near_boundary_state(rng, d):
     """A d*d x d*d state with smallest eigenvalue -TAU_PSD (1 +- delta),
@@ -381,6 +393,35 @@ class TestNegativity:
         rho = validate_density(mat, Dims(3, 3))
         assert negativity(rho) == pytest.approx(1.0, abs=1e-11)
 
+    @pytest.mark.parametrize("trace", [1.0 - 9e-11, 1.0, 1.0 + 9e-11])
+    def test_maximally_mixed_and_separable_isotropic_read_exactly_zero(self, trace):
+        # the trace-norm form (||rho^T_A||_tr - 1) / (M - 1) read Tr rho - 1 as
+        # negativity: -4.5e-11 here at trace 1 - 9e-11, and -1.1e-16 on isotropic(2, 0.3)
+        for mat, dims in [(np.eye(9) / 9, Dims(3, 3)), (np.eye(6) / 6, Dims(2, 3)), _isotropic(2, 0.3)]:
+            rho = validate_density(trace * mat, dims)
+            assert negativity(rho) == 0.0
+            assert _negativities(rho.mat[None], dims).tolist() == [0.0]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(2, 4), st.integers(2, 4), st.integers(1, 4), st.booleans(),
+        st.floats(-9e-11, 9e-11), st.integers(0, 2**32 - 1),
+    )
+    def test_ppt_states_never_read_below_zero(self, m, n, terms, real, trace_dev, seed):
+        # separable mixtures of product states are PPT; a trace off by up to
+        # TAU_TR must not move their negativity below 0, in either arithmetic
+        rng = np.random.default_rng(seed)
+        mat = np.zeros((m * n, m * n), dtype=complex)
+        for w in rng.dirichlet(np.ones(terms)):
+            local = []
+            for side in (m, n):
+                v = rng.normal(size=side) + (0.0 if real else 1j) * rng.normal(size=side)
+                local.append(np.outer(v, v.conj()) / np.vdot(v, v).real)
+            mat += w * np.kron(*local)
+        rho = validate_density((1.0 + trace_dev) * mat, Dims(m, n))
+        assert 0.0 <= negativity(rho) < 1e-12
+        assert (_negativities(rho.mat[None], rho.dims) >= 0.0).all()
+
     def test_min_dim_normalizer_for_swapped_dims(self):
         rng = np.random.default_rng(23)
         vec = rand_pure_vec(rng, 6)
@@ -391,11 +432,12 @@ class TestNegativity:
 
 
 def symmetrized_negativities(mats, dims):
-    """The negativity with each partial transpose Hermitized, (M + M^dag)/2,
-    before its eigensolve."""
+    """The negativity, -2 (sum of the negative eigenvalues) / (M - 1), with
+    each partial transpose Hermitized, (M + M^dag)/2, before its eigensolve."""
     pt = partial_transpose_mat(mats, dims.m, dims.n)
     herm = (pt + pt.conj().swapaxes(-1, -2)) / 2.0
-    return (np.sum(np.abs(np.linalg.eigvalsh(herm)), axis=-1) - 1.0) / (min(dims.m, dims.n) - 1)
+    lam = np.linalg.eigvalsh(herm)
+    return 2.0 * np.where(lam < 0.0, -lam, 0.0).sum(axis=-1) / (min(dims.m, dims.n) - 1)
 
 
 def noisy_inputs(rng, k, noise=0.0):
