@@ -12,11 +12,11 @@ the two-qubit bound on its own (see witness module notes).
 Exit codes: 0 success, 2 bad arguments (flags, including a flag the family
 does not take, sweep config, including a --range that is not finite or
 whose span hi - lo overflows and --bisect over an integer parameter such
-as d, and a --json or --csv path that cannot be
-opened for writing; the output files are opened, and so emptied, before any
-state is built), 3 an error raised while building a state
-(parameter outside its domain, unreadable state file, invalid matrix, an
-allocation larger than memory), 4 selftest failure.  A reader that closes
+as d, and a --json or --csv path that cannot be opened for writing; the
+output files are opened, and so emptied, before any state is built), 3 an
+error raised while building a state (parameter outside its domain,
+unreadable state file, invalid matrix, an allocation larger than memory),
+4 selftest failure.  A reader that closes
 stdout early (`entwit scan ... | head`) stops the command at its next write,
 quietly and with exit 0; what was already written to a file stays.
 """

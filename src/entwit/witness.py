@@ -31,9 +31,9 @@ once, solves them in one eigensolve of their 4x4 partial transposes
 bisection probe runs only the half its bracket reads.  A validated state is
 exactly Hermitian, so every gathered block is too.  A stack whose imaginary
 parts are all exactly 0 (qstate._real_if_exact) is gathered and solved in
-float64, which agrees with the complex solve to rounding.  The weight c of a pair
-and its empty rule c <= TAU_C are read from the diagonal of the state in one
-place (_weights); c divides the columns, never a block.
+float64, which agrees with the complex solve to rounding.  The weight c of a
+pair and its empty rule c <= TAU_C are read from the diagonal of the state in
+one place (_weights); c divides the columns, never a block.
 
 The bound reads only the raw lambda_min of each pair, and its entry point
 (_violations) gathers and solves only the blocks that a purity certificate
