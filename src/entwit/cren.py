@@ -48,7 +48,6 @@ from .qstate import (
     Dims,
     PureState,
     _negativities,
-    _real_if_exact,
     partial_transpose,
     trace_norm,
 )
@@ -64,7 +63,6 @@ class CrenBoundReport:
 
     bound: float
     negativity: float
-    sum_c: float
     m_normalizer: int
     rho: DensityMatrix = field(repr=False, compare=False)
 
@@ -96,16 +94,14 @@ def cren_lower_bound(rho: DensityMatrix, literal_min: bool = False) -> CrenBound
     clip to X = min(0, d), which reads every violation and so solves every
     block; it is only useful for comparing against the clip-above default.
     """
-    stack = _real_if_exact(rho.mat[None])
+    stack = rho.mat[None]
     if literal_min:
-        cols = _reports(stack, rho.dims.n, _all_pairs_index(rho.dims))
-        c, raw = cols.c, cols.raw
+        raw = _reports(stack, rho.dims.n, _all_pairs_index(rho.dims)).raw
     else:
-        c, raw = _violations(stack, rho.dims)
+        raw = _violations(stack, rho.dims)
     return CrenBoundReport(
         bound=float(_bound(raw, rho.dims, literal_min)[0]),
         negativity=float(_negativities(stack, rho.dims)[0]),
-        sum_c=sum(c[0].tolist()),
         m_normalizer=min(rho.dims.m, rho.dims.n),
         rho=rho,
     )

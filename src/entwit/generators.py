@@ -10,6 +10,7 @@ inside the subspace (flipping x and z, leaving the +-1 block spectrum intact).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -23,13 +24,17 @@ TAU_UNIT = 1e-12  # deviation allowed from a unit direction and from an orthonor
 
 @dataclass(frozen=True)
 class GeneratorPair:
-    """Index pair (j, k) with 0 <= j < k < dim identifying one local subspace."""
+    """Index pair (j, k) of integers (not bools), 0 <= j < k < dim, identifying one local subspace."""
 
     j: int
     k: int
     dim: int
 
     def __post_init__(self) -> None:
+        for name in ("j", "k", "dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"GeneratorPair.{name} must be an integer, got {value!r}")
         if not (0 <= self.j < self.k < self.dim):
             raise ValueError(f"need 0 <= j < k < dim, got j={self.j} k={self.k} dim={self.dim}")
 

@@ -9,9 +9,9 @@ the trace of a density matrix and the squared norm of a vector (the same sum,
 so a vector validate_pure accepts has a projector validate_density accepts),
 TAU_PSD the smallest eigenvalue, which validation bounds by one Cholesky
 factorization of rho + TAU_PSD I and eigensolves only to name a failing
-state's eigenvalue.  validate_densities holds every density matrix check.
-A stack whose imaginary parts are all exactly 0 is factorized and solved in
-float64 (_real_if_exact); DensityMatrix.mat stays complex.
+state's eigenvalue.  validate_densities holds every density matrix check and
+alone decides a state's arithmetic (float64 when exactly real, else
+complex128); DensityMatrix.mat stores it and every consumer reads it as stored.
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ class Dims:
 class DensityMatrix:
     """A validated mixed state: unit trace, positive semidefinite and exactly
     Hermitian, since validate_density stores the Hermitian part of its input
-    (mat == mat.conj().T to the last bit)."""
+    (mat == mat.conj().T to the last bit).  mat is read-only, in the dtype
+    validate_densities chose."""
 
     dims: Dims
     mat: np.ndarray
@@ -104,12 +105,6 @@ class SchmidtDecomposition:
     basis_b: np.ndarray
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
-    out.setflags(write=False)
-    return out
-
-
 def _hermitian_part(mat: np.ndarray) -> np.ndarray:
     """(M + M^dag)/2 of a matrix or a stack of them, once every entry is checked
     finite and each M Hermitian to TAU_HERM."""
@@ -122,17 +117,12 @@ def _hermitian_part(mat: np.ndarray) -> np.ndarray:
     return (mat + adj) / 2.0
 
 
-def _real_if_exact(mats: np.ndarray) -> np.ndarray:
-    """mats as float64 when none of its imaginary parts is nonzero, else as
-    given: every factorization and eigensolve of an exactly real stack then
-    runs in real arithmetic, which agrees with the complex one to rounding."""
-    return np.ascontiguousarray(mats.real) if np.iscomplexobj(mats) and not mats.imag.any() else mats
-
-
 def validate_densities(mats: np.ndarray, dims: Dims) -> np.ndarray:
     """Check every candidate density matrix of a stack (N, m*n, m*n) in the
     row-major product basis and return their Hermitian parts (M + M^dag)/2,
-    in float64 when every imaginary part of the stack is 0 (_real_if_exact).
+    in float64 when no imaginary part of the stack is nonzero, else in
+    complex128: an exactly real stack is factorized and solved in real
+    arithmetic, which agrees with the complex one to rounding.
 
     Each state is checked as on its own, in this order: shape
     (DimensionMismatchError), finite entries (StateValidationError),
@@ -144,7 +134,10 @@ def validate_densities(mats: np.ndarray, dims: Dims) -> np.ndarray:
     so a stack raises the error, message included, its first failing state
     raises alone.
     """
-    mats = _real_if_exact(np.asarray(mats, dtype=complex))
+    mats = np.asarray(mats)
+    mats = mats.astype(float if mats.dtype.kind in "biuf" else complex, copy=False)  # bool, int, float: no complex step
+    if np.iscomplexobj(mats) and not mats.imag.any():
+        mats = np.ascontiguousarray(mats.real)
     side = dims.total
     if mats.shape[1:] != (side, side):
         raise DimensionMismatchError(f"expected {side}x{side} matrix for dims {dims.m}x{dims.n}, got {mats.shape[1:]}")
@@ -173,14 +166,17 @@ def validate_densities(mats: np.ndarray, dims: Dims) -> np.ndarray:
 def validate_density(mat: np.ndarray, dims: Dims) -> DensityMatrix:
     """Check a candidate (m*n, m*n) matrix, as the one-state case of
     validate_densities (same checks, order and errors), and wrap its
-    Hermitian part (M + M^dag)/2 as a DensityMatrix, so every validated
-    state is exactly Hermitian."""
-    return DensityMatrix(dims, _frozen(validate_densities(np.asarray(mat, dtype=complex)[None], dims)[0]))
+    Hermitian part (M + M^dag)/2, read-only and in the arithmetic
+    validate_densities chose, as a DensityMatrix, so every validated state
+    is exactly Hermitian."""
+    herm = validate_densities(np.asarray(mat)[None], dims)[0]
+    herm.setflags(write=False)
+    return DensityMatrix(dims, herm)
 
 
 def validate_pure(vec: np.ndarray, dims: Dims) -> PureState:
     """Check the length and the squared norm (the trace of its projector) of a state vector."""
-    vec = np.asarray(vec, dtype=complex).ravel()
+    vec = np.array(vec, dtype=complex).ravel()
     if vec.shape != (dims.total,):
         raise DimensionMismatchError(f"expected vector of length {dims.total}, got {vec.shape}")
     if not np.isfinite(vec).all():
@@ -188,7 +184,8 @@ def validate_pure(vec: np.ndarray, dims: Dims) -> PureState:
     sq_dev = abs(np.sum(vec * vec.conj()) - 1.0)
     if sq_dev > TAU_TR:
         raise StateValidationError(f"squared norm deviates from 1 by {sq_dev:.3e}")
-    return PureState(dims, _frozen(vec))
+    vec.setflags(write=False)
+    return PureState(dims, vec)
 
 
 def partial_transpose_mat(mat: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -226,7 +223,7 @@ def negativity(rho: DensityMatrix) -> float:
     accepts up to TAU_TR away from 1 adds nothing: PPT states read 0, never
     below.  Equals 1 on a maximally entangled pair for any local dimension.
     """
-    return float(_negativities(_real_if_exact(rho.mat), rho.dims))
+    return float(_negativities(rho.mat, rho.dims))
 
 
 def schmidt(psi: PureState) -> SchmidtDecomposition:

@@ -37,12 +37,6 @@ from .qstate import (
 )
 
 
-def _ket(dim: int, i: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[i] = 1.0
-    return v
-
-
 def max_entangled(d: int) -> PureState:
     """Sum_i |ii> / sqrt(d)."""
     if d < 2:
@@ -72,24 +66,15 @@ def isotropic(d: int, x: float) -> DensityMatrix:
     return validate_density(*_isotropic(d, x))
 
 
-def _tiles_vectors() -> list[np.ndarray]:
-    z, o, t = (_ket(3, i) for i in range(3))
-    s = 1.0 / math.sqrt(2.0)
-    return [
-        np.kron(z, s * (z - o)),
-        np.kron(s * (z - o), t),
-        np.kron(t, s * (o - t)),
-        np.kron(s * (o - t), z),
-        np.kron(z + o + t, z + o + t) / 3.0,
-    ]
-
-
 # the two constant states of the mixtures, each built and validated once, on first use
 @cache
 def _bennett() -> DensityMatrix:
-    mat = np.eye(9, dtype=complex)
-    for xi in _tiles_vectors():
-        mat -= np.outer(xi, xi.conj())
+    z, o, t = np.eye(3)
+    s = 1.0 / math.sqrt(2.0)
+    tiles = [np.kron(z, s * (z - o)), np.kron(s * (z - o), t), np.kron(t, s * (o - t)), np.kron(s * (o - t), z)]
+    mat = np.eye(9)
+    for xi in tiles + [np.kron(z + o + t, z + o + t) / 3.0]:
+        mat -= np.outer(xi, xi)
     return validate_density(mat / 4.0, Dims(3, 3))
 
 
@@ -121,7 +106,7 @@ def example1_mixture(p: float) -> DensityMatrix:
 def _rho_a(a: float) -> tuple[np.ndarray, Dims]:
     if not 0.0 < a < 1.0:
         raise ValueError(f"a={a} outside (0, 1)")
-    mat = a * np.eye(9, dtype=complex)
+    mat = a * np.eye(9)
     for i in (0, 4, 8):
         for j in (0, 4, 8):
             if i != j:
@@ -131,7 +116,9 @@ def _rho_a(a: float) -> tuple[np.ndarray, Dims]:
     mat[8, 8] = (1.0 + a) / 2.0
     mat[6, 8] = root
     mat[8, 6] = root
-    return mat / (8.0 * a + 1.0), Dims(3, 3)
+    # times the reciprocal, as numpy divides a complex array by a real: the
+    # entries do not depend on the dtype the matrix is built in
+    return mat * (1.0 / (8.0 * a + 1.0)), Dims(3, 3)
 
 
 def rho_a(a: float) -> DensityMatrix:

@@ -29,9 +29,9 @@ once, solves them in one eigensolve of their 4x4 partial transposes
 (_nonlinear_columns) and one of their 3x3 real Gram matrices T^T T
 (_bell_maxima), and returns numpy columns shaped (states, pairs); a scan's
 bisection probe runs only the half its bracket reads.  A validated state is
-exactly Hermitian, so every gathered block is too.  A stack whose imaginary
-parts are all exactly 0 (qstate._real_if_exact) is gathered and solved in
-float64, which agrees with the complex solve to rounding.  The weight c of a
+exactly Hermitian, so every gathered block is too.  rho.mat is read as
+stored: an exactly real state is gathered, compressed and solved in float64,
+which agrees with the complex solve to rounding.  The weight c of a
 pair and its empty rule c <= TAU_C are read from the diagonal of the state in
 one place (_weights); c divides the columns, never a block.
 
@@ -77,9 +77,9 @@ from .generators import (
 )
 from .qstate import (
     DensityMatrix,
+    DimensionMismatchError,
     Dims,
     _hermitian_part,
-    _real_if_exact,
     partial_transpose_mat,
     validate_density,
 )
@@ -317,11 +317,11 @@ def _purities(stack: np.ndarray, dims: Dims) -> np.ndarray:
     return q.reshape(len(stack), -1)
 
 
-def _violations(stack: np.ndarray, dims: Dims):
-    """Weights c and raw lambda_min, both (N, P) in _all_pairs_index order, on
-    a stack of states.  Only the live blocks the purity certificate leaves
-    open are gathered and solved; every other pair reads 0, which the bound
-    clips to 0 as it does the positive value in the full _reports columns."""
+def _violations(stack: np.ndarray, dims: Dims) -> np.ndarray:
+    """Raw lambda_min, (N, P) in _all_pairs_index order, on a stack of states.
+    Only the live blocks the purity certificate leaves open are gathered and
+    solved; every other pair reads 0, which the bound clips to 0 as it does
+    the positive value in the full _reports columns."""
     index = _all_pairs_index(dims)
     c, live = _weights(stack, dims.n, index)
     raw = np.zeros_like(c)
@@ -329,12 +329,12 @@ def _violations(stack: np.ndarray, dims: Dims):
     cols = np.flatnonzero(solve.any(axis=0))
     if cols.size:
         raw[solve] = _lambda_min(_blocks(stack, dims.n, index[cols])[solve[:, cols]])
-    return c, raw
+    return raw
 
 
 def _report_rows(rho: DensityMatrix, pairs) -> list[SubspaceReport]:
     """SubspaceReport rows of one state's (alpha, beta) pairs."""
-    cols = _reports(_real_if_exact(rho.mat[None]), rho.dims.n, _pair_index(pairs))
+    cols = _reports(rho.mat[None], rho.dims.n, _pair_index(pairs))
     d = cols.nonlinear_max[0] - 1.0
     table = (cols.c[0], cols.lambda_min[0], cols.bell_max[0], cols.nonlinear_max[0], d, np.maximum(0.0, d))
     return [SubspaceReport(a, b, *row) for (a, b), row in zip(pairs, zip(*(col.tolist() for col in table)))]
@@ -622,11 +622,15 @@ def estimate_mean_shots(rho: DensityMatrix, obs: np.ndarray, shots: int, seed=No
 
     Outcomes are eigenvalues drawn with Born weights <e_i|rho|e_i>; the mean
     converges to Tr(rho obs) and stderr is the sample standard deviation over
-    sqrt(shots).
+    sqrt(shots).  shots must be an integer >= 1 (not a bool) and obs Hermitian
+    of the state's shape (else DimensionMismatchError).
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    w, v = np.linalg.eigh(_hermitian_part(np.asarray(obs, dtype=complex)))
+    if isinstance(shots, bool) or not isinstance(shots, Integral) or shots < 1:
+        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+    obs = np.asarray(obs, dtype=complex)
+    if obs.shape != rho.mat.shape:
+        raise DimensionMismatchError(f"observable of shape {obs.shape} does not match the state's {rho.mat.shape}")
+    w, v = np.linalg.eigh(_hermitian_part(obs))
     probs = np.real(np.einsum("ij,jk,ki->i", v.conj().T, rho.mat, v))
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()

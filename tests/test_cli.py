@@ -28,7 +28,7 @@ from entwit.cli import (
     scan_csv,
 )
 from entwit.cren import cren_lower_bound
-from entwit.qstate import Dims, to_json, validate_density
+from entwit.qstate import Dims, to_json, validate_densities, validate_density
 from entwit.states import isotropic
 
 
@@ -471,6 +471,29 @@ class TestChunkedScan:
         want = point_by_point(cfg, grid, range(11, 11 + points))
         assert [pt.param for pt in result.points] == grid
         assert np.max(np.abs(np.subtract(result.points, want))) <= 1e-12
+
+    def test_a_smaller_block_budget_splits_stacks_and_keeps_the_scan(self, monkeypatch):
+        # a budget of 20 blocks stacks 3x3 states (9 blocks each) two at a time, larger ones one at a time
+        cfgs = {
+            "readme": SweepConfig(bisect=True, **README_SCAN),
+            "random_density_d": SweepConfig(family="random_density", fixed={}, param_name="d", lo=2, hi=5, points=4),
+        }
+        whole = {name: run_scan(cfg, base_seed=5) for name, cfg in cfgs.items()}
+        sizes = []
+
+        def spy(mats, dims):
+            sizes.append(len(mats))
+            return validate_densities(mats, dims)
+
+        monkeypatch.setattr(cli, "_STACK_BLOCKS", 20)
+        monkeypatch.setattr(cli, "validate_densities", spy)
+        seen = {}
+        for name, cfg in cfgs.items():
+            sizes.clear()
+            assert run_scan(cfg, base_seed=5) == whole[name]
+            seen[name] = list(sizes)
+        # the README scan: 100 grid points in chunks of 64 and 36, then 14 bisection probes of 2
+        assert seen == {"readme": [2] * (32 + 18 + 14), "random_density_d": [1] * 4}
 
     def test_chunks_keep_only_the_first_crossings(self):
         cfg = SweepConfig(

@@ -52,6 +52,11 @@ def test_bad_pair_rejected():
         GeneratorPair(0, 3, 3)
     with pytest.raises(ValueError):
         GeneratorPair(-1, 1, 3)
+    # non-integers, bools included, are rejected here, not deep inside an index
+    for j, k, dim in ((0.5, 1, 3), (0, 1.0, 3), (0, 1, 3.0), (False, True, 3), (0, 1, np.float64(3))):
+        with pytest.raises(ValueError, match="must be an integer"):
+            GeneratorPair(j, k, dim)
+    assert GeneratorPair(np.int64(0), np.int8(1), 3).k == 1
 
 
 def test_embed_z_on_qubit_is_sigma_z():

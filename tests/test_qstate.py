@@ -216,15 +216,24 @@ class TestValidateStack:
         assert validate_densities(np.zeros((0, 9, 9)), Dims(3, 3)).shape == (0, 9, 9)
 
     def test_an_exactly_real_stack_is_returned_real(self):
-        # the input decides: no imaginary part at all gives float64, one nonzero entry complex128;
-        # a validated DensityMatrix stays complex either way
+        # the input decides: no nonzero imaginary part gives float64, one nonzero entry complex128;
+        # a validated DensityMatrix stores what validate_densities returns, read-only
         dims = Dims(2, 3)
         mats = np.stack([np.eye(6, dtype=complex) / 6, np.diag(np.arange(6.0)) / 15])
         got = validate_densities(mats, dims)
         assert got.dtype == np.float64 and np.array_equal(got, mats.real)
+        one = np.diag([1, 0, 0, 0, 0, 0])
+        for form in (one, one.tolist(), one.astype(float), one.astype(np.complex64), one.astype(complex)):
+            rho = validate_density(form, dims)
+            assert rho.mat.dtype == np.float64 and not rho.mat.flags.writeable and np.array_equal(rho.mat, one)
         mats[1, 4, 5], mats[1, 5, 4] = 1e-3j, -1e-3j
         assert validate_densities(mats, dims).dtype == np.complex128
-        assert validate_density(mats[0].real, dims).mat.dtype == np.complex128
+        # complex64 with a nonzero imaginary part is promoted to complex128
+        c64 = np.diag([0.5, 0.25, 0.25, 0, 0, 0]).astype(np.complex64)
+        c64[0, 1], c64[1, 0] = 0.125j, -0.125j
+        rho = validate_density(c64, dims)
+        assert rho.mat.dtype == np.complex128 and not rho.mat.flags.writeable
+        assert np.array_equal(rho.mat, c64)
 
 
 def near_boundary_state(rng, d):

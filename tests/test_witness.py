@@ -25,6 +25,7 @@ from entwit.generators import (
 )
 from entwit.qstate import (
     DensityMatrix,
+    DimensionMismatchError,
     Dims,
     NotHermitianError,
     StateValidationError,
@@ -33,6 +34,7 @@ from entwit.qstate import (
     partial_transpose_mat,
     validate_density,
 )
+from entwit.states import bennett_rho, example1_mixture, rho_a
 from entwit.witness import (
     BellSettings,
     CSV_HEADER,
@@ -340,6 +342,39 @@ class TestProjection:
                 bell_value(rho, WitnessSettings(alpha, beta, triad, triad))
             with pytest.raises(ValueError, match="pair dims .* do not match state dims"):
                 nonlinear_value(rho, WitnessSettings(alpha, beta, triad, triad))
+
+
+class TestRealArithmetic:
+    """An exactly real state is stored in float64, so its compression and its
+    settings search run in real arithmetic.  They agree with the complex path,
+    taken by a DensityMatrix that holds the same matrix as complex128."""
+
+    STATES = {"tiles": bennett_rho, "rho_a": lambda: rho_a(0.3), "bennett_mix": lambda: example1_mixture(0.4)}
+    PAIRS = [(GeneratorPair(0, 1, 3), GeneratorPair(0, 1, 3)), (GeneratorPair(0, 2, 3), GeneratorPair(1, 2, 3))]
+
+    def real_and_complex(self, name):
+        rho = self.STATES[name]()
+        assert rho.mat.dtype == np.float64
+        return rho, DensityMatrix(rho.dims, rho.mat.astype(np.complex128))
+
+    @pytest.mark.parametrize("name", STATES)
+    def test_projection_matches_the_complex_path(self, name):
+        rho, twin = self.real_and_complex(name)
+        for alpha, _ in so_generators(3):
+            for beta, _ in so_generators(3):
+                p, q = project_state(rho, alpha, beta), project_state(twin, alpha, beta)
+                assert p.c == q.c and p.empty == q.empty
+                if not p.empty:  # the block of the complex path is exactly real too, so both are stored real
+                    assert np.max(np.abs(p.rho_ab.mat - q.rho_ab.mat)) <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["nonlinear", "bell"])
+    @pytest.mark.parametrize("name", ["tiles", "rho_a"])
+    def test_settings_search_matches_the_complex_path(self, name, kind):
+        rho, twin = self.real_and_complex(name)
+        for alpha, beta in self.PAIRS:
+            _, value = optimize_settings(rho, alpha, beta, kind, TestOptimizer.CFG)
+            _, twin_value = optimize_settings(twin, alpha, beta, kind, TestOptimizer.CFG)
+            assert abs(value - twin_value) <= 1e-9
 
 
 class TestKernel:
@@ -899,6 +934,13 @@ class TestShotEstimator:
             estimate_mean_shots(rho, np.diag([1.0, 1j, 0, 0]), 10)
         with pytest.raises(ValueError):
             estimate_mean_shots(rho, np.eye(4), 0)
+        for shots in (2.5, 10.0, True):
+            with pytest.raises(ValueError, match="shots must be an integer"):
+                estimate_mean_shots(rho, np.eye(4), shots)
+        for obs in (np.eye(2), np.eye(9), np.ones(4)):
+            with pytest.raises(DimensionMismatchError):
+                estimate_mean_shots(rho, obs, 10)
+        assert estimate_mean_shots(rho, np.eye(4), np.int64(3), seed=1) == (1.0, 0.0)
 
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
