@@ -35,19 +35,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cren import _assess, cren_lower_bound, pure_sum_identity, report_to_json
+from .cren import _assess, _report_doc, cren_lower_bound, pure_sum_identity
 from .generators import GeneratorPair, PAULI, rotation_zyz, triad_from_rotation
-from .qstate import Dims, negativity, validate_densities
-from .states import FILE_FAMILY, StateSpec, _FAMILIES, max_entangled, pure_from_schmidt, random_density
+from .qstate import Dims, _require_integer, negativity, validate_densities
+from .states import FILE_FAMILY, StateSpec, _FAMILIES, isotropic, pure_from_schmidt, random_density
 from .witness import (
     OptimizerConfig,
     TAU_DETECT,
     WitnessSettings,
     _all_pairs_index,
+    _bell_d,
     _bell_maxima,
     _blocks,
     _csv_text,
     _nonlinear_columns,
+    _nonlinear_d,
     _weights,
     bell_max,
     best_report,
@@ -112,8 +114,7 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):  # the span is inf if lo or hi is
             raise ValueError("range must satisfy lo < hi, with lo, hi and hi - lo finite")
-        if self.points < 2:
-            raise ValueError("points must be >= 2")
+        _require_integer("points", self.points, 2)
         if not self.bisect_tol > 0:  # also rejects NaN
             raise ValueError("bisect tolerance must be > 0")
         if self.param_name in self.fixed:
@@ -188,17 +189,6 @@ def _validated_stacks(cfg: SweepConfig, values, seeds):
             yield dims, validate_densities(np.array(mats[k : k + per]), dims)
     if failed is not None:
         raise failed
-
-
-def _nonlinear_d(nonlinear_max: np.ndarray) -> np.ndarray:
-    """nonlinear_D of each state from its (N, P) nonlinear maxima."""
-    return nonlinear_max.max(axis=1) - 1.0
-
-
-def _bell_d(bell_max: np.ndarray, c: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """bell_D of each state from its (N, P) CHSH maxima, which carry c."""
-    # empty subspaces report bell_max = 0 and cannot raise the maximum
-    return np.divide(bell_max, c, out=np.zeros_like(c), where=live).max(axis=1) - 2.0
 
 
 def _scan_points(cfg: SweepConfig, values, seeds) -> list[ScanPoint]:
@@ -378,7 +368,7 @@ def cmd_bound(parser, args) -> int:
     with contextlib.ExitStack() as stack:
         json_fh, csv_fh = _open_outputs(stack, args.json, args.csv)
         rep = cren_lower_bound(_build_state(spec.build), literal_min=args.literal_min)
-        _emit(json.loads(report_to_json(rep)), json_fh)
+        _emit(_report_doc(rep), json_fh)
         if csv_fh:
             csv_fh.write(reports_to_csv(rep.reports))
     return 0
@@ -489,7 +479,7 @@ def cmd_selftest(parser, args) -> int:
     )
 
     # maximally entangled qutrit bound
-    pplus = max_entangled(3).projector()
+    pplus = isotropic(3, 1.0)
     shipped = cren_lower_bound(pplus).bound
     check("max-entangled-bound", abs(shipped - 1.0) < 1e-8, f"bound = {shipped:.10g} (exact CREN is 1)")
     if args.literal_min:
@@ -505,7 +495,7 @@ def cmd_selftest(parser, args) -> int:
     op = np.kron(PAULI[2], (PAULI[2] + PAULI[0]) / math.sqrt(2.0))
     exact = 1.0 / math.sqrt(2.0)
     shots = 10000
-    mean, err = estimate_mean_shots(max_entangled(2).projector(), op, shots, seed=args.seed + 2)
+    mean, err = estimate_mean_shots(isotropic(2, 1.0), op, shots, seed=args.seed + 2)
     check(
         "shot-estimate",
         True,

@@ -32,6 +32,8 @@ A literal clip-below variant (X = min(0, d)) is kept behind a flag for
 comparison; it discards every violation and degenerates to 0 on the
 maximally entangled state, which is why the shipped bound clips above.  It
 reads every d, so it solves every block, as do the per-subspace rows.
+The bound document is one dict, built in _report_doc: report_to_json dumps
+it compact and `entwit bound` prints and writes it indented.
 """
 
 from __future__ import annotations
@@ -138,9 +140,9 @@ def pure_sum_identity(psi: PureState) -> tuple[float, float]:
     return float(lhs), float(rhs)
 
 
-def report_to_json(report: CrenBoundReport) -> str:
-    """{"bound":..., "negativity":..., "m":..., "subspaces":[...]}"""
-    doc = {
+def _report_doc(report: CrenBoundReport) -> dict:
+    """The one bound document: {"bound":..., "negativity":..., "m":..., "subspaces":[...]}."""
+    return {
         "bound": report.bound,
         "negativity": report.negativity,
         "m": report.m_normalizer,
@@ -158,4 +160,8 @@ def report_to_json(report: CrenBoundReport) -> str:
             for r in report.reports
         ],
     }
-    return json.dumps(doc)
+
+
+def report_to_json(report: CrenBoundReport) -> str:
+    """The bound document (_report_doc) as compact JSON."""
+    return json.dumps(_report_doc(report))

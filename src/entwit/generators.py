@@ -10,9 +10,10 @@ inside the subspace (flipping x and z, leaving the +-1 block spectrum intact).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
+
+from .qstate import _require_integer
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -32,9 +33,7 @@ class GeneratorPair:
 
     def __post_init__(self) -> None:
         for name in ("j", "k", "dim"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"GeneratorPair.{name} must be an integer, got {value!r}")
+            _require_integer(f"GeneratorPair.{name}", getattr(self, name))
         if not (0 <= self.j < self.k < self.dim):
             raise ValueError(f"need 0 <= j < k < dim, got j={self.j} k={self.k} dim={self.dim}")
 
@@ -81,8 +80,7 @@ def generator_matrix(pair: GeneratorPair) -> np.ndarray:
 
 def so_generators(dim: int) -> list[tuple[GeneratorPair, np.ndarray]]:
     """All dim(dim-1)/2 generators in lexicographic (j, k) order."""
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
+    _require_integer("dim", dim, 2)
     out = []
     for j in range(dim):
         for k in range(j + 1, dim):

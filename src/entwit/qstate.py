@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -52,16 +53,24 @@ class NotPositiveError(StateValidationError):
     """An eigenvalue lies below -TAU_PSD."""
 
 
+def _require_integer(name: str, value, low: int | None = None, error: type[Exception] = ValueError) -> None:
+    """The one integer-argument rule: an integer (numpy's too, never a bool), >= low if
+    low is given; else raise error naming it.  A plain int skips the slow Integral check."""
+    integer = type(value) is int or not isinstance(value, bool) and isinstance(value, Integral)
+    if not integer or low is not None and value < low:
+        raise error(f"{name} must be an integer{'' if low is None else f' >= {low}'}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Dims:
-    """Local dimensions (m, n) of a bipartite system; both at least 2."""
+    """Local dimensions (m, n) of a bipartite system: integers, both at least 2."""
 
     m: int
     n: int
 
     def __post_init__(self) -> None:
-        if self.m < 2 or self.n < 2:
-            raise DimensionMismatchError(f"party dimensions must be >= 2, got {self.m}x{self.n}")
+        _require_integer("party dimension m", self.m, 2, DimensionMismatchError)
+        _require_integer("party dimension n", self.n, 2, DimensionMismatchError)
 
     @property
     def total(self) -> int:
@@ -280,17 +289,20 @@ def to_json(rho: DensityMatrix) -> str:
 
 
 def _parse_json(text: str) -> tuple[np.ndarray, Dims]:
-    """The matrix and two integral dims (2.0 is fine, 2.9 an error) of a JSON document, not yet validated."""
+    """The matrix and two integral dims (2.0 is fine, 2.9 an error) of a JSON
+    document, not yet validated; re and im are 2-D and of one shape."""
     try:
         doc = json.loads(text)
         dims = doc["dims"]
-        mat = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError: not JSON, or a ragged matrix
+        re, im = np.asarray(doc["re"], dtype=float), np.asarray(doc["im"], dtype=float)
+        if re.ndim != 2 or re.shape != im.shape:  # never broadcast one part against the other
+            raise ValueError(f"re {re.shape} and im {im.shape} must be matrices of one shape")
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: not JSON, a ragged matrix or the shapes
         raise StateValidationError(f"malformed state document: {exc}") from exc
     if not (isinstance(dims, list) and len(dims) == 2
             and all(type(v) is int or type(v) is float and v.is_integer() for v in dims)):
         raise StateValidationError(f"malformed state document: dims must be two integers, got {dims!r}")
-    return mat, Dims(int(dims[0]), int(dims[1]))
+    return re + 1j * im, Dims(int(dims[0]), int(dims[1]))
 
 
 def from_json(text: str) -> DensityMatrix:

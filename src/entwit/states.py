@@ -15,6 +15,8 @@ validate that one state.  A StateSpec is a family plus a parameter dict (as
 from CLI flags or a JSON spec), checked against the table; it gives the raw
 matrix (matrix, which the scan validates a stack at a time) or the validated
 state (build).  The CLI takes its --family choices and flag rule from the table.
+P_+ is built in one place, _isotropic, in float64: the max_entangled family is
+its x = 1 case, and the mixtures share that state validated once (_qutrit_pplus).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .qstate import (
     PureState,
     TAU_TR,
     _parse_json,
+    _require_integer,
     validate_density,
     validate_pure,
 )
@@ -39,8 +42,7 @@ from .qstate import (
 
 def max_entangled(d: int) -> PureState:
     """Sum_i |ii> / sqrt(d)."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    _require_integer("d", d, 2)
     vec = np.zeros(d * d, dtype=complex)
     vec[:: d + 1] = 1.0 / math.sqrt(d)
     return validate_pure(vec, Dims(d, d))
@@ -52,13 +54,15 @@ def _projector(psi: PureState) -> tuple[np.ndarray, Dims]:
 
 
 def _isotropic(d: int, x: float) -> tuple[np.ndarray, Dims]:
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    """The one build of P_+, in float64 (x = 1 gives P_+ bitwise, as 1.0 P + 0.0 = P): the
+    real part, to the last bit, of a build from the complex max_entangled vector."""
+    _require_integer("d", d, 2)
     lo = -1.0 / (d * d - 1.0)
     if not lo - 1e-12 <= x <= 1.0 + 1e-12:  # also rejects NaN
         raise ValueError(f"x={x} outside positivity range [{lo}, 1]")
-    pplus, dims = _projector(max_entangled(d))
-    return x * pplus + (1.0 - x) * np.eye(d * d) / (d * d), dims
+    vec = np.zeros(d * d)
+    vec[:: d + 1] = 1.0 / math.sqrt(d)
+    return x * np.outer(vec, vec) + (1.0 - x) * np.eye(d * d) / (d * d), Dims(d, d)
 
 
 def isotropic(d: int, x: float) -> DensityMatrix:
@@ -78,7 +82,7 @@ def _bennett() -> DensityMatrix:
     return validate_density(mat / 4.0, Dims(3, 3))
 
 
-_qutrit_pplus = cache(lambda: max_entangled(3).projector())
+_qutrit_pplus = cache(lambda: isotropic(3, 1.0))
 
 
 def bennett_rho() -> DensityMatrix:
@@ -194,7 +198,7 @@ FILE_FAMILY = "json_file"
 # family -> (parameter names, raw constructor taking them as keywords)
 _FAMILIES = {
     "isotropic": (("d", "x"), _isotropic),
-    "max_entangled": (("d",), lambda d: _projector(max_entangled(d))),
+    "max_entangled": (("d",), lambda d: _isotropic(d, 1.0)),
     "bennett_mix": (("p",), _example1_mixture),
     "rho_a_mix": (("a", "p"), _example2_mixture),
     "random_pure": (("d", "seed"), lambda d, seed: _projector(random_pure(Dims(d, d), seed))),

@@ -43,7 +43,10 @@ Tr X^2 < 1/3, and the partial transpose keeps the purity.  A certified
 block's clipped violation is exactly 0.  Every block's purity is summed from
 the entries of rho, one party at a time (_purities), so a certified block is
 never gathered.  Detection, the scan grid and the SubspaceReport rows read
-every lambda_min, so they solve every block.
+every lambda_min, so they solve every block; all-pairs rows are gathered
+through the one cached _all_pairs_index.  The detection rule lives beside
+TAU_DETECT: detect_entanglement and the CLI scan both test the differences
+_nonlinear_d and _bell_d against it.
 
 Measurement settings come from a separate numeric search (optimize_settings):
 a multi-start BFGS ascent with analytic gradients over the measurement
@@ -59,7 +62,7 @@ import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
@@ -70,7 +73,6 @@ from .generators import (
     _unit_vector,
     embed_observable,
     rotation_zyz,
-    so_generators,
     subspace_projector,
     tilde_operator,
     triad_from_rotation,
@@ -80,12 +82,25 @@ from .qstate import (
     DimensionMismatchError,
     Dims,
     _hermitian_part,
+    _require_integer,
     partial_transpose_mat,
     validate_density,
 )
 
 TAU_C = 1e-12
-TAU_DETECT = 1e-8
+TAU_DETECT = 1e-8  # a state is detected iff its detection difference (_nonlinear_d, _bell_d) exceeds it
+
+
+def _nonlinear_d(nonlinear_max: np.ndarray) -> np.ndarray:
+    """nonlinear_D of each state from its (N, P) nonlinear maxima."""
+    return nonlinear_max.max(axis=1) - 1.0
+
+
+def _bell_d(bell_max: np.ndarray, c: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """bell_D of each state from its (N, P) CHSH maxima, which carry c."""
+    # empty subspaces report bell_max = 0 and cannot raise the maximum
+    return np.divide(bell_max, c, out=np.zeros_like(c), where=live).max(axis=1) - 2.0
+
 
 # signs of the two-party generator sandwich Y (x) Y on a reversed 4x4 block
 _YY_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0], [1.0, -1.0, -1.0, 1.0])
@@ -177,9 +192,7 @@ class OptimizerConfig:
 
     def __post_init__(self) -> None:
         for name, low in (("restarts", 1), ("max_evals", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
-                raise ValueError(f"OptimizerConfig.{name} must be an integer >= {low}, got {value!r}")
+            _require_integer(f"OptimizerConfig.{name}", getattr(self, name), low)
         if isinstance(self.step_tol, bool) or not isinstance(self.step_tol, Real) or not self.step_tol >= 0:
             raise ValueError(f"OptimizerConfig.step_tol must be a number >= 0, got {self.step_tol!r}")
 
@@ -332,12 +345,12 @@ def _violations(stack: np.ndarray, dims: Dims) -> np.ndarray:
     return raw
 
 
-def _report_rows(rho: DensityMatrix, pairs) -> list[SubspaceReport]:
-    """SubspaceReport rows of one state's (alpha, beta) pairs."""
-    cols = _reports(rho.mat[None], rho.dims.n, _pair_index(pairs))
+def _report_rows(rho: DensityMatrix, pairs, index: np.ndarray) -> tuple[_Columns, list[SubspaceReport]]:
+    """Kernel columns and SubspaceReport rows of one state's (alpha, beta) pairs, whose index rows are `index`."""
+    cols = _reports(rho.mat[None], rho.dims.n, index)
     d = cols.nonlinear_max[0] - 1.0
     table = (cols.c[0], cols.lambda_min[0], cols.bell_max[0], cols.nonlinear_max[0], d, np.maximum(0.0, d))
-    return [SubspaceReport(a, b, *row) for (a, b), row in zip(pairs, zip(*(col.tolist() for col in table)))]
+    return cols, [SubspaceReport(a, b, *row) for (a, b), row in zip(pairs, zip(*(col.tolist() for col in table)))]
 
 
 def _pair_block(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair):
@@ -430,23 +443,29 @@ def nonlinear_max(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair)
 def subspace_report(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair) -> SubspaceReport:
     """All per-subspace figures of one pair."""
     _check_pairs(rho.dims, alpha, beta)
-    return _report_rows(rho, [(alpha, beta)])[0]
+    pairs = [(alpha, beta)]
+    return _report_rows(rho, pairs, _pair_index(pairs))[1][0]
+
+
+def _all_reports(rho: DensityMatrix) -> tuple[_Columns, list[SubspaceReport]]:
+    """_report_rows of every subspace pair, in _all_pairs_index order; rows share one GeneratorPair per local pair."""
+    alphas, betas = ([GeneratorPair(*jk, dim) for jk in _local_pairs(dim).tolist()] for dim in (rho.dims.m, rho.dims.n))
+    return _report_rows(rho, [(a, b) for a in alphas for b in betas], _all_pairs_index(rho.dims))
 
 
 def subspace_reports(rho: DensityMatrix) -> list[SubspaceReport]:
     """Reports for all subspace pairs in lexicographic (alpha, beta) order."""
-    betas = [beta for beta, _ in so_generators(rho.dims.n)]
-    return _report_rows(rho, [(alpha, beta) for alpha, _ in so_generators(rho.dims.m) for beta in betas])
+    return _all_reports(rho)[1]
 
 
 def detect_entanglement(rho: DensityMatrix) -> tuple[bool, list[SubspaceReport]]:
-    """True iff some subspace's nonlinear_max exceeds 1 + TAU_DETECT.
+    """True iff the state's nonlinear_D (_nonlinear_d) exceeds TAU_DETECT.
 
     Returns the full report list so callers can pick the witnessing subspace
     with the largest violation for experiment design.
     """
-    reports = subspace_reports(rho)
-    return any(r.nonlinear_max > 1.0 + TAU_DETECT for r in reports), reports
+    cols, reports = _all_reports(rho)
+    return bool(_nonlinear_d(cols.nonlinear_max)[0] > TAU_DETECT), reports
 
 
 def best_report(reports: list[SubspaceReport]) -> SubspaceReport:
@@ -625,8 +644,7 @@ def estimate_mean_shots(rho: DensityMatrix, obs: np.ndarray, shots: int, seed=No
     sqrt(shots).  shots must be an integer >= 1 (not a bool) and obs Hermitian
     of the state's shape (else DimensionMismatchError).
     """
-    if isinstance(shots, bool) or not isinstance(shots, Integral) or shots < 1:
-        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+    _require_integer("shots", shots, 1)
     obs = np.asarray(obs, dtype=complex)
     if obs.shape != rho.mat.shape:
         raise DimensionMismatchError(f"observable of shape {obs.shape} does not match the state's {rho.mat.shape}")

@@ -30,6 +30,7 @@ from entwit.cli import (
 from entwit.cren import cren_lower_bound
 from entwit.qstate import Dims, to_json, validate_densities, validate_density
 from entwit.states import isotropic
+from entwit.witness import detect_entanglement
 
 
 def run_cli(capsys, argv):
@@ -101,6 +102,17 @@ class TestBound:
         assert lines[0].startswith("alpha_j,alpha_k") and len(lines) == 10
 
 
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_stdout_is_the_one_bound_document(self, capsys, tmp_path, d):
+        # the document is built once: stdout is the compact report_to_json read back and indented,
+        # byte for byte, and the --json file holds the same bytes
+        path = tmp_path / "bound.json"
+        code, out, _ = run_cli(capsys, ["bound", "--family", "random_density", "--d", str(d), "--json", str(path)])
+        rep = cren_lower_bound(states.StateSpec("random_density", {"d": d, "rank": d * d, "seed": 0}).build())
+        assert code == 0 and out == json.dumps(json.loads(cren.report_to_json(rep)), indent=2) + "\n"
+        assert path.read_text(encoding="utf-8") == out
+
+
 class TestExitCodes:
     def test_missing_state_selection(self, capsys):
         code, _, err = run_cli(capsys, ["detect"])
@@ -124,11 +136,24 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["detect", "--state", str(path)])
         assert code == 3 and "error" in err
 
-    @pytest.mark.parametrize("dims, re", [([2.9, 2], None), ([2, 2], [[0.25, 0.0, 0.0, 0.0], [0.25]])])
-    def test_malformed_state_document(self, capsys, tmp_path, dims, re):
-        # a non-integral dims entry and a ragged matrix are malformed documents, never a truncation or a traceback
+    @pytest.mark.parametrize(
+        "dims, re, im",
+        [
+            ([2.9, 2], None, None),
+            ([2, 2], [[0.25, 0.0, 0.0, 0.0], [0.25]], None),
+            ([2, 2], 0.25, None),
+            ([2, 2], None, 0),
+            ([2, 2], None, [[0.0, 0.0, 0.0, 0.0]]),
+        ],
+        ids=["dims0-None", "dims1-re1", "scalar-re", "scalar-im", "one-row-im"],
+    )
+    def test_malformed_state_document(self, capsys, tmp_path, dims, re, im):
+        # a non-integral dims entry, a ragged matrix and re and im of two shapes are malformed
+        # documents, never a truncation, a broadcast or a traceback
         doc = json.loads(to_json(isotropic(2, 0.0)))
-        doc["dims"], doc["re"] = dims, re or doc["re"]
+        doc["dims"] = dims
+        doc["re"] = doc["re"] if re is None else re
+        doc["im"] = doc["im"] if im is None else im
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, ["bound", "--state", str(path)])
@@ -178,7 +203,7 @@ class TestExitCodes:
         ],
     )
     def test_impossible_allocation_exits_3(self, capsys, argv):
-        # both state vectors (6e17 bytes) exceed any 64-bit address space, so
+        # both state vectors (3.2e17 bytes) exceed any 64-bit address space, so
         # the allocation fails at once whatever the overcommit setting
         code, out, err = run_cli(capsys, argv)
         assert code == 3 and "error: Unable to allocate" in err and out == ""
@@ -338,6 +363,11 @@ class TestScan:
             SweepConfig(family="isotropic", fixed={"d": 3}, param_name="x", lo=0.4, hi=0.1, points=5)
         with pytest.raises(ValueError):
             SweepConfig(family="isotropic", fixed={"d": 3}, param_name="x", lo=0.1, hi=0.4, points=1)
+        # a non-integral point count fails here, not later inside the scan
+        for points in (2.5, 5.0, True, "5"):
+            with pytest.raises(ValueError, match="points must be an integer >= 2, got"):
+                SweepConfig(family="isotropic", fixed={"d": 3}, param_name="x", lo=0.1, hi=0.4, points=points)
+        assert SweepConfig(family="isotropic", fixed={"d": 3}, param_name="x", lo=0.1, hi=0.4, points=np.int64(5))
         with pytest.raises(ValueError):
             SweepConfig(
                 family="isotropic", fixed={"d": 3, "x": 0.2}, param_name="x", lo=0.1, hi=0.4, points=5
@@ -629,6 +659,30 @@ def stack_sizes(monkeypatch, limit=1000):
 
 
 README_SCAN = dict(family="bennett_mix", fixed={}, param_name="p", lo=0.0, hi=1.0, points=100, bisect_tol=1e-6)
+
+
+class TestDetectionRule:
+    """detect_entanglement and the scan decide through the one nonlinear_D, so
+    their flags agree point for point."""
+
+    @pytest.mark.parametrize(
+        "spec, base_seed",
+        [
+            (README_SCAN, 0),
+            (dict(family="isotropic", fixed={"d": 3}, param_name="x", lo=0.2, hi=0.3, points=41), 0),
+            (dict(family="random_density", fixed={}, param_name="d", lo=2, hi=4, points=3), 11),
+            (dict(family="random_pure", fixed={}, param_name="d", lo=2, hi=4, points=3), 5),
+        ],
+    )
+    def test_detect_flag_is_the_scan_nonlinear_d_rule(self, spec, base_seed):
+        cfg = SweepConfig(**spec)
+        flags = []
+        for i, pt in enumerate(run_scan(cfg, base_seed).points):
+            flag, _ = detect_entanglement(_point_spec(cfg, pt.param, base_seed + i).build())
+            assert flag is (pt.nonlinear_d > TAU_DETECT)
+            flags.append(flag)
+        if cfg.family in ("bennett_mix", "isotropic"):  # the grid crosses the onset
+            assert flags[0] is False and flags[-1] is True
 
 
 class TestLockstepBisection:

@@ -33,6 +33,8 @@ def test_lexicographic_order_and_count():
         assert len(so_generators(dim)) == dim * (dim - 1) // 2
     with pytest.raises(ValueError):
         so_generators(1)
+    with pytest.raises(ValueError, match="dim must be an integer >= 2, got 3.0"):
+        so_generators(3.0)
 
 
 def test_generator_algebra_exact():

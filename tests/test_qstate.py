@@ -79,6 +79,11 @@ class TestValidateDensity:
     def test_small_dims_rejected(self):
         with pytest.raises(DimensionMismatchError):
             Dims(1, 3)
+        # non-integers, bools included, are rejected here, not inside numpy or as a "5.0x5.0" shape
+        for m, n in ((2.0, 2), (2.5, 2), (2, np.float64(3)), (True, 2), (2, "3")):
+            with pytest.raises(DimensionMismatchError, match="party dimension [mn] must be an integer >= 2, got"):
+                Dims(m, n)
+        assert Dims(np.int64(3), np.uint8(2)) == Dims(3, 2)
 
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -605,9 +610,14 @@ class TestJsonRoundTrip:
         assert from_json(json.dumps(doc)).dims == Dims(2, 2)
 
     def test_ragged_matrix_is_malformed(self):
-        doc = {"dims": [2, 2], "re": [[0.25, 0.0, 0.0, 0.0], [0.25]], "im": np.zeros((4, 4)).tolist()}
-        with pytest.raises(StateValidationError, match="malformed state document"):
-            from_json(json.dumps(doc))
+        eye, zeros = (np.eye(4) / 4).tolist(), np.zeros((4, 4)).tolist()
+        # a ragged matrix, then re and im of different shapes: neither part is broadcast against the other
+        # (a scalar re of 0.25 would read as the all-0.25 matrix, a valid rank-1 state)
+        for re, im in (([[0.25, 0.0, 0.0, 0.0], [0.25]], zeros), (0.25, zeros), (eye, 0), (eye, [[0.0] * 4]),
+                       ([0.25] * 4, [0.0] * 4)):
+            doc = {"dims": [2, 2], "re": re, "im": im}
+            with pytest.raises(StateValidationError, match="malformed state document"):
+                from_json(json.dumps(doc))
 
     def test_invalid_state_in_document(self):
         doc = {"dims": [2, 2], "re": np.eye(4).tolist(), "im": np.zeros((4, 4)).tolist()}

@@ -19,6 +19,8 @@ from entwit.qstate import (
 )
 from entwit.states import (
     StateSpec,
+    _isotropic,
+    _qutrit_pplus,
     bennett_rho,
     example1_mixture,
     example2_mixture,
@@ -55,12 +57,35 @@ class TestMaxEntangled:
     def test_small_d_rejected(self):
         with pytest.raises(ValueError):
             max_entangled(1)
+        # a non-integral d is named, for P_+'s one build too, not failed inside numpy
+        for make in (max_entangled, lambda d: isotropic(d, 0.5)):
+            for d in (1, 3.0, 2.5, True):
+                with pytest.raises(ValueError, match="d must be an integer >= 2, got"):
+                    make(d)
 
 
 class TestIsotropic:
     def test_endpoints(self):
         assert np.max(np.abs(isotropic(3, 0.0).mat - np.eye(9) / 9.0)) < 1e-15
         assert np.max(np.abs(isotropic(3, 1.0).mat - max_entangled(3).projector().mat)) < 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_pplus_is_one_float64_build(self, d):
+        # oracle: the complex build, P_+ as the outer product of the complex vector sum_i |ii> / sqrt(d);
+        # the isotropic raw matrix, the max_entangled family matrix and the mixtures' P_+ are float64
+        # and equal its real part bit for bit
+        vec = np.zeros(d * d, dtype=complex)
+        vec[:: d + 1] = 1.0 / math.sqrt(d)
+        pplus = np.outer(vec, vec.conj())
+        for x in (-1.0 / (d * d - 1), 0.0, 0.5, 1.0):
+            old = x * pplus + (1.0 - x) * np.eye(d * d) / (d * d)
+            assert not old.imag.any()
+            got = [_isotropic(d, x)[0]]
+            if x == 1.0:
+                got.append(StateSpec("max_entangled", {"d": d}).matrix()[0])
+                got += [_qutrit_pplus().mat] if d == 3 else []
+            for mat in got:
+                assert mat.dtype == np.float64 and mat.tobytes() == np.ascontiguousarray(old.real).tobytes()
 
     def test_ppt_boundary(self):
         # the family turns NPT exactly at x = 1/(d+1)
@@ -76,7 +101,7 @@ class TestIsotropic:
         isotropic(3, -1.0 / 8.0)  # boundary itself is a state
 
     def test_validates_the_mixture_with_one_factorization(self, monkeypatch):
-        # P_+ comes from its checked vector; only the mixture is validated, as a stack of one:
+        # P_+ is built in float64 with no check of its own; only the mixture is validated, as a stack of one:
         # one Cholesky factorization decides positivity, and no eigensolve runs
         calls = {"cholesky": [], "eigvalsh": []}
         for name, shapes in calls.items():

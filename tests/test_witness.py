@@ -7,6 +7,7 @@ compressed state.  Everything else (closed forms, optimizer, detection)
 leans on that equivalence.
 """
 
+import json
 import math
 from unittest import mock
 
@@ -437,6 +438,21 @@ class TestKernel:
                 assert np.max(np.abs(rho_ab.mat - norm)) < 1e-12
         if support is not None:
             assert any(r.c == 0.0 and r.nonlinear_max == 1.0 for r in reports)
+
+    def test_subspace_reports_read_the_cached_index(self, monkeypatch):
+        # the kernel gets _all_pairs_index(dims) itself, and no index is rebuilt from pair objects
+        seen, real = [], witness._reports
+        monkeypatch.setattr(witness, "_reports", lambda stack, n, index: seen.append(index) or real(stack, n, index))
+        monkeypatch.setattr(witness, "_pair_index", lambda pairs: pytest.fail("_pair_index called"))
+        rho = rand_density(np.random.default_rng(5), 3, 4)
+        reports = subspace_reports(rho)
+        assert len(seen) == 1 and seen[0] is _all_pairs_index(rho.dims)
+        keys = [[r.alpha.j, r.alpha.k, r.beta.j, r.beta.k] for r in reports]
+        assert keys == seen[0].tolist()
+        assert all(type(v) is int for key in keys for v in key)  # Python ints, so the rows serialize to JSON
+        assert json.loads(json.dumps(keys)) == keys
+        # the rows share one GeneratorPair per local pair
+        assert len({id(r.alpha) for r in reports}) == 3 and len({id(r.beta) for r in reports}) == 6
 
     def test_all_pairs_index_is_built_once_and_read_only(self):
         index = _all_pairs_index(Dims(3, 4))
@@ -879,6 +895,21 @@ class TestDetection:
     def test_isotropic_below_threshold(self):
         flag, _ = detect_entanglement(isotropic(3, 0.2))
         assert not flag
+
+    def test_one_kernel_call_decides_through_nonlinear_d(self, monkeypatch):
+        # the flag is _nonlinear_d > TAU_DETECT on the columns of the one kernel call; at
+        # nonlinear_max = fl(1 + TAU_DETECT) the difference is 9.99999993922529e-09, not detected
+        calls, real = [], witness._reports
+        rho = validate_density(np.eye(4) / 4, Dims(2, 2))
+        for value, want in ((1.0 + TAU_DETECT, False), (np.nextafter(1.0 + TAU_DETECT, 2.0), True), (1.0, False)):
+            def fake(stack, n, index, value=value):
+                calls.append(index)
+                return real(stack, n, index)._replace(nonlinear_max=np.array([[value]]))
+
+            monkeypatch.setattr(witness, "_reports", fake)
+            calls.clear()
+            flag, reports = detect_entanglement(rho)
+            assert flag is want and len(calls) == 1 and reports[0].nonlinear_max == value
 
     def test_report_count_and_order(self):
         rng = np.random.default_rng(9)
