@@ -1,7 +1,9 @@
 """Command-line front end: detection, bound computation, parameter sweeps,
 threshold bisection, and a self-test oracle suite.  Both detection onsets
 are bisected together, one stacked evaluation per step, in which each probe
-computes only the difference its bracket reads.
+computes only the difference its bracket reads.  A scan over its family's
+affine parameter builds each stack in one broadcast, and once its two range
+ends pass validation at half the tolerances, the states between them skip it.
 
 Sweeps emit violation-positive differences so that "curve above zero" means
 "detected": nonlinear_D = max_ab nonlinear_max - 1, and bell_D =
@@ -31,6 +33,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -43,13 +46,13 @@ from .witness import (
     OptimizerConfig,
     TAU_DETECT,
     WitnessSettings,
-    _all_pairs_index,
     _bell_d,
     _bell_maxima,
     _blocks,
     _csv_text,
     _nonlinear_columns,
     _nonlinear_d,
+    _pair_rows,
     _weights,
     bell_max,
     best_report,
@@ -73,7 +76,7 @@ _STATE_FLAGS = {
 }
 # every family whose parameters are all state flags, the seed or the rank
 _CLI_FAMILIES = tuple(
-    family for family, (names, _) in _FAMILIES.items() if set(names) <= {*_STATE_FLAGS, "seed", "rank"}
+    family for family, (names, *_) in _FAMILIES.items() if set(names) <= {*_STATE_FLAGS, "seed", "rank"}
 )
 
 
@@ -123,6 +126,24 @@ class SweepConfig:
             raise ValueError(f"--bisect needs a real-valued parameter, and {self.param_name} is an integer")
         _point_spec(self, self.lo, 0)  # flag errors surface here, before any state is built
 
+    @cached_property
+    def certified_dims(self) -> Dims | None:
+        """The dims of the scan's states if every state in [lo, hi] is
+        certified valid as built, else None; checked once, on first use.  The
+        swept parameter must be its family's affine one, and both range ends
+        must build, pass validation at _CERT_MARGIN times TAU_TR and TAU_PSD
+        and be their own validated states.  lambda_min is concave and the
+        trace affine in the parameter, and an exactly symmetric A and B give
+        an exactly symmetric mix."""
+        if _FAMILIES[self.family][2] != self.param_name:
+            return None
+        try:
+            mats, dims = _point_spec(self, self.lo, 0).matrix([self.lo, self.hi])
+            valid = validate_densities(mats, dims, scale=_CERT_MARGIN)
+        except _BUILD_ERRORS:
+            return None
+        return dims if valid.dtype == mats.dtype and np.array_equal(valid, mats) else None
+
 
 class ScanPoint(NamedTuple):
     """One grid point or probe; its fields in order are the scan CSV row."""
@@ -157,6 +178,7 @@ def _point_spec(cfg: SweepConfig, value: float, seed: int) -> StateSpec:
 _CHUNK = 64  # grid points built, evaluated and written together
 _BUILD_ERRORS = (ValueError, OSError, MemoryError)  # a state build's errors, StateValidationError included
 _STACK_BLOCKS = 1 << 14  # 4x4 blocks one kernel call may hold (4 MB), so large states stack fewer at a time
+_CERT_MARGIN = 0.5  # the range ends certify an affine scan at this fraction of TAU_TR and TAU_PSD, far above rounding
 
 
 def _grid_values(cfg: SweepConfig, i0: int, i1: int) -> list[float]:
@@ -169,12 +191,33 @@ def _grid_values(cfg: SweepConfig, i0: int, i1: int) -> list[float]:
     return values.tolist()
 
 
+def _per_stack(dims: Dims) -> int:
+    """States of these dims that one stack holds: at most _STACK_BLOCKS blocks, at least one state."""
+    return max(1, _STACK_BLOCKS // (math.comb(dims.m, 2) * math.comb(dims.n, 2)))
+
+
 def _validated_stacks(cfg: SweepConfig, values, seeds):
-    """Build the raw matrix at each value, with its family's parameter checks,
-    then validate each run of equal-dims states in stacks of at most
-    _STACK_BLOCKS blocks, one validate_densities call per stack, and yield
-    (dims, stack) in value order.  The error raised is the first failing
-    value's, as if each state were built on its own."""
+    """Yield (dims, stack) of the validated states at the values, in value
+    order, in stacks of _per_stack states.  A run of values inside [lo, hi]
+    of a certified scan (SweepConfig.certified_dims) is built one broadcast
+    per stack and not validated again.  Any other run is built value by
+    value, with its family's parameter checks, then validated, one
+    validate_densities call per stack of equal-dims states.  The error
+    raised is the first failing value's, as if each state were built on its own."""
+    dims = cfg.certified_dims
+    runs = itertools.groupby(zip(values, seeds), key=lambda item: dims is not None and cfg.lo <= item[0] <= cfg.hi)
+    for certified, run in runs:
+        run_values, run_seeds = zip(*run)
+        if certified:
+            spec, per = _point_spec(cfg, cfg.lo, 0), _per_stack(dims)
+            for k in range(0, len(run_values), per):
+                yield dims, spec.matrix(run_values[k : k + per])[0]
+        else:
+            yield from _checked_stacks(cfg, run_values, run_seeds)
+
+
+def _checked_stacks(cfg: SweepConfig, values, seeds):
+    """_validated_stacks of values built one at a time, then validated."""
     built, failed = [], None
     for value, seed in zip(values, seeds):
         try:
@@ -184,7 +227,7 @@ def _validated_stacks(cfg: SweepConfig, values, seeds):
             break
     for dims, run in itertools.groupby(built, key=lambda item: item[1]):
         mats = [mat for mat, _ in run]
-        per = max(1, _STACK_BLOCKS // (math.comb(dims.m, 2) * math.comb(dims.n, 2)))
+        per = _per_stack(dims)
         for k in range(0, len(mats), per):
             yield dims, validate_densities(np.array(mats[k : k + per]), dims)
     if failed is not None:
@@ -211,9 +254,9 @@ def _probe_differences(cfg: SweepConfig, fields, values, seed: int) -> list[floa
     no negativity."""
     diffs = []
     for dims, stack in _validated_stacks(cfg, values, [seed] * len(values)):
-        index = _all_pairs_index(dims)
-        c, live = _weights(stack, dims.n, index)
-        blk = _blocks(stack, dims.n, index)
+        rows = _pair_rows(dims)
+        c, live = _weights(stack, rows)
+        blk = _blocks(stack, rows)
         for i in range(len(stack)):
             one = slice(i, i + 1)
             if fields[len(diffs)] == "nonlinear_d":

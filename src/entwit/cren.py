@@ -53,7 +53,7 @@ from .qstate import (
     partial_transpose,
     trace_norm,
 )
-from .witness import SubspaceReport, _all_pairs_index, _reports, _violations, subspace_reports
+from .witness import SubspaceReport, _pair_rows, _reports, _violations, subspace_reports
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def _bound(raw, dims: Dims, literal_min: bool):
 def _assess(stack: np.ndarray, dims: Dims):
     """Kernel columns over all subspace pairs, bounds and negativities of a
     stack (N, mn, mn) of validated same-dims states."""
-    cols = _reports(stack, dims.n, _all_pairs_index(dims))
+    cols = _reports(stack, _pair_rows(dims))
     return cols, _bound(cols.raw, dims, literal_min=False), _negativities(stack, dims)
 
 
@@ -98,7 +98,7 @@ def cren_lower_bound(rho: DensityMatrix, literal_min: bool = False) -> CrenBound
     """
     stack = rho.mat[None]
     if literal_min:
-        raw = _reports(stack, rho.dims.n, _all_pairs_index(rho.dims)).raw
+        raw = _reports(stack, _pair_rows(rho.dims)).raw
     else:
         raw = _violations(stack, rho.dims)
     return CrenBoundReport(

@@ -126,12 +126,14 @@ def _hermitian_part(mat: np.ndarray) -> np.ndarray:
     return (mat + adj) / 2.0
 
 
-def validate_densities(mats: np.ndarray, dims: Dims) -> np.ndarray:
+def validate_densities(mats: np.ndarray, dims: Dims, scale: float = 1.0) -> np.ndarray:
     """Check every candidate density matrix of a stack (N, m*n, m*n) in the
     row-major product basis and return their Hermitian parts (M + M^dag)/2,
     in float64 when no imaginary part of the stack is nonzero, else in
     complex128: an exactly real stack is factorized and solved in real
-    arithmetic, which agrees with the complex one to rounding.
+    arithmetic, which agrees with the complex one to rounding.  `scale`
+    multiplies TAU_TR and TAU_PSD; the scan certifies a range of an affine
+    family by its two ends at scale 1/2.
 
     Each state is checked as on its own, in this order: shape
     (DimensionMismatchError), finite entries (StateValidationError),
@@ -157,15 +159,16 @@ def validate_densities(mats: np.ndarray, dims: Dims) -> np.ndarray:
     herm_dev = np.abs(head - adj).max(axis=(1, 2), initial=0.0)
     herm = (head + adj) / 2.0
     tr_dev = np.abs(np.trace(head, axis1=1, axis2=2) - 1.0)
-    faults = (herm_dev > TAU_HERM) | (tr_dev > TAU_TR)
+    tau_tr, tau_psd = scale * TAU_TR, scale * TAU_PSD
+    faults = (herm_dev > TAU_HERM) | (tr_dev > tau_tr)
     first = int(np.argmax(faults)) if faults.any() else len(head)
     try:  # the states before the first other fault, all positive definite after the shift
-        np.linalg.cholesky(herm[:first] + TAU_PSD * np.eye(side))
+        np.linalg.cholesky(herm[:first] + tau_psd * np.eye(side))
     except np.linalg.LinAlgError:  # some state fails: the eigensolve names the first and its eigenvalue
         lam_min = np.linalg.eigvalsh(herm[:first])[:, 0]
-        bad = np.flatnonzero(lam_min < -TAU_PSD)
+        bad = np.flatnonzero(lam_min < -tau_psd)
         if bad.size:
-            raise NotPositiveError(f"minimum eigenvalue {lam_min[bad[0]]:.3e} below -{TAU_PSD}") from None
+            raise NotPositiveError(f"minimum eigenvalue {lam_min[bad[0]]:.3e} below -{tau_psd}") from None
     if first < len(mats):
         _hermitian_part(mats[first])  # its non-finite entries or its Hermiticity, if either fails
         raise TraceError(f"trace deviates from 1 by {tr_dev[first]:.3e}")

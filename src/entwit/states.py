@@ -8,15 +8,19 @@ entangled projector, the weakly inseparable 3x3 family of
 Schmidt-form pure states, Ginibre random states, and a state read from a
 JSON document.
 
-One table, _FAMILIES, names each family with its parameter names and its raw
+One table, _FAMILIES, names each family with its parameter names, its raw
 constructor, which checks the parameters' domain (the error names the value)
-and returns the unvalidated matrix and its dims; the public family functions
-validate that one state.  A StateSpec is a family plus a parameter dict (as
-from CLI flags or a JSON spec), checked against the table; it gives the raw
-matrix (matrix, which the scan validates a stack at a time) or the validated
-state (build).  The CLI takes its --family choices and flag rule from the table.
-P_+ is built in one place, _isotropic, in float64: the max_entangled family is
-its x = 1 case, and the mixtures share that state validated once (_qutrit_pplus).
+and returns the unvalidated matrix and its dims, and its affine parameter t,
+if any: isotropic in x and both mixtures in p are (1-t) A + t B entry by
+entry, for exactly symmetric float64 A and B.  Such a constructor takes t as
+a number or an (N, 1, 1) array, so N states are one broadcast, bitwise the N
+single builds.  The public family functions validate one state.  A StateSpec
+is a family plus a parameter dict (as from CLI flags or a JSON spec), checked
+against the table; it gives the raw matrix or stack (matrix, which the scan
+validates or certifies a stack at a time) or the validated state (build).
+The CLI takes its --family choices and flag rule from the table.  P_+ is
+built in one place, _isotropic, in float64: the max_entangled family is its
+x = 1 case, and the mixtures share that state validated once (_qutrit_pplus).
 """
 
 from __future__ import annotations
@@ -53,12 +57,17 @@ def _projector(psi: PureState) -> tuple[np.ndarray, Dims]:
     return np.outer(psi.vec, psi.vec.conj()), psi.dims
 
 
+def _within(lo: float, t, hi: float) -> bool:
+    """lo <= t <= hi for a number or for every entry of an array; False on NaN."""
+    return np.asarray((lo <= t) & (t <= hi)).all()
+
+
 def _isotropic(d: int, x: float) -> tuple[np.ndarray, Dims]:
     """The one build of P_+, in float64 (x = 1 gives P_+ bitwise, as 1.0 P + 0.0 = P): the
     real part, to the last bit, of a build from the complex max_entangled vector."""
     _require_integer("d", d, 2)
     lo = -1.0 / (d * d - 1.0)
-    if not lo - 1e-12 <= x <= 1.0 + 1e-12:  # also rejects NaN
+    if not _within(lo - 1e-12, x, 1.0 + 1e-12):
         raise ValueError(f"x={x} outside positivity range [{lo}, 1]")
     vec = np.zeros(d * d)
     vec[:: d + 1] = 1.0 / math.sqrt(d)
@@ -97,7 +106,7 @@ def bennett_rho() -> DensityMatrix:
 
 
 def _example1_mixture(p: float) -> tuple[np.ndarray, Dims]:
-    if not 0.0 <= p <= 1.0:
+    if not _within(0.0, p, 1.0):
         raise ValueError(f"p={p} outside [0, 1]")
     return (1.0 - p) * _bennett().mat + p * _qutrit_pplus().mat, Dims(3, 3)
 
@@ -137,7 +146,7 @@ def rho_a(a: float) -> DensityMatrix:
 
 
 def _example2_mixture(a: float, p: float) -> tuple[np.ndarray, Dims]:
-    if not 0.0 <= p <= 1.0:
+    if not _within(0.0, p, 1.0):
         raise ValueError(f"p={p} outside [0, 1]")
     # raw rho_a is real symmetric, so it is bitwise its validated Hermitian part
     return (1.0 - p) * _rho_a(a)[0] + p * _qutrit_pplus().mat, Dims(3, 3)
@@ -156,6 +165,7 @@ def random_pure(dims: Dims, seed=None) -> PureState:
 
 
 def _random_density(dims: Dims, rank: int, seed=None) -> tuple[np.ndarray, Dims]:
+    _require_integer("rank", rank)
     if not 1 <= rank <= dims.total:
         raise ValueError(f"rank={rank} outside [1, {dims.total}]")
     rng = np.random.default_rng(seed)
@@ -171,6 +181,7 @@ def random_density(dims: Dims, rank: int, seed=None) -> DensityMatrix:
 
 def pure_from_schmidt(mu, d: int) -> PureState:
     """Canonical Schmidt-form state sum_i sqrt(mu_i) |ii> on d x d."""
+    _require_integer("d", d, 2)
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1 or len(mu) > d:
         raise ValueError("mu must be a 1-d spectrum with length <= d")
@@ -195,16 +206,16 @@ def _read(name: str, value):
 # the family of a state read from a JSON document (the CLI's --state PATH)
 FILE_FAMILY = "json_file"
 
-# family -> (parameter names, raw constructor taking them as keywords)
+# family -> (parameter names, raw constructor taking them as keywords, affine parameter or None)
 _FAMILIES = {
-    "isotropic": (("d", "x"), _isotropic),
-    "max_entangled": (("d",), lambda d: _isotropic(d, 1.0)),
-    "bennett_mix": (("p",), _example1_mixture),
-    "rho_a_mix": (("a", "p"), _example2_mixture),
-    "random_pure": (("d", "seed"), lambda d, seed: _projector(random_pure(Dims(d, d), seed))),
-    "random_density": (("d", "rank", "seed"), lambda d, rank, seed: _random_density(Dims(d, d), rank, seed)),
-    "schmidt_pure": (("mu", "d"), lambda mu, d: _projector(pure_from_schmidt(mu, d))),
-    FILE_FAMILY: (("path",), lambda path: _parse_json(Path(path).read_text(encoding="utf-8"))),
+    "isotropic": (("d", "x"), _isotropic, "x"),
+    "max_entangled": (("d",), lambda d: _isotropic(d, 1.0), None),
+    "bennett_mix": (("p",), _example1_mixture, "p"),
+    "rho_a_mix": (("a", "p"), _example2_mixture, "p"),
+    "random_pure": (("d", "seed"), lambda d, seed: _projector(random_pure(Dims(d, d), seed)), None),
+    "random_density": (("d", "rank", "seed"), lambda d, rank, seed: _random_density(Dims(d, d), rank, seed), None),
+    "schmidt_pure": (("mu", "d"), lambda mu, d: _projector(pure_from_schmidt(mu, d)), None),
+    FILE_FAMILY: (("path",), lambda path: _parse_json(Path(path).read_text(encoding="utf-8")), None),
 }
 
 
@@ -230,10 +241,17 @@ class StateSpec:
             raise ValueError("state spec needs a 'family' key")
         return cls(family=family, params=doc)
 
-    def matrix(self) -> tuple[np.ndarray, Dims]:
-        """The family's raw matrix and its dims: the parameter checks run, the matrix is not validated."""
-        names, make = _FAMILIES[self.family]
-        return make(**{name: _read(name, self.params[name]) for name in names})
+    def matrix(self, values=None) -> tuple[np.ndarray, Dims]:
+        """The family's raw matrix and its dims: the parameter checks run, the matrix is not validated.
+        Given `values` of the family's affine parameter, which replace its own, the raw stack
+        (N, mn, mn) of their states from one broadcast, bitwise the N single matrices."""
+        names, make, affine = _FAMILIES[self.family]
+        args = {name: _read(name, self.params[name]) for name in names}
+        if values is not None:
+            if affine is None:
+                raise ValueError(f"family {self.family!r} has no affine parameter")
+            args[affine] = np.reshape(np.asarray(values, dtype=float), (-1, 1, 1))
+        return make(**args)
 
     def build(self) -> DensityMatrix:
         """The validated state."""

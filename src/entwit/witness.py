@@ -43,10 +43,10 @@ Tr X^2 < 1/3, and the partial transpose keeps the purity.  A certified
 block's clipped violation is exactly 0.  Every block's purity is summed from
 the entries of rho, one party at a time (_purities), so a certified block is
 never gathered.  Detection, the scan grid and the SubspaceReport rows read
-every lambda_min, so they solve every block; all-pairs rows are gathered
-through the one cached _all_pairs_index.  The detection rule lives beside
-TAU_DETECT: detect_entanglement and the CLI scan both test the differences
-_nonlinear_d and _bell_d against it.
+every lambda_min, so they solve every block.  Every all-pairs gather and
+weight reads its block rows from _pair_rows, built once per dims.  The
+detection rule lives beside TAU_DETECT: detect_entanglement and the CLI scan
+both test the differences _nonlinear_d and _bell_d against it.
 
 Measurement settings come from a separate numeric search (optimize_settings):
 a multi-start BFGS ascent with analytic gradients over the measurement
@@ -221,31 +221,44 @@ def _local_pairs(dim: int) -> np.ndarray:
     return np.array(list(itertools.combinations(range(dim), 2))).reshape(-1, 2)
 
 
-@functools.cache
 def _all_pairs_index(dims: Dims) -> np.ndarray:
     """_pair_index of every subspace pair in lexicographic (alpha, beta) order,
-    without building the pairs; built once per dims and read-only."""
+    without building the pairs."""
     a, b = _local_pairs(dims.m), _local_pairs(dims.n)
-    index = np.concatenate([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))], axis=1)
-    index.setflags(write=False)
-    return index
+    return np.concatenate([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))], axis=1)
 
 
-def _weights(stack: np.ndarray, n: int, index: np.ndarray):
-    """Weights c >= 0 and live mask c > TAU_C, both (N, P), of the pairs in
-    `index` on a stack (N, mn, mn) of states: the one home of the empty rule.
-    c sums the block's diagonal entries of rho in the order (ja, jb),
-    (ja, kb), (ka, jb), (ka, kb)."""
+def _block_rows(index: np.ndarray, n: int) -> np.ndarray:
+    """The (P, 4) state rows (ka kb, ka jb, ja kb, ja jb) of the block of each
+    index row (ja, ka, jb, kb): the gather order of _blocks, and read right to
+    left the diagonal positions whose sum _weights takes."""
     ja, ka, jb, kb = index.T
+    return np.stack([ka * n + kb, ka * n + jb, ja * n + kb, ja * n + jb], axis=1)
+
+
+@functools.cache
+def _pair_rows(dims: Dims) -> np.ndarray:
+    """_block_rows of every subspace pair, in _all_pairs_index order; built
+    once per dims and read-only, so no kernel call rebuilds them."""
+    rows = _block_rows(_all_pairs_index(dims), dims.n)
+    rows.setflags(write=False)
+    return rows
+
+
+def _weights(stack: np.ndarray, rows: np.ndarray):
+    """Weights c >= 0 and live mask c > TAU_C, both (N, P), of the pairs whose
+    _block_rows are `rows` on a stack (N, mn, mn) of states: the one home of
+    the empty rule.  c sums the block's diagonal entries of rho in the order
+    (ja, jb), (ja, kb), (ka, jb), (ka, kb)."""
     diag = np.diagonal(stack, axis1=-2, axis2=-1).real
-    c = diag[:, ja * n + jb] + diag[:, ja * n + kb] + diag[:, ka * n + jb] + diag[:, ka * n + kb]
+    c = diag[:, rows[:, 3]] + diag[:, rows[:, 2]] + diag[:, rows[:, 1]] + diag[:, rows[:, 0]]
     c = np.maximum(c, 0.0)
     return c, c > TAU_C
 
 
-def _blocks(stack: np.ndarray, n: int, index: np.ndarray) -> np.ndarray:
-    """The raw (unnormalized) blocks, shaped (N, P, 4, 4), of the pairs in
-    `index` on a stack (N, mn, mn) of states.
+def _blocks(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The raw (unnormalized) blocks, shaped (N, P, 4, 4), of the pairs whose
+    _block_rows are `rows` on a stack (N, mn, mn) of states.
 
     The sandwich by L (x) L acts on a gathered 4x4 block as Y (x) Y with
     Y = [[0,1],[-1,0]]: a reversal of the block basis with the middle two
@@ -254,9 +267,7 @@ def _blocks(stack: np.ndarray, n: int, index: np.ndarray) -> np.ndarray:
     applies), which keeps lambda_min of the partial transpose and the
     singular values of T.
     """
-    ja, ka, jb, kb = index.T
     side = stack.shape[-1]
-    rows = np.stack([ka * n + kb, ka * n + jb, ja * n + kb, ja * n + jb], axis=1)
     flat = (rows * side)[:, :, None] + rows[:, None, :]  # entry (i, j) of each block in the flattened state
     return np.take(stack.reshape(len(stack), side * side), flat, axis=1)
 
@@ -294,11 +305,11 @@ def _bell_maxima(blk: np.ndarray, live: np.ndarray) -> np.ndarray:
     return np.where(live, 2.0 * np.sqrt(np.maximum(ev[..., 1] + ev[..., 2], 0.0)), 0.0)
 
 
-def _reports(stack: np.ndarray, n: int, index: np.ndarray) -> _Columns:
-    """Columns of the pairs in `index` on a stack of states, from one gather
-    of their raw blocks: both witnesses of every pair."""
-    c, live = _weights(stack, n, index)
-    blk = _blocks(stack, n, index)
+def _reports(stack: np.ndarray, rows: np.ndarray) -> _Columns:
+    """Columns of the pairs whose _block_rows are `rows` on a stack of states,
+    from one gather of their raw blocks: both witnesses of every pair."""
+    c, live = _weights(stack, rows)
+    blk = _blocks(stack, rows)
     raw, lam, nonlinear = _nonlinear_columns(blk, c, live)
     return _Columns(c, live, raw, lam, _bell_maxima(blk, live), nonlinear)
 
@@ -335,19 +346,19 @@ def _violations(stack: np.ndarray, dims: Dims) -> np.ndarray:
     Only the live blocks the purity certificate leaves open are gathered and
     solved; every other pair reads 0, which the bound clips to 0 as it does
     the positive value in the full _reports columns."""
-    index = _all_pairs_index(dims)
-    c, live = _weights(stack, dims.n, index)
+    rows = _pair_rows(dims)
+    c, live = _weights(stack, rows)
     raw = np.zeros_like(c)
     solve = live & (_purities(stack, dims) >= _PURITY_CERT * c**2)
     cols = np.flatnonzero(solve.any(axis=0))
     if cols.size:
-        raw[solve] = _lambda_min(_blocks(stack, dims.n, index[cols])[solve[:, cols]])
+        raw[solve] = _lambda_min(_blocks(stack, rows[cols])[solve[:, cols]])
     return raw
 
 
-def _report_rows(rho: DensityMatrix, pairs, index: np.ndarray) -> tuple[_Columns, list[SubspaceReport]]:
-    """Kernel columns and SubspaceReport rows of one state's (alpha, beta) pairs, whose index rows are `index`."""
-    cols = _reports(rho.mat[None], rho.dims.n, index)
+def _report_rows(rho: DensityMatrix, pairs, rows: np.ndarray) -> tuple[_Columns, list[SubspaceReport]]:
+    """Kernel columns and SubspaceReport rows of one state's (alpha, beta) pairs, whose _block_rows are `rows`."""
+    cols = _reports(rho.mat[None], rows)
     d = cols.nonlinear_max[0] - 1.0
     table = (cols.c[0], cols.lambda_min[0], cols.bell_max[0], cols.nonlinear_max[0], d, np.maximum(0.0, d))
     return cols, [SubspaceReport(a, b, *row) for (a, b), row in zip(pairs, zip(*(col.tolist() for col in table)))]
@@ -356,9 +367,9 @@ def _report_rows(rho: DensityMatrix, pairs, index: np.ndarray) -> tuple[_Columns
 def _pair_block(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair):
     """Weight c and rho_ab of one subspace pair; rho_ab is None when it is empty."""
     _check_pairs(rho.dims, alpha, beta)
-    stack, index = rho.mat[None], _pair_index([(alpha, beta)])
-    (c,), (live,) = _weights(stack, rho.dims.n, index)
-    return float(c[0]), (_blocks(stack, rho.dims.n, index)[0, 0] / c[0] * _YY_SIGNS if live[0] else None)
+    stack, rows = rho.mat[None], _block_rows(_pair_index([(alpha, beta)]), rho.dims.n)
+    (c,), (live,) = _weights(stack, rows)
+    return float(c[0]), (_blocks(stack, rows)[0, 0] / c[0] * _YY_SIGNS if live[0] else None)
 
 
 def project_state(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair) -> ProjectedState:
@@ -444,13 +455,13 @@ def subspace_report(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPai
     """All per-subspace figures of one pair."""
     _check_pairs(rho.dims, alpha, beta)
     pairs = [(alpha, beta)]
-    return _report_rows(rho, pairs, _pair_index(pairs))[1][0]
+    return _report_rows(rho, pairs, _block_rows(_pair_index(pairs), rho.dims.n))[1][0]
 
 
 def _all_reports(rho: DensityMatrix) -> tuple[_Columns, list[SubspaceReport]]:
     """_report_rows of every subspace pair, in _all_pairs_index order; rows share one GeneratorPair per local pair."""
     alphas, betas = ([GeneratorPair(*jk, dim) for jk in _local_pairs(dim).tolist()] for dim in (rho.dims.m, rho.dims.n))
-    return _report_rows(rho, [(a, b) for a in alphas for b in betas], _all_pairs_index(rho.dims))
+    return _report_rows(rho, [(a, b) for a in alphas for b in betas], _pair_rows(rho.dims))
 
 
 def subspace_reports(rho: DensityMatrix) -> list[SubspaceReport]:

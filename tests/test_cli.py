@@ -504,26 +504,35 @@ class TestChunkedScan:
 
     def test_a_smaller_block_budget_splits_stacks_and_keeps_the_scan(self, monkeypatch):
         # a budget of 20 blocks stacks 3x3 states (9 blocks each) two at a time, larger ones one at a time
-        cfgs = {
-            "readme": SweepConfig(bisect=True, **README_SCAN),
-            "random_density_d": SweepConfig(family="random_density", fixed={}, param_name="d", lo=2, hi=5, points=4),
+        specs = {
+            "readme": dict(bisect=True, **README_SCAN),
+            "random_density_d": dict(family="random_density", fixed={}, param_name="d", lo=2, hi=5, points=4),
         }
-        whole = {name: run_scan(cfg, base_seed=5) for name, cfg in cfgs.items()}
-        sizes = []
+        whole = {name: run_scan(SweepConfig(**spec), base_seed=5) for name, spec in specs.items()}
+        sizes, checked = [], []
+        stacks = cli._validated_stacks
 
-        def spy(mats, dims):
-            sizes.append(len(mats))
-            return validate_densities(mats, dims)
+        def spy(cfg, values, seeds):
+            for dims, stack in stacks(cfg, values, seeds):
+                sizes.append(len(stack))
+                yield dims, stack
+
+        def validate(mats, dims, **kw):
+            checked.append(len(mats))
+            return validate_densities(mats, dims, **kw)
 
         monkeypatch.setattr(cli, "_STACK_BLOCKS", 20)
-        monkeypatch.setattr(cli, "validate_densities", spy)
+        monkeypatch.setattr(cli, "_validated_stacks", spy)
+        monkeypatch.setattr(cli, "validate_densities", validate)
         seen = {}
-        for name, cfg in cfgs.items():
+        for name, spec in specs.items():
             sizes.clear()
-            assert run_scan(cfg, base_seed=5) == whole[name]
-            seen[name] = list(sizes)
-        # the README scan: 100 grid points in chunks of 64 and 36, then 14 bisection probes of 2
-        assert seen == {"readme": [2] * (32 + 18 + 14), "random_density_d": [1] * 4}
+            checked.clear()
+            assert run_scan(SweepConfig(**spec), base_seed=5) == whole[name]
+            seen[name] = (list(sizes), list(checked))
+        # the README scan: 100 grid points in chunks of 64 and 36, then 14 bisection probes of 2,
+        # all certified by its two range ends, validated together; the d scan validates each state
+        assert seen == {"readme": ([2] * (32 + 18 + 14), [2]), "random_density_d": ([1] * 4, [1] * 4)}
 
     def test_chunks_keep_only_the_first_crossings(self):
         cfg = SweepConfig(
@@ -708,12 +717,13 @@ class TestLockstepBisection:
         cfg = SweepConfig(bisect=True, **self.SCANS[name])
         crossings = grid_crossings(cfg, 7)
         probes = []
+        stacks = cli._validated_stacks
 
-        def spy(cfg, value, seed):
-            probes.append((value, seed))
-            return _point_spec(cfg, value, seed)
+        def spy(cfg, values, seeds):  # every probe enters here, built by broadcast or value by value
+            probes.extend(zip(values, seeds))
+            return stacks(cfg, values, seeds)
 
-        monkeypatch.setattr(cli, "_point_spec", spy)
+        monkeypatch.setattr(cli, "_validated_stacks", spy)
         lockstep = _thresholds(cfg, 7, crossings)
         lockstep_probes, probes[:] = sorted(probes), []
         serial = serial_thresholds(cfg, 7, crossings)
@@ -809,18 +819,150 @@ class TestLockstepBisection:
             assert _probe_differences(cfg, fields, values, 5) == want
 
 
-    def test_readme_scan_validates_16_stacks_in_place_of_128_states(self, monkeypatch):
-        cfg = SweepConfig(bisect=True, **README_SCAN)
-        run_scan(cfg)  # the family's two constant states are validated once, here
-        stacks, singles = [], []
-        validate = cli.validate_densities
+    def test_readme_scan_builds_16_stacks_and_validates_only_its_range_ends(self, monkeypatch):
+        run_scan(SweepConfig(bisect=True, **README_SCAN))  # the family's two constant states are validated once, here
+        builds, stacks, singles = [], [], []
+        validate, matrix = cli.validate_densities, states.StateSpec.matrix
         monkeypatch.setattr(
-            cli, "validate_densities", lambda mats, dims: stacks.append(len(mats)) or validate(mats, dims)
+            cli, "validate_densities", lambda mats, dims, **kw: stacks.append(len(mats)) or validate(mats, dims, **kw)
+        )
+        monkeypatch.setattr(
+            states.StateSpec, "matrix", lambda spec, values=None: builds.append(len(values)) or matrix(spec, values)
         )
         monkeypatch.setattr(states, "validate_density", lambda *args: singles.append(args))
-        run_scan(cfg)
-        assert stacks == [_CHUNK, 100 - _CHUNK] + [2] * 14 and sum(stacks) == 128
-        assert singles == []
+        run_scan(SweepConfig(bisect=True, **README_SCAN))
+        # p = 0 and p = 1 are built and validated together; the 128 states in [0, 1] are only built
+        assert builds == [2, _CHUNK, 100 - _CHUNK] + [2] * 14 and sum(builds[1:]) == 128
+        assert stacks == [2] and singles == []
+
+
+def per_value_stacks(cfg, values, seeds):
+    """Oracle for _validated_stacks: each state built and validated on its own, a stack of one."""
+    for value, seed in zip(values, seeds):
+        rho = _point_spec(cfg, value, seed).build()
+        yield rho.dims, rho.mat[None]
+
+
+class TestAffineScan:
+    """isotropic over x and both mixtures over p are affine in the swept parameter: a scan
+    builds each stack in one broadcast and skips validation once its two range ends pass it
+    at half the tolerances; anything else keeps the per-value path."""
+
+    @pytest.mark.parametrize("name", TestLockstepBisection.SCANS)
+    @pytest.mark.parametrize("base_seed", [0, 7])
+    def test_rows_and_onsets_are_bitwise_the_per_value_scan(self, monkeypatch, name, base_seed):
+        spec = TestLockstepBisection.SCANS[name]
+        got = run_scan(SweepConfig(bisect=True, **spec), base_seed)
+        monkeypatch.setattr(cli, "_validated_stacks", per_value_stacks)
+        assert repr(got) == repr(run_scan(SweepConfig(bisect=True, **spec), base_seed))
+
+    @pytest.mark.parametrize(
+        "family, fixed, param, lo, hi, certified",
+        [
+            ("bennett_mix", {}, "p", 0.0, 1.0, True),
+            ("rho_a_mix", {"a": 0.5}, "p", 0.0, 1.0, True),
+            ("isotropic", {"d": 4}, "x", -1.0 / 15.0, 1.0, True),
+            ("bennett_mix", {}, "p", 0.0, 1.5, False),  # past its domain
+            ("isotropic", {"d": 3}, "x", -0.2, 1.0, False),  # past its positivity range
+            ("isotropic", {"d": 3}, "x", 0.0, 1.2, False),
+            ("rho_a_mix", {"p": 0.3}, "a", 0.05, 0.95, False),  # not affine in a
+            ("random_density", {}, "d", 2.0, 4.0, False),
+            ("random_pure", {}, "d", 2.0, 4.0, False),
+        ],
+    )
+    def test_which_scans_are_certified(self, family, fixed, param, lo, hi, certified):
+        cfg = SweepConfig(family=family, fixed=fixed, param_name=param, lo=lo, hi=hi, points=3)
+        assert (cfg.certified_dims is not None) is certified
+
+    def test_a_scan_past_the_domain_prints_its_first_chunk_and_names_the_value(self, capsys, monkeypatch):
+        argv = ["scan", "--family", "bennett_mix", "--scan-param", "p", "--range", "0:1.5", "--points", "100"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3 and len(out.splitlines()) == 1 + _CHUNK
+        assert err == "error: p=1.0151515151515151 outside [0, 1]\n"
+        monkeypatch.setattr(cli, "_validated_stacks", per_value_stacks)
+        assert run_cli(capsys, argv) == (code, out, err)
+
+    def test_isotropic_past_its_positivity_range_falls_back(self, capsys, monkeypatch):
+        argv = ["scan", "--family", "isotropic", "--d", "3", "--scan-param", "x", "--range", "0:1.2", "--points", "12"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3 and out == ""
+        assert err == "error: x=1.0909090909090908 outside positivity range [-0.125, 1]\n"
+        monkeypatch.setattr(cli, "_validated_stacks", per_value_stacks)
+        assert run_cli(capsys, argv) == (code, out, err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "bennett_mix", "--scan-param", "p", "--range", "0:1", "--points", "100", "--bisect",
+             "--tol", "1e-6"],
+            ["--family", "isotropic", "--d", "4", "--scan-param", "x", "--range", "0:1", "--points", "150", "--bisect"],
+            ["--family", "rho_a_mix", "--a", "0.5", "--scan-param", "p", "--range", "0:1", "--points", "20",
+             "--bisect"],
+        ],
+    )
+    def test_a_failing_certificate_keeps_the_output(self, capsys, monkeypatch, argv):
+        certified = run_cli(capsys, ["scan", *argv])
+        monkeypatch.setattr(cli, "_CERT_MARGIN", -1.0)  # no trace deviation is below a negative tolerance
+        checked = []
+        monkeypatch.setattr(
+            cli, "validate_densities", lambda mats, dims, **kw: checked.append(kw) or validate_densities(mats, dims, **kw)
+        )
+        assert run_cli(capsys, ["scan", *argv]) == certified and certified[0] == 0
+        assert checked[0] == {"scale": -1.0} and len(checked) > 1  # the ends fail, then every stack is validated
+
+    def test_an_end_that_is_not_its_own_validated_state_fails_the_certificate(self, monkeypatch):
+        # bennett_mix with an antisymmetric part of 1e-12 in A: it passes validation, which stores
+        # the symmetric part, so a raw stack would not be the validated one
+        a = states.bennett_rho().mat.copy()
+        a[0, 1] += 1e-12
+        a[1, 0] -= 1e-12
+
+        def make(p):
+            return (1.0 - p) * a + p * states._qutrit_pplus().mat, Dims(3, 3)
+
+        monkeypatch.setitem(states._FAMILIES, "bennett_mix", (("p",), make, "p"))
+        cfg = SweepConfig(bisect=True, **README_SCAN)
+        got = run_scan(cfg)
+        assert cfg.certified_dims is None
+        monkeypatch.setattr(cli, "_validated_stacks", per_value_stacks)
+        assert repr(got) == repr(run_scan(SweepConfig(bisect=True, **README_SCAN)))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            dict(family="rho_a_mix", fixed={"p": 0.3}, param_name="a", lo=0.05, hi=0.95, points=20),
+            dict(family="random_density", fixed={}, param_name="d", lo=2.0, hi=4.0, points=3),
+            dict(family="random_pure", fixed={}, param_name="d", lo=2.0, hi=4.0, points=3),
+        ],
+    )
+    def test_other_scans_build_each_value_with_its_seed(self, monkeypatch, spec):
+        cfg, built = SweepConfig(**spec), []
+        point_spec, matrix = cli._point_spec, states.StateSpec.matrix
+
+        def single(spec, values=None):
+            assert values is None, "a broadcast build"
+            return matrix(spec)
+
+        monkeypatch.setattr(cli, "_point_spec", lambda cfg, value, seed: built.append((value, seed)) or point_spec(cfg, value, seed))
+        monkeypatch.setattr(states.StateSpec, "matrix", single)
+        result = run_scan(cfg, base_seed=4)
+        assert cfg.certified_dims is None
+        assert built == [(pt.param, 4 + i) for i, pt in enumerate(result.points)]
+        monkeypatch.setattr(cli, "_validated_stacks", per_value_stacks)
+        assert repr(run_scan(SweepConfig(**spec), base_seed=4)) == repr(result)
+
+    def test_probes_outside_the_range_are_built_one_by_one(self, monkeypatch):
+        cfg = SweepConfig(family="bennett_mix", fixed={}, param_name="p", lo=0.2, hi=0.8, points=3)
+        values, fields = [0.1, 0.5, 0.55, 0.9, 0.3], ["nonlinear_d", "bell_d", "bell_d", "nonlinear_d", "bell_d"]
+        assert cfg.certified_dims is not None
+        built = []
+        point_spec = cli._point_spec
+        monkeypatch.setattr(cli, "_point_spec", lambda cfg, value, seed: built.append(value) or point_spec(cfg, value, seed))
+        got = _probe_differences(cfg, fields, values, 5), _scan_points(cfg, values, [5] * len(values))
+        # the runs inside [lo, hi] each take one broadcast spec, the others one spec per value
+        assert built == [0.1, 0.2, 0.9, 0.2] * 2
+        monkeypatch.setattr(cli, "_validated_stacks", per_value_stacks)
+        assert repr(got) == repr((_probe_differences(cfg, fields, values, 5), _scan_points(cfg, values, [5] * 5)))
 
 
 class TestScanCsvApi:

@@ -36,6 +36,7 @@ from entwit.witness import (
     TAU_C,
     _all_pairs_index,
     _blocks,
+    _pair_rows,
     _purities,
     _reports,
     _weights,
@@ -94,7 +95,7 @@ def assert_bitwise_full_solve(rho):
     proves positive; the oracle solves every block, and both must agree to
     the last bit, in both clips, solving the stack the bound solves (rho.mat
     as stored)."""
-    cols = _reports(rho.mat[None], rho.dims.n, _all_pairs_index(rho.dims))
+    cols = _reports(rho.mat[None], _pair_rows(rho.dims))
     for literal_min in (False, True):
         rep = cren_lower_bound(rho, literal_min=literal_min)
         assert rep.bound == float(_bound(cols.raw, rho.dims, literal_min)[0])
@@ -128,10 +129,10 @@ class TestCertifiedSolve:
         want = np.sum(np.abs(raw) ** 2, axis=(1, 2))
         q = _purities(rho.mat[None], rho.dims)
         assert np.all(np.abs(q[0] - want) <= 1e-13 * want)
-        c, live = _weights(rho.mat[None], n, index)
+        c, live = _weights(rho.mat[None], _pair_rows(rho.dims))
         assert np.all(np.abs(c[0] - np.trace(raw, axis1=1, axis2=2).real) <= 1e-15)
         assert np.array_equal(live, c > TAU_C)
-        assert np.array_equal(_blocks(rho.mat[None], n, index)[0], raw[:, ::-1, ::-1])
+        assert np.array_equal(_blocks(rho.mat[None], _pair_rows(rho.dims))[0], raw[:, ::-1, ::-1])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(noisy_states())
@@ -189,9 +190,9 @@ class TestCertifiedSolve:
         calls = []
         blocks = witness._blocks
 
-        def counting(stack, n, index):
-            calls.append(len(stack) * len(index))
-            return blocks(stack, n, index)
+        def counting(stack, rows):
+            calls.append(len(stack) * len(rows))
+            return blocks(stack, rows)
 
         rho = random_density(Dims(d, d), rank, seed=11)
         monkeypatch.setattr(witness, "_blocks", counting)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entwit.qstate import (
     Dims,
@@ -268,6 +269,12 @@ class TestRandomStates:
         with pytest.raises(ValueError):
             random_density(Dims(2, 2), 5, seed=0)
 
+    @pytest.mark.parametrize("rank", [2.0, True, "2", None])
+    def test_rank_must_be_an_integer(self, rank):
+        with pytest.raises(ValueError, match=f"rank must be an integer, got {rank!r}"):
+            random_density(Dims(2, 2), rank, seed=0)
+        assert random_density(Dims(2, 2), np.int64(2), seed=0).mat.shape == (4, 4)
+
 
 class TestPureFromSchmidt:
     def test_worked_examples(self):
@@ -294,6 +301,11 @@ class TestPureFromSchmidt:
         for mu in ([float("nan"), 0.5], [float("nan")], [1.0, float("nan")]):
             with pytest.raises(ValueError, match="nan"):
                 pure_from_schmidt(mu, 3)
+
+    @pytest.mark.parametrize("d", [2.0, True, 1, "2"])
+    def test_d_must_be_an_integer_of_at_least_2(self, d):
+        with pytest.raises(ValueError, match=f"d must be an integer >= 2, got {d!r}"):
+            pure_from_schmidt([1.0], d)
 
 
 class TestStateSpec:
@@ -328,3 +340,43 @@ class TestStateSpec:
             StateSpec.from_dict({"family": "random_pure", "d": 2.5, "seed": 0}).build()
         with pytest.raises(ValueError, match="rank must be an integer"):
             StateSpec.from_dict({"family": "random_density", "d": 2, "rank": 2.5, "seed": 0}).build()
+
+
+# an affine family's swept parameter and a strategy for its other parameters and in-domain values
+AFFINE = {
+    "isotropic": ("x", st.integers(2, 5).flatmap(
+        lambda d: st.tuples(st.just({"d": d}), st.lists(st.floats(-1.0 / (d * d - 1.0), 1.0), min_size=1, max_size=9))
+    )),
+    "bennett_mix": ("p", st.tuples(st.just({}), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=9))),
+    "rho_a_mix": ("p", st.tuples(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(lambda a: {"a": a}),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=9),
+    )),
+}
+
+
+class TestBroadcastBuild:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(AFFINE)).flatmap(lambda f: st.tuples(st.just(f), AFFINE[f][1])))
+    def test_broadcast_stack_is_bitwise_the_per_value_matrices(self, case):
+        family, (fixed, values) = case
+        name = AFFINE[family][0]
+        single = [StateSpec(family, {**fixed, name: v}).matrix() for v in values]
+        stack, dims = StateSpec(family, {**fixed, name: values[0]}).matrix(values)
+        assert dims == single[0][1] and stack.dtype == single[0][0].dtype == np.float64
+        assert stack.tobytes() == np.array([mat for mat, _ in single]).tobytes()
+        # the states of these families are exactly symmetric, so each is its own validated state
+        assert np.array_equal(stack, stack.swapaxes(1, 2))
+
+    def test_a_value_outside_the_domain_fails_the_stack(self):
+        with pytest.raises(ValueError, match="outside"):
+            StateSpec("bennett_mix", {"p": 0.5}).matrix([0.2, 1.5])
+        with pytest.raises(ValueError, match="outside"):
+            StateSpec("isotropic", {"d": 3, "x": 0.5}).matrix([0.2, float("nan")])
+
+    @pytest.mark.parametrize("family, params", [
+        ("max_entangled", {"d": 3}), ("random_density", {"d": 2, "rank": 4, "seed": 0}),
+    ])
+    def test_only_an_affine_family_takes_values(self, family, params):
+        with pytest.raises(ValueError, match="no affine parameter"):
+            StateSpec(family, params).matrix([0.5])

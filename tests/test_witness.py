@@ -49,6 +49,7 @@ from entwit.witness import (
     _bell_fg,
     _check_pairs,
     _nonlinear_fg,
+    _pair_rows,
     _reports,
     _violations,
     bell_max,
@@ -440,26 +441,29 @@ class TestKernel:
             assert any(r.c == 0.0 and r.nonlinear_max == 1.0 for r in reports)
 
     def test_subspace_reports_read_the_cached_index(self, monkeypatch):
-        # the kernel gets _all_pairs_index(dims) itself, and no index is rebuilt from pair objects
+        # the kernel gets _pair_rows(dims) itself, and no index is rebuilt from pair objects
         seen, real = [], witness._reports
-        monkeypatch.setattr(witness, "_reports", lambda stack, n, index: seen.append(index) or real(stack, n, index))
+        monkeypatch.setattr(witness, "_reports", lambda stack, rows: seen.append(rows) or real(stack, rows))
         monkeypatch.setattr(witness, "_pair_index", lambda pairs: pytest.fail("_pair_index called"))
         rho = rand_density(np.random.default_rng(5), 3, 4)
         reports = subspace_reports(rho)
-        assert len(seen) == 1 and seen[0] is _all_pairs_index(rho.dims)
+        assert len(seen) == 1 and seen[0] is _pair_rows(rho.dims)
         keys = [[r.alpha.j, r.alpha.k, r.beta.j, r.beta.k] for r in reports]
-        assert keys == seen[0].tolist()
+        assert keys == _all_pairs_index(rho.dims).tolist()
         assert all(type(v) is int for key in keys for v in key)  # Python ints, so the rows serialize to JSON
         assert json.loads(json.dumps(keys)) == keys
         # the rows share one GeneratorPair per local pair
         assert len({id(r.alpha) for r in reports}) == 3 and len({id(r.beta) for r in reports}) == 6
 
-    def test_all_pairs_index_is_built_once_and_read_only(self):
-        index = _all_pairs_index(Dims(3, 4))
-        assert _all_pairs_index(Dims(3, 4)) is index
-        assert not index.flags.writeable
+    def test_pair_rows_are_built_once_and_read_only(self):
+        rows = _pair_rows(Dims(3, 4))
+        assert _pair_rows(Dims(3, 4)) is rows
+        assert not rows.flags.writeable
         with pytest.raises(ValueError):
-            index[0, 0] = 1
+            rows[0, 0] = 1
+        # each pair's block rows (ka kb, ka jb, ja kb, ja jb) in the state, n = 4
+        ja, ka, jb, kb = _all_pairs_index(Dims(3, 4)).T
+        assert rows.tolist() == np.stack([4 * ka + kb, 4 * ka + jb, 4 * ja + kb, 4 * ja + jb], axis=1).tolist()
 
     @pytest.mark.parametrize("m, n, with_empty", [(3, 3, False), (4, 4, False), (3, 5, False), (3, 4, True)])
     def test_stacked_columns_equal_per_state_columns(self, m, n, with_empty):
@@ -473,9 +477,9 @@ class TestKernel:
         assert [tuple(row) for row in index] == [
             (a.j, a.k, b.j, b.k) for a, _ in so_generators(m) for b, _ in so_generators(n)
         ]
-        stacked = _reports(np.stack([rho.mat for rho in states]), n, index)
+        stacked = _reports(np.stack([rho.mat for rho in states]), _pair_rows(Dims(m, n)))
         for k, rho in enumerate(states):
-            single = _reports(rho.mat[None], n, index)
+            single = _reports(rho.mat[None], _pair_rows(Dims(m, n)))
             for name in _Columns._fields:
                 got, want = getattr(stacked, name), getattr(single, name)
                 assert got.shape == (len(states), len(index)) and want.shape == (1, len(index))
@@ -902,9 +906,9 @@ class TestDetection:
         calls, real = [], witness._reports
         rho = validate_density(np.eye(4) / 4, Dims(2, 2))
         for value, want in ((1.0 + TAU_DETECT, False), (np.nextafter(1.0 + TAU_DETECT, 2.0), True), (1.0, False)):
-            def fake(stack, n, index, value=value):
-                calls.append(index)
-                return real(stack, n, index)._replace(nonlinear_max=np.array([[value]]))
+            def fake(stack, rows, value=value):
+                calls.append(rows)
+                return real(stack, rows)._replace(nonlinear_max=np.array([[value]]))
 
             monkeypatch.setattr(witness, "_reports", fake)
             calls.clear()
