@@ -27,6 +27,13 @@ A. Sanpera, M. Lewenstein, Phys. Rev. A 58, 883 (1998)].  The default bound
 therefore gathers and solves only the live blocks with purity at or above
 1/3 - 1e-9 (witness._violations) and equals the all-blocks solve to the last
 bit.  The purities are summed from the entries of rho, one party at a time.
+Of those blocks it solves only the ones with a nonzero off-diagonal entry.
+An exactly diagonal block is its own partial transpose, so its lambda_min
+is its smallest diagonal entry, and LAPACK returns exactly that for it: it
+rescales a matrix only below about 1e-146 or above 1e146, and a live block
+holds an entry of at least c/4 > TAU_C/4.  The test is for exact zeros, so
+it adds no tolerance.  In Schmidt form, and for P_+, most live blocks are
+such rank-one product blocks, whose purity c^2 the certificate cannot pass.
 
 A literal clip-below variant (X = min(0, d)) is kept behind a flag for
 comparison; it discards every violation and degenerates to 0 on the

@@ -57,9 +57,14 @@ def _projector(psi: PureState) -> tuple[np.ndarray, Dims]:
     return np.outer(psi.vec, psi.vec.conj()), psi.dims
 
 
-def _within(lo: float, t, hi: float) -> bool:
-    """lo <= t <= hi for a number or for every entry of an array; False on NaN."""
-    return np.asarray((lo <= t) & (t <= hi)).all()
+def _outside(lo: float, t, hi: float):
+    """None if lo <= t <= hi for a number t or for every entry of an array t;
+    otherwise t itself, or the first entry of the array that is not (NaN
+    included), so that an error names one value."""
+    inside = np.asarray((lo <= t) & (t <= hi))
+    if inside.all():
+        return None
+    return t if inside.ndim == 0 else np.asarray(t).flat[np.argmin(inside)].item()
 
 
 def _isotropic(d: int, x: float) -> tuple[np.ndarray, Dims]:
@@ -67,8 +72,8 @@ def _isotropic(d: int, x: float) -> tuple[np.ndarray, Dims]:
     real part, to the last bit, of a build from the complex max_entangled vector."""
     _require_integer("d", d, 2)
     lo = -1.0 / (d * d - 1.0)
-    if not _within(lo - 1e-12, x, 1.0 + 1e-12):
-        raise ValueError(f"x={x} outside positivity range [{lo}, 1]")
+    if (bad := _outside(lo - 1e-12, x, 1.0 + 1e-12)) is not None:
+        raise ValueError(f"x={bad} outside positivity range [{lo}, 1]")
     vec = np.zeros(d * d)
     vec[:: d + 1] = 1.0 / math.sqrt(d)
     return x * np.outer(vec, vec) + (1.0 - x) * np.eye(d * d) / (d * d), Dims(d, d)
@@ -106,8 +111,8 @@ def bennett_rho() -> DensityMatrix:
 
 
 def _example1_mixture(p: float) -> tuple[np.ndarray, Dims]:
-    if not _within(0.0, p, 1.0):
-        raise ValueError(f"p={p} outside [0, 1]")
+    if (bad := _outside(0.0, p, 1.0)) is not None:
+        raise ValueError(f"p={bad} outside [0, 1]")
     return (1.0 - p) * _bennett().mat + p * _qutrit_pplus().mat, Dims(3, 3)
 
 
@@ -146,8 +151,8 @@ def rho_a(a: float) -> DensityMatrix:
 
 
 def _example2_mixture(a: float, p: float) -> tuple[np.ndarray, Dims]:
-    if not _within(0.0, p, 1.0):
-        raise ValueError(f"p={p} outside [0, 1]")
+    if (bad := _outside(0.0, p, 1.0)) is not None:
+        raise ValueError(f"p={bad} outside [0, 1]")
     # raw rho_a is real symmetric, so it is bitwise its validated Hermitian part
     return (1.0 - p) * _rho_a(a)[0] + p * _qutrit_pplus().mat, Dims(3, 3)
 

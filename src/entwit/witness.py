@@ -42,7 +42,11 @@ lambda_min(X) >= 1/4 - sqrt(3(Tr X^2 - 1/4)/4), which is > 0 iff
 Tr X^2 < 1/3, and the partial transpose keeps the purity.  A certified
 block's clipped violation is exactly 0.  Every block's purity is summed from
 the entries of rho, one party at a time (_purities), so a certified block is
-never gathered.  Detection, the scan grid and the SubspaceReport rows read
+never gathered.  Of the gathered blocks, those whose 12 off-diagonal entries
+are exact zeros are their own partial transposes and read lambda_min as
+their smallest diagonal entry, which is what the eigensolver returns for
+them, to the last bit (the diagonal rule at _OFF_DIAGONAL); only the rest
+are solved.  Detection, the scan grid and the SubspaceReport rows read
 every lambda_min, so they solve every block.  Every all-pairs gather and
 weight reads its block rows from _pair_rows, built once per dims.  The
 detection rule lives beside TAU_DETECT: detect_entanglement and the CLI scan
@@ -341,18 +345,35 @@ def _purities(stack: np.ndarray, dims: Dims) -> np.ndarray:
     return q.reshape(len(stack), -1)
 
 
+# Diagonal rule.  A block whose 12 off-diagonal entries are all exactly zero is
+# its own partial transpose, and LAPACK returns the diagonal of a diagonal
+# input as its eigenvalues, unrounded, unless it rescales the input, which it
+# does only below about 1e-146 or above 1e146; a live block has c > TAU_C.
+_OFF_DIAGONAL = np.flatnonzero(~np.eye(4, dtype=bool))
+
+
 def _violations(stack: np.ndarray, dims: Dims) -> np.ndarray:
     """Raw lambda_min, (N, P) in _all_pairs_index order, on a stack of states.
-    Only the live blocks the purity certificate leaves open are gathered and
-    solved; every other pair reads 0, which the bound clips to 0 as it does
-    the positive value in the full _reports columns."""
+    Only the live blocks the purity certificate leaves open are gathered, and
+    of those only the ones with a nonzero off-diagonal entry are solved: an
+    exactly diagonal block reads the minimum of its diagonal.  Every other
+    pair reads 0, which the bound clips to 0 as it does the positive value in
+    the full _reports columns."""
     rows = _pair_rows(dims)
     c, live = _weights(stack, rows)
     raw = np.zeros_like(c)
     solve = live & (_purities(stack, dims) >= _PURITY_CERT * c**2)
     cols = np.flatnonzero(solve.any(axis=0))
     if cols.size:
-        raw[solve] = _lambda_min(_blocks(stack, rows[cols])[solve[:, cols]])
+        blk = _blocks(stack, rows[cols])[solve[:, cols]]
+        diagonal = ~blk.reshape(-1, 16)[:, _OFF_DIAGONAL].any(axis=1)  # exact zeros, no magnitude test
+        if diagonal.any():
+            lam = np.diagonal(blk, axis1=-2, axis2=-1).real.min(axis=-1)
+            if not diagonal.all():
+                lam[~diagonal] = _lambda_min(blk[~diagonal])
+        else:
+            lam = _lambda_min(blk)
+        raw[solve] = lam
     return raw
 
 

@@ -34,11 +34,13 @@ from entwit.states import (
 )
 from entwit.witness import (
     TAU_C,
+    _PURITY_CERT,
     _all_pairs_index,
     _blocks,
     _pair_rows,
     _purities,
     _reports,
+    _violations,
     _weights,
     reports_to_csv,
     subspace_reports,
@@ -90,15 +92,25 @@ class TestLazyRows:
         assert abs(rep.bound - bound_from_rows([{"c": r.c, "d": r.d} for r in rows], rho.dims)) < 1e-12
 
 
-def assert_bitwise_full_solve(rho):
+def assert_bitwise_full_solve(rho) -> int:
     """The bound skips the eigensolve of every block the purity certificate
-    proves positive; the oracle solves every block, and both must agree to
-    the last bit, in both clips, solving the stack the bound solves (rho.mat
-    as stored)."""
-    cols = _reports(rho.mat[None], _pair_rows(rho.dims))
+    proves positive and of every exactly diagonal block; the oracle solves
+    every block, and both must agree to the last bit, in both clips, solving
+    the stack the bound solves (rho.mat as stored).  Pair by pair, _violations
+    holds the oracle's raw lambda_min on every block it does not certify and
+    reads 0 on the rest, whose raw lambda_min is positive or, if empty, 0.
+    Returns the number of those uncertified blocks that are exactly diagonal."""
+    stack, dims = rho.mat[None], rho.dims
+    cols = _reports(stack, _pair_rows(dims))
     for literal_min in (False, True):
         rep = cren_lower_bound(rho, literal_min=literal_min)
-        assert rep.bound == float(_bound(cols.raw, rho.dims, literal_min)[0])
+        assert repr(rep.bound) == repr(float(_bound(cols.raw, dims, literal_min)[0]))
+    raw = _violations(stack, dims)
+    solved = cols.live & (_purities(stack, dims) >= _PURITY_CERT * cols.c**2)
+    assert raw[solved].tobytes() == cols.raw[solved].tobytes()
+    assert not raw[~solved].any() and np.all(cols.raw[~solved] >= 0.0)
+    blocks = _blocks(stack, _pair_rows(dims))[solved]
+    return int(np.sum(np.count_nonzero(blocks * (1.0 - np.eye(4)), axis=(1, 2)) == 0))
 
 
 @st.composite
@@ -198,6 +210,127 @@ class TestCertifiedSolve:
         monkeypatch.setattr(witness, "_blocks", counting)
         cren_lower_bound(rho)
         assert calls == gathered
+
+
+@st.composite
+def local_schmidt_states(draw):
+    """A Schmidt-form pure state on d x d, d = 2..8, some coefficients zero,
+    under a random local permutation with random diagonal phases on each side:
+    (D_a P_a (x) D_b P_b) sum_i sqrt(mu_i) |ii>.  Most of its live blocks are
+    exactly diagonal rank-one product blocks, with purity c^2."""
+    d = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mu = rng.dirichlet(np.ones(d)) * (rng.random(d) < 0.8)
+    mu[0] += mu.sum() == 0.0
+    coeff = pure_from_schmidt(mu / mu.sum(), d).vec.reshape(d, d)
+    ua, ub = (np.exp(2j * np.pi * rng.random(d))[:, None] * np.eye(d)[rng.permutation(d)] for _ in "ab")
+    vec = (ua @ coeff @ ub.T).reshape(-1)
+    return validate_density(np.outer(vec, vec.conj()), Dims(d, d))
+
+
+@st.composite
+def product_diagonal_states(draw):
+    """A state diagonal in the product basis, m, n = 2..6, some weights zero:
+    every block is exactly diagonal."""
+    m, n = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.dirichlet(np.full(m * n, 0.3)) * (rng.random(m * n) < 0.7)
+    w[0] += w.sum() == 0.0
+    return validate_density(np.diag(w / w.sum()), Dims(m, n))
+
+
+def lambda_min_calls(monkeypatch, rho):
+    """The stack shapes that cren_lower_bound(rho) passes to witness._lambda_min."""
+    shapes = []
+    solve = witness._lambda_min
+    monkeypatch.setattr(witness, "_lambda_min", lambda blk: shapes.append(blk.shape) or solve(blk))
+    cren_lower_bound(rho)
+    monkeypatch.undo()
+    return shapes
+
+
+class TestDiagonalBlocks:
+    """An uncertified block whose 12 off-diagonal entries are exact zeros is
+    its own partial transpose; the bound reads its lambda_min off its diagonal,
+    which is what the eigensolver returns, to the last bit."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(local_schmidt_states())
+    def test_schmidt_states_under_local_permutations_and_phases(self, rho):
+        diagonal = assert_bitwise_full_solve(rho)
+        rep = cren_lower_bound(rho)
+        # the bound stays exact: local permutations and diagonal phases keep every block's spectrum
+        assert abs(rep.bound - rep.negativity) < 1e-8
+        if rho.dims.m > 2 and np.count_nonzero(np.diagonal(rho.mat).real) > 1:
+            assert diagonal > 0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(product_diagonal_states())
+    def test_product_basis_diagonal_states(self, rho):
+        assert_bitwise_full_solve(rho)
+        assert cren_lower_bound(rho).bound == 0.0
+
+    def test_isotropic_and_max_entangled_grids(self):
+        for d in range(2, 6):
+            for x in np.linspace(-1.0 / (d * d - 1.0), 1.0, 21):
+                assert_bitwise_full_solve(isotropic(d, x))
+        for d in range(2, 17):
+            # complex P_+ from the vector and the float64 family build
+            for rho in (max_entangled(d).projector(), isotropic(d, 1.0)):
+                # alpha = {i, j} with a beta that shares one index: a diagonal product block
+                assert assert_bitwise_full_solve(rho) == d * (d - 1) // 2 * 2 * (d - 2)
+
+    @pytest.mark.parametrize("tiny", [1e-300, 1e-300j, 5e-324])
+    def test_a_tiny_off_diagonal_entry_is_solved(self, monkeypatch, tiny):
+        # an exact-zero test, not a magnitude test: the block is not diagonal, so it is solved
+        mat = np.diag([0.7, 0.1, 0.1, 0.1]).astype(type(tiny))
+        mat[0, 3], mat[3, 0] = tiny, np.conj(tiny)
+        rho = validate_density(mat, Dims(2, 2))
+        assert rho.mat[0, 3] == tiny
+        assert lambda_min_calls(monkeypatch, rho) == [(1, 4, 4)]
+        assert assert_bitwise_full_solve(rho) == 0
+        mat[0, 3] = mat[3, 0] = 0.0
+        assert lambda_min_calls(monkeypatch, validate_density(mat, Dims(2, 2))) == []
+
+    @pytest.mark.parametrize("dims", [Dims(2, 2), Dims(3, 4)])
+    def test_a_negative_diagonal_entry_that_validation_accepts(self, monkeypatch, dims):
+        # -1e-12 lies within TAU_PSD; the diagonal block reads it as its lambda_min, as eigvalsh does
+        w = np.zeros(dims.total)
+        w[:4] = [0.6, 0.4 + 1e-12, -1e-12, 0.0]
+        rho = validate_density(np.diag(w), dims)
+        assert lambda_min_calls(monkeypatch, rho) == []
+        assert assert_bitwise_full_solve(rho) > 0
+        raw = _violations(rho.mat[None], dims)
+        assert raw.min() == -1e-12
+        assert np.linalg.eigvalsh(partial_transpose(rho))[0] == -1e-12
+        if dims == Dims(2, 2):
+            assert cren_lower_bound(rho).bound == 2e-12
+
+    @pytest.mark.parametrize("make, solved", [
+        (lambda: pure_from_schmidt(np.random.default_rng(19).dirichlet(np.ones(12)), 12).projector(), [(66, 4, 4)]),
+        (lambda: max_entangled(16).projector(), [(120, 4, 4)]),
+        (lambda: isotropic(16, 1.0), [(120, 4, 4)]),
+        (lambda: random_density(Dims(8, 8), 1, seed=11), [(784, 4, 4)]),
+        (lambda: random_density(Dims(5, 7), 3, seed=4), None),
+    ], ids=["schmidt_12", "max_entangled_16", "pplus_16_float64", "pure_8x8", "rank3_5x7"])
+    def test_eigvalsh_sees_only_the_blocks_that_are_not_diagonal(self, monkeypatch, make, solved):
+        # Schmidt form on 12 x 12: of 1386 uncertified live blocks, 1320 are diagonal product blocks;
+        # P_+ on 16 x 16: 3360 of 3480; a dense state has no diagonal block and solves every uncertified
+        # one, as before, in one call; the other call is the negativity's one eigensolve
+        rho = make()
+        stack, dims = rho.mat[None], rho.dims
+        c, live = _weights(stack, _pair_rows(dims))
+        open_blocks = int(np.sum(live & (_purities(stack, dims) >= _PURITY_CERT * c**2)))
+        if solved is None:
+            assert open_blocks > 0
+            solved = [(open_blocks, 4, 4)]
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(np.shape(a)) or eigvalsh(a))
+        cren_lower_bound(rho)
+        monkeypatch.undo()
+        assert shapes == solved + [(1, dims.total, dims.total)]
+        assert open_blocks - solved[0][0] == assert_bitwise_full_solve(rho)
 
 
 class TestIsotropicBound:

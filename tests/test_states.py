@@ -368,11 +368,34 @@ class TestBroadcastBuild:
         # the states of these families are exactly symmetric, so each is its own validated state
         assert np.array_equal(stack, stack.swapaxes(1, 2))
 
-    def test_a_value_outside_the_domain_fails_the_stack(self):
-        with pytest.raises(ValueError, match="outside"):
-            StateSpec("bennett_mix", {"p": 0.5}).matrix([0.2, 1.5])
-        with pytest.raises(ValueError, match="outside"):
-            StateSpec("isotropic", {"d": 3, "x": 0.5}).matrix([0.2, float("nan")])
+    @pytest.mark.parametrize("family, params, values, first, message", [
+        ("bennett_mix", {"p": 0.5}, [0.2, 1.5], 1.5, "p=1.5 outside [0, 1]"),
+        ("bennett_mix", {"p": 0.5}, [0.2, -0.25, 2.0, 0.5], -0.25, "p=-0.25 outside [0, 1]"),
+        ("rho_a_mix", {"a": 0.5, "p": 0.5}, [0.1, math.nan, 7.0], math.nan, "p=nan outside [0, 1]"),
+        ("rho_a_mix", {"a": 0.5, "p": 0.5}, [1.0151515151515151], 1.0151515151515151,
+         "p=1.0151515151515151 outside [0, 1]"),
+        ("isotropic", {"d": 3, "x": 0.5}, [0.2, math.nan], math.nan, "x=nan outside positivity range [-0.125, 1]"),
+        ("isotropic", {"d": 3, "x": 0.5}, [1.0, -0.5, 3.0], -0.5, "x=-0.5 outside positivity range [-0.125, 1]"),
+    ])
+    def test_a_value_outside_the_domain_fails_the_stack_naming_that_value(self, family, params, values, first, message):
+        # the stack's message names its first failing value, as that value's single build does
+        with pytest.raises(ValueError) as err:
+            StateSpec(family, params).matrix(values)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as single:
+            StateSpec(family, {**params, AFFINE[family][0]: first}).matrix()
+        assert str(single.value) == message
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: isotropic(3, 2), "x=2 outside positivity range [-0.125, 1]"),
+        (lambda: example1_mixture(np.float64(1.5)), "p=1.5 outside [0, 1]"),
+        (lambda: example2_mixture(0.5, -1), "p=-1 outside [0, 1]"),
+        (lambda: _isotropic(2, np.asarray(1.5)), "x=1.5 outside positivity range [-0.3333333333333333, 1]"),
+    ])
+    def test_a_single_value_is_named_as_given(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("family, params", [
         ("max_entangled", {"d": 3}), ("random_density", {"d": 2, "rank": 4, "seed": 0}),
