@@ -220,9 +220,13 @@ def _pair_index(pairs) -> np.ndarray:
     return np.array([(a.j, a.k, b.j, b.k) for a, b in pairs])
 
 
+@functools.cache
 def _local_pairs(dim: int) -> np.ndarray:
-    """The (C(dim,2), 2) rows (j, k), j < k, of one party's pairs in lexicographic order."""
-    return np.array(list(itertools.combinations(range(dim), 2))).reshape(-1, 2)
+    """The (C(dim,2), 2) rows (j, k), j < k, of one party's pairs in lexicographic
+    order; built once per dim and read-only, like _pair_rows."""
+    pairs = np.array(list(itertools.combinations(range(dim), 2))).reshape(-1, 2)
+    pairs.setflags(write=False)
+    return pairs
 
 
 def _all_pairs_index(dims: Dims) -> np.ndarray:

@@ -306,17 +306,19 @@ class TestDiagonalBlocks:
         if dims == Dims(2, 2):
             assert cren_lower_bound(rho).bound == 2e-12
 
-    @pytest.mark.parametrize("make, solved", [
-        (lambda: pure_from_schmidt(np.random.default_rng(19).dirichlet(np.ones(12)), 12).projector(), [(66, 4, 4)]),
-        (lambda: max_entangled(16).projector(), [(120, 4, 4)]),
-        (lambda: isotropic(16, 1.0), [(120, 4, 4)]),
-        (lambda: random_density(Dims(8, 8), 1, seed=11), [(784, 4, 4)]),
-        (lambda: random_density(Dims(5, 7), 3, seed=4), None),
+    @pytest.mark.parametrize("make, solved, negativity", [
+        (lambda: pure_from_schmidt(np.random.default_rng(19).dirichlet(np.ones(12)), 12).projector(), [(66, 4, 4)],
+         [(1, 66, 2, 2)]),
+        (lambda: max_entangled(16).projector(), [(120, 4, 4)], [(1, 120, 2, 2)]),
+        (lambda: isotropic(16, 1.0), [(120, 4, 4)], [(1, 120, 2, 2)]),
+        (lambda: random_density(Dims(8, 8), 1, seed=11), [(784, 4, 4)], [(1, 64, 64)]),
+        (lambda: random_density(Dims(5, 7), 3, seed=4), None, [(1, 35, 35)]),
     ], ids=["schmidt_12", "max_entangled_16", "pplus_16_float64", "pure_8x8", "rank3_5x7"])
-    def test_eigvalsh_sees_only_the_blocks_that_are_not_diagonal(self, monkeypatch, make, solved):
+    def test_eigvalsh_sees_only_the_blocks_that_are_not_diagonal(self, monkeypatch, make, solved, negativity):
         # Schmidt form on 12 x 12: of 1386 uncertified live blocks, 1320 are diagonal product blocks;
         # P_+ on 16 x 16: 3360 of 3480; a dense state has no diagonal block and solves every uncertified
-        # one, as before, in one call; the other call is the negativity's one eigensolve
+        # one, as before, in one call.  The other calls are the negativity's: one eigensolve of a dense
+        # partial transpose, else one per component size above 1 (the 2x2 swaps {(i,j), (j,i)} here)
         rho = make()
         stack, dims = rho.mat[None], rho.dims
         c, live = _weights(stack, _pair_rows(dims))
@@ -329,7 +331,7 @@ class TestDiagonalBlocks:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(np.shape(a)) or eigvalsh(a))
         cren_lower_bound(rho)
         monkeypatch.undo()
-        assert shapes == solved + [(1, dims.total, dims.total)]
+        assert shapes == solved + negativity
         assert open_blocks - solved[0][0] == assert_bitwise_full_solve(rho)
 
 

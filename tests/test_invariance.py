@@ -2,19 +2,23 @@
 
 Local basis permutations and local diagonal phases are local unitaries, so
 they map the set of subspace pairs onto itself and leave every per-subspace
-figure, the bound and the detection verdict unchanged.  This guards the
-index bookkeeping of the batched block gather.
+figure, the bound, the detection verdict and the negativity unchanged.  This
+guards the index bookkeeping of the batched block gather, and of the
+negativity's component solve, whose components they renumber.
 
 The settings search maximizes over measurable settings, so it can never
 beat the closed-form maxima; a search that does has a wrong objective.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from entwit import qstate
 from entwit.cren import cren_lower_bound
 from entwit.generators import so_generators
-from entwit.qstate import Dims, validate_density
+from entwit.qstate import Dims, negativity, validate_density
 from entwit.witness import (
     OptimizerConfig,
     bell_max,
@@ -41,6 +45,13 @@ def transformed_states(draw):
     keep_a[draw(st.integers(0, m - 1))] = keep_b[draw(st.integers(0, n - 1))] = True
     g *= np.kron(keep_a, keep_b)[:, None]
     mat = g @ g.conj().T
+    return _moved(draw, rng, mat / np.trace(mat).real, Dims(m, n))
+
+
+def _moved(draw, rng, mat, dims):
+    """The state of mat, its image under a drawn local permutation with local
+    diagonal phases, and the two permutations."""
+    m, n = dims.m, dims.n
     perm_a = draw(st.permutations(range(m)))
     perm_b = draw(st.permutations(range(n)))
     phase_a = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, m))
@@ -51,10 +62,37 @@ def transformed_states(draw):
     u_b = np.zeros((n, n), dtype=complex)
     u_b[perm_b, range(n)] = phase_b
     u = np.kron(u_a, u_b)
-    dims = Dims(m, n)
-    rho = validate_density(mat / np.trace(mat).real, dims)
+    rho = validate_density(mat, dims)
     moved = validate_density(u @ rho.mat @ u.conj().T, dims)
     return rho, moved, perm_a, perm_b
+
+
+@st.composite
+def sparse_transformed_states(draw):
+    """A Schmidt-form pure state mixed with a diagonal state and with a random
+    state on one product of 2-dim local subspaces, up to 9 x 9: exactly sparse,
+    so its partial transpose splits into components, which the local
+    permutation renumbers."""
+    m = draw(st.integers(2, 9))
+    n = draw(st.integers(2, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = min(m, n)
+    mu = rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.8)  # some Schmidt coefficients exactly 0
+    mu[0] += 1.0 - mu.sum()
+    coeff = np.zeros((m, n))
+    coeff[range(k), range(k)] = np.sqrt(mu)
+    diag = rng.dirichlet(np.ones(m * n)) * (rng.random(m * n) < 0.5)
+    diag[0] += 1.0 - diag.sum()
+    a, b = rng.choice(m, 2, replace=False), rng.choice(n, 2, replace=False)
+    nodes = (a[:, None] * n + b[None, :]).ravel()
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    local = np.zeros((m * n, m * n), dtype=complex)
+    local[nodes[:, None], nodes[None, :]] = g @ g.conj().T / np.sum(np.abs(g) ** 2)
+    use = draw(st.lists(st.booleans(), min_size=3, max_size=3).filter(any))
+    weights = rng.dirichlet(np.ones(3)) * use
+    weights /= weights.sum()
+    mat = weights[0] * np.outer(coeff.ravel(), coeff.ravel()) + weights[1] * np.diag(diag) + weights[2] * local
+    return _moved(draw, rng, mat, Dims(m, n))
 
 
 def _figures(rho, perm_a=None, perm_b=None):
@@ -78,6 +116,20 @@ def test_local_permutations_and_phases_leave_every_figure_unchanged(case):
         assert np.max(np.abs(np.subtract(figures, after[key]))) < 1e-10, key
     assert abs(cren_lower_bound(rho).bound - cren_lower_bound(moved).bound) < 1e-10
     assert detect_entanglement(rho)[0] == detect_entanglement(moved)[0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(sparse_transformed_states())
+def test_negativity_and_bound_survive_local_permutations_and_phases(case):
+    # the moved state is complex and its components are renumbered; every
+    # state here, whatever its side, also takes the component solve
+    rho, moved = case[:2]
+    whole = negativity(rho)
+    with mock.patch.object(qstate, "_BLOCK_MIN_SIDE", 1):
+        blocks = [negativity(rho), negativity(moved)]
+    assert abs(blocks[0] - whole) < 1e-12 and abs(blocks[1] - whole) < 1e-12
+    assert abs(negativity(moved) - whole) < 1e-12
+    assert abs(cren_lower_bound(rho).bound - cren_lower_bound(moved).bound) < 1e-10
 
 
 @st.composite
