@@ -40,7 +40,7 @@ import numpy as np
 
 from .cren import _assess, _report_doc, cren_lower_bound, pure_sum_identity
 from .generators import GeneratorPair, PAULI, rotation_zyz, triad_from_rotation
-from .qstate import Dims, _require_integer, negativity, validate_densities
+from .qstate import Dims, _checked, _require_integer, negativity
 from .states import FILE_FAMILY, StateSpec, _FAMILIES, isotropic, pure_from_schmidt, random_density
 from .witness import (
     OptimizerConfig,
@@ -139,7 +139,7 @@ class SweepConfig:
             return None
         try:
             mats, dims = _point_spec(self, self.lo, 0).matrix([self.lo, self.hi])
-            valid = validate_densities(mats, dims, scale=_CERT_MARGIN)
+            valid = np.array([_checked(mat, dims, _CERT_MARGIN) for mat in mats])
         except _BUILD_ERRORS:
             return None
         return dims if valid.dtype == mats.dtype and np.array_equal(valid, mats) else None
@@ -200,10 +200,9 @@ def _validated_stacks(cfg: SweepConfig, values, seeds):
     """Yield (dims, stack) of the validated states at the values, in value
     order, in stacks of _per_stack states.  A run of values inside [lo, hi]
     of a certified scan (SweepConfig.certified_dims) is built one broadcast
-    per stack and not validated again.  Any other run is built value by
-    value, with its family's parameter checks, then validated, one
-    validate_densities call per stack of equal-dims states.  The error
-    raised is the first failing value's, as if each state were built on its own."""
+    per stack and not validated again.  Any other run is built and checked
+    value by value (_checked_stacks), so the first failing value raises its
+    own error."""
     dims = cfg.certified_dims
     runs = itertools.groupby(zip(values, seeds), key=lambda item: dims is not None and cfg.lo <= item[0] <= cfg.hi)
     for certified, run in runs:
@@ -217,21 +216,12 @@ def _validated_stacks(cfg: SweepConfig, values, seeds):
 
 
 def _checked_stacks(cfg: SweepConfig, values, seeds):
-    """_validated_stacks of values built one at a time, then validated."""
-    built, failed = [], None
-    for value, seed in zip(values, seeds):
-        try:
-            built.append(_point_spec(cfg, value, seed).matrix())
-        except _BUILD_ERRORS as exc:  # raised below, once the values before it are validated
-            failed = exc
-            break
-    for dims, run in itertools.groupby(built, key=lambda item: item[1]):
-        mats = [mat for mat, _ in run]
-        per = _per_stack(dims)
-        for k in range(0, len(mats), per):
-            yield dims, validate_densities(np.array(mats[k : k + per]), dims)
-    if failed is not None:
-        raise failed
+    """_validated_stacks of states built and validated one at a time, in
+    value order (StateSpec.build), then stacked by dims for the kernel."""
+    built = (_point_spec(cfg, value, seed).build() for value, seed in zip(values, seeds))
+    for dims, run in itertools.groupby(built, key=lambda rho: rho.dims):
+        while stack := [rho.mat for rho in itertools.islice(run, _per_stack(dims))]:
+            yield dims, np.array(stack)
 
 
 def _scan_points(cfg: SweepConfig, values, seeds) -> list[ScanPoint]:

@@ -60,7 +60,7 @@ from .qstate import (
     partial_transpose,
     trace_norm,
 )
-from .witness import SubspaceReport, _pair_rows, _reports, _violations, subspace_reports
+from .witness import _FIGURES, SubspaceReport, _pair_rows, _reports, _violations, subspace_reports
 
 
 @dataclass(frozen=True)
@@ -154,16 +154,7 @@ def _report_doc(report: CrenBoundReport) -> dict:
         "negativity": report.negativity,
         "m": report.m_normalizer,
         "subspaces": [
-            {
-                "alpha": [r.alpha.j, r.alpha.k],
-                "beta": [r.beta.j, r.beta.k],
-                "c": r.c,
-                "lambda_min": r.lambda_min,
-                "bell_max": r.bell_max,
-                "nonlinear_max": r.nonlinear_max,
-                "d": r.d,
-                "x": r.x,
-            }
+            {"alpha": [r.alpha.j, r.alpha.k], "beta": [r.beta.j, r.beta.k], **{f: getattr(r, f) for f in _FIGURES}}
             for r in report.reports
         ],
     }

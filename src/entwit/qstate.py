@@ -9,9 +9,10 @@ the trace of a density matrix and the squared norm of a vector (the same sum,
 so a vector validate_pure accepts has a projector validate_density accepts),
 TAU_PSD the smallest eigenvalue, which validation bounds by one Cholesky
 factorization of rho + TAU_PSD I and eigensolves only to name a failing
-state's eigenvalue.  validate_densities holds every density matrix check and
-alone decides a state's arithmetic (float64 when exactly real, else
-complex128); DensityMatrix.mat stores it and every consumer reads it as stored.
+state's eigenvalue.  Each state is checked on its own: _checked holds every
+density matrix check and alone decides a state's arithmetic (float64 when
+exactly real, else complex128); DensityMatrix.mat stores it and every
+consumer reads it as stored.
 
 The negativity solves rho^{T_A} along its exact zero pattern (_spectra).  A
 permutation that makes the connected components of the pattern diagonal
@@ -91,7 +92,7 @@ class DensityMatrix:
     """A validated mixed state: unit trace, positive semidefinite and exactly
     Hermitian, since validate_density stores the Hermitian part of its input
     (mat == mat.conj().T to the last bit).  mat is read-only, in the dtype
-    validate_densities chose."""
+    _checked chose for this state alone."""
 
     dims: Dims
     mat: np.ndarray
@@ -135,62 +136,47 @@ def _hermitian_part(mat: np.ndarray) -> np.ndarray:
     return (mat + adj) / 2.0
 
 
-def validate_densities(mats: np.ndarray, dims: Dims, scale: float = 1.0) -> np.ndarray:
-    """Check every candidate density matrix of a stack (N, m*n, m*n) in the
-    row-major product basis and return their Hermitian parts (M + M^dag)/2,
-    in float64 when no imaginary part of the stack is nonzero, else in
-    complex128: an exactly real stack is factorized and solved in real
-    arithmetic, which agrees with the complex one to rounding.  `scale`
-    multiplies TAU_TR and TAU_PSD; the scan certifies a range of an affine
-    family by its two ends at scale 1/2.
+def _checked(mat: np.ndarray, dims: Dims, scale: float = 1.0) -> np.ndarray:
+    """The one density matrix check: the Hermitian part (M + M^dag)/2 of a
+    candidate (m*n, m*n) matrix in the row-major product basis, in float64
+    when no imaginary part is nonzero, else in complex128 (an exactly real
+    state is factorized and solved in real arithmetic, which agrees with the
+    complex one to rounding).  `scale` multiplies TAU_TR and TAU_PSD; the scan
+    certifies a range of an affine family by its two ends at scale 1/2.
 
-    Each state is checked as on its own, in this order: shape
-    (DimensionMismatchError), finite entries (StateValidationError),
-    Hermiticity to TAU_HERM (NotHermitianError), trace to TAU_TR (TraceError),
-    smallest eigenvalue against -TAU_PSD (NotPositiveError).  Positivity is
-    one batched Cholesky factorization of M + TAU_PSD I; only when it fails
-    does one eigensolve find the first failing state and the eigenvalue its
-    message prints.  A state's figures do not depend on the rest of the stack,
-    so a stack raises the error, message included, its first failing state
-    raises alone.
+    The checks, in order: shape (DimensionMismatchError), finite entries
+    (StateValidationError) and Hermiticity to TAU_HERM (NotHermitianError),
+    both in _hermitian_part, trace to TAU_TR (TraceError), smallest
+    eigenvalue against -TAU_PSD (NotPositiveError).  Positivity is one
+    Cholesky factorization of M + TAU_PSD I; only when it fails does an
+    eigensolve find the eigenvalue the message prints.
     """
-    mats = np.asarray(mats)
-    mats = mats.astype(float if mats.dtype.kind in "biuf" else complex, copy=False)  # bool, int, float: no complex step
-    if np.iscomplexobj(mats) and not mats.imag.any():
-        mats = np.ascontiguousarray(mats.real)
+    mat = np.asarray(mat)
+    mat = mat.astype(float if mat.dtype.kind in "biuf" else complex, copy=False)  # bool, int, float: no complex step
+    if np.iscomplexobj(mat) and not mat.imag.any():
+        mat = np.ascontiguousarray(mat.real)
     side = dims.total
-    if mats.shape[1:] != (side, side):
-        raise DimensionMismatchError(f"expected {side}x{side} matrix for dims {dims.m}x{dims.n}, got {mats.shape[1:]}")
-    finite = np.isfinite(mats).all(axis=(1, 2))
-    # the states before the first non-finite one take the other checks
-    head = mats[: int(np.argmin(finite)) if not finite.all() else len(mats)]
-    adj = head.conj().swapaxes(-1, -2)
-    herm_dev = np.abs(head - adj).max(axis=(1, 2), initial=0.0)
-    herm = (head + adj) / 2.0
-    tr_dev = np.abs(np.trace(head, axis1=1, axis2=2) - 1.0)
-    tau_tr, tau_psd = scale * TAU_TR, scale * TAU_PSD
-    faults = (herm_dev > TAU_HERM) | (tr_dev > tau_tr)
-    first = int(np.argmax(faults)) if faults.any() else len(head)
-    try:  # the states before the first other fault, all positive definite after the shift
-        np.linalg.cholesky(herm[:first] + tau_psd * np.eye(side))
-    except np.linalg.LinAlgError:  # some state fails: the eigensolve names the first and its eigenvalue
-        lam_min = np.linalg.eigvalsh(herm[:first])[:, 0]
-        bad = np.flatnonzero(lam_min < -tau_psd)
-        if bad.size:
-            raise NotPositiveError(f"minimum eigenvalue {lam_min[bad[0]]:.3e} below -{tau_psd}") from None
-    if first < len(mats):
-        _hermitian_part(mats[first])  # its non-finite entries or its Hermiticity, if either fails
-        raise TraceError(f"trace deviates from 1 by {tr_dev[first]:.3e}")
+    if mat.shape != (side, side):
+        raise DimensionMismatchError(f"expected {side}x{side} matrix for dims {dims.m}x{dims.n}, got {mat.shape}")
+    herm = _hermitian_part(mat)
+    tr_dev, tau_psd = abs(np.trace(mat) - 1.0), scale * TAU_PSD
+    if tr_dev > scale * TAU_TR:
+        raise TraceError(f"trace deviates from 1 by {tr_dev:.3e}")
+    try:
+        np.linalg.cholesky(herm + tau_psd * np.eye(side))
+    except np.linalg.LinAlgError:  # the eigensolve decides, and names the eigenvalue
+        lam_min = np.linalg.eigvalsh(herm)[0]
+        if lam_min < -tau_psd:
+            raise NotPositiveError(f"minimum eigenvalue {lam_min:.3e} below -{tau_psd}") from None
     return herm
 
 
 def validate_density(mat: np.ndarray, dims: Dims) -> DensityMatrix:
-    """Check a candidate (m*n, m*n) matrix, as the one-state case of
-    validate_densities (same checks, order and errors), and wrap its
-    Hermitian part (M + M^dag)/2, read-only and in the arithmetic
-    validate_densities chose, as a DensityMatrix, so every validated state
-    is exactly Hermitian."""
-    herm = validate_densities(np.asarray(mat)[None], dims)[0]
+    """Check a candidate (m*n, m*n) matrix (_checked: shape, finite entries,
+    Hermiticity, trace, positivity, in that order) and wrap its Hermitian
+    part (M + M^dag)/2, read-only and in the arithmetic _checked chose, as a
+    DensityMatrix, so every validated state is exactly Hermitian."""
+    herm = _checked(mat, dims)
     herm.setflags(write=False)
     return DensityMatrix(dims, herm)
 

@@ -16,8 +16,9 @@ entry, for exactly symmetric float64 A and B.  Such a constructor takes t as
 a number or an (N, 1, 1) array, so N states are one broadcast, bitwise the N
 single builds.  The public family functions validate one state.  A StateSpec
 is a family plus a parameter dict (as from CLI flags or a JSON spec), checked
-against the table; it gives the raw matrix or stack (matrix, which the scan
-validates or certifies a stack at a time) or the validated state (build).
+against the table; it gives the raw matrix or stack (matrix, whose stacks
+the scan takes unchecked once its two range ends certify them) or the state
+validated on its own (build, as the scan builds every other value).
 The CLI takes its --family choices and flag rule from the table.  P_+ is
 built in one place, _isotropic, in float64: the max_entangled family is its
 x = 1 case, and the mixtures share that state validated once (_qutrit_pplus).

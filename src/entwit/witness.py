@@ -65,7 +65,7 @@ import functools
 import itertools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Real
 
 import numpy as np
@@ -177,6 +177,11 @@ class SubspaceReport:
     nonlinear_max: float
     d: float
     x: float
+
+
+# the per-subspace figures in field order: the keys after alpha and beta of each
+# bound-document row, and the CSV columns after the four generator labels
+_FIGURES = tuple(f.name for f in fields(SubspaceReport))[2:]
 
 
 @dataclass(frozen=True)
@@ -698,7 +703,7 @@ def estimate_mean_shots(rho: DensityMatrix, obs: np.ndarray, shots: int, seed=No
 # ---------------------------------------------------------------------------
 # CSV serialization of report lists
 
-CSV_HEADER = "alpha_j,alpha_k,beta_l,beta_m,c,lambda_min,bell_max,nonlinear_max,d,x"
+CSV_HEADER = ",".join(("alpha_j", "alpha_k", "beta_l", "beta_m", *_FIGURES))
 
 
 def _csv_text(header: str | None, rows) -> str:
@@ -712,8 +717,5 @@ def _csv_text(header: str | None, rows) -> str:
 
 def reports_to_csv(reports: list[SubspaceReport]) -> str:
     """CSV text, 12 significant digits, LF line endings."""
-    rows = (
-        (r.alpha.j, r.alpha.k, r.beta.j, r.beta.k, r.c, r.lambda_min, r.bell_max, r.nonlinear_max, r.d, r.x)
-        for r in reports
-    )
+    rows = ((r.alpha.j, r.alpha.k, r.beta.j, r.beta.k, *(getattr(r, f) for f in _FIGURES)) for r in reports)
     return _csv_text(CSV_HEADER, rows)

@@ -1,5 +1,7 @@
 """CLI behavior: exit codes, JSON/CSV emission, sweeps, bisection, selftest."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -8,8 +10,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from entwit import cli, cren, states
+from entwit import cli, cren, qstate, states
 from entwit.cli import (
     _CHUNK,
     _CLI_FAMILIES,
@@ -28,7 +31,7 @@ from entwit.cli import (
     scan_csv,
 )
 from entwit.cren import cren_lower_bound
-from entwit.qstate import Dims, to_json, validate_densities, validate_density
+from entwit.qstate import Dims, _checked, to_json, validate_density
 from entwit.states import isotropic
 from entwit.witness import detect_entanglement
 
@@ -517,13 +520,14 @@ class TestChunkedScan:
                 sizes.append(len(stack))
                 yield dims, stack
 
-        def validate(mats, dims, **kw):
-            checked.append(len(mats))
-            return validate_densities(mats, dims, **kw)
+        def validate(mat, dims, *scale):
+            checked.append(len(mat))
+            return _checked(mat, dims, *scale)
 
         monkeypatch.setattr(cli, "_STACK_BLOCKS", 20)
         monkeypatch.setattr(cli, "_validated_stacks", spy)
-        monkeypatch.setattr(cli, "validate_densities", validate)
+        monkeypatch.setattr(cli, "_checked", validate)  # the range ends
+        monkeypatch.setattr(qstate, "_checked", validate)  # validate_density, so StateSpec.build
         seen = {}
         for name, spec in specs.items():
             sizes.clear()
@@ -531,8 +535,8 @@ class TestChunkedScan:
             assert run_scan(SweepConfig(**spec), base_seed=5) == whole[name]
             seen[name] = (list(sizes), list(checked))
         # the README scan: 100 grid points in chunks of 64 and 36, then 14 bisection probes of 2,
-        # all certified by its two range ends, validated together; the d scan validates each state
-        assert seen == {"readme": ([2] * (32 + 18 + 14), [2]), "random_density_d": ([1] * 4, [1] * 4)}
+        # all certified by its two range ends, each checked on its own; the d scan validates each state
+        assert seen == {"readme": ([2] * (32 + 18 + 14), [9, 9]), "random_density_d": ([1] * 4, [4, 9, 16, 25])}
 
     def test_chunks_keep_only_the_first_crossings(self):
         cfg = SweepConfig(
@@ -821,19 +825,19 @@ class TestLockstepBisection:
 
     def test_readme_scan_builds_16_stacks_and_validates_only_its_range_ends(self, monkeypatch):
         run_scan(SweepConfig(bisect=True, **README_SCAN))  # the family's two constant states are validated once, here
-        builds, stacks, singles = [], [], []
-        validate, matrix = cli.validate_densities, states.StateSpec.matrix
+        builds, ends, singles = [], [], []
+        matrix = states.StateSpec.matrix
         monkeypatch.setattr(
-            cli, "validate_densities", lambda mats, dims, **kw: stacks.append(len(mats)) or validate(mats, dims, **kw)
+            cli, "_checked", lambda mat, dims, scale: ends.append((mat.shape, scale)) or _checked(mat, dims, scale)
         )
         monkeypatch.setattr(
             states.StateSpec, "matrix", lambda spec, values=None: builds.append(len(values)) or matrix(spec, values)
         )
         monkeypatch.setattr(states, "validate_density", lambda *args: singles.append(args))
         run_scan(SweepConfig(bisect=True, **README_SCAN))
-        # p = 0 and p = 1 are built and validated together; the 128 states in [0, 1] are only built
+        # p = 0 and p = 1 are built together and checked one at a time; the 128 states in [0, 1] are only built
         assert builds == [2, _CHUNK, 100 - _CHUNK] + [2] * 14 and sum(builds[1:]) == 128
-        assert stacks == [2] and singles == []
+        assert ends == [((9, 9), cli._CERT_MARGIN)] * 2 and singles == []
 
 
 def per_value_stacks(cfg, values, seeds):
@@ -903,12 +907,11 @@ class TestAffineScan:
     def test_a_failing_certificate_keeps_the_output(self, capsys, monkeypatch, argv):
         certified = run_cli(capsys, ["scan", *argv])
         monkeypatch.setattr(cli, "_CERT_MARGIN", -1.0)  # no trace deviation is below a negative tolerance
-        checked = []
-        monkeypatch.setattr(
-            cli, "validate_densities", lambda mats, dims, **kw: checked.append(kw) or validate_densities(mats, dims, **kw)
-        )
+        ends, singles = [], []
+        monkeypatch.setattr(cli, "_checked", lambda mat, dims, scale: ends.append(scale) or _checked(mat, dims, scale))
+        monkeypatch.setattr(states, "validate_density", lambda *args: singles.append(args) or validate_density(*args))
         assert run_cli(capsys, ["scan", *argv]) == certified and certified[0] == 0
-        assert checked[0] == {"scale": -1.0} and len(checked) > 1  # the ends fail, then every stack is validated
+        assert ends == [-1.0] and len(singles) > 1  # the first end fails, then every state is validated on its own
 
     def test_an_end_that_is_not_its_own_validated_state_fails_the_certificate(self, monkeypatch):
         # bennett_mix with an antisymmetric part of 1e-12 in A: it passes validation, which stores
@@ -963,6 +966,70 @@ class TestAffineScan:
         assert built == [0.1, 0.2, 0.9, 0.2] * 2
         monkeypatch.setattr(cli, "_validated_stacks", per_value_stacks)
         assert repr(got) == repr((_probe_differences(cfg, fields, values, 5), _scan_points(cfg, values, [5] * 5)))
+
+
+def with_fault(mat, kind):
+    """A copy of a valid real state with one fault that validation rejects."""
+    mat = mat.copy()
+    if kind == "nan":
+        mat[0, 0] = np.nan
+    elif kind == "hermiticity":
+        mat[0, 1] += 1e-6
+    elif kind == "trace":
+        mat *= 1.0 + 1e-6
+    else:  # the smallest eigenvalue moved to -1e-6, the trace kept
+        lam, vec = np.linalg.eigh(mat)
+        mat += (lam[0] + 1e-6) * (np.outer(vec[:, -1], vec[:, -1]) - np.outer(vec[:, 0], vec[:, 0]))
+    return mat
+
+
+def raised(call):
+    """(type, message) of the error call() raises."""
+    with pytest.raises(ValueError) as info:  # StateValidationError is a ValueError
+        call()
+    return type(info.value), str(info.value)
+
+
+def captured(argv):
+    """(exit code, stdout, stderr) of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestValueByValueScan:
+    """A scan off the affine path builds and checks each value on its own, in grid order:
+    with one faulty state and one build error in its grid it raises what the first
+    failing value raises alone, after the rows of the chunks already completed."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(2, 150), st.sampled_from(("nan", "hermiticity", "trace", "psd")), st.data())
+    def test_the_first_failing_value_raises_its_own_error(self, points, kind, data):
+        k, j = data.draw(st.integers(0, points - 1), "fault at"), data.draw(st.integers(0, points - 1), "build error at")
+        cfg = SweepConfig(family="rho_a_mix", fixed={"p": 0.3}, param_name="a", lo=0.05, hi=0.95, points=points)
+        grid, make = _grid_values(cfg, 0, points), states._FAMILIES["rho_a_mix"][1]
+
+        def family(a, p):
+            if grid.index(a) == j:
+                raise ValueError(f"no state at a={a}")
+            mat, dims = make(a, p)
+            return (with_fault(mat, kind) if grid.index(a) == k else mat), dims
+
+        argv = ["scan", "--family", "rho_a_mix", "--p", "0.3", "--scan-param", "a", "--range", "0.05:0.95",
+                "--points", str(points)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(states._FAMILIES, "rho_a_mix", (("a", "p"), family, "p"))
+            got = raised(lambda: run_scan(cfg)), captured(argv)
+            mp.setattr(cli, "_validated_stacks", per_value_stacks)
+            want = raised(lambda: run_scan(cfg)), captured(argv)
+        assert got == want
+        error, (code, out, err) = want
+        first = min(j, k)
+        assert (error[0] is ValueError and error[1].startswith("no state")) == (j <= k)
+        assert code == 3 and err == f"error: {error[1]}\n"
+        rows = first // _CHUNK * _CHUNK  # the chunk that holds the first failing value prints nothing
+        assert len(out.splitlines()) == (rows and 1 + rows)
 
 
 class TestScanCsvApi:

@@ -26,7 +26,6 @@ from entwit.qstate import (
     schmidt,
     to_json,
     trace_norm,
-    validate_densities,
     validate_density,
     validate_pure,
 )
@@ -165,8 +164,8 @@ FAULTS = ("nan", "inf", "hermiticity", "trace", "psd")
 
 
 @st.composite
-def faulty_stacks(draw):
-    """A stack of valid states (each within TAU_HERM of Hermitian) into which
+def faulty_states(draw):
+    """A list of valid states (each within TAU_HERM of Hermitian) in which
     some states carry one fault, or two at once."""
     m, n = draw(st.integers(2, 4)), draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -184,21 +183,16 @@ def faulty_stacks(draw):
     return Dims(m, n), mats
 
 
-class TestValidateStack:
+class TestValidateFaults:
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(faulty_stacks())
-    def test_a_stack_passes_or_fails_as_its_states_do_one_by_one(self, case):
+    @given(faulty_states())
+    def test_each_state_passes_or_fails_as_the_written_out_checks(self, case):
         dims, mats = case
-        want = first_error(one_state_checks, mats, dims)
-        assert first_error(validate_density, mats, dims) == want
-        if want is None:
-            got = validate_densities(np.array(mats), dims)
-            assert got.tobytes() == np.array([one_state_checks(mat, dims) for mat in mats]).tobytes()
-            assert got.tobytes() == np.array([validate_density(mat, dims).mat for mat in mats]).tobytes()
-        else:
-            with pytest.raises(StateValidationError) as info:
-                validate_densities(np.array(mats), dims)
-            assert (type(info.value), str(info.value)) == want
+        for mat in mats:
+            want = first_error(one_state_checks, [mat], dims)
+            assert first_error(validate_density, [mat], dims) == want
+            if want is None:
+                assert validate_density(mat, dims).mat.tobytes() == one_state_checks(mat, dims).tobytes()
 
     @pytest.mark.parametrize("kinds", [(kind,) for kind in FAULTS] + [("trace", "psd"), ("nan", "hermiticity")])
     def test_each_fault_is_caught_behind_valid_states(self, kinds):
@@ -210,31 +204,32 @@ class TestValidateStack:
         for kind in sorted(kinds, key=lambda kind: kind in ("nan", "inf")):
             bad = add_fault(rng, bad, kind)
         later = [add_fault(rng, mats[0], kind) for kind in FAULTS]
-        stack = np.array(mats + [bad] + later)
         want = first_error(one_state_checks, [bad], dims)
         assert want is not None
         with pytest.raises(StateValidationError) as info:
-            validate_densities(stack, dims)
+            validate_density(bad, dims)
         assert (type(info.value), str(info.value)) == want
+        assert first_error(validate_density, mats + [bad] + later, dims) == want
 
-    def test_shape_and_empty_stack(self):
+    def test_shape(self):
         with pytest.raises(DimensionMismatchError, match=r"got \(4, 4\)"):
-            validate_densities(np.zeros((2, 4, 4)), Dims(3, 3))
-        assert validate_densities(np.zeros((0, 9, 9)), Dims(3, 3)).shape == (0, 9, 9)
+            validate_density(np.zeros((4, 4)), Dims(3, 3))
 
-    def test_an_exactly_real_stack_is_returned_real(self):
-        # the input decides: no nonzero imaginary part gives float64, one nonzero entry complex128;
-        # a validated DensityMatrix stores what validate_densities returns, read-only
+    def test_an_exactly_real_state_is_returned_real(self):
+        # the input decides, state by state: no nonzero imaginary part gives float64, one nonzero
+        # entry complex128; a validated DensityMatrix stores it read-only
         dims = Dims(2, 3)
         mats = np.stack([np.eye(6, dtype=complex) / 6, np.diag(np.arange(6.0)) / 15])
-        got = validate_densities(mats, dims)
-        assert got.dtype == np.float64 and np.array_equal(got, mats.real)
+        for mat in mats:
+            got = validate_density(mat, dims).mat
+            assert got.dtype == np.float64 and np.array_equal(got, mat.real)
         one = np.diag([1, 0, 0, 0, 0, 0])
         for form in (one, one.tolist(), one.astype(float), one.astype(np.complex64), one.astype(complex)):
             rho = validate_density(form, dims)
             assert rho.mat.dtype == np.float64 and not rho.mat.flags.writeable and np.array_equal(rho.mat, one)
         mats[1, 4, 5], mats[1, 5, 4] = 1e-3j, -1e-3j
-        assert validate_densities(mats, dims).dtype == np.complex128
+        assert validate_density(mats[1], dims).mat.dtype == np.complex128
+        assert validate_density(mats[0], dims).mat.dtype == np.float64  # never decided by another state
         # complex64 with a nonzero imaginary part is promoted to complex128
         c64 = np.diag([0.5, 0.25, 0.25, 0, 0, 0]).astype(np.complex64)
         c64[0, 1], c64[1, 0] = 0.125j, -0.125j
@@ -256,8 +251,8 @@ def near_boundary_state(rng, d):
 
 
 class TestPositivityByFactorization:
-    """validate_densities decides positivity by one Cholesky factorization of
-    M + TAU_PSD I and eigensolves only to name a failing state; the decision
+    """validate_density decides positivity by one Cholesky factorization of
+    M + TAU_PSD I and eigensolves only to name a failing eigenvalue; the decision
     must be the eigenvalue rule lambda_min >= -TAU_PSD wherever lambda_min is
     not within rounding of -TAU_PSD (here at least 1e-15 away)."""
 
@@ -267,21 +262,14 @@ class TestPositivityByFactorization:
         for _ in range(20):
             d = int(rng.integers(2, 9))
             dims = Dims(d, d)
-            mats, lams = zip(*(near_boundary_state(rng, d) for _ in range(int(rng.integers(1, 5)))))
-            for mat, lam in zip(mats, lams):
+            for _ in range(int(rng.integers(1, 5))):
+                mat, lam = near_boundary_state(rng, d)
                 err = first_error(validate_density, [mat], dims)
                 assert (err is None) == (lam >= -TAU_PSD)
                 # a failing state raises today's NotPositiveError, its eigenvalue in the message
                 assert err == first_error(one_state_checks, [mat], dims)
-            failing = [k for k, lam in enumerate(lams) if lam < -TAU_PSD]
-            if not failing:
-                assert validate_densities(np.array(mats), dims).tobytes() == np.array(
-                    [one_state_checks(mat, dims) for mat in mats]
-                ).tobytes()
-                continue
-            with pytest.raises(NotPositiveError) as info:
-                validate_densities(np.array(mats), dims)
-            assert str(info.value) == first_error(one_state_checks, [mats[failing[0]]], dims)[1]
+                if err is None:
+                    assert validate_density(mat, dims).mat.tobytes() == one_state_checks(mat, dims).tobytes()
 
 
 class TestValidatePure:
@@ -563,7 +551,7 @@ class TestNegativityBlocks:
         cases.append(StateSpec("rho_a_mix", {"a": 0.7, "p": 0.0}).matrix(values))
         cases.append(StateSpec("bennett_mix", {"p": 0.0}).matrix(values))
         for mats, dims in cases:
-            mats = validate_densities(mats, dims)
+            mats = np.array([validate_density(mat, dims).mat for mat in mats])
             assert np.abs(_negativities(mats, dims) - symmetrized_negativities(mats, dims)).max() < 1e-12
 
     def test_pplus_reads_one_though_most_of_its_partial_transpose_diagonal_is_zero(self, block_side):
@@ -572,7 +560,7 @@ class TestNegativityBlocks:
         # would swap within each pair forever, or read the pair as two empty nodes
         for d in (3, 8, 16):
             mats, dims = StateSpec("max_entangled", {"d": d}).matrix()
-            assert abs(_negativities(validate_densities(mats[None], dims), dims)[0] - 1.0) < 1e-12
+            assert abs(_negativities(validate_density(mats, dims).mat[None], dims)[0] - 1.0) < 1e-12
 
     def test_the_chain_that_needs_the_most_label_passes(self, block_side):
         # the path 0 - (side-1) - (side-2) - ... - 1 takes `side` passes, the most any

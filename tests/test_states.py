@@ -102,7 +102,7 @@ class TestIsotropic:
         isotropic(3, -1.0 / 8.0)  # boundary itself is a state
 
     def test_validates_the_mixture_with_one_factorization(self, monkeypatch):
-        # P_+ is built in float64 with no check of its own; only the mixture is validated, as a stack of one:
+        # P_+ is built in float64 with no check of its own; only the mixture is validated, on its own:
         # one Cholesky factorization decides positivity, and no eigensolve runs
         calls = {"cholesky": [], "eigvalsh": []}
         for name, shapes in calls.items():
@@ -111,14 +111,14 @@ class TestIsotropic:
         for d, x in itertools.product((2, 3, 8), (0.5, 1.0)):  # x = 1 is the rank-one P_+ itself
             calls["cholesky"].clear()
             rho = isotropic(d, x)
-            assert calls == {"cholesky": [(1, d * d, d * d)], "eigvalsh": []}
+            assert calls == {"cholesky": [(d * d, d * d)], "eigvalsh": []}
             pplus = np.outer(max_entangled(d).vec, max_entangled(d).vec.conj())
             assert np.array_equal(rho.mat, x * pplus + (1.0 - x) * np.eye(d * d) / (d * d))
         # a failing state takes one eigensolve more, which names its eigenvalue
         calls["cholesky"].clear()
         with pytest.raises(NotPositiveError, match=r"minimum eigenvalue -5\.000e-01"):
             validate_density(np.diag([1.5, -0.5, 0.0, 0.0]), Dims(2, 2))
-        assert calls == {"cholesky": [(1, 4, 4)], "eigvalsh": [(1, 4, 4)]}
+        assert calls == {"cholesky": [(4, 4)], "eigvalsh": [(4, 4)]}
 
     def test_nan_parameter_is_named(self):
         # NaN fails every comparison, so the domain check is written to let only in-range values pass
