@@ -19,21 +19,11 @@ trace-norm identity sum_ab ||(L (x) L) psi-projector^{T_A} (L (x) L)||_tr
 = (M-1)^2 + 2 sum_{i<j} sqrt(mu_i mu_j).
 
 The bound reads a subspace only through lambda_ab, so a block whose partial
-transpose is provably positive adds exactly 0 and needs no eigenvalue.
-The proof is the purity ball: a Hermitian unit-trace 4x4 X with Tr X^2 = p
-has lambda_min(X) >= 1/4 - sqrt(3(p - 1/4)/4), which is > 0 iff p < 1/3, and
-the partial transpose keeps the purity of rho_ab [K. Zyczkowski, P. Horodecki,
-A. Sanpera, M. Lewenstein, Phys. Rev. A 58, 883 (1998)].  The default bound
-therefore gathers and solves only the live blocks with purity at or above
-1/3 - 1e-9 (witness._violations) and equals the all-blocks solve to the last
-bit.  The purities are summed from the entries of rho, one party at a time.
-Of those blocks it solves only the ones with a nonzero off-diagonal entry.
-An exactly diagonal block is its own partial transpose, so its lambda_min
-is its smallest diagonal entry, and LAPACK returns exactly that for it: it
-rescales a matrix only below about 1e-146 or above 1e146, and a live block
-holds an entry of at least c/4 > TAU_C/4.  The test is for exact zeros, so
-it adds no tolerance.  In Schmidt form, and for P_+, most live blocks are
-such rank-one product blocks, whose purity c^2 the certificate cannot pass.
+transpose is provably positive adds exactly 0 and needs no eigenvalue.  The
+default bound (witness._violations) therefore skips every block that the
+purity certificate proves positive and reads every exactly diagonal block
+off its diagonal, and it equals the all-blocks solve to the last bit; both
+rules are explained at witness._PURITY_CERT and witness._OFF_DIAGONAL.
 
 A literal clip-below variant (X = min(0, d)) is kept behind a flag for
 comparison; it discards every violation and degenerates to 0 on the

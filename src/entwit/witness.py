@@ -36,21 +36,15 @@ pair and its empty rule c <= TAU_C are read from the diagonal of the state in
 one place (_weights); c divides the columns, never a block.
 
 The bound reads only the raw lambda_min of each pair, and its entry point
-(_violations) gathers and solves only the blocks that a purity certificate
-leaves open: a Hermitian unit-trace 4x4 X has
-lambda_min(X) >= 1/4 - sqrt(3(Tr X^2 - 1/4)/4), which is > 0 iff
-Tr X^2 < 1/3, and the partial transpose keeps the purity.  A certified
-block's clipped violation is exactly 0.  Every block's purity is summed from
-the entries of rho, one party at a time (_purities), so a certified block is
-never gathered.  Of the gathered blocks, those whose 12 off-diagonal entries
-are exact zeros are their own partial transposes and read lambda_min as
-their smallest diagonal entry, which is what the eigensolver returns for
-them, to the last bit (the diagonal rule at _OFF_DIAGONAL); only the rest
-are solved.  Detection, the scan grid and the SubspaceReport rows read
-every lambda_min, so they solve every block.  Every all-pairs gather and
-weight reads its block rows from _pair_rows, built once per dims.  The
-detection rule lives beside TAU_DETECT: detect_entanglement and the CLI scan
-both test the differences _nonlinear_d and _bell_d against it.
+(_violations) gathers only the blocks that the purity certificate leaves
+open and solves only those of them that the diagonal rule does not settle;
+both rules are explained at their constants, _PURITY_CERT and _OFF_DIAGONAL.
+Detection, the scan grid and the SubspaceReport rows read every lambda_min,
+so they solve every block.  Every block gather and weight, of all pairs or
+of one, reads its block rows from _pair_rows, built once per dims; one
+pair's row sits at its _pair_position.  The detection rule lives beside
+TAU_DETECT: detect_entanglement and the CLI scan both test the differences
+_nonlinear_d and _bell_d against it.
 
 Measurement settings come from a separate numeric search (optimize_settings):
 a multi-start BFGS ascent with analytic gradients over the measurement
@@ -206,23 +200,11 @@ class OptimizerConfig:
             raise ValueError(f"OptimizerConfig.step_tol must be a number >= 0, got {self.step_tol!r}")
 
 
-def _check_pairs(dims: Dims, alpha: GeneratorPair, beta: GeneratorPair) -> None:
-    if alpha.dim != dims.m or beta.dim != dims.n:
-        raise ValueError(
-            f"pair dims ({alpha.dim},{beta.dim}) do not match state dims ({dims.m},{dims.n})"
-        )
-
-
 # ---------------------------------------------------------------------------
 # the subspace kernel: every per-subspace figure starts from _blocks
 
 # kernel output: one (N, P) array per figure for N states and P subspace pairs; raw = c * lambda_min
 _Columns = namedtuple("_Columns", "c live raw lambda_min bell_max nonlinear_max")
-
-
-def _pair_index(pairs) -> np.ndarray:
-    """The (P, 4) index rows (alpha.j, alpha.k, beta.j, beta.k) of (alpha, beta) pairs."""
-    return np.array([(a.j, a.k, b.j, b.k) for a, b in pairs])
 
 
 @functools.cache
@@ -234,35 +216,39 @@ def _local_pairs(dim: int) -> np.ndarray:
     return pairs
 
 
-def _all_pairs_index(dims: Dims) -> np.ndarray:
-    """_pair_index of every subspace pair in lexicographic (alpha, beta) order,
-    without building the pairs."""
-    a, b = _local_pairs(dims.m), _local_pairs(dims.n)
-    return np.concatenate([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))], axis=1)
-
-
-def _block_rows(index: np.ndarray, n: int) -> np.ndarray:
-    """The (P, 4) state rows (ka kb, ka jb, ja kb, ja jb) of the block of each
-    index row (ja, ka, jb, kb): the gather order of _blocks, and read right to
-    left the diagonal positions whose sum _weights takes."""
-    ja, ka, jb, kb = index.T
-    return np.stack([ka * n + kb, ka * n + jb, ja * n + kb, ja * n + jb], axis=1)
-
-
 @functools.cache
 def _pair_rows(dims: Dims) -> np.ndarray:
-    """_block_rows of every subspace pair, in _all_pairs_index order; built
-    once per dims and read-only, so no kernel call rebuilds them."""
-    rows = _block_rows(_all_pairs_index(dims), dims.n)
+    """The (P, 4) state rows (ka kb, ka jb, ja kb, ja jb) of the block of every
+    subspace pair ((ja, ka), (jb, kb)), in lexicographic (alpha, beta) order:
+    the gather order of _blocks, and read right to left the diagonal positions
+    whose sum _weights takes.  The one source of block rows: built once per
+    dims and read-only, so no kernel call rebuilds them."""
+    n = dims.n
+    ja, ka = _local_pairs(dims.m).T[:, :, None]  # (C(m,2), 1) each
+    jb, kb = _local_pairs(n).T[:, None, :]  # (1, C(n,2)) each
+    rows = np.stack([ka * n + kb, ka * n + jb, ja * n + kb, ja * n + jb], axis=-1).reshape(-1, 4)
     rows.setflags(write=False)
     return rows
 
 
+def _pair_position(dims: Dims, alpha: GeneratorPair, beta: GeneratorPair) -> int:
+    """The position of the (alpha, beta) pair in _pair_rows(dims); a pair of
+    other dims than the state's raises ValueError."""
+    if alpha.dim != dims.m or beta.dim != dims.n:
+        raise ValueError(
+            f"pair dims ({alpha.dim},{beta.dim}) do not match state dims ({dims.m},{dims.n})"
+        )
+    # a party's pair (j, k) comes after the C(dim, 2) - C(dim - j, 2) pairs with a smaller first entry
+    a = math.comb(dims.m, 2) - math.comb(dims.m - alpha.j, 2) + alpha.k - alpha.j - 1
+    b = math.comb(dims.n, 2) - math.comb(dims.n - beta.j, 2) + beta.k - beta.j - 1
+    return a * math.comb(dims.n, 2) + b
+
+
 def _weights(stack: np.ndarray, rows: np.ndarray):
     """Weights c >= 0 and live mask c > TAU_C, both (N, P), of the pairs whose
-    _block_rows are `rows` on a stack (N, mn, mn) of states: the one home of
-    the empty rule.  c sums the block's diagonal entries of rho in the order
-    (ja, jb), (ja, kb), (ka, jb), (ka, kb)."""
+    rows of _pair_rows are `rows` on a stack (N, mn, mn) of states: the one
+    home of the empty rule.  c sums the block's diagonal entries of rho in the
+    order (ja, jb), (ja, kb), (ka, jb), (ka, kb)."""
     diag = np.diagonal(stack, axis1=-2, axis2=-1).real
     c = diag[:, rows[:, 3]] + diag[:, rows[:, 2]] + diag[:, rows[:, 1]] + diag[:, rows[:, 0]]
     c = np.maximum(c, 0.0)
@@ -271,7 +257,7 @@ def _weights(stack: np.ndarray, rows: np.ndarray):
 
 def _blocks(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The raw (unnormalized) blocks, shaped (N, P, 4, 4), of the pairs whose
-    _block_rows are `rows` on a stack (N, mn, mn) of states.
+    rows of _pair_rows are `rows` on a stack (N, mn, mn) of states.
 
     The sandwich by L (x) L acts on a gathered 4x4 block as Y (x) Y with
     Y = [[0,1],[-1,0]]: a reversal of the block basis with the middle two
@@ -319,8 +305,8 @@ def _bell_maxima(blk: np.ndarray, live: np.ndarray) -> np.ndarray:
 
 
 def _reports(stack: np.ndarray, rows: np.ndarray) -> _Columns:
-    """Columns of the pairs whose _block_rows are `rows` on a stack of states,
-    from one gather of their raw blocks: both witnesses of every pair."""
+    """Columns of the pairs whose rows of _pair_rows are `rows` on a stack of
+    states, from one gather of their raw blocks: both witnesses of every pair."""
     c, live = _weights(stack, rows)
     blk = _blocks(stack, rows)
     raw, lam, nonlinear = _nonlinear_columns(blk, c, live)
@@ -331,15 +317,19 @@ def _reports(stack: np.ndarray, rows: np.ndarray) -> _Columns:
 # has lambda_min(X) >= 1/4 - sqrt(3(p - 1/4)/4): the other three eigenvalues
 # sum to 1 - lambda, so p >= lambda^2 + (1 - lambda)^2/3.  The bound is > 0
 # iff p < 1/3, and it needs no positivity of X.  The partial transpose only
-# permutes entries, so rho_ab^{T_A} has the purity of rho_ab.  Below
-# 1/3 - 1e-9 the bound is at least 1.5e-9, far above the ~1e-15 error of a
-# 4x4 eigvalsh, so such a block's violation is exactly 0 without solving it.
+# permutes entries, so rho_ab^{T_A} has the purity of rho_ab [K. Zyczkowski,
+# P. Horodecki, A. Sanpera, M. Lewenstein, Phys. Rev. A 58, 883 (1998)].
+# Below 1/3 - 1e-9 the bound is at least 1.5e-9, far above the ~1e-15 error
+# of a 4x4 eigvalsh, so such a block's clipped violation is exactly 0 without
+# solving it, and the bound equals the all-blocks solve to the last bit.  The
+# purities are summed from the entries of rho (_purities), so a certified
+# block is never gathered.
 _PURITY_CERT = 1.0 / 3.0 - 1e-9
 
 
 def _purities(stack: np.ndarray, dims: Dims) -> np.ndarray:
     """Raw purities q = sum |blk|^2 of the unnormalized gathered blocks of
-    every subspace pair, (N, P) in _all_pairs_index order, read from a stack
+    every subspace pair, (N, P) in _pair_rows order, read from a stack
     (N, mn, mn) of states without gathering a block: the block of (alpha,
     beta) holds the entries +-rho[(a,b),(a',b')] for a, a' in alpha and b, b'
     in beta, so q is a four-term sum per party over |rho|^2, first over
@@ -357,12 +347,16 @@ def _purities(stack: np.ndarray, dims: Dims) -> np.ndarray:
 # Diagonal rule.  A block whose 12 off-diagonal entries are all exactly zero is
 # its own partial transpose, and LAPACK returns the diagonal of a diagonal
 # input as its eigenvalues, unrounded, unless it rescales the input, which it
-# does only below about 1e-146 or above 1e146; a live block has c > TAU_C.
+# does only below about 1e-146 or above 1e146; a live block holds an entry of
+# at least c/4 > TAU_C/4.  So such a block reads lambda_min as its smallest
+# diagonal entry, to the last bit.  The test is for exact zeros, so it adds no
+# tolerance.  In Schmidt form, and for P_+, most live blocks are such rank-one
+# product blocks, whose purity c^2 the certificate cannot pass.
 _OFF_DIAGONAL = np.flatnonzero(~np.eye(4, dtype=bool))
 
 
 def _violations(stack: np.ndarray, dims: Dims) -> np.ndarray:
-    """Raw lambda_min, (N, P) in _all_pairs_index order, on a stack of states.
+    """Raw lambda_min, (N, P) in _pair_rows order, on a stack of states.
     Only the live blocks the purity certificate leaves open are gathered, and
     of those only the ones with a nonzero off-diagonal entry are solved: an
     exactly diagonal block reads the minimum of its diagonal.  Every other
@@ -387,7 +381,7 @@ def _violations(stack: np.ndarray, dims: Dims) -> np.ndarray:
 
 
 def _report_rows(rho: DensityMatrix, pairs, rows: np.ndarray) -> tuple[_Columns, list[SubspaceReport]]:
-    """Kernel columns and SubspaceReport rows of one state's (alpha, beta) pairs, whose _block_rows are `rows`."""
+    """Kernel columns and SubspaceReport rows of one state's (alpha, beta) pairs, whose rows of _pair_rows are `rows`."""
     cols = _reports(rho.mat[None], rows)
     d = cols.nonlinear_max[0] - 1.0
     table = (cols.c[0], cols.lambda_min[0], cols.bell_max[0], cols.nonlinear_max[0], d, np.maximum(0.0, d))
@@ -396,8 +390,8 @@ def _report_rows(rho: DensityMatrix, pairs, rows: np.ndarray) -> tuple[_Columns,
 
 def _pair_block(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair):
     """Weight c and rho_ab of one subspace pair; rho_ab is None when it is empty."""
-    _check_pairs(rho.dims, alpha, beta)
-    stack, rows = rho.mat[None], _block_rows(_pair_index([(alpha, beta)]), rho.dims.n)
+    i = _pair_position(rho.dims, alpha, beta)
+    stack, rows = rho.mat[None], _pair_rows(rho.dims)[i : i + 1]
     (c,), (live,) = _weights(stack, rows)
     return float(c[0]), (_blocks(stack, rows)[0, 0] / c[0] * _YY_SIGNS if live[0] else None)
 
@@ -425,7 +419,7 @@ def bell_value(rho: DensityMatrix, s) -> float:
     Accepts BellSettings or WitnessSettings (which contributes its first two
     triad directions per side).
     """
-    _check_pairs(rho.dims, s.alpha, s.beta)
+    _pair_position(rho.dims, s.alpha, s.beta)
     a1, a2, b1, b2 = _bell_directions(s)
     ta1, ta2 = (tilde_operator(embed_observable(s.alpha, a)) for a in (a1, a2))
     tb1, tb2 = (tilde_operator(embed_observable(s.beta, b)) for b in (b1, b2))
@@ -449,7 +443,7 @@ def nonlinear_value(rho: DensityMatrix, s: WitnessSettings) -> float:
     All operators are tilde-conjugated embeddings; the sum term pairs each
     third observable with the other side's subspace projector.
     """
-    _check_pairs(rho.dims, s.alpha, s.beta)
+    _pair_position(rho.dims, s.alpha, s.beta)
     ta = [tilde_operator(embed_observable(s.alpha, s.triad_a.vector(i))) for i in range(3)]
     tb = [tilde_operator(embed_observable(s.beta, s.triad_b.vector(i))) for i in range(3)]
     pa = subspace_projector(s.alpha)
@@ -483,13 +477,12 @@ def nonlinear_max(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair)
 
 def subspace_report(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair) -> SubspaceReport:
     """All per-subspace figures of one pair."""
-    _check_pairs(rho.dims, alpha, beta)
-    pairs = [(alpha, beta)]
-    return _report_rows(rho, pairs, _block_rows(_pair_index(pairs), rho.dims.n))[1][0]
+    i = _pair_position(rho.dims, alpha, beta)
+    return _report_rows(rho, [(alpha, beta)], _pair_rows(rho.dims)[i : i + 1])[1][0]
 
 
 def _all_reports(rho: DensityMatrix) -> tuple[_Columns, list[SubspaceReport]]:
-    """_report_rows of every subspace pair, in _all_pairs_index order; rows share one GeneratorPair per local pair."""
+    """_report_rows of every subspace pair, in _pair_rows order; rows share one GeneratorPair per local pair."""
     alphas, betas = ([GeneratorPair(*jk, dim) for jk in _local_pairs(dim).tolist()] for dim in (rho.dims.m, rho.dims.n))
     return _report_rows(rho, [(a, b) for a in alphas for b in betas], _pair_rows(rho.dims))
 

@@ -405,6 +405,17 @@ class TestSelftest:
         info = [ln for ln in out.splitlines() if ln.startswith("INFO") and "literal-min" in ln]
         assert len(info) == 1 and "divergence expected" in info[0]
 
+    @pytest.mark.parametrize("flags", [[], ["--literal-min"]])
+    def test_a_failing_check_exits_4_and_is_counted(self, capsys, monkeypatch, flags):
+        # the max-entangled bound reads 0.5 in place of 1; the INFO lines count neither way
+        monkeypatch.setattr(cli, "cren_lower_bound", lambda rho, literal_min=False: cren.CrenBoundReport(0.5, 0.0, 3, rho))
+        code, out, _ = run_cli(capsys, ["selftest", *flags])
+        lines = out.splitlines()
+        assert code == 4
+        assert [ln for ln in lines if ln.startswith("FAIL")] == ["FAIL max-entangled-bound: bound = 0.5 (exact CREN is 1)"]
+        assert sum(ln.startswith("INFO") for ln in lines) == 1 + len(flags)
+        assert lines[-1] == "4 checks gated, 3 passed, 1 failed"
+
 
 # each CLI family: its required flags, and one of its parameters to scan
 FAMILY_CASES = {
@@ -962,8 +973,8 @@ class TestAffineScan:
         point_spec = cli._point_spec
         monkeypatch.setattr(cli, "_point_spec", lambda cfg, value, seed: built.append(value) or point_spec(cfg, value, seed))
         got = _probe_differences(cfg, fields, values, 5), _scan_points(cfg, values, [5] * len(values))
-        # the runs inside [lo, hi] each take one broadcast spec, the others one spec per value
-        assert built == [0.1, 0.2, 0.9, 0.2] * 2
+        # a call with a value outside [lo, hi] builds every value on its own, one spec each
+        assert built == values * 2
         monkeypatch.setattr(cli, "_validated_stacks", per_value_stacks)
         assert repr(got) == repr((_probe_differences(cfg, fields, values, 5), _scan_points(cfg, values, [5] * 5)))
 

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 
 import numpy as np
@@ -35,7 +36,6 @@ from entwit.states import (
 from entwit.witness import (
     TAU_C,
     _PURITY_CERT,
-    _all_pairs_index,
     _blocks,
     _pair_rows,
     _purities,
@@ -45,6 +45,12 @@ from entwit.witness import (
     reports_to_csv,
     subspace_reports,
 )
+
+
+def all_pairs_index(dims: Dims) -> np.ndarray:
+    """Oracle for the pair order of _pair_rows: (alpha.j, alpha.k, beta.j, beta.k) of every pair, lexicographic."""
+    local_a, local_b = (list(itertools.combinations(range(dim), 2)) for dim in (dims.m, dims.n))
+    return np.array([(*a, *b) for a in local_a for b in local_b])
 
 
 def bound_from_rows(rows, dims: Dims, literal_min: bool = False) -> float:
@@ -134,8 +140,8 @@ class TestCertifiedSolve:
     def test_state_level_purity_is_the_raw_block_purity(self, rho):
         # oracle: gather every raw block of the stored matrix by hand; the
         # kernel's block is that block with its basis reversed, unnormalized
-        n, index = rho.dims.n, _all_pairs_index(rho.dims)
-        ja, ka, jb, kb = index.T
+        n = rho.dims.n
+        ja, ka, jb, kb = all_pairs_index(rho.dims).T
         rows = np.stack([ja * n + jb, ja * n + kb, ka * n + jb, ka * n + kb], axis=1)
         raw = rho.mat[rows[:, :, None], rows[:, None, :]]
         want = np.sum(np.abs(raw) ** 2, axis=(1, 2))

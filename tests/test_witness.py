@@ -45,10 +45,9 @@ from entwit.witness import (
     WitnessSettings,
     _PURITY_CERT,
     _Columns,
-    _all_pairs_index,
     _bell_fg,
-    _check_pairs,
     _nonlinear_fg,
+    _pair_position,
     _pair_rows,
     _reports,
     _violations,
@@ -93,6 +92,11 @@ def rand_density(rng, m, n, rank=None):
     mat = g @ g.conj().T
     mat /= np.trace(mat).real
     return validate_density(mat, Dims(m, n))
+
+
+def all_pairs_index(dims):
+    """Oracle for the pair order of _pair_rows: (alpha.j, alpha.k, beta.j, beta.k) of every pair, in so_generators order."""
+    return np.array([(a.j, a.k, b.j, b.k) for a, _ in so_generators(dims.m) for b, _ in so_generators(dims.n)])
 
 
 def rand_triads(rng, alpha, beta, improper=False):
@@ -441,15 +445,15 @@ class TestKernel:
             assert any(r.c == 0.0 and r.nonlinear_max == 1.0 for r in reports)
 
     def test_subspace_reports_read_the_cached_index(self, monkeypatch):
-        # the kernel gets _pair_rows(dims) itself, and no index is rebuilt from pair objects
+        # the kernel gets _pair_rows(dims) itself, and no single-pair position is computed
         seen, real = [], witness._reports
         monkeypatch.setattr(witness, "_reports", lambda stack, rows: seen.append(rows) or real(stack, rows))
-        monkeypatch.setattr(witness, "_pair_index", lambda pairs: pytest.fail("_pair_index called"))
+        monkeypatch.setattr(witness, "_pair_position", lambda *args: pytest.fail("_pair_position called"))
         rho = rand_density(np.random.default_rng(5), 3, 4)
         reports = subspace_reports(rho)
         assert len(seen) == 1 and seen[0] is _pair_rows(rho.dims)
         keys = [[r.alpha.j, r.alpha.k, r.beta.j, r.beta.k] for r in reports]
-        assert keys == _all_pairs_index(rho.dims).tolist()
+        assert keys == all_pairs_index(rho.dims).tolist()
         assert all(type(v) is int for key in keys for v in key)  # Python ints, so the rows serialize to JSON
         assert json.loads(json.dumps(keys)) == keys
         # the rows share one GeneratorPair per local pair
@@ -462,8 +466,46 @@ class TestKernel:
         with pytest.raises(ValueError):
             rows[0, 0] = 1
         # each pair's block rows (ka kb, ka jb, ja kb, ja jb) in the state, n = 4
-        ja, ka, jb, kb = _all_pairs_index(Dims(3, 4)).T
+        ja, ka, jb, kb = all_pairs_index(Dims(3, 4)).T
         assert rows.tolist() == np.stack([4 * ka + kb, 4 * ka + jb, 4 * ja + kb, 4 * ja + jb], axis=1).tolist()
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(2, 6), st.integers(2, 6), st.integers(1, 36), st.integers(0, 2**32 - 1))
+    def test_single_pair_queries_read_their_row_of_the_pair_table(self, m, n, rank, seed):
+        # a pair's position in _pair_rows is its so_generators position, and the single-pair
+        # report and weight are bitwise its row of the all-pairs report
+        rho = rand_density(np.random.default_rng(seed), m, n, min(rank, m * n))
+        reports = subspace_reports(rho)
+        pairs = [(a, b) for a, _ in so_generators(m) for b, _ in so_generators(n)]
+        assert [(r.alpha, r.beta) for r in reports] == pairs
+        for k, (alpha, beta) in enumerate(pairs):
+            assert _pair_position(rho.dims, alpha, beta) == k
+            single = subspace_report(rho, alpha, beta)
+            for name in witness._FIGURES:
+                assert repr(getattr(single, name)) == repr(getattr(reports[k], name)), name
+            assert repr(project_state(rho, alpha, beta).c) == repr(reports[k].c)
+        # every single-pair entry point rejects a pair of other dims, in either slot
+        alpha, beta = pairs[0]
+        e, triad = np.array([1.0, 0.0, 0.0]), triad_from_rotation(np.eye(3))
+        wrong = [(GeneratorPair(0, 1, m + 1), beta), (alpha, GeneratorPair(0, 1, n + 1))]
+        if m != n:
+            wrong.append((GeneratorPair(0, 1, n), GeneratorPair(0, 1, m)))
+        for a, b in wrong:
+            calls = [
+                lambda: project_state(rho, a, b),
+                lambda: subspace_report(rho, a, b),
+                lambda: bell_max(rho, a, b),
+                lambda: nonlinear_max(rho, a, b),
+                lambda: optimize_settings(rho, a, b, "nonlinear", OptimizerConfig(restarts=1)),
+                lambda: optimize_settings(rho, a, b, "bell", OptimizerConfig(restarts=1)),
+                lambda: nonlinear_normalized(rho, WitnessSettings(a, b, triad, triad)),
+                lambda: nonlinear_value(rho, WitnessSettings(a, b, triad, triad)),
+                lambda: bell_value(rho, WitnessSettings(a, b, triad, triad)),
+                lambda: bell_value(rho, BellSettings(a, b, e, e, e, e)),
+            ]
+            for call in calls:
+                with pytest.raises(ValueError, match=r"pair dims \(\d,\d\) do not match state dims"):
+                    call()
 
     @pytest.mark.parametrize("m, n, with_empty", [(3, 3, False), (4, 4, False), (3, 5, False), (3, 4, True)])
     def test_stacked_columns_equal_per_state_columns(self, m, n, with_empty):
@@ -473,16 +515,13 @@ class TestKernel:
             keep = np.isin(np.arange(m * n), [0, 1, n + 2])
             mat = rand_density(rng, m, n).mat * np.outer(keep, keep)
             states.insert(1, validate_density(mat / np.trace(mat).real, Dims(m, n)))
-        index = _all_pairs_index(Dims(m, n))
-        assert [tuple(row) for row in index] == [
-            (a.j, a.k, b.j, b.k) for a, _ in so_generators(m) for b, _ in so_generators(n)
-        ]
+        npairs = len(_pair_rows(Dims(m, n)))
         stacked = _reports(np.stack([rho.mat for rho in states]), _pair_rows(Dims(m, n)))
         for k, rho in enumerate(states):
             single = _reports(rho.mat[None], _pair_rows(Dims(m, n)))
             for name in _Columns._fields:
                 got, want = getattr(stacked, name), getattr(single, name)
-                assert got.shape == (len(states), len(index)) and want.shape == (1, len(index))
+                assert got.shape == (len(states), npairs) and want.shape == (1, npairs)
                 assert np.array_equal(got[k], want[0]), name
             # the columns are the rows subspace_reports builds
             reports = subspace_reports(rho)
@@ -565,7 +604,7 @@ def c_coefficient(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair)
     which the partial transpose leaves fixed.  Kept as a genuinely independent
     full-matrix code path for cross-checks.
     """
-    _check_pairs(rho.dims, alpha, beta)
+    _pair_position(rho.dims, alpha, beta)
     ll = np.kron(generator_matrix(alpha), generator_matrix(beta))
     return float(np.real(np.trace(ll @ partial_transpose(rho) @ ll)))
 
