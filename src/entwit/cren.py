@@ -16,7 +16,17 @@ this sum plus a trace bias, as sum_ab c_ab = (m-1)(n-1) Tr rho; without it,
 separable states (all X = 0) land at exactly 0.  For pure states in canonical
 Schmidt form the bound is tight: it collapses to the negativity through the
 trace-norm identity sum_ab ||(L (x) L) psi-projector^{T_A} (L (x) L)||_tr
-= (M-1)^2 + 2 sum_{i<j} sqrt(mu_i mu_j).
+= (m-1)(n-1) + 2 sum_{i<j} sqrt(mu_i mu_j).
+
+On any pure state psi, with m x n coefficient matrix A and K = Lambda^2 A the
+C(m,2) x C(n,2) matrix of its 2x2 minors, pair ab's raw lambda_min is
+-|K_ab|, so bound = 2 ||K||_l1/(M-1), while the negativity, which is CREN on
+pure states, is 2 ||K||_tr/(M-1).  The entrywise l1 norm is at least the
+trace norm and equals it only when K is diagonal up to permutations and
+phases, as in Schmidt form; elsewhere the bound exceeds CREN.  A projector
+that keeps its vector (PureState.projector) is read in these closed forms
+(witness._pure_violations, qstate.pure_negativity); every other state,
+including one read from JSON or any mixture, takes the kernel.
 
 The bound reads a subspace only through lambda_ab, so a block whose partial
 transpose is provably positive adds exactly 0 and needs no eigenvalue.  The
@@ -47,10 +57,19 @@ from .qstate import (
     Dims,
     PureState,
     _negativities,
+    negativity,
     partial_transpose,
     trace_norm,
 )
-from .witness import _FIGURES, SubspaceReport, _pair_rows, _reports, _violations, subspace_reports
+from .witness import (
+    _FIGURES,
+    SubspaceReport,
+    _pair_rows,
+    _pure_violations,
+    _reports,
+    _violations,
+    subspace_reports,
+)
 
 
 @dataclass(frozen=True)
@@ -89,18 +108,22 @@ def cren_lower_bound(rho: DensityMatrix, literal_min: bool = False) -> CrenBound
     """Assemble the bound from all subspace pairs in lexicographic order.
 
     The default bound solves only the blocks the purity certificate leaves
-    open (see the module docstring).  literal_min=True swaps the violation
-    clip to X = min(0, d), which reads every violation and so solves every
-    block; it is only useful for comparing against the clip-above default.
+    open; for a projector that keeps its vector it solves none, since the
+    bound and the negativity read it in closed form (see the module
+    docstring).  literal_min=True swaps the violation clip to X = min(0, d),
+    which reads every violation and so solves every block; it is only useful
+    for comparing against the clip-above default.
     """
     stack = rho.mat[None]
     if literal_min:
         raw = _reports(stack, _pair_rows(rho.dims)).raw
+    elif rho.vec is not None:
+        raw = _pure_violations(rho)
     else:
         raw = _violations(stack, rho.dims)
     return CrenBoundReport(
         bound=float(_bound(raw, rho.dims, literal_min)[0]),
-        negativity=float(_negativities(stack, rho.dims)[0]),
+        negativity=negativity(rho),
         m_normalizer=min(rho.dims.m, rho.dims.n),
         rho=rho,
     )
@@ -111,8 +134,9 @@ def pure_sum_identity(psi: PureState) -> tuple[float, float]:
 
     lhs sums ||(L_a (x) L_b) |psi><psi|^{T_A} (L_a (x) L_b)^dag||_tr over all
     subspace pairs with full-size matrices (no 4x4 shortcut, so it is an
-    independent route); rhs = (M-1)^2 + 2 sum_{i<j} sqrt(mu_i mu_j) from the
-    Schmidt spectrum.  Requires canonical Schmidt form sum_i sqrt(mu_i) |ii>.
+    independent route); rhs = (m-1)(n-1) + 2 sum_{i<j} sqrt(mu_i mu_j) from
+    the Schmidt spectrum, the first term being the total block weight
+    (m-1)(n-1) Tr rho.  Requires canonical Schmidt form sum_i sqrt(mu_i) |ii>.
     """
     m, n = psi.dims.m, psi.dims.n
     coeff = psi.vec.reshape(m, n)
@@ -133,7 +157,7 @@ def pure_sum_identity(psi: PureState) -> tuple[float, float]:
 
     roots = np.sqrt(mu)
     cross = (roots.sum() ** 2 - mu.sum()) / 2.0
-    rhs = (big_m - 1) ** 2 + 2.0 * cross
+    rhs = (m - 1) * (n - 1) + 2.0 * cross
     return float(lhs), float(rhs)
 
 

@@ -14,7 +14,8 @@ density matrix check and alone decides a state's arithmetic (float64 when
 exactly real, else complex128); DensityMatrix.mat stores it and every
 consumer reads it as stored.
 
-The negativity solves rho^{T_A} along its exact zero pattern (_spectra).  A
+The negativity solves rho^{T_A} along its exact zero pattern (_spectra); a
+projector that keeps its vector (DensityMatrix.vec) reads pure_negativity.  A
 permutation that makes the connected components of the pattern diagonal
 blocks keeps the spectrum, so from side 64 up each component is solved
 alone: a 1x1 component reads its diagonal entry, and components of one size
@@ -27,7 +28,7 @@ and is solved whole, as is every matrix below side 64.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
@@ -92,10 +93,14 @@ class DensityMatrix:
     """A validated mixed state: unit trace, positive semidefinite and exactly
     Hermitian, since validate_density stores the Hermitian part of its input
     (mat == mat.conj().T to the last bit).  mat is read-only, in the dtype
-    _checked chose for this state alone."""
+    _checked chose for this state alone.  vec is the read-only unit vector
+    of a projector that PureState.projector made, and None for every other
+    state: the bound and the negativity read a pure state off its vector in
+    closed form (witness._pure_violations, pure_negativity)."""
 
     dims: Dims
     mat: np.ndarray
+    vec: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -106,8 +111,11 @@ class PureState:
     vec: np.ndarray
 
     def projector(self) -> DensityMatrix:
-        """Rank-1 density matrix |psi><psi| of this vector."""
-        return validate_density(np.outer(self.vec, self.vec.conj()), self.dims)
+        """Rank-1 density matrix |psi><psi| of this vector, keeping a read-only copy of the vector."""
+        rho = validate_density(np.outer(self.vec, self.vec.conj()), self.dims)
+        vec = np.array(self.vec).ravel()
+        vec.setflags(write=False)
+        return DensityMatrix(rho.dims, rho.mat, vec)
 
 
 @dataclass(frozen=True)
@@ -275,7 +283,10 @@ def negativity(rho: DensityMatrix) -> float:
     (min(m,n) - 1), the same value at unit trace, so a trace that validation
     accepts up to TAU_TR away from 1 adds nothing: PPT states read 0, never
     below.  Equals 1 on a maximally entangled pair for any local dimension.
+    A projector that keeps its vector reads pure_negativity instead.
     """
+    if rho.vec is not None:
+        return pure_negativity(PureState(rho.dims, rho.vec))
     return float(_negativities(rho.mat, rho.dims))
 
 
@@ -299,10 +310,14 @@ def schmidt(psi: PureState) -> SchmidtDecomposition:
 
 
 def pure_negativity(psi: PureState) -> float:
-    """Closed-form negativity of a pure state from its Schmidt spectrum.
+    """Closed-form negativity of a pure state from its Schmidt spectrum, the
+    one home of the pure-state negativity (negativity() returns it for a
+    projector that keeps its vector).
 
-    Equals (2/(M-1)) * sum_{i<j} sqrt(mu_i mu_j) and agrees with
-    negativity(psi.projector()).
+    Equals (2/(M-1)) * sum_{i<j} sqrt(mu_i mu_j), which is 2 ||K||_tr/(M-1)
+    for K the matrix of 2x2 minors of the m x n coefficient matrix, and
+    agrees with the eigensolve of the projector's partial transpose to
+    rounding.
     """
     mu = schmidt(psi).coefficients
     big_m = min(psi.dims.m, psi.dims.n)

@@ -39,6 +39,9 @@ The bound reads only the raw lambda_min of each pair, and its entry point
 (_violations) gathers only the blocks that the purity certificate leaves
 open and solves only those of them that the diagonal rule does not settle;
 both rules are explained at their constants, _PURITY_CERT and _OFF_DIAGONAL.
+A projector that keeps its vector skips the kernel: _pure_violations reads
+each raw lambda_min as minus the modulus of a 2x2 minor of its coefficient
+matrix.
 Detection, the scan grid and the SubspaceReport rows read every lambda_min,
 so they solve every block.  Every block gather and weight, of all pairs or
 of one, reads its block rows from _pair_rows, built once per dims; one
@@ -378,6 +381,22 @@ def _violations(stack: np.ndarray, dims: Dims) -> np.ndarray:
             lam = _lambda_min(blk)
         raw[solve] = lam
     return raw
+
+
+def _pure_violations(rho: DensityMatrix) -> np.ndarray:
+    """Raw lambda_min, (1, P) in _pair_rows order, of a projector that keeps its
+    vector, in closed form.  Its block of the pair ((ja, ka), (jb, kb)) is
+    rank one, made from the 2x2 submatrix of the coefficient matrix A on rows
+    ja, ka and columns jb, kb; the partial transpose of a rank-one two-qubit
+    block has lambda_min = -|det| of that submatrix, the minor K_ab of
+    K = Lambda^2 A.  An empty pair (_weights) reads 0, as in the kernel."""
+    a = rho.vec.reshape(rho.dims.m, rho.dims.n)
+    ja, ka = _local_pairs(rho.dims.m).T
+    jb, kb = _local_pairs(rho.dims.n).T
+    x, y = a[:, jb], a[:, kb]  # the columns jb and kb of every B pair, (m, C(n,2)) each
+    minors = x[ja] * y[ka] - y[ja] * x[ka]  # K_ab = a[ja,jb] a[ka,kb] - a[ja,kb] a[ka,jb]
+    _, live = _weights(rho.mat[None], _pair_rows(rho.dims))
+    return np.where(live, -np.abs(minors).reshape(1, -1), 0.0)
 
 
 def _report_rows(rho: DensityMatrix, pairs, rows: np.ndarray) -> tuple[_Columns, list[SubspaceReport]]:

@@ -104,8 +104,10 @@ def test_c05_pure_state_exactness():
         d = 3 if trial % 2 == 0 else 4
         mu = rng.dirichlet(np.ones(d))
         psi = pure_from_schmidt(mu, d)
-        rep = cren_lower_bound(psi.projector())
-        worst_bound = max(worst_bound, abs(rep.bound - pure_negativity(psi)))
+        rho = psi.projector()
+        # the closed form of a projector that keeps its vector, and the kernel on its matrix alone
+        for state in (rho, validate_density(rho.mat, rho.dims)):
+            worst_bound = max(worst_bound, abs(cren_lower_bound(state).bound - pure_negativity(psi)))
         lhs, rhs = pure_sum_identity(psi)
         worst_identity = max(worst_identity, abs(lhs - rhs))
     ok = worst_bound < 1e-8 and worst_identity < 1e-9
@@ -241,9 +243,11 @@ def test_c09_shot_estimator():
 
 def test_c10_clip_variant_regression():
     pplus = max_entangled(3).projector()
-    literal = cren_lower_bound(pplus, literal_min=True).bound
-    shipped = cren_lower_bound(pplus).bound
-    ok = abs(literal) < 1e-12 and abs(shipped - 1.0) < 1e-12
+    # the kernel on the matrix alone; the projector, which keeps its vector, reads the closed form
+    kernel = validate_density(pplus.mat, pplus.dims)
+    literal = cren_lower_bound(kernel, literal_min=True).bound
+    shipped = cren_lower_bound(kernel).bound
+    ok = abs(literal) < 1e-12 and abs(shipped - 1.0) < 1e-12 and abs(cren_lower_bound(pplus).bound - 1.0) < 1e-12
     _line(
         ok,
         "C10 clip-variant regression",

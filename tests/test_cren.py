@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from entwit import witness
 from entwit.cren import (
@@ -16,13 +16,19 @@ from entwit.cren import (
     pure_sum_identity,
     report_to_json,
 )
+from entwit.generators import GeneratorPair
 from entwit.qstate import (
     TAU_HERM,
     TAU_TR,
     Dims,
+    PureState,
+    from_json,
+    negativity,
     partial_transpose,
     pure_negativity,
+    to_json,
     validate_density,
+    validate_pure,
 )
 from entwit.states import (
     example1_mixture,
@@ -37,7 +43,9 @@ from entwit.witness import (
     TAU_C,
     _PURITY_CERT,
     _blocks,
+    _pair_position,
     _pair_rows,
+    _pure_violations,
     _purities,
     _reports,
     _violations,
@@ -51,6 +59,11 @@ def all_pairs_index(dims: Dims) -> np.ndarray:
     """Oracle for the pair order of _pair_rows: (alpha.j, alpha.k, beta.j, beta.k) of every pair, lexicographic."""
     local_a, local_b = (list(itertools.combinations(range(dim), 2)) for dim in (dims.m, dims.n))
     return np.array([(*a, *b) for a in local_a for b in local_b])
+
+
+def matrix_path(rho):
+    """rho without the vector a projector keeps, so that the bound and the negativity take the kernel."""
+    return validate_density(rho.mat, rho.dims)
 
 
 def bound_from_rows(rows, dims: Dims, literal_min: bool = False) -> float:
@@ -80,10 +93,11 @@ class TestMaxEntangledQutrits:
                 total += c * (x / 2.0 + 1.0)
         hand = (total - 4.0) / 2.0
         assert abs(hand - 1.0) < 1e-12
-        rep = cren_lower_bound(rho)
-        assert abs(rep.bound - 1.0) < 1e-12
-        assert abs(rep.negativity - 1.0) < 1e-12
-        assert rep.m_normalizer == 3
+        for state in (rho, matrix_path(rho)):
+            rep = cren_lower_bound(state)
+            assert abs(rep.bound - 1.0) < 1e-12
+            assert abs(rep.negativity - 1.0) < 1e-12
+            assert rep.m_normalizer == 3
 
 
 class TestLazyRows:
@@ -168,7 +182,8 @@ class TestCertifiedSolve:
         states = [isotropic(3, x) for x in np.linspace(-1.0 / 8.0, 1.0, 41)]
         states += [example1_mixture(p) for p in grid]
         states += [example2_mixture(a, p) for a in (0.2, 0.5, 0.8) for p in grid[::4]]
-        states.append(pure_from_schmidt([0.5, 0.3, 0.2], 3).projector())
+        pure = pure_from_schmidt([0.5, 0.3, 0.2], 3).projector()
+        states += [pure, matrix_path(pure)]
         # supported on |00>, |01>, |12>: most subspaces are empty
         keep = np.isin(np.arange(12), [0, 1, 6])
         mat = random_density(Dims(3, 4), 12, seed=2).mat * np.outer(keep, keep)
@@ -282,7 +297,8 @@ class TestDiagonalBlocks:
                 assert_bitwise_full_solve(isotropic(d, x))
         for d in range(2, 17):
             # complex P_+ from the vector and the float64 family build
-            for rho in (max_entangled(d).projector(), isotropic(d, 1.0)):
+            pplus = max_entangled(d).projector()
+            for rho in (pplus, matrix_path(pplus), isotropic(d, 1.0)):
                 # alpha = {i, j} with a beta that shares one index: a diagonal product block
                 assert assert_bitwise_full_solve(rho) == d * (d - 1) // 2 * 2 * (d - 2)
 
@@ -313,9 +329,9 @@ class TestDiagonalBlocks:
             assert cren_lower_bound(rho).bound == 2e-12
 
     @pytest.mark.parametrize("make, solved, negativity", [
-        (lambda: pure_from_schmidt(np.random.default_rng(19).dirichlet(np.ones(12)), 12).projector(), [(66, 4, 4)],
-         [(1, 66, 2, 2)]),
-        (lambda: max_entangled(16).projector(), [(120, 4, 4)], [(1, 120, 2, 2)]),
+        (lambda: matrix_path(pure_from_schmidt(np.random.default_rng(19).dirichlet(np.ones(12)), 12).projector()),
+         [(66, 4, 4)], [(1, 66, 2, 2)]),
+        (lambda: matrix_path(max_entangled(16).projector()), [(120, 4, 4)], [(1, 120, 2, 2)]),
         (lambda: isotropic(16, 1.0), [(120, 4, 4)], [(1, 120, 2, 2)]),
         (lambda: random_density(Dims(8, 8), 1, seed=11), [(784, 4, 4)], [(1, 64, 64)]),
         (lambda: random_density(Dims(5, 7), 3, seed=4), None, [(1, 35, 35)]),
@@ -373,6 +389,20 @@ class TestPureSumIdentity:
         with pytest.raises(ValueError):
             pure_sum_identity(random_pure(Dims(3, 3), seed=4))
 
+    @pytest.mark.parametrize("m, n", [(2, 3), (3, 4), (4, 2)])
+    def test_non_square_schmidt_forms(self, m, n):
+        # the block weights sum to (m-1)(n-1) Tr rho, which is not (M-1)^2 when m != n
+        k = min(m, n)
+        product = np.zeros((m, n))
+        product[0, 0] = 1.0
+        assert pure_sum_identity(validate_pure(product.ravel(), Dims(m, n))) == ((m - 1) * (n - 1), (m - 1) * (n - 1))
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            coeff = np.zeros((m, n))
+            coeff[range(k), range(k)] = np.sqrt(rng.dirichlet(np.ones(k)))
+            lhs, rhs = pure_sum_identity(validate_pure(coeff.ravel(), Dims(m, n)))
+            assert abs(lhs - rhs) < 1e-9
+
 
 class TestPureExactness:
     def test_bound_equals_negativity_in_schmidt_form(self):
@@ -381,8 +411,9 @@ class TestPureExactness:
             d = 3 if trial % 2 == 0 else 4
             mu = rng.dirichlet(np.ones(d))
             psi = pure_from_schmidt(mu, d)
-            rep = cren_lower_bound(psi.projector())
-            assert abs(rep.bound - pure_negativity(psi)) < 1e-8
+            rho = psi.projector()
+            for state in (rho, matrix_path(rho)):
+                assert abs(cren_lower_bound(state).bound - pure_negativity(psi)) < 1e-8
 
     def test_cren_pure_worked_values(self):
         # CREN of a pure state is its negativity
@@ -464,9 +495,10 @@ class TestRebuild:
 
 class TestLiteralMinVariant:
     def test_discards_the_violation(self):
-        rho = max_entangled(3).projector()
-        assert abs(cren_lower_bound(rho, literal_min=True).bound) < 1e-12
-        assert abs(cren_lower_bound(rho).bound - 1.0) < 1e-12
+        pplus = max_entangled(3).projector()
+        for rho in (pplus, matrix_path(pplus)):
+            assert abs(cren_lower_bound(rho, literal_min=True).bound) < 1e-12
+            assert abs(cren_lower_bound(rho).bound - 1.0) < 1e-12
 
     def test_never_exceeds_the_default(self):
         rng = np.random.default_rng(71)
@@ -488,3 +520,148 @@ class TestJsonReport:
         first = doc["subspaces"][0]
         assert first["alpha"] == [0, 1] and first["beta"] == [0, 1]
         assert set(first) == {"alpha", "beta", "c", "lambda_min", "bell_max", "nonlinear_max", "d", "x"}
+
+
+def random_vector(m: int, n: int, seed: int) -> np.ndarray:
+    """A unit complex Gaussian vector on m x n."""
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=m * n) + 1j * rng.normal(size=m * n)
+    return vec / np.linalg.norm(vec)
+
+
+def minors_oracle(psi: PureState) -> np.ndarray:
+    """K = Lambda^2 A: every 2x2 minor of the coefficient matrix A, rows and
+    columns in lexicographic pair order, one determinant at a time."""
+    a = psi.vec.reshape(psi.dims.m, psi.dims.n)
+    return np.array([
+        [np.linalg.det(a[np.ix_(rows, cols)]) for cols in itertools.combinations(range(psi.dims.n), 2)]
+        for rows in itertools.combinations(range(psi.dims.m), 2)
+    ])
+
+
+@st.composite
+def local_schmidt_pure(draw):
+    """A Schmidt-form pure state on m x n, m, n = 2..8, some coefficients zero,
+    under a random local permutation with random phases on each side."""
+    m, n = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = min(m, n)
+    mu = rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.8)
+    mu[0] += mu.sum() == 0.0
+    coeff = np.zeros((m, n), dtype=complex)
+    coeff[range(k), range(k)] = np.sqrt(mu / mu.sum())
+    coeff *= np.exp(2j * np.pi * rng.random(m))[:, None] * np.exp(2j * np.pi * rng.random(n))
+    return validate_pure(coeff[rng.permutation(m)][:, rng.permutation(n)], Dims(m, n))
+
+
+def eigvalsh_shapes(call, rho) -> list:
+    """The shapes that call(rho) passes to np.linalg.eigvalsh."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(np.shape(a)) or eigvalsh(a))
+        call(rho)
+    return shapes
+
+
+class TestPureClosedForm:
+    """A projector that keeps its vector reads the bound and the negativity in
+    closed form from the 2x2 minors K of its coefficient matrix; the kernel,
+    on the same matrix without the vector, is the oracle."""
+
+    @staticmethod
+    def assert_matches_the_kernel(rho):
+        rep, kernel = cren_lower_bound(rho), cren_lower_bound(matrix_path(rho))
+        assert abs(rep.bound - kernel.bound) <= 1e-13
+        assert abs(rep.negativity - kernel.negativity) <= 1e-13
+        return rep
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(2, 8), st.integers(2, 8), st.integers(0, 2**32 - 1))
+    def test_random_pure_states(self, m, n, seed):
+        self.assert_matches_the_kernel(validate_pure(random_vector(m, n, seed), Dims(m, n)).projector())
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(local_schmidt_pure())
+    def test_schmidt_forms_under_local_permutations_and_phases(self, psi):
+        # K is diagonal up to permutations and phases, so the bound is the negativity
+        rep = self.assert_matches_the_kernel(psi.projector())
+        assert abs(rep.bound - rep.negativity) <= 1e-13
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(2, 16))
+    def test_max_entangled(self, d):
+        rep = self.assert_matches_the_kernel(max_entangled(d).projector())
+        assert abs(rep.bound - 1.0) <= 1e-13 and abs(rep.negativity - 1.0) <= 1e-13
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_a_pair_of_weight_at_most_tau_c_reads_zero(self, m, n, seed):
+        assume(m * n > 4)
+        rng = np.random.default_rng(seed)
+        (ja, ka), (jb, kb) = np.sort(rng.choice(m, 2, replace=False)), np.sort(rng.choice(n, 2, replace=False))
+        a = random_vector(m, n, seed).reshape(m, n)
+        block = np.ix_([ja, ka], [jb, kb])
+        a[block] = 0.0
+        a /= np.linalg.norm(a)
+        # entries below 2.4e-7 in modulus: the pair's weight is below 4 * 2.4e-7^2 < TAU_C
+        a[block] = 2.4e-7 * rng.uniform(0.1, 1.0, (2, 2)) * np.exp(2j * np.pi * rng.random((2, 2)))
+        psi = validate_pure(a / np.linalg.norm(a), Dims(m, n))
+        rho = psi.projector()
+        pair = _pair_position(rho.dims, GeneratorPair(int(ja), int(ka), m), GeneratorPair(int(jb), int(kb), n))
+        c, live = _weights(rho.mat[None], _pair_rows(rho.dims))
+        assert c[0, pair] <= TAU_C and not live[0, pair]
+        assert minors_oracle(psi).reshape(-1)[pair] != 0.0
+        raw, kernel = _pure_violations(rho), _violations(rho.mat[None], rho.dims)
+        assert raw[0, pair] == kernel[0, pair] == 0.0
+        assert np.abs(raw - kernel).max() <= 1e-13
+        self.assert_matches_the_kernel(rho)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 2**32 - 2))
+    def test_a_state_without_a_vector_takes_the_kernel(self, m, n, seed):
+        rho = validate_pure(random_vector(m, n, seed), Dims(m, n)).projector()
+        other = validate_pure(random_vector(m, n, seed + 1), Dims(m, n)).projector()
+        # the closed form runs no eigensolve at all
+        assert eigvalsh_shapes(cren_lower_bound, rho) == eigvalsh_shapes(negativity, rho) == []
+        side = m * n
+        for state in (
+            validate_density(rho.mat, rho.dims),
+            from_json(to_json(rho)),
+            validate_density(0.5 * rho.mat + 0.5 * other.mat, rho.dims),
+        ):
+            assert state.vec is None
+            bound_shapes = eigvalsh_shapes(cren_lower_bound, state)
+            assert bound_shapes[-1] == (1, side, side) and bound_shapes[0][-2:] == (4, 4)
+            assert eigvalsh_shapes(negativity, state) == [(1, side, side)]
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 2**32 - 2))
+    def test_the_kept_vector_is_a_read_only_copy(self, m, n, seed):
+        vec = random_vector(m, n, seed)
+        rho = PureState(Dims(m, n), vec).projector()  # the dataclass holds the caller's writable array
+        mat, rep = rho.mat.copy(), cren_lower_bound(rho)
+        vec[:] = random_vector(m, n, seed + 1)
+        assert not rho.vec.flags.writeable and not np.shares_memory(rho.vec, vec)
+        assert "vec" not in repr(rho)
+        assert np.array_equal(rho.mat, mat)
+        again = cren_lower_bound(rho)
+        assert (again.bound, again.negativity) == (rep.bound, rep.negativity)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(2, 8), st.integers(2, 8), st.integers(0, 2**32 - 1))
+    def test_bound_and_negativity_are_norms_of_the_minors(self, m, n, seed):
+        # bound = 2 ||K||_l1 / (M-1) and negativity = 2 ||K||_tr / (M-1), on both paths
+        psi = validate_pure(random_vector(m, n, seed), Dims(m, n))
+        k, half = minors_oracle(psi), (min(m, n) - 1) / 2.0
+        for rho in (psi.projector(), matrix_path(psi.projector())):
+            rep = cren_lower_bound(rho)
+            assert abs(rep.bound - np.abs(k).sum() / half) <= 1e-12
+            assert abs(rep.negativity - np.linalg.svd(k, compute_uv=False).sum() / half) <= 1e-12
+
+    def test_off_schmidt_form_the_bound_exceeds_the_negativity(self):
+        # ROADMAP item 2: ||K||_l1 > ||K||_tr when K is not diagonal
+        rho = random_pure(Dims(4, 4), 0).projector()
+        for state in (rho, matrix_path(rho)):
+            rep = cren_lower_bound(state)
+            assert (round(rep.bound, 4), round(rep.negativity, 4)) == (1.7803, 0.6668)
