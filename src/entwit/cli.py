@@ -235,9 +235,8 @@ def _probe_differences(cfg: SweepConfig, fields, values, seed: int) -> list[floa
     no negativity."""
     diffs = []
     for dims, stack in _validated_stacks(cfg, values, [seed] * len(values)):
-        rows = _pair_rows(dims)
-        c, live = _weights(stack, rows)
-        blk = _blocks(stack, rows)
+        c, live = _weights(stack, dims)
+        blk = _blocks(stack, _pair_rows(dims))
         for i in range(len(stack)):
             one = slice(i, i + 1)
             if fields[len(diffs)] == "nonlinear_d":

@@ -23,10 +23,11 @@ C(m,2) x C(n,2) matrix of its 2x2 minors, pair ab's raw lambda_min is
 -|K_ab|, so bound = 2 ||K||_l1/(M-1), while the negativity, which is CREN on
 pure states, is 2 ||K||_tr/(M-1).  The entrywise l1 norm is at least the
 trace norm and equals it only when K is diagonal up to permutations and
-phases, as in Schmidt form; elsewhere the bound exceeds CREN.  A projector
-that keeps its vector (PureState.projector) is read in these closed forms
-(witness._pure_violations, qstate.pure_negativity); every other state,
-including one read from JSON or any mixture, takes the kernel.
+phases, as in Schmidt form; elsewhere the bound exceeds CREN.  A state that
+is rank one to rounding is read in these closed forms from the vector its
+matrix determines (DensityMatrix.vec; witness._pure_violations,
+qstate.pure_negativity), however it was made: a projector, validate_density,
+from_json or a CLI family.  Every other state takes the kernel.
 
 The bound reads a subspace only through lambda_ab, so a block whose partial
 transpose is provably positive adds exactly 0 and needs no eigenvalue.  The
@@ -64,7 +65,6 @@ from .qstate import (
 from .witness import (
     _FIGURES,
     SubspaceReport,
-    _pair_rows,
     _pure_violations,
     _reports,
     _violations,
@@ -100,7 +100,7 @@ def _bound(raw, dims: Dims, literal_min: bool):
 def _assess(stack: np.ndarray, dims: Dims):
     """Kernel columns over all subspace pairs, bounds and negativities of a
     stack (N, mn, mn) of validated same-dims states."""
-    cols = _reports(stack, _pair_rows(dims))
+    cols = _reports(stack, dims)
     return cols, _bound(cols.raw, dims, literal_min=False), _negativities(stack, dims)
 
 
@@ -108,15 +108,15 @@ def cren_lower_bound(rho: DensityMatrix, literal_min: bool = False) -> CrenBound
     """Assemble the bound from all subspace pairs in lexicographic order.
 
     The default bound solves only the blocks the purity certificate leaves
-    open; for a projector that keeps its vector it solves none, since the
-    bound and the negativity read it in closed form (see the module
-    docstring).  literal_min=True swaps the violation clip to X = min(0, d),
-    which reads every violation and so solves every block; it is only useful
-    for comparing against the clip-above default.
+    open; for a rank-one state (rho.vec) it solves none, since the bound and
+    the negativity read it in closed form (see the module docstring).
+    literal_min=True swaps the violation clip to X = min(0, d), which reads
+    every violation and so solves every block; it is only useful for
+    comparing against the clip-above default.
     """
     stack = rho.mat[None]
     if literal_min:
-        raw = _reports(stack, _pair_rows(rho.dims)).raw
+        raw = _reports(stack, rho.dims).raw
     elif rho.vec is not None:
         raw = _pure_violations(rho)
     else:

@@ -15,7 +15,8 @@ exactly real, else complex128); DensityMatrix.mat stores it and every
 consumer reads it as stored.
 
 The negativity solves rho^{T_A} along its exact zero pattern (_spectra); a
-projector that keeps its vector (DensityMatrix.vec) reads pure_negativity.  A
+rank-one state, which DensityMatrix.vec reads off the matrix to rounding
+(_rank_one_vector), reads pure_negativity instead, however it was made.  A
 permutation that makes the connected components of the pattern diagonal
 blocks keeps the spectrum, so from side 64 up each component is solved
 alone: a 1x1 component reads its diagonal entry, and components of one size
@@ -28,7 +29,8 @@ and is solved whole, as is every matrix below side 64.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -42,6 +44,24 @@ import numpy as np
 TAU_HERM = 1e-10
 TAU_TR = 1e-10
 TAU_PSD = 1e-9
+
+# Rank-one read (_rank_one_vector).  A state is read as v v^dag, with v =
+# rho[:, j] / sqrt(rho_jj) and j its largest diagonal entry, when no entry of
+# rho - v v^dag exceeds _RANK_ONE_TOL.  An O(side) test runs first: column j
+# must have |rho_ij|^2 = rho_ii rho_jj to within _RANK_ONE_DIAG * rho_jj
+# (rho_ii + rho_jj).  rho is the Gram matrix of some vectors g_i, and by
+# Cauchy-Schwarz the equality holds on every i only when each g_i is parallel
+# to g_j, that is at rank one, so a dense state fails it before v v^dag is
+# formed.  The entries of an outer product and of its division by a trace
+# are rounded by a few eps relative, which moves either side of the equality
+# by about 4 eps rho_ii rho_jj, far inside the 64 eps.  A matrix within delta
+# of a rank-one one moves it by at most about 2 delta (rho_ii + rho_jj), so
+# the test passes every matrix within 32 eps rho_jj < 7.2e-15 of rank one;
+# the entrywise test then bounds the deviation, and within _RANK_ONE_TOL the
+# closed forms on v agree with the kernel on rho as Weyl's inequality allows
+# (README, tolerance table).
+_RANK_ONE_DIAG = 64 * np.finfo(float).eps
+_RANK_ONE_TOL = 1e-14
 
 
 class StateValidationError(ValueError):
@@ -93,14 +113,18 @@ class DensityMatrix:
     """A validated mixed state: unit trace, positive semidefinite and exactly
     Hermitian, since validate_density stores the Hermitian part of its input
     (mat == mat.conj().T to the last bit).  mat is read-only, in the dtype
-    _checked chose for this state alone.  vec is the read-only unit vector
-    of a projector that PureState.projector made, and None for every other
-    state: the bound and the negativity read a pure state off its vector in
-    closed form (witness._pure_violations, pure_negativity)."""
+    _checked chose for this state alone.  vec, computed on first read, is
+    the read-only vector v with mat = v v^dag to rounding when the state is
+    rank one (_rank_one_vector), and None otherwise: the bound and the
+    negativity read a rank-one state off v in closed form
+    (witness._pure_violations, pure_negativity), however it was made."""
 
     dims: Dims
     mat: np.ndarray
-    vec: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def vec(self) -> np.ndarray | None:
+        return _rank_one_vector(self.mat)
 
 
 @dataclass(frozen=True)
@@ -111,11 +135,8 @@ class PureState:
     vec: np.ndarray
 
     def projector(self) -> DensityMatrix:
-        """Rank-1 density matrix |psi><psi| of this vector, keeping a read-only copy of the vector."""
-        rho = validate_density(np.outer(self.vec, self.vec.conj()), self.dims)
-        vec = np.array(self.vec).ravel()
-        vec.setflags(write=False)
-        return DensityMatrix(rho.dims, rho.mat, vec)
+        """Rank-1 density matrix |psi><psi| of this vector."""
+        return validate_density(np.outer(self.vec, self.vec.conj()), self.dims)
 
 
 @dataclass(frozen=True)
@@ -177,6 +198,23 @@ def _checked(mat: np.ndarray, dims: Dims, scale: float = 1.0) -> np.ndarray:
         if lam_min < -tau_psd:
             raise NotPositiveError(f"minimum eigenvalue {lam_min:.3e} below -{tau_psd}") from None
     return herm
+
+
+def _rank_one_vector(mat: np.ndarray) -> np.ndarray | None:
+    """The read-only v = mat[:, j] / sqrt(mat_jj), j the largest diagonal
+    entry, of a validated state that is v v^dag to _RANK_ONE_TOL, else None;
+    the O(side) test on column j runs first (see _RANK_ONE_DIAG)."""
+    diag = np.diagonal(mat).real
+    j = int(np.argmax(diag))
+    col = mat[:, j]
+    sq = np.square(col.real) + np.square(col.imag) if np.iscomplexobj(col) else np.square(col)
+    if (np.abs(sq - diag * diag[j]) > _RANK_ONE_DIAG * diag[j] * (diag + diag[j])).any():
+        return None
+    vec = col / np.sqrt(diag[j])
+    if np.abs(mat - np.outer(vec, vec.conj())).max() > _RANK_ONE_TOL:
+        return None
+    vec.setflags(write=False)
+    return vec
 
 
 def validate_density(mat: np.ndarray, dims: Dims) -> DensityMatrix:
@@ -283,7 +321,7 @@ def negativity(rho: DensityMatrix) -> float:
     (min(m,n) - 1), the same value at unit trace, so a trace that validation
     accepts up to TAU_TR away from 1 adds nothing: PPT states read 0, never
     below.  Equals 1 on a maximally entangled pair for any local dimension.
-    A projector that keeps its vector reads pure_negativity instead.
+    A rank-one state (rho.vec) reads pure_negativity instead.
     """
     if rho.vec is not None:
         return pure_negativity(PureState(rho.dims, rho.vec))
@@ -310,20 +348,18 @@ def schmidt(psi: PureState) -> SchmidtDecomposition:
 
 
 def pure_negativity(psi: PureState) -> float:
-    """Closed-form negativity of a pure state from its Schmidt spectrum, the
+    """Closed-form negativity of a pure state from the singular values s_i of
+    its m x n coefficient matrix (the Schmidt coefficients sqrt(mu_i)), the
     one home of the pure-state negativity (negativity() returns it for a
-    projector that keeps its vector).
+    rank-one state).
 
-    Equals (2/(M-1)) * sum_{i<j} sqrt(mu_i mu_j), which is 2 ||K||_tr/(M-1)
-    for K the matrix of 2x2 minors of the m x n coefficient matrix, and
-    agrees with the eigensolve of the projector's partial transpose to
-    rounding.
+    Equals (2/(M-1)) * sum_{i<j} s_i s_j, which is 2 ||K||_tr/(M-1) for K
+    the matrix of 2x2 minors of the coefficient matrix, and agrees with the
+    eigensolve of the projector's partial transpose to rounding.
     """
-    mu = schmidt(psi).coefficients
-    big_m = min(psi.dims.m, psi.dims.n)
-    roots = np.sqrt(np.clip(mu, 0.0, None))
-    cross = (roots.sum() ** 2 - mu.sum()) / 2.0
-    return float(2.0 * cross / (big_m - 1))
+    s = np.linalg.svd(psi.vec.reshape(psi.dims.m, psi.dims.n), compute_uv=False)
+    cross = (s.sum() ** 2 - np.square(s).sum()) / 2.0
+    return float(2.0 * cross / (min(psi.dims.m, psi.dims.n) - 1))
 
 
 def realignment_value(rho: DensityMatrix) -> float:

@@ -39,15 +39,15 @@ The bound reads only the raw lambda_min of each pair, and its entry point
 (_violations) gathers only the blocks that the purity certificate leaves
 open and solves only those of them that the diagonal rule does not settle;
 both rules are explained at their constants, _PURITY_CERT and _OFF_DIAGONAL.
-A projector that keeps its vector skips the kernel: _pure_violations reads
-each raw lambda_min as minus the modulus of a 2x2 minor of its coefficient
-matrix.
+A rank-one state (DensityMatrix.vec) skips the kernel: _pure_violations
+reads each raw lambda_min as minus the modulus of a 2x2 minor of its
+coefficient matrix.
 Detection, the scan grid and the SubspaceReport rows read every lambda_min,
-so they solve every block.  Every block gather and weight, of all pairs or
-of one, reads its block rows from _pair_rows, built once per dims; one
-pair's row sits at its _pair_position.  The detection rule lives beside
-TAU_DETECT: detect_entanglement and the CLI scan both test the differences
-_nonlinear_d and _bell_d against it.
+so they solve every block.  Every block gather, of all pairs or of one,
+reads its block rows from _pair_rows, built once per dims, and every weight
+comes from _weights in the same order; one pair sits at its _pair_position.
+The detection rule lives beside TAU_DETECT: detect_entanglement and the CLI
+scan both test the differences _nonlinear_d and _bell_d against it.
 
 Measurement settings come from a separate numeric search (optimize_settings):
 a multi-start BFGS ascent with analytic gradients over the measurement
@@ -224,8 +224,8 @@ def _pair_rows(dims: Dims) -> np.ndarray:
     """The (P, 4) state rows (ka kb, ka jb, ja kb, ja jb) of the block of every
     subspace pair ((ja, ka), (jb, kb)), in lexicographic (alpha, beta) order:
     the gather order of _blocks, and read right to left the diagonal positions
-    whose sum _weights takes.  The one source of block rows: built once per
-    dims and read-only, so no kernel call rebuilds them."""
+    whose sum _weights takes (_corner_rows).  The one source of block rows:
+    built once per dims and read-only, so no kernel call rebuilds them."""
     n = dims.n
     ja, ka = _local_pairs(dims.m).T[:, :, None]  # (C(m,2), 1) each
     jb, kb = _local_pairs(n).T[:, None, :]  # (1, C(n,2)) each
@@ -247,14 +247,29 @@ def _pair_position(dims: Dims, alpha: GeneratorPair, beta: GeneratorPair) -> int
     return a * math.comb(dims.n, 2) + b
 
 
-def _weights(stack: np.ndarray, rows: np.ndarray):
-    """Weights c >= 0 and live mask c > TAU_C, both (N, P), of the pairs whose
-    rows of _pair_rows are `rows` on a stack (N, mn, mn) of states: the one
-    home of the empty rule.  c sums the block's diagonal entries of rho in the
-    order (ja, jb), (ja, kb), (ka, jb), (ka, kb)."""
-    diag = np.diagonal(stack, axis1=-2, axis2=-1).real
-    c = diag[:, rows[:, 3]] + diag[:, rows[:, 2]] + diag[:, rows[:, 1]] + diag[:, rows[:, 0]]
-    c = np.maximum(c, 0.0)
+@functools.cache
+def _corner_rows(dims: Dims) -> np.ndarray:
+    """_pair_rows(dims) read right to left and transposed: the (4, P) state
+    rows (ja jb), (ja kb), (ka jb), (ka kb) of every pair, one contiguous row
+    per corner, so that one np.take gathers them.  They are the diagonal
+    positions of each block, which _weights sums in this order, and the
+    entries of the coefficient matrix whose 2x2 minor _pure_violations takes.
+    Built once per dims and read-only."""
+    corners = np.ascontiguousarray(_pair_rows(dims)[:, ::-1].T)
+    corners.setflags(write=False)
+    return corners
+
+
+def _weights(stack: np.ndarray, dims: Dims, i: int | None = None):
+    """Weights c >= 0 and live mask c > TAU_C on a stack (N, mn, mn) of states,
+    both (N, P) in _pair_rows order, or (N, 1) for the pair at position i
+    alone: the one home of the empty rule.  c sums the block's diagonal
+    entries of rho in the order (ja, jb), (ja, kb), (ka, jb), (ka, kb)."""
+    corners = _corner_rows(dims) if i is None else _corner_rows(dims)[:, i : i + 1]
+    # one take along the first axis of the diagonals' transpose, (4, P, N): numpy gathers
+    # along it faster than along the last axis, for one state and for a scan's stack
+    g = np.take(np.diagonal(stack, axis1=-2, axis2=-1).real.T, corners, axis=0)
+    c = np.maximum((g[0] + g[1] + g[2] + g[3]).T, 0.0, order="C")
     return c, c > TAU_C
 
 
@@ -307,11 +322,13 @@ def _bell_maxima(blk: np.ndarray, live: np.ndarray) -> np.ndarray:
     return np.where(live, 2.0 * np.sqrt(np.maximum(ev[..., 1] + ev[..., 2], 0.0)), 0.0)
 
 
-def _reports(stack: np.ndarray, rows: np.ndarray) -> _Columns:
-    """Columns of the pairs whose rows of _pair_rows are `rows` on a stack of
-    states, from one gather of their raw blocks: both witnesses of every pair."""
-    c, live = _weights(stack, rows)
-    blk = _blocks(stack, rows)
+def _reports(stack: np.ndarray, dims: Dims, i: int | None = None) -> _Columns:
+    """Columns of every pair on a stack of states, or of the pair at position
+    i of _pair_rows alone, from one gather of their raw blocks: both
+    witnesses of every pair."""
+    c, live = _weights(stack, dims, i)
+    rows = _pair_rows(dims)
+    blk = _blocks(stack, rows if i is None else rows[i : i + 1])
     raw, lam, nonlinear = _nonlinear_columns(blk, c, live)
     return _Columns(c, live, raw, lam, _bell_maxima(blk, live), nonlinear)
 
@@ -365,13 +382,12 @@ def _violations(stack: np.ndarray, dims: Dims) -> np.ndarray:
     exactly diagonal block reads the minimum of its diagonal.  Every other
     pair reads 0, which the bound clips to 0 as it does the positive value in
     the full _reports columns."""
-    rows = _pair_rows(dims)
-    c, live = _weights(stack, rows)
+    c, live = _weights(stack, dims)
     raw = np.zeros_like(c)
     solve = live & (_purities(stack, dims) >= _PURITY_CERT * c**2)
     cols = np.flatnonzero(solve.any(axis=0))
     if cols.size:
-        blk = _blocks(stack, rows[cols])[solve[:, cols]]
+        blk = _blocks(stack, _pair_rows(dims)[cols])[solve[:, cols]]
         diagonal = ~blk.reshape(-1, 16)[:, _OFF_DIAGONAL].any(axis=1)  # exact zeros, no magnitude test
         if diagonal.any():
             lam = np.diagonal(blk, axis1=-2, axis2=-1).real.min(axis=-1)
@@ -384,24 +400,22 @@ def _violations(stack: np.ndarray, dims: Dims) -> np.ndarray:
 
 
 def _pure_violations(rho: DensityMatrix) -> np.ndarray:
-    """Raw lambda_min, (1, P) in _pair_rows order, of a projector that keeps its
-    vector, in closed form.  Its block of the pair ((ja, ka), (jb, kb)) is
-    rank one, made from the 2x2 submatrix of the coefficient matrix A on rows
-    ja, ka and columns jb, kb; the partial transpose of a rank-one two-qubit
-    block has lambda_min = -|det| of that submatrix, the minor K_ab of
-    K = Lambda^2 A.  An empty pair (_weights) reads 0, as in the kernel."""
-    a = rho.vec.reshape(rho.dims.m, rho.dims.n)
-    ja, ka = _local_pairs(rho.dims.m).T
-    jb, kb = _local_pairs(rho.dims.n).T
-    x, y = a[:, jb], a[:, kb]  # the columns jb and kb of every B pair, (m, C(n,2)) each
-    minors = x[ja] * y[ka] - y[ja] * x[ka]  # K_ab = a[ja,jb] a[ka,kb] - a[ja,kb] a[ka,jb]
-    _, live = _weights(rho.mat[None], _pair_rows(rho.dims))
-    return np.where(live, -np.abs(minors).reshape(1, -1), 0.0)
+    """Raw lambda_min, (1, P) in _pair_rows order, of a rank-one state, in
+    closed form from its vector rho.vec.  Its block of the pair ((ja, ka),
+    (jb, kb)) is rank one, made from the 2x2 submatrix of the coefficient
+    matrix A on rows ja, ka and columns jb, kb; the partial transpose of a
+    rank-one two-qubit block has lambda_min = -|det| of that submatrix, the
+    minor K_ab of K = Lambda^2 A.  An empty pair (_weights) reads 0, as in
+    the kernel."""
+    a00, a01, a10, a11 = np.take(rho.vec, _corner_rows(rho.dims))  # the entries (ja, jb) ... (ka, kb) of A
+    _, live = _weights(rho.mat[None], rho.dims)
+    return np.where(live, -np.abs(a00 * a11 - a01 * a10), 0.0)
 
 
-def _report_rows(rho: DensityMatrix, pairs, rows: np.ndarray) -> tuple[_Columns, list[SubspaceReport]]:
-    """Kernel columns and SubspaceReport rows of one state's (alpha, beta) pairs, whose rows of _pair_rows are `rows`."""
-    cols = _reports(rho.mat[None], rows)
+def _report_rows(rho: DensityMatrix, pairs, i: int | None = None) -> tuple[_Columns, list[SubspaceReport]]:
+    """Kernel columns and SubspaceReport rows of one state's (alpha, beta)
+    pairs: every pair, or the one at position i of _pair_rows."""
+    cols = _reports(rho.mat[None], rho.dims, i)
     d = cols.nonlinear_max[0] - 1.0
     table = (cols.c[0], cols.lambda_min[0], cols.bell_max[0], cols.nonlinear_max[0], d, np.maximum(0.0, d))
     return cols, [SubspaceReport(a, b, *row) for (a, b), row in zip(pairs, zip(*(col.tolist() for col in table)))]
@@ -411,7 +425,7 @@ def _pair_block(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair):
     """Weight c and rho_ab of one subspace pair; rho_ab is None when it is empty."""
     i = _pair_position(rho.dims, alpha, beta)
     stack, rows = rho.mat[None], _pair_rows(rho.dims)[i : i + 1]
-    (c,), (live,) = _weights(stack, rows)
+    (c,), (live,) = _weights(stack, rho.dims, i)
     return float(c[0]), (_blocks(stack, rows)[0, 0] / c[0] * _YY_SIGNS if live[0] else None)
 
 
@@ -496,14 +510,13 @@ def nonlinear_max(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair)
 
 def subspace_report(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair) -> SubspaceReport:
     """All per-subspace figures of one pair."""
-    i = _pair_position(rho.dims, alpha, beta)
-    return _report_rows(rho, [(alpha, beta)], _pair_rows(rho.dims)[i : i + 1])[1][0]
+    return _report_rows(rho, [(alpha, beta)], _pair_position(rho.dims, alpha, beta))[1][0]
 
 
 def _all_reports(rho: DensityMatrix) -> tuple[_Columns, list[SubspaceReport]]:
     """_report_rows of every subspace pair, in _pair_rows order; rows share one GeneratorPair per local pair."""
     alphas, betas = ([GeneratorPair(*jk, dim) for jk in _local_pairs(dim).tolist()] for dim in (rho.dims.m, rho.dims.n))
-    return _report_rows(rho, [(a, b) for a in alphas for b in betas], _pair_rows(rho.dims))
+    return _report_rows(rho, [(a, b) for a in alphas for b in betas])
 
 
 def subspace_reports(rho: DensityMatrix) -> list[SubspaceReport]:

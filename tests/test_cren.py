@@ -1,6 +1,7 @@
 """CREN lower bound: worked values, pure-state tightness, PPT null results."""
 
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -20,8 +21,10 @@ from entwit.generators import GeneratorPair
 from entwit.qstate import (
     TAU_HERM,
     TAU_TR,
+    DensityMatrix,
     Dims,
     PureState,
+    _negativities,
     from_json,
     negativity,
     partial_transpose,
@@ -31,6 +34,7 @@ from entwit.qstate import (
     validate_pure,
 )
 from entwit.states import (
+    StateSpec,
     example1_mixture,
     example2_mixture,
     isotropic,
@@ -61,9 +65,12 @@ def all_pairs_index(dims: Dims) -> np.ndarray:
     return np.array([(*a, *b) for a in local_a for b in local_b])
 
 
-def matrix_path(rho):
-    """rho without the vector a projector keeps, so that the bound and the negativity take the kernel."""
-    return validate_density(rho.mat, rho.dims)
+def kernel(rho) -> tuple[float, float]:
+    """The kernel's bound and negativity of rho's matrix, called directly, so
+    that a rank-one state, which cren_lower_bound reads in closed form, is
+    solved block by block and eigenvalue by eigenvalue: the closed form's oracle."""
+    bound = float(_bound(_violations(rho.mat[None], rho.dims), rho.dims, literal_min=False)[0])
+    return bound, float(_negativities(rho.mat, rho.dims))
 
 
 def bound_from_rows(rows, dims: Dims, literal_min: bool = False) -> float:
@@ -93,11 +100,10 @@ class TestMaxEntangledQutrits:
                 total += c * (x / 2.0 + 1.0)
         hand = (total - 4.0) / 2.0
         assert abs(hand - 1.0) < 1e-12
-        for state in (rho, matrix_path(rho)):
-            rep = cren_lower_bound(state)
-            assert abs(rep.bound - 1.0) < 1e-12
-            assert abs(rep.negativity - 1.0) < 1e-12
-            assert rep.m_normalizer == 3
+        rep = cren_lower_bound(rho)
+        for value in (rep.bound, rep.negativity, *kernel(rho)):
+            assert abs(value - 1.0) < 1e-12
+        assert rep.m_normalizer == 3
 
 
 class TestLazyRows:
@@ -113,19 +119,29 @@ class TestLazyRows:
 
 
 def assert_bitwise_full_solve(rho) -> int:
-    """The bound skips the eigensolve of every block the purity certificate
-    proves positive and of every exactly diagonal block; the oracle solves
-    every block, and both must agree to the last bit, in both clips, solving
-    the stack the bound solves (rho.mat as stored).  Pair by pair, _violations
-    holds the oracle's raw lambda_min on every block it does not certify and
-    reads 0 on the rest, whose raw lambda_min is positive or, if empty, 0.
-    Returns the number of those uncertified blocks that are exactly diagonal."""
+    """The kernel's bound (_violations) skips the eigensolve of every block the
+    purity certificate proves positive and of every exactly diagonal block;
+    the oracle solves every block, and both must agree to the last bit,
+    solving the stack the bound solves (rho.mat as stored), as must the
+    literal_min bound, which solves every block.  cren_lower_bound returns the
+    kernel's bound to the last bit on a state that is not rank one and within
+    1e-13 on one that is, which it reads in closed form.  Pair by pair,
+    _violations holds the oracle's raw lambda_min on every block it does not
+    certify and reads 0 on the rest, whose raw lambda_min is positive or, if
+    empty, 0.  Returns the number of those uncertified blocks that are
+    exactly diagonal."""
     stack, dims = rho.mat[None], rho.dims
-    cols = _reports(stack, _pair_rows(dims))
-    for literal_min in (False, True):
-        rep = cren_lower_bound(rho, literal_min=literal_min)
-        assert repr(rep.bound) == repr(float(_bound(cols.raw, dims, literal_min)[0]))
+    cols = _reports(stack, dims)
     raw = _violations(stack, dims)
+    want = float(_bound(cols.raw, dims, literal_min=False)[0])
+    assert repr(float(_bound(raw, dims, literal_min=False)[0])) == repr(want)
+    literal = cren_lower_bound(rho, literal_min=True).bound
+    assert repr(literal) == repr(float(_bound(cols.raw, dims, literal_min=True)[0]))
+    bound = cren_lower_bound(rho).bound
+    if rho.vec is None:
+        assert repr(bound) == repr(want)
+    else:
+        assert abs(bound - want) <= 1e-13
     solved = cols.live & (_purities(stack, dims) >= _PURITY_CERT * cols.c**2)
     assert raw[solved].tobytes() == cols.raw[solved].tobytes()
     assert not raw[~solved].any() and np.all(cols.raw[~solved] >= 0.0)
@@ -161,10 +177,35 @@ class TestCertifiedSolve:
         want = np.sum(np.abs(raw) ** 2, axis=(1, 2))
         q = _purities(rho.mat[None], rho.dims)
         assert np.all(np.abs(q[0] - want) <= 1e-13 * want)
-        c, live = _weights(rho.mat[None], _pair_rows(rho.dims))
+        c, live = _weights(rho.mat[None], rho.dims)
         assert np.all(np.abs(c[0] - np.trace(raw, axis1=1, axis2=2).real) <= 1e-15)
         assert np.array_equal(live, c > TAU_C)
         assert np.array_equal(_blocks(rho.mat[None], _pair_rows(rho.dims))[0], raw[:, ::-1, ::-1])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(3, 6), st.integers(3, 6), st.integers(0, 2**32 - 1))
+    def test_weights_are_bitwise_the_gather_through_the_pair_rows(self, m, n, seed):
+        # one gather of the four diagonal entries of each block through _corner_rows sums them
+        # in the order of four gathers through the columns of _pair_rows, read right to left, so
+        # c and the live mask are bitwise that formula's, for all pairs of a stack and for each
+        # pair alone.  The stack holds a pure state, a full-rank one and a diagonal one on the
+        # row a = 0 of the coefficient grid, whose pairs without a = 0 are empty, with an entry
+        # -1e-12 that validation accepts at (m-1, n-1), whose pairs' weights clip at 0
+        dims = Dims(m, n)
+        w = np.zeros(m * n)
+        w[:n] = np.random.default_rng(seed).dirichlet(np.ones(n))
+        w[-1] = -1e-12
+        diagonal = validate_density(np.diag(w / w.sum()), dims)
+        stack = np.stack([random_density(dims, rank, seed=seed).mat for rank in (1, m * n)] + [diagonal.mat])
+        rows = _pair_rows(dims)
+        diag = np.diagonal(stack, axis1=-2, axis2=-1).real
+        want = np.maximum(diag[:, rows[:, 3]] + diag[:, rows[:, 2]] + diag[:, rows[:, 1]] + diag[:, rows[:, 0]], 0.0)
+        c, live = _weights(stack, dims)
+        assert c.tobytes() == want.tobytes() and np.array_equal(live, want > TAU_C)
+        assert (c == 0.0).any() and not live.all()
+        for i in range(len(rows)):
+            one, one_live = _weights(stack, dims, i)
+            assert one.tobytes() == want[:, i : i + 1].tobytes() and np.array_equal(one_live, live[:, i : i + 1])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(noisy_states())
@@ -182,8 +223,7 @@ class TestCertifiedSolve:
         states = [isotropic(3, x) for x in np.linspace(-1.0 / 8.0, 1.0, 41)]
         states += [example1_mixture(p) for p in grid]
         states += [example2_mixture(a, p) for a in (0.2, 0.5, 0.8) for p in grid[::4]]
-        pure = pure_from_schmidt([0.5, 0.3, 0.2], 3).projector()
-        states += [pure, matrix_path(pure)]
+        states.append(pure_from_schmidt([0.5, 0.3, 0.2], 3).projector())
         # supported on |00>, |01>, |12>: most subspaces are empty
         keep = np.isin(np.arange(12), [0, 1, 6])
         mat = random_density(Dims(3, 4), 12, seed=2).mat * np.outer(keep, keep)
@@ -199,6 +239,7 @@ class TestCertifiedSolve:
 
     @pytest.mark.parametrize("m, n, rank, solved", [(6, 12, 72, 0), (8, 8, 1, 784)])
     def test_blocks_passed_to_the_eigensolver(self, monkeypatch, m, n, rank, solved):
+        # the kernel's bound (_violations; cren_lower_bound reads a pure state in closed form):
         # a full-rank Ginibre state has every block certified; a pure state
         # violates on every block, so all C(8,2)^2 = 784 are solved
         blocks = []
@@ -211,15 +252,16 @@ class TestCertifiedSolve:
 
         rho = random_density(Dims(m, n), rank, seed=11)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        cren_lower_bound(rho)
+        _violations(rho.mat[None], rho.dims)
         assert sum(blocks) == solved
         monkeypatch.undo()
         assert_bitwise_full_solve(rho)
 
     @pytest.mark.parametrize("d, rank, gathered", [(16, 256, []), (8, 1, [784])])
     def test_blocks_gathered(self, monkeypatch, d, rank, gathered):
-        # a certified block is never gathered: a full-rank 16x16 state gathers
-        # none of its 14,400 blocks, a pure 8x8 state all 784 in one call
+        # a certified block is never gathered by the kernel's bound: a full-rank
+        # 16x16 state gathers none of its 14,400 blocks, a pure 8x8 state all 784
+        # in one call
         calls = []
         blocks = witness._blocks
 
@@ -229,7 +271,7 @@ class TestCertifiedSolve:
 
         rho = random_density(Dims(d, d), rank, seed=11)
         monkeypatch.setattr(witness, "_blocks", counting)
-        cren_lower_bound(rho)
+        _violations(rho.mat[None], rho.dims)
         assert calls == gathered
 
 
@@ -297,8 +339,7 @@ class TestDiagonalBlocks:
                 assert_bitwise_full_solve(isotropic(d, x))
         for d in range(2, 17):
             # complex P_+ from the vector and the float64 family build
-            pplus = max_entangled(d).projector()
-            for rho in (pplus, matrix_path(pplus), isotropic(d, 1.0)):
+            for rho in (max_entangled(d).projector(), isotropic(d, 1.0)):
                 # alpha = {i, j} with a beta that shares one index: a diagonal product block
                 assert assert_bitwise_full_solve(rho) == d * (d - 1) // 2 * 2 * (d - 2)
 
@@ -329,21 +370,23 @@ class TestDiagonalBlocks:
             assert cren_lower_bound(rho).bound == 2e-12
 
     @pytest.mark.parametrize("make, solved, negativity", [
-        (lambda: matrix_path(pure_from_schmidt(np.random.default_rng(19).dirichlet(np.ones(12)), 12).projector()),
+        (lambda: pure_from_schmidt(np.random.default_rng(19).dirichlet(np.ones(12)), 12).projector(),
          [(66, 4, 4)], [(1, 66, 2, 2)]),
-        (lambda: matrix_path(max_entangled(16).projector()), [(120, 4, 4)], [(1, 120, 2, 2)]),
+        (lambda: max_entangled(16).projector(), [(120, 4, 4)], [(1, 120, 2, 2)]),
         (lambda: isotropic(16, 1.0), [(120, 4, 4)], [(1, 120, 2, 2)]),
+        (lambda: isotropic(16, 0.5), [(120, 4, 4)], [(1, 120, 2, 2)]),
         (lambda: random_density(Dims(8, 8), 1, seed=11), [(784, 4, 4)], [(1, 64, 64)]),
         (lambda: random_density(Dims(5, 7), 3, seed=4), None, [(1, 35, 35)]),
-    ], ids=["schmidt_12", "max_entangled_16", "pplus_16_float64", "pure_8x8", "rank3_5x7"])
+    ], ids=["schmidt_12", "max_entangled_16", "pplus_16_float64", "isotropic_16", "pure_8x8", "rank3_5x7"])
     def test_eigvalsh_sees_only_the_blocks_that_are_not_diagonal(self, monkeypatch, make, solved, negativity):
+        # the kernel, called directly (cren_lower_bound reads a rank-one state in closed form).
         # Schmidt form on 12 x 12: of 1386 uncertified live blocks, 1320 are diagonal product blocks;
         # P_+ on 16 x 16: 3360 of 3480; a dense state has no diagonal block and solves every uncertified
         # one, as before, in one call.  The other calls are the negativity's: one eigensolve of a dense
         # partial transpose, else one per component size above 1 (the 2x2 swaps {(i,j), (j,i)} here)
         rho = make()
         stack, dims = rho.mat[None], rho.dims
-        c, live = _weights(stack, _pair_rows(dims))
+        c, live = _weights(stack, dims)
         open_blocks = int(np.sum(live & (_purities(stack, dims) >= _PURITY_CERT * c**2)))
         if solved is None:
             assert open_blocks > 0
@@ -351,10 +394,28 @@ class TestDiagonalBlocks:
         shapes = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(np.shape(a)) or eigvalsh(a))
-        cren_lower_bound(rho)
+        _violations(stack, dims)
+        _negativities(rho.mat, dims)
         monkeypatch.undo()
         assert shapes == solved + negativity
         assert open_blocks - solved[0][0] == assert_bitwise_full_solve(rho)
+
+    def test_a_schmidt_basis_mixture_reaches_both_rules_through_the_bound(self, monkeypatch):
+        # two Schmidt-form states on 8 x 8, mixed: rank two, so cren_lower_bound takes the kernel;
+        # the 28 blocks with alpha = beta are solved and the live blocks that share one index are
+        # read off their diagonal, and the partial transpose splits into the 28 swaps {(i,j), (j,i)}
+        rng = np.random.default_rng(31)
+        mix = sum(0.5 * pure_from_schmidt(rng.dirichlet(np.ones(8)), 8).projector().mat for _ in range(2))
+        rho = validate_density(mix, Dims(8, 8))
+        assert rho.vec is None
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(np.shape(a)) or eigvalsh(a))
+        rep = cren_lower_bound(rho)
+        monkeypatch.undo()
+        assert shapes == [(28, 4, 4), (1, 28, 2, 2)]
+        assert assert_bitwise_full_solve(rho) == 28 * 2 * 6
+        assert rep.negativity == float(_negativities(rho.mat, rho.dims)) > 0.0
 
 
 class TestIsotropicBound:
@@ -412,8 +473,8 @@ class TestPureExactness:
             mu = rng.dirichlet(np.ones(d))
             psi = pure_from_schmidt(mu, d)
             rho = psi.projector()
-            for state in (rho, matrix_path(rho)):
-                assert abs(cren_lower_bound(state).bound - pure_negativity(psi)) < 1e-8
+            for bound in (cren_lower_bound(rho).bound, kernel(rho)[0]):
+                assert abs(bound - pure_negativity(psi)) < 1e-8
 
     def test_cren_pure_worked_values(self):
         # CREN of a pure state is its negativity
@@ -496,9 +557,9 @@ class TestRebuild:
 class TestLiteralMinVariant:
     def test_discards_the_violation(self):
         pplus = max_entangled(3).projector()
-        for rho in (pplus, matrix_path(pplus)):
-            assert abs(cren_lower_bound(rho, literal_min=True).bound) < 1e-12
-            assert abs(cren_lower_bound(rho).bound - 1.0) < 1e-12
+        assert abs(cren_lower_bound(pplus, literal_min=True).bound) < 1e-12
+        for bound in (cren_lower_bound(pplus).bound, kernel(pplus)[0]):
+            assert abs(bound - 1.0) < 1e-12
 
     def test_never_exceeds_the_default(self):
         rng = np.random.default_rng(71)
@@ -554,6 +615,25 @@ def local_schmidt_pure(draw):
     return validate_pure(coeff[rng.permutation(m)][:, rng.permutation(n)], Dims(m, n))
 
 
+@st.composite
+def rank_one_matrices(draw):
+    """A rank-one density matrix v v^dag / |v|^2 on m x n, m, n = 2..8, of a
+    complex, a real or a sparse vector (about 60% of its entries exactly 0,
+    the moduli of the others spanning six decades), validated from the outer
+    product or read back from its JSON document."""
+    m, n = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["complex", "real", "sparse"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    side = m * n
+    if kind == "sparse":
+        vec = 10.0 ** rng.uniform(-6.0, 0.0, side) * np.exp(2j * np.pi * rng.random(side)) * (rng.random(side) >= 0.6)
+        vec[rng.integers(side)] = 1.0
+    else:
+        vec = rng.normal(size=side) + (0.0 if kind == "real" else 1j * rng.normal(size=side))
+    rho = validate_density(np.outer(vec, vec.conj()) / np.vdot(vec, vec).real, Dims(m, n))
+    return from_json(to_json(rho)) if draw(st.booleans()) else rho
+
+
 def eigvalsh_shapes(call, rho) -> list:
     """The shapes that call(rho) passes to np.linalg.eigvalsh."""
     shapes = []
@@ -565,16 +645,25 @@ def eigvalsh_shapes(call, rho) -> list:
 
 
 class TestPureClosedForm:
-    """A projector that keeps its vector reads the bound and the negativity in
-    closed form from the 2x2 minors K of its coefficient matrix; the kernel,
-    on the same matrix without the vector, is the oracle."""
+    """A rank-one state, however it was made, reads the bound and the
+    negativity in closed form from the 2x2 minors K of the coefficient matrix
+    of the vector its matrix determines (DensityMatrix.vec); the kernel,
+    called directly on the same matrix, is the oracle."""
 
     @staticmethod
     def assert_matches_the_kernel(rho):
-        rep, kernel = cren_lower_bound(rho), cren_lower_bound(matrix_path(rho))
-        assert abs(rep.bound - kernel.bound) <= 1e-13
-        assert abs(rep.negativity - kernel.negativity) <= 1e-13
+        assert rho.vec is not None
+        rep, (bound, neg) = cren_lower_bound(rho), kernel(rho)
+        assert abs(rep.bound - bound) <= 1e-13
+        assert abs(rep.negativity - neg) <= 1e-13
         return rep
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(rank_one_matrices())
+    def test_rank_one_matrices(self, rho):
+        # complex, real and sparse, direct and through JSON: read as rank one, no eigensolve
+        assert eigvalsh_shapes(cren_lower_bound, rho) == []
+        self.assert_matches_the_kernel(rho)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(2, 8), st.integers(2, 8), st.integers(0, 2**32 - 1))
@@ -609,40 +698,71 @@ class TestPureClosedForm:
         psi = validate_pure(a / np.linalg.norm(a), Dims(m, n))
         rho = psi.projector()
         pair = _pair_position(rho.dims, GeneratorPair(int(ja), int(ka), m), GeneratorPair(int(jb), int(kb), n))
-        c, live = _weights(rho.mat[None], _pair_rows(rho.dims))
+        c, live = _weights(rho.mat[None], rho.dims)
         assert c[0, pair] <= TAU_C and not live[0, pair]
         assert minors_oracle(psi).reshape(-1)[pair] != 0.0
-        raw, kernel = _pure_violations(rho), _violations(rho.mat[None], rho.dims)
-        assert raw[0, pair] == kernel[0, pair] == 0.0
-        assert np.abs(raw - kernel).max() <= 1e-13
+        raw, kernel_raw = _pure_violations(rho), _violations(rho.mat[None], rho.dims)
+        assert raw[0, pair] == kernel_raw[0, pair] == 0.0
+        assert np.abs(raw - kernel_raw).max() <= 1e-13
         self.assert_matches_the_kernel(rho)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 2**32 - 2))
-    def test_a_state_without_a_vector_takes_the_kernel(self, m, n, seed):
-        rho = validate_pure(random_vector(m, n, seed), Dims(m, n)).projector()
-        other = validate_pure(random_vector(m, n, seed + 1), Dims(m, n)).projector()
-        # the closed form runs no eigensolve at all
-        assert eigvalsh_shapes(cren_lower_bound, rho) == eigvalsh_shapes(negativity, rho) == []
-        side = m * n
-        for state in (
-            validate_density(rho.mat, rho.dims),
-            from_json(to_json(rho)),
-            validate_density(0.5 * rho.mat + 0.5 * other.mat, rho.dims),
-        ):
+    def test_rank_one_matrices_from_every_source_skip_the_kernel_and_mixtures_take_it(self, m, n, seed):
+        dims, side = Dims(m, n), m * n
+        rho = validate_pure(random_vector(m, n, seed), dims).projector()
+        other = validate_pure(random_vector(m, n, seed + 1), dims).projector()
+        sources = [rho, validate_density(rho.mat, dims), from_json(to_json(rho)), random_density(dims, 1, seed=seed)]
+        if m == n:  # the CLI's pure families
+            mu = np.random.default_rng(seed).dirichlet(np.ones(m)).tolist()
+            specs = [("random_pure", {"d": m, "seed": seed % 1000}), ("max_entangled", {"d": m}),
+                     ("schmidt_pure", {"mu": mu, "d": m})]
+            sources += [StateSpec(family, params).build() for family, params in specs]
+        for state in sources:
+            assert state.vec is not None
+            assert eigvalsh_shapes(cren_lower_bound, state) == eigvalsh_shapes(negativity, state) == []
+        for state in (validate_density(0.5 * rho.mat + 0.5 * other.mat, dims), random_density(dims, 2, seed=seed)):
             assert state.vec is None
             bound_shapes = eigvalsh_shapes(cren_lower_bound, state)
             assert bound_shapes[-1] == (1, side, side) and bound_shapes[0][-2:] == (4, 4)
             assert eigvalsh_shapes(negativity, state) == [(1, side, side)]
 
+    @pytest.mark.parametrize("m, n", [(3, 3), (2, 5), (4, 4)])
+    def test_a_mixture_with_weight_1e_12_takes_the_kernel(self, m, n):
+        # (1 - 1e-12) |psi><psi| + 1e-12 I / mn is 1e-12 / mn from rank one on the diagonal, far
+        # above _RANK_ONE_TOL: it is solved, and the bound and negativity are the kernel's bitwise
+        psi = random_vector(m, n, 5)
+        mat = (1.0 - 1e-12) * np.outer(psi, psi.conj()) + 1e-12 * np.eye(m * n) / (m * n)
+        rho = validate_density(mat, Dims(m, n))
+        assert rho.vec is None
+        assert eigvalsh_shapes(negativity, rho) == [(1, m * n, m * n)]
+        rep, (bound, neg) = cren_lower_bound(rho), kernel(rho)
+        assert (repr(rep.bound), repr(rep.negativity)) == (repr(bound), repr(neg))
+        assert abs(rep.negativity - pure_negativity(validate_pure(psi, Dims(m, n)))) < 1e-11
+
+    def test_a_state_that_is_not_rank_one_is_rejected_without_an_outer_product(self, monkeypatch):
+        # the O(side) test on the largest diagonal entry's column rejects each of them
+        states = [random_density(Dims(4, 4), rank, seed=3) for rank in (2, 16)]
+        states += [random_density(Dims(16, 16), 256, seed=3), isotropic(3, 0.5), example1_mixture(0.5)]
+        psi = random_vector(3, 3, 5)
+        states.append(validate_density((1.0 - 1e-12) * np.outer(psi, psi.conj()) + 1e-12 * np.eye(9) / 9, Dims(3, 3)))
+        monkeypatch.setattr(np, "outer", lambda *args: pytest.fail("np.outer called"))
+        assert [rho.vec for rho in states] == [None] * len(states)
+
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 2**32 - 2))
-    def test_the_kept_vector_is_a_read_only_copy(self, m, n, seed):
+    def test_the_vector_is_derived_read_only_and_cached(self, m, n, seed):
         vec = random_vector(m, n, seed)
         rho = PureState(Dims(m, n), vec).projector()  # the dataclass holds the caller's writable array
         mat, rep = rho.mat.copy(), cren_lower_bound(rho)
+        # v = rho[:, j] / sqrt(rho_jj) is the vector up to the phase of its entry j
+        j = int(np.argmax(np.abs(vec)))
+        assert np.abs(rho.vec - vec * np.exp(-1j * np.angle(vec[j]))).max() <= 1e-15
+        assert [f.name for f in dataclasses.fields(DensityMatrix)] == ["dims", "mat"]
         vec[:] = random_vector(m, n, seed + 1)
-        assert not rho.vec.flags.writeable and not np.shares_memory(rho.vec, vec)
+        assert rho.vec is rho.vec and not rho.vec.flags.writeable and not np.shares_memory(rho.vec, vec)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rho.vec = None
         assert "vec" not in repr(rho)
         assert np.array_equal(rho.mat, mat)
         again = cren_lower_bound(rho)
@@ -651,17 +771,17 @@ class TestPureClosedForm:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(2, 8), st.integers(2, 8), st.integers(0, 2**32 - 1))
     def test_bound_and_negativity_are_norms_of_the_minors(self, m, n, seed):
-        # bound = 2 ||K||_l1 / (M-1) and negativity = 2 ||K||_tr / (M-1), on both paths
+        # bound = 2 ||K||_l1 / (M-1) and negativity = 2 ||K||_tr / (M-1), in closed form and by the kernel
         psi = validate_pure(random_vector(m, n, seed), Dims(m, n))
         k, half = minors_oracle(psi), (min(m, n) - 1) / 2.0
-        for rho in (psi.projector(), matrix_path(psi.projector())):
-            rep = cren_lower_bound(rho)
-            assert abs(rep.bound - np.abs(k).sum() / half) <= 1e-12
-            assert abs(rep.negativity - np.linalg.svd(k, compute_uv=False).sum() / half) <= 1e-12
+        rep = cren_lower_bound(psi.projector())
+        for bound, neg in ((rep.bound, rep.negativity), kernel(psi.projector())):
+            assert abs(bound - np.abs(k).sum() / half) <= 1e-12
+            assert abs(neg - np.linalg.svd(k, compute_uv=False).sum() / half) <= 1e-12
 
     def test_off_schmidt_form_the_bound_exceeds_the_negativity(self):
         # ROADMAP item 2: ||K||_l1 > ||K||_tr when K is not diagonal
         rho = random_pure(Dims(4, 4), 0).projector()
-        for state in (rho, matrix_path(rho)):
-            rep = cren_lower_bound(state)
-            assert (round(rep.bound, 4), round(rep.negativity, 4)) == (1.7803, 0.6668)
+        rep = cren_lower_bound(rho)
+        for bound, neg in ((rep.bound, rep.negativity), kernel(rho)):
+            assert (round(bound, 4), round(neg, 4)) == (1.7803, 0.6668)

@@ -471,8 +471,13 @@ class TestNegativityEigensolve:
         assert all(np.array_equal(mat, mat.conj().T) for mat in mats)
         got = _negativities(mats, dims)
         assert got.tobytes() == symmetrized_negativities(mats, dims).tobytes()
-        singles = [negativity(validate_density(mat, dims)) for mat in mats]
+        states = [validate_density(mat, dims) for mat in mats]
+        singles = [float(_negativities(rho.mat, dims)) for rho in states]
         assert np.array(singles).tobytes() == got.tobytes()
+        # negativity() is that solve bitwise, except on the rank-one state, which it reads in closed form
+        assert [rho.vec is not None for rho in states] == [True, False, False, False]
+        assert np.array([negativity(rho) for rho in states[1:]]).tobytes() == got[1:].tobytes()
+        assert abs(negativity(states[0]) - got[0]) <= 1e-13
 
 
 @pytest.fixture(params=[False, True], ids=["default", "blocks_at_every_side"])

@@ -445,13 +445,18 @@ class TestKernel:
             assert any(r.c == 0.0 and r.nonlinear_max == 1.0 for r in reports)
 
     def test_subspace_reports_read_the_cached_index(self, monkeypatch):
-        # the kernel gets _pair_rows(dims) itself, and no single-pair position is computed
+        # the kernel gets every pair (no position i), and no single-pair position is computed
         seen, real = [], witness._reports
-        monkeypatch.setattr(witness, "_reports", lambda stack, rows: seen.append(rows) or real(stack, rows))
+
+        def spy(stack, dims, i=None):
+            seen.append((dims, i))
+            return real(stack, dims, i)
+
+        monkeypatch.setattr(witness, "_reports", spy)
         monkeypatch.setattr(witness, "_pair_position", lambda *args: pytest.fail("_pair_position called"))
         rho = rand_density(np.random.default_rng(5), 3, 4)
         reports = subspace_reports(rho)
-        assert len(seen) == 1 and seen[0] is _pair_rows(rho.dims)
+        assert seen == [(rho.dims, None)]
         keys = [[r.alpha.j, r.alpha.k, r.beta.j, r.beta.k] for r in reports]
         assert keys == all_pairs_index(rho.dims).tolist()
         assert all(type(v) is int for key in keys for v in key)  # Python ints, so the rows serialize to JSON
@@ -516,9 +521,9 @@ class TestKernel:
             mat = rand_density(rng, m, n).mat * np.outer(keep, keep)
             states.insert(1, validate_density(mat / np.trace(mat).real, Dims(m, n)))
         npairs = len(_pair_rows(Dims(m, n)))
-        stacked = _reports(np.stack([rho.mat for rho in states]), _pair_rows(Dims(m, n)))
+        stacked = _reports(np.stack([rho.mat for rho in states]), Dims(m, n))
         for k, rho in enumerate(states):
-            single = _reports(rho.mat[None], _pair_rows(Dims(m, n)))
+            single = _reports(rho.mat[None], Dims(m, n))
             for name in _Columns._fields:
                 got, want = getattr(stacked, name), getattr(single, name)
                 assert got.shape == (len(states), npairs) and want.shape == (1, npairs)
@@ -945,9 +950,9 @@ class TestDetection:
         calls, real = [], witness._reports
         rho = validate_density(np.eye(4) / 4, Dims(2, 2))
         for value, want in ((1.0 + TAU_DETECT, False), (np.nextafter(1.0 + TAU_DETECT, 2.0), True), (1.0, False)):
-            def fake(stack, rows, value=value):
-                calls.append(rows)
-                return real(stack, rows)._replace(nonlinear_max=np.array([[value]]))
+            def fake(stack, dims, i=None, value=value):
+                calls.append(i)
+                return real(stack, dims, i)._replace(nonlinear_max=np.array([[value]]))
 
             monkeypatch.setattr(witness, "_reports", fake)
             calls.clear()
