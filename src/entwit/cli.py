@@ -1,6 +1,7 @@
 """Command-line front end: detection, bound computation, parameter sweeps,
 threshold bisection, and a self-test oracle suite.  Both detection onsets
-are bisected together, one stacked evaluation per step, in which each probe
+are bisected together in speculative rounds, one stacked evaluation each,
+with the decisions of a serial bisection (see _thresholds); each probe
 computes only the difference its bracket reads.  A scan over its family's
 affine parameter builds each stack in one broadcast, and once its two range
 ends pass validation at half the tolerances, the states between them skip it.
@@ -175,6 +176,7 @@ def _point_spec(cfg: SweepConfig, value: float, seed: int) -> StateSpec:
     return _family_spec(cfg.family, {**cfg.fixed, cfg.param_name: value}, seed)
 
 
+_FIELDS = ("nonlinear_d", "bell_d")  # the detection differences, in bisection order
 _CHUNK = 64  # grid points built, evaluated and written together
 _BUILD_ERRORS = (ValueError, OSError, MemoryError)  # a state build's errors, StateValidationError included
 _STACK_BLOCKS = 1 << 14  # 4x4 blocks one kernel call may hold (4 MB), so large states stack fewer at a time
@@ -226,69 +228,184 @@ def _scan_points(cfg: SweepConfig, values, seeds) -> list[ScanPoint]:
     return [ScanPoint(value, *row) for value, row in zip(values, rows)]
 
 
-def _probe_differences(cfg: SweepConfig, fields, values, seed: int) -> list[float]:
+def _probe_differences(cfg: SweepConfig, fields, values, seeds) -> list[float]:
     """The detection difference fields[i] ("nonlinear_d" or "bell_d") of the
-    probe state at values[i], each probe with `seed`, built and validated as
-    the grid is (see _validated_stacks).  A probe solves its own witness
-    only: the partial-transpose eigensolve of its blocks for nonlinear_d,
-    the Gram eigensolve of their correlation tables for bell_d; no bound and
-    no negativity."""
+    probe state at values[i] with seeds[i], built and validated as the grid
+    is (see _validated_stacks).  A probe solves its own witness only: per
+    stack, one partial-transpose eigensolve of the blocks of its nonlinear
+    probes and one Gram eigensolve of the correlation tables of its Bell
+    probes; no bound and no negativity."""
     diffs = []
-    for dims, stack in _validated_stacks(cfg, values, [seed] * len(values)):
+    for dims, stack in _validated_stacks(cfg, values, seeds):
         c, live = _weights(stack, dims)
         blk = _blocks(stack, _pair_rows(dims))
-        for i in range(len(stack)):
-            one = slice(i, i + 1)
-            if fields[len(diffs)] == "nonlinear_d":
-                d = _nonlinear_d(_nonlinear_columns(blk[one], c[one], live[one])[2])
-            else:
-                d = _bell_d(_bell_maxima(blk[one], live[one]), c[one], live[one])
-            diffs.append(float(d[0]))
+        nl = np.array([f == "nonlinear_d" for f in fields[len(diffs) : len(diffs) + len(stack)]])
+        d = np.empty(len(stack))
+        if nl.any():
+            d[nl] = _nonlinear_d(_nonlinear_columns(blk[nl], c[nl], live[nl])[2])
+        if not nl.all():
+            bell = ~nl
+            d[bell] = _bell_d(_bell_maxima(blk[bell], live[bell]), c[bell], live[bell])
+        diffs += d.tolist()
     return diffs
 
 
 def _scan_chunks(cfg: SweepConfig, base_seed: int, crossings: dict):
     """Yield the grid's points one chunk of _CHUNK points at a time; each chunk
     is built in full, then evaluated (see _scan_points).  The first grid
-    crossing of each detection difference, as (last value below, first value
-    above), goes into `crossings`: all that bisection needs of the grid."""
-    prev = None
+    crossing of each detection difference goes into `crossings` as (last
+    value below, first value above, *samples), the samples being the
+    (value, difference) of those two grid points and of the next two: all
+    that bisection needs of the grid (see _thresholds)."""
+    prev, tails = None, {}
     for i0 in range(0, cfg.points, _CHUNK):
         i1 = min(i0 + _CHUNK, cfg.points)
         chunk = _scan_points(cfg, _grid_values(cfg, i0, i1), range(base_seed + i0, base_seed + i1))
         for pt in chunk:
-            for field in ("nonlinear_d", "bell_d"):
-                if field not in crossings and getattr(pt, field) > TAU_DETECT:
-                    crossings[field] = (prev, pt.param)
-            prev = pt.param
+            for field in _FIELDS:
+                d = getattr(pt, field)
+                if tails.get(field):
+                    crossings[field] += ((pt.param, d),)
+                    tails[field] -= 1
+                elif field not in crossings and d > TAU_DETECT:
+                    lo, below = (None, ()) if prev is None else (prev.param, ((prev.param, getattr(prev, field)),))
+                    crossings[field] = (lo, pt.param, *below, (pt.param, d))
+                    tails[field] = 2
+            prev = pt
         yield chunk
 
 
+def _midpoint(lo: float, hi: float, tol: float) -> float | None:
+    """The serial bisection's next probe value in (lo, hi), or None once the
+    bracket is no wider than tol or its ends are adjacent floats, with no
+    midpoint between them."""
+    mid = 0.5 * (lo + hi)
+    return mid if hi - lo > tol and lo < mid < hi else None
+
+
+@dataclass
+class _Bracket:
+    """One onset's bisection: its bracket, the serial steps taken (depth), the
+    probes solved off the serial path (waste) and every solved (value,
+    difference) sample of its field."""
+
+    lo: float
+    hi: float
+    samples: list
+    depth: int = 0
+    waste: int = 0
+
+    def guess(self) -> float | None:
+        """The onset predicted from the samples nearest the bracket, those at
+        or above hi (the violating side) first: the inverse quadratic
+        interpolation of value against difference at TAU_DETECT through three
+        of them, else the secant through two, clamped to [lo, hi]; None
+        without two samples of distinct differences."""
+        near = sorted(s for s in self.samples if s[0] >= self.hi)
+        near += sorted((s for s in self.samples if s[0] <= self.lo), reverse=True)
+        for n in (3, 2):
+            pts = near[:n]
+            if len(pts) == n and len({d for _, d in pts}) == n:
+                x = sum(
+                    xi * math.prod((TAU_DETECT - dj) / (di - dj) for j, (_, dj) in enumerate(pts) if j != i)
+                    for i, (xi, di) in enumerate(pts)
+                )
+                if math.isfinite(x):
+                    return min(max(x, self.lo), self.hi)
+        return None
+
+    def path(self, tol: float, cap: int) -> list[tuple[float, bool]]:
+        """At most cap serial midpoints from the bracket, each with the
+        decision (violating) that the guessed onset gives it: the path a
+        serial bisection takes if the guess is right.  Without a guess, one."""
+        guess, lo, hi, path = self.guess(), self.lo, self.hi, []
+        if guess is None:
+            guess, cap = hi, 1  # the one midpoint is decisive whatever its guess
+        while len(path) < cap and (mid := _midpoint(lo, hi, tol)) is not None:
+            path.append((mid, mid >= guess))
+            lo, hi = (lo, mid) if path[-1][1] else (mid, hi)
+        return path
+
+    def max_path(self, tol: float) -> int:
+        """The longest path this round may lay out: one step, plus twice a
+        floor on the onset's serial steps less its waste so far, so that the
+        waste stays at most twice the serial steps.  The floor is the steps
+        taken plus a lower bound on those left: the halvings of the width
+        before it falls to tol or to a few float spacings at its ends."""
+        ratio = (self.hi - self.lo) / (2.0 * tol + 8.0 * math.ulp(max(-self.lo, self.hi)))
+        left = max(1, int(math.log2(ratio))) if ratio > 1 else 1
+        return 1 + max(0, 2 * (self.depth + left) - self.waste)
+
+    def walk(self, path, diffs) -> None:
+        """Take the serial steps of a solved path: the solved decision of each
+        midpoint, up to and including the first that the guess got wrong."""
+        for step, ((mid, guessed), d) in enumerate(zip(path, diffs), 1):
+            violating = d > TAU_DETECT
+            if violating:  # a violating midpoint becomes hi
+                self.hi = mid
+            else:
+                self.lo = mid
+            if violating != guessed:
+                break
+        self.samples += [(mid, d) for (mid, _), d in zip(path, diffs)]
+        self.depth += step
+        self.waste += len(path) - step
+
+
 def _thresholds(cfg: SweepConfig, base_seed: int, crossings: dict):
-    """Both bisected thresholds, or (None, None) without cfg.bisect.  Round k
-    evaluates the midpoint of every bracket wider than bisect_tol in one
-    _probe_differences call with seed base_seed + cfg.points + k, the probe a
-    serial bisection makes at its step k.  A crossing at the first grid point has no bracket."""
+    """Both bisected thresholds, or (None, None) without cfg.bisect.  The
+    decisions are those of a serial bisection of each onset: the probe at
+    step k is the bracket's midpoint with seed base_seed + cfg.points + k, so
+    the thresholds are bitwise the serial ones.  They are taken in rounds.
+    A round predicts each onset from its field's solved samples
+    (_Bracket.guess), lays out the serial midpoints toward it
+    (_Bracket.path), solves all of them in one _probe_differences call and
+    walks each path with the solved decisions up to its first wrong guess;
+    the probes past it are waste.  Each path is capped so that an onset's
+    waste stays within twice its serial steps (_Bracket.max_path), and each
+    round takes at least one step of every open bracket, so no scan solves
+    more than 3 times the serial probes or runs more rounds than the serial
+    bisection.  If a round fails to build a state (a scan validated one state
+    at a time), the rest runs one level at a time, the shallowest brackets'
+    midpoints in one call, so the first serial probe that fails raises its
+    own error.  A crossing at the first grid point has no bracket."""
     if not cfg.bisect:
         return None, None
-    fields = ("nonlinear_d", "bell_d")
-    brackets = {f: list(crossings[f]) for f in fields if crossings.get(f, (None,))[0] is not None}
-    seed = base_seed + cfg.points
-    # a bracket whose ends are adjacent floats has no midpoint between them and stops too
-    while wide := [f for f, (lo, hi) in brackets.items() if hi - lo > cfg.bisect_tol and lo < 0.5 * (lo + hi) < hi]:
-        mids = [0.5 * (brackets[f][0] + brackets[f][1]) for f in wide]
-        for f, mid, d in zip(wide, mids, _probe_differences(cfg, wide, mids, seed)):
-            brackets[f][d > TAU_DETECT] = mid  # a violating midpoint becomes hi
-        seed += 1
-    found = {f: Threshold(0.5 * (lo + hi), "ok") for f, (lo, hi) in brackets.items()}
-    return tuple(found.get(f, Threshold(None, "no threshold in range")) for f in fields)
+    tol, seed = cfg.bisect_tol, base_seed + cfg.points
+    brackets = {f: _Bracket(lo, hi, list(samples)) for f, (lo, hi, *samples) in crossings.items() if lo is not None}
+    speculate = True
+    while live := {f: b for f in _FIELDS if (b := brackets.get(f)) and _midpoint(b.lo, b.hi, tol) is not None}:
+        if not speculate:
+            level = min(b.depth for b in live.values())
+            live = {f: b for f, b in live.items() if b.depth == level}
+        paths = {f: b.path(tol, b.max_path(tol) if speculate else 1) for f, b in live.items()}
+        try:
+            diffs = _probe_differences(
+                cfg,
+                [f for f, path in paths.items() for _ in path],
+                [mid for path in paths.values() for mid, _ in path],
+                [seed + live[f].depth + k for f, path in paths.items() for k in range(len(path))],
+            )
+        except _BUILD_ERRORS:
+            if not speculate:
+                raise
+            speculate = False
+            continue
+        for f, path in paths.items():
+            live[f].walk(path, diffs[: len(path)])
+            diffs = diffs[len(path) :]
+    found = {f: Threshold(0.5 * (b.lo + b.hi), "ok") for f, b in brackets.items()}
+    return tuple(found.get(f, Threshold(None, "no threshold in range")) for f in _FIELDS)
 
 
 def run_scan(cfg: SweepConfig, base_seed: int = 0) -> ScanResult:
     """Evaluate the sweep grid chunk by chunk and optionally bisect both
-    detection thresholds together, one stacked evaluation per step, with the
-    probe values and seeds of a serial bisection.  Deterministic for fixed
-    cfg and base_seed."""
+    detection thresholds in speculative rounds (see _thresholds): each round
+    predicts the onsets, solves the serial midpoints toward them in one
+    stacked call and keeps the serial decisions up to the first wrong guess,
+    with a capped waste and, after a failed build, one level per round.  The
+    thresholds, probe values and seeds are those of a serial bisection.
+    Deterministic for fixed cfg and base_seed."""
     crossings = {}
     points = [pt for chunk in _scan_chunks(cfg, base_seed, crossings) for pt in chunk]
     return ScanResult(points, *_thresholds(cfg, base_seed, crossings))

@@ -38,7 +38,7 @@ class GeneratorPair:
             raise ValueError(f"need 0 <= j < k < dim, got j={self.j} k={self.k} dim={self.dim}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: identity equality and hash
 class ObservableTriad:
     """Orthonormal frame in R^3 whose rows a1, a2, a3 define three complementary
     qubit observables a_i.sigma; orientation is the frame handedness."""
@@ -62,7 +62,7 @@ class ObservableTriad:
         return self.rot[i]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: identity equality and hash
 class EmbeddedObservable:
     """A qubit observable a.sigma living on one 2-dim subspace of a larger party."""
 

@@ -108,7 +108,7 @@ class Dims:
         return self.m * self.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: identity equality and hash
 class DensityMatrix:
     """A validated mixed state: unit trace, positive semidefinite and exactly
     Hermitian, since validate_density stores the Hermitian part of its input
@@ -127,7 +127,7 @@ class DensityMatrix:
         return _rank_one_vector(self.mat)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: identity equality and hash
 class PureState:
     """A unit-norm state vector on the composite space."""
 
@@ -139,7 +139,7 @@ class PureState:
         return validate_density(np.outer(self.vec, self.vec.conj()), self.dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: identity equality and hash
 class SchmidtDecomposition:
     """Schmidt data of a pure state.
 

@@ -130,7 +130,7 @@ class WitnessSettings:
             raise ValueError("witness triads must share orientation")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: identity equality and hash
 class BellSettings:
     """Measurement settings for the Bell test: two independent unit directions
     per side.  The CHSH optimum generally needs non-orthogonal directions on

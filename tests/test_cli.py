@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -545,9 +546,10 @@ class TestChunkedScan:
             checked.clear()
             assert run_scan(SweepConfig(**spec), base_seed=5) == whole[name]
             seen[name] = (list(sizes), list(checked))
-        # the README scan: 100 grid points in chunks of 64 and 36, then 14 bisection probes of 2,
-        # all certified by its two range ends, each checked on its own; the d scan validates each state
-        assert seen == {"readme": ([2] * (32 + 18 + 14), [9, 9]), "random_density_d": ([1] * 4, [4, 9, 16, 25])}
+        # the README scan: 100 grid points in chunks of 64 and 36, then bisection rounds of 28 and 9
+        # probes, all certified by its two range ends, each checked on its own; the d scan validates each state
+        readme = [2] * (32 + 18 + 14 + 4) + [1]
+        assert seen == {"readme": (readme, [9, 9]), "random_density_d": ([1] * 4, [4, 9, 16, 25])}
 
     def test_chunks_keep_only_the_first_crossings(self):
         cfg = SweepConfig(
@@ -561,7 +563,9 @@ class TestChunkedScan:
         assert [pt for chunk in chunks for pt in chunk] == result.points
         # the nonlinear onset x = 1/4 falls between the last point of chunk 0 and the first of chunk 1
         pts = result.points
-        assert crossings["nonlinear_d"] == (pts[_CHUNK - 1].param, pts[_CHUNK].param)
+        assert crossings["nonlinear_d"] == (
+            pts[_CHUNK - 1].param, pts[_CHUNK].param, *[(pt.param, pt.nonlinear_d) for pt in pts[_CHUNK - 1 : _CHUNK + 3]]
+        )
         assert crossings["nonlinear_d"][0] <= result.nonlinear.value <= crossings["nonlinear_d"][1]
         assert abs(result.nonlinear.value - 0.25) < 1e-5
         # the Bell onset lies beyond the range
@@ -633,18 +637,18 @@ class TestChunkedScan:
 
 
 def serial_bisect_threshold(cfg, base_seed, crossing, field):
-    """Oracle: the serial bisection of one onset that the lockstep loop replaced,
+    """Oracle: the serial bisection of one onset that the speculative rounds replaced,
     one probe state per _probe_differences call (looked up on the module, so a spy sees it)."""
     if crossing is None or crossing[0] is None:
         # nothing violates, or everything does: no crossing inside the range
         return Threshold(None, "no threshold in range")
-    lo, hi = crossing
+    lo, hi = crossing[:2]
     # probe seeds continue past the grid indices so bisection stays
     # deterministic for random families too
     seed = base_seed + cfg.points
-    while hi - lo > cfg.bisect_tol:
-        mid = 0.5 * (lo + hi)
-        if cli._probe_differences(cfg, [field], [mid], seed)[0] > TAU_DETECT:
+    # a bracket whose ends are adjacent floats has no midpoint between them and stops too
+    while hi - lo > cfg.bisect_tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if cli._probe_differences(cfg, [field], [mid], [seed])[0] > TAU_DETECT:
             hi = mid
         else:
             lo = mid
@@ -668,18 +672,40 @@ def exact(thresholds):
     return [(repr(t.value), t.status) for t in thresholds]
 
 
-def stack_sizes(monkeypatch, limit=1000):
-    """The number of probe states of each _probe_differences call from here on;
-    more than `limit` calls fail the test rather than run on."""
-    sizes = []
+def probe_calls(monkeypatch, limit=1000):
+    """The probes of each _probe_differences call from here on, each as (field,
+    value, seed, difference); more than `limit` calls fail the test rather than run on."""
+    calls = []
 
-    def spy(cfg, fields, values, seed):
-        sizes.append(len(values))
-        assert len(sizes) <= limit, "the bisection does not end"
-        return _probe_differences(cfg, fields, values, seed)
+    def spy(cfg, fields, values, seeds):
+        assert len(calls) < limit, "the bisection does not end"
+        diffs = _probe_differences(cfg, fields, values, seeds)
+        calls.append(list(zip(fields, values, seeds, diffs)))
+        return diffs
 
     monkeypatch.setattr(cli, "_probe_differences", spy)
-    return sizes
+    return calls
+
+
+def assert_serial_decisions(cfg, base_seed, crossings):
+    """_thresholds gives the serial thresholds bitwise.  Every serial probe is
+    among its solved ones, with its seed and its difference, so a serial walk
+    over the solved probes reads exactly the serial ones.  It solves at most 3
+    times the serial probes, in at most as many rounds as the serial bisection
+    takes steps on its longer onset.  Returns (the probes of each round, the
+    serial probes), both in probe_calls form."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = probe_calls(mp)
+        got = _thresholds(cfg, base_seed, crossings)
+        rounds = list(calls)
+        calls.clear()
+        serial = serial_thresholds(cfg, base_seed, crossings)
+    solved, probes = [probe for call in rounds for probe in call], [probe for (probe,) in calls]
+    assert exact(got) == exact(serial)
+    assert set(probes) <= set(solved)
+    assert len(solved) <= 3 * len(probes)
+    assert len(rounds) <= max(Counter(field for field, *_ in probes).values(), default=0)
+    return rounds, probes
 
 
 README_SCAN = dict(family="bennett_mix", fixed={}, param_name="p", lo=0.0, hi=1.0, points=100, bisect_tol=1e-6)
@@ -731,37 +757,62 @@ class TestLockstepBisection:
     def test_thresholds_and_probes_are_the_serial_bisections(self, monkeypatch, name):
         cfg = SweepConfig(bisect=True, **self.SCANS[name])
         crossings = grid_crossings(cfg, 7)
-        probes = []
-        stacks = cli._validated_stacks
+        built, stacks = [], cli._validated_stacks
 
         def spy(cfg, values, seeds):  # every probe enters here, built by broadcast or value by value
-            probes.extend(zip(values, seeds))
+            built.extend(zip(values, seeds))
             return stacks(cfg, values, seeds)
 
         monkeypatch.setattr(cli, "_validated_stacks", spy)
-        lockstep = _thresholds(cfg, 7, crossings)
-        lockstep_probes, probes[:] = sorted(probes), []
-        serial = serial_thresholds(cfg, 7, crossings)
-        assert exact(lockstep) == exact(serial)
-        assert lockstep_probes == sorted(probes)
+        rounds, probes = assert_serial_decisions(cfg, 7, crossings)
+        # the states built are the solved probes (the decisive serial ones and the rest), then the serial ones
+        assert built == [(value, seed) for call in rounds + [probes] for _, value, seed, _ in call]
         result = run_scan(cfg, base_seed=7)
-        assert exact((result.nonlinear, result.bell)) == exact(lockstep)
+        assert exact((result.nonlinear, result.bell)) == exact(serial_thresholds(cfg, 7, crossings))
+
+    FAMILIES = {  # (family, fixed, param): the domain of param
+        ("bennett_mix", (), "p"): (0.0, 1.0),
+        ("rho_a_mix", (("a", 0.5),), "p"): (0.0, 1.0),
+        ("rho_a_mix", (("p", 0.3),), "a"): (0.01, 0.99),  # not affine in a: built state by state
+        ("isotropic", (("d", 3),), "x"): (-1.0 / 8.0, 1.0),
+        ("isotropic", (("d", 4),), "x"): (-1.0 / 15.0, 1.0),
+    }
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(FAMILIES)), st.data())
+    def test_speculative_rounds_take_the_serial_decisions(self, key, data):
+        low, high = self.FAMILIES[key]
+        # lo in the lower half of the domain and hi in the upper half, so that most ranges hold an onset
+        lo = data.draw(st.floats(low, 0.5 * (low + high)), "lo")
+        hi = data.draw(st.floats(0.5 * (low + high), high, exclude_min=True), "hi")
+        points = data.draw(st.integers(2, 40), "points")
+        tol = 10.0 ** -data.draw(st.integers(1, 300), "-log10 tol")
+        family, fixed, param = key
+        cfg = SweepConfig(family, dict(fixed), param, lo, hi, points, bisect=True, bisect_tol=tol)
+        with pytest.MonkeyPatch.context() as mp:
+            if data.draw(st.booleans(), "validated state by state"):
+                mp.setattr(cli, "_CERT_MARGIN", -1.0)  # no trace deviation is below a negative tolerance
+            assert_serial_decisions(cfg, 3, grid_crossings(cfg, 3))
 
     def test_scans_cover_two_one_and_no_brackets(self):
         cases = set()
         for spec in self.SCANS.values():
             crossings = grid_crossings(SweepConfig(bisect=True, **spec), 0)
-            cases.add(sum(1 for lo, _ in crossings.values() if lo is not None))
-            cases.add("first point" if any(lo is None for lo, _ in crossings.values()) else "inside")
+            cases.add(sum(1 for lo, *_ in crossings.values() if lo is not None))
+            cases.add("first point" if any(lo is None for lo, *_ in crossings.values()) else "inside")
         assert cases == {0, 1, 2, "first point", "inside"}
 
     def test_a_narrower_bracket_drops_out_of_later_rounds(self, monkeypatch):
         cfg = SweepConfig(bisect=True, **self.SCANS["isotropic_d3_7_points"])
-        crossings = {"nonlinear_d": (0.2, 0.3), "bell_d": (0.3, 0.9)}  # 10 steps and 13 steps
-        sizes = stack_sizes(monkeypatch)
-        lockstep = _thresholds(cfg, 0, crossings)
-        assert sizes == [2] * 10 + [1] * 3
-        assert exact(lockstep) == exact(serial_thresholds(cfg, 0, crossings))
+        crossings = {"nonlinear_d": (0.2, 0.3), "bell_d": (0.3, 0.9)}  # 10 steps and 13 steps, no grid samples
+        rounds, probes = assert_serial_decisions(cfg, 0, crossings)
+        fields = [{field for field, *_ in call} for call in rounds]
+        # without samples, a round takes one step of each bracket until two solved probes give a guess;
+        # once the nonlinear bracket closes, the later rounds hold only Bell probes
+        assert fields[0] == fields[1] == {"nonlinear_d", "bell_d"} and fields[-1] == {"bell_d"}
+        last = max(i for i, f in enumerate(fields) if "nonlinear_d" in f)
+        assert all(f == {"nonlinear_d", "bell_d"} for f in fields[: last + 1])
+        assert [len(call) for call in rounds[:2]] == [2, 2] and len(probes) == 10 + 13
 
     def test_a_tolerance_below_the_float_spacing_ends(self, monkeypatch):
         # once lo and hi are adjacent floats their midpoint rounds to one of them
@@ -770,22 +821,18 @@ class TestLockstepBisection:
         cfg = SweepConfig(bisect=True, **{**spec, "bisect_tol": 1e-300})
         crossings = grid_crossings(cfg, 0)
         coarse = _thresholds(SweepConfig(bisect=True, **{**spec, "bisect_tol": 1e-12}), 0, crossings)[0]
-        sizes = stack_sizes(monkeypatch, limit=64)
+        rounds, probes = assert_serial_decisions(cfg, 0, crossings)
         nonlinear, bell = _thresholds(cfg, 0, crossings)
-        lo, hi = crossings["nonlinear_d"]
+        lo, hi = crossings["nonlinear_d"][:2]
         assert nonlinear.status == "ok" and lo < nonlinear.value < hi
-        assert bell.status == "no threshold in range" and len(sizes) > 36  # tol 1e-12 stops at 36 rounds
+        assert bell.status == "no threshold in range" and len(probes) > 36  # tol 1e-12 stops at 36 steps
         assert abs(nonlinear.value - coarse.value) <= 1e-12
+        assert len(probes) == 50 and len(rounds) <= 8
 
-    def test_readme_scan_makes_14_stacked_calls_in_place_of_28(self, monkeypatch):
+    def test_readme_scan_makes_at_most_3_stacked_calls_in_place_of_28(self, monkeypatch):
         cfg = SweepConfig(bisect=True, **README_SCAN)
-        crossings = grid_crossings(cfg, 0)
-        sizes = stack_sizes(monkeypatch)
-        _thresholds(cfg, 0, crossings)
-        assert sizes == [2] * 14
-        sizes.clear()
-        serial_thresholds(cfg, 0, crossings)
-        assert sizes == [1] * 28
+        rounds, probes = assert_serial_decisions(cfg, 0, grid_crossings(cfg, 0))
+        assert len(rounds) <= 3 and len(probes) == 28
 
     @pytest.mark.parametrize(
         "spec, crossings, solves, grams",
@@ -796,8 +843,8 @@ class TestLockstepBisection:
         ids=["readme", "narrower_bracket"],
     )
     def test_each_probe_solves_only_its_own_witness(self, monkeypatch, spec, crossings, solves, grams):
-        # a nonlinear probe eigensolves its 9 partial transposes, a Bell probe the 9 Gram matrices
-        # of their correlation tables; no SVD, no bound, no negativity
+        # per round, the nonlinear probes eigensolve their 9 partial transposes in one batch, the Bell
+        # probes the 9 Gram matrices of their correlation tables in another; no SVD, bound or negativity
         cfg = SweepConfig(bisect=True, **spec)
         crossings = crossings or grid_crossings(cfg, 0)
         calls = {"eigvalsh": [], "svd": []}
@@ -813,9 +860,43 @@ class TestLockstepBisection:
 
         monkeypatch.setattr(cren, "_negativities", forbidden)
         monkeypatch.setattr(cren, "_bound", forbidden)
+        rounds = probe_calls(monkeypatch)
         _thresholds(cfg, 0, crossings)
-        assert sorted(calls["eigvalsh"]) == [(1, 9, 3, 3)] * grams + [(1, 9, 4, 4)] * solves
-        assert calls["svd"] == []
+        counts = [Counter(field for field, *_ in call) for call in rounds]
+        want = [(n[f], 9, side, side) for n in counts for f, side in (("nonlinear_d", 4), ("bell_d", 3)) if n[f]]
+        assert sorted(calls["eigvalsh"]) == sorted(want) and calls["svd"] == []
+        nonlinear, bell = (sum(n[f] for n in counts) for f in ("nonlinear_d", "bell_d"))
+        assert solves <= nonlinear <= 3 * solves and grams <= bell <= 3 * grams
+
+    def test_a_failing_probe_raises_only_when_the_walk_reaches_it(self, capsys, monkeypatch):
+        # the README scan validated state by state, with a builder that fails at one chosen probe
+        argv = ["scan", "--family", "bennett_mix", "--scan-param", "p", "--range", "0:1", "--points", "100",
+                "--bisect", "--tol", "1e-6"]
+        cfg = SweepConfig(bisect=True, **README_SCAN)
+        monkeypatch.setattr(cli, "_CERT_MARGIN", -1.0)
+        crossings = grid_crossings(cfg, 0)
+        rounds, probes = assert_serial_decisions(cfg, 0, crossings)
+        decisive = [(value, seed) for _, value, seed, _ in probes]
+        off_path = [(value, seed) for call in rounds for _, value, seed, _ in call if (value, seed) not in decisive]
+        whole = run_cli(capsys, argv)
+        point_spec = cli._point_spec
+
+        def failing_at(bad):
+            # p = 2 + value lies outside [0, 1], so the build raises, naming it
+            return lambda cfg, value, seed: point_spec(cfg, 2.0 + value if (value, seed) == bad else value, seed)
+
+        assert off_path and whole[0] == 0
+        for bad in off_path[:1] + off_path[-1:]:  # never reached: nothing raises
+            monkeypatch.setattr(cli, "_point_spec", failing_at(bad))
+            assert exact(_thresholds(cfg, 0, crossings)) == exact(serial_thresholds(cfg, 0, crossings))
+            assert run_cli(capsys, argv) == whole
+        for bad in decisive[:1] + decisive[9:10] + decisive[-1:]:  # reached: the serial error
+            monkeypatch.setattr(cli, "_point_spec", failing_at(bad))
+            error = raised(lambda: serial_thresholds(cfg, 0, crossings))
+            assert raised(lambda: _thresholds(cfg, 0, crossings)) == error
+            assert error[1] == f"p={2.0 + bad[0]} outside [0, 1]"
+            code, out, err = run_cli(capsys, argv)
+            assert code == 3 and err == f"error: {error[1]}\n" and out == whole[1].rsplit("\n", 2)[0] + "\n"
 
     @pytest.mark.parametrize(
         "family, fixed, param, values",
@@ -830,11 +911,12 @@ class TestLockstepBisection:
         cfg = SweepConfig(family=family, fixed=fixed, param_name=param, lo=0.0, hi=10.0, points=3)
         for fields in (["nonlinear_d"] * len(values), ["bell_d"] * len(values), ["nonlinear_d", "bell_d"] * 2):
             fields = fields[: len(values)]
-            want = [getattr(pt, f) for pt, f in zip(_scan_points(cfg, values, [5] * len(values)), fields)]
-            assert _probe_differences(cfg, fields, values, 5) == want
+            seeds = range(5, 5 + len(values))
+            want = [getattr(pt, f) for pt, f in zip(_scan_points(cfg, values, seeds), fields)]
+            assert _probe_differences(cfg, fields, values, seeds) == want
 
 
-    def test_readme_scan_builds_16_stacks_and_validates_only_its_range_ends(self, monkeypatch):
+    def test_readme_scan_builds_5_stacks_and_validates_only_its_range_ends(self, monkeypatch):
         run_scan(SweepConfig(bisect=True, **README_SCAN))  # the family's two constant states are validated once, here
         builds, ends, singles = [], [], []
         matrix = states.StateSpec.matrix
@@ -846,8 +928,9 @@ class TestLockstepBisection:
         )
         monkeypatch.setattr(states, "validate_density", lambda *args: singles.append(args))
         run_scan(SweepConfig(bisect=True, **README_SCAN))
-        # p = 0 and p = 1 are built together and checked one at a time; the 128 states in [0, 1] are only built
-        assert builds == [2, _CHUNK, 100 - _CHUNK] + [2] * 14 and sum(builds[1:]) == 128
+        # p = 0 and p = 1 are built together and checked one at a time; the 100 grid states and the
+        # 37 probes of the two bisection rounds, all in [0, 1], are only built
+        assert builds == [2, _CHUNK, 100 - _CHUNK, 28, 9] and sum(builds[1:]) == 137
         assert ends == [((9, 9), cli._CERT_MARGIN)] * 2 and singles == []
 
 
@@ -972,11 +1055,11 @@ class TestAffineScan:
         built = []
         point_spec = cli._point_spec
         monkeypatch.setattr(cli, "_point_spec", lambda cfg, value, seed: built.append(value) or point_spec(cfg, value, seed))
-        got = _probe_differences(cfg, fields, values, 5), _scan_points(cfg, values, [5] * len(values))
+        got = _probe_differences(cfg, fields, values, [5] * 5), _scan_points(cfg, values, [5] * 5)
         # a call with a value outside [lo, hi] builds every value on its own, one spec each
         assert built == values * 2
         monkeypatch.setattr(cli, "_validated_stacks", per_value_stacks)
-        assert repr(got) == repr((_probe_differences(cfg, fields, values, 5), _scan_points(cfg, values, [5] * 5)))
+        assert repr(got) == repr((_probe_differences(cfg, fields, values, [5] * 5), _scan_points(cfg, values, [5] * 5)))
 
 
 def with_fault(mat, kind):
