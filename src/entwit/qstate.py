@@ -44,6 +44,8 @@ import numpy as np
 TAU_HERM = 1e-10
 TAU_TR = 1e-10
 TAU_PSD = 1e-9
+_HALVE_FROM = 2.0**1022  # _hermitian_part halves a matrix with an entry of this modulus before its sums
+_TRACE_SCALE = 2.0**-64  # _checked sums the trace at this scale (side < 2**64 entries of at most 2**1024)
 
 # Rank-one read (_rank_one_vector).  A state is read as v v^dag, with v =
 # rho[:, j] / sqrt(rho_jj) and j its largest diagonal entry, when no entry of
@@ -155,14 +157,20 @@ class SchmidtDecomposition:
 
 def _hermitian_part(mat: np.ndarray) -> np.ndarray:
     """(M + M^dag)/2 of a matrix or a stack of them, once every entry is checked
-    finite and each M Hermitian to TAU_HERM."""
-    if not np.isfinite(mat).all():
+    finite and each M Hermitian to TAU_HERM.  An M with an entry of modulus
+    _HALVE_FROM or more, which no state has, is checked and summed on its
+    halves M/2 and M^dag/2, whose difference and sum no finite M overflows;
+    below it the sum is formed whole, since halving rounds subnormal entries."""
+    peak = np.max(np.abs(mat))  # NaN or inf if an entry is, inf also if a complex modulus passes float64
+    if not np.isfinite(peak) and not np.isfinite(mat).all():
         raise StateValidationError("matrix has NaN or infinite entries")
-    adj = mat.conj().swapaxes(-1, -2)
-    dev = np.max(np.abs(mat - adj))
+    adj, unit = mat.conj().swapaxes(-1, -2), 1.0
+    if peak >= _HALVE_FROM:
+        mat, adj, unit = mat / 2.0, adj / 2.0, 2.0
+    dev = unit * float(np.max(np.abs(mat - adj)))  # a Python float: beyond float64 it reads inf
     if dev > TAU_HERM:
         raise NotHermitianError(f"Hermiticity deviation {dev:.3e} exceeds {TAU_HERM}")
-    return (mat + adj) / 2.0
+    return (mat + adj) * (0.5 * unit)
 
 
 def _checked(mat: np.ndarray, dims: Dims, scale: float = 1.0) -> np.ndarray:
@@ -188,7 +196,10 @@ def _checked(mat: np.ndarray, dims: Dims, scale: float = 1.0) -> np.ndarray:
     if mat.shape != (side, side):
         raise DimensionMismatchError(f"expected {side}x{side} matrix for dims {dims.m}x{dims.n}, got {mat.shape}")
     herm = _hermitian_part(mat)
-    tr_dev, tau_psd = abs(np.trace(mat) - 1.0), scale * TAU_PSD
+    # |Tr M - 1| at the power-of-two scale _TRACE_SCALE, where no finite M overflows the sum and
+    # no bit above the subnormal range changes; scaled back in Python floats, an overflow reads inf
+    tr_dev = float(abs((np.diagonal(mat) * _TRACE_SCALE).sum() - _TRACE_SCALE)) / _TRACE_SCALE
+    tau_psd = scale * TAU_PSD
     if tr_dev > scale * TAU_TR:
         raise TraceError(f"trace deviates from 1 by {tr_dev:.3e}")
     try:

@@ -50,10 +50,11 @@ The detection rule lives beside TAU_DETECT: detect_entanglement and the CLI
 scan both test the differences _nonlinear_d and _bell_d against it.
 
 Measurement settings come from a separate numeric search (optimize_settings):
-a multi-start BFGS ascent with analytic gradients over the measurement
-angles.  It reads only the correlation table of a block, never lambda_min or
-the Gram eigenvalues, so its agreement with the closed forms is an
-independent check.
+a multi-start BFGS ascent with analytic gradients over rotation frames, each
+step a body-frame rotation exp([w]x) in a chart re-centred at every accepted
+point (_turn, _ascend).  It reads only the correlation table of a block,
+never lambda_min or the Gram eigenvalues, so its agreement with the closed
+forms is an independent check.
 """
 
 from __future__ import annotations
@@ -185,11 +186,11 @@ _FIGURES = tuple(f.name for f in fields(SubspaceReport))[2:]
 class OptimizerConfig:
     """Budget of optimize_settings: `restarts` random starts drawn from
     default_rng(`seed`); a restart stops once its accepted step falls below
-    `step_tol` (max-norm over the angles, radians); `max_evals` caps the
-    passes of one call, each of which evaluates every restart once, the
-    starts included.  `restarts` and `max_evals` are integers >= 1, `seed`
-    an integer >= 0 and `step_tol` a number >= 0 (not NaN); anything else
-    raises ValueError naming the field."""
+    `step_tol` (max-norm of the body-frame rotation step w, radians);
+    `max_evals` caps the passes of one call, each of which evaluates every
+    restart once, the starts included.  `restarts` and `max_evals` are
+    integers >= 1, `seed` an integer >= 0 and `step_tol` a number >= 0 (not
+    NaN); anything else raises ValueError naming the field."""
 
     restarts: int = 32
     seed: int = 0
@@ -546,88 +547,100 @@ def best_report(reports: list[SubspaceReport]) -> SubspaceReport:
 _GRAD_TOL = 1e-10  # max-norm of the gradient at which a restart has converged
 _ARMIJO = 1e-4  # sufficient-increase constant of the backtracking line search
 
-# flattened Rz(t), Ry(t), Rz(t) of the ZYZ factors as cos(t) * _ZYZ[0] + sin(t) * _ZYZ[1] + _ZYZ[2]
-_ZYZ = np.array([[[1, 0, 0, 0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 1, 0, 0, 0, 0]],
-                 [[0, -1, 0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, -1, 0, 0], [0, -1, 0, 1, 0, 0, 0, 0, 0]],
-                 [[0, 0, 0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 1]]], float)
-# axial vector (q21 - q12, q02 - q20, q10 - q01) of a 3x3 q as q.reshape(9) @ _AXIAL: entry (3i + j, k) is -eps_ijk
+# axial vector (q21 - q12, q02 - q20, q10 - q01) of a 3x3 q as q.reshape(9) @ _AXIAL: entry (3i + j, k) is
+# -eps_ijk; the same Levi-Civita table transposed flattens the cross-product matrix, [w]x = w @ _AXIAL.T
 _AXIAL = -np.cross(np.eye(3)[:, None], np.eye(3)).reshape(9, 3)
+_CROSS = np.ascontiguousarray(_AXIAL.T)
+_EYE9 = np.eye(3).reshape(9)
+_FIRST_TWO = np.eye(2, 3)  # pads a step about the first two body axes to a rotation vector
+_QUARTER = np.array([[0.0, -1.0], [1.0, 0.0]])  # (d0, d1) @ _QUARTER = (d1, -d0)
 _PLUS_MINUS = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
-def _nonlinear_fg(x: np.ndarray, t: np.ndarray, r: np.ndarray, s: np.ndarray):
-    """Normalized nonlinear witness and its gradient at ZYZ angles x (R, 6).
+def _turn(w: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """exp([w]x) @ frames for rotation vectors w (..., 3) and frames (..., 3, 3).
 
-    Rows of Rzyz(x[:, :3]) and Rzyz(x[:, 3:]) are the triads of A and B;
-    t is the correlation matrix of rho_ab and r, s its Bloch vectors.  With
-    G = df/dR and q = G R^T, an angle that turns R as dR/dt = [v]_x R has
-    df/dt = v . axial(q); the ZYZ angles turn about e_z, Rz(t1) e_y and
-    Rz(t1) Ry(t2) e_z, columns of the first factor and of the first two.
+    Rodrigues: exp([w]x) = cos(t) I + sinc(t) [w]x + (1 - cos t)/t^2 w w^T
+    with t = |w|.  With u = sin(t/2)/(t/2), sinc(t) = u cos(t/2) and the last
+    coefficient is u^2/2, so no term loses digits at small t.  The rows of a
+    frame are body axes: the step turns them about the axis sum_k w_k f_k,
+    so w is the step in the body frame.
     """
-    ang = x.reshape(-1, 2, 3)
-    cos, sin = np.cos(ang), np.sin(ang)
-    fac = (cos[..., None] * _ZYZ[0] + sin[..., None] * _ZYZ[1] + _ZYZ[2]).reshape(-1, 2, 3, 3, 3)
-    head = fac[:, :, 0] @ fac[:, :, 1]
-    rot = head @ fac[:, :, 2]  # (R, 2, 3, 3): rows a_k, then rows b_k
-    m = rot @ np.stack([t, t.T])  # rows a_k^T T, then rows (T b_k)^T
+    outer = (w[..., :, None] @ w[..., None, :]).reshape(w.shape[:-1] + (9,))  # w w^T
+    tt = (w[..., None, :] @ w[..., :, None])[..., 0]  # |w|^2, shaped (..., 1)
+    half = 0.5 * np.sqrt(tt)
+    # below t/2 = 1e-300 the quotient is off, but it then scales only terms below rounding
+    u = np.sin(half) / np.maximum(half, 1e-300)
+    b = 0.5 * u * u
+    rot = (1.0 - b * tt) * _EYE9 + (u * np.cos(half)) * (w @ _CROSS) + b * outer
+    return rot.reshape(w.shape[:-1] + (3, 3)) @ frames
+
+
+def _nonlinear_fg(step: np.ndarray, base: np.ndarray, tables: np.ndarray, rs: np.ndarray):
+    """Normalized nonlinear witness at the triads exp([w]x) base, its body-frame
+    gradient there, and those triads.
+
+    base (R, 2, 3, 3) holds the triads of A and B as rows; step (R, 6) holds
+    one rotation vector per side (_turn).  tables is (T, T^T) for the
+    correlation matrix T of rho_ab and rs its Bloch vectors (r, s), both
+    stacked once per search.  With G = df/dR and q = G R^T, the step w has
+    df/dw = axial(q) at w = 0.
+    """
+    rot = _turn(step.reshape(-1, 2, 3), base)  # (R, 2, 3, 3): rows a_k, then rows b_k
+    m = rot @ tables  # rows a_k^T T, then rows (T b_k)^T
     ab = (rot[:, 0] * m[:, 1]).sum(axis=-1)  # a_k^T T b_k
-    rs = np.stack([r, s])
     corr, summ = ab[:, 0] + ab[:, 1], (rot[:, :, 2] * rs).sum(axis=(1, 2))
     h = np.hypot(corr, summ)
     safe = np.where(h > 0.0, h, 1.0)
     g = m[:, ::-1] * (corr / safe)[:, None, None, None]  # df/dA and df/dB
     g[:, :, 2] = (summ / safe)[:, None, None] * rs - m[:, ::-1, 2]
-    axial = (g @ np.swapaxes(rot, -1, -2)).reshape(-1, 2, 1, 9) @ _AXIAL
-    axes = np.concatenate([fac[:, :, 0][..., [2, 1]], head[..., 2:]], axis=-1)
-    return h - ab[:, 2], (axial @ axes).reshape(x.shape)
+    grad = (g @ np.swapaxes(rot, -1, -2)).reshape(-1, 9) @ _AXIAL
+    return h - ab[:, 2], grad.reshape(step.shape), rot
 
 
-def _sph(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Unit vectors (..., k, 3) at the k spherical angle pairs (theta, phi)
-    of the last axis, from the cosines and sines of the angles."""
-    return np.stack([sin[..., 0::2] * cos[..., 1::2], sin[..., 0::2] * sin[..., 1::2], cos[..., 0::2]], axis=-1)
+def _bell_fg(step: np.ndarray, base: np.ndarray, tables: np.ndarray):
+    """|CHSH| of rho_ab at the frames exp([w]x) base, its body-frame gradient
+    there, and those frames.
 
-
-def _bell_fg(x: np.ndarray, t: np.ndarray):
-    """|CHSH| of rho_ab and its gradient at spherical angles x (R, 8).
-
-    Angle pairs (theta, phi) give the directions a1, a2, b1, b2 in that order;
-    t is the correlation matrix of rho_ab.
+    base (R, 4, 3, 3) holds four frames whose third rows are the directions
+    a1, a2, b1, b2; step (R, 8) turns each frame about its first two body
+    axes only, which move the third row.  tables is (T, T^T) for the
+    correlation matrix T of rho_ab.  A frame f with direction gradient d
+    has G = e_3 d^T, so its gradient axial(G f^T) is (d . f_1, -d . f_0).
     """
-    cos, sin = np.cos(x), np.sin(x)
-    ct, st, cp, sp = cos[:, 0::2], sin[:, 0::2], cos[:, 1::2], sin[:, 1::2]
-    v = _sph(cos, sin)  # (R, 4, 3)
-    m = (_PLUS_MINUS @ v.reshape(-1, 2, 2, 3)) @ np.stack([t, t.T])  # rows (a1 +- a2)^T T, (T (b1 +- b2))^T
+    rot = _turn(step.reshape(-1, 4, 2) @ _FIRST_TWO, base)
+    v = rot[:, :, 2]  # (R, 4, 3): a1, a2, b1, b2
+    m = (_PLUS_MINUS @ v.reshape(-1, 2, 2, 3)) @ tables  # rows (a1 +- a2)^T T, (T (b1 +- b2))^T
     val = (v[:, :2] * m[:, 1]).sum(axis=(1, 2))
     dv = m[:, ::-1].reshape(-1, 4, 3) * np.sign(val)[:, None, None]
-    grad = np.empty_like(x)
-    grad[:, 0::2] = ct * (cp * dv[..., 0] + sp * dv[..., 1]) - st * dv[..., 2]
-    grad[:, 1::2] = st * (cp * dv[..., 1] - sp * dv[..., 0])
-    return np.abs(val), grad
+    d = (rot[:, :, :2] @ dv[..., None])[..., 0]  # (R, 4, 2): d . f_0, d . f_1
+    return np.abs(val), (d @ _QUARTER).reshape(step.shape), rot
 
 
-def _ascend(fg, x: np.ndarray, step_tol: float, max_evals: int):
-    """Maximize fg from every row of x at once: BFGS with Armijo backtracking.
+def _ascend(fg, base: np.ndarray, n: int, step_tol: float, max_evals: int):
+    """Maximize fg from every row of base at once: BFGS with Armijo
+    backtracking in a chart re-centred at each accepted point.
 
-    fg maps angles (R, n) to values (R,) and gradients (R, n).  Each pass
-    evaluates fg once at every row's trial point; a row that fails the
-    Armijo test halves its step, a row that passes takes it and updates its
-    inverse Hessian.  A row stops when its gradient (max-norm) falls below
-    _GRAD_TOL, its accepted step below step_tol, or its line search stalls
-    below step_tol.  max_evals caps the passes, the one at the starts
-    included.  A pass selects each row's update by np.where over the whole
-    batch, not by indexing.  Returns the final angles and their values.
+    fg(step, base) maps steps (R, n) in the chart at base (R, ...) to values
+    (R,), gradients (R, n) in the chart at the trial points, and the trial
+    points; a zero step reads base itself.  Each pass evaluates fg once at
+    every row's trial point; a row that fails the Armijo test halves its
+    step, a row that passes moves its base to the trial point, updates its
+    inverse Hessian, which carries over to the new chart unchanged, and
+    steps from 0 again.  A row stops when its gradient (max-norm) falls
+    below _GRAD_TOL, its accepted step below step_tol, or its line search
+    stalls below step_tol.  max_evals caps the passes, the one at the
+    starts included.  A pass selects each row's update by np.where over the
+    whole batch, not by indexing.  Returns the final points and values.
     """
-    x = np.asarray(x, dtype=float)
-    f, g = fg(x)
+    f, g, base = fg(np.zeros((len(base), n)), base)
     evals = 1
-    hinv = np.tile(np.eye(x.shape[1]), (len(x), 1, 1))  # inverse Hessian of -f
-    p, step = g, np.ones(len(x))
+    hinv = np.tile(np.eye(n), (len(base), 1, 1))  # inverse Hessian of -f
+    p, step = g, np.ones(len(base))
     active = np.abs(g).max(axis=1) > _GRAD_TOL
     while active.any() and evals < max_evals:
         sx = step[:, None] * p
-        trial = x + sx
-        ft, gt = fg(trial)
+        ft, gt, trial = fg(sx, base)
         evals += 1
         ok = active & (ft >= f + _ARMIJO * (sx * g).sum(axis=1))
         size = np.abs(sx).max(axis=1)
@@ -644,12 +657,13 @@ def _ascend(fg, x: np.ndarray, step_tol: float, max_evals: int):
             wu = w @ (inv_sy * sx[:, None, :])  # an outer product, so u w^T is exactly its transpose
             hinv += wu + wu.transpose(0, 2, 1)
             keep = ok[:, None]
-            x, f, g = np.where(keep, trial, x), np.where(ok, ft, f), np.where(keep, gt, g)
+            base = np.where(ok.reshape((-1,) + (1,) * (base.ndim - 1)), trial, base)
+            f, g = np.where(ok, ft, f), np.where(keep, gt, g)
             p = np.where(keep, (hinv @ g[:, :, None])[:, :, 0], p)
             stop = np.where(ok, (size < step_tol) | (np.abs(g).max(axis=1) <= _GRAD_TOL), stop)
         active &= ~stop
         step = np.where(ok, 1.0, 0.5 * step)
-    return x, f
+    return base, f
 
 
 def optimize_settings(
@@ -662,13 +676,17 @@ def optimize_settings(
     """Multi-start quasi-Newton search over measurement settings.
 
     kind="nonlinear" maximizes the normalized witness over two same-handed
-    triads (6 angles, ZYZ per side) and returns (WitnessSettings, value);
-    kind="bell" maximizes |bell_value| over four independent directions
-    (8 spherical angles) and returns (BellSettings, value).  All restarts,
-    drawn uniformly from default_rng(cfg.seed), climb together by BFGS with
-    analytic gradients (see _ascend).  The search reads only the correlation
-    table of the compressed block, never the closed forms.  Deterministic
-    for a fixed cfg.
+    triads (two rotation frames) and returns (WitnessSettings, value);
+    kind="bell" maximizes |bell_value| over four independent directions, the
+    third rows of four frames, and returns (BellSettings, value).  The
+    starts are angles drawn uniformly from default_rng(cfg.seed): ZYZ angles
+    per triad (rotation_zyz), spherical angles (theta, phi) per direction,
+    whose frame has rows e_theta, e_phi and the direction.  All restarts
+    climb together by BFGS with analytic gradients in body-frame rotation
+    steps, re-centred at every accepted point (see _ascend), so no chart
+    pole slows a restart down.  The search reads only the correlation table
+    of the compressed block, never the closed forms.  Deterministic for a
+    fixed cfg.
     """
     if kind not in ("nonlinear", "bell"):
         raise ValueError(f"unknown witness kind {kind!r}")
@@ -677,26 +695,24 @@ def optimize_settings(
         raise ValueError("empty subspace: c <= TAU_C")
     corr = _correlations(rho_ab)
     t, r, s = corr[1:, 1:], corr[1:, 0], corr[0, 1:]
+    rng, tables = np.random.default_rng(cfg.seed), np.stack([t, t.T])
     if kind == "nonlinear":
-        fg, nang, scale = (lambda x: _nonlinear_fg(x, t, r, s)), 6, 1.0
+        ang = rng.uniform(0.0, 2.0 * np.pi, (cfg.restarts, 2, 3))
+        frames = rotation_zyz(ang[..., 0], ang[..., 1], ang[..., 2])
+        rs = np.stack([r, s])
+        fg, n = (lambda w, base: _nonlinear_fg(w, base, tables, rs)), 6
     else:
-        # the search runs on rho_ab; bell_value on rho carries the weight c
-        fg, nang, scale = (lambda x: _bell_fg(x, t)), 8, c
+        ang = rng.uniform(0.0, 2.0 * np.pi, (cfg.restarts, 4, 2))
+        # (Rz(phi) Ry(theta))^T has third row (sin theta cos phi, sin theta sin phi, cos theta)
+        frames = np.swapaxes(rotation_zyz(ang[..., 1], ang[..., 0], 0.0), -1, -2)
+        fg, n = (lambda w, base: _bell_fg(w, base, tables)), 8
 
-    starts = np.random.default_rng(cfg.seed).uniform(0.0, 2.0 * np.pi, (cfg.restarts, nang))
-    x, f = _ascend(fg, starts, cfg.step_tol, cfg.max_evals)
-    best = int(np.argmax(f))
-    x = x[best]
+    frames, f = _ascend(fg, frames, n, cfg.step_tol, cfg.max_evals)
+    best = frames[int(np.argmax(f))]
     if kind == "nonlinear":
-        settings = WitnessSettings(
-            alpha,
-            beta,
-            triad_from_rotation(rotation_zyz(*x[:3])),
-            triad_from_rotation(rotation_zyz(*x[3:])),
-        )
-    else:
-        settings = BellSettings(alpha, beta, *_sph(np.cos(x), np.sin(x)))
-    return settings, float(scale * f[best])
+        return WitnessSettings(alpha, beta, *(triad_from_rotation(rot) for rot in best)), float(f.max())
+    # the search runs on rho_ab; bell_value on rho carries the weight c
+    return BellSettings(alpha, beta, *best[:, 2]), float(c * f.max())
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,18 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, ["bound", "--state", str(path)])
         assert code == 3 and out == "" and "minimum eigenvalue -5.000e-01 below -1e-09" in err
 
+    def test_huge_finite_state_file_fails_its_trace_without_a_warning(self, capsys, tmp_path):
+        # 1e308 + 1e308 overflows float64: validation must still name the trace, warning-free
+        path = tmp_path / "huge.json"
+        doc = json.loads(to_json(isotropic(2, 0.0)))
+        doc["re"] = np.diag([1e308, 1e308, 0.0, 0.0]).tolist()
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, ["bound", "--state", str(path)])
+        assert caught == []
+        assert code == 3 and out == "" and "trace deviates from 1 by inf" in err and "Traceback" not in err
+
     def test_non_finite_state_file(self, capsys, tmp_path):
         path = tmp_path / "nan.json"
         doc = json.loads(to_json(isotropic(2, 0.0)))

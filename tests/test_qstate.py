@@ -77,6 +77,22 @@ class TestValidateDensity:
         with pytest.raises(TraceError):
             validate_density(np.eye(4) / 2, Dims(2, 2))
 
+    @pytest.mark.parametrize(
+        "mat, error, message",
+        [
+            (np.diag([1e308, 1e308, 0.0, 0.0]), TraceError, "trace deviates from 1 by inf"),
+            # the diagonal sums to 0 exactly, though its running sum passes the float64 limit
+            (np.diag([1.7e308, 1.7e308, -1.7e308, -1.7e308]), TraceError, "trace deviates from 1 by 1.000e[+]00"),
+            (np.diag([1.7e308, -1.7e308, 1.0, 0.0]), NotPositiveError, "minimum eigenvalue -1.700e[+]308"),
+            (np.array([[0.5, 1e308, 0, 0], [1e308, 0.5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]), NotPositiveError, "-1.000e[+]308"),
+            (np.array([[0.5, 1.7e308, 0, 0], [-1.7e308, 0.5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]), NotHermitianError, "inf"),
+        ],
+    )
+    def test_huge_finite_entries_fail_the_check_they_break_without_overflow(self, mat, error, message):
+        # pytest turns RuntimeWarning into an error, so an overflow on the way would fail here
+        with pytest.raises(error, match=message):
+            validate_density(mat, Dims(2, 2))
+
     def test_small_dims_rejected(self):
         with pytest.raises(DimensionMismatchError):
             Dims(1, 3)

@@ -199,10 +199,11 @@ def _bell_objective(t, c):
     return neg
 
 
-# The settings search as it was written before its passes became whole-batch
-# array operations: einsum row dots, boolean-mask updates and a separate ZYZ
-# gradient.  It is the reference for the shipped _ascend, _nonlinear_fg and
-# _bell_fg, which must reach the same values with no more evaluations.
+# The settings search as it was written before it climbed in rotation frames:
+# ZYZ and spherical angles with their own gradients, einsum row dots and
+# boolean-mask updates.  It is the reference for the shipped _ascend,
+# _nonlinear_fg and _bell_fg, which climb in a chart re-centred at every
+# accepted point and must reach the same best values in fewer evaluations.
 def _oracle_dot(u, v):
     return np.einsum("ri,ri->r", u, v)
 
@@ -287,6 +288,31 @@ def _oracle_ascend(fg, x, step_tol, max_evals):
         p[ok], step[ok] = np.einsum("rij,rj->ri", hinv[ok], g[ok]), 1.0
         active &= ~(ok & ((np.abs(sx).max(axis=1) < step_tol) | (np.abs(g).max(axis=1) <= witness._GRAD_TOL)))
     return x, f
+
+
+def _zyz_frames(x):
+    """The two triads of ZYZ angle rows x (R, 6), as optimize_settings starts them."""
+    ang = x.reshape(len(x), 2, 3)
+    return rotation_zyz(ang[..., 0], ang[..., 1], ang[..., 2])
+
+
+def _spherical_frames(x):
+    """The four frames of spherical angle rows x (R, 8), pairs (theta, phi), whose
+    third rows are the directions, as optimize_settings starts them."""
+    ang = x.reshape(len(x), 4, 2)
+    return np.swapaxes(rotation_zyz(ang[..., 1], ang[..., 0], 0.0), -1, -2)
+
+
+def _oracle_expm(w):
+    """exp([w]x) of rotation vectors w (..., 3) by its Taylor series, summed to 60 terms."""
+    cross = np.zeros(w.shape[:-1] + (3, 3))
+    cross[..., 0, 1], cross[..., 0, 2], cross[..., 1, 2] = -w[..., 2], w[..., 1], -w[..., 0]
+    cross -= np.swapaxes(cross, -1, -2)
+    term = out = np.broadcast_to(np.eye(3), cross.shape)
+    for k in range(1, 60):
+        term = term @ cross / k
+        out = out + term
+    return out
 
 
 class TestProjection:
@@ -755,32 +781,49 @@ class TestOptimizer:
 
     @staticmethod
     def objectives(kind, rng):
-        """Batched objective, scalar oracle and angle count on a random table."""
+        """Batched frame objective, scalar angle oracle, angle count and the
+        frames of angle rows, on a random table."""
         t, r, s = rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+        tables = np.stack([t, t.T])
         if kind == "nonlinear":
-            return (lambda x: _nonlinear_fg(x, t, r, s)), _nonlinear_objective(t, r, s), 6
-        return (lambda x: _bell_fg(x, t)), _bell_objective(t, 1.0), 8
+            rs = np.stack([r, s])
+            return (lambda w, base: _nonlinear_fg(w, base, tables, rs)), _nonlinear_objective(t, r, s), 6, _zyz_frames
+        return (lambda w, base: _bell_fg(w, base, tables)), _bell_objective(t, 1.0), 8, _spherical_frames
 
     @pytest.mark.parametrize("kind", ["nonlinear", "bell"])
     def test_batched_objective_matches_scalar_oracle(self, kind):
+        """At a zero step the frame objective reads its base, whose value is the
+        scalar oracle's at the angles the base was built from; a nonzero step
+        turns each frame by exp([w]x) and reads the turned frames."""
         rng = np.random.default_rng(31)
-        fg, neg, nang = self.objectives(kind, rng)
+        fg, neg, nang, frames = self.objectives(kind, rng)
         x = rng.uniform(-2 * np.pi, 4 * np.pi, (32, nang))
-        values, _ = fg(x)
+        base = frames(x)
+        values, _, at = fg(np.zeros((32, nang)), base)
+        assert np.array_equal(at, base)
         assert np.max(np.abs(values + np.array([neg(row) for row in x]))) < 1e-14
+        w = rng.uniform(-2.0, 2.0, (32, nang))
+        values, _, at = fg(w, base)
+        axes = w.reshape(32, -1, 3) if kind == "nonlinear" else np.pad(w.reshape(32, 4, 2), ((0, 0), (0, 0), (0, 1)))
+        assert np.max(np.abs(at - _oracle_expm(axes) @ base)) < 1e-14
+        assert np.max(np.abs(at @ np.swapaxes(at, -1, -2) - np.eye(3))) < 1e-14
+        assert np.max(np.abs(values - fg(np.zeros((32, nang)), at)[0])) < 1e-14
 
     @pytest.mark.parametrize("kind", ["nonlinear", "bell"])
     def test_gradient_matches_central_differences(self, kind):
+        """The gradient is the derivative in the chart at the point it is read:
+        at the base for a zero step, at the trial frames for a nonzero one."""
         rng = np.random.default_rng(32)
-        fg, _, nang = self.objectives(kind, rng)
-        x = rng.uniform(0, 2 * np.pi, (16, nang))
-        _, grad = fg(x)
-        h = 1e-6
-        for i in range(nang):
-            e = np.zeros(nang)
-            e[i] = h
-            central = (fg(x + e)[0] - fg(x - e)[0]) / (2 * h)
-            assert np.max(np.abs(central - grad[:, i])) < 1e-6, i
+        fg, _, nang, frames = self.objectives(kind, rng)
+        base = frames(rng.uniform(0, 2 * np.pi, (16, nang)))
+        for w in (np.zeros((16, nang)), rng.uniform(-1.0, 1.0, (16, nang))):
+            _, grad, at = fg(w, base)
+            h = 1e-6
+            for i in range(nang):
+                e = np.zeros(nang)
+                e[i] = h
+                central = (fg(np.tile(e, (16, 1)), at)[0] - fg(np.tile(-e, (16, 1)), at)[0]) / (2 * h)
+                assert np.max(np.abs(central - grad[:, i])) < 1e-6, i
 
     def test_single_evaluation_returns_the_best_start(self):
         rng = np.random.default_rng(66)
@@ -802,35 +845,54 @@ class TestOptimizer:
         assert abs(v_bl - max(-neg(x) for x in starts)) < 1e-12
 
     @pytest.mark.parametrize("kind", ["nonlinear", "bell"])
-    def test_search_matches_the_mask_update_oracle(self, kind):
-        """The whole-batch passes reach the values of the mask-update loop from
-        every start, and their evaluations summed over 50 tables and 3 seeds
-        are within 1% of the loop's: the same algorithm, rounded differently."""
+    def test_chart_search_matches_the_angle_oracle_in_fewer_calls(self, kind):
+        """From the same starts, the re-centred frame chart reaches the best
+        value of the angle-chart loop on every table and seed, and its
+        evaluations summed over 50 tables and 3 seeds are at most 0.85 of
+        the loop's: the ZYZ and spherical charts slow down near their poles."""
         rng = np.random.default_rng(1212 if kind == "nonlinear" else 1213)
         nang = 6 if kind == "nonlinear" else 8
-        calls = {"shipped": 0, "oracle": 0}
+        calls = {"chart": 0, "oracle": 0}
 
         def spy(name, fg):
-            def counted(x):
+            def counted(*args):
                 calls[name] += 1
-                return fg(x)
+                return fg(*args)
 
             return counted
 
         worst = 0.0
         for _ in range(50):
             t, r, s = rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+            tables = np.stack([t, t.T])
             if kind == "nonlinear":
-                new, old = (lambda x: _nonlinear_fg(x, t, r, s)), (lambda x: _oracle_nonlinear_fg(x, t, r, s))
+                rs = np.stack([r, s])
+                new, old = (lambda w, base: _nonlinear_fg(w, base, tables, rs)), (lambda x: _oracle_nonlinear_fg(x, t, r, s))
+                frames = _zyz_frames
             else:
-                new, old = (lambda x: _bell_fg(x, t)), (lambda x: _oracle_bell_fg(x, t))
+                new, old = (lambda w, base: _bell_fg(w, base, tables)), (lambda x: _oracle_bell_fg(x, t))
+                frames = _spherical_frames
             for seed in (0, 808, 9):
                 starts = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (4, nang))
-                _, f_new = witness._ascend(spy("shipped", new), starts, 1e-5, 2000)
+                _, f_new = witness._ascend(spy("chart", new), frames(starts), nang, 1e-5, 2000)
                 _, f_old = _oracle_ascend(spy("oracle", old), starts, 1e-5, 2000)
-                worst = max(worst, np.max(np.abs(f_new - f_old)))
-        assert worst < 1e-12
-        assert abs(calls["shipped"] - calls["oracle"]) <= 0.01 * calls["oracle"], calls
+                worst = max(worst, abs(f_new.max() - f_old.max()))
+        assert worst < 1e-9
+        assert calls["chart"] <= 0.85 * calls["oracle"], calls
+
+    def test_search_reaches_the_closed_form_where_the_angle_chart_stalled(self):
+        """State 17 of the optimizer benchmark's cycle (default_rng(0)), pair
+        (0,1)x(1,2), at the benchmark's budget: the ZYZ-angle search stopped
+        4.3e-7 below nonlinear_max there; the frame chart has no pole to stall at."""
+        rng = np.random.default_rng(0)
+        for _ in range(18):
+            g = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        mat = g @ g.conj().T
+        rho = validate_density(mat / np.trace(mat).real, Dims(3, 3))
+        alpha, beta = GeneratorPair(0, 1, 3), GeneratorPair(1, 2, 3)
+        cfg = OptimizerConfig(restarts=4, seed=808, step_tol=1e-5)
+        _, value = optimize_settings(rho, alpha, beta, "nonlinear", cfg)
+        assert abs(nonlinear_max(rho, alpha, beta) - value) < 1e-9
 
     @pytest.mark.parametrize("kind", ["nonlinear", "bell"])
     def test_max_evals_counts_objective_calls(self, kind):
