@@ -2,7 +2,8 @@
 threshold bisection, and a self-test oracle suite.  Both detection onsets
 are bisected together in speculative rounds, one stacked evaluation each,
 with the decisions of a serial bisection (see _thresholds); each probe
-computes only the difference its bracket reads.  A scan over its family's
+computes only the difference its bracket reads, on a certified scan only on
+the pairs that can decide it (_bracket_pairs).  A scan over its family's
 affine parameter builds each stack in one broadcast, and once its two range
 ends pass validation at half the tolerances, the states between them skip it.
 
@@ -181,6 +182,15 @@ _CHUNK = 64  # grid points built, evaluated and written together
 _BUILD_ERRORS = (ValueError, OSError, MemoryError)  # a state build's errors, StateValidationError included
 _STACK_BLOCKS = 1 << 14  # 4x4 blocks one kernel call may hold (4 MB), so large states stack fewer at a time
 _CERT_MARGIN = 0.5  # the range ends certify an affine scan at this fraction of TAU_TR and TAU_PSD, far above rounding
+# A pair whose reach (cren._assess) is at most _QUIET at both ends of a grid
+# bracket of a certified scan stays there between them.  The bracket's states
+# are affine in the parameter, so for a level t, lambda_min of each pair's
+# partial transpose shifted by t c / 4 is concave in it and
+# sqrt(s1^2 + s2^2) - (1 + t / 2) c convex, and the pair's difference exceeds
+# t where the first is negative or the second positive.  The gap to
+# TAU_DETECT is far above rounding, so such a pair cannot decide a probe
+# (_bracket_pairs).
+_QUIET = 0.5 * TAU_DETECT
 
 
 def _grid_values(cfg: SweepConfig, i0: int, i1: int) -> list[float]:
@@ -217,61 +227,83 @@ def _validated_stacks(cfg: SweepConfig, values, seeds):
             yield dims, np.array(stack)
 
 
-def _scan_points(cfg: SweepConfig, values, seeds) -> list[ScanPoint]:
-    """The scan rows at the values (see _validated_stacks): one kernel call
-    and one batched partial-transpose eigensolve per validated stack."""
+def _scan_points(cfg: SweepConfig, values, seeds, reach: list | None = None) -> list[ScanPoint]:
+    """The scan rows at the values (see _validated_stacks): one cren._assess
+    call per validated stack.  Each point's pair reach (2, P) goes onto
+    `reach`, when given."""
     rows = []
     for dims, stack in _validated_stacks(cfg, values, seeds):
-        cols, bounds, negs = _assess(stack, dims)
-        d_nl, d_bell = _nonlinear_d(cols.nonlinear_max), _bell_d(cols.bell_max, cols.c, cols.live)
-        rows += zip(d_nl.tolist(), d_bell.tolist(), bounds.tolist(), negs.tolist())
+        figures, pair_reach = _assess(stack, dims)
+        rows += zip(*(f.tolist() for f in figures))
+        if reach is not None:
+            reach += list(pair_reach)
     return [ScanPoint(value, *row) for value, row in zip(values, rows)]
 
 
-def _probe_differences(cfg: SweepConfig, fields, values, seeds) -> list[float]:
+def _probe_differences(cfg: SweepConfig, fields, values, seeds, pairs=None) -> list[float]:
     """The detection difference fields[i] ("nonlinear_d" or "bell_d") of the
     probe state at values[i] with seeds[i], built and validated as the grid
-    is (see _validated_stacks).  A probe solves its own witness only: per
-    stack, one partial-transpose eigensolve of the blocks of its nonlinear
-    probes and one Gram eigensolve of the correlation tables of its Bell
-    probes; no bound and no negativity."""
-    diffs = []
+    is (see _validated_stacks).  A probe solves its own witness only, on the
+    pairs that `pairs` names for its field (_bracket_pairs), or on every
+    pair: per stack, one partial-transpose eigensolve of the blocks of its
+    nonlinear probes and one Gram eigensolve of the correlation tables of its
+    Bell probes; no bound and no negativity.  A violating probe reads its
+    difference exactly; a non-violating one, the largest over its pairs."""
+    diffs, pairs = [], pairs or {}
     for dims, stack in _validated_stacks(cfg, values, seeds):
         c, live = _weights(stack, dims)
-        blk = _blocks(stack, _pair_rows(dims))
         nl = np.array([f == "nonlinear_d" for f in fields[len(diffs) : len(diffs) + len(stack)]])
         d = np.empty(len(stack))
-        if nl.any():
-            d[nl] = _nonlinear_d(_nonlinear_columns(blk[nl], c[nl], live[nl])[2])
-        if not nl.all():
-            bell = ~nl
-            d[bell] = _bell_d(_bell_maxima(blk[bell], live[bell]), c[bell], live[bell])
+        for field, at in zip(_FIELDS, (nl, ~nl)):
+            if at.any():
+                kept = pairs.get(field)
+                cols = slice(None) if kept is None else list(kept)
+                blk, c_at, live_at = _blocks(stack[at], _pair_rows(dims)[cols]), c[at][:, cols], live[at][:, cols]
+                if field == "nonlinear_d":
+                    d[at] = _nonlinear_d(_nonlinear_columns(blk, c_at, live_at)[2])
+                else:
+                    d[at] = _bell_d(_bell_maxima(blk, live_at), c_at, live_at)
         diffs += d.tolist()
     return diffs
+
+
+def _bracket_pairs(cfg: SweepConfig, lo_reach: np.ndarray, hi_reach: np.ndarray) -> tuple | None:
+    """The pairs that can decide a probe of one detection difference between
+    two neighbouring grid points, from their pair reach for that difference:
+    on a certified scan, each pair whose reach exceeds _QUIET at either end
+    (a pair not live at an end reads +inf there); else None, every pair."""
+    if cfg.certified_dims is None:
+        return None
+    return tuple(np.flatnonzero(np.maximum(lo_reach, hi_reach) > _QUIET).tolist())
 
 
 def _scan_chunks(cfg: SweepConfig, base_seed: int, crossings: dict):
     """Yield the grid's points one chunk of _CHUNK points at a time; each chunk
     is built in full, then evaluated (see _scan_points).  The first grid
     crossing of each detection difference goes into `crossings` as (last
-    value below, first value above, *samples), the samples being the
+    value below, first value above, pairs, *samples), pairs being those that
+    can decide a probe between the two (_bracket_pairs) and the samples the
     (value, difference) of those two grid points and of the next two: all
     that bisection needs of the grid (see _thresholds)."""
     prev, tails = None, {}
     for i0 in range(0, cfg.points, _CHUNK):
         i1 = min(i0 + _CHUNK, cfg.points)
-        chunk = _scan_points(cfg, _grid_values(cfg, i0, i1), range(base_seed + i0, base_seed + i1))
-        for pt in chunk:
-            for field in _FIELDS:
+        reach = []
+        chunk = _scan_points(cfg, _grid_values(cfg, i0, i1), range(base_seed + i0, base_seed + i1), reach)
+        for pt, pt_reach in zip(chunk, reach):
+            for k, field in enumerate(_FIELDS):
                 d = getattr(pt, field)
                 if tails.get(field):
                     crossings[field] += ((pt.param, d),)
                     tails[field] -= 1
                 elif field not in crossings and d > TAU_DETECT:
-                    lo, below = (None, ()) if prev is None else (prev.param, ((prev.param, getattr(prev, field)),))
-                    crossings[field] = (lo, pt.param, *below, (pt.param, d))
+                    if prev is None:
+                        crossings[field] = (None, pt.param, None, (pt.param, d))
+                    else:
+                        pairs = _bracket_pairs(cfg, prev_reach[k], pt_reach[k])
+                        crossings[field] = (prev.param, pt.param, pairs, (prev.param, getattr(prev, field)), (pt.param, d))
                     tails[field] = 2
-            prev = pt
+            prev, prev_reach = pt, pt_reach
         yield chunk
 
 
@@ -292,6 +324,7 @@ class _Bracket:
     lo: float
     hi: float
     samples: list
+    pairs: tuple | None = None  # the pairs its probes solve (_bracket_pairs); None for all
     depth: int = 0
     waste: int = 0
 
@@ -359,20 +392,21 @@ def _thresholds(cfg: SweepConfig, base_seed: int, crossings: dict):
     the thresholds are bitwise the serial ones.  They are taken in rounds.
     A round predicts each onset from its field's solved samples
     (_Bracket.guess), lays out the serial midpoints toward it
-    (_Bracket.path), solves all of them in one _probe_differences call and
-    walks each path with the solved decisions up to its first wrong guess;
-    the probes past it are waste.  Each path is capped so that an onset's
-    waste stays within twice its serial steps (_Bracket.max_path), and each
-    round takes at least one step of every open bracket, so no scan solves
-    more than 3 times the serial probes or runs more rounds than the serial
-    bisection.  If a round fails to build a state (a scan validated one state
-    at a time), the rest runs one level at a time, the shallowest brackets'
-    midpoints in one call, so the first serial probe that fails raises its
-    own error.  A crossing at the first grid point has no bracket."""
+    (_Bracket.path), solves all of them in one _probe_differences call, each
+    on the pairs its bracket keeps (_bracket_pairs), which decide as all the
+    pairs do, and walks each path with the solved decisions up to its first
+    wrong guess; the probes past it are waste.  Each path is capped so that
+    an onset's waste stays within twice its serial steps (_Bracket.max_path),
+    and each round takes at least one step of every open bracket, so no scan
+    solves more than 3 times the serial probes or runs more rounds than the
+    serial bisection.  If a round fails to build a state (a scan validated
+    one state at a time), the rest runs one level at a time, the shallowest
+    brackets' midpoints in one call, so the first serial probe that fails
+    raises its own error.  A crossing at the first grid point has no bracket."""
     if not cfg.bisect:
         return None, None
     tol, seed = cfg.bisect_tol, base_seed + cfg.points
-    brackets = {f: _Bracket(lo, hi, list(samples)) for f, (lo, hi, *samples) in crossings.items() if lo is not None}
+    brackets = {f: _Bracket(lo, hi, list(samples), pairs) for f, (lo, hi, pairs, *samples) in crossings.items() if lo is not None}
     speculate = True
     while live := {f: b for f in _FIELDS if (b := brackets.get(f)) and _midpoint(b.lo, b.hi, tol) is not None}:
         if not speculate:
@@ -385,6 +419,7 @@ def _thresholds(cfg: SweepConfig, base_seed: int, crossings: dict):
                 [f for f, path in paths.items() for _ in path],
                 [mid for path in paths.values() for mid, _ in path],
                 [seed + live[f].depth + k for f, path in paths.items() for k in range(len(path))],
+                {f: b.pairs for f, b in live.items()},
             )
         except _BUILD_ERRORS:
             if not speculate:

@@ -65,9 +65,15 @@ from .qstate import (
 from .witness import (
     _FIGURES,
     SubspaceReport,
+    _bell_ratios,
+    _blocks,
+    _nonlinear_columns,
+    _nonlinear_d,
+    _pair_rows,
     _pure_violations,
     _reports,
     _violations,
+    _weights,
     subspace_reports,
 )
 
@@ -98,10 +104,19 @@ def _bound(raw, dims: Dims, literal_min: bool):
 
 
 def _assess(stack: np.ndarray, dims: Dims):
-    """Kernel columns over all subspace pairs, bounds and negativities of a
-    stack (N, mn, mn) of validated same-dims states."""
-    cols = _reports(stack, dims)
-    return cols, _bound(cols.raw, dims, literal_min=False), _negativities(stack, dims)
+    """The scan row figures of a stack (N, mn, mn) of validated same-dims
+    states, nonlinear_D, bell_D, bound and negativity, each (N,), and their
+    pairs' reach (N, 2, P): for each detection difference in that order, the
+    pair's own difference (_nonlinear_d, _bell_d), or an upper bound on it
+    where the Bell column did not solve the pair (_bell_ratios), and +inf on
+    a pair that is not live."""
+    c, live = _weights(stack, dims)
+    blk = _blocks(stack, _pair_rows(dims))
+    raw, _, nonlinear = _nonlinear_columns(blk, c, live)
+    ratio = _bell_ratios(blk, c, live)
+    reach = np.where(live[:, None], np.stack([nonlinear - 1.0, ratio - 2.0], axis=1), np.inf)
+    figures = _nonlinear_d(nonlinear), ratio.max(axis=1) - 2.0, _bound(raw, dims, False), _negativities(stack, dims)
+    return figures, reach
 
 
 def cren_lower_bound(rho: DensityMatrix, literal_min: bool = False) -> CrenBoundReport:

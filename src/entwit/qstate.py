@@ -46,6 +46,7 @@ TAU_TR = 1e-10
 TAU_PSD = 1e-9
 _HALVE_FROM = 2.0**1022  # _hermitian_part halves a matrix with an entry of this modulus before its sums
 _TRACE_SCALE = 2.0**-64  # _checked sums the trace at this scale (side < 2**64 entries of at most 2**1024)
+_SQUARE_FROM = 2.0**500  # validate_pure sums the squares of a vector with an entry of this modulus at a smaller scale
 
 # Rank-one read (_rank_one_vector).  A state is read as v v^dag, with v =
 # rho[:, j] / sqrt(rho_jj) and j its largest diagonal entry, when no entry of
@@ -245,7 +246,12 @@ def validate_pure(vec: np.ndarray, dims: Dims) -> PureState:
         raise DimensionMismatchError(f"expected vector of length {dims.total}, got {vec.shape}")
     if not np.isfinite(vec).all():
         raise StateValidationError("vector has NaN or infinite entries")
-    sq_dev = abs(np.sum(vec * vec.conj()) - 1.0)
+    # sum |v|^2 whole, or at the power-of-two scale 2**-540 once an entry reaches _SQUARE_FROM, where no
+    # finite v overflows a square or the sum and the norm is past 2**500; scaled back in Python floats,
+    # an overflow reads inf
+    scale = 2.0**-540 if np.abs(vec.view(float)).max() >= _SQUARE_FROM else 1.0
+    w = vec * scale
+    sq_dev = abs(float(np.sum(np.square(w.real) + np.square(w.imag))) / scale / scale - 1.0)
     if sq_dev > TAU_TR:
         raise StateValidationError(f"squared norm deviates from 1 by {sq_dev:.3e}")
     vec.setflags(write=False)

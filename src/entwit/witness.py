@@ -27,13 +27,12 @@ Every per-subspace figure comes from one kernel over a stack of same-dims
 states.  It gathers the raw blocks of all subspace pairs of every state at
 once, solves them in one eigensolve of their 4x4 partial transposes
 (_nonlinear_columns) and one of their 3x3 real Gram matrices T^T T
-(_bell_maxima), and returns numpy columns shaped (states, pairs); a scan's
-bisection probe runs only the half its bracket reads.  A validated state is
-exactly Hermitian, so every gathered block is too.  rho.mat is read as
-stored: an exactly real state is gathered, compressed and solved in float64,
-which agrees with the complex solve to rounding.  The weight c of a
-pair and its empty rule c <= TAU_C are read from the diagonal of the state in
-one place (_weights); c divides the columns, never a block.
+(_bell_maxima), and returns numpy columns shaped (states, pairs).  A
+validated state is exactly Hermitian, so every gathered block is too.
+rho.mat is read as stored: an exactly real state is gathered, compressed and
+solved in float64, which agrees with the complex solve to rounding.  The
+weight c of a pair and its empty rule c <= TAU_C are read from the diagonal
+of the state in one place (_weights); c divides the columns, never a block.
 
 The bound reads only the raw lambda_min of each pair, and its entry point
 (_violations) gathers only the blocks that the purity certificate leaves
@@ -43,9 +42,14 @@ A rank-one state (DensityMatrix.vec) skips the kernel: _pure_violations
 reads each raw lambda_min as minus the modulus of a 2x2 minor of its
 coefficient matrix.
 Detection, the scan grid and the SubspaceReport rows read every lambda_min,
-so they solve every block.  Every block gather, of all pairs or of one,
-reads its block rows from _pair_rows, built once per dims, and every weight
-comes from _weights in the same order; one pair sits at its _pair_position.
+so they solve every block.  The scan grid's Bell column reads only each
+state's largest bell_max / c, so it solves the Gram matrices of only the
+pairs whose trace bound can reach it (_bell_ratios, _GRAM_MARGIN); a scan's
+bisection probe runs only the half its bracket reads, on the pairs its
+bracket keeps (cli._bracket_pairs).  Every block gather, of all pairs or of
+one, reads its block rows from _pair_rows, built once per dims, and every
+weight comes from _weights in the same order; one pair sits at its
+_pair_position.
 The detection rule lives beside TAU_DETECT: detect_entanglement and the CLI
 scan both test the differences _nonlinear_d and _bell_d against it.
 
@@ -321,6 +325,34 @@ def _bell_maxima(blk: np.ndarray, live: np.ndarray) -> np.ndarray:
     t = _correlations(blk)[..., 1:, 1:]
     ev = np.linalg.eigvalsh(np.swapaxes(t, -1, -2) @ t)
     return np.where(live, 2.0 * np.sqrt(np.maximum(ev[..., 1] + ev[..., 2], 0.0)), 0.0)
+
+
+# Gram bounds.  The smallest eigenvalue of T^T T is at most the geometric mean
+# |det T|^{2/3} of the three, so tr - |det T|^{2/3} <= s1^2 + s2^2 <= tr with
+# tr = tr(T^T T), and the lower bound is at least 2 tr / 3.  A pair whose
+# upper bound tr / c^2 falls below its state's best lower bound by this
+# relative margin, far above the rounding of either side, cannot hold the
+# state's largest bell_max / c.
+_GRAM_MARGIN = 1e-9
+
+
+def _bell_ratios(blk: np.ndarray, c: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """bell_max / c, (N, P), of the raw blocks (N, P, 4, 4) with weights c and
+    live mask (N, P); 0 on empty pairs.  Only the live pairs that can hold
+    their state's maximum (_GRAM_MARGIN) solve their Gram matrix, as
+    _bell_maxima does; every other live pair reads its upper bound
+    2 sqrt(tr / c^2), below that maximum, so each state's largest ratio is the
+    all-pairs one to the last bit."""
+    t = _correlations(blk)[..., 1:, 1:]
+    (a, b, e), (f, g, h), (i, j, k) = entries = np.ascontiguousarray(np.moveaxis(t, (-2, -1), (0, 1)))
+    det = a * (g * k - h * j) - b * (f * k - h * i) + e * (f * j - g * i)
+    c2 = np.square(np.where(live, c, 1.0))
+    upper = np.square(entries).sum(axis=(0, 1)) / c2
+    best = np.where(live, upper - np.cbrt(det * det) / c2, 0.0).max(axis=-1, keepdims=True)
+    solve = live & (upper >= best * (1.0 - _GRAM_MARGIN))
+    ratio = np.where(live, 2.0 * np.sqrt(upper), 0.0)
+    ratio[solve] = _bell_maxima(blk[solve], True) / c[solve]
+    return ratio
 
 
 def _reports(stack: np.ndarray, dims: Dims, i: int | None = None) -> _Columns:

@@ -31,10 +31,10 @@ from entwit.cli import (
     run_scan,
     scan_csv,
 )
-from entwit.cren import cren_lower_bound
-from entwit.qstate import Dims, _checked, to_json, validate_density
+from entwit.cren import _bound, cren_lower_bound
+from entwit.qstate import Dims, _checked, _negativities, to_json, validate_density
 from entwit.states import isotropic
-from entwit.witness import detect_entanglement
+from entwit.witness import _bell_d, _nonlinear_d, _reports, detect_entanglement
 
 
 def run_cli(capsys, argv):
@@ -575,8 +575,10 @@ class TestChunkedScan:
         assert [pt for chunk in chunks for pt in chunk] == result.points
         # the nonlinear onset x = 1/4 falls between the last point of chunk 0 and the first of chunk 1
         pts = result.points
+        # above the onset only the three pairs with alpha = beta violate, so the bracket keeps those
         assert crossings["nonlinear_d"] == (
-            pts[_CHUNK - 1].param, pts[_CHUNK].param, *[(pt.param, pt.nonlinear_d) for pt in pts[_CHUNK - 1 : _CHUNK + 3]]
+            pts[_CHUNK - 1].param, pts[_CHUNK].param, (0, 4, 8),
+            *[(pt.param, pt.nonlinear_d) for pt in pts[_CHUNK - 1 : _CHUNK + 3]],
         )
         assert crossings["nonlinear_d"][0] <= result.nonlinear.value <= crossings["nonlinear_d"][1]
         assert abs(result.nonlinear.value - 0.25) < 1e-5
@@ -650,17 +652,18 @@ class TestChunkedScan:
 
 def serial_bisect_threshold(cfg, base_seed, crossing, field):
     """Oracle: the serial bisection of one onset that the speculative rounds replaced,
-    one probe state per _probe_differences call (looked up on the module, so a spy sees it)."""
+    one probe state per _probe_differences call (looked up on the module, so a spy sees it),
+    each on the pairs the crossing keeps for its bracket."""
     if crossing is None or crossing[0] is None:
         # nothing violates, or everything does: no crossing inside the range
         return Threshold(None, "no threshold in range")
-    lo, hi = crossing[:2]
+    lo, hi, pairs = crossing[:3]
     # probe seeds continue past the grid indices so bisection stays
     # deterministic for random families too
     seed = base_seed + cfg.points
     # a bracket whose ends are adjacent floats has no midpoint between them and stops too
     while hi - lo > cfg.bisect_tol and lo < (mid := 0.5 * (lo + hi)) < hi:
-        if cli._probe_differences(cfg, [field], [mid], [seed])[0] > TAU_DETECT:
+        if cli._probe_differences(cfg, [field], [mid], [seed], {field: pairs})[0] > TAU_DETECT:
             hi = mid
         else:
             lo = mid
@@ -689,9 +692,9 @@ def probe_calls(monkeypatch, limit=1000):
     value, seed, difference); more than `limit` calls fail the test rather than run on."""
     calls = []
 
-    def spy(cfg, fields, values, seeds):
+    def spy(cfg, fields, values, seeds, pairs=None):
         assert len(calls) < limit, "the bisection does not end"
-        diffs = _probe_differences(cfg, fields, values, seeds)
+        diffs = _probe_differences(cfg, fields, values, seeds, pairs)
         calls.append(list(zip(fields, values, seeds, diffs)))
         return diffs
 
@@ -816,7 +819,7 @@ class TestLockstepBisection:
 
     def test_a_narrower_bracket_drops_out_of_later_rounds(self, monkeypatch):
         cfg = SweepConfig(bisect=True, **self.SCANS["isotropic_d3_7_points"])
-        crossings = {"nonlinear_d": (0.2, 0.3), "bell_d": (0.3, 0.9)}  # 10 steps and 13 steps, no grid samples
+        crossings = {"nonlinear_d": (0.2, 0.3, None), "bell_d": (0.3, 0.9, None)}  # 10 steps and 13 steps, no grid samples
         rounds, probes = assert_serial_decisions(cfg, 0, crossings)
         fields = [{field for field, *_ in call} for call in rounds]
         # without samples, a round takes one step of each bracket until two solved probes give a guess;
@@ -847,16 +850,21 @@ class TestLockstepBisection:
         assert len(rounds) <= 3 and len(probes) == 28
 
     @pytest.mark.parametrize(
-        "spec, crossings, solves, grams",
+        "spec, crossings, solves, grams, kept",
         [
-            (README_SCAN, None, 14, 14),
-            (SCANS["isotropic_d3_7_points"], {"nonlinear_d": (0.2, 0.3), "bell_d": (0.3, 0.9)}, 10, 13),
+            (README_SCAN, None, 14, 14, {"nonlinear_d": 2, "bell_d": 3}),
+            (
+                SCANS["isotropic_d3_7_points"], {"nonlinear_d": (0.2, 0.3, None), "bell_d": (0.3, 0.9, None)}, 10, 13,
+                {"nonlinear_d": 9, "bell_d": 9},
+            ),
         ],
         ids=["readme", "narrower_bracket"],
     )
-    def test_each_probe_solves_only_its_own_witness(self, monkeypatch, spec, crossings, solves, grams):
-        # per round, the nonlinear probes eigensolve their 9 partial transposes in one batch, the Bell
-        # probes the 9 Gram matrices of their correlation tables in another; no SVD, bound or negativity
+    def test_each_probe_solves_only_its_own_witness(self, monkeypatch, spec, crossings, solves, grams, kept):
+        # per round, the nonlinear probes eigensolve the partial transposes of their bracket's kept pairs in
+        # one batch, the Bell probes the Gram matrices of theirs in another; no SVD, bound or negativity.  The
+        # README scan keeps pairs 0 and 8 for its nonlinear onset and 0, 4 and 8 for its Bell onset; crossings
+        # given without their grid keep all 9
         cfg = SweepConfig(bisect=True, **spec)
         crossings = crossings or grid_crossings(cfg, 0)
         calls = {"eigvalsh": [], "svd": []}
@@ -875,7 +883,7 @@ class TestLockstepBisection:
         rounds = probe_calls(monkeypatch)
         _thresholds(cfg, 0, crossings)
         counts = [Counter(field for field, *_ in call) for call in rounds]
-        want = [(n[f], 9, side, side) for n in counts for f, side in (("nonlinear_d", 4), ("bell_d", 3)) if n[f]]
+        want = [(n[f], kept[f], side, side) for n in counts for f, side in (("nonlinear_d", 4), ("bell_d", 3)) if n[f]]
         assert sorted(calls["eigvalsh"]) == sorted(want) and calls["svd"] == []
         nonlinear, bell = (sum(n[f] for n in counts) for f in ("nonlinear_d", "bell_d"))
         assert solves <= nonlinear <= 3 * solves and grams <= bell <= 3 * grams
@@ -1072,6 +1080,145 @@ class TestAffineScan:
         assert built == values * 2
         monkeypatch.setattr(cli, "_validated_stacks", per_value_stacks)
         assert repr(got) == repr((_probe_differences(cfg, fields, values, [5] * 5), _scan_points(cfg, values, [5] * 5)))
+
+
+def oracle_rows(cfg, values, seeds):
+    """Oracle for _scan_points: the rows from every pair's kernel columns (witness._reports), each
+    state's Gram matrices all solved, built and validated as the scan builds them."""
+    rows = []
+    for dims, stack in cli._validated_stacks(cfg, values, seeds):
+        cols = _reports(stack, dims)
+        figures = (
+            _nonlinear_d(cols.nonlinear_max),
+            _bell_d(cols.bell_max, cols.c, cols.live),
+            _bound(cols.raw, dims, False),
+            _negativities(stack, dims),
+        )
+        rows += zip(*(f.tolist() for f in figures))
+    return [cli.ScanPoint(value, *row) for value, row in zip(values, rows)]
+
+
+def oracle_crossings(points):
+    """The first crossing of each detection difference in a list of rows, as (lo, hi, None): a
+    bracket whose probes solve every pair."""
+    crossings = {}
+    for prev, pt in zip([None, *points], points):
+        for field in ("nonlinear_d", "bell_d"):
+            if field not in crossings and getattr(pt, field) > TAU_DETECT:
+                crossings[field] = (None if prev is None else prev.param, pt.param, None)
+    return crossings
+
+
+def assert_all_pairs_scan(cfg, base_seed):
+    """run_scan gives the all-pairs oracle's rows bitwise and the thresholds of the serial bisection
+    that solves every pair.  Each of that bisection's probes is among the solved ones with its
+    decision: a violating probe with its difference, a non-violating one with at most it, the largest
+    over fewer pairs.  Returns the crossings of the scan's grid."""
+    values = _grid_values(cfg, 0, cfg.points)
+    oracle = oracle_rows(cfg, values, range(base_seed, base_seed + cfg.points))
+    with pytest.MonkeyPatch.context() as mp:
+        rounds = probe_calls(mp)
+        result = run_scan(cfg, base_seed)
+        solved = {(field, value, seed): d for call in rounds for field, value, seed, d in call}
+        rounds.clear()
+        serial = serial_thresholds(cfg, base_seed, oracle_crossings(oracle))
+    assert repr(result.points) == repr(oracle)
+    assert exact((result.nonlinear, result.bell)) == exact(serial)
+    for ((field, value, seed, d),) in rounds:
+        got = solved[field, value, seed]
+        assert got == d if d > TAU_DETECT else got <= d <= TAU_DETECT
+    return grid_crossings(cfg, base_seed)
+
+
+class TestPrunedSolves:
+    """The scan solves only the pairs that can set a figure it prints or a decision it takes: each
+    grid state the Gram matrices whose upper bound reaches the state's best lower bound
+    (witness._bell_ratios), and on a certified scan each probe the pairs its bracket keeps
+    (cli._bracket_pairs).  Its rows and thresholds are those of the all-pairs solve."""
+
+    AFFINE = {  # certified affine scans, (family, fixed, param): the domain of param
+        ("bennett_mix", (), "p"): (0.0, 1.0),
+        ("rho_a_mix", (("a", 0.2),), "p"): (0.0, 1.0),
+        ("rho_a_mix", (("a", 0.5),), "p"): (0.0, 1.0),
+        ("rho_a_mix", (("a", 0.9),), "p"): (0.0, 1.0),
+        ("isotropic", (("d", 3),), "x"): (-1.0 / 8.0, 1.0),
+        ("isotropic", (("d", 4),), "x"): (-1.0 / 15.0, 1.0),
+    }
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(AFFINE)), st.data())
+    def test_rows_and_decisions_are_the_all_pairs_ones(self, key, data):
+        low, high = self.AFFINE[key]
+        lo = data.draw(st.floats(low, 0.5 * (low + high)), "lo")
+        hi = data.draw(st.floats(0.5 * (low + high), high, exclude_min=True), "hi")
+        points = data.draw(st.integers(5, 60), "points")
+        tol = 10.0 ** -data.draw(st.integers(3, 9), "-log10 tol")
+        family, fixed, param = key
+        cfg = SweepConfig(family, dict(fixed), param, lo, hi, points, bisect=True, bisect_tol=tol)
+        assert cfg.certified_dims is not None
+        assert_all_pairs_scan(cfg, 3)
+
+    def test_readme_scan_solves_324_gram_matrices_and_2_or_3_pairs_per_probe(self, monkeypatch):
+        cfg = SweepConfig(bisect=True, **README_SCAN)
+        crossings = assert_all_pairs_scan(cfg, 0)
+        assert {f: crossing[2] for f, crossing in crossings.items()} == {"nonlinear_d": (0, 8), "bell_d": (0, 4, 8)}
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: shapes.append(np.shape(a)) or eigvalsh(a, *args))
+        for _ in _scan_chunks(cfg, 0, {}):
+            pass
+        # 100 grid states: 900 partial transposes, and 3.24 Gram matrices per state in place of 9
+        assert sum(np.prod(shape[:-2]) for shape in shapes if shape[-2:] == (4, 4)) == 900
+        assert sum(np.prod(shape[:-2]) for shape in shapes if shape[-2:] == (3, 3)) == 324
+
+    def test_a_bracket_keeps_the_maximal_pair_of_either_end(self):
+        # on p in [0.5, 0.8] the largest bell_max / c is pair 0's at p = 0.5 and pair 4's at p = 0.8;
+        # pair 0 crosses first and sets the onset
+        cfg = SweepConfig("bennett_mix", {}, "p", 0.5, 0.8, 2, bisect=True, bisect_tol=1e-9)
+        reach = []
+        _scan_points(cfg, [0.5, 0.8], [0, 1], reach)
+        assert [int(np.argmax(r[1])) for r in reach] == [0, 4]
+        assert cli._bracket_pairs(cfg, reach[0][1], reach[1][1]) == (0, 4, 8)
+        crossings = assert_all_pairs_scan(cfg, 0)
+        assert crossings["bell_d"][2] == (0, 4, 8)
+        assert abs(run_scan(cfg).bell.value - 0.57603) < 1e-5
+
+    def test_a_pair_live_at_one_end_only_is_kept(self, monkeypatch):
+        # (1 - p) |00><00| + p P_+ on two qutrits: at p = 0 only the pairs with 0 in alpha and in beta
+        # (0, 1, 3 and 4) carry weight; pairs 2, 5, 6 and 7 are live at the bracket's upper end only,
+        # where they do not violate, and stay, with 0, 4 and 8, which do; 1 and 3 are quiet at both
+        product = np.zeros((9, 9))
+        product[0, 0] = 1.0
+        pplus = states._qutrit_pplus().mat
+
+        def make(p):
+            return (1.0 - p) * product + p * pplus, Dims(3, 3)
+
+        monkeypatch.setitem(states._FAMILIES, "product_mix", (("p",), make, "p"))
+        cfg = SweepConfig("product_mix", {}, "p", 0.0, 0.5, 6, bisect=True, bisect_tol=1e-6)
+        assert cfg.certified_dims == Dims(3, 3)
+        crossings = assert_all_pairs_scan(cfg, 0)
+        assert crossings["nonlinear_d"][:3] == (0.0, 0.1, (0, 2, 4, 5, 6, 7, 8))
+
+    @pytest.mark.parametrize("spec", [README_SCAN, dict(family="rho_a_mix", fixed={"p": 0.3}, param_name="a",
+                                                         lo=0.05, hi=0.95, points=100)], ids=["readme", "rho_a_mix_over_a"])
+    def test_a_scan_validated_state_by_state_solves_every_pair(self, monkeypatch, spec):
+        # rho_a_mix is not affine in a, so its scan builds and validates each state on its own and its
+        # brackets keep all 9 pairs; so does the README scan once its range ends cannot certify it
+        monkeypatch.setattr(cli, "_CERT_MARGIN", -1.0)
+        cfg = SweepConfig(bisect=True, **spec)
+        assert cfg.certified_dims is None
+        reach = []
+        _scan_points(cfg, _grid_values(cfg, 0, 2), [0, 1], reach)
+        assert cli._bracket_pairs(cfg, *(r[1] for r in reach)) is None
+        crossings = grid_crossings(cfg, 0)
+        assert all(crossing[2] is None for crossing in crossings.values())
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: shapes.append(np.shape(a)) or eigvalsh(a, *args))
+        # rho_a_mix's differences fall with a, so it bisects an onset given by hand
+        _thresholds(cfg, 0, crossings if spec is README_SCAN else {"bell_d": (0.5, 0.6, None)})
+        assert shapes and all(shape[1] == 9 for shape in shapes)
 
 
 def with_fault(mat, kind):

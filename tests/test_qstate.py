@@ -93,6 +93,21 @@ class TestValidateDensity:
         with pytest.raises(error, match=message):
             validate_density(mat, Dims(2, 2))
 
+    @pytest.mark.parametrize(
+        "vec, message",
+        [
+            ([1e200, 0.0, 0.0, 0.0], "inf"),
+            ([1.7e308 + 1.7e308j, 0.0, 0.0, -1.7e308], "inf"),
+            # at and below 2**500 the squares are summed whole; above it at a smaller scale, to the same value
+            ([1e150, 0.0, 0.0, 0.0], "1.000e[+]300"),
+            ([0.0, 1e151, 0.0, 0.0], "1.000e[+]302"),
+        ],
+    )
+    def test_huge_finite_vector_entries_fail_the_norm_check_without_overflow(self, vec, message):
+        # pytest turns RuntimeWarning into an error, so an overflow on the way would fail here
+        with pytest.raises(StateValidationError, match=f"squared norm deviates from 1 by {message}"):
+            validate_pure(vec, Dims(2, 2))
+
     def test_small_dims_rejected(self):
         with pytest.raises(DimensionMismatchError):
             Dims(1, 3)

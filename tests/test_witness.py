@@ -45,12 +45,16 @@ from entwit.witness import (
     WitnessSettings,
     _PURITY_CERT,
     _Columns,
+    _bell_d,
     _bell_fg,
+    _bell_ratios,
+    _blocks,
     _nonlinear_fg,
     _pair_position,
     _pair_rows,
     _reports,
     _violations,
+    _weights,
     bell_max,
     bell_value,
     best_report,
@@ -562,6 +566,27 @@ class TestKernel:
         if with_empty:
             assert not stacked.live[1].all() and stacked.live[0].all()
             assert np.all(stacked.bell_max[1][~stacked.live[1]] == 0.0)
+
+
+    @pytest.mark.parametrize("m, n, with_empty", [(3, 3, False), (4, 4, False), (3, 5, False), (3, 4, True)])
+    def test_bell_ratios_solve_only_the_pairs_that_can_hold_the_maximum(self, m, n, with_empty):
+        # the largest bell_max / c of each state is the all-pairs one to the last bit; a solved pair
+        # reads its own ratio bitwise, a skipped one an upper bound below its state's maximum
+        rng = np.random.default_rng(5 * m + n)
+        states = [rand_density(rng, m, n, rank) for rank in (1, 2, m * n)] + [isotropic(m, 0.4)] * (m == n)
+        if with_empty:  # supported on |00>, |01>, |12>: most subspaces are empty
+            keep = np.isin(np.arange(m * n), [0, 1, n + 2])
+            mat = rand_density(rng, m, n).mat * np.outer(keep, keep)
+            states.append(validate_density(mat / np.trace(mat).real, Dims(m, n)))
+        stack, dims = np.stack([rho.mat for rho in states]), Dims(m, n)
+        cols = _reports(stack, dims)
+        c, live = _weights(stack, dims)
+        ratio = _bell_ratios(_blocks(stack, _pair_rows(dims)), c, live)
+        exact = np.divide(cols.bell_max, c, out=np.zeros_like(c), where=live)
+        assert np.array_equal(ratio.max(axis=1) - 2.0, _bell_d(cols.bell_max, c, live))
+        solved, top = ratio == exact, np.broadcast_to(ratio.max(axis=1, keepdims=True), ratio.shape)
+        assert np.all(ratio[~solved] >= exact[~solved] * (1.0 - 1e-12)) and np.all(ratio[~solved] < top[~solved])
+        assert np.all(ratio[~live] == 0.0) and solved.sum() < live.sum()
 
 
 def unit_trace_hermitian(rng, spectrum):
