@@ -56,9 +56,10 @@ scan both test the differences _nonlinear_d and _bell_d against it.
 Measurement settings come from a separate numeric search (optimize_settings):
 a multi-start BFGS ascent with analytic gradients over rotation frames, each
 step a body-frame rotation exp([w]x) in a chart re-centred at every accepted
-point (_turn, _ascend).  It reads only the correlation table of a block,
-never lambda_min or the Gram eigenvalues, so its agreement with the closed
-forms is an independent check.
+point (_turn, _ascend); every line search starts from a turn of at most
+_MAX_TURN radians, and a restart leaves the batch when it stops.  It reads
+only the correlation table of a block, never lambda_min or the Gram
+eigenvalues, so its agreement with the closed forms is an independent check.
 """
 
 from __future__ import annotations
@@ -578,6 +579,11 @@ def best_report(reports: list[SubspaceReport]) -> SubspaceReport:
 
 _GRAD_TOL = 1e-10  # max-norm of the gradient at which a restart has converged
 _ARMIJO = 1e-4  # sufficient-increase constant of the backtracking line search
+# max-norm of the first trial step of a line search, in radians of the chart: a turn past pi is an
+# alias, and uncapped quasi-Newton steps of 8-1800 rad were halved until one passed.  Objective
+# passes per optimizer-benchmark op by cap: 0.25: 54.2, 0.35: 50.6, 0.5: 49.4, 0.75: 49.5, 1: 49.9,
+# 1.5: 51.0, 3: 52.8, none: 55.7 (mean of seeds 1 and 7); 0.5 sits on a flat stretch, not a sharp minimum
+_MAX_TURN = 0.5
 
 # axial vector (q21 - q12, q02 - q20, q10 - q01) of a 3x3 q as q.reshape(9) @ _AXIAL: entry (3i + j, k) is
 # -eps_ijk; the same Levi-Civita table transposed flattens the cross-product matrix, [w]x = w @ _AXIAL.T
@@ -656,28 +662,31 @@ def _ascend(fg, base: np.ndarray, n: int, step_tol: float, max_evals: int):
     fg(step, base) maps steps (R, n) in the chart at base (R, ...) to values
     (R,), gradients (R, n) in the chart at the trial points, and the trial
     points; a zero step reads base itself.  Each pass evaluates fg once at
-    every row's trial point; a row that fails the Armijo test halves its
-    step, a row that passes moves its base to the trial point, updates its
-    inverse Hessian, which carries over to the new chart unchanged, and
-    steps from 0 again.  A row stops when its gradient (max-norm) falls
-    below _GRAD_TOL, its accepted step below step_tol, or its line search
-    stalls below step_tol.  max_evals caps the passes, the one at the
-    starts included.  A pass selects each row's update by np.where over the
-    whole batch, not by indexing.  Returns the final points and values.
+    every running row's trial point; a row that fails the Armijo test halves
+    its step, a row that passes moves its base to the trial point, updates
+    its inverse Hessian, which carries over to the new chart unchanged, and
+    starts a new line search from the quasi-Newton step scaled to a
+    max-norm of at most _MAX_TURN.  A row stops when its gradient (max-norm)
+    falls below _GRAD_TOL, its accepted step below step_tol, or its line
+    search stalls below step_tol; it then writes its point and value to the
+    output and leaves the batch, so no row's path depends on the others.
+    max_evals caps the passes, the one at the starts included.  Returns the
+    final points and values.
     """
-    f, g, base = fg(np.zeros((len(base), n)), base)
+    values, g, points = fg(np.zeros((len(base), n)), base)
     evals = 1
-    hinv = np.tile(np.eye(n), (len(base), 1, 1))  # inverse Hessian of -f
-    p, step = g, np.ones(len(base))
-    active = np.abs(g).max(axis=1) > _GRAD_TOL
-    while active.any() and evals < max_evals:
+    rows = np.flatnonzero(np.maximum.reduce(np.abs(g), axis=1) > _GRAD_TOL)  # the rows still climbing
+    base, f, g = points[rows], values[rows], g[rows]
+    hinv = np.tile(np.eye(n), (len(rows), 1, 1))  # inverse Hessian of -f
+    p, step = g, _MAX_TURN / np.maximum(np.maximum.reduce(np.abs(g), axis=1), _MAX_TURN)
+    while len(rows) and evals < max_evals:
         sx = step[:, None] * p
         ft, gt, trial = fg(sx, base)
         evals += 1
-        ok = active & (ft >= f + _ARMIJO * (sx * g).sum(axis=1))
-        size = np.abs(sx).max(axis=1)
-        stop = 0.5 * size < step_tol  # a failing row halves its step: its line search stalls
-        if ok.any():
+        ok = ft >= f + _ARMIJO * np.add.reduce(sx * g, axis=1)
+        size = np.maximum.reduce(np.abs(sx), axis=1)
+        passed = np.count_nonzero(ok)
+        if passed:
             y = (g - gt)[:, :, None]
             sy = sx[:, None, :] @ y  # (R, 1, 1)
             # update the rows that passed where the curvature condition holds:
@@ -688,14 +697,28 @@ def _ascend(fg, base: np.ndarray, n: int, step_tol: float, max_evals: int):
             w = (0.5 + 0.5 * (y.transpose(0, 2, 1) @ hy) * inv_sy) * sx[:, :, None] - hy
             wu = w @ (inv_sy * sx[:, None, :])  # an outer product, so u w^T is exactly its transpose
             hinv += wu + wu.transpose(0, 2, 1)
-            keep = ok[:, None]
-            base = np.where(ok.reshape((-1,) + (1,) * (base.ndim - 1)), trial, base)
-            f, g = np.where(ok, ft, f), np.where(keep, gt, g)
-            p = np.where(keep, (hinv @ g[:, :, None])[:, :, 0], p)
-            stop = np.where(ok, (size < step_tol) | (np.abs(g).max(axis=1) <= _GRAD_TOL), stop)
-        active &= ~stop
-        step = np.where(ok, 1.0, 0.5 * step)
-    return base, f
+            every = passed == len(rows)  # select per row only where some row failed
+            if not every:
+                keep = ok[:, None]
+                trial = np.where(ok.reshape((-1,) + (1,) * (base.ndim - 1)), trial, base)
+                ft, gt = np.where(ok, ft, f), np.where(keep, gt, g)
+            base, f, g = trial, ft, gt
+            q = (hinv @ g[:, :, None])[:, :, 0]
+            turn = _MAX_TURN / np.maximum(np.maximum.reduce(np.abs(q), axis=1), _MAX_TURN)
+            done = (size < step_tol) | (np.maximum.reduce(np.abs(g), axis=1) <= _GRAD_TOL)
+            if every:
+                p, step, stop = q, turn, done
+            else:
+                p, step = np.where(keep, q, p), np.where(ok, turn, 0.5 * step)
+                stop = np.where(ok, done, 0.5 * size < step_tol)
+        else:
+            step, stop = 0.5 * step, 0.5 * size < step_tol  # a failing row halves its step: its line search stalls
+        if np.count_nonzero(stop):
+            points[rows[stop]], values[rows[stop]] = base[stop], f[stop]
+            run = ~stop
+            rows, base, f, g, p, step, hinv = rows[run], base[run], f[run], g[run], p[run], step[run], hinv[run]
+    points[rows], values[rows] = base, f
+    return points, values
 
 
 def optimize_settings(

@@ -7,6 +7,7 @@ compressed state.  Everything else (closed forms, optimizer, detection)
 leans on that equivalence.
 """
 
+import itertools
 import json
 import math
 from unittest import mock
@@ -35,7 +36,7 @@ from entwit.qstate import (
     partial_transpose_mat,
     validate_density,
 )
-from entwit.states import bennett_rho, example1_mixture, rho_a
+from entwit.states import bennett_rho, example1_mixture, random_density, rho_a
 from entwit.witness import (
     BellSettings,
     CSV_HEADER,
@@ -904,6 +905,51 @@ class TestOptimizer:
                 worst = max(worst, abs(f_new.max() - f_old.max()))
         assert worst < 1e-9
         assert calls["chart"] <= 0.85 * calls["oracle"], calls
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(["nonlinear", "bell"]), st.integers(2, 8), st.integers(0, 2**32 - 1))
+    def test_each_row_climbs_as_it_would_alone(self, kind, starts, seed):
+        """A restart leaves the batch when it stops, and no row's path depends on
+        the others: each row of a batched climb is bitwise that row climbed alone."""
+        rng = np.random.default_rng(seed)
+        fg, _, nang, frames = self.objectives(kind, rng)
+        base = frames(rng.uniform(0.0, 2.0 * np.pi, (starts, nang)))
+        points, values = witness._ascend(fg, base, nang, 1e-5, 2000)
+        for i in range(starts):
+            point, value = witness._ascend(fg, base[i : i + 1], nang, 1e-5, 2000)
+            assert np.array_equal(point[0], points[i]) and value[0] == values[i], i
+
+    C8_CFG = OptimizerConfig(restarts=4, seed=808, step_tol=1e-5)
+
+    @staticmethod
+    def search_steps(rho, cfg):
+        """Every step optimize_settings passes to the objective, over the 9 pairs
+        of a 3x3 state and both kinds."""
+        pairs = [p for p, _ in so_generators(3)]
+        steps = []
+        for kind, name in (("nonlinear", "_nonlinear_fg"), ("bell", "_bell_fg")):
+            with mock.patch.object(witness, name, wraps=getattr(witness, name)) as spy:
+                for alpha, beta in itertools.product(pairs, pairs):
+                    optimize_settings(rho, alpha, beta, kind, cfg)
+            steps += [call.args[0] for call in spy.call_args_list]
+        return steps
+
+    def test_no_trial_step_turns_past_the_cap(self):
+        """Every line search starts from a step of max-norm at most _MAX_TURN and
+        only halves it.  On the optimizer benchmark's first three states
+        (default_rng(0)), uncapped quasi-Newton steps reached 17-197 rad."""
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            turn = max(np.abs(step).max() for step in self.search_steps(rand_density(rng, 3, 3), self.C8_CFG))
+            assert 0.0 < turn <= witness._MAX_TURN, turn
+
+    def test_passes_over_c8_states_fall_with_the_cap(self):
+        """Objective passes over the first 4 of C8's states x 9 pairs x both kinds, at
+        C8's config.  The parent commit 234d2be, whose line searches started from
+        the uncapped quasi-Newton step, made 2078; the cap must save at least 5%."""
+        rhos = [random_density(Dims(3, 3), 9, seed=80800 + trial) for trial in range(4)]
+        passes = sum(len(self.search_steps(rho, self.C8_CFG)) for rho in rhos)
+        assert passes <= 0.95 * 2078, passes
 
     def test_search_reaches_the_closed_form_where_the_angle_chart_stalled(self):
         """State 17 of the optimizer benchmark's cycle (default_rng(0)), pair
