@@ -71,7 +71,6 @@ from .witness import (
     _nonlinear_d,
     _pair_rows,
     _pure_violations,
-    _reports,
     _violations,
     _weights,
     subspace_reports,
@@ -131,7 +130,8 @@ def cren_lower_bound(rho: DensityMatrix, literal_min: bool = False) -> CrenBound
     """
     stack = rho.mat[None]
     if literal_min:
-        raw = _reports(stack, rho.dims).raw
+        c, live = _weights(stack, rho.dims)
+        raw = _nonlinear_columns(_blocks(stack, _pair_rows(rho.dims)), c, live)[0]
     elif rho.vec is not None:
         raw = _pure_violations(rho)
     else:

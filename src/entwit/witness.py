@@ -57,9 +57,12 @@ Measurement settings come from a separate numeric search (optimize_settings):
 a multi-start BFGS ascent with analytic gradients over rotation frames, each
 step a body-frame rotation exp([w]x) in a chart re-centred at every accepted
 point (_turn, _ascend); every line search starts from a turn of at most
-_MAX_TURN radians, and a restart leaves the batch when it stops.  It reads
-only the correlation table of a block, never lambda_min or the Gram
-eigenvalues, so its agreement with the closed forms is an independent check.
+_MAX_TURN radians, the full _MAX_TURN after a step along which the objective
+curved up, and a restart leaves the batch when it stops.  The Bell search
+climbs over B's two directions only: for fixed b1, b2 the best a1, a2 are
+the unit vectors of T(b1 +- b2), in closed form (_bell_fg).  It reads only
+the correlation table of a block, never lambda_min or the Gram eigenvalues,
+so its agreement with the closed forms is an independent check.
 """
 
 from __future__ import annotations
@@ -581,8 +584,8 @@ _GRAD_TOL = 1e-10  # max-norm of the gradient at which a restart has converged
 _ARMIJO = 1e-4  # sufficient-increase constant of the backtracking line search
 # max-norm of the first trial step of a line search, in radians of the chart: a turn past pi is an
 # alias, and uncapped quasi-Newton steps of 8-1800 rad were halved until one passed.  Objective
-# passes per optimizer-benchmark op by cap: 0.25: 54.2, 0.35: 50.6, 0.5: 49.4, 0.75: 49.5, 1: 49.9,
-# 1.5: 51.0, 3: 52.8, none: 55.7 (mean of seeds 1 and 7); 0.5 sits on a flat stretch, not a sharp minimum
+# passes per optimizer-benchmark op by cap: 0.25: 43.5, 0.35: 40.0, 0.5: 39.0, 0.75: 39.1, 1: 39.5,
+# 1.5: 40.6, 3: 43.5 (mean of seeds 1 and 7); 0.5 sits on a flat stretch, not a sharp minimum
 _MAX_TURN = 0.5
 
 # axial vector (q21 - q12, q02 - q20, q10 - q01) of a 3x3 q as q.reshape(9) @ _AXIAL: entry (3i + j, k) is
@@ -593,6 +596,7 @@ _EYE9 = np.eye(3).reshape(9)
 _FIRST_TWO = np.eye(2, 3)  # pads a step about the first two body axes to a rotation vector
 _QUARTER = np.array([[0.0, -1.0], [1.0, 0.0]])  # (d0, d1) @ _QUARTER = (d1, -d0)
 _PLUS_MINUS = np.array([[1.0, 1.0], [1.0, -1.0]])
+_E_Z = np.array([0.0, 0.0, 1.0])  # A's direction where T(b1 +- b2) = 0, so that every unit vector gives the same value
 
 
 def _turn(w: np.ndarray, frames: np.ndarray) -> np.ndarray:
@@ -636,23 +640,34 @@ def _nonlinear_fg(step: np.ndarray, base: np.ndarray, tables: np.ndarray, rs: np
     return h - ab[:, 2], grad.reshape(step.shape), rot
 
 
-def _bell_fg(step: np.ndarray, base: np.ndarray, tables: np.ndarray):
-    """|CHSH| of rho_ab at the frames exp([w]x) base, its body-frame gradient
-    there, and those frames.
+def _bell_sides(b: np.ndarray, t: np.ndarray):
+    """Norms (..., 2) and unit vectors (..., 2, 3) of x = T(b1 + b2) and
+    y = T(b1 - b2) for directions b (..., 2, 3) as rows; a zero vector's unit
+    vector reads 0."""
+    xy = (_PLUS_MINUS @ b) @ t.T
+    norm = np.sqrt((xy * xy).sum(axis=-1))
+    return norm, xy / np.where(norm > 0.0, norm, 1.0)[..., None]
 
-    base (R, 4, 3, 3) holds four frames whose third rows are the directions
-    a1, a2, b1, b2; step (R, 8) turns each frame about its first two body
-    axes only, which move the third row.  tables is (T, T^T) for the
-    correlation matrix T of rho_ab.  A frame f with direction gradient d
-    has G = e_3 d^T, so its gradient axial(G f^T) is (d . f_1, -d . f_0).
+
+def _bell_fg(step: np.ndarray, base: np.ndarray, t: np.ndarray):
+    """|CHSH| of rho_ab maximized over a1 and a2 at the frames exp([w]x) base,
+    its body-frame gradient there, and those frames.
+
+    base (R, 2, 3, 3) holds two frames whose third rows are the directions b1
+    and b2; step (R, 4) turns each frame about its first two body axes only,
+    which move the third row.  t is the correlation matrix T of rho_ab.  For
+    fixed b the CHSH value a1^T x + a2^T y, x = T(b1 + b2), y = T(b1 - b2), is
+    at most |x| + |y| over unit a1, a2 (Cauchy-Schwarz), reached at a1 = x/|x|
+    and a2 = y/|y|.  That maximum has direction gradients T^T (x/|x| +- y/|y|);
+    a frame f with direction gradient d has G = e_3 d^T, so its gradient
+    axial(G f^T) is (d . f_1, -d . f_0).  Where x or y is 0 its unit vector
+    reads 0, a subgradient.
     """
-    rot = _turn(step.reshape(-1, 4, 2) @ _FIRST_TWO, base)
-    v = rot[:, :, 2]  # (R, 4, 3): a1, a2, b1, b2
-    m = (_PLUS_MINUS @ v.reshape(-1, 2, 2, 3)) @ tables  # rows (a1 +- a2)^T T, (T (b1 +- b2))^T
-    val = (v[:, :2] * m[:, 1]).sum(axis=(1, 2))
-    dv = m[:, ::-1].reshape(-1, 4, 3) * np.sign(val)[:, None, None]
-    d = (rot[:, :, :2] @ dv[..., None])[..., 0]  # (R, 4, 2): d . f_0, d . f_1
-    return np.abs(val), (d @ _QUARTER).reshape(step.shape), rot
+    rot = _turn(step.reshape(-1, 2, 2) @ _FIRST_TWO, base)
+    norm, unit = _bell_sides(rot[:, :, 2], t)
+    dv = (_PLUS_MINUS @ unit) @ t  # rows T^T (x/|x| + y/|y|), T^T (x/|x| - y/|y|)
+    d = (rot[:, :, :2] @ dv[..., None])[..., 0]  # (R, 2, 2): d . f_0, d . f_1
+    return norm[:, 0] + norm[:, 1], (d @ _QUARTER).reshape(step.shape), rot
 
 
 def _ascend(fg, base: np.ndarray, n: int, step_tol: float, max_evals: int):
@@ -666,10 +681,12 @@ def _ascend(fg, base: np.ndarray, n: int, step_tol: float, max_evals: int):
     its step, a row that passes moves its base to the trial point, updates
     its inverse Hessian, which carries over to the new chart unchanged, and
     starts a new line search from the quasi-Newton step scaled to a
-    max-norm of at most _MAX_TURN.  A row stops when its gradient (max-norm)
-    falls below _GRAD_TOL, its accepted step below step_tol, or its line
-    search stalls below step_tol; it then writes its point and value to the
-    output and leaves the batch, so no row's path depends on the others.
+    max-norm of at most _MAX_TURN, or of exactly _MAX_TURN when f curved up
+    along the accepted step (s.y <= 0, so no update).  A row stops when its
+    gradient (max-norm) falls below _GRAD_TOL, its accepted step below
+    step_tol, or its line search stalls below step_tol; it then writes its
+    point and value to the output and leaves the batch, so no row's path
+    depends on the others.
     max_evals caps the passes, the one at the starts included.  Returns the
     final points and values.
     """
@@ -704,7 +721,11 @@ def _ascend(fg, base: np.ndarray, n: int, step_tol: float, max_evals: int):
                 ft, gt = np.where(ok, ft, f), np.where(keep, gt, g)
             base, f, g = trial, ft, gt
             q = (hinv @ g[:, :, None])[:, :, 0]
-            turn = _MAX_TURN / np.maximum(np.maximum.reduce(np.abs(q), axis=1), _MAX_TURN)
+            # along a step where f curved up (sy <= 0) the update is skipped, so q holds no curvature there
+            # and would crawl off a saddle by gradient steps (one Bell restart took 769 passes): the next
+            # line search starts from the full _MAX_TURN
+            floor = np.where(sy[:, 0, 0] > 0.0, _MAX_TURN, 1e-300)
+            turn = _MAX_TURN / np.maximum(np.maximum.reduce(np.abs(q), axis=1), floor)
             done = (size < step_tol) | (np.maximum.reduce(np.abs(g), axis=1) <= _GRAD_TOL)
             if every:
                 p, step, stop = q, turn, done
@@ -731,17 +752,19 @@ def optimize_settings(
     """Multi-start quasi-Newton search over measurement settings.
 
     kind="nonlinear" maximizes the normalized witness over two same-handed
-    triads (two rotation frames) and returns (WitnessSettings, value);
-    kind="bell" maximizes |bell_value| over four independent directions, the
-    third rows of four frames, and returns (BellSettings, value).  The
-    starts are angles drawn uniformly from default_rng(cfg.seed): ZYZ angles
-    per triad (rotation_zyz), spherical angles (theta, phi) per direction,
-    whose frame has rows e_theta, e_phi and the direction.  All restarts
-    climb together by BFGS with analytic gradients in body-frame rotation
-    steps, re-centred at every accepted point (see _ascend), so no chart
-    pole slows a restart down.  The search reads only the correlation table
-    of the compressed block, never the closed forms.  Deterministic for a
-    fixed cfg.
+    triads (two rotation frames) and returns (WitnessSettings, value).
+    kind="bell" maximizes |bell_value| and returns (BellSettings, value): it
+    climbs over B's two directions b1 and b2, the third rows of two frames,
+    and sets A's in closed form, a1 = T(b1 + b2)/|T(b1 + b2)| and
+    a2 = T(b1 - b2)/|T(b1 - b2)| (see _bell_fg), or e_z where that vector
+    is 0.  The starts are angles drawn uniformly from default_rng(cfg.seed):
+    ZYZ angles per triad (rotation_zyz), spherical angles (theta, phi) per
+    direction, whose frame has rows e_theta, e_phi and the direction.  All
+    restarts climb together by BFGS with analytic gradients in body-frame
+    rotation steps, re-centred at every accepted point (see _ascend), so no
+    chart pole slows a restart down.  The search reads only the correlation
+    table of the compressed block, never the closed forms of the maxima.
+    Deterministic for a fixed cfg.
     """
     if kind not in ("nonlinear", "bell"):
         raise ValueError(f"unknown witness kind {kind!r}")
@@ -750,24 +773,27 @@ def optimize_settings(
         raise ValueError("empty subspace: c <= TAU_C")
     corr = _correlations(rho_ab)
     t, r, s = corr[1:, 1:], corr[1:, 0], corr[0, 1:]
-    rng, tables = np.random.default_rng(cfg.seed), np.stack([t, t.T])
+    rng = np.random.default_rng(cfg.seed)
     if kind == "nonlinear":
         ang = rng.uniform(0.0, 2.0 * np.pi, (cfg.restarts, 2, 3))
         frames = rotation_zyz(ang[..., 0], ang[..., 1], ang[..., 2])
-        rs = np.stack([r, s])
+        tables, rs = np.stack([t, t.T]), np.stack([r, s])
         fg, n = (lambda w, base: _nonlinear_fg(w, base, tables, rs)), 6
     else:
-        ang = rng.uniform(0.0, 2.0 * np.pi, (cfg.restarts, 4, 2))
+        ang = rng.uniform(0.0, 2.0 * np.pi, (cfg.restarts, 2, 2))
         # (Rz(phi) Ry(theta))^T has third row (sin theta cos phi, sin theta sin phi, cos theta)
         frames = np.swapaxes(rotation_zyz(ang[..., 1], ang[..., 0], 0.0), -1, -2)
-        fg, n = (lambda w, base: _bell_fg(w, base, tables)), 8
+        fg, n = (lambda w, base: _bell_fg(w, base, t)), 4
 
     frames, f = _ascend(fg, frames, n, cfg.step_tol, cfg.max_evals)
     best = frames[int(np.argmax(f))]
     if kind == "nonlinear":
         return WitnessSettings(alpha, beta, *(triad_from_rotation(rot) for rot in best)), float(f.max())
+    b = best[:, 2]
+    norm, unit = _bell_sides(b, t)
+    a = np.where(norm[:, None] > 0.0, unit, _E_Z)
     # the search runs on rho_ab; bell_value on rho carries the weight c
-    return BellSettings(alpha, beta, *best[:, 2]), float(c * f.max())
+    return BellSettings(alpha, beta, a[0], a[1], b[0], b[1]), float(c * f.max())
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -482,6 +483,16 @@ class TestPureExactness:
         assert abs(pure_negativity(max_entangled(2)) - 1.0) < 1e-12
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: off Schmidt form the all-pairs sum exceeds CREN; random_pure d=4, seed 0 reads 1.7803",
+)
+def test_bound_is_at_most_cren_on_a_pure_state_off_schmidt_form():
+    """CREN of a pure state is its negativity, 0.6668 here; a lower bound may not exceed it."""
+    rep = cren_lower_bound(random_pure(Dims(4, 4), 0).projector())
+    assert rep.bound <= rep.negativity + 1e-12
+
+
 class TestPptNullResult:
     def test_ppt_states_get_no_positive_bound(self):
         # PPT survives compression, so every subspace violation is zero and
@@ -569,6 +580,18 @@ class TestLiteralMinVariant:
                 cren_lower_bound(rho, literal_min=True).bound
                 <= cren_lower_bound(rho).bound + 1e-12
             )
+
+    def test_solves_no_gram_matrix(self):
+        """The literal bound reads only the raw lambda_min of every pair: one
+        eigensolve of the 4x4 partial transposes, no CHSH Gram matrix."""
+        rho = random_density(Dims(3, 4), 6, seed=3)
+        with mock.patch.object(witness, "_bell_maxima", wraps=witness._bell_maxima) as gram, \
+                mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eig:
+            bound = cren_lower_bound(rho, literal_min=True).bound
+        assert gram.call_count == 0
+        shapes = [call.args[0].shape[-2:] for call in eig.call_args_list]  # the negativity solves its own
+        assert shapes.count((4, 4)) == 1 and (3, 3) not in shapes
+        assert repr(bound) == repr(float(_bound(_reports(rho.mat[None], rho.dims).raw, rho.dims, True)[0]))
 
 
 class TestJsonReport:
