@@ -409,7 +409,8 @@ def _parse_json(text: str) -> tuple[np.ndarray, Dims]:
         re, im = np.asarray(doc["re"], dtype=float), np.asarray(doc["im"], dtype=float)
         if re.ndim != 2 or re.shape != im.shape:  # never broadcast one part against the other
             raise ValueError(f"re {re.shape} and im {im.shape} must be matrices of one shape")
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError: not JSON, a ragged matrix or the shapes
+    # ValueError: not JSON, a ragged matrix or the shapes; RecursionError: nesting deeper than the decoder's stack
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise StateValidationError(f"malformed state document: {exc}") from exc
     if not (isinstance(dims, list) and len(dims) == 2
             and all(type(v) is int or type(v) is float and v.is_integer() for v in dims)):

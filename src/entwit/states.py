@@ -19,7 +19,8 @@ is a family plus a parameter dict (as from CLI flags or a JSON spec), checked
 against the table; it gives the raw matrix or stack (matrix, whose stacks
 the scan takes unchecked once its two range ends certify them) or the state
 validated on its own (build, as the scan builds every other value).
-The CLI takes its --family choices and flag rule from the table.  P_+ is
+The CLI and the scan take their --family choices and flag rule from the
+table (_family_spec, with the flags of _STATE_FLAGS).  P_+ is
 built in one place, _isotropic, in float64: the max_entangled family is its
 x = 1 case, and the mixtures share that state validated once (_qutrit_pplus).
 """
@@ -262,3 +263,34 @@ class StateSpec:
     def build(self) -> DensityMatrix:
         """The validated state."""
         return validate_density(*self.matrix())
+
+
+_BUILD_ERRORS = (ValueError, OSError, MemoryError)  # a state build's errors, StateValidationError included
+
+# state flag -> (type, help); also the --scan-param choices
+_STATE_FLAGS = {
+    "d": (int, "local dimension"),
+    "x": (float, "isotropic mixing parameter"),
+    "p": (float, "mixture weight"),
+    "a": (float, "weakly inseparable family parameter"),
+}
+
+
+def _family_spec(family: str, flags: dict, seed: int) -> StateSpec:
+    """A family's StateSpec from its flag values, --seed (random families) and
+    rank d^2; a flag the family does not take, or lacks, is a ValueError naming it."""
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    names = _FAMILIES[family][0]
+    for name in flags:
+        if name not in names:
+            raise ValueError(f"family {family} does not take --{name}")
+    for name in names:
+        if name not in flags and name not in ("seed", "rank"):
+            raise ValueError(f"family {family} requires --{name}")
+    params = dict(flags)
+    if "seed" in names:
+        params["seed"] = seed
+    if "rank" in names:
+        params["rank"] = params["d"] ** 2
+    return StateSpec(family, params)

@@ -14,18 +14,14 @@ from entwit.cli import SweepConfig, run_scan
 from entwit.cren import cren_lower_bound, pure_sum_identity
 from entwit.generators import GeneratorPair, embed_observable, generator_matrix
 from entwit.qstate import Dims, partial_transpose, pure_negativity, validate_density
+from entwit.search import OptimizerConfig, optimize_settings
 from entwit.states import (
     isotropic,
     max_entangled,
     pure_from_schmidt,
     random_density,
 )
-from entwit.witness import (
-    OptimizerConfig,
-    TAU_DETECT,
-    detect_entanglement,
-    optimize_settings,
-)
+from entwit.witness import TAU_DETECT, detect_entanglement
 
 
 def _line(ok: bool, name: str, detail: str) -> None:

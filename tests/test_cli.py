@@ -13,12 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entwit import cli, cren, qstate, states
-from entwit.cli import (
+from entwit import cren, qstate, scan, states
+from entwit.cli import _CLI_FAMILIES, main
+from entwit.scan import (
     _CHUNK,
-    _CLI_FAMILIES,
     SCAN_HEADER,
-    TAU_DETECT,
     SweepConfig,
     Threshold,
     _grid_values,
@@ -27,14 +26,13 @@ from entwit.cli import (
     _scan_chunks,
     _scan_points,
     _thresholds,
-    main,
     run_scan,
     scan_csv,
 )
 from entwit.cren import _bound, cren_lower_bound
 from entwit.qstate import Dims, _checked, _negativities, to_json, validate_density
 from entwit.states import isotropic
-from entwit.witness import _bell_d, _nonlinear_d, _reports, detect_entanglement
+from entwit.witness import TAU_DETECT, _bell_d, _nonlinear_d, _reports, detect_entanglement
 
 
 def run_cli(capsys, argv):
@@ -163,6 +161,15 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, ["bound", "--state", str(path)])
         assert code == 3 and out == ""
         assert "malformed state document" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["detect", "bound"])
+    def test_state_document_nested_past_the_decoder_stack(self, capsys, tmp_path, command):
+        # json.loads raises RecursionError on it, which is a malformed document, not a traceback (exit 1)
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, [command, "--state", str(path)])
+        assert code == 3 and out == ""
+        assert err.startswith("error: malformed state document: ") and err.count("\n") == 1
 
     def test_out_of_range_family_param(self, capsys):
         code, _, err = run_cli(capsys, ["detect", "--family", "isotropic", "--d", "3", "--x", "2.0"])
@@ -421,7 +428,7 @@ class TestSelftest:
     @pytest.mark.parametrize("flags", [[], ["--literal-min"]])
     def test_a_failing_check_exits_4_and_is_counted(self, capsys, monkeypatch, flags):
         # the max-entangled bound reads 0.5 in place of 1; the INFO lines count neither way
-        monkeypatch.setattr(cli, "cren_lower_bound", lambda rho, literal_min=False: cren.CrenBoundReport(0.5, 0.0, 3, rho))
+        monkeypatch.setattr(cren, "cren_lower_bound", lambda rho, literal_min=False: cren.CrenBoundReport(0.5, 0.0, 3, rho))
         code, out, _ = run_cli(capsys, ["selftest", *flags])
         lines = out.splitlines()
         assert code == 4
@@ -537,7 +544,7 @@ class TestChunkedScan:
         }
         whole = {name: run_scan(SweepConfig(**spec), base_seed=5) for name, spec in specs.items()}
         sizes, checked = [], []
-        stacks = cli._validated_stacks
+        stacks = scan._validated_stacks
 
         def spy(cfg, values, seeds):
             for dims, stack in stacks(cfg, values, seeds):
@@ -548,9 +555,9 @@ class TestChunkedScan:
             checked.append(len(mat))
             return _checked(mat, dims, *scale)
 
-        monkeypatch.setattr(cli, "_STACK_BLOCKS", 20)
-        monkeypatch.setattr(cli, "_validated_stacks", spy)
-        monkeypatch.setattr(cli, "_checked", validate)  # the range ends
+        monkeypatch.setattr(scan, "_STACK_BLOCKS", 20)
+        monkeypatch.setattr(scan, "_validated_stacks", spy)
+        monkeypatch.setattr(scan, "_checked", validate)  # the range ends
         monkeypatch.setattr(qstate, "_checked", validate)  # validate_density, so StateSpec.build
         seen = {}
         for name, spec in specs.items():
@@ -602,9 +609,9 @@ class TestChunkedScan:
         doc = json.loads(to_json(isotropic(2, 0.0)))
         doc["re"][0][0] = float("nan")
         path.write_text(json.dumps(doc))
-        point_spec = cli._point_spec
+        point_spec = scan._point_spec
         monkeypatch.setattr(
-            cli, "_point_spec",
+            scan, "_point_spec",
             lambda cfg, value, seed: states.StateSpec(states.FILE_FAMILY, {"path": str(path)}) if value == 2.0
             else point_spec(cfg, value, seed),
         )
@@ -663,7 +670,7 @@ def serial_bisect_threshold(cfg, base_seed, crossing, field):
     seed = base_seed + cfg.points
     # a bracket whose ends are adjacent floats has no midpoint between them and stops too
     while hi - lo > cfg.bisect_tol and lo < (mid := 0.5 * (lo + hi)) < hi:
-        if cli._probe_differences(cfg, [field], [mid], [seed], {field: pairs})[0] > TAU_DETECT:
+        if scan._probe_differences(cfg, [field], [mid], [seed], {field: pairs})[0] > TAU_DETECT:
             hi = mid
         else:
             lo = mid
@@ -698,7 +705,7 @@ def probe_calls(monkeypatch, limit=1000):
         calls.append(list(zip(fields, values, seeds, diffs)))
         return diffs
 
-    monkeypatch.setattr(cli, "_probe_differences", spy)
+    monkeypatch.setattr(scan, "_probe_differences", spy)
     return calls
 
 
@@ -750,6 +757,26 @@ class TestDetectionRule:
             assert flags[0] is False and flags[-1] is True
 
 
+# the CI smoke scan of rho_a mixtures over a, on a 10-point grid: its Bell detection ends inside the range
+RHO_A_SCAN = dict(family="rho_a_mix", fixed={"p": 0.3}, param_name="a", lo=0.05, hi=0.95, points=10, bisect=True)
+
+
+def test_rho_a_scan_bell_difference_falls_through_the_threshold_between_0_45_and_0_55():
+    points = run_scan(SweepConfig(**RHO_A_SCAN)).points
+    assert [round(pt.param, 2) for pt in points[4:6]] == [0.45, 0.55]
+    assert points[4].bell_d > 0.011 and points[5].bell_d < -0.0028
+    assert all(pt.bell_d > TAU_DETECT for pt in points[:5]) and all(pt.bell_d < 0.0 for pt in points[5:])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 17: a falling crossing is never reported; the scan prints \"threshold\": null",
+)
+def test_rho_a_scan_reports_the_bell_crossing_between_0_45_and_0_55():
+    bell = run_scan(SweepConfig(**RHO_A_SCAN)).bell
+    assert bell.value is not None and 0.45 <= bell.value <= 0.55
+
+
 class TestLockstepBisection:
     SCANS = {
         "readme_bennett_mix": README_SCAN,  # both onsets
@@ -772,13 +799,13 @@ class TestLockstepBisection:
     def test_thresholds_and_probes_are_the_serial_bisections(self, monkeypatch, name):
         cfg = SweepConfig(bisect=True, **self.SCANS[name])
         crossings = grid_crossings(cfg, 7)
-        built, stacks = [], cli._validated_stacks
+        built, stacks = [], scan._validated_stacks
 
         def spy(cfg, values, seeds):  # every probe enters here, built by broadcast or value by value
             built.extend(zip(values, seeds))
             return stacks(cfg, values, seeds)
 
-        monkeypatch.setattr(cli, "_validated_stacks", spy)
+        monkeypatch.setattr(scan, "_validated_stacks", spy)
         rounds, probes = assert_serial_decisions(cfg, 7, crossings)
         # the states built are the solved probes (the decisive serial ones and the rest), then the serial ones
         assert built == [(value, seed) for call in rounds + [probes] for _, value, seed, _ in call]
@@ -806,7 +833,7 @@ class TestLockstepBisection:
         cfg = SweepConfig(family, dict(fixed), param, lo, hi, points, bisect=True, bisect_tol=tol)
         with pytest.MonkeyPatch.context() as mp:
             if data.draw(st.booleans(), "validated state by state"):
-                mp.setattr(cli, "_CERT_MARGIN", -1.0)  # no trace deviation is below a negative tolerance
+                mp.setattr(scan, "_CERT_MARGIN", -1.0)  # no trace deviation is below a negative tolerance
             assert_serial_decisions(cfg, 3, grid_crossings(cfg, 3))
 
     def test_scans_cover_two_one_and_no_brackets(self):
@@ -893,13 +920,13 @@ class TestLockstepBisection:
         argv = ["scan", "--family", "bennett_mix", "--scan-param", "p", "--range", "0:1", "--points", "100",
                 "--bisect", "--tol", "1e-6"]
         cfg = SweepConfig(bisect=True, **README_SCAN)
-        monkeypatch.setattr(cli, "_CERT_MARGIN", -1.0)
+        monkeypatch.setattr(scan, "_CERT_MARGIN", -1.0)
         crossings = grid_crossings(cfg, 0)
         rounds, probes = assert_serial_decisions(cfg, 0, crossings)
         decisive = [(value, seed) for _, value, seed, _ in probes]
         off_path = [(value, seed) for call in rounds for _, value, seed, _ in call if (value, seed) not in decisive]
         whole = run_cli(capsys, argv)
-        point_spec = cli._point_spec
+        point_spec = scan._point_spec
 
         def failing_at(bad):
             # p = 2 + value lies outside [0, 1], so the build raises, naming it
@@ -907,11 +934,11 @@ class TestLockstepBisection:
 
         assert off_path and whole[0] == 0
         for bad in off_path[:1] + off_path[-1:]:  # never reached: nothing raises
-            monkeypatch.setattr(cli, "_point_spec", failing_at(bad))
+            monkeypatch.setattr(scan, "_point_spec", failing_at(bad))
             assert exact(_thresholds(cfg, 0, crossings)) == exact(serial_thresholds(cfg, 0, crossings))
             assert run_cli(capsys, argv) == whole
         for bad in decisive[:1] + decisive[9:10] + decisive[-1:]:  # reached: the serial error
-            monkeypatch.setattr(cli, "_point_spec", failing_at(bad))
+            monkeypatch.setattr(scan, "_point_spec", failing_at(bad))
             error = raised(lambda: serial_thresholds(cfg, 0, crossings))
             assert raised(lambda: _thresholds(cfg, 0, crossings)) == error
             assert error[1] == f"p={2.0 + bad[0]} outside [0, 1]"
@@ -941,7 +968,7 @@ class TestLockstepBisection:
         builds, ends, singles = [], [], []
         matrix = states.StateSpec.matrix
         monkeypatch.setattr(
-            cli, "_checked", lambda mat, dims, scale: ends.append((mat.shape, scale)) or _checked(mat, dims, scale)
+            scan, "_checked", lambda mat, dims, scale: ends.append((mat.shape, scale)) or _checked(mat, dims, scale)
         )
         monkeypatch.setattr(
             states.StateSpec, "matrix", lambda spec, values=None: builds.append(len(values)) or matrix(spec, values)
@@ -951,7 +978,7 @@ class TestLockstepBisection:
         # p = 0 and p = 1 are built together and checked one at a time; the 100 grid states and the
         # 37 probes of the two bisection rounds, all in [0, 1], are only built
         assert builds == [2, _CHUNK, 100 - _CHUNK, 28, 9] and sum(builds[1:]) == 137
-        assert ends == [((9, 9), cli._CERT_MARGIN)] * 2 and singles == []
+        assert ends == [((9, 9), scan._CERT_MARGIN)] * 2 and singles == []
 
 
 def per_value_stacks(cfg, values, seeds):
@@ -971,7 +998,7 @@ class TestAffineScan:
     def test_rows_and_onsets_are_bitwise_the_per_value_scan(self, monkeypatch, name, base_seed):
         spec = TestLockstepBisection.SCANS[name]
         got = run_scan(SweepConfig(bisect=True, **spec), base_seed)
-        monkeypatch.setattr(cli, "_validated_stacks", per_value_stacks)
+        monkeypatch.setattr(scan, "_validated_stacks", per_value_stacks)
         assert repr(got) == repr(run_scan(SweepConfig(bisect=True, **spec), base_seed))
 
     @pytest.mark.parametrize(
@@ -997,7 +1024,7 @@ class TestAffineScan:
         code, out, err = run_cli(capsys, argv)
         assert code == 3 and len(out.splitlines()) == 1 + _CHUNK
         assert err == "error: p=1.0151515151515151 outside [0, 1]\n"
-        monkeypatch.setattr(cli, "_validated_stacks", per_value_stacks)
+        monkeypatch.setattr(scan, "_validated_stacks", per_value_stacks)
         assert run_cli(capsys, argv) == (code, out, err)
 
     def test_isotropic_past_its_positivity_range_falls_back(self, capsys, monkeypatch):
@@ -1005,7 +1032,7 @@ class TestAffineScan:
         code, out, err = run_cli(capsys, argv)
         assert code == 3 and out == ""
         assert err == "error: x=1.0909090909090908 outside positivity range [-0.125, 1]\n"
-        monkeypatch.setattr(cli, "_validated_stacks", per_value_stacks)
+        monkeypatch.setattr(scan, "_validated_stacks", per_value_stacks)
         assert run_cli(capsys, argv) == (code, out, err)
 
     @pytest.mark.parametrize(
@@ -1020,9 +1047,9 @@ class TestAffineScan:
     )
     def test_a_failing_certificate_keeps_the_output(self, capsys, monkeypatch, argv):
         certified = run_cli(capsys, ["scan", *argv])
-        monkeypatch.setattr(cli, "_CERT_MARGIN", -1.0)  # no trace deviation is below a negative tolerance
+        monkeypatch.setattr(scan, "_CERT_MARGIN", -1.0)  # no trace deviation is below a negative tolerance
         ends, singles = [], []
-        monkeypatch.setattr(cli, "_checked", lambda mat, dims, scale: ends.append(scale) or _checked(mat, dims, scale))
+        monkeypatch.setattr(scan, "_checked", lambda mat, dims, scale: ends.append(scale) or _checked(mat, dims, scale))
         monkeypatch.setattr(states, "validate_density", lambda *args: singles.append(args) or validate_density(*args))
         assert run_cli(capsys, ["scan", *argv]) == certified and certified[0] == 0
         assert ends == [-1.0] and len(singles) > 1  # the first end fails, then every state is validated on its own
@@ -1041,7 +1068,7 @@ class TestAffineScan:
         cfg = SweepConfig(bisect=True, **README_SCAN)
         got = run_scan(cfg)
         assert cfg.certified_dims is None
-        monkeypatch.setattr(cli, "_validated_stacks", per_value_stacks)
+        monkeypatch.setattr(scan, "_validated_stacks", per_value_stacks)
         assert repr(got) == repr(run_scan(SweepConfig(bisect=True, **README_SCAN)))
 
     @pytest.mark.parametrize(
@@ -1054,18 +1081,18 @@ class TestAffineScan:
     )
     def test_other_scans_build_each_value_with_its_seed(self, monkeypatch, spec):
         cfg, built = SweepConfig(**spec), []
-        point_spec, matrix = cli._point_spec, states.StateSpec.matrix
+        point_spec, matrix = scan._point_spec, states.StateSpec.matrix
 
         def single(spec, values=None):
             assert values is None, "a broadcast build"
             return matrix(spec)
 
-        monkeypatch.setattr(cli, "_point_spec", lambda cfg, value, seed: built.append((value, seed)) or point_spec(cfg, value, seed))
+        monkeypatch.setattr(scan, "_point_spec", lambda cfg, value, seed: built.append((value, seed)) or point_spec(cfg, value, seed))
         monkeypatch.setattr(states.StateSpec, "matrix", single)
         result = run_scan(cfg, base_seed=4)
         assert cfg.certified_dims is None
         assert built == [(pt.param, 4 + i) for i, pt in enumerate(result.points)]
-        monkeypatch.setattr(cli, "_validated_stacks", per_value_stacks)
+        monkeypatch.setattr(scan, "_validated_stacks", per_value_stacks)
         assert repr(run_scan(SweepConfig(**spec), base_seed=4)) == repr(result)
 
     def test_probes_outside_the_range_are_built_one_by_one(self, monkeypatch):
@@ -1073,12 +1100,12 @@ class TestAffineScan:
         values, fields = [0.1, 0.5, 0.55, 0.9, 0.3], ["nonlinear_d", "bell_d", "bell_d", "nonlinear_d", "bell_d"]
         assert cfg.certified_dims is not None
         built = []
-        point_spec = cli._point_spec
-        monkeypatch.setattr(cli, "_point_spec", lambda cfg, value, seed: built.append(value) or point_spec(cfg, value, seed))
+        point_spec = scan._point_spec
+        monkeypatch.setattr(scan, "_point_spec", lambda cfg, value, seed: built.append(value) or point_spec(cfg, value, seed))
         got = _probe_differences(cfg, fields, values, [5] * 5), _scan_points(cfg, values, [5] * 5)
         # a call with a value outside [lo, hi] builds every value on its own, one spec each
         assert built == values * 2
-        monkeypatch.setattr(cli, "_validated_stacks", per_value_stacks)
+        monkeypatch.setattr(scan, "_validated_stacks", per_value_stacks)
         assert repr(got) == repr((_probe_differences(cfg, fields, values, [5] * 5), _scan_points(cfg, values, [5] * 5)))
 
 
@@ -1086,7 +1113,7 @@ def oracle_rows(cfg, values, seeds):
     """Oracle for _scan_points: the rows from every pair's kernel columns (witness._reports), each
     state's Gram matrices all solved, built and validated as the scan builds them."""
     rows = []
-    for dims, stack in cli._validated_stacks(cfg, values, seeds):
+    for dims, stack in scan._validated_stacks(cfg, values, seeds):
         cols = _reports(stack, dims)
         figures = (
             _nonlinear_d(cols.nonlinear_max),
@@ -1095,7 +1122,7 @@ def oracle_rows(cfg, values, seeds):
             _negativities(stack, dims),
         )
         rows += zip(*(f.tolist() for f in figures))
-    return [cli.ScanPoint(value, *row) for value, row in zip(values, rows)]
+    return [scan.ScanPoint(value, *row) for value, row in zip(values, rows)]
 
 
 def oracle_crossings(points):
@@ -1134,7 +1161,7 @@ class TestPrunedSolves:
     """The scan solves only the pairs that can set a figure it prints or a decision it takes: each
     grid state the Gram matrices whose upper bound reaches the state's best lower bound
     (witness._bell_ratios), and on a certified scan each probe the pairs its bracket keeps
-    (cli._bracket_pairs).  Its rows and thresholds are those of the all-pairs solve."""
+    (scan._bracket_pairs).  Its rows and thresholds are those of the all-pairs solve."""
 
     AFFINE = {  # certified affine scans, (family, fixed, param): the domain of param
         ("bennett_mix", (), "p"): (0.0, 1.0),
@@ -1178,7 +1205,7 @@ class TestPrunedSolves:
         reach = []
         _scan_points(cfg, [0.5, 0.8], [0, 1], reach)
         assert [int(np.argmax(r[1])) for r in reach] == [0, 4]
-        assert cli._bracket_pairs(cfg, reach[0][1], reach[1][1]) == (0, 4, 8)
+        assert scan._bracket_pairs(cfg, reach[0][1], reach[1][1]) == (0, 4, 8)
         crossings = assert_all_pairs_scan(cfg, 0)
         assert crossings["bell_d"][2] == (0, 4, 8)
         assert abs(run_scan(cfg).bell.value - 0.57603) < 1e-5
@@ -1205,12 +1232,12 @@ class TestPrunedSolves:
     def test_a_scan_validated_state_by_state_solves_every_pair(self, monkeypatch, spec):
         # rho_a_mix is not affine in a, so its scan builds and validates each state on its own and its
         # brackets keep all 9 pairs; so does the README scan once its range ends cannot certify it
-        monkeypatch.setattr(cli, "_CERT_MARGIN", -1.0)
+        monkeypatch.setattr(scan, "_CERT_MARGIN", -1.0)
         cfg = SweepConfig(bisect=True, **spec)
         assert cfg.certified_dims is None
         reach = []
         _scan_points(cfg, _grid_values(cfg, 0, 2), [0, 1], reach)
-        assert cli._bracket_pairs(cfg, *(r[1] for r in reach)) is None
+        assert scan._bracket_pairs(cfg, *(r[1] for r in reach)) is None
         crossings = grid_crossings(cfg, 0)
         assert all(crossing[2] is None for crossing in crossings.values())
         shapes = []
@@ -1274,7 +1301,7 @@ class TestValueByValueScan:
         with pytest.MonkeyPatch.context() as mp:
             mp.setitem(states._FAMILIES, "rho_a_mix", (("a", "p"), family, "p"))
             got = raised(lambda: run_scan(cfg)), captured(argv)
-            mp.setattr(cli, "_validated_stacks", per_value_stacks)
+            mp.setattr(scan, "_validated_stacks", per_value_stacks)
             want = raised(lambda: run_scan(cfg)), captured(argv)
         assert got == want
         error, (code, out, err) = want

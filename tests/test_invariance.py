@@ -19,12 +19,11 @@ from entwit import qstate
 from entwit.cren import cren_lower_bound
 from entwit.generators import so_generators
 from entwit.qstate import Dims, negativity, validate_density
+from entwit.search import OptimizerConfig, optimize_settings
 from entwit.witness import (
-    OptimizerConfig,
     bell_max,
     detect_entanglement,
     nonlinear_max,
-    optimize_settings,
     subspace_reports,
 )
 

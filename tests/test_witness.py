@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entwit import witness
+from entwit import search, witness
 from entwit.generators import (
     GeneratorPair,
     PAULI,
@@ -36,21 +36,19 @@ from entwit.qstate import (
     partial_transpose_mat,
     validate_density,
 )
+from entwit.search import OptimizerConfig, _bell_fg, _nonlinear_fg, optimize_settings
 from entwit.states import bennett_rho, example1_mixture, random_density, rho_a
 from entwit.witness import (
     BellSettings,
     CSV_HEADER,
-    OptimizerConfig,
     TAU_C,
     TAU_DETECT,
     WitnessSettings,
     _PURITY_CERT,
     _Columns,
     _bell_d,
-    _bell_fg,
     _bell_ratios,
     _blocks,
-    _nonlinear_fg,
     _pair_position,
     _pair_rows,
     _reports,
@@ -64,7 +62,6 @@ from entwit.witness import (
     nonlinear_max,
     nonlinear_normalized,
     nonlinear_value,
-    optimize_settings,
     project_state,
     reports_to_csv,
     subspace_report,
@@ -270,12 +267,12 @@ def _oracle_ascend(fg, x, step_tol, max_evals):
     eye = np.eye(x.shape[1])
     hinv = np.broadcast_to(eye, (len(x),) + eye.shape).copy()
     p, step = g.copy(), np.ones(len(x))
-    active = np.abs(g).max(axis=1) > witness._GRAD_TOL
+    active = np.abs(g).max(axis=1) > search._GRAD_TOL
     while active.any() and evals < max_evals:
         trial = x + step[:, None] * p
         ft, gt = fg(trial)
         evals += 1
-        ok = active & (ft >= f + witness._ARMIJO * step * _oracle_dot(p, g))
+        ok = active & (ft >= f + search._ARMIJO * step * _oracle_dot(p, g))
         back = active & ~ok
         step[back] *= 0.5
         active &= ~(back & (step * np.abs(p).max(axis=1) < step_tol))
@@ -289,7 +286,7 @@ def _oracle_ascend(fg, x, step_tol, max_evals):
         hinv += (inv_sy + inv_sy**2 * _oracle_dot(y, hy))[:, None, None] * sx[:, :, None] * sx[:, None, :]
         x[ok], f[ok], g[ok] = trial[ok], ft[ok], gt[ok]
         p[ok], step[ok] = np.einsum("rij,rj->ri", hinv[ok], g[ok]), 1.0
-        active &= ~(ok & ((np.abs(sx).max(axis=1) < step_tol) | (np.abs(g).max(axis=1) <= witness._GRAD_TOL)))
+        active &= ~(ok & ((np.abs(sx).max(axis=1) < step_tol) | (np.abs(g).max(axis=1) <= search._GRAD_TOL)))
     return x, f
 
 
@@ -898,7 +895,7 @@ class TestOptimizer:
                 frames = _spherical_frames
             for seed in (0, 808, 9):
                 starts = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (4, nang))
-                _, f_new = witness._ascend(spy("chart", new), frames(starts), nang, 1e-5, 2000)
+                _, f_new = search._ascend(spy("chart", new), frames(starts), nang, 1e-5, 2000)
                 _, f_old = _oracle_ascend(spy("oracle", old), starts, 1e-5, 2000)
                 worst = max(worst, abs(f_new.max() - f_old.max()))
         assert worst < 1e-9
@@ -912,9 +909,9 @@ class TestOptimizer:
         rng = np.random.default_rng(seed)
         fg, _, nang, frames = self.objectives(kind, rng)
         base = frames(rng.uniform(0.0, 2.0 * np.pi, (starts, nang)))
-        points, values = witness._ascend(fg, base, nang, 1e-5, 2000)
+        points, values = search._ascend(fg, base, nang, 1e-5, 2000)
         for i in range(starts):
-            point, value = witness._ascend(fg, base[i : i + 1], nang, 1e-5, 2000)
+            point, value = search._ascend(fg, base[i : i + 1], nang, 1e-5, 2000)
             assert np.array_equal(point[0], points[i]) and value[0] == values[i], i
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -948,9 +945,9 @@ class TestOptimizer:
             x = base + step
             return 0.5 * (x * x).sum(axis=1), x, x
 
-        witness._ascend(fg, np.array([[1e-4, -5e-5]]), 2, 1e-5, 8)
+        search._ascend(fg, np.array([[1e-4, -5e-5]]), 2, 1e-5, 8)
         assert sizes[:2] == [0.0, 1e-4] and len(sizes) == 8
-        assert max(abs(size - witness._MAX_TURN) for size in sizes[2:]) < 1e-15
+        assert max(abs(size - search._MAX_TURN) for size in sizes[2:]) < 1e-15
 
     @staticmethod
     def bench_state(seed, index):
@@ -976,7 +973,7 @@ class TestOptimizer:
         rho = self.bench_state(1, index)
         alpha, beta = (GeneratorPair(*jk, 3) for jk in pair)
         name = "_nonlinear_fg" if kind == "nonlinear" else "_bell_fg"
-        with mock.patch.object(witness, name, wraps=getattr(witness, name)) as spy:
+        with mock.patch.object(search, name, wraps=getattr(search, name)) as spy:
             _, value = optimize_settings(rho, alpha, beta, kind, self.C8_CFG)
         assert spy.call_count <= cap, spy.call_count
         closed = nonlinear_max(rho, alpha, beta) if kind == "nonlinear" else bell_max(rho, alpha, beta)
@@ -991,7 +988,7 @@ class TestOptimizer:
         pairs = [p for p, _ in so_generators(3)]
         steps = []
         for kind, name in (("nonlinear", "_nonlinear_fg"), ("bell", "_bell_fg")):
-            with mock.patch.object(witness, name, wraps=getattr(witness, name)) as spy:
+            with mock.patch.object(search, name, wraps=getattr(search, name)) as spy:
                 for alpha, beta in itertools.product(pairs, pairs):
                     optimize_settings(rho, alpha, beta, kind, cfg)
             steps += [call.args[0] for call in spy.call_args_list]
@@ -1004,7 +1001,7 @@ class TestOptimizer:
         rng = np.random.default_rng(0)
         for _ in range(3):
             turn = max(np.abs(step).max() for step in self.search_steps(rand_density(rng, 3, 3), self.C8_CFG))
-            assert 0.0 < turn <= witness._MAX_TURN, turn
+            assert 0.0 < turn <= search._MAX_TURN, turn
 
     def test_passes_over_c8_states_fall_with_the_cap(self):
         """Objective passes over the first 4 of C8's states x 9 pairs x both kinds, at
@@ -1033,7 +1030,7 @@ class TestOptimizer:
         rho = rand_density(np.random.default_rng(66), 3, 3)
         alpha, beta = GeneratorPair(0, 1, 3), GeneratorPair(1, 2, 3)
         name = "_nonlinear_fg" if kind == "nonlinear" else "_bell_fg"
-        with mock.patch.object(witness, name, wraps=getattr(witness, name)) as spy:
+        with mock.patch.object(search, name, wraps=getattr(search, name)) as spy:
             optimize_settings(rho, alpha, beta, kind, OptimizerConfig(restarts=4, seed=1, max_evals=3))
         assert spy.call_count == 3
 
@@ -1044,7 +1041,7 @@ class TestOptimizer:
         rho = validate_density(np.eye(9) / 9.0, Dims(3, 3))
         pair = GeneratorPair(0, 2, 3)
         name = "_nonlinear_fg" if kind == "nonlinear" else "_bell_fg"
-        with mock.patch.object(witness, name, wraps=getattr(witness, name)) as spy:
+        with mock.patch.object(search, name, wraps=getattr(search, name)) as spy:
             settings, value = optimize_settings(rho, pair, pair, kind, OptimizerConfig(restarts=5, seed=4))
         assert spy.call_count == 1
         assert value == 0.0
