@@ -409,13 +409,16 @@ def _parse_json(text: str) -> tuple[np.ndarray, Dims]:
         re, im = np.asarray(doc["re"], dtype=float), np.asarray(doc["im"], dtype=float)
         if re.ndim != 2 or re.shape != im.shape:  # never broadcast one part against the other
             raise ValueError(f"re {re.shape} and im {im.shape} must be matrices of one shape")
-    # ValueError: not JSON, a ragged matrix or the shapes; RecursionError: nesting deeper than the decoder's stack
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+    # ValueError: not JSON, a ragged matrix or the shapes; RecursionError: nesting deeper than the decoder's stack;
+    # OverflowError: an integer entry past the float range
+    except (KeyError, TypeError, ValueError, RecursionError, OverflowError) as exc:
         raise StateValidationError(f"malformed state document: {exc}") from exc
     if not (isinstance(dims, list) and len(dims) == 2
             and all(type(v) is int or type(v) is float and v.is_integer() for v in dims)):
         raise StateValidationError(f"malformed state document: dims must be two integers, got {dims!r}")
-    return re + 1j * im, Dims(int(dims[0]), int(dims[1]))
+    mat = re.astype(complex)
+    mat.imag = im  # not re + 1j * im, whose 0 * inf makes an infinite im entry a NaN real part, with a warning
+    return mat, Dims(int(dims[0]), int(dims[1]))
 
 
 def from_json(text: str) -> DensityMatrix:

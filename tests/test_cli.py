@@ -3,11 +3,14 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
 import threading
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ from entwit.scan import (
 )
 from entwit.cren import _bound, cren_lower_bound
 from entwit.qstate import Dims, _checked, _negativities, to_json, validate_density
-from entwit.states import isotropic
+from entwit.states import isotropic, pure_from_schmidt
 from entwit.witness import TAU_DETECT, _bell_d, _nonlinear_d, _reports, detect_entanglement
 
 
@@ -104,7 +107,7 @@ class TestBound:
         assert lines[0].startswith("alpha_j,alpha_k") and len(lines) == 10
 
 
-    @pytest.mark.parametrize("d", [3, 8])
+    @pytest.mark.parametrize("d", [3, 8, 12, 16])
     def test_stdout_is_the_one_bound_document(self, capsys, tmp_path, d):
         # the document is built once: stdout is the compact report_to_json read back and indented,
         # byte for byte, and the --json file holds the same bytes
@@ -146,8 +149,9 @@ class TestExitCodes:
             ([2, 2], 0.25, None),
             ([2, 2], None, 0),
             ([2, 2], None, [[0.0, 0.0, 0.0, 0.0]]),
+            ([2, 2], np.diag([10**400, 0, 0, 0]).tolist(), None),
         ],
-        ids=["dims0-None", "dims1-re1", "scalar-re", "scalar-im", "one-row-im"],
+        ids=["dims0-None", "dims1-re1", "scalar-re", "scalar-im", "one-row-im", "int-past-the-float-range"],
     )
     def test_malformed_state_document(self, capsys, tmp_path, dims, re, im):
         # a non-integral dims entry, a ragged matrix and re and im of two shapes are malformed
@@ -200,10 +204,12 @@ class TestExitCodes:
         assert caught == []
         assert code == 3 and out == "" and "trace deviates from 1 by inf" in err and "Traceback" not in err
 
-    def test_non_finite_state_file(self, capsys, tmp_path):
+    @pytest.mark.parametrize("part, value", [("re", math.nan), ("im", math.inf)])
+    def test_non_finite_state_file(self, capsys, tmp_path, part, value):
+        # an infinite im entry used to take a NaN real part, with a RuntimeWarning, on its way to this error
         path = tmp_path / "nan.json"
         doc = json.loads(to_json(isotropic(2, 0.0)))
-        doc["re"][0][0] = float("nan")
+        doc[part][0][0] = value
         path.write_text(json.dumps(doc))
         code, _, err = run_cli(capsys, ["detect", "--state", str(path)])
         assert code == 3 and "NaN or infinite" in err and "Traceback" not in err
@@ -298,6 +304,172 @@ class TestExitCodes:
     def test_selftest_takes_no_budget_flags(self, capsys, flags):
         code, out, err = run_cli(capsys, ["selftest", *flags])
         assert code == 2 and "unrecognized arguments" in err and out == ""
+
+
+def reads(check):
+    return lambda out, err, tmp: check(json.loads(out))
+
+
+def says(message):
+    return lambda out, err, tmp: out == "" and err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def state_doc(re):
+    """A 2 x 2 state document with the real part re and no imaginary part."""
+    return json.dumps({"dims": [2, 2], "re": re, "im": np.zeros((4, 4)).tolist()})
+
+
+# argv, the text of {tmp}/state.json (None: no file), the exit code and a check of (stdout, stderr, tmp)
+COMMANDS = {
+    "pplus-4": (["bound", "--family", "max_entangled", "--d", "4"], None, 0,
+                reads(lambda doc: abs(doc["bound"] - 1) < 1e-8)),
+    "pplus-16": (["bound", "--family", "max_entangled", "--d", "16"], None, 0,
+                 reads(lambda doc: abs(doc["bound"] - 1) < 1e-8)),
+    "isotropic-16": (["bound", "--family", "isotropic", "--d", "16", "--x", "0.5"], None, 0,
+                     reads(lambda doc: abs(doc["negativity"] - 0.46875) < 1e-12)),
+    "schmidt-12-state-file": (
+        ["bound", "--state", "{tmp}/state.json"],
+        to_json(pure_from_schmidt(np.random.default_rng(12).dirichlet(np.ones(12)), 12).projector()), 0,
+        reads(lambda doc: abs(doc["bound"] - doc["negativity"]) < 1e-8 and doc["negativity"] > 0.5)),
+    # every correlation table of the maximally mixed state is 0
+    "maximally-mixed": (["detect", "--family", "isotropic", "--d", "3", "--x", "0"], None, 0,
+                        reads(lambda doc: doc["entangled"] is False and doc["nonlinear_max"] == doc["bell_max"] == 0)),
+    "random-density-12": (["detect", "--family", "random_density", "--d", "12"], None, 0,
+                          reads(lambda doc: "entangled" in doc)),
+    "not-hermitian": (["bound", "--state", "{tmp}/state.json"],
+                      state_doc([[0.5, 0.1, 0, 0], [0, 0.5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]), 3,
+                      says("Hermiticity deviation 1.000e-01 exceeds 1e-10")),
+    "bad-trace": (["bound", "--state", "{tmp}/state.json"], state_doc(np.diag([0.5, 0.5, 0.5, 0]).tolist()), 3,
+                  says("trace deviates from 1 by 5.000e-01")),
+    # the shape overflows before any allocation
+    "huge-d": (["detect", "--family", "max_entangled", "--d", "99999999999999999999"], None, 3,
+               says("Maximum allowed dimension exceeded")),
+    # validated state by state; the --csv file is stdout without its threshold line
+    "rho-a-mix-over-a": (
+        ["scan", "--family", "rho_a_mix", "--p", "0.3", "--scan-param", "a", "--range", "0.05:0.95",
+         "--points", "100", "--bisect", "--csv", "{tmp}/a.csv"], None, 0,
+        lambda out, err, tmp: out[: out.rindex("\n", 0, -1) + 1] == (tmp / "a.csv").read_text()),
+}
+
+
+@pytest.mark.parametrize("argv, state, code, check", COMMANDS.values(), ids=COMMANDS)
+def test_command(capsys, tmp_path, argv, state, code, check):
+    if state is not None:
+        (tmp_path / "state.json").write_text(state)
+    got, out, err = run_cli(capsys, [arg.format(tmp=tmp_path) for arg in argv])
+    assert got == code and check(out, err, tmp_path), err
+
+
+# the valid documents that state_texts mutates
+VALID_DOCS = [json.loads(to_json(rho)) for rho in (isotropic(2, 0.3), states.random_density(Dims(2, 3), 6, seed=0))]
+JSON_VALUES = st.sampled_from([None, True, "0.5", [], {}, 0, -1, 0.5, 10**400, [[0.5]], {"re": 0}])
+
+
+@st.composite
+def state_texts(draw):
+    """A valid state document, or one after one to three mutations: truncation,
+    type swaps, extra nesting, NaN/Infinity entries, wrong or fractional dims."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(VALID_DOCS))))
+    for _ in range(draw(st.integers(0, 3))):
+        mutation = draw(st.sampled_from(["entry", "non-finite", "truncate", "swap", "nest", "dims", "drop"] * 2
+                                        + ["entry", "non-finite"]))
+        key = draw(st.sampled_from(["re", "im"] if mutation in ("entry", "non-finite") else ["dims", "re", "im"]))
+        if not (isinstance(doc, dict) and isinstance(doc.get(key), list) and doc[key]):
+            doc = draw(JSON_VALUES) if mutation == "swap" else doc
+        elif mutation == "truncate":
+            text = json.dumps(doc)
+            return text[: draw(st.integers(0, len(text) - 1))]
+        elif mutation == "swap":
+            doc[key] = draw(JSON_VALUES)
+        elif mutation in ("entry", "non-finite"):
+            row = doc[key][draw(st.integers(0, len(doc[key]) - 1))]
+            value = draw(st.sampled_from([math.nan, math.inf, -math.inf]) if mutation == "non-finite" else JSON_VALUES)
+            if isinstance(row, list) and row:
+                row[draw(st.integers(0, len(row) - 1))] = value
+        elif mutation == "nest":
+            doc[key] = [doc[key]] if draw(st.booleans()) else [[entry] for entry in doc[key]]
+        elif mutation == "dims":
+            doc["dims"] = draw(st.sampled_from([[2.5, 2], [3, 3], [2, 3], [3, 2], [0, 4], [-2, -2], [True, 2],
+                                                [1e300, 2], [2], [2, 2, 2], "2x2", [2.0, 2.0]]))
+        else:
+            del doc[key]
+    return json.dumps(doc)
+
+
+# values of --x, --p, --a and a --range end: most inside the families' domains
+NUMBER_TEXTS = st.sampled_from(["0", "0.1", "0.25", "0.3", "0.5", "0.7", "1", "-1", "1.5", "2.5", "nan", "inf", "abc"])
+FLAG_VALUES = {"d": st.integers(2, 5).map(str), "x": NUMBER_TEXTS, "p": NUMBER_TEXTS, "a": NUMBER_TEXTS}
+
+
+@st.composite
+def cli_argvs(draw, tmp):
+    """A command with a family's flags or a state file, and now and then a flag
+    too many or too few; --d and a swept d stay within 2..5, so no state takes
+    more than a few MB."""
+    command = draw(st.sampled_from(["detect", "bound", "scan"] * 3 + ["selftest"]))  # selftest takes 20-40 ms
+    argv = [command]
+
+    def rarely():
+        return draw(st.sampled_from([False] * 7 + [True]))
+
+    def maybe(flag, values=None):
+        if draw(st.booleans()):
+            argv.extend([flag] if values is None else [flag, draw(values)])
+
+    if command == "selftest":
+        maybe("--seed", st.sampled_from(["0", "7", "-1", "x"]))
+        maybe("--literal-min")
+        return argv
+    family = draw(st.sampled_from(_CLI_FAMILIES))
+    source = draw(st.sampled_from(["family"] * 4 + ["state", "both", "none"]))
+    if source != "state":
+        argv += ["--family", family]
+    if source in ("state", "both"):
+        argv += ["--state", f"{tmp}/state.json"]
+    names = [] if source == "state" else [name for name in states._FAMILIES[family][0] if name in FLAG_VALUES]
+    if rarely():
+        names = names[1:]
+    if rarely():
+        names.append(draw(st.sampled_from(sorted(FLAG_VALUES))))
+    for name in names:
+        argv += [f"--{name}", draw(FLAG_VALUES[name])]
+    maybe("--seed", st.sampled_from(["0", "3", "3", "3", "-1"]))
+    outputs = st.sampled_from([f"{tmp}/out", f"{tmp}/out", f"{tmp}/missing/out"])
+    if command == "scan":
+        param = draw(st.sampled_from(names or sorted(FLAG_VALUES)))
+        argv += ["--scan-param", param] if not rarely() else []
+        ends = draw(st.lists(FLAG_VALUES["d"] if param == "d" else NUMBER_TEXTS, min_size=2, max_size=2, unique=True))
+        if not rarely():  # most ranges run upwards
+            ends.sort(key=lambda end: float(end) if end != "abc" else 0.0)
+        argv += [f"--range={ends[0]}:{ends[1]}"] if not rarely() else []
+        argv += ["--points", str(draw(st.integers(2, 20)))]
+        maybe("--bisect")
+        maybe("--tol", st.floats(1e-9, 1e-2).map(repr))
+        maybe("--csv", outputs)
+    else:
+        maybe("--json", outputs)
+        if command == "bound":
+            maybe("--csv", outputs)
+            maybe("--literal-min")
+    if rarely():
+        argv.append("--bogus")
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_any_input_exits_with_a_documented_code(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        if data.draw(st.booleans(), "state file only"):  # half the runs
+            argv = [data.draw(st.sampled_from(["detect", "bound"]), "command"), "--state", f"{tmp}/state.json"]
+        else:
+            argv = data.draw(cli_argvs(tmp), "argv")
+        if "--state" in argv:
+            (Path(tmp) / "state.json").write_text(data.draw(state_texts(), "state"))
+        code, _, err = captured(argv)
+    assert code in ({0, 2, 3, 4} if argv[0] == "selftest" else {0, 2, 3}), err
+    assert "Traceback" not in err
+    assert code == 0 or sum("error:" in line for line in err.splitlines()) == 1, err
 
 
 class TestScan:

@@ -693,6 +693,13 @@ class TestPureClosedForm:
     def test_random_pure_states(self, m, n, seed):
         self.assert_matches_the_kernel(validate_pure(random_vector(m, n, seed), Dims(m, n)).projector())
 
+    @pytest.mark.parametrize("make", [
+        lambda: random_pure(Dims(8, 8), 0).projector(),
+        lambda: from_json(to_json(pure_from_schmidt(np.random.default_rng(12).dirichlet(np.ones(12)), 12).projector())),
+    ], ids=["pure_8x8", "schmidt_12_state_file"])
+    def test_named_states(self, make):
+        self.assert_matches_the_kernel(make())
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(local_schmidt_pure())
     def test_schmidt_forms_under_local_permutations_and_phases(self, psi):

@@ -1,4 +1,5 @@
-"""The README commands against golden outputs in tests/data.
+"""The README commands against golden outputs in tests/data, and the README's
+library examples against the values their comments state.
 
 The golden files are the outputs of the README commands.  Keys, headers, row
 counts, integers and strings must match exactly; floats match to 1e-10, so
@@ -8,6 +9,7 @@ pinned, not the rounding-level gaps in the details.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -89,3 +91,15 @@ def test_selftest_literal_min(capsys):
         return [line.split(":", 1)[0] for line in lines[:-1]], lines[-1]
 
     assert checks(out) == checks(want)
+
+
+def test_library_examples():
+    # every python block, run in one namespace
+    namespace = {}
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M):
+        exec(block, namespace)
+    assert namespace["entangled"] is True
+    assert abs(namespace["top"].nonlinear_max - 1.8) < 1e-12
+    rep = namespace["rep"]
+    assert abs(rep.bound - 1 / 3) < 1e-12 and abs(rep.negativity - 1 / 3) < 1e-12
