@@ -42,6 +42,10 @@ maximally entangled state, which is why the shipped bound clips above.  It
 reads every d, so it solves every block, as do the per-subspace rows.
 The bound document is one dict, built in _report_doc: report_to_json dumps
 it compact and `entwit bound` prints and writes it indented.
+
+This module holds only the bound, its report and the pure-state identity.
+A scan row reads the bound through _bound, but its figures are assembled in
+entwit.scan.
 """
 
 from __future__ import annotations
@@ -53,26 +57,14 @@ from functools import cached_property
 import numpy as np
 
 from .generators import so_generators
-from .qstate import (
-    DensityMatrix,
-    Dims,
-    PureState,
-    _negativities,
-    negativity,
-    partial_transpose,
-    trace_norm,
-)
+from .qstate import DensityMatrix, Dims, PureState, negativity, partial_transpose, trace_norm
 from .witness import (
     _FIGURES,
     SubspaceReport,
-    _bell_ratios,
-    _blocks,
+    _gather,
     _nonlinear_columns,
-    _nonlinear_d,
-    _pair_rows,
     _pure_violations,
     _violations,
-    _weights,
     subspace_reports,
 )
 
@@ -102,22 +94,6 @@ def _bound(raw, dims: Dims, literal_min: bool):
     return clip(0.0, -2.0 * raw).sum(axis=-1) / (min(dims.m, dims.n) - 1)
 
 
-def _assess(stack: np.ndarray, dims: Dims):
-    """The scan row figures of a stack (N, mn, mn) of validated same-dims
-    states, nonlinear_D, bell_D, bound and negativity, each (N,), and their
-    pairs' reach (N, 2, P): for each detection difference in that order, the
-    pair's own difference (_nonlinear_d, _bell_d), or an upper bound on it
-    where the Bell column did not solve the pair (_bell_ratios), and +inf on
-    a pair that is not live."""
-    c, live = _weights(stack, dims)
-    blk = _blocks(stack, _pair_rows(dims))
-    raw, _, nonlinear = _nonlinear_columns(blk, c, live)
-    ratio = _bell_ratios(blk, c, live)
-    reach = np.where(live[:, None], np.stack([nonlinear - 1.0, ratio - 2.0], axis=1), np.inf)
-    figures = _nonlinear_d(nonlinear), ratio.max(axis=1) - 2.0, _bound(raw, dims, False), _negativities(stack, dims)
-    return figures, reach
-
-
 def cren_lower_bound(rho: DensityMatrix, literal_min: bool = False) -> CrenBoundReport:
     """Assemble the bound from all subspace pairs in lexicographic order.
 
@@ -130,8 +106,7 @@ def cren_lower_bound(rho: DensityMatrix, literal_min: bool = False) -> CrenBound
     """
     stack = rho.mat[None]
     if literal_min:
-        c, live = _weights(stack, rho.dims)
-        raw = _nonlinear_columns(_blocks(stack, _pair_rows(rho.dims)), c, live)[0]
+        raw = _nonlinear_columns(*_gather(stack, rho.dims))[0]
     elif rho.vec is not None:
         raw = _pure_violations(rho)
     else:

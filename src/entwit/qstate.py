@@ -402,13 +402,16 @@ def to_json(rho: DensityMatrix) -> str:
 
 def _parse_json(text: str) -> tuple[np.ndarray, Dims]:
     """The matrix and two integral dims (2.0 is fine, 2.9 an error) of a JSON
-    document, not yet validated; re and im are 2-D and of one shape."""
+    document, not yet validated; re and im are 2-D, of one shape and of numbers."""
     try:
         doc = json.loads(text)
-        dims = doc["dims"]
-        re, im = np.asarray(doc["re"], dtype=float), np.asarray(doc["im"], dtype=float)
+        dims, parts = doc["dims"], (doc["re"], doc["im"])
+        re, im = (np.asarray(part, dtype=float) for part in parts)
         if re.ndim != 2 or re.shape != im.shape:  # never broadcast one part against the other
             raise ValueError(f"re {re.shape} and im {im.shape} must be matrices of one shape")
+        # JSON numbers only: asarray reads "0.5" as 0.5, true as 1 and null as NaN
+        if not {type(v) for part in parts for row in part for v in row} <= {int, float}:
+            raise ValueError("re and im entries must be numbers")
     # ValueError: not JSON, a ragged matrix or the shapes; RecursionError: nesting deeper than the decoder's stack;
     # OverflowError: an integer entry past the float range
     except (KeyError, TypeError, ValueError, RecursionError, OverflowError) as exc:

@@ -2,17 +2,24 @@
 
 Both detection onsets are bisected together in speculative rounds, one
 stacked evaluation each, with the decisions of a serial bisection (see
-_thresholds); each probe computes only the difference its bracket reads, on
-a certified scan only on the pairs that can decide it (_bracket_pairs).  A
-scan over its family's affine parameter builds each stack in one broadcast,
-and once its two range ends pass validation at half the tolerances, the
-states between them skip it.
+_thresholds).  A scan over its family's affine parameter builds each stack
+in one broadcast, and once its two range ends pass validation at half the
+tolerances, the states between them skip it.
 
 Sweeps emit violation-positive differences so that "curve above zero" means
 "detected": nonlinear_D = max_ab nonlinear_max - 1, and bell_D =
 max_ab (bell_max / c) - 2.  The Bell difference uses the weight-normalized
 value because the raw subspace mean is suppressed by c and would never reach
 the two-qubit bound on its own (see witness module notes).
+
+The row kernel, _assess, reads a stack of grid states through one gather of
+every pair (witness._gather) and solves every partial transpose; its Bell
+column reads only each state's largest bell_max / c, so only the pairs whose
+trace bound can reach it solve their Gram matrix (_bell_ratios,
+_GRAM_MARGIN).  It also returns each pair's reach: its own difference, or
+the bound that stood in for it.  On a certified scan, a probe solves only
+its own difference, on the pairs whose reach is not quiet at an end of its
+grid bracket (_QUIET, _bracket_pairs).
 """
 
 from __future__ import annotations
@@ -25,19 +32,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cren import _assess
-from .qstate import Dims, _checked, _require_integer
+from .cren import _bound
+from .qstate import Dims, _checked, _negativities, _require_integer
 from .states import _BUILD_ERRORS, _FAMILIES, _STATE_FLAGS, StateSpec, _family_spec
 from .witness import (
     TAU_DETECT,
     _bell_d,
     _bell_maxima,
-    _blocks,
+    _correlations,
     _csv_text,
+    _gather,
     _nonlinear_columns,
     _nonlinear_d,
-    _pair_rows,
-    _weights,
 )
 
 SCAN_HEADER = "param,nonlinear_D,bell_D,bound,negativity"
@@ -122,7 +128,54 @@ _FIELDS = ("nonlinear_d", "bell_d")  # the detection differences, in bisection o
 _CHUNK = 64  # grid points built, evaluated and written together
 _STACK_BLOCKS = 1 << 14  # 4x4 blocks one kernel call may hold (4 MB), so large states stack fewer at a time
 _CERT_MARGIN = 0.5  # the range ends certify an affine scan at this fraction of TAU_TR and TAU_PSD, far above rounding
-# A pair whose reach (cren._assess) is at most _QUIET at both ends of a grid
+
+
+# ---------------------------------------------------------------------------
+# the row kernel: the figures of a stack of grid states and their pairs' reach
+
+# Gram bounds.  The smallest eigenvalue of T^T T is at most the geometric mean
+# |det T|^{2/3} of the three, so tr - |det T|^{2/3} <= s1^2 + s2^2 <= tr with
+# tr = tr(T^T T), and the lower bound is at least 2 tr / 3.  A pair whose
+# upper bound tr / c^2 falls below its state's best lower bound by this
+# relative margin, far above the rounding of either side, cannot hold the
+# state's largest bell_max / c.
+_GRAM_MARGIN = 1e-9
+
+
+def _bell_ratios(blk: np.ndarray, c: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """bell_max / c, (N, P), of the raw blocks (N, P, 4, 4) with weights c and
+    live mask (N, P); 0 on empty pairs.  Only the live pairs that can hold
+    their state's maximum (_GRAM_MARGIN) solve their Gram matrix, as
+    witness._bell_maxima does; every other live pair reads its upper bound
+    2 sqrt(tr / c^2), below that maximum, so each state's largest ratio is the
+    all-pairs one to the last bit."""
+    t = _correlations(blk)[..., 1:, 1:]
+    (a, b, e), (f, g, h), (i, j, k) = entries = np.ascontiguousarray(np.moveaxis(t, (-2, -1), (0, 1)))
+    det = a * (g * k - h * j) - b * (f * k - h * i) + e * (f * j - g * i)
+    c2 = np.square(np.where(live, c, 1.0))
+    upper = np.square(entries).sum(axis=(0, 1)) / c2
+    best = np.where(live, upper - np.cbrt(det * det) / c2, 0.0).max(axis=-1, keepdims=True)
+    solve = live & (upper >= best * (1.0 - _GRAM_MARGIN))
+    ratio = np.where(live, 2.0 * np.sqrt(upper), 0.0)
+    ratio[solve] = _bell_maxima(blk[solve], True) / c[solve]
+    return ratio
+
+
+def _assess(stack: np.ndarray, dims: Dims):
+    """The scan row figures of a stack (N, mn, mn) of validated same-dims
+    states, nonlinear_D, bell_D, bound and negativity, each (N,), and their
+    pairs' reach (N, 2, P): for each detection difference in that order, the
+    pair's own difference, or an upper bound on it where the Bell column did
+    not solve the pair (_bell_ratios), and +inf on a pair that is not live."""
+    blk, c, live = _gather(stack, dims)
+    raw, _, nonlinear = _nonlinear_columns(blk, c, live)
+    ratio = _bell_ratios(blk, c, live)
+    reach = np.where(live[:, None], np.stack([nonlinear - 1.0, ratio - 2.0], axis=1), np.inf)
+    figures = _nonlinear_d(nonlinear), _bell_d(ratio), _bound(raw, dims, False), _negativities(stack, dims)
+    return figures, reach
+
+
+# A pair whose reach (_assess) is at most _QUIET at both ends of a grid
 # bracket of a certified scan stays there between them.  The bracket's states
 # are affine in the parameter, so for a level t, lambda_min of each pair's
 # partial transpose shifted by t c / 4 is concave in it and
@@ -131,6 +184,16 @@ _CERT_MARGIN = 0.5  # the range ends certify an affine scan at this fraction of 
 # TAU_DETECT is far above rounding, so such a pair cannot decide a probe
 # (_bracket_pairs).
 _QUIET = 0.5 * TAU_DETECT
+
+
+def _bracket_pairs(cfg: SweepConfig, lo_reach: np.ndarray, hi_reach: np.ndarray) -> tuple | None:
+    """The pairs that can decide a probe of one detection difference between
+    two neighbouring grid points, from their pair reach for that difference:
+    on a certified scan, each pair whose reach exceeds _QUIET at either end
+    (a pair not live at an end reads +inf there); else None, every pair."""
+    if cfg.certified_dims is None:
+        return None
+    return tuple(np.flatnonzero(np.maximum(lo_reach, hi_reach) > _QUIET).tolist())
 
 
 def _grid_values(cfg: SweepConfig, i0: int, i1: int) -> list[float]:
@@ -168,8 +231,8 @@ def _validated_stacks(cfg: SweepConfig, values, seeds):
 
 
 def _scan_points(cfg: SweepConfig, values, seeds, reach: list | None = None) -> list[ScanPoint]:
-    """The scan rows at the values (see _validated_stacks): one cren._assess
-    call per validated stack.  Each point's pair reach (2, P) goes onto
+    """The scan rows at the values (see _validated_stacks): one _assess call
+    per validated stack.  Each point's pair reach (2, P) goes onto
     `reach`, when given."""
     rows = []
     for dims, stack in _validated_stacks(cfg, values, seeds):
@@ -191,30 +254,18 @@ def _probe_differences(cfg: SweepConfig, fields, values, seeds, pairs=None) -> l
     difference exactly; a non-violating one, the largest over its pairs."""
     diffs, pairs = [], pairs or {}
     for dims, stack in _validated_stacks(cfg, values, seeds):
-        c, live = _weights(stack, dims)
         nl = np.array([f == "nonlinear_d" for f in fields[len(diffs) : len(diffs) + len(stack)]])
         d = np.empty(len(stack))
         for field, at in zip(_FIELDS, (nl, ~nl)):
             if at.any():
                 kept = pairs.get(field)
-                cols = slice(None) if kept is None else list(kept)
-                blk, c_at, live_at = _blocks(stack[at], _pair_rows(dims)[cols]), c[at][:, cols], live[at][:, cols]
+                blk, c, live = _gather(stack[at], dims, slice(None) if kept is None else list(kept))
                 if field == "nonlinear_d":
-                    d[at] = _nonlinear_d(_nonlinear_columns(blk, c_at, live_at)[2])
-                else:
-                    d[at] = _bell_d(_bell_maxima(blk, live_at), c_at, live_at)
+                    d[at] = _nonlinear_d(_nonlinear_columns(blk, c, live)[2])
+                else:  # empty pairs read bell_max = 0 and cannot raise the maximum
+                    d[at] = _bell_d(np.divide(_bell_maxima(blk, live), c, out=np.zeros_like(c), where=live))
         diffs += d.tolist()
     return diffs
-
-
-def _bracket_pairs(cfg: SweepConfig, lo_reach: np.ndarray, hi_reach: np.ndarray) -> tuple | None:
-    """The pairs that can decide a probe of one detection difference between
-    two neighbouring grid points, from their pair reach for that difference:
-    on a certified scan, each pair whose reach exceeds _QUIET at either end
-    (a pair not live at an end reads +inf there); else None, every pair."""
-    if cfg.certified_dims is None:
-        return None
-    return tuple(np.flatnonzero(np.maximum(lo_reach, hi_reach) > _QUIET).tolist())
 
 
 def _scan_chunks(cfg: SweepConfig, base_seed: int, crossings: dict):

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -201,13 +202,17 @@ def pure_from_schmidt(mu, d: int) -> PureState:
 
 
 def _read(name: str, value):
-    """d and rank must be integral (3.0 is fine, 2.5 an error, never a truncation);
-    x, p and a are reals; seed, mu and path pass as given."""
-    if name in ("d", "rank"):
-        if not float(value).is_integer():
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        return int(float(value))
-    return float(value) if name in ("x", "p", "a") else value
+    """d and rank are integers, read exactly however large, or integral reals (3.0
+    is fine, 2.5 an error, never a truncation); x, p and a are reals.  A bool or a
+    string is an error naming the parameter; seed, mu and path pass as given."""
+    if name not in ("d", "rank", "x", "p", "a"):
+        return value
+    integral = name in ("d", "rank")
+    if isinstance(value, bool) or not isinstance(value, Real) or (
+        integral and not isinstance(value, Integral) and not float(value).is_integer()
+    ):
+        raise ValueError(f"{name} must be {'an integer' if integral else 'a real number'}, got {value!r}")
+    return int(value) if integral else float(value)
 
 
 # the family of a state read from a JSON document (the CLI's --state PATH)

@@ -24,34 +24,29 @@ applies to it:
   the plain two-qubit witness on rho_ab.
 
 Every per-subspace figure comes from one kernel over a stack of same-dims
-states.  It gathers the raw blocks of all subspace pairs of every state at
-once, solves them in one eigensolve of their 4x4 partial transposes
-(_nonlinear_columns) and one of their 3x3 real Gram matrices T^T T
-(_bell_maxima), and returns numpy columns shaped (states, pairs).  A
-validated state is exactly Hermitian, so every gathered block is too.
-rho.mat is read as stored: an exactly real state is gathered, compressed and
-solved in float64, which agrees with the complex solve to rounding.  The
+states, with three entries.  _gather returns the raw blocks, weights c and
+live masks of whole pair columns: every pair, or the positions it is given.
+Its callers (detection, the SubspaceReport rows, the literal-min bound and
+entwit.scan) solve every gathered block, in one eigensolve of their 4x4
+partial transposes (_nonlinear_columns) and, for the Bell witness, one of
+their 3x3 real Gram matrices T^T T (_bell_maxima).  _violations, the
+default bound's entry, reads only the raw lambda_min of each pair: it
+gathers only the blocks that the purity certificate leaves open and solves
+only those of them that the diagonal rule does not settle; both rules are
+explained at their constants, _PURITY_CERT and _OFF_DIAGONAL.
+_pure_violations skips the kernel for a rank-one state (DensityMatrix.vec):
+each raw lambda_min is minus the modulus of a 2x2 minor of its coefficient
+matrix.
+
+Columns are numpy arrays shaped (states, pairs).  A validated state is
+exactly Hermitian, so every gathered block is too.  rho.mat is read as
+stored: an exactly real state is gathered, compressed and solved in float64,
+which agrees with the complex solve to rounding.  Block rows come from
+_pair_rows, built once per dims; one pair sits at its _pair_position.  The
 weight c of a pair and its empty rule c <= TAU_C are read from the diagonal
 of the state in one place (_weights); c divides the columns, never a block.
-
-The bound reads only the raw lambda_min of each pair, and its entry point
-(_violations) gathers only the blocks that the purity certificate leaves
-open and solves only those of them that the diagonal rule does not settle;
-both rules are explained at their constants, _PURITY_CERT and _OFF_DIAGONAL.
-A rank-one state (DensityMatrix.vec) skips the kernel: _pure_violations
-reads each raw lambda_min as minus the modulus of a 2x2 minor of its
-coefficient matrix.
-Detection, the scan grid and the SubspaceReport rows read every lambda_min,
-so they solve every block.  The scan grid's Bell column reads only each
-state's largest bell_max / c, so it solves the Gram matrices of only the
-pairs whose trace bound can reach it (_bell_ratios, _GRAM_MARGIN); a scan's
-bisection probe runs only the half its bracket reads, on the pairs its
-bracket keeps (scan._bracket_pairs).  Every block gather, of all pairs or of
-one, reads its block rows from _pair_rows, built once per dims, and every
-weight comes from _weights in the same order; one pair sits at its
-_pair_position.
 The detection rule lives beside TAU_DETECT: detect_entanglement and the
-scan (entwit.scan) both test the differences _nonlinear_d and _bell_d against it.
+scan both test the differences _nonlinear_d and _bell_d against it.
 
 Measurement settings that reach these maxima come from a separate numeric
 search, entwit.search, which reads only the correlation table of a block
@@ -96,10 +91,9 @@ def _nonlinear_d(nonlinear_max: np.ndarray) -> np.ndarray:
     return nonlinear_max.max(axis=1) - 1.0
 
 
-def _bell_d(bell_max: np.ndarray, c: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """bell_D of each state from its (N, P) CHSH maxima, which carry c."""
-    # empty subspaces report bell_max = 0 and cannot raise the maximum
-    return np.divide(bell_max, c, out=np.zeros_like(c), where=live).max(axis=1) - 2.0
+def _bell_d(ratio: np.ndarray) -> np.ndarray:
+    """bell_D of each state from its (N, P) ratios bell_max / c, 0 on empty pairs."""
+    return ratio.max(axis=1) - 2.0
 
 
 # signs of the two-party generator sandwich Y (x) Y on a reversed 4x4 block
@@ -237,15 +231,14 @@ def _corner_rows(dims: Dims) -> np.ndarray:
     return corners
 
 
-def _weights(stack: np.ndarray, dims: Dims, i: int | None = None):
+def _weights(stack: np.ndarray, dims: Dims):
     """Weights c >= 0 and live mask c > TAU_C on a stack (N, mn, mn) of states,
-    both (N, P) in _pair_rows order, or (N, 1) for the pair at position i
-    alone: the one home of the empty rule.  c sums the block's diagonal
-    entries of rho in the order (ja, jb), (ja, kb), (ka, jb), (ka, kb)."""
-    corners = _corner_rows(dims) if i is None else _corner_rows(dims)[:, i : i + 1]
+    both (N, P) in _pair_rows order: the one home of the empty rule.  c sums
+    the block's diagonal entries of rho in the order (ja, jb), (ja, kb),
+    (ka, jb), (ka, kb)."""
     # one take along the first axis of the diagonals' transpose, (4, P, N): numpy gathers
     # along it faster than along the last axis, for one state and for a scan's stack
-    g = np.take(np.diagonal(stack, axis1=-2, axis2=-1).real.T, corners, axis=0)
+    g = np.take(np.diagonal(stack, axis1=-2, axis2=-1).real.T, _corner_rows(dims), axis=0)
     c = np.maximum((g[0] + g[1] + g[2] + g[3]).T, 0.0, order="C")
     return c, c > TAU_C
 
@@ -264,6 +257,14 @@ def _blocks(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
     side = stack.shape[-1]
     flat = (rows * side)[:, :, None] + rows[:, None, :]  # entry (i, j) of each block in the flattened state
     return np.take(stack.reshape(len(stack), side * side), flat, axis=1)
+
+
+def _gather(stack: np.ndarray, dims: Dims, cols=slice(None)):
+    """The raw blocks (N, K, 4, 4), weights c and live mask (N, K) of the K
+    pairs at positions cols of _pair_rows (all of them by default) on a stack
+    (N, mn, mn) of states: the kernel's one gather of whole pair columns."""
+    c, live = _weights(stack, dims)
+    return _blocks(stack, _pair_rows(dims)[cols]), c[:, cols], live[:, cols]
 
 
 def _correlations(rho_ab: np.ndarray) -> np.ndarray:
@@ -299,41 +300,11 @@ def _bell_maxima(blk: np.ndarray, live: np.ndarray) -> np.ndarray:
     return np.where(live, 2.0 * np.sqrt(np.maximum(ev[..., 1] + ev[..., 2], 0.0)), 0.0)
 
 
-# Gram bounds.  The smallest eigenvalue of T^T T is at most the geometric mean
-# |det T|^{2/3} of the three, so tr - |det T|^{2/3} <= s1^2 + s2^2 <= tr with
-# tr = tr(T^T T), and the lower bound is at least 2 tr / 3.  A pair whose
-# upper bound tr / c^2 falls below its state's best lower bound by this
-# relative margin, far above the rounding of either side, cannot hold the
-# state's largest bell_max / c.
-_GRAM_MARGIN = 1e-9
-
-
-def _bell_ratios(blk: np.ndarray, c: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """bell_max / c, (N, P), of the raw blocks (N, P, 4, 4) with weights c and
-    live mask (N, P); 0 on empty pairs.  Only the live pairs that can hold
-    their state's maximum (_GRAM_MARGIN) solve their Gram matrix, as
-    _bell_maxima does; every other live pair reads its upper bound
-    2 sqrt(tr / c^2), below that maximum, so each state's largest ratio is the
-    all-pairs one to the last bit."""
-    t = _correlations(blk)[..., 1:, 1:]
-    (a, b, e), (f, g, h), (i, j, k) = entries = np.ascontiguousarray(np.moveaxis(t, (-2, -1), (0, 1)))
-    det = a * (g * k - h * j) - b * (f * k - h * i) + e * (f * j - g * i)
-    c2 = np.square(np.where(live, c, 1.0))
-    upper = np.square(entries).sum(axis=(0, 1)) / c2
-    best = np.where(live, upper - np.cbrt(det * det) / c2, 0.0).max(axis=-1, keepdims=True)
-    solve = live & (upper >= best * (1.0 - _GRAM_MARGIN))
-    ratio = np.where(live, 2.0 * np.sqrt(upper), 0.0)
-    ratio[solve] = _bell_maxima(blk[solve], True) / c[solve]
-    return ratio
-
-
-def _reports(stack: np.ndarray, dims: Dims, i: int | None = None) -> _Columns:
-    """Columns of every pair on a stack of states, or of the pair at position
-    i of _pair_rows alone, from one gather of their raw blocks: both
-    witnesses of every pair."""
-    c, live = _weights(stack, dims, i)
-    rows = _pair_rows(dims)
-    blk = _blocks(stack, rows if i is None else rows[i : i + 1])
+def _reports(stack: np.ndarray, dims: Dims, cols=slice(None)) -> _Columns:
+    """Columns of the pairs at positions cols of _pair_rows (every pair by
+    default) on a stack of states, from one gather of their raw blocks
+    (_gather): both witnesses of each pair."""
+    blk, c, live = _gather(stack, dims, cols)
     raw, lam, nonlinear = _nonlinear_columns(blk, c, live)
     return _Columns(c, live, raw, lam, _bell_maxima(blk, live), nonlinear)
 
@@ -417,21 +388,19 @@ def _pure_violations(rho: DensityMatrix) -> np.ndarray:
     return np.where(live, -np.abs(a00 * a11 - a01 * a10), 0.0)
 
 
-def _report_rows(rho: DensityMatrix, pairs, i: int | None = None) -> tuple[_Columns, list[SubspaceReport]]:
+def _report_rows(rho: DensityMatrix, pairs, cols=slice(None)) -> tuple[_Columns, list[SubspaceReport]]:
     """Kernel columns and SubspaceReport rows of one state's (alpha, beta)
-    pairs: every pair, or the one at position i of _pair_rows."""
-    cols = _reports(rho.mat[None], rho.dims, i)
-    d = cols.nonlinear_max[0] - 1.0
-    table = (cols.c[0], cols.lambda_min[0], cols.bell_max[0], cols.nonlinear_max[0], d, np.maximum(0.0, d))
-    return cols, [SubspaceReport(a, b, *row) for (a, b), row in zip(pairs, zip(*(col.tolist() for col in table)))]
+    pairs, those at positions cols of _pair_rows (every pair by default)."""
+    kernel = _reports(rho.mat[None], rho.dims, cols)
+    d = kernel.nonlinear_max[0] - 1.0
+    table = (kernel.c[0], kernel.lambda_min[0], kernel.bell_max[0], kernel.nonlinear_max[0], d, np.maximum(0.0, d))
+    return kernel, [SubspaceReport(a, b, *row) for (a, b), row in zip(pairs, zip(*(col.tolist() for col in table)))]
 
 
 def _pair_block(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair):
     """Weight c and rho_ab of one subspace pair; rho_ab is None when it is empty."""
-    i = _pair_position(rho.dims, alpha, beta)
-    stack, rows = rho.mat[None], _pair_rows(rho.dims)[i : i + 1]
-    (c,), (live,) = _weights(stack, rho.dims, i)
-    return float(c[0]), (_blocks(stack, rows)[0, 0] / c[0] * _YY_SIGNS if live[0] else None)
+    blk, c, live = _gather(rho.mat[None], rho.dims, [_pair_position(rho.dims, alpha, beta)])
+    return float(c[0, 0]), (blk[0, 0] / c[0, 0] * _YY_SIGNS if live[0, 0] else None)
 
 
 def project_state(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair) -> ProjectedState:
@@ -515,7 +484,7 @@ def nonlinear_max(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair)
 
 def subspace_report(rho: DensityMatrix, alpha: GeneratorPair, beta: GeneratorPair) -> SubspaceReport:
     """All per-subspace figures of one pair."""
-    return _report_rows(rho, [(alpha, beta)], _pair_position(rho.dims, alpha, beta))[1][0]
+    return _report_rows(rho, [(alpha, beta)], [_pair_position(rho.dims, alpha, beta)])[1][0]
 
 
 def _all_reports(rho: DensityMatrix) -> tuple[_Columns, list[SubspaceReport]]:

@@ -150,12 +150,17 @@ class TestExitCodes:
             ([2, 2], None, 0),
             ([2, 2], None, [[0.0, 0.0, 0.0, 0.0]]),
             ([2, 2], np.diag([10**400, 0, 0, 0]).tolist(), None),
+            ([2, 2], [[str(v) for v in row] for row in np.eye(4) / 4], None),
+            ([2, 2], None, [[False] * 4] * 4),
+            ([2, 2], None, [[0.0] * 4] * 3 + [[0.0, 0.0, 0.0, None]]),
         ],
-        ids=["dims0-None", "dims1-re1", "scalar-re", "scalar-im", "one-row-im", "int-past-the-float-range"],
+        ids=["dims0-None", "dims1-re1", "scalar-re", "scalar-im", "one-row-im", "int-past-the-float-range",
+             "quoted-re", "boolean-im", "null-im-entry"],
     )
     def test_malformed_state_document(self, capsys, tmp_path, dims, re, im):
-        # a non-integral dims entry, a ragged matrix and re and im of two shapes are malformed
-        # documents, never a truncation, a broadcast or a traceback
+        # a non-integral dims entry, a ragged matrix, re and im of two shapes and an entry that is
+        # not a JSON number are malformed documents, never a truncation, a conversion, a broadcast
+        # or a traceback
         doc = json.loads(to_json(isotropic(2, 0.0)))
         doc["dims"] = dims
         doc["re"] = doc["re"] if re is None else re
@@ -344,6 +349,9 @@ COMMANDS = {
     # the shape overflows before any allocation
     "huge-d": (["detect", "--family", "max_entangled", "--d", "99999999999999999999"], None, 3,
                says("Maximum allowed dimension exceeded")),
+    # d and its rank d^2 stay exact integers, so the rank is in range and the shape overflows
+    "huge-d-random-density": (["detect", "--family", "random_density", "--d", "99999999999999999999"], None, 3,
+                              says("Maximum allowed dimension exceeded")),
     # validated state by state; the --csv file is stdout without its threshold line
     "rho-a-mix-over-a": (
         ["scan", "--family", "rho_a_mix", "--p", "0.3", "--scan-param", "a", "--range", "0.05:0.95",
@@ -368,12 +376,14 @@ JSON_VALUES = st.sampled_from([None, True, "0.5", [], {}, 0, -1, 0.5, 10**400, [
 @st.composite
 def state_texts(draw):
     """A valid state document, or one after one to three mutations: truncation,
-    type swaps, extra nesting, NaN/Infinity entries, wrong or fractional dims."""
+    type swaps, extra nesting, NaN/Infinity entries, an entry quoted (or 0 and 1
+    written as booleans), wrong or fractional dims."""
     doc = json.loads(json.dumps(draw(st.sampled_from(VALID_DOCS))))
     for _ in range(draw(st.integers(0, 3))):
         mutation = draw(st.sampled_from(["entry", "non-finite", "truncate", "swap", "nest", "dims", "drop"] * 2
-                                        + ["entry", "non-finite"]))
-        key = draw(st.sampled_from(["re", "im"] if mutation in ("entry", "non-finite") else ["dims", "re", "im"]))
+                                        + ["entry", "non-finite", "quote", "quote"]))
+        entry = mutation in ("entry", "non-finite", "quote")
+        key = draw(st.sampled_from(["re", "im"] if entry else ["dims", "re", "im"]))
         if not (isinstance(doc, dict) and isinstance(doc.get(key), list) and doc[key]):
             doc = draw(JSON_VALUES) if mutation == "swap" else doc
         elif mutation == "truncate":
@@ -381,11 +391,15 @@ def state_texts(draw):
             return text[: draw(st.integers(0, len(text) - 1))]
         elif mutation == "swap":
             doc[key] = draw(JSON_VALUES)
-        elif mutation in ("entry", "non-finite"):
+        elif entry:
             row = doc[key][draw(st.integers(0, len(doc[key]) - 1))]
-            value = draw(st.sampled_from([math.nan, math.inf, -math.inf]) if mutation == "non-finite" else JSON_VALUES)
             if isinstance(row, list) and row:
-                row[draw(st.integers(0, len(row) - 1))] = value
+                k = draw(st.integers(0, len(row) - 1))
+                if mutation == "quote":  # the same matrix, were the entry read as a number
+                    row[k] = draw(st.sampled_from([str(row[k])] + [bool(row[k])] * (row[k] in (0, 1))))
+                else:
+                    row[k] = draw(st.sampled_from([math.nan, math.inf, -math.inf]) if mutation == "non-finite"
+                                  else JSON_VALUES)
         elif mutation == "nest":
             doc[key] = [doc[key]] if draw(st.booleans()) else [[entry] for entry in doc[key]]
         elif mutation == "dims":
@@ -456,20 +470,36 @@ def cli_argvs(draw, tmp):
     return argv
 
 
+def non_numbers(value) -> list:
+    """The entries of a JSON value, at any depth of its lists, that are not JSON numbers."""
+    if isinstance(value, list):
+        return [v for item in value for v in non_numbers(item)]
+    return [] if type(value) in (int, float) else [value]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.data())
 def test_any_input_exits_with_a_documented_code(data):
+    state_only = data.draw(st.booleans(), "state file only")  # half the runs
     with tempfile.TemporaryDirectory() as tmp:
-        if data.draw(st.booleans(), "state file only"):  # half the runs
+        if state_only:
             argv = [data.draw(st.sampled_from(["detect", "bound"]), "command"), "--state", f"{tmp}/state.json"]
         else:
             argv = data.draw(cli_argvs(tmp), "argv")
         if "--state" in argv:
-            (Path(tmp) / "state.json").write_text(data.draw(state_texts(), "state"))
+            text = data.draw(state_texts(), "state")
+            (Path(tmp) / "state.json").write_text(text)
         code, _, err = captured(argv)
     assert code in ({0, 2, 3, 4} if argv[0] == "selftest" else {0, 2, 3}), err
     assert "Traceback" not in err
     assert code == 0 or sum("error:" in line for line in err.splitlines()) == 1, err
+    if state_only:  # a non-number in re or im, a quoted or boolean entry say, is a malformed document
+        try:
+            doc = json.loads(text)
+        except ValueError:
+            doc = None
+        if isinstance(doc, dict) and any(non_numbers(doc.get(key, [])) for key in ("re", "im")):
+            assert code == 3, err
 
 
 class TestScan:
@@ -1077,8 +1107,8 @@ class TestLockstepBisection:
         def forbidden(*args, **kw):
             raise AssertionError("a bisection probe computed a bound or a negativity")
 
-        monkeypatch.setattr(cren, "_negativities", forbidden)
-        monkeypatch.setattr(cren, "_bound", forbidden)
+        monkeypatch.setattr(scan, "_negativities", forbidden)
+        monkeypatch.setattr(scan, "_bound", forbidden)
         rounds = probe_calls(monkeypatch)
         _thresholds(cfg, 0, crossings)
         counts = [Counter(field for field, *_ in call) for call in rounds]
@@ -1289,7 +1319,7 @@ def oracle_rows(cfg, values, seeds):
         cols = _reports(stack, dims)
         figures = (
             _nonlinear_d(cols.nonlinear_max),
-            _bell_d(cols.bell_max, cols.c, cols.live),
+            _bell_d(np.divide(cols.bell_max, cols.c, out=np.zeros_like(cols.c), where=cols.live)),
             _bound(cols.raw, dims, False),
             _negativities(stack, dims),
         )
@@ -1332,7 +1362,7 @@ def assert_all_pairs_scan(cfg, base_seed):
 class TestPrunedSolves:
     """The scan solves only the pairs that can set a figure it prints or a decision it takes: each
     grid state the Gram matrices whose upper bound reaches the state's best lower bound
-    (witness._bell_ratios), and on a certified scan each probe the pairs its bracket keeps
+    (scan._bell_ratios), and on a certified scan each probe the pairs its bracket keeps
     (scan._bracket_pairs).  Its rows and thresholds are those of the all-pairs solve."""
 
     AFFINE = {  # certified affine scans, (family, fixed, param): the domain of param

@@ -48,6 +48,7 @@ from entwit.witness import (
     TAU_C,
     _PURITY_CERT,
     _blocks,
+    _gather,
     _pair_position,
     _pair_rows,
     _pure_violations,
@@ -205,7 +206,7 @@ class TestCertifiedSolve:
         assert c.tobytes() == want.tobytes() and np.array_equal(live, want > TAU_C)
         assert (c == 0.0).any() and not live.all()
         for i in range(len(rows)):
-            one, one_live = _weights(stack, dims, i)
+            _, one, one_live = _gather(stack, dims, [i])
             assert one.tobytes() == want[:, i : i + 1].tobytes() and np.array_equal(one_live, live[:, i : i + 1])
 
     @settings(max_examples=60, deadline=None, derandomize=True)

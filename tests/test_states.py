@@ -340,6 +340,11 @@ class TestStateSpec:
             StateSpec.from_dict({"family": "random_pure", "d": 2.5, "seed": 0}).build()
         with pytest.raises(ValueError, match="rank must be an integer"):
             StateSpec.from_dict({"family": "random_density", "d": 2, "rank": 2.5, "seed": 0}).build()
+        # a bool or a string is not a number, even where it would convert to one
+        with pytest.raises(ValueError, match="d must be an integer, got True"):
+            StateSpec.from_dict({"family": "isotropic", "d": True, "x": 0.5}).build()
+        with pytest.raises(ValueError, match="x must be a real number, got '0.5'"):
+            StateSpec.from_dict({"family": "isotropic", "d": 3, "x": "0.5"}).build()
 
 
 # an affine family's swept parameter and a strategy for its other parameters and in-domain values

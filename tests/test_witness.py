@@ -36,6 +36,7 @@ from entwit.qstate import (
     partial_transpose_mat,
     validate_density,
 )
+from entwit.scan import _bell_ratios
 from entwit.search import OptimizerConfig, _bell_fg, _nonlinear_fg, optimize_settings
 from entwit.states import bennett_rho, example1_mixture, random_density, rho_a
 from entwit.witness import (
@@ -47,13 +48,11 @@ from entwit.witness import (
     _PURITY_CERT,
     _Columns,
     _bell_d,
-    _bell_ratios,
-    _blocks,
+    _gather,
     _pair_position,
     _pair_rows,
     _reports,
     _violations,
-    _weights,
     bell_max,
     bell_value,
     best_report,
@@ -471,18 +470,18 @@ class TestKernel:
             assert any(r.c == 0.0 and r.nonlinear_max == 1.0 for r in reports)
 
     def test_subspace_reports_read_the_cached_index(self, monkeypatch):
-        # the kernel gets every pair (no position i), and no single-pair position is computed
+        # the kernel gets every pair (no positions), and no single-pair position is computed
         seen, real = [], witness._reports
 
-        def spy(stack, dims, i=None):
-            seen.append((dims, i))
-            return real(stack, dims, i)
+        def spy(stack, dims, cols=slice(None)):
+            seen.append((dims, cols))
+            return real(stack, dims, cols)
 
         monkeypatch.setattr(witness, "_reports", spy)
         monkeypatch.setattr(witness, "_pair_position", lambda *args: pytest.fail("_pair_position called"))
         rho = rand_density(np.random.default_rng(5), 3, 4)
         reports = subspace_reports(rho)
-        assert seen == [(rho.dims, None)]
+        assert seen == [(rho.dims, slice(None))]
         keys = [[r.alpha.j, r.alpha.k, r.beta.j, r.beta.k] for r in reports]
         assert keys == all_pairs_index(rho.dims).tolist()
         assert all(type(v) is int for key in keys for v in key)  # Python ints, so the rows serialize to JSON
@@ -576,10 +575,10 @@ class TestKernel:
             states.append(validate_density(mat / np.trace(mat).real, Dims(m, n)))
         stack, dims = np.stack([rho.mat for rho in states]), Dims(m, n)
         cols = _reports(stack, dims)
-        c, live = _weights(stack, dims)
-        ratio = _bell_ratios(_blocks(stack, _pair_rows(dims)), c, live)
+        blk, c, live = _gather(stack, dims)
+        ratio = _bell_ratios(blk, c, live)
         exact = np.divide(cols.bell_max, c, out=np.zeros_like(c), where=live)
-        assert np.array_equal(ratio.max(axis=1) - 2.0, _bell_d(cols.bell_max, c, live))
+        assert np.array_equal(_bell_d(ratio), _bell_d(exact))
         solved, top = ratio == exact, np.broadcast_to(ratio.max(axis=1, keepdims=True), ratio.shape)
         assert np.all(ratio[~solved] >= exact[~solved] * (1.0 - 1e-12)) and np.all(ratio[~solved] < top[~solved])
         assert np.all(ratio[~live] == 0.0) and solved.sum() < live.sum()
@@ -1144,9 +1143,9 @@ class TestDetection:
         calls, real = [], witness._reports
         rho = validate_density(np.eye(4) / 4, Dims(2, 2))
         for value, want in ((1.0 + TAU_DETECT, False), (np.nextafter(1.0 + TAU_DETECT, 2.0), True), (1.0, False)):
-            def fake(stack, dims, i=None, value=value):
-                calls.append(i)
-                return real(stack, dims, i)._replace(nonlinear_max=np.array([[value]]))
+            def fake(stack, dims, cols=slice(None), value=value):
+                calls.append(cols)
+                return real(stack, dims, cols)._replace(nonlinear_max=np.array([[value]]))
 
             monkeypatch.setattr(witness, "_reports", fake)
             calls.clear()
