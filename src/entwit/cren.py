@@ -32,9 +32,9 @@ from_json or a CLI family.  Every other state takes the kernel.
 The bound reads a subspace only through lambda_ab, so a block whose partial
 transpose is provably positive adds exactly 0 and needs no eigenvalue.  The
 default bound (witness._violations) therefore skips every block that the
-purity certificate proves positive and reads every exactly diagonal block
-off its diagonal, and it equals the all-blocks solve to the last bit; both
-rules are explained at witness._PURITY_CERT and witness._OFF_DIAGONAL.
+purity certificate proves positive and solves the rest in one eigensolve,
+and it equals the all-blocks solve to the last bit; the rule is explained
+at witness._PURITY_CERT.
 
 A literal clip-below variant (X = min(0, d)) is kept behind a flag for
 comparison; it discards every violation and degenerates to 0 on the

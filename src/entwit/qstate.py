@@ -14,16 +14,10 @@ density matrix check and alone decides a state's arithmetic (float64 when
 exactly real, else complex128); DensityMatrix.mat stores it and every
 consumer reads it as stored.
 
-The negativity solves rho^{T_A} along its exact zero pattern (_spectra); a
-rank-one state, which DensityMatrix.vec reads off the matrix to rounding
-(_rank_one_vector), reads pure_negativity instead, however it was made.  A
-permutation that makes the connected components of the pattern diagonal
-blocks keeps the spectrum, so from side 64 up each component is solved
-alone: a 1x1 component reads its diagonal entry, and components of one size
-are solved in one batched eigensolve.  Schmidt-form, P_+ and isotropic states
-split into 1x1 and 2x2 components.  A dense input, whose row 0 holds no exact
-zero, such as a random state or a tiles mixture, pays only that O(side) test
-and is solved whole, as is every matrix below side 64.
+The negativity solves rho^{T_A} whole, in one eigensolve of a stack
+(_negativities); a rank-one state, which DensityMatrix.vec reads off the
+matrix to rounding (_rank_one_vector), reads pure_negativity instead,
+however it was made.
 """
 
 from __future__ import annotations
@@ -278,56 +272,10 @@ def trace_norm(h: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(herm))))
 
 
-def _components(pattern: np.ndarray) -> np.ndarray:
-    """Each node's component label, the smallest node of its component, in the
-    graph of a symmetric boolean adjacency (side, side): min-label propagation
-    over the neighbours and the node itself (a zero diagonal entry is no edge),
-    then one pointer jump, until no label moves."""
-    side = len(pattern)
-    rows, cols = np.divmod(np.flatnonzero(pattern), side)
-    label = np.arange(side)
-    while True:
-        new = label.copy()
-        np.minimum.at(new, rows, label[cols])
-        new = new[new]
-        if (new == label).all():
-            return label
-        label = new
-
-
-# Below this side one eigensolve of the whole matrix costs less than finding
-# its components, about 40 us of numpy calls: on a 2-core Xeon the two break
-# even between side 49 and 64 (P_+ and Schmidt states, one state at a time).
-_BLOCK_MIN_SIDE = 64
-
-
-def _spectra(pt: np.ndarray) -> np.ndarray:
-    """The eigenvalues, ascending, of each Hermitian matrix of a stack (N, side, side).
-    From side _BLOCK_MIN_SIDE up, a stack whose shared exact zero pattern
-    splits into components is solved component by component."""
-    if pt.shape[-1] < _BLOCK_MIN_SIDE or pt[:, 0].any(axis=0).all():  # small, or row 0 reaches every node
-        return np.linalg.eigvalsh(pt)
-    label = _components(pt.any(axis=0))
-    order = np.argsort(label, kind="stable")  # the nodes, grouped by component
-    size = np.bincount(label)[label[order]]  # the size of each node's component, in that order
-    parts = []
-    for k in np.flatnonzero(np.bincount(size)):  # the sizes present; np.unique cost 0.8 MB of peak RSS
-        idx = order[size == k].reshape(-1, k)  # one row per component of k nodes
-        if k == 1:
-            parts.append(np.diagonal(pt, axis1=1, axis2=2)[:, idx[:, 0]].real)
-        else:
-            parts.append(np.linalg.eigvalsh(pt[:, idx[:, :, None], idx[:, None, :]]).reshape(len(pt), -1))
-    # in the whole solve's order, so that equal eigenvalues give the negativity to the bit
-    return np.sort(np.concatenate(parts, axis=1), axis=1)
-
-
 def _negativities(mats: np.ndarray, dims: Dims) -> np.ndarray:
     """negativity of each validated state of a real or complex stack (..., mn, mn),
-    from the spectra of their partial transposes (_spectra).  The partial
-    transpose of an exactly Hermitian M is exactly Hermitian, so its exact
-    zeros form the symmetric pattern _components reads."""
-    pt = partial_transpose_mat(mats, dims.m, dims.n)
-    lam = _spectra(pt.reshape(-1, *pt.shape[-2:])).reshape(pt.shape[:-1])
+    from one eigensolve of their partial transposes."""
+    lam = np.linalg.eigvalsh(partial_transpose_mat(mats, dims.m, dims.n))
     return 2.0 * np.where(lam < 0.0, -lam, 0.0).sum(axis=-1) / (min(dims.m, dims.n) - 1)
 
 

@@ -74,7 +74,7 @@ def _isotropic(d: int, x: float) -> tuple[np.ndarray, Dims]:
     """The one build of P_+, in float64 (x = 1 gives P_+ bitwise, as 1.0 P + 0.0 = P): the
     real part, to the last bit, of a build from the complex max_entangled vector."""
     _require_integer("d", d, 2)
-    lo = -1.0 / (d * d - 1.0)
+    lo = -1 / (d * d - 1)  # divided as exact integers: from d = 2**512 on, d * d is past the float range
     if (bad := _outside(lo - 1e-12, x, 1.0 + 1e-12)) is not None:
         raise ValueError(f"x={bad} outside positivity range [{lo}, 1]")
     vec = np.zeros(d * d)
@@ -202,17 +202,31 @@ def pure_from_schmidt(mu, d: int) -> PureState:
 
 
 def _read(name: str, value):
-    """d and rank are integers, read exactly however large, or integral reals (3.0
-    is fine, 2.5 an error, never a truncation); x, p and a are reals.  A bool or a
-    string is an error naming the parameter; seed, mu and path pass as given."""
-    if name not in ("d", "rank", "x", "p", "a"):
+    """d, rank and seed are integers, read exactly however large, or integral reals
+    (3.0 is fine, 2.5 an error, never a truncation), and seed is >= 0; x, p and a
+    are reals within the float range, and mu is a list of them; path is a string.
+    A bool or a string is never a number.  Any other value is a ValueError naming
+    the parameter."""
+    if name == "path":
+        if not isinstance(value, str):
+            raise ValueError(f"path must be a string, got {value!r}")
         return value
-    integral = name in ("d", "rank")
-    if isinstance(value, bool) or not isinstance(value, Real) or (
-        integral and not isinstance(value, Integral) and not float(value).is_integer()
+    if name == "mu":
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"mu must be a list of real numbers, got {value!r}")
+        return [_read("mu entry", v) for v in value]
+    integral = name in ("d", "rank", "seed")
+    kind = ("an integer >= 0" if name == "seed" else "an integer") if integral else "a real number"
+    if isinstance(value, bool) or not isinstance(value, Real) or integral and (
+        not isinstance(value, Integral) and not float(value).is_integer() or name == "seed" and value < 0
     ):
-        raise ValueError(f"{name} must be {'an integer' if integral else 'a real number'}, got {value!r}")
-    return int(value) if integral else float(value)
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    if integral:
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        raise ValueError(f"{name} must be a real number within the float range") from None
 
 
 # the family of a state read from a JSON document (the CLI's --state PATH)
@@ -239,7 +253,7 @@ class StateSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
+        if not isinstance(self.family, str) or self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; known: {sorted(_FAMILIES)}")
         want = set(_FAMILIES[self.family][0])
         if set(self.params) != want:

@@ -31,9 +31,8 @@ entwit.scan) solve every gathered block, in one eigensolve of their 4x4
 partial transposes (_nonlinear_columns) and, for the Bell witness, one of
 their 3x3 real Gram matrices T^T T (_bell_maxima).  _violations, the
 default bound's entry, reads only the raw lambda_min of each pair: it
-gathers only the blocks that the purity certificate leaves open and solves
-only those of them that the diagonal rule does not settle; both rules are
-explained at their constants, _PURITY_CERT and _OFF_DIAGONAL.
+gathers and solves only the blocks that the purity certificate leaves open,
+a rule explained at its constant, _PURITY_CERT.
 _pure_violations skips the kernel for a rank-one state (DensityMatrix.vec):
 each raw lambda_min is minus the modulus of a 2x2 minor of its coefficient
 matrix.
@@ -340,38 +339,17 @@ def _purities(stack: np.ndarray, dims: Dims) -> np.ndarray:
     return q.reshape(len(stack), -1)
 
 
-# Diagonal rule.  A block whose 12 off-diagonal entries are all exactly zero is
-# its own partial transpose, and LAPACK returns the diagonal of a diagonal
-# input as its eigenvalues, unrounded, unless it rescales the input, which it
-# does only below about 1e-146 or above 1e146; a live block holds an entry of
-# at least c/4 > TAU_C/4.  So such a block reads lambda_min as its smallest
-# diagonal entry, to the last bit.  The test is for exact zeros, so it adds no
-# tolerance.  In Schmidt form, and for P_+, most live blocks are such rank-one
-# product blocks, whose purity c^2 the certificate cannot pass.
-_OFF_DIAGONAL = np.flatnonzero(~np.eye(4, dtype=bool))
-
-
 def _violations(stack: np.ndarray, dims: Dims) -> np.ndarray:
     """Raw lambda_min, (N, P) in _pair_rows order, on a stack of states.
-    Only the live blocks the purity certificate leaves open are gathered, and
-    of those only the ones with a nonzero off-diagonal entry are solved: an
-    exactly diagonal block reads the minimum of its diagonal.  Every other
-    pair reads 0, which the bound clips to 0 as it does the positive value in
-    the full _reports columns."""
+    Only the live blocks the purity certificate leaves open are gathered and
+    solved, in one eigensolve.  Every other pair reads 0, which the bound
+    clips to 0 as it does the positive value in the full _reports columns."""
     c, live = _weights(stack, dims)
     raw = np.zeros_like(c)
     solve = live & (_purities(stack, dims) >= _PURITY_CERT * c**2)
     cols = np.flatnonzero(solve.any(axis=0))
     if cols.size:
-        blk = _blocks(stack, _pair_rows(dims)[cols])[solve[:, cols]]
-        diagonal = ~blk.reshape(-1, 16)[:, _OFF_DIAGONAL].any(axis=1)  # exact zeros, no magnitude test
-        if diagonal.any():
-            lam = np.diagonal(blk, axis1=-2, axis2=-1).real.min(axis=-1)
-            if not diagonal.all():
-                lam[~diagonal] = _lambda_min(blk[~diagonal])
-        else:
-            lam = _lambda_min(blk)
-        raw[solve] = lam
+        raw[solve] = _lambda_min(_blocks(stack, _pair_rows(dims)[cols])[solve[:, cols]])
     return raw
 
 

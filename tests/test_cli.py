@@ -349,6 +349,9 @@ COMMANDS = {
     # the shape overflows before any allocation
     "huge-d": (["detect", "--family", "max_entangled", "--d", "99999999999999999999"], None, 3,
                says("Maximum allowed dimension exceeded")),
+    # d * d - 1 past the float range: the isotropic domain check divides it as an exact integer
+    "huge-d-isotropic": (["detect", "--family", "isotropic", "--d", "1" + "0" * 400, "--x", "0.5"], None, 3,
+                         says("Maximum allowed dimension exceeded")),
     # d and its rank d^2 stay exact integers, so the rank is in range and the shape overflows
     "huge-d-random-density": (["detect", "--family", "random_density", "--d", "99999999999999999999"], None, 3,
                               says("Maximum allowed dimension exceeded")),

@@ -120,18 +120,17 @@ class TestLazyRows:
         assert abs(rep.bound - bound_from_rows([{"c": r.c, "d": r.d} for r in rows], rho.dims)) < 1e-12
 
 
-def assert_bitwise_full_solve(rho) -> int:
+def assert_bitwise_full_solve(rho) -> None:
     """The kernel's bound (_violations) skips the eigensolve of every block the
-    purity certificate proves positive and of every exactly diagonal block;
-    the oracle solves every block, and both must agree to the last bit,
+    purity certificate proves positive; the oracle solves every block, and
+    both must agree to the last bit,
     solving the stack the bound solves (rho.mat as stored), as must the
     literal_min bound, which solves every block.  cren_lower_bound returns the
     kernel's bound to the last bit on a state that is not rank one and within
     1e-13 on one that is, which it reads in closed form.  Pair by pair,
     _violations holds the oracle's raw lambda_min on every block it does not
     certify and reads 0 on the rest, whose raw lambda_min is positive or, if
-    empty, 0.  Returns the number of those uncertified blocks that are
-    exactly diagonal."""
+    empty, 0."""
     stack, dims = rho.mat[None], rho.dims
     cols = _reports(stack, dims)
     raw = _violations(stack, dims)
@@ -147,8 +146,6 @@ def assert_bitwise_full_solve(rho) -> int:
     solved = cols.live & (_purities(stack, dims) >= _PURITY_CERT * cols.c**2)
     assert raw[solved].tobytes() == cols.raw[solved].tobytes()
     assert not raw[~solved].any() and np.all(cols.raw[~solved] >= 0.0)
-    blocks = _blocks(stack, _pair_rows(dims))[solved]
-    return int(np.sum(np.count_nonzero(blocks * (1.0 - np.eye(4)), axis=(1, 2)) == 0))
 
 
 @st.composite
@@ -315,19 +312,17 @@ def lambda_min_calls(monkeypatch, rho):
 
 
 class TestDiagonalBlocks:
-    """An uncertified block whose 12 off-diagonal entries are exact zeros is
-    its own partial transpose; the bound reads its lambda_min off its diagonal,
-    which is what the eigensolver returns, to the last bit."""
+    """States full of blocks whose 12 off-diagonal entries are exact zeros:
+    the bound solves every block the purity certificate leaves open in one
+    eigensolve and equals the full solve to the last bit."""
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(local_schmidt_states())
     def test_schmidt_states_under_local_permutations_and_phases(self, rho):
-        diagonal = assert_bitwise_full_solve(rho)
+        assert_bitwise_full_solve(rho)
         rep = cren_lower_bound(rho)
         # the bound stays exact: local permutations and diagonal phases keep every block's spectrum
         assert abs(rep.bound - rep.negativity) < 1e-8
-        if rho.dims.m > 2 and np.count_nonzero(np.diagonal(rho.mat).real) > 1:
-            assert diagonal > 0
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(product_diagonal_states())
@@ -342,70 +337,61 @@ class TestDiagonalBlocks:
         for d in range(2, 17):
             # complex P_+ from the vector and the float64 family build
             for rho in (max_entangled(d).projector(), isotropic(d, 1.0)):
-                # alpha = {i, j} with a beta that shares one index: a diagonal product block
-                assert assert_bitwise_full_solve(rho) == d * (d - 1) // 2 * 2 * (d - 2)
+                assert_bitwise_full_solve(rho)
 
     @pytest.mark.parametrize("tiny", [1e-300, 1e-300j, 5e-324])
     def test_a_tiny_off_diagonal_entry_is_solved(self, monkeypatch, tiny):
-        # an exact-zero test, not a magnitude test: the block is not diagonal, so it is solved
+        # validation keeps the tiny entry, and the open block is solved
         mat = np.diag([0.7, 0.1, 0.1, 0.1]).astype(type(tiny))
         mat[0, 3], mat[3, 0] = tiny, np.conj(tiny)
         rho = validate_density(mat, Dims(2, 2))
         assert rho.mat[0, 3] == tiny
         assert lambda_min_calls(monkeypatch, rho) == [(1, 4, 4)]
-        assert assert_bitwise_full_solve(rho) == 0
-        mat[0, 3] = mat[3, 0] = 0.0
-        assert lambda_min_calls(monkeypatch, validate_density(mat, Dims(2, 2))) == []
+        assert_bitwise_full_solve(rho)
 
     @pytest.mark.parametrize("dims", [Dims(2, 2), Dims(3, 4)])
-    def test_a_negative_diagonal_entry_that_validation_accepts(self, monkeypatch, dims):
-        # -1e-12 lies within TAU_PSD; the diagonal block reads it as its lambda_min, as eigvalsh does
+    def test_a_negative_diagonal_entry_that_validation_accepts(self, dims):
+        # -1e-12 lies within TAU_PSD; eigvalsh returns it as the diagonal block's lambda_min
         w = np.zeros(dims.total)
         w[:4] = [0.6, 0.4 + 1e-12, -1e-12, 0.0]
         rho = validate_density(np.diag(w), dims)
-        assert lambda_min_calls(monkeypatch, rho) == []
-        assert assert_bitwise_full_solve(rho) > 0
+        assert_bitwise_full_solve(rho)
         raw = _violations(rho.mat[None], dims)
         assert raw.min() == -1e-12
         assert np.linalg.eigvalsh(partial_transpose(rho))[0] == -1e-12
         if dims == Dims(2, 2):
             assert cren_lower_bound(rho).bound == 2e-12
 
-    @pytest.mark.parametrize("make, solved, negativity", [
-        (lambda: pure_from_schmidt(np.random.default_rng(19).dirichlet(np.ones(12)), 12).projector(),
-         [(66, 4, 4)], [(1, 66, 2, 2)]),
-        (lambda: max_entangled(16).projector(), [(120, 4, 4)], [(1, 120, 2, 2)]),
-        (lambda: isotropic(16, 1.0), [(120, 4, 4)], [(1, 120, 2, 2)]),
-        (lambda: isotropic(16, 0.5), [(120, 4, 4)], [(1, 120, 2, 2)]),
-        (lambda: random_density(Dims(8, 8), 1, seed=11), [(784, 4, 4)], [(1, 64, 64)]),
-        (lambda: random_density(Dims(5, 7), 3, seed=4), None, [(1, 35, 35)]),
+    @pytest.mark.parametrize("make, open_blocks", [
+        (lambda: pure_from_schmidt(np.random.default_rng(19).dirichlet(np.ones(12)), 12).projector(), 1386),
+        (lambda: max_entangled(16).projector(), 3480),
+        (lambda: isotropic(16, 1.0), 3480),
+        (lambda: isotropic(16, 0.5), 3480),
+        (lambda: random_density(Dims(8, 8), 1, seed=11), 784),
+        (lambda: random_density(Dims(5, 7), 3, seed=4), None),
     ], ids=["schmidt_12", "max_entangled_16", "pplus_16_float64", "isotropic_16", "pure_8x8", "rank3_5x7"])
-    def test_eigvalsh_sees_only_the_blocks_that_are_not_diagonal(self, monkeypatch, make, solved, negativity):
-        # the kernel, called directly (cren_lower_bound reads a rank-one state in closed form).
-        # Schmidt form on 12 x 12: of 1386 uncertified live blocks, 1320 are diagonal product blocks;
-        # P_+ on 16 x 16: 3360 of 3480; a dense state has no diagonal block and solves every uncertified
-        # one, as before, in one call.  The other calls are the negativity's: one eigensolve of a dense
-        # partial transpose, else one per component size above 1 (the 2x2 swaps {(i,j), (j,i)} here)
+    def test_eigvalsh_sees_the_open_blocks_and_the_whole_partial_transpose(self, monkeypatch, make, open_blocks):
+        # the kernel, called directly (cren_lower_bound reads a rank-one state in closed form):
+        # one eigensolve of every block the purity certificate leaves open, then the negativity's
+        # one eigensolve of the whole partial transpose
         rho = make()
         stack, dims = rho.mat[None], rho.dims
         c, live = _weights(stack, dims)
-        open_blocks = int(np.sum(live & (_purities(stack, dims) >= _PURITY_CERT * c**2)))
-        if solved is None:
-            assert open_blocks > 0
-            solved = [(open_blocks, 4, 4)]
+        solved = int(np.sum(live & (_purities(stack, dims) >= _PURITY_CERT * c**2)))
+        assert solved == open_blocks if open_blocks is not None else solved > 0
         shapes = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(np.shape(a)) or eigvalsh(a))
         _violations(stack, dims)
         _negativities(rho.mat, dims)
         monkeypatch.undo()
-        assert shapes == solved + negativity
-        assert open_blocks - solved[0][0] == assert_bitwise_full_solve(rho)
+        assert shapes == [(solved, 4, 4), (dims.total, dims.total)]
+        assert_bitwise_full_solve(rho)
 
-    def test_a_schmidt_basis_mixture_reaches_both_rules_through_the_bound(self, monkeypatch):
+    def test_a_schmidt_basis_mixture_takes_one_block_solve_and_one_whole_solve(self, monkeypatch):
         # two Schmidt-form states on 8 x 8, mixed: rank two, so cren_lower_bound takes the kernel;
-        # the 28 blocks with alpha = beta are solved and the live blocks that share one index are
-        # read off their diagonal, and the partial transpose splits into the 28 swaps {(i,j), (j,i)}
+        # the 28 blocks with alpha = beta and the 28 * 2 * 6 live blocks that share one index are
+        # left open and solved together, and the negativity solves the whole partial transpose
         rng = np.random.default_rng(31)
         mix = sum(0.5 * pure_from_schmidt(rng.dirichlet(np.ones(8)), 8).projector().mat for _ in range(2))
         rho = validate_density(mix, Dims(8, 8))
@@ -415,8 +401,8 @@ class TestDiagonalBlocks:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(np.shape(a)) or eigvalsh(a))
         rep = cren_lower_bound(rho)
         monkeypatch.undo()
-        assert shapes == [(28, 4, 4), (1, 28, 2, 2)]
-        assert assert_bitwise_full_solve(rho) == 28 * 2 * 6
+        assert shapes == [(28 + 28 * 2 * 6, 4, 4), (64, 64)]
+        assert_bitwise_full_solve(rho)
         assert rep.negativity == float(_negativities(rho.mat, rho.dims)) > 0.0
 
 
@@ -755,8 +741,8 @@ class TestPureClosedForm:
         for state in (validate_density(0.5 * rho.mat + 0.5 * other.mat, dims), random_density(dims, 2, seed=seed)):
             assert state.vec is None
             bound_shapes = eigvalsh_shapes(cren_lower_bound, state)
-            assert bound_shapes[-1] == (1, side, side) and bound_shapes[0][-2:] == (4, 4)
-            assert eigvalsh_shapes(negativity, state) == [(1, side, side)]
+            assert bound_shapes[-1] == (side, side) and bound_shapes[0][-2:] == (4, 4)
+            assert eigvalsh_shapes(negativity, state) == [(side, side)]
 
     @pytest.mark.parametrize("m, n", [(3, 3), (2, 5), (4, 4)])
     def test_a_mixture_with_weight_1e_12_takes_the_kernel(self, m, n):
@@ -766,7 +752,7 @@ class TestPureClosedForm:
         mat = (1.0 - 1e-12) * np.outer(psi, psi.conj()) + 1e-12 * np.eye(m * n) / (m * n)
         rho = validate_density(mat, Dims(m, n))
         assert rho.vec is None
-        assert eigvalsh_shapes(negativity, rho) == [(1, m * n, m * n)]
+        assert eigvalsh_shapes(negativity, rho) == [(m * n, m * n)]
         rep, (bound, neg) = cren_lower_bound(rho), kernel(rho)
         assert (repr(rep.bound), repr(rep.negativity)) == (repr(bound), repr(neg))
         assert abs(rep.negativity - pure_negativity(validate_pure(psi, Dims(m, n)))) < 1e-11

@@ -3,19 +3,15 @@
 Local basis permutations and local diagonal phases are local unitaries, so
 they map the set of subspace pairs onto itself and leave every per-subspace
 figure, the bound, the detection verdict and the negativity unchanged.  This
-guards the index bookkeeping of the batched block gather, and of the
-negativity's component solve, whose components they renumber.
+guards the index bookkeeping of the batched block gather.
 
 The settings search maximizes over measurable settings, so it can never
 beat the closed-form maxima; a search that does has a wrong objective.
 """
 
-from unittest import mock
-
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from entwit import qstate
 from entwit.cren import cren_lower_bound
 from entwit.generators import so_generators
 from entwit.qstate import Dims, negativity, validate_density
@@ -70,8 +66,7 @@ def _moved(draw, rng, mat, dims):
 def sparse_transformed_states(draw):
     """A Schmidt-form pure state mixed with a diagonal state and with a random
     state on one product of 2-dim local subspaces, up to 9 x 9: exactly sparse,
-    so its partial transpose splits into components, which the local
-    permutation renumbers."""
+    so the local permutation moves many exact zeros."""
     m = draw(st.integers(2, 9))
     n = draw(st.integers(2, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -120,14 +115,9 @@ def test_local_permutations_and_phases_leave_every_figure_unchanged(case):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(sparse_transformed_states())
 def test_negativity_and_bound_survive_local_permutations_and_phases(case):
-    # the moved state is complex and its components are renumbered; every
-    # state here, whatever its side, also takes the component solve
+    # the moved state is complex and its basis is renumbered
     rho, moved = case[:2]
-    whole = negativity(rho)
-    with mock.patch.object(qstate, "_BLOCK_MIN_SIDE", 1):
-        blocks = [negativity(rho), negativity(moved)]
-    assert abs(blocks[0] - whole) < 1e-12 and abs(blocks[1] - whole) < 1e-12
-    assert abs(negativity(moved) - whole) < 1e-12
+    assert abs(negativity(moved) - negativity(rho)) < 1e-12
     assert abs(cren_lower_bound(rho).bound - cren_lower_bound(moved).bound) < 1e-10
 
 

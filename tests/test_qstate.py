@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entwit import qstate
 from entwit.qstate import (
     TAU_HERM,
     TAU_PSD,
@@ -15,7 +14,6 @@ from entwit.qstate import (
     NotPositiveError,
     StateValidationError,
     TraceError,
-    _components,
     _negativities,
     from_json,
     negativity,
@@ -511,34 +509,24 @@ class TestNegativityEigensolve:
         assert abs(negativity(states[0]) - got[0]) <= 1e-13
 
 
-@pytest.fixture(params=[False, True], ids=["default", "blocks_at_every_side"])
-def block_side(request, monkeypatch):
-    """Run a test as shipped, then with the component solve from side 1 up,
-    so that small matrices take it too."""
-    if request.param:
-        monkeypatch.setattr(qstate, "_BLOCK_MIN_SIDE", 1)
-    return request.param
-
-
 def hidden_blocks(rng, side, count, real):
     """A stack of `count` exactly Hermitian matrices of one block-diagonal pattern,
     with blocks of 1 to 5 nodes, under one random permutation of the basis,
     so that no block is contiguous; the last matrix fills every block, the
-    others leave random entries of them 0.  Also the blocks' node lists."""
+    others leave random entries of them 0."""
     sizes = []
     while sum(sizes) < side:
         sizes.append(min(int(rng.integers(1, 6)), side - sum(sizes)))
     perm = rng.permutation(side)
     stack = np.zeros((count, side, side), dtype=float if real else complex)
-    blocks, start = [], 0
+    start = 0
     for k in sizes:
         nodes = perm[start:start + k]
         start += k
         g = rng.standard_normal((count, k, k)) + (0.0 if real else 1j) * rng.standard_normal((count, k, k))
         g[:-1] *= rng.random((count - 1, k, k)) < 0.5
         stack[:, nodes[:, None], nodes[None, :]] = g + g.conj().swapaxes(-1, -2)
-        blocks.append(sorted(nodes.tolist()))
-    return stack, blocks
+    return stack
 
 
 def eigvalsh_calls(monkeypatch, fn, *args):
@@ -555,25 +543,17 @@ class TestNegativityBlocks:
 
     @pytest.mark.parametrize("dims", [Dims(2, 3), Dims(3, 4), Dims(8, 8), Dims(6, 12)])
     @pytest.mark.parametrize("real", [True, False])
-    def test_hidden_blocks_match_the_whole_solve(self, monkeypatch, block_side, dims, real):
+    def test_hidden_blocks_match_the_whole_solve(self, dims, real):
         rng = np.random.default_rng(dims.total + real)
-        stack, blocks = hidden_blocks(rng, dims.total, 3, real)
-        labels = _components(stack.any(axis=0))
-        assert sorted(np.flatnonzero(labels == root).tolist() for root in np.unique(labels)) == sorted(blocks)
+        stack = hidden_blocks(rng, dims.total, 3, real)
         # _negativities reads a stack of states and transposes it; hand it the
         # partial transposes of the block matrices, so that it solves the blocks
         mats = partial_transpose_mat(stack, dims.m, dims.n)
-        got, shapes = eigvalsh_calls(monkeypatch, _negativities, mats, dims)
+        got = _negativities(mats, dims)
         assert np.abs(got - symmetrized_negativities(mats, dims)).max() < 1e-12
         assert got.min() > 0.0  # random blocks have negative eigenvalues
-        if block_side or dims.total >= 64:
-            sizes = sorted({len(b) for b in blocks} - {1})
-            counts = [sum(len(b) == k for b in blocks) for k in sizes]
-            assert shapes == [(3, c, k, k) for k, c in zip(sizes, counts)]
-        else:
-            assert shapes == [(3, dims.total, dims.total)]
 
-    def test_families_match_the_whole_solve(self, block_side):
+    def test_families_match_the_whole_solve(self):
         rng = np.random.default_rng(20)
         cases = []
         for d in range(2, 13):
@@ -588,58 +568,32 @@ class TestNegativityBlocks:
         cases.append(StateSpec("bennett_mix", {"p": 0.0}).matrix(values))
         for mats, dims in cases:
             mats = np.array([validate_density(mat, dims).mat for mat in mats])
-            assert np.abs(_negativities(mats, dims) - symmetrized_negativities(mats, dims)).max() < 1e-12
+            assert _negativities(mats, dims).tobytes() == symmetrized_negativities(mats, dims).tobytes()
 
-    def test_pplus_reads_one_though_most_of_its_partial_transpose_diagonal_is_zero(self, block_side):
-        # the partial transpose of P_+ is the swap / d: node (i, j), i != j, has a zero
-        # diagonal entry and one neighbour (j, i); a label that left out the node's own
-        # would swap within each pair forever, or read the pair as two empty nodes
+    def test_pplus_reads_one_though_most_of_its_partial_transpose_diagonal_is_zero(self):
+        # the partial transpose of P_+ is the swap / d: row (i, j), i != j, has a zero
+        # diagonal entry and one nonzero entry, at (j, i)
         for d in (3, 8, 16):
             mats, dims = StateSpec("max_entangled", {"d": d}).matrix()
             assert abs(_negativities(validate_density(mats, dims).mat[None], dims)[0] - 1.0) < 1e-12
 
-    def test_the_chain_that_needs_the_most_label_passes(self, block_side):
-        # the path 0 - (side-1) - (side-2) - ... - 1 takes `side` passes, the most any
-        # ordering of a path takes (an exhaustive search over paths of up to 9 nodes)
-        side, dims = 64, Dims(8, 8)
-        order = [0, *range(side - 1, 0, -1)]
-        rng = np.random.default_rng(3)
-        h = np.diag(rng.standard_normal(side))
-        h[order[:-1], order[1:]] = h[order[1:], order[:-1]] = rng.standard_normal(side - 1)
-        assert _components(h != 0).tolist() == [0] * side
-        mats = partial_transpose_mat(h[None], dims.m, dims.n)
-        assert abs(_negativities(mats, dims) - symmetrized_negativities(mats, dims))[0] < 1e-12
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
-    def test_components_match_a_graph_search(self, side, seed):
-        rng = np.random.default_rng(seed)
-        pattern = rng.random((side, side)) < rng.uniform(0.0, 0.5)
-        pattern |= pattern.T  # diagonal entries free: True or False
-        labels = _components(pattern)
-        for node in range(side):
-            seen, todo = {node}, [node]
-            while todo:
-                for nxt in np.flatnonzero(pattern[todo.pop()]).tolist():
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        todo.append(nxt)
-            assert labels[node] == min(seen)
-
-    def test_dense_states_make_one_eigvalsh_call(self, monkeypatch):
-        # row 0 of a random state's partial transpose holds no exact zero, and a
-        # stack takes the union of its states' patterns: one Schmidt state shares a
-        # stack with a dense one, so the stack is solved whole, in one call
+    def test_every_stack_makes_one_eigvalsh_call(self, monkeypatch):
+        # dense and sparse states, alone and stacked, are solved whole, in one call:
+        # a random state, a Schmidt state, isotropic ones on 16 x 16 and a mixture
+        # of two Schmidt states, whose partial transposes are mostly exact zeros
         rng = np.random.default_rng(8)
         dims = Dims(8, 8)
         dense = validate_density(rand_density_mat(rng, 64, 2), dims).mat
         sparse = pure_from_schmidt(rng.dirichlet(np.ones(8)), 8).projector().mat
-        for mats in (dense, dense[None], np.stack([sparse, dense])):
+        other = pure_from_schmidt(rng.dirichlet(np.ones(8)), 8).projector().mat
+        mix = validate_density(0.5 * sparse + 0.5 * other, dims).mat
+        isotropic, dims16 = StateSpec("isotropic", {"d": 16, "x": 0.5}).matrix([0.3, 0.5, 1.0])
+        cases = [(mats, dims) for mats in (dense, dense[None], sparse[None], np.stack([sparse, dense]), mix)]
+        cases += [(isotropic[1], dims16), (isotropic, dims16)]
+        for mats, dims in cases:
             got, shapes = eigvalsh_calls(monkeypatch, _negativities, mats, dims)
-            assert shapes == [(1 if mats.ndim == 2 else len(mats), 64, 64)]
-            assert np.array_equal(got, symmetrized_negativities(mats, dims))
-        got, shapes = eigvalsh_calls(monkeypatch, _negativities, sparse[None], dims)
-        assert shapes == [(1, 28, 2, 2)]
+            assert shapes == [mats.shape]
+            assert got.tobytes() == symmetrized_negativities(mats, dims).tobytes()
 
 
 class TestHermitianInvariant:

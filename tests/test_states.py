@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entwit.qstate import (
+    DensityMatrix,
     Dims,
     NotPositiveError,
     validate_density,
@@ -19,6 +20,8 @@ from entwit.qstate import (
     to_json,
 )
 from entwit.states import (
+    _BUILD_ERRORS,
+    _FAMILIES,
     StateSpec,
     _isotropic,
     _qutrit_pplus,
@@ -308,6 +311,44 @@ class TestPureFromSchmidt:
             pure_from_schmidt([1.0], d)
 
 
+# JSON values for a spec parameter: null, bools, small, huge and out-of-range integers, any
+# float (NaN and inf included), floats in [0, 1], short strings (no path separator, so a
+# json_file path names nothing outside the working directory) and short lists of these
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 9),
+    st.sampled_from([2**63, -(2**63), 10**400, -(10**400)]),
+    st.floats(),
+    st.floats(0.0, 1.0),
+    st.text(st.characters(exclude_characters="/\\"), max_size=4),
+)
+JSON_VALUES = st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=6))
+# d and rank: 2 to 5, as an int or an integral float, or not an integer at all; an integral
+# float such as 150.0 would be read as d = 150 and allocate gigabytes
+SIZES = st.one_of(st.integers(2, 5), st.integers(2, 5).map(float), st.sampled_from([2.5, "3", True, None, [3]]))
+# in-domain values of the other parameters, so that some documents build
+VALID = {
+    "x": st.floats(0.0, 1.0),
+    "p": st.floats(0.0, 1.0),
+    "a": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "seed": st.integers(0, 2**70),
+    "mu": st.sampled_from([[1.0], [0.5, 0.5], [0.25, 0.75, 0.0], [1, 0]]),
+}
+
+
+@st.composite
+def spec_documents(draw):
+    """A JSON state spec: a family from the table or junk (non-strings included),
+    with the family's parameters, sometimes one missing or one extra."""
+    family = draw(st.one_of(st.sampled_from(sorted(_FAMILIES)), st.sampled_from(["werner", "", 3, None, ["x"], 2.5])))
+    keys = set(_FAMILIES[family][0]) if isinstance(family, str) and family in _FAMILIES else set()
+    keys ^= draw(st.sets(st.sampled_from(["d", "x", "seed", "mu", "junk"]), max_size=1))
+    values = {k: SIZES if k in ("d", "rank") else st.one_of(VALID[k], JSON_VALUES) if k in VALID else JSON_VALUES
+              for k in sorted(keys)}
+    return {"family": family, **{k: draw(value) for k, value in values.items()}}
+
+
 class TestStateSpec:
     def test_each_family_builds(self, tmp_path):
         path = tmp_path / "state.json"
@@ -327,24 +368,47 @@ class TestStateSpec:
             got = StateSpec.from_dict(doc).build()
             assert np.max(np.abs(got.mat - want)) < 1e-14, doc["family"]
 
-    def test_bad_specs_rejected(self):
-        with pytest.raises(ValueError):
-            StateSpec.from_dict({"family": "werner", "d": 3})
-        with pytest.raises(ValueError):
-            StateSpec.from_dict({"family": "isotropic", "d": 3})
-        with pytest.raises(ValueError):
-            StateSpec.from_dict({"d": 3, "x": 0.3})
-        with pytest.raises(ValueError):
-            StateSpec.from_dict({"family": "isotropic", "d": 3, "x": 0.3, "p": 1})
-        with pytest.raises(ValueError, match="d must be an integer"):
-            StateSpec.from_dict({"family": "random_pure", "d": 2.5, "seed": 0}).build()
-        with pytest.raises(ValueError, match="rank must be an integer"):
-            StateSpec.from_dict({"family": "random_density", "d": 2, "rank": 2.5, "seed": 0}).build()
+    @pytest.mark.parametrize("doc, match", [
+        ({"family": "werner", "d": 3}, "unknown family 'werner'"),
+        ({"family": "isotropic", "d": 3}, "needs params"),
+        ({"d": 3, "x": 0.3}, "needs a 'family' key"),
+        ({"family": "isotropic", "d": 3, "x": 0.3, "p": 1}, "needs params"),
+        ({"family": "random_pure", "d": 2.5, "seed": 0}, "d must be an integer"),
+        ({"family": "random_density", "d": 2, "rank": 2.5, "seed": 0}, "rank must be an integer"),
         # a bool or a string is not a number, even where it would convert to one
-        with pytest.raises(ValueError, match="d must be an integer, got True"):
-            StateSpec.from_dict({"family": "isotropic", "d": True, "x": 0.5}).build()
-        with pytest.raises(ValueError, match="x must be a real number, got '0.5'"):
-            StateSpec.from_dict({"family": "isotropic", "d": 3, "x": "0.5"}).build()
+        ({"family": "isotropic", "d": True, "x": 0.5}, "d must be an integer, got True"),
+        ({"family": "isotropic", "d": 3, "x": "0.5"}, "x must be a real number, got '0.5'"),
+        ({"family": "random_pure", "d": 3, "seed": True}, "seed must be an integer >= 0, got True"),
+        ({"family": "random_density", "d": 3, "rank": 9, "seed": [1, 2]}, r"seed must be an integer >= 0, got \[1, 2\]"),
+        ({"family": "random_pure", "d": 3, "seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"family": "schmidt_pure", "d": 2, "mu": ["0.5", "0.5"]}, "mu entry must be a real number, got '0.5'"),
+        ({"family": "schmidt_pure", "d": 2, "mu": [True, False]}, "mu entry must be a real number, got True"),
+        ({"family": "schmidt_pure", "d": 2, "mu": 0.5}, "mu must be a list of real numbers, got 0.5"),
+        # each of these escaped _BUILD_ERRORS as a TypeError or an OverflowError
+        ({"family": ["x"]}, r"unknown family \['x'\]"),
+        ({"family": "random_pure", "d": 3, "seed": "abc"}, "seed must be an integer >= 0, got 'abc'"),
+        ({"family": "random_pure", "d": 3, "seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+        ({"family": "isotropic", "d": 3, "x": 10**400}, "x must be a real number within the float range"),
+        ({"family": "schmidt_pure", "d": 2, "mu": [10**400, 0]}, "mu entry must be a real number within"),
+        ({"family": "json_file", "path": 5}, "path must be a string, got 5"),
+    ], ids=[
+        "unknown-family", "missing-param", "no-family", "extra-param", "fractional-d", "fractional-rank",
+        "bool-d", "string-x", "bool-seed", "list-seed", "negative-seed", "string-mu",
+        "bool-mu", "scalar-mu", "list-family", "string-seed", "fractional-seed", "huge-x",
+        "huge-mu", "int-path",
+    ])
+    def test_bad_specs_rejected(self, doc, match):
+        with pytest.raises(ValueError, match=match):
+            StateSpec.from_dict(doc).build()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(spec_documents())
+    def test_any_document_builds_or_raises_a_build_error(self, doc):
+        try:
+            rho = StateSpec.from_dict(doc).build()
+        except _BUILD_ERRORS:
+            return
+        assert isinstance(rho, DensityMatrix)
 
 
 # an affine family's swept parameter and a strategy for its other parameters and in-domain values
