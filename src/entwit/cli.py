@@ -8,10 +8,11 @@ Exit codes: 0 success, 2 bad arguments (flags, including a flag the family
 does not take, sweep config, including a --range that is not finite or
 whose span hi - lo overflows and --bisect over an integer parameter such
 as d, and a --json or --csv path that cannot be opened for writing; the
-output files are opened, and so emptied, before any state is built), 3 an
-error raised while building a state (parameter outside its domain,
-unreadable state file, invalid matrix, an allocation larger than memory),
-4 selftest failure.  A reader that closes
+output files are opened, and so emptied, before any state is built) and an
+output that cannot be written (a full device: one line on stderr, and what
+was already written stays), 3 an error raised while building a state
+(parameter outside its domain, unreadable state file, invalid matrix, an
+allocation larger than memory), 4 selftest failure.  A reader that closes
 stdout early (`entwit scan ... | head`) stops the command at its next write,
 quietly and with exit 0; what was already written to a file stays.
 """
@@ -348,17 +349,26 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(parser, args)
+        code = args.handler(parser, args)
+        sys.stdout.flush()  # a stdout that cannot be written fails here, not at interpreter exit
+        return code
     except SystemExit as exc:
         code = exc.code
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
-    except BrokenPipeError:
-        # the reader is gone; stdout goes to devnull so that the flush at
-        # interpreter exit does not fail on the same pipe again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+    except OSError as exc:
+        # an output cannot be written: the reader is gone (exit 0) or the device is
+        # full.  What stdout holds is kept if it can be; otherwise stdout goes to
+        # devnull, so that the flush at interpreter exit does not fail again
+        try:
+            sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return 0
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -5,10 +5,13 @@ local subspace; L L^dag is the projector onto it.  A unit vector a in R^3
 (to TAU_UNIT) embeds as the observable a.sigma on that subspace, and the
 "tilde" conjugation L A L^dag by the generator of A's own pair rotates it
 inside the subspace (flipping x and z, leaving the +-1 block spectrum intact).
+A party's pairs (j, k) have one lexicographic enumeration, _local_pairs,
+which so_generators and the subspace kernel (entwit.witness) both read.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,15 +81,19 @@ def generator_matrix(pair: GeneratorPair) -> np.ndarray:
     return mat
 
 
+@functools.cache
+def _local_pairs(dim: int) -> np.ndarray:
+    """The (C(dim,2), 2) rows (j, k), j < k, of one party's pairs in lexicographic
+    order: the one enumeration of local pairs.  Built once per dim and read-only."""
+    pairs = np.stack(np.triu_indices(dim, 1), axis=-1)
+    pairs.setflags(write=False)
+    return pairs
+
+
 def so_generators(dim: int) -> list[tuple[GeneratorPair, np.ndarray]]:
-    """All dim(dim-1)/2 generators in lexicographic (j, k) order."""
+    """All dim(dim-1)/2 generators in lexicographic (j, k) order (_local_pairs)."""
     _require_integer("dim", dim, 2)
-    out = []
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            pair = GeneratorPair(j, k, dim)
-            out.append((pair, generator_matrix(pair)))
-    return out
+    return [(p, generator_matrix(p)) for p in (GeneratorPair(j, k, dim) for j, k in _local_pairs(dim).tolist())]
 
 
 def subspace_projector(pair: GeneratorPair) -> np.ndarray:

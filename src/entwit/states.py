@@ -89,7 +89,14 @@ def isotropic(d: int, x: float) -> DensityMatrix:
 
 # the two constant states of the mixtures, each built and validated once, on first use
 @cache
-def _bennett() -> DensityMatrix:
+def bennett_rho() -> DensityMatrix:
+    """Bound entangled state complementary to the 3x3 tiles UPB.
+
+    rho = (I_9 - sum_i |xi_i><xi_i|) / 4 with the five product vectors of the
+    unextendible product basis; each vector is unit norm as written.  PPT by
+    construction, entangled by the realignment criterion.  Built and validated
+    once, on first use; every call returns that one read-only state.
+    """
     z, o, t = np.eye(3)
     s = 1.0 / math.sqrt(2.0)
     tiles = [np.kron(z, s * (z - o)), np.kron(s * (z - o), t), np.kron(t, s * (o - t)), np.kron(s * (o - t), z)]
@@ -102,21 +109,10 @@ def _bennett() -> DensityMatrix:
 _qutrit_pplus = cache(lambda: isotropic(3, 1.0))
 
 
-def bennett_rho() -> DensityMatrix:
-    """Bound entangled state complementary to the 3x3 tiles UPB.
-
-    rho = (I_9 - sum_i |xi_i><xi_i|) / 4 with the five product vectors of the
-    unextendible product basis; each vector is unit norm as written.  PPT by
-    construction, entangled by the realignment criterion.  Built and validated
-    once, on first use; every call returns that one read-only state.
-    """
-    return _bennett()
-
-
 def _example1_mixture(p: float) -> tuple[np.ndarray, Dims]:
     if (bad := _outside(0.0, p, 1.0)) is not None:
         raise ValueError(f"p={bad} outside [0, 1]")
-    return (1.0 - p) * _bennett().mat + p * _qutrit_pplus().mat, Dims(3, 3)
+    return (1.0 - p) * bennett_rho().mat + p * _qutrit_pplus().mat, Dims(3, 3)
 
 
 def example1_mixture(p: float) -> DensityMatrix:

@@ -40,10 +40,11 @@ matrix.
 Columns are numpy arrays shaped (states, pairs).  A validated state is
 exactly Hermitian, so every gathered block is too.  rho.mat is read as
 stored: an exactly real state is gathered, compressed and solved in float64,
-which agrees with the complex solve to rounding.  Block rows come from
-_pair_rows, built once per dims; one pair sits at its _pair_position.  The
-weight c of a pair and its empty rule c <= TAU_C are read from the diagonal
-of the state in one place (_weights); c divides the columns, never a block.
+which agrees with the complex solve to rounding.  Block rows come from one
+(4, P) table, _pair_rows, built once per dims; a pair's column is its
+_pair_position.  The weight c of a pair and its empty rule c <= TAU_C are
+read from the diagonal of the state in one place (_weights); c divides the
+columns, never a block.
 The detection rule lives beside TAU_DETECT: detect_entanglement and the
 scan both test the differences _nonlinear_d and _bell_d against it.
 
@@ -55,7 +56,6 @@ search, entwit.search, which reads only the correlation table of a block
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, fields
@@ -66,6 +66,7 @@ from .generators import (
     GeneratorPair,
     ObservableTriad,
     PAULI,
+    _local_pairs,
     _unit_vector,
     embed_observable,
     subspace_projector,
@@ -181,25 +182,17 @@ _Columns = namedtuple("_Columns", "c live raw lambda_min bell_max nonlinear_max"
 
 
 @functools.cache
-def _local_pairs(dim: int) -> np.ndarray:
-    """The (C(dim,2), 2) rows (j, k), j < k, of one party's pairs in lexicographic
-    order; built once per dim and read-only, like _pair_rows."""
-    pairs = np.array(list(itertools.combinations(range(dim), 2))).reshape(-1, 2)
-    pairs.setflags(write=False)
-    return pairs
-
-
-@functools.cache
 def _pair_rows(dims: Dims) -> np.ndarray:
-    """The (P, 4) state rows (ka kb, ka jb, ja kb, ja jb) of the block of every
-    subspace pair ((ja, ka), (jb, kb)), in lexicographic (alpha, beta) order:
-    the gather order of _blocks, and read right to left the diagonal positions
-    whose sum _weights takes (_corner_rows).  The one source of block rows:
-    built once per dims and read-only, so no kernel call rebuilds them."""
+    """The (4, P) state rows (ja jb), (ja kb), (ka jb), (ka kb) of the block of
+    every subspace pair ((ja, ka), (jb, kb)), in lexicographic (alpha, beta)
+    order: the diagonal positions that _weights sums, the entries of the
+    coefficient matrix whose minor _pure_violations takes and, bottom to top,
+    the gather order of _blocks.  The one table of block rows: built once per
+    dims, C-contiguous (one np.take per corner row) and read-only."""
     n = dims.n
     ja, ka = _local_pairs(dims.m).T[:, :, None]  # (C(m,2), 1) each
     jb, kb = _local_pairs(n).T[:, None, :]  # (1, C(n,2)) each
-    rows = np.stack([ka * n + kb, ka * n + jb, ja * n + kb, ja * n + jb], axis=-1).reshape(-1, 4)
+    rows = np.stack([ja * n + jb, ja * n + kb, ka * n + jb, ka * n + kb]).reshape(4, -1)
     rows.setflags(write=False)
     return rows
 
@@ -217,34 +210,21 @@ def _pair_position(dims: Dims, alpha: GeneratorPair, beta: GeneratorPair) -> int
     return a * math.comb(dims.n, 2) + b
 
 
-@functools.cache
-def _corner_rows(dims: Dims) -> np.ndarray:
-    """_pair_rows(dims) read right to left and transposed: the (4, P) state
-    rows (ja jb), (ja kb), (ka jb), (ka kb) of every pair, one contiguous row
-    per corner, so that one np.take gathers them.  They are the diagonal
-    positions of each block, which _weights sums in this order, and the
-    entries of the coefficient matrix whose 2x2 minor _pure_violations takes.
-    Built once per dims and read-only."""
-    corners = np.ascontiguousarray(_pair_rows(dims)[:, ::-1].T)
-    corners.setflags(write=False)
-    return corners
-
-
 def _weights(stack: np.ndarray, dims: Dims):
     """Weights c >= 0 and live mask c > TAU_C on a stack (N, mn, mn) of states,
     both (N, P) in _pair_rows order: the one home of the empty rule.  c sums
-    the block's diagonal entries of rho in the order (ja, jb), (ja, kb),
-    (ka, jb), (ka, kb)."""
+    the block's diagonal entries of rho in the order of the rows of _pair_rows."""
     # one take along the first axis of the diagonals' transpose, (4, P, N): numpy gathers
     # along it faster than along the last axis, for one state and for a scan's stack
-    g = np.take(np.diagonal(stack, axis1=-2, axis2=-1).real.T, _corner_rows(dims), axis=0)
+    g = np.take(np.diagonal(stack, axis1=-2, axis2=-1).real.T, _pair_rows(dims), axis=0)
     c = np.maximum((g[0] + g[1] + g[2] + g[3]).T, 0.0, order="C")
     return c, c > TAU_C
 
 
 def _blocks(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The raw (unnormalized) blocks, shaped (N, P, 4, 4), of the pairs whose
-    rows of _pair_rows are `rows` on a stack (N, mn, mn) of states.
+    """The raw (unnormalized) blocks, shaped (N, K, 4, 4), of the K pairs whose
+    columns of _pair_rows are `rows`, (4, K), on a stack (N, mn, mn) of states,
+    each gathered in the order of the rows bottom to top.
 
     The sandwich by L (x) L acts on a gathered 4x4 block as Y (x) Y with
     Y = [[0,1],[-1,0]]: a reversal of the block basis with the middle two
@@ -254,6 +234,7 @@ def _blocks(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
     singular values of T.
     """
     side = stack.shape[-1]
+    rows = rows[::-1].T  # (K, 4), the Y (x) Y gather order
     flat = (rows * side)[:, :, None] + rows[:, None, :]  # entry (i, j) of each block in the flattened state
     return np.take(stack.reshape(len(stack), side * side), flat, axis=1)
 
@@ -263,7 +244,7 @@ def _gather(stack: np.ndarray, dims: Dims, cols=slice(None)):
     pairs at positions cols of _pair_rows (all of them by default) on a stack
     (N, mn, mn) of states: the kernel's one gather of whole pair columns."""
     c, live = _weights(stack, dims)
-    return _blocks(stack, _pair_rows(dims)[cols]), c[:, cols], live[:, cols]
+    return _blocks(stack, _pair_rows(dims)[:, cols]), c[:, cols], live[:, cols]
 
 
 def _correlations(rho_ab: np.ndarray) -> np.ndarray:
@@ -349,7 +330,7 @@ def _violations(stack: np.ndarray, dims: Dims) -> np.ndarray:
     solve = live & (_purities(stack, dims) >= _PURITY_CERT * c**2)
     cols = np.flatnonzero(solve.any(axis=0))
     if cols.size:
-        raw[solve] = _lambda_min(_blocks(stack, _pair_rows(dims)[cols])[solve[:, cols]])
+        raw[solve] = _lambda_min(_blocks(stack, _pair_rows(dims)[:, cols])[solve[:, cols]])
     return raw
 
 
@@ -361,7 +342,7 @@ def _pure_violations(rho: DensityMatrix) -> np.ndarray:
     rank-one two-qubit block has lambda_min = -|det| of that submatrix, the
     minor K_ab of K = Lambda^2 A.  An empty pair (_weights) reads 0, as in
     the kernel."""
-    a00, a01, a10, a11 = np.take(rho.vec, _corner_rows(rho.dims))  # the entries (ja, jb) ... (ka, kb) of A
+    a00, a01, a10, a11 = np.take(rho.vec, _pair_rows(rho.dims))  # the entries (ja, jb) ... (ka, kb) of A
     _, live = _weights(rho.mat[None], rho.dims)
     return np.where(live, -np.abs(a00 * a11 - a01 * a10), 0.0)
 

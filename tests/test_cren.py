@@ -184,8 +184,8 @@ class TestCertifiedSolve:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(3, 6), st.integers(3, 6), st.integers(0, 2**32 - 1))
     def test_weights_are_bitwise_the_gather_through_the_pair_rows(self, m, n, seed):
-        # one gather of the four diagonal entries of each block through _corner_rows sums them
-        # in the order of four gathers through the columns of _pair_rows, read right to left, so
+        # one gather of the four diagonal entries of each block through _pair_rows sums them
+        # in the order of four gathers through its rows, read top to bottom, so
         # c and the live mask are bitwise that formula's, for all pairs of a stack and for each
         # pair alone.  The stack holds a pure state, a full-rank one and a diagonal one on the
         # row a = 0 of the coefficient grid, whose pairs without a = 0 are empty, with an entry
@@ -198,11 +198,11 @@ class TestCertifiedSolve:
         stack = np.stack([random_density(dims, rank, seed=seed).mat for rank in (1, m * n)] + [diagonal.mat])
         rows = _pair_rows(dims)
         diag = np.diagonal(stack, axis1=-2, axis2=-1).real
-        want = np.maximum(diag[:, rows[:, 3]] + diag[:, rows[:, 2]] + diag[:, rows[:, 1]] + diag[:, rows[:, 0]], 0.0)
+        want = np.maximum(diag[:, rows[0]] + diag[:, rows[1]] + diag[:, rows[2]] + diag[:, rows[3]], 0.0)
         c, live = _weights(stack, dims)
         assert c.tobytes() == want.tobytes() and np.array_equal(live, want > TAU_C)
         assert (c == 0.0).any() and not live.all()
-        for i in range(len(rows)):
+        for i in range(rows.shape[1]):
             _, one, one_live = _gather(stack, dims, [i])
             assert one.tobytes() == want[:, i : i + 1].tobytes() and np.array_equal(one_live, live[:, i : i + 1])
 
@@ -265,7 +265,7 @@ class TestCertifiedSolve:
         blocks = witness._blocks
 
         def counting(stack, rows):
-            calls.append(len(stack) * len(rows))
+            calls.append(len(stack) * rows.shape[1])
             return blocks(stack, rows)
 
         rho = random_density(Dims(d, d), rank, seed=11)

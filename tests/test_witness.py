@@ -492,12 +492,12 @@ class TestKernel:
     def test_pair_rows_are_built_once_and_read_only(self):
         rows = _pair_rows(Dims(3, 4))
         assert _pair_rows(Dims(3, 4)) is rows
-        assert not rows.flags.writeable
+        assert not rows.flags.writeable and rows.flags.c_contiguous
         with pytest.raises(ValueError):
             rows[0, 0] = 1
-        # each pair's block rows (ka kb, ka jb, ja kb, ja jb) in the state, n = 4
+        # each pair's corner rows (ja jb), (ja kb), (ka jb), (ka kb) in the state, n = 4
         ja, ka, jb, kb = all_pairs_index(Dims(3, 4)).T
-        assert rows.tolist() == np.stack([4 * ka + kb, 4 * ka + jb, 4 * ja + kb, 4 * ja + jb], axis=1).tolist()
+        assert rows.tolist() == np.stack([4 * ja + jb, 4 * ja + kb, 4 * ka + jb, 4 * ka + kb]).tolist()
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.integers(2, 6), st.integers(2, 6), st.integers(1, 36), st.integers(0, 2**32 - 1))
@@ -545,7 +545,7 @@ class TestKernel:
             keep = np.isin(np.arange(m * n), [0, 1, n + 2])
             mat = rand_density(rng, m, n).mat * np.outer(keep, keep)
             states.insert(1, validate_density(mat / np.trace(mat).real, Dims(m, n)))
-        npairs = len(_pair_rows(Dims(m, n)))
+        npairs = _pair_rows(Dims(m, n)).shape[1]
         stacked = _reports(np.stack([rho.mat for rho in states]), Dims(m, n))
         for k, rho in enumerate(states):
             single = _reports(rho.mat[None], Dims(m, n))
