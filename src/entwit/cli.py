@@ -196,10 +196,11 @@ def cmd_scan(parser, args) -> int:
         parser.error(str(exc))
     crossings = {}
     chunks = _scan_chunks(cfg, args.seed, crossings)
-    header = SCAN_HEADER  # written with the first chunk
+    header = SCAN_HEADER  # written with the first stack's rows
     with contextlib.ExitStack() as stack:
         sinks = [sys.stdout, *filter(None, _open_outputs(stack, args.csv))]
-        # each chunk's rows go out as soon as it is done; a build error exits 3 after them
+        # each kernel stack's rows go out as soon as it is evaluated; a stack that fails
+        # to build prints nothing and exits 3 after the rows of the stacks before it
         while (chunk := _build_state(next, chunks, None)) is not None:
             text = _csv_text(header, chunk)
             header = None
@@ -353,10 +354,7 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a stdout that cannot be written fails here, not at interpreter exit
         return code
     except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+        return exc.code  # an integer: argparse's 0 or 2, or the handlers' 2 or 3
     except OSError as exc:
         # an output cannot be written: the reader is gone (exit 0) or the device is
         # full.  What stdout holds is kept if it can be; otherwise stdout goes to

@@ -1,10 +1,14 @@
 """Parameter sweeps and threshold bisection: the engine behind `entwit scan`.
 
-Both detection onsets are bisected together in speculative rounds, one
-stacked evaluation each, with the decisions of a serial bisection (see
-_thresholds).  A scan over its family's affine parameter builds each stack
-in one broadcast, and once its two range ends pass validation at half the
-tolerances, the states between them skip it.
+A scan's unit of work is one kernel stack: up to _STACK_BLOCKS 4x4 blocks
+of grid states (1,820 states of 3x3), built, evaluated in one _assess call
+and written as one block of rows; a stack that fails to build prints
+nothing, after the rows of the stacks before it.  Both detection onsets are
+bisected together in speculative rounds, one stacked evaluation each, with
+the decisions of a serial bisection (see _thresholds).  A scan over its
+family's affine parameter builds each stack in one broadcast, and once its
+two range ends pass validation at half the tolerances, the states between
+them skip it.
 
 Sweeps emit violation-positive differences so that "curve above zero" means
 "detected": nonlinear_D = max_ab nonlinear_max - 1, and bell_D =
@@ -125,7 +129,6 @@ def _point_spec(cfg: SweepConfig, value: float, seed: int) -> StateSpec:
 
 
 _FIELDS = ("nonlinear_d", "bell_d")  # the detection differences, in bisection order
-_CHUNK = 64  # grid points built, evaluated and written together
 _STACK_BLOCKS = 1 << 14  # 4x4 blocks one kernel call may hold (4 MB), so large states stack fewer at a time
 _CERT_MARGIN = 0.5  # the range ends certify an affine scan at this fraction of TAU_TR and TAU_PSD, far above rounding
 
@@ -196,14 +199,13 @@ def _bracket_pairs(cfg: SweepConfig, lo_reach: np.ndarray, hi_reach: np.ndarray)
     return tuple(np.flatnonzero(np.maximum(lo_reach, hi_reach) > _QUIET).tolist())
 
 
-def _grid_values(cfg: SweepConfig, i0: int, i1: int) -> list[float]:
-    """Grid values i0 <= i < i1, bitwise those of np.linspace(cfg.lo, cfg.hi, cfg.points)."""
+def _grid_values(cfg: SweepConfig):
+    """Yield the grid values one at a time, bitwise those of np.linspace(cfg.lo, cfg.hi, cfg.points)."""
     delta, div = cfg.hi - cfg.lo, cfg.points - 1
-    idx, step = np.arange(i0, i1, dtype=float), delta / div
-    values = cfg.lo + (idx * step if step else idx / div * delta)  # linspace's branch for a denormal step
-    if i1 == cfg.points:
-        values[-1] = cfg.hi
-    return values.tolist()
+    step = delta / div
+    for i in range(div):
+        yield cfg.lo + (i * step if step else i / div * delta)  # linspace's branch for a denormal step
+    yield cfg.hi
 
 
 def _per_stack(dims: Dims) -> int:
@@ -212,35 +214,34 @@ def _per_stack(dims: Dims) -> int:
 
 
 def _validated_stacks(cfg: SweepConfig, values, seeds):
-    """Yield (dims, stack) of the validated states at the values, in value
-    order, in stacks of _per_stack states.  When the scan is certified
-    (SweepConfig.certified_dims) and every value lies in [lo, hi], each stack
-    is built in one broadcast and not validated again.  Otherwise each state
-    is built and validated on its own, in value order (StateSpec.build), so
-    the first failing value raises its own error, then stacked by dims."""
-    dims = cfg.certified_dims
-    if dims is not None and all(cfg.lo <= value <= cfg.hi for value in values):
-        spec, per = _point_spec(cfg, cfg.lo, 0), _per_stack(dims)
-        for k in range(0, len(values), per):
-            yield dims, spec.matrix(values[k : k + per])[0]
-        return
-    built = (_point_spec(cfg, value, seed).build() for value, seed in zip(values, seeds))
-    for dims, run in itertools.groupby(built, key=lambda rho: rho.dims):
-        while stack := [rho.mat for rho in itertools.islice(run, _per_stack(dims))]:
-            yield dims, np.array(stack)
+    """Yield (values, dims, stack) of the validated states at the values,
+    built with their seeds, in value order: one stack of at most _per_stack
+    states at a time, each read lazily from values and seeds.  On a
+    certified scan (SweepConfig.certified_dims), each stack is built in one
+    broadcast and not validated again, up to the first stack with a value
+    outside [lo, hi].  From there each state is built and validated on its
+    own, in value order (StateSpec.build), so the first failing value raises
+    its own error, and the states are stacked by dims."""
+    dims, points = cfg.certified_dims, zip(values, seeds)
+    while dims is not None and (run := list(itertools.islice(points, _per_stack(dims)))):
+        run_values = [value for value, _ in run]
+        if not all(cfg.lo <= value <= cfg.hi for value in run_values):
+            points = itertools.chain(run, points)
+            break
+        yield run_values, dims, _point_spec(cfg, cfg.lo, 0).matrix(run_values)[0]
+    built = ((value, _point_spec(cfg, value, seed).build()) for value, seed in points)
+    for dims, run in itertools.groupby(built, key=lambda point: point[1].dims):
+        while stack := list(itertools.islice(run, _per_stack(dims))):
+            yield [value for value, _ in stack], dims, np.array([rho.mat for _, rho in stack])
 
 
-def _scan_points(cfg: SweepConfig, values, seeds, reach: list | None = None) -> list[ScanPoint]:
-    """The scan rows at the values (see _validated_stacks): one _assess call
-    per validated stack.  Each point's pair reach (2, P) goes onto
-    `reach`, when given."""
-    rows = []
-    for dims, stack in _validated_stacks(cfg, values, seeds):
-        figures, pair_reach = _assess(stack, dims)
-        rows += zip(*(f.tolist() for f in figures))
-        if reach is not None:
-            reach += list(pair_reach)
-    return [ScanPoint(value, *row) for value, row in zip(values, rows)]
+def _scan_points(cfg: SweepConfig, values, seeds):
+    """Yield the scan rows at the values one validated stack at a time (see
+    _validated_stacks), each with the pair reach (N, 2, P) of its points:
+    one _assess call per stack."""
+    for run, dims, stack in _validated_stacks(cfg, values, seeds):
+        figures, reach = _assess(stack, dims)
+        yield list(map(ScanPoint, run, *(f.tolist() for f in figures))), reach
 
 
 def _probe_differences(cfg: SweepConfig, fields, values, seeds, pairs=None) -> list[float]:
@@ -253,7 +254,7 @@ def _probe_differences(cfg: SweepConfig, fields, values, seeds, pairs=None) -> l
     Bell probes; no bound and no negativity.  A violating probe reads its
     difference exactly; a non-violating one, the largest over its pairs."""
     diffs, pairs = [], pairs or {}
-    for dims, stack in _validated_stacks(cfg, values, seeds):
+    for _, dims, stack in _validated_stacks(cfg, values, seeds):
         nl = np.array([f == "nonlinear_d" for f in fields[len(diffs) : len(diffs) + len(stack)]])
         d = np.empty(len(stack))
         for field, at in zip(_FIELDS, (nl, ~nl)):
@@ -269,18 +270,17 @@ def _probe_differences(cfg: SweepConfig, fields, values, seeds, pairs=None) -> l
 
 
 def _scan_chunks(cfg: SweepConfig, base_seed: int, crossings: dict):
-    """Yield the grid's points one chunk of _CHUNK points at a time; each chunk
-    is built in full, then evaluated (see _scan_points).  The first grid
-    crossing of each detection difference goes into `crossings` as (last
-    value below, first value above, pairs, *samples), pairs being those that
-    can decide a probe between the two (_bracket_pairs) and the samples the
-    (value, difference) of those two grid points and of the next two: all
-    that bisection needs of the grid (see _thresholds)."""
+    """Yield the grid's points one validated stack at a time (see
+    _scan_points), each stack built and evaluated in full before it is
+    yielded; the grid values are made lazily, so a grid of any size streams.
+    The first grid crossing of each detection difference goes into
+    `crossings` as (last value below, first value above, pairs, *samples),
+    pairs being those that can decide a probe between the two
+    (_bracket_pairs) and the samples the (value, difference) of those two
+    grid points and of the next two: all that bisection needs of the grid
+    (see _thresholds)."""
     prev, tails = None, {}
-    for i0 in range(0, cfg.points, _CHUNK):
-        i1 = min(i0 + _CHUNK, cfg.points)
-        reach = []
-        chunk = _scan_points(cfg, _grid_values(cfg, i0, i1), range(base_seed + i0, base_seed + i1), reach)
+    for chunk, reach in _scan_points(cfg, _grid_values(cfg), range(base_seed, base_seed + cfg.points)):
         for pt, pt_reach in zip(chunk, reach):
             for k, field in enumerate(_FIELDS):
                 d = getattr(pt, field)
@@ -425,13 +425,13 @@ def _thresholds(cfg: SweepConfig, base_seed: int, crossings: dict):
 
 
 def run_scan(cfg: SweepConfig, base_seed: int = 0) -> ScanResult:
-    """Evaluate the sweep grid chunk by chunk and optionally bisect both
-    detection thresholds in speculative rounds (see _thresholds): each round
-    predicts the onsets, solves the serial midpoints toward them in one
-    stacked call and keeps the serial decisions up to the first wrong guess,
-    with a capped waste and, after a failed build, one level per round.  The
-    thresholds, probe values and seeds are those of a serial bisection.
-    Deterministic for fixed cfg and base_seed."""
+    """Evaluate the sweep grid one kernel stack at a time (see _scan_chunks)
+    and optionally bisect both detection thresholds in speculative rounds
+    (see _thresholds): each round predicts the onsets, solves the serial
+    midpoints toward them in one stacked call and keeps the serial decisions
+    up to the first wrong guess, with a capped waste and, after a failed
+    build, one level per round.  The thresholds, probe values and seeds are
+    those of a serial bisection.  Deterministic for fixed cfg and base_seed."""
     crossings = {}
     points = [pt for chunk in _scan_chunks(cfg, base_seed, crossings) for pt in chunk]
     return ScanResult(points, *_thresholds(cfg, base_seed, crossings))

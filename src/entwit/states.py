@@ -257,6 +257,8 @@ class StateSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StateSpec":
+        if not isinstance(doc, dict):
+            raise ValueError(f"state spec must be a JSON object, got {doc!r}")
         doc = dict(doc)
         family = doc.pop("family", None)
         if family is None:

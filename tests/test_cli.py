@@ -3,6 +3,7 @@
 import contextlib
 import errno
 import io
+import itertools
 import json
 import math
 import os
@@ -21,11 +22,11 @@ from hypothesis import given, settings, strategies as st
 from entwit import cli, cren, qstate, scan, states
 from entwit.cli import _CLI_FAMILIES, main
 from entwit.scan import (
-    _CHUNK,
     SCAN_HEADER,
     SweepConfig,
     Threshold,
     _grid_values,
+    _per_stack,
     _point_spec,
     _probe_differences,
     _scan_chunks,
@@ -39,6 +40,8 @@ from entwit.qstate import Dims, _checked, _negativities, to_json, validate_densi
 from entwit.states import isotropic, pure_from_schmidt
 from entwit.witness import TAU_DETECT, _bell_d, _nonlinear_d, _reports, detect_entanglement
 
+STACK = _per_stack(Dims(3, 3))  # the 3x3 states one kernel stack holds: 16384 // 9 = 1820
+
 
 def run_cli(capsys, argv):
     code = main(argv)
@@ -47,13 +50,14 @@ def run_cli(capsys, argv):
 
 
 class FullDevice:
-    """A file on a full device: every write and flush raises ENOSPC; fileno is fd."""
+    """A file on a full device: every write and flush raises ENOSPC, or the given
+    errno (EPIPE: a pipe whose reader is gone); fileno is fd."""
 
-    def __init__(self, fd=-1):
-        self.fd = fd
+    def __init__(self, fd=-1, code=errno.ENOSPC):
+        self.fd, self.code = fd, code
 
     def write(self, text):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        raise OSError(self.code, os.strerror(self.code))  # EPIPE makes a BrokenPipeError
 
     def flush(self):
         self.write("")
@@ -361,6 +365,18 @@ class TestExitCodes:
         finally:
             os.close(fd)
         assert code == 2 and capsys.readouterr().err == FULL_DEVICE_ERROR
+
+    def test_stdout_whose_reader_has_gone_exits_0_quietly(self, capsys, monkeypatch, tmp_path):
+        # every write raises BrokenPipeError: stdout goes to devnull as on a full device,
+        # and the command ends with exit 0 and nothing on stderr
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", FullDevice(fd, errno.EPIPE))
+            code = main(["detect", "--family", "isotropic", "--d", "3", "--x", "0.5"])
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert code == 0 and capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("flags", [["--restarts", "0"], ["--restarts", "-3"], ["--shots", "0"]])
     def test_selftest_takes_no_budget_flags(self, capsys, flags):
@@ -739,6 +755,8 @@ class TestFamilies:
         assert code == 2 and "--d" in err and out == ""
 
     def test_sweep_config_checks_the_family_params(self):
+        with pytest.raises(ValueError, match="unknown family 'nope'"):
+            SweepConfig("nope", {}, "p", 0.0, 1.0, 3)
         with pytest.raises(ValueError, match="--x"):
             SweepConfig(family="bennett_mix", fixed={"x": 0.5}, param_name="p", lo=0.0, hi=1.0, points=3)
         with pytest.raises(ValueError, match="--d"):
@@ -778,7 +796,7 @@ class TestChunkedScan:
     )
     def test_grid_values_are_linspace(self, lo, hi, points):
         cfg = SweepConfig(family="isotropic", fixed={"d": 3}, param_name="x", lo=lo, hi=hi, points=points)
-        got = [v for i0 in range(0, points, _CHUNK) for v in _grid_values(cfg, i0, min(i0 + _CHUNK, points))]
+        got = list(_grid_values(cfg))
         assert np.array_equal(got, np.linspace(lo, hi, points))
 
     @pytest.mark.parametrize(
@@ -816,9 +834,9 @@ class TestChunkedScan:
         stacks = scan._validated_stacks
 
         def spy(cfg, values, seeds):
-            for dims, stack in stacks(cfg, values, seeds):
+            for run, dims, stack in stacks(cfg, values, seeds):
                 sizes.append(len(stack))
-                yield dims, stack
+                yield run, dims, stack
 
         def validate(mat, dims, *scale):
             checked.append(len(mat))
@@ -834,27 +852,57 @@ class TestChunkedScan:
             checked.clear()
             assert run_scan(SweepConfig(**spec), base_seed=5) == whole[name]
             seen[name] = (list(sizes), list(checked))
-        # the README scan: 100 grid points in chunks of 64 and 36, then bisection rounds of 28 and 9
-        # probes, all certified by its two range ends, each checked on its own; the d scan validates each state
-        readme = [2] * (32 + 18 + 14 + 4) + [1]
+        # the README scan: 100 grid points, then bisection rounds of 28 and 9 probes, all certified by
+        # its two range ends, each checked on its own; the d scan validates each state
+        readme = [2] * (50 + 14 + 4) + [1]
         assert seen == {"readme": (readme, [9, 9]), "random_density_d": ([1] * 4, [4, 9, 16, 25])}
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.sampled_from([9, 20, 100, scan._STACK_BLOCKS]), st.data())
+    def test_any_block_budget_keeps_the_rows_thresholds_and_probes(self, budget, data):
+        # 3x3 states stack 1, 2, 11 or 1820 at a time, and d x d states of d > 3 fewer
+        key = data.draw(st.sampled_from([*sorted(TestPrunedSolves.AFFINE), "random_density"]), "scan")
+        if key == "random_density":
+            d = data.draw(st.integers(3, 5), "largest d")
+            spec = dict(family="random_density", fixed={}, param_name="d", lo=2.0, hi=float(d), points=d - 1)
+        else:
+            low, high = TestPrunedSolves.AFFINE[key]
+            family, fixed, param = key
+            spec = dict(
+                family=family, fixed=dict(fixed), param_name=param, bisect=True,
+                lo=data.draw(st.floats(low, 0.5 * (low + high)), "lo"),
+                hi=data.draw(st.floats(0.5 * (low + high), high, exclude_min=True), "hi"),
+                points=data.draw(st.integers(2, 60), "points"),
+                bisect_tol=10.0 ** -data.draw(st.integers(3, 9), "-log10 tol"),
+            )
+
+        def scanned(blocks):
+            """The scan's rows and thresholds and its probes' fields, values, seeds and differences, bitwise."""
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(scan, "_STACK_BLOCKS", blocks)
+                probes = probe_calls(mp)
+                return repr(run_scan(SweepConfig(**spec), base_seed=3)), repr(probes)
+
+        assert scanned(budget) == scanned(scan._STACK_BLOCKS)
+
     def test_chunks_keep_only_the_first_crossings(self):
+        # the nonlinear onset x = 1/4 falls midway between the last point of stack 0 and the first of stack 1
+        points = 2 * STACK + 360
         cfg = SweepConfig(
             family="isotropic", fixed={"d": 3}, param_name="x",
-            lo=0.0, hi=0.587, points=150, bisect=True, bisect_tol=1e-6,
+            lo=0.0, hi=0.25 * (points - 1) / (STACK - 0.5), points=points, bisect=True, bisect_tol=1e-6,
         )
         crossings = {}
         chunks = list(_scan_chunks(cfg, 3, crossings))
         result = run_scan(cfg, base_seed=3)
-        assert [len(chunk) for chunk in chunks] == [_CHUNK, _CHUNK, 150 - 2 * _CHUNK]
+        assert [len(chunk) for chunk in chunks] == [STACK, STACK, 360]
         assert [pt for chunk in chunks for pt in chunk] == result.points
-        # the nonlinear onset x = 1/4 falls between the last point of chunk 0 and the first of chunk 1
         pts = result.points
+        assert pts[STACK - 1].param < 0.25 < pts[STACK].param
         # above the onset only the three pairs with alpha = beta violate, so the bracket keeps those
         assert crossings["nonlinear_d"] == (
-            pts[_CHUNK - 1].param, pts[_CHUNK].param, (0, 4, 8),
-            *[(pt.param, pt.nonlinear_d) for pt in pts[_CHUNK - 1 : _CHUNK + 3]],
+            pts[STACK - 1].param, pts[STACK].param, (0, 4, 8),
+            *[(pt.param, pt.nonlinear_d) for pt in pts[STACK - 1 : STACK + 3]],
         )
         assert crossings["nonlinear_d"][0] <= result.nonlinear.value <= crossings["nonlinear_d"][1]
         assert abs(result.nonlinear.value - 0.25) < 1e-5
@@ -862,14 +910,14 @@ class TestChunkedScan:
         assert "bell_d" not in crossings and result.bell.status == "no threshold in range"
 
     def test_build_error_exits_3_after_the_completed_chunks(self, capsys, tmp_path):
-        # x runs 0..2 over 200 points: the first chunk stays below x = 1, the second crosses it
+        # x runs 0..2 over 4000 points: the first stack stays below x = 1, the second crosses it
         csv_path = tmp_path / "scan.csv"
         argv = ["scan", "--family", "isotropic", "--d", "3", "--scan-param", "x", "--range", "0:2",
-                "--points", "200", "--csv", str(csv_path)]
+                "--points", "4000", "--csv", str(csv_path)]
         code, out, err = run_cli(capsys, argv)
         assert code == 3 and "outside positivity range" in err
         lines = out.splitlines()
-        assert lines[0] == SCAN_HEADER and len(lines) == 1 + _CHUNK
+        assert lines[0] == SCAN_HEADER and len(lines) == 1 + STACK
         assert csv_path.read_text() == out
 
     def test_the_first_failing_value_speaks_also_when_a_later_one_fails_to_build(self, capsys, monkeypatch, tmp_path):
@@ -919,11 +967,11 @@ class TestChunkedScan:
             proc.wait()
         assert proc.returncode == 0 and err == ""
         assert head[0] == SCAN_HEADER + "\n" and head[1].startswith("0,")
-        # the chunks written before the pipe closed stay in the file, whole
+        # the stacks written before the pipe closed stay in the file, whole
         text = csv_path.read_text()
         lines = text.splitlines()
         assert text.startswith("".join(head)) and text.endswith("\n")
-        assert len(lines) > 1 and (len(lines) - 1) % _CHUNK == 0
+        assert len(lines) > 1 and (len(lines) - 1) % STACK == 0
 
 
 def serial_bisect_threshold(cfg, base_seed, crossing, field):
@@ -1071,6 +1119,7 @@ class TestLockstepBisection:
         built, stacks = [], scan._validated_stacks
 
         def spy(cfg, values, seeds):  # every probe enters here, built by broadcast or value by value
+            values, seeds = list(values), list(seeds)
             built.extend(zip(values, seeds))
             return stacks(cfg, values, seeds)
 
@@ -1228,11 +1277,11 @@ class TestLockstepBisection:
         for fields in (["nonlinear_d"] * len(values), ["bell_d"] * len(values), ["nonlinear_d", "bell_d"] * 2):
             fields = fields[: len(values)]
             seeds = range(5, 5 + len(values))
-            want = [getattr(pt, f) for pt, f in zip(_scan_points(cfg, values, seeds), fields)]
+            want = [getattr(pt, f) for pt, f in zip(scan_rows(cfg, values, seeds)[0], fields)]
             assert _probe_differences(cfg, fields, values, seeds) == want
 
 
-    def test_readme_scan_builds_5_stacks_and_validates_only_its_range_ends(self, monkeypatch):
+    def test_readme_scan_builds_4_stacks_and_validates_only_its_range_ends(self, monkeypatch):
         run_scan(SweepConfig(bisect=True, **README_SCAN))  # the family's two constant states are validated once, here
         builds, ends, singles = [], [], []
         matrix = states.StateSpec.matrix
@@ -1244,9 +1293,9 @@ class TestLockstepBisection:
         )
         monkeypatch.setattr(states, "validate_density", lambda *args: singles.append(args))
         run_scan(SweepConfig(bisect=True, **README_SCAN))
-        # p = 0 and p = 1 are built together and checked one at a time; the 100 grid states and the
-        # 37 probes of the two bisection rounds, all in [0, 1], are only built
-        assert builds == [2, _CHUNK, 100 - _CHUNK, 28, 9] and sum(builds[1:]) == 137
+        # p = 0 and p = 1 are built together and checked one at a time; the 100 grid states, one stack,
+        # and the 37 probes of the two bisection rounds, all in [0, 1], are only built
+        assert builds == [2, 100, 28, 9] and sum(builds[1:]) == 137
         assert ends == [((9, 9), scan._CERT_MARGIN)] * 2 and singles == []
 
 
@@ -1254,7 +1303,16 @@ def per_value_stacks(cfg, values, seeds):
     """Oracle for _validated_stacks: each state built and validated on its own, a stack of one."""
     for value, seed in zip(values, seeds):
         rho = _point_spec(cfg, value, seed).build()
-        yield rho.dims, rho.mat[None]
+        yield [value], rho.dims, rho.mat[None]
+
+
+def scan_rows(cfg, values, seeds):
+    """The points of every stack that _scan_points yields at the values, and their pair reach, as two lists."""
+    rows, reach = [], []
+    for chunk, pair_reach in _scan_points(cfg, values, seeds):
+        rows += chunk
+        reach += list(pair_reach)
+    return rows, reach
 
 
 class TestAffineScan:
@@ -1289,20 +1347,26 @@ class TestAffineScan:
         assert (cfg.certified_dims is not None) is certified
 
     def test_a_scan_past_the_domain_prints_its_first_chunk_and_names_the_value(self, capsys, monkeypatch):
-        argv = ["scan", "--family", "bennett_mix", "--scan-param", "p", "--range", "0:1.5", "--points", "100"]
+        # p = 1.5 i / 2999 first leaves [0, 1] at i = 2000, in the second stack
+        argv = ["scan", "--family", "bennett_mix", "--scan-param", "p", "--range", "0:1.5", "--points", "3000"]
         code, out, err = run_cli(capsys, argv)
-        assert code == 3 and len(out.splitlines()) == 1 + _CHUNK
-        assert err == "error: p=1.0151515151515151 outside [0, 1]\n"
+        assert code == 3 and len(out.splitlines()) == 1 + STACK
+        assert err == "error: p=1.000333444481494 outside [0, 1]\n"
+        # stacks of one print every row before the failing value, the same error, and the same rows
         monkeypatch.setattr(scan, "_validated_stacks", per_value_stacks)
-        assert run_cli(capsys, argv) == (code, out, err)
+        single_code, single_out, single_err = run_cli(capsys, argv)
+        assert (single_code, single_err) == (code, err) and len(single_out.splitlines()) == 1 + 2000
+        assert single_out.startswith(out)
 
     def test_isotropic_past_its_positivity_range_falls_back(self, capsys, monkeypatch):
         argv = ["scan", "--family", "isotropic", "--d", "3", "--scan-param", "x", "--range", "0:1.2", "--points", "12"]
         code, out, err = run_cli(capsys, argv)
         assert code == 3 and out == ""
         assert err == "error: x=1.0909090909090908 outside positivity range [-0.125, 1]\n"
+        # stacks of one print the 10 rows before the failing value, and the same error
         monkeypatch.setattr(scan, "_validated_stacks", per_value_stacks)
-        assert run_cli(capsys, argv) == (code, out, err)
+        single_code, single_out, single_err = run_cli(capsys, argv)
+        assert (single_code, single_err) == (code, err) and len(single_out.splitlines()) == 1 + 10
 
     @pytest.mark.parametrize(
         "argv",
@@ -1371,18 +1435,18 @@ class TestAffineScan:
         built = []
         point_spec = scan._point_spec
         monkeypatch.setattr(scan, "_point_spec", lambda cfg, value, seed: built.append(value) or point_spec(cfg, value, seed))
-        got = _probe_differences(cfg, fields, values, [5] * 5), _scan_points(cfg, values, [5] * 5)
+        got = _probe_differences(cfg, fields, values, [5] * 5), scan_rows(cfg, values, [5] * 5)[0]
         # a call with a value outside [lo, hi] builds every value on its own, one spec each
         assert built == values * 2
         monkeypatch.setattr(scan, "_validated_stacks", per_value_stacks)
-        assert repr(got) == repr((_probe_differences(cfg, fields, values, [5] * 5), _scan_points(cfg, values, [5] * 5)))
+        assert repr(got) == repr((_probe_differences(cfg, fields, values, [5] * 5), scan_rows(cfg, values, [5] * 5)[0]))
 
 
 def oracle_rows(cfg, values, seeds):
     """Oracle for _scan_points: the rows from every pair's kernel columns (witness._reports), each
     state's Gram matrices all solved, built and validated as the scan builds them."""
     rows = []
-    for dims, stack in scan._validated_stacks(cfg, values, seeds):
+    for _, dims, stack in scan._validated_stacks(cfg, values, seeds):
         cols = _reports(stack, dims)
         figures = (
             _nonlinear_d(cols.nonlinear_max),
@@ -1410,7 +1474,7 @@ def assert_all_pairs_scan(cfg, base_seed):
     that solves every pair.  Each of that bisection's probes is among the solved ones with its
     decision: a violating probe with its difference, a non-violating one with at most it, the largest
     over fewer pairs.  Returns the crossings of the scan's grid."""
-    values = _grid_values(cfg, 0, cfg.points)
+    values = list(_grid_values(cfg))
     oracle = oracle_rows(cfg, values, range(base_seed, base_seed + cfg.points))
     with pytest.MonkeyPatch.context() as mp:
         rounds = probe_calls(mp)
@@ -1471,8 +1535,7 @@ class TestPrunedSolves:
         # on p in [0.5, 0.8] the largest bell_max / c is pair 0's at p = 0.5 and pair 4's at p = 0.8;
         # pair 0 crosses first and sets the onset
         cfg = SweepConfig("bennett_mix", {}, "p", 0.5, 0.8, 2, bisect=True, bisect_tol=1e-9)
-        reach = []
-        _scan_points(cfg, [0.5, 0.8], [0, 1], reach)
+        reach = scan_rows(cfg, [0.5, 0.8], [0, 1])[1]
         assert [int(np.argmax(r[1])) for r in reach] == [0, 4]
         assert scan._bracket_pairs(cfg, reach[0][1], reach[1][1]) == (0, 4, 8)
         crossings = assert_all_pairs_scan(cfg, 0)
@@ -1504,8 +1567,7 @@ class TestPrunedSolves:
         monkeypatch.setattr(scan, "_CERT_MARGIN", -1.0)
         cfg = SweepConfig(bisect=True, **spec)
         assert cfg.certified_dims is None
-        reach = []
-        _scan_points(cfg, _grid_values(cfg, 0, 2), [0, 1], reach)
+        reach = scan_rows(cfg, list(itertools.islice(_grid_values(cfg), 2)), [0, 1])[1]
         assert scan._bracket_pairs(cfg, *(r[1] for r in reach)) is None
         crossings = grid_crossings(cfg, 0)
         assert all(crossing[2] is None for crossing in crossings.values())
@@ -1550,14 +1612,14 @@ def captured(argv):
 class TestValueByValueScan:
     """A scan off the affine path builds and checks each value on its own, in grid order:
     with one faulty state and one build error in its grid it raises what the first
-    failing value raises alone, after the rows of the chunks already completed."""
+    failing value raises alone, after the rows of the stacks already completed."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(2, 150), st.sampled_from(("nan", "hermiticity", "trace", "psd")), st.data())
     def test_the_first_failing_value_raises_its_own_error(self, points, kind, data):
         k, j = data.draw(st.integers(0, points - 1), "fault at"), data.draw(st.integers(0, points - 1), "build error at")
         cfg = SweepConfig(family="rho_a_mix", fixed={"p": 0.3}, param_name="a", lo=0.05, hi=0.95, points=points)
-        grid, make = _grid_values(cfg, 0, points), states._FAMILIES["rho_a_mix"][1]
+        grid, make = list(_grid_values(cfg)), states._FAMILIES["rho_a_mix"][1]
 
         def family(a, p):
             if grid.index(a) == j:
@@ -1569,16 +1631,19 @@ class TestValueByValueScan:
                 "--points", str(points)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setitem(states._FAMILIES, "rho_a_mix", (("a", "p"), family, "p"))
+            mp.setattr(scan, "_STACK_BLOCKS", 64 * 9)  # stacks of 64 states, so that completed stacks print
             got = raised(lambda: run_scan(cfg)), captured(argv)
             mp.setattr(scan, "_validated_stacks", per_value_stacks)
             want = raised(lambda: run_scan(cfg)), captured(argv)
-        assert got == want
-        error, (code, out, err) = want
+        (error, (code, out, err)), (want_error, (want_code, want_out, want_err)) = got, want
+        assert (error, code, err) == (want_error, want_code, want_err)
         first = min(j, k)
         assert (error[0] is ValueError and error[1].startswith("no state")) == (j <= k)
         assert code == 3 and err == f"error: {error[1]}\n"
-        rows = first // _CHUNK * _CHUNK  # the chunk that holds the first failing value prints nothing
+        rows = first // 64 * 64  # the stack that holds the first failing value prints none of its rows
         assert len(out.splitlines()) == (rows and 1 + rows)
+        # stacks of one print every row before the first failing value, and the same rows
+        assert len(want_out.splitlines()) == (first and 1 + first) and want_out.startswith(out)
 
 
 class TestScanCsvApi:

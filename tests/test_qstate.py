@@ -56,6 +56,11 @@ class TestValidateDensity:
     def test_pure_projector_diag(self):
         validate_density(np.diag([1.0, 0, 0, 0]), Dims(2, 2))
 
+    def test_a_state_near_rank_one_past_the_entrywise_tolerance_has_no_vector(self):
+        # column 0 passes the O(side) test (1.2e-14 is within 64 eps), but rho - v v^dag
+        # holds 1.2e-14 > _RANK_ONE_TOL at (1, 1), so the entrywise test rejects it
+        assert validate_density(np.diag([1.0 - 1.2e-14, 1.2e-14, 0, 0]), Dims(2, 2)).vec is None
+
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(NotPositiveError):
             validate_density(np.diag([2.0, -1.0, 0, 0]), Dims(2, 2))
@@ -129,6 +134,10 @@ class TestValidateDensity:
     def test_non_finite_pure_vector_rejected(self):
         with pytest.raises(StateValidationError, match="NaN or infinite"):
             validate_pure([np.nan, 0.0, 0.0, 0.0], Dims(2, 2))
+
+    def test_pure_vector_of_the_wrong_length_rejected(self):
+        with pytest.raises(DimensionMismatchError, match=r"expected vector of length 4, got \(3,\)"):
+            validate_pure([1, 0, 0], Dims(2, 2))
 
     def test_matrix_is_readonly(self):
         rho = validate_density(np.eye(4) / 4, Dims(2, 2))

@@ -340,13 +340,16 @@ VALID = {
 @st.composite
 def spec_documents(draw):
     """A JSON state spec: a family from the table or junk (non-strings included),
-    with the family's parameters, sometimes one missing or one extra."""
+    with the family's parameters, sometimes one missing or one extra; or a
+    document that is not a JSON object: such a spec's pairs as a list, or a
+    scalar or a list."""
     family = draw(st.one_of(st.sampled_from(sorted(_FAMILIES)), st.sampled_from(["werner", "", 3, None, ["x"], 2.5])))
     keys = set(_FAMILIES[family][0]) if isinstance(family, str) and family in _FAMILIES else set()
     keys ^= draw(st.sets(st.sampled_from(["d", "x", "seed", "mu", "junk"]), max_size=1))
     values = {k: SIZES if k in ("d", "rank") else st.one_of(VALID[k], JSON_VALUES) if k in VALID else JSON_VALUES
               for k in sorted(keys)}
-    return {"family": family, **{k: draw(value) for k, value in values.items()}}
+    doc = {"family": family, **{k: draw(value) for k, value in values.items()}}
+    return draw(st.one_of(st.just(doc), st.just([list(item) for item in doc.items()]), JSON_VALUES))
 
 
 class TestStateSpec:
@@ -391,11 +394,16 @@ class TestStateSpec:
         ({"family": "isotropic", "d": 3, "x": 10**400}, "x must be a real number within the float range"),
         ({"family": "schmidt_pure", "d": 2, "mu": [10**400, 0]}, "mu entry must be a real number within"),
         ({"family": "json_file", "path": 5}, "path must be a string, got 5"),
+        # a document that is not a JSON object, a list of its pairs included
+        (5, "state spec must be a JSON object, got 5"),
+        (None, "state spec must be a JSON object, got None"),
+        ([1, 2], r"state spec must be a JSON object, got \[1, 2\]"),
+        ([["family", "isotropic"], ["d", 3], ["x", 0.5]], r"state spec must be a JSON object, got \[\['family'"),
     ], ids=[
         "unknown-family", "missing-param", "no-family", "extra-param", "fractional-d", "fractional-rank",
         "bool-d", "string-x", "bool-seed", "list-seed", "negative-seed", "string-mu",
         "bool-mu", "scalar-mu", "list-family", "string-seed", "fractional-seed", "huge-x",
-        "huge-mu", "int-path",
+        "huge-mu", "int-path", "int-document", "null-document", "list-document", "pairs-document",
     ])
     def test_bad_specs_rejected(self, doc, match):
         with pytest.raises(ValueError, match=match):
