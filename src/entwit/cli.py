@@ -199,8 +199,8 @@ def cmd_scan(parser, args) -> int:
     header = SCAN_HEADER  # written with the first stack's rows
     with contextlib.ExitStack() as stack:
         sinks = [sys.stdout, *filter(None, _open_outputs(stack, args.csv))]
-        # each kernel stack's rows go out as soon as it is evaluated; a stack that fails
-        # to build prints nothing and exits 3 after the rows of the stacks before it
+        # each kernel stack's rows go out as soon as it is evaluated; a value that fails to
+        # build ends its stack, whose rows before it go out, and then exits 3
         while (chunk := _build_state(next, chunks, None)) is not None:
             text = _csv_text(header, chunk)
             header = None

@@ -2,13 +2,16 @@
 
 A scan's unit of work is one kernel stack: up to _STACK_BLOCKS 4x4 blocks
 of grid states (1,820 states of 3x3), built, evaluated in one _assess call
-and written as one block of rows; a stack that fails to build prints
-nothing, after the rows of the stacks before it.  Both detection onsets are
-bisected together in speculative rounds, one stacked evaluation each, with
-the decisions of a serial bisection (see _thresholds).  A scan over its
-family's affine parameter builds each stack in one broadcast, and once its
-two range ends pass validation at half the tolerances, the states between
-them skip it.
+and written as one block of rows; a value that fails to build ends its
+stack, whose rows before it are written, and then raises.  Both detection
+onsets are bisected with the decisions of a serial bisection (see
+_thresholds).  A scan over its family's affine parameter builds each stack
+in one broadcast, and once its two range ends pass validation at half the
+tolerances, the states between them skip it.  On such a scan each onset is
+computed as the root of its bracket's kept pairs (_onsets), and every serial
+midpoint farther than a rounding margin from it takes its decision from it
+unsolved: the README scan solves no probe.  Every other bracket is bisected
+in speculative rounds, one stacked evaluation each.
 
 Sweeps emit violation-positive differences so that "curve above zero" means
 "detected": nonlinear_D = max_ab nonlinear_max - 1, and bell_D =
@@ -37,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cren import _bound
-from .qstate import Dims, _checked, _negativities, _require_integer
+from .qstate import Dims, _checked, _negativities, _require_integer, partial_transpose_mat
 from .states import _BUILD_ERRORS, _FAMILIES, _STATE_FLAGS, StateSpec, _family_spec
 from .witness import (
     TAU_DETECT,
@@ -220,8 +223,9 @@ def _validated_stacks(cfg: SweepConfig, values, seeds):
     certified scan (SweepConfig.certified_dims), each stack is built in one
     broadcast and not validated again, up to the first stack with a value
     outside [lo, hi].  From there each state is built and validated on its
-    own, in value order (StateSpec.build), so the first failing value raises
-    its own error, and the states are stacked by dims."""
+    own, in value order (StateSpec.build), and the states are stacked by
+    dims; a value that fails to build ends the stack it was to join, which
+    is yielded with the states before it, and then raises its own error."""
     dims, points = cfg.certified_dims, zip(values, seeds)
     while dims is not None and (run := list(itertools.islice(points, _per_stack(dims)))):
         run_values = [value for value, _ in run]
@@ -229,10 +233,25 @@ def _validated_stacks(cfg: SweepConfig, values, seeds):
             points = itertools.chain(run, points)
             break
         yield run_values, dims, _point_spec(cfg, cfg.lo, 0).matrix(run_values)[0]
-    built = ((value, _point_spec(cfg, value, seed).build()) for value, seed in points)
-    for dims, run in itertools.groupby(built, key=lambda point: point[1].dims):
-        while stack := list(itertools.islice(run, _per_stack(dims))):
-            yield [value for value, _ in stack], dims, np.array([rho.mat for _, rho in stack])
+    stack = []
+    for value, seed in points:
+        try:
+            rho = _point_spec(cfg, value, seed).build()
+        except _BUILD_ERRORS:
+            if stack:
+                yield _stacked(stack)
+            raise
+        if stack and (rho.dims != stack[0][1].dims or len(stack) == _per_stack(rho.dims)):
+            yield _stacked(stack)
+            stack = []
+        stack.append((value, rho))
+    if stack:
+        yield _stacked(stack)
+
+
+def _stacked(states):
+    """(values, dims, stack) of a list of (value, validated state) of one dims."""
+    return [value for value, _ in states], states[0][1].dims, np.array([rho.mat for _, rho in states])
 
 
 def _scan_points(cfg: SweepConfig, values, seeds):
@@ -279,23 +298,152 @@ def _scan_chunks(cfg: SweepConfig, base_seed: int, crossings: dict):
     (_bracket_pairs) and the samples the (value, difference) of those two
     grid points and of the next two: all that bisection needs of the grid
     (see _thresholds)."""
-    prev, tails = None, {}
+    prev, tails = None, dict.fromkeys(_FIELDS, 2)  # prev: (point, reach) of the last point before the stack
     for chunk, reach in _scan_points(cfg, _grid_values(cfg), range(base_seed, base_seed + cfg.points)):
-        for pt, pt_reach in zip(chunk, reach):
-            for k, field in enumerate(_FIELDS):
-                d = getattr(pt, field)
-                if tails.get(field):
-                    crossings[field] += ((pt.param, d),)
-                    tails[field] -= 1
-                elif field not in crossings and d > TAU_DETECT:
-                    if prev is None:
-                        crossings[field] = (None, pt.param, None, (pt.param, d))
-                    else:
-                        pairs = _bracket_pairs(cfg, prev_reach[k], pt_reach[k])
-                        crossings[field] = (prev.param, pt.param, pairs, (prev.param, getattr(prev, field)), (pt.param, d))
-                    tails[field] = 2
-            prev, prev_reach = pt, pt_reach
+        for k, field in enumerate(_FIELDS):
+            at = 0  # the stack's first point past the crossing
+            if field not in crossings:  # one search per stack until the crossing is found
+                at = next((i for i, pt in enumerate(chunk) if getattr(pt, field) > TAU_DETECT), None)
+                if at is None:
+                    continue
+                pt, below = chunk[at], (chunk[at - 1], reach[at - 1]) if at else prev
+                sample = (pt.param, getattr(pt, field))
+                if below is None:
+                    crossings[field] = (None, pt.param, None, sample)
+                else:
+                    pairs = _bracket_pairs(cfg, below[1][k], reach[at][k])
+                    crossings[field] = (below[0].param, pt.param, pairs, (below[0].param, getattr(below[0], field)), sample)
+                at += 1
+            tail = chunk[at : at + tails[field]]
+            crossings[field] += tuple((pt.param, getattr(pt, field)) for pt in tail)
+            tails[field] -= len(tail)
+        prev = chunk[-1], reach[-1]
         yield chunk
+
+
+# Onsets.  On a certified bracket [lo, hi] whose kept pairs (_bracket_pairs)
+# are live at both ends, write s = (t - lo) / (hi - lo) and each pair's level
+# for a detection difference: lambda_min of its partial transpose shifted by
+# TAU_DETECT c / 4 (nonlinear), or (1 + TAU_DETECT / 2) c - sqrt(s1^2 + s2^2)
+# (Bell).  The level is concave in s (see _QUIET) and the pair violates
+# exactly where it is negative; the bracket's lower end does not violate, so
+# every level is positive at s = 0, and the onset V is the smallest root over
+# the kept pairs.  A concave level lies above its chords and below its
+# tangents, so a pair with level g0 at s = 0 and root r reads at least
+# g0 (r - s) / r before r and at most -g0 (s - r) / r after it: at a
+# distance e from V, some level reads at most -g e / V or every level at
+# least g e / V, g the smallest level at s = 0.  A probe's level is computed
+# to a few tens of ulps on states of trace 1 (the build, a 4x4 or 3x3
+# eigensolve's backward error, the level test), and the computed V is the
+# root of levels moved by as little (the ends' builds, the Cholesky factor,
+# the whitened eigensolve, Newton's last step), which moves it by as much
+# over the same slope g / V.  So a midpoint farther than _ROOT_ERR V / g
+# from the computed V, far above both errors, takes the decision V gives
+# it, bitwise the serial bisection's; a bracket with g <= _ROOT_ERR has no
+# root (_onsets).  In parameter units the margin also takes _ROOT_ULPS float
+# spacings of the bracket's ends, which hold the rounding of lo + s (hi - lo)
+# and of the window's edges.
+_ROOT_ERR = 1e-12
+_ROOT_ULPS = 4
+# Newton steps toward a Bell onset stop once its interval is no wider than the
+# margin or than _NEWTON_STOP times the tolerance (a serial midpoint falls in
+# a window of width w with a chance of about 4 w / tol), or after
+# _NEWTON_STEPS; a wider window only solves more midpoints, never a wrong one.
+_NEWTON_STOP = 1e-3
+_NEWTON_STEPS = 8
+
+
+def _nonlinear_root(blk: np.ndarray, c: np.ndarray):
+    """(a, b, margin) of a bracket's nonlinear onset, in s, from its kept
+    pairs' raw blocks (2, K, 4, 4) and weights (2, K) at its ends: the onset
+    lies in [a, b] (here a = b), and a midpoint farther than margin from it
+    is decided by it (see _ROOT_ERR); None if no pair has a root in (0, 1),
+    M(0) has no Cholesky factor or its level is not above _ROOT_ERR.  The
+    shifted partial transpose M(s) is affine in s; with M(0) = L L^H, the
+    level lambda_min M(s) has the sign of 1 + s mu, mu the smallest
+    eigenvalue of L^-1 (M(1) - M(0)) L^-H, and lambda_min M(0) =
+    1 / ||L^-1||_2^2 >= 1 / ||L^-1||_F^2.  One batched eigensolve."""
+    m = partial_transpose_mat(blk, 2, 2) + (0.25 * TAU_DETECT * c)[..., None, None] * np.eye(4)
+    try:
+        inv = np.linalg.inv(np.linalg.cholesky(m[0]))
+    except np.linalg.LinAlgError:
+        return None
+    g = 1.0 / float(np.square(np.abs(inv)).sum(axis=(-2, -1)).max())
+    if g <= _ROOT_ERR:
+        return None
+    mu = np.linalg.eigvalsh(inv @ (m[1] - m[0]) @ np.swapaxes(inv, -1, -2).conj())[:, 0]
+    if not (mu < -1.0).any():
+        return None
+    root = -1.0 / float(mu.min())
+    return root, root, _ROOT_ERR * root / g
+
+
+def _bell_level(t0, dt, c0, dc, s):
+    """The Bell level (1 + TAU_DETECT / 2) c - sqrt(s1^2 + s2^2) of each pair
+    at s and its slope in s, from the correlation matrices T = t0 + s dt
+    and weights c0 + s dc; sqrt(s1^2 + s2^2) moves at the rate
+    sum_k (T v_k).(dt v_k) / sqrt(s1^2 + s2^2) over the Gram matrix's top
+    two eigenvectors v_k."""
+    t = t0 + s[..., None, None] * dt
+    ev, vec = np.linalg.eigh(np.swapaxes(t, -1, -2) @ t)
+    top = vec[..., 1:]
+    r = np.sqrt(np.maximum(ev[..., 1] + ev[..., 2], 0.0))
+    rate = ((t @ top) * (dt @ top)).sum(axis=(-2, -1)) / np.maximum(r, 1e-300)  # rate = 0 where T = 0
+    k = 1.0 + 0.5 * TAU_DETECT
+    return k * (c0 + s * dc) - r, k * dc - rate
+
+
+def _bell_root(blk: np.ndarray, c: np.ndarray, enough: float):
+    """(a, b, margin) of a bracket's Bell onset, as _nonlinear_root gives
+    the nonlinear one, or None if no pair violates at s = 1.  Each pair
+    that does takes Newton steps from s = 1: the tangent of a concave level
+    meets zero at or past the root, and the chord from s = 0 at or before
+    it, so the steps narrow [a, b] until it is no wider than the margin or
+    than enough (_NEWTON_STOP)."""
+    t = _correlations(blk)[..., 1:, 1:]
+    t0, dt, c0, dc = t[0], t[1] - t[0], c[0], c[1] - c[0]
+    (level0, level1), (_, slope1) = _bell_level(t0, dt, c0, dc, np.array([[0.0], [1.0]]))
+    g, root = float(level0.min()), level1 < 0.0
+    if g <= _ROOT_ERR or not root.any():
+        return None
+    t0, dt, c0, dc, g0 = t0[root], dt[root], c0[root], dc[root], level0[root]
+    s, level, slope = np.ones(len(g0)), level1[root], slope1[root]
+    for step in range(_NEWTON_STEPS):
+        if step:
+            level, slope = _bell_level(t0, dt, c0, dc, s)
+        s, a = s - level / slope, s * np.minimum(1.0, g0 / np.maximum(g0 - level, g0))
+        lower, upper = float(a.min()), float(s.min())
+        if upper - lower <= max(_ROOT_ERR * upper / g, enough):
+            break
+    return lower, upper, _ROOT_ERR * upper / g
+
+
+def _onsets(cfg: SweepConfig, crossings: dict) -> dict:
+    """field -> (a, b, margin) of each certified bracket with a root, in
+    parameter units: its onset lies in [a, b], and a value farther than
+    margin from [a, b] takes the decision the onset gives it (see
+    _ROOT_ERR).  The brackets' ends are built in one broadcast, bitwise
+    the grid's states, and their kept pairs read from one gather."""
+    ends = {f: (lo, hi, pairs) for f, (lo, hi, pairs, *_) in crossings.items() if lo is not None and pairs}
+    if not ends:
+        return {}
+    stack, dims = _point_spec(cfg, cfg.lo, 0).matrix([t for lo, hi, _ in ends.values() for t in (lo, hi)])
+    cols = sorted({pair for _, _, pairs in ends.values() for pair in pairs})
+    blk, c, live = _gather(stack, dims, cols)
+    onsets = {}
+    for k, (field, (lo, hi, pairs)) in enumerate(ends.items()):
+        at = np.s_[2 * k : 2 * k + 2], [cols.index(pair) for pair in pairs]
+        if not live[at].all():
+            continue
+        width = hi - lo
+        if field == "nonlinear_d":
+            root = _nonlinear_root(blk[at], c[at])
+        else:
+            root = _bell_root(blk[at], c[at], _NEWTON_STOP * cfg.bisect_tol / width)
+        if root:
+            margin = root[2] * width + _ROOT_ULPS * math.ulp(max(abs(lo), abs(hi)))
+            onsets[field] = (lo + root[0] * width, lo + root[1] * width, margin)
+    return onsets
 
 
 def _midpoint(lo: float, hi: float, tol: float) -> float | None:
@@ -310,21 +458,27 @@ def _midpoint(lo: float, hi: float, tol: float) -> float | None:
 class _Bracket:
     """One onset's bisection: its bracket, the serial steps taken (depth), the
     probes solved off the serial path (waste) and every solved (value,
-    difference) sample of its field."""
+    difference) sample of its field.  On a certified bracket with a root
+    (_onsets), window is the values whose decision the root leaves open:
+    the serial midpoints outside it are decided by the root, unsolved."""
 
     lo: float
     hi: float
     samples: list
     pairs: tuple | None = None  # the pairs its probes solve (_bracket_pairs); None for all
+    window: tuple | None = None  # (a, b): the midpoints in [a, b] are solved, one per round
     depth: int = 0
     waste: int = 0
 
     def guess(self) -> float | None:
-        """The onset predicted from the samples nearest the bracket, those at
-        or above hi (the violating side) first: the inverse quadratic
-        interpolation of value against difference at TAU_DETECT through three
-        of them, else the secant through two, clamped to [lo, hi]; None
-        without two samples of distinct differences."""
+        """The onset: the middle of the window, else predicted from the
+        samples nearest the bracket, those at or above hi (the violating
+        side) first: the inverse quadratic interpolation of value against
+        difference at TAU_DETECT through three of them, else the secant
+        through two; clamped to [lo, hi], and None without a window or two
+        samples of distinct differences."""
+        if self.window is not None:
+            return min(max(0.5 * (self.window[0] + self.window[1]), self.lo), self.hi)
         near = sorted(s for s in self.samples if s[0] >= self.hi)
         near += sorted((s for s in self.samples if s[0] <= self.lo), reverse=True)
         for n in (3, 2):
@@ -338,21 +492,28 @@ class _Bracket:
                     return min(max(x, self.lo), self.hi)
         return None
 
-    def path(self, tol: float, cap: int) -> list[tuple[float, bool]]:
-        """At most cap serial midpoints from the bracket, each with the
-        decision (violating) that the guessed onset gives it: the path a
-        serial bisection takes if the guess is right.  Without a guess, one."""
-        guess, lo, hi, path = self.guess(), self.lo, self.hi, []
-        if guess is None:
+    def path(self, tol: float, cap: int) -> list[tuple[float, bool, bool]]:
+        """The serial midpoints from the bracket, each with the decision
+        (violating) that the guessed onset gives it and whether it is
+        solved: the path a serial bisection takes if the guess is right, up
+        to its cap-th solved midpoint.  Without a window every midpoint is
+        solved; with one, those outside it are decided by the root and at
+        most one is solved, so each solved midpoint is a serial one.
+        Without a guess, one midpoint."""
+        guess, (a, b), lo, hi, path = self.guess(), self.window or (-math.inf, math.inf), self.lo, self.hi, []
+        if self.window is not None:
+            cap = 1
+        elif guess is None:
             guess, cap = hi, 1  # the one midpoint is decisive whatever its guess
-        while len(path) < cap and (mid := _midpoint(lo, hi, tol)) is not None:
-            path.append((mid, mid >= guess))
+        while cap and (mid := _midpoint(lo, hi, tol)) is not None:
+            path.append((mid, mid >= guess, a <= mid <= b))
+            cap -= path[-1][2]
             lo, hi = (lo, mid) if path[-1][1] else (mid, hi)
         return path
 
     def max_path(self, tol: float) -> int:
-        """The longest path this round may lay out: one step, plus twice a
-        floor on the onset's serial steps less its waste so far, so that the
+        """The most midpoints this round may solve: one, plus twice a floor
+        on the onset's serial steps less its waste so far, so that the
         waste stays at most twice the serial steps.  The floor is the steps
         taken plus a lower bound on those left: the halvings of the width
         before it falls to tol or to a few float spacings at its ends."""
@@ -361,19 +522,22 @@ class _Bracket:
         return 1 + max(0, 2 * (self.depth + left) - self.waste)
 
     def walk(self, path, diffs) -> None:
-        """Take the serial steps of a solved path: the solved decision of each
-        midpoint, up to and including the first that the guess got wrong."""
-        for step, ((mid, guessed), d) in enumerate(zip(path, diffs), 1):
-            violating = d > TAU_DETECT
+        """Take the serial steps of a path, reading its solved midpoints'
+        differences from the iterator diffs in path order: each midpoint's
+        decision, the solved one where it was solved, up to and including
+        the first that the guess got wrong."""
+        solved = [next(diffs) if solve else None for _, _, solve in path]
+        for step, ((mid, guessed, _), d) in enumerate(zip(path, solved), 1):
+            violating = guessed if d is None else d > TAU_DETECT
             if violating:  # a violating midpoint becomes hi
                 self.hi = mid
             else:
                 self.lo = mid
             if violating != guessed:
                 break
-        self.samples += [(mid, d) for (mid, _), d in zip(path, diffs)]
+        self.samples += [(mid, d) for (mid, _, _), d in zip(path, solved) if d is not None]
         self.depth += step
-        self.waste += len(path) - step
+        self.waste += sum(d is not None for d in solved[step:])
 
 
 def _thresholds(cfg: SweepConfig, base_seed: int, crossings: dict):
@@ -381,57 +545,72 @@ def _thresholds(cfg: SweepConfig, base_seed: int, crossings: dict):
     decisions are those of a serial bisection of each onset: the probe at
     step k is the bracket's midpoint with seed base_seed + cfg.points + k, so
     the thresholds are bitwise the serial ones.  They are taken in rounds.
-    A round predicts each onset from its field's solved samples
-    (_Bracket.guess), lays out the serial midpoints toward it
-    (_Bracket.path), solves all of them in one _probe_differences call, each
-    on the pairs its bracket keeps (_bracket_pairs), which decide as all the
-    pairs do, and walks each path with the solved decisions up to its first
-    wrong guess; the probes past it are waste.  Each path is capped so that
-    an onset's waste stays within twice its serial steps (_Bracket.max_path),
-    and each round takes at least one step of every open bracket, so no scan
-    solves more than 3 times the serial probes or runs more rounds than the
-    serial bisection.  If a round fails to build a state (a scan validated
-    one state at a time), the rest runs one level at a time, the shallowest
-    brackets' midpoints in one call, so the first serial probe that fails
-    raises its own error.  A crossing at the first grid point has no bracket."""
+    On a certified bracket with a root (_onsets), a round takes every serial
+    step the root decides, up to and including the first midpoint in its
+    window, which it solves: the README scan solves no probe and ends in one
+    round with no stacked call.  On every other bracket, a round predicts
+    the onset from its field's solved samples (_Bracket.guess), lays out
+    the serial midpoints toward it (_Bracket.path) and walks the path with
+    their solved decisions up to its first wrong guess; the probes past it
+    are waste.  Each path is capped so that an onset's waste stays within
+    twice its serial steps (_Bracket.max_path).  A round solves every
+    path's midpoints in one _probe_differences call, each on the pairs its
+    bracket keeps (_bracket_pairs), which decide as all the pairs do, and
+    takes at least one step of every open bracket, so no scan solves more
+    than 3 times the serial probes or runs more rounds than the serial
+    bisection.  If a round fails to build a state (a scan validated one
+    state at a time, which has no root), the rest runs one level at a time,
+    the shallowest brackets' midpoints in one call, so the first serial
+    probe that fails raises its own error.  A crossing at the first grid
+    point has no bracket."""
     if not cfg.bisect:
         return None, None
     tol, seed = cfg.bisect_tol, base_seed + cfg.points
-    brackets = {f: _Bracket(lo, hi, list(samples), pairs) for f, (lo, hi, pairs, *samples) in crossings.items() if lo is not None}
+    windows = {f: (a - margin, b + margin) for f, (a, b, margin) in _onsets(cfg, crossings).items()}
+    brackets = {
+        f: _Bracket(lo, hi, list(samples), pairs, windows.get(f))
+        for f, (lo, hi, pairs, *samples) in crossings.items()
+        if lo is not None
+    }
     speculate = True
     while live := {f: b for f in _FIELDS if (b := brackets.get(f)) and _midpoint(b.lo, b.hi, tol) is not None}:
         if not speculate:
             level = min(b.depth for b in live.values())
             live = {f: b for f, b in live.items() if b.depth == level}
         paths = {f: b.path(tol, b.max_path(tol) if speculate else 1) for f, b in live.items()}
+        probes = [
+            (f, mid, seed + live[f].depth + k)
+            for f, path in paths.items()
+            for k, (mid, _, solved) in enumerate(path)
+            if solved
+        ]
         try:
-            diffs = _probe_differences(
-                cfg,
-                [f for f, path in paths.items() for _ in path],
-                [mid for path in paths.values() for mid, _ in path],
-                [seed + live[f].depth + k for f, path in paths.items() for k in range(len(path))],
-                {f: b.pairs for f, b in live.items()},
-            )
+            diffs = []
+            if probes:  # (field, value, seed) columns
+                diffs = _probe_differences(cfg, *map(list, zip(*probes)), {f: b.pairs for f, b in live.items()})
         except _BUILD_ERRORS:
             if not speculate:
                 raise
             speculate = False
             continue
+        diffs = iter(diffs)  # each walk takes its own path's solved differences, in order
         for f, path in paths.items():
-            live[f].walk(path, diffs[: len(path)])
-            diffs = diffs[len(path) :]
+            live[f].walk(path, diffs)
     found = {f: Threshold(0.5 * (b.lo + b.hi), "ok") for f, b in brackets.items()}
     return tuple(found.get(f, Threshold(None, "no threshold in range")) for f in _FIELDS)
 
 
 def run_scan(cfg: SweepConfig, base_seed: int = 0) -> ScanResult:
     """Evaluate the sweep grid one kernel stack at a time (see _scan_chunks)
-    and optionally bisect both detection thresholds in speculative rounds
-    (see _thresholds): each round predicts the onsets, solves the serial
-    midpoints toward them in one stacked call and keeps the serial decisions
-    up to the first wrong guess, with a capped waste and, after a failed
-    build, one level per round.  The thresholds, probe values and seeds are
-    those of a serial bisection.  Deterministic for fixed cfg and base_seed."""
+    and optionally bisect both detection thresholds (see _thresholds): on a
+    certified bracket the onset's root decides every serial midpoint but
+    those within its margin, which are solved one per round; every other
+    bracket runs speculative rounds, each of which predicts the onset,
+    solves the serial midpoints toward it in one stacked call and keeps the
+    serial decisions up to the first wrong guess, with a capped waste and,
+    after a failed build, one level per round.  The thresholds, and the
+    values and seeds of the probes solved, are those of a serial bisection.
+    Deterministic for fixed cfg and base_seed."""
     crossings = {}
     points = [pt for chunk in _scan_chunks(cfg, base_seed, crossings) for pt in chunk]
     return ScanResult(points, *_thresholds(cfg, base_seed, crossings))

@@ -767,7 +767,8 @@ class TestFamilies:
             capsys,
             ["scan", "--family", "isotropic", "--d", "3", "--scan-param", "x", "--range", "0:2", "--points", "3"],
         )
-        assert code == 3 and "error" in err and out == ""
+        # the values 0 and 1 build; the failing value 2 ends the stack and prints their rows first
+        assert code == 3 and "error" in err and out.splitlines()[1:] == ["0,-1,-2,0,0", "1,2,0.828427124746,1,1"]
 
     def test_fractional_d_is_rejected_not_truncated(self, capsys):
         code, out, err = run_cli(
@@ -852,10 +853,9 @@ class TestChunkedScan:
             checked.clear()
             assert run_scan(SweepConfig(**spec), base_seed=5) == whole[name]
             seen[name] = (list(sizes), list(checked))
-        # the README scan: 100 grid points, then bisection rounds of 28 and 9 probes, all certified by
-        # its two range ends, each checked on its own; the d scan validates each state
-        readme = [2] * (50 + 14 + 4) + [1]
-        assert seen == {"readme": (readme, [9, 9]), "random_density_d": ([1] * 4, [4, 9, 16, 25])}
+        # the README scan: 100 grid points and no probe (its roots decide its bisections), all certified
+        # by its two range ends, each checked on its own; the d scan validates each state
+        assert seen == {"readme": ([2] * 50, [9, 9]), "random_density_d": ([1] * 4, [4, 9, 16, 25])}
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.sampled_from([9, 20, 100, scan._STACK_BLOCKS]), st.data())
@@ -909,15 +909,16 @@ class TestChunkedScan:
         # the Bell onset lies beyond the range
         assert "bell_d" not in crossings and result.bell.status == "no threshold in range"
 
-    def test_build_error_exits_3_after_the_completed_chunks(self, capsys, tmp_path):
-        # x runs 0..2 over 4000 points: the first stack stays below x = 1, the second crosses it
+    def test_build_error_exits_3_after_the_rows_before_the_failing_value(self, capsys, tmp_path):
+        # x runs 0..2 over 4000 points: the first stack stays below x = 1, and the second crosses it at
+        # x = 4000 / 3999, the 2001st value; the stack it was to join prints its first 180 rows
         csv_path = tmp_path / "scan.csv"
         argv = ["scan", "--family", "isotropic", "--d", "3", "--scan-param", "x", "--range", "0:2",
                 "--points", "4000", "--csv", str(csv_path)]
         code, out, err = run_cli(capsys, argv)
-        assert code == 3 and "outside positivity range" in err
+        assert code == 3 and err == f"error: x={2.0 * 2000 / 3999} outside positivity range [-0.125, 1]\n"
         lines = out.splitlines()
-        assert lines[0] == SCAN_HEADER and len(lines) == 1 + STACK
+        assert lines[0] == SCAN_HEADER and len(lines) == 1 + 2000 and 2000 > STACK
         assert csv_path.read_text() == out
 
     def test_the_first_failing_value_speaks_also_when_a_later_one_fails_to_build(self, capsys, monkeypatch, tmp_path):
@@ -981,6 +982,12 @@ def serial_bisect_threshold(cfg, base_seed, crossing, field):
     if crossing is None or crossing[0] is None:
         # nothing violates, or everything does: no crossing inside the range
         return Threshold(None, "no threshold in range")
+    lo, hi = serial_bracket(cfg, base_seed, crossing, field)
+    return Threshold(0.5 * (lo + hi), "ok")
+
+
+def serial_bracket(cfg, base_seed, crossing, field):
+    """The final bracket (lo, hi) of serial_bisect_threshold."""
     lo, hi, pairs = crossing[:3]
     # probe seeds continue past the grid indices so bisection stays
     # deterministic for random families too
@@ -992,7 +999,7 @@ def serial_bisect_threshold(cfg, base_seed, crossing, field):
         else:
             lo = mid
         seed += 1
-    return Threshold(0.5 * (lo + hi), "ok")
+    return lo, hi
 
 
 def serial_thresholds(cfg, base_seed, crossings):
@@ -1026,13 +1033,20 @@ def probe_calls(monkeypatch, limit=1000):
     return calls
 
 
+def root_windows(cfg, crossings):
+    """field -> the values (a, b) whose decision the bracket's root leaves open (scan._onsets)."""
+    return {field: (a - margin, b + margin) for field, (a, b, margin) in scan._onsets(cfg, crossings).items()}
+
+
 def assert_serial_decisions(cfg, base_seed, crossings):
-    """_thresholds gives the serial thresholds bitwise.  Every serial probe is
-    among its solved ones, with its seed and its difference, so a serial walk
-    over the solved probes reads exactly the serial ones.  It solves at most 3
-    times the serial probes, in at most as many rounds as the serial bisection
-    takes steps on its longer onset.  Returns (the probes of each round, the
-    serial probes), both in probe_calls form."""
+    """_thresholds gives the serial thresholds bitwise.  On a bracket with a
+    root (scan._onsets) every solved probe is a serial one, with its seed and
+    its difference, and so is every serial probe inside the root's window;
+    the root decides the others.  On every other bracket every serial probe
+    is among the solved ones, so a serial walk over them reads exactly the
+    serial ones, and they are at most 3 times the serial probes.  The rounds
+    are at most the serial steps of the longer onset.  Returns (the probes
+    of each round, the serial probes), both in probe_calls form."""
     with pytest.MonkeyPatch.context() as mp:
         calls = probe_calls(mp)
         got = _thresholds(cfg, base_seed, crossings)
@@ -1041,8 +1055,14 @@ def assert_serial_decisions(cfg, base_seed, crossings):
         serial = serial_thresholds(cfg, base_seed, crossings)
     solved, probes = [probe for call in rounds for probe in call], [probe for (probe,) in calls]
     assert exact(got) == exact(serial)
-    assert set(probes) <= set(solved)
-    assert len(solved) <= 3 * len(probes)
+    windows = root_windows(cfg, crossings)
+    for field in ("nonlinear_d", "bell_d"):
+        mine, theirs = ([probe for probe in ps if probe[0] == field] for ps in (solved, probes))
+        if field in windows:
+            a, b = windows[field]
+            assert set(mine) <= set(theirs) and {p for p in theirs if a <= p[1] <= b} <= set(mine)
+        else:
+            assert set(theirs) <= set(mine) and len(mine) <= 3 * len(theirs)
     assert len(rounds) <= max(Counter(field for field, *_ in probes).values(), default=0)
     return rounds, probes
 
@@ -1134,11 +1154,13 @@ class TestLockstepBisection:
         ("bennett_mix", (), "p"): (0.0, 1.0),
         ("rho_a_mix", (("a", 0.5),), "p"): (0.0, 1.0),
         ("rho_a_mix", (("p", 0.3),), "a"): (0.01, 0.99),  # not affine in a: built state by state
+        ("isotropic", (("d", 2),), "x"): (-1.0 / 3.0, 1.0),
         ("isotropic", (("d", 3),), "x"): (-1.0 / 8.0, 1.0),
         ("isotropic", (("d", 4),), "x"): (-1.0 / 15.0, 1.0),
+        ("isotropic", (("d", 5),), "x"): (-1.0 / 24.0, 1.0),
     }
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.sampled_from(sorted(FAMILIES)), st.data())
     def test_speculative_rounds_take_the_serial_decisions(self, key, data):
         low, high = self.FAMILIES[key]
@@ -1150,6 +1172,8 @@ class TestLockstepBisection:
         family, fixed, param = key
         cfg = SweepConfig(family, dict(fixed), param, lo, hi, points, bisect=True, bisect_tol=tol)
         with pytest.MonkeyPatch.context() as mp:
+            # a certified scan's brackets take their roots, and assert_serial_decisions holds their solved
+            # probes to serial ones; a scan validated state by state has none and keeps the rounds
             if data.draw(st.booleans(), "validated state by state"):
                 mp.setattr(scan, "_CERT_MARGIN", -1.0)  # no trace deviation is below a negative tolerance
             assert_serial_decisions(cfg, 3, grid_crossings(cfg, 3))
@@ -1187,17 +1211,27 @@ class TestLockstepBisection:
         assert nonlinear.status == "ok" and lo < nonlinear.value < hi
         assert bell.status == "no threshold in range" and len(probes) > 36  # tol 1e-12 stops at 36 steps
         assert abs(nonlinear.value - coarse.value) <= 1e-12
-        assert len(probes) == 50 and len(rounds) <= 8
+        # the root decides the first steps; the last ones, within its margin, are solved one per round
+        assert len(probes) == 50 and 0 < len(rounds) < 25
+        assert rounds == [[probe] for probe in probes[-len(rounds) :]]
 
-    def test_readme_scan_makes_at_most_3_stacked_calls_in_place_of_28(self, monkeypatch):
+    def test_readme_scan_solves_no_probe_in_place_of_28(self, monkeypatch):
+        # both onsets are roots of their brackets, and no serial midpoint lies within the root's margin
         cfg = SweepConfig(bisect=True, **README_SCAN)
-        rounds, probes = assert_serial_decisions(cfg, 0, grid_crossings(cfg, 0))
-        assert len(rounds) <= 3 and len(probes) == 28
+        crossings = grid_crossings(cfg, 0)
+        rounds, probes = assert_serial_decisions(cfg, 0, crossings)
+        assert rounds == [] and len(probes) == 28
+        assert set(root_windows(cfg, crossings)) == {"nonlinear_d", "bell_d"}
+        # without the roots, the speculative rounds take them in at most 3 stacked calls
+        monkeypatch.setattr(scan, "_ROOT_ERR", math.inf)
+        assert root_windows(cfg, crossings) == {}
+        rounds, probes = assert_serial_decisions(cfg, 0, crossings)
+        assert 1 <= len(rounds) <= 3 and len(probes) == 28
 
     @pytest.mark.parametrize(
         "spec, crossings, solves, grams, kept",
         [
-            (README_SCAN, None, 14, 14, {"nonlinear_d": 2, "bell_d": 3}),
+            (README_SCAN, None, 14, 14, {"nonlinear_d": 2, "bell_d": 3}),  # its roots turned off
             (
                 SCANS["isotropic_d3_7_points"], {"nonlinear_d": (0.2, 0.3, None), "bell_d": (0.3, 0.9, None)}, 10, 13,
                 {"nonlinear_d": 9, "bell_d": 9},
@@ -1212,6 +1246,7 @@ class TestLockstepBisection:
         # given without their grid keep all 9
         cfg = SweepConfig(bisect=True, **spec)
         crossings = crossings or grid_crossings(cfg, 0)
+        monkeypatch.setattr(scan, "_ROOT_ERR", math.inf)  # no bracket has a root: every midpoint is solved
         calls = {"eigvalsh": [], "svd": []}
 
         def spy(real, shapes):
@@ -1281,7 +1316,7 @@ class TestLockstepBisection:
             assert _probe_differences(cfg, fields, values, seeds) == want
 
 
-    def test_readme_scan_builds_4_stacks_and_validates_only_its_range_ends(self, monkeypatch):
+    def test_readme_scan_builds_3_stacks_and_validates_only_its_range_ends(self, monkeypatch):
         run_scan(SweepConfig(bisect=True, **README_SCAN))  # the family's two constant states are validated once, here
         builds, ends, singles = [], [], []
         matrix = states.StateSpec.matrix
@@ -1294,9 +1329,87 @@ class TestLockstepBisection:
         monkeypatch.setattr(states, "validate_density", lambda *args: singles.append(args))
         run_scan(SweepConfig(bisect=True, **README_SCAN))
         # p = 0 and p = 1 are built together and checked one at a time; the 100 grid states, one stack,
-        # and the 37 probes of the two bisection rounds, all in [0, 1], are only built
-        assert builds == [2, 100, 28, 9] and sum(builds[1:]) == 137
+        # and the two brackets' four ends, for their roots, all in [0, 1], are only built; no probe is
+        assert builds == [2, 100, 4]
         assert ends == [((9, 9), scan._CERT_MARGIN)] * 2 and singles == []
+
+
+class TestOnsets:
+    """On a certified scan each bracket's onset is the root of its kept pairs' levels
+    (scan._onsets): it matches the closed forms and lies in the serial bisection's final
+    bracket.  A bracket without a root keeps the speculative rounds."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_isotropic_nonlinear_onset_is_its_closed_form(self, d):
+        # the isotropic state's alpha = beta pairs read lambda_min = -x / d + (1 - x) / d^2 and
+        # c = 2 x / d + 4 (1 - x) / d^2, so nonlinear_D reaches t = TAU_DETECT at
+        # x = (1 + t) / (d + 1 + t (1 - d / 2)): the PPT boundary 1 / (d + 1), moved by less than t
+        cfg = SweepConfig("isotropic", {"d": d}, "x", 0.0, 1.0, 12, bisect=True)
+        a, b, _ = scan._onsets(cfg, grid_crossings(cfg, 0))["nonlinear_d"]
+        x = (1.0 + TAU_DETECT) / (d + 1.0 + TAU_DETECT * (1.0 - 0.5 * d))
+        assert abs(a - x) <= 1e-12 and abs(b - x) <= 1e-12
+        assert 0.0 < x - 1.0 / (d + 1.0) < TAU_DETECT
+
+    def test_two_qubit_isotropic_bell_onset_is_the_chsh_threshold(self):
+        # T = x diag(1, -1, 1) and c = 1, so bell_D reaches t = TAU_DETECT at sqrt(2) x = 1 + t / 2
+        cfg = SweepConfig("isotropic", {"d": 2}, "x", 0.0, 1.0, 12, bisect=True)
+        a, b, _ = scan._onsets(cfg, grid_crossings(cfg, 0))["bell_d"]
+        x = (1.0 + 0.5 * TAU_DETECT) / math.sqrt(2.0)
+        assert abs(a - x) <= 1e-12 and abs(b - x) <= 1e-12
+        assert 0.0 < x - 1.0 / math.sqrt(2.0) < TAU_DETECT
+
+    @pytest.mark.parametrize("name", TestLockstepBisection.SCANS)
+    def test_each_onset_lies_in_its_final_bisection_bracket(self, name):
+        cfg = SweepConfig(bisect=True, **TestLockstepBisection.SCANS[name])
+        crossings = grid_crossings(cfg, 0)
+        onsets = scan._onsets(cfg, crossings)
+        # every bracket of a certified scan has a root here; rho_a_mix over a is not certified
+        assert set(onsets) == {f for f, (lo, _, pairs, *_) in crossings.items() if lo is not None and pairs}
+        assert bool(onsets) is (name != "rho_a_mix_over_a")
+        for field, (a, b, _) in onsets.items():
+            lo, hi = serial_bracket(cfg, 0, crossings[field], field)
+            assert lo <= a <= b <= hi
+
+    @pytest.mark.parametrize("name", ["readme_bennett_mix", "rho_a_mix_over_p", "isotropic_d4"])
+    def test_a_bisection_at_tol_1e_12_agrees_with_the_onset_to_1e_11(self, name):
+        cfg = SweepConfig(bisect=True, **{**TestLockstepBisection.SCANS[name], "bisect_tol": 1e-12})
+        result = run_scan(cfg)
+        onsets = scan._onsets(cfg, grid_crossings(cfg, 0))
+        assert len(onsets) == 2
+        for field, threshold in zip(("nonlinear_d", "bell_d"), (result.nonlinear, result.bell)):
+            a, b, _ = onsets[field]
+            assert abs(threshold.value - a) <= 1e-11 and abs(threshold.value - b) <= 1e-11
+
+    def test_a_scan_validated_state_by_state_has_no_root(self, monkeypatch):
+        monkeypatch.setattr(scan, "_CERT_MARGIN", -1.0)  # the range ends fail the certificate
+        cfg = SweepConfig(bisect=True, **README_SCAN)
+        crossings = grid_crossings(cfg, 0)
+        assert scan._onsets(cfg, crossings) == {}
+        rounds, probes = assert_serial_decisions(cfg, 0, crossings)
+        assert 1 <= len(rounds) <= 3 and len(probes) == 28
+
+    def test_a_kept_pair_not_live_at_an_end_leaves_its_bracket_without_a_root(self, monkeypatch):
+        # (1 - p) |00><00| + p P_+ on two qutrits: pairs 2, 5, 6 and 7 carry no weight at p = 0
+        product = np.zeros((9, 9))
+        product[0, 0] = 1.0
+        pplus = states._qutrit_pplus().mat
+        monkeypatch.setitem(
+            states._FAMILIES, "product_mix", (("p",), lambda p: ((1.0 - p) * product + p * pplus, Dims(3, 3)), "p")
+        )
+        cfg = SweepConfig("product_mix", {}, "p", 0.0, 0.5, 6, bisect=True, bisect_tol=1e-6)
+        crossings = grid_crossings(cfg, 0)
+        assert {f: crossing[2] for f, crossing in crossings.items()} == {f: (0, 2, 4, 5, 6, 7, 8) for f in scan._FIELDS}
+        assert scan._onsets(cfg, crossings) == {}
+        rounds, probes = assert_serial_decisions(cfg, 0, crossings)
+        assert rounds and {field for field, *_ in probes} == set(scan._FIELDS)
+
+    def test_a_lower_end_without_a_cholesky_factor_has_no_root(self):
+        cfg = SweepConfig(bisect=True, **README_SCAN)
+        lo, hi, pairs = grid_crossings(cfg, 0)["nonlinear_d"][:3]
+        stack, dims = scan._point_spec(cfg, lo, 0).matrix([hi, lo])  # the violating end first
+        blk, c, _ = scan._gather(stack, dims, list(pairs))
+        assert scan._nonlinear_root(blk, c) is None
+        assert scan._nonlinear_root(blk[::-1], c[::-1]) is not None
 
 
 def per_value_stacks(cfg, values, seeds):
@@ -1346,27 +1459,24 @@ class TestAffineScan:
         cfg = SweepConfig(family=family, fixed=fixed, param_name=param, lo=lo, hi=hi, points=3)
         assert (cfg.certified_dims is not None) is certified
 
-    def test_a_scan_past_the_domain_prints_its_first_chunk_and_names_the_value(self, capsys, monkeypatch):
+    def test_a_scan_past_the_domain_prints_every_row_before_the_value_and_names_it(self, capsys, monkeypatch):
         # p = 1.5 i / 2999 first leaves [0, 1] at i = 2000, in the second stack
         argv = ["scan", "--family", "bennett_mix", "--scan-param", "p", "--range", "0:1.5", "--points", "3000"]
         code, out, err = run_cli(capsys, argv)
-        assert code == 3 and len(out.splitlines()) == 1 + STACK
+        assert code == 3 and len(out.splitlines()) == 1 + 2000
         assert err == "error: p=1.000333444481494 outside [0, 1]\n"
         # stacks of one print every row before the failing value, the same error, and the same rows
         monkeypatch.setattr(scan, "_validated_stacks", per_value_stacks)
-        single_code, single_out, single_err = run_cli(capsys, argv)
-        assert (single_code, single_err) == (code, err) and len(single_out.splitlines()) == 1 + 2000
-        assert single_out.startswith(out)
+        assert run_cli(capsys, argv) == (code, out, err)
 
     def test_isotropic_past_its_positivity_range_falls_back(self, capsys, monkeypatch):
         argv = ["scan", "--family", "isotropic", "--d", "3", "--scan-param", "x", "--range", "0:1.2", "--points", "12"]
         code, out, err = run_cli(capsys, argv)
-        assert code == 3 and out == ""
+        assert code == 3 and len(out.splitlines()) == 1 + 10
         assert err == "error: x=1.0909090909090908 outside positivity range [-0.125, 1]\n"
-        # stacks of one print the 10 rows before the failing value, and the same error
+        # stacks of one print the same 10 rows before the failing value, and the same error
         monkeypatch.setattr(scan, "_validated_stacks", per_value_stacks)
-        single_code, single_out, single_err = run_cli(capsys, argv)
-        assert (single_code, single_err) == (code, err) and len(single_out.splitlines()) == 1 + 10
+        assert run_cli(capsys, argv) == (code, out, err)
 
     @pytest.mark.parametrize(
         "argv",
@@ -1473,7 +1583,8 @@ def assert_all_pairs_scan(cfg, base_seed):
     """run_scan gives the all-pairs oracle's rows bitwise and the thresholds of the serial bisection
     that solves every pair.  Each of that bisection's probes is among the solved ones with its
     decision: a violating probe with its difference, a non-violating one with at most it, the largest
-    over fewer pairs.  Returns the crossings of the scan's grid."""
+    over fewer pairs; or, where the bracket's root decides it unsolved, outside the root's window on
+    the side of its decision.  Returns the crossings of the scan's grid."""
     values = list(_grid_values(cfg))
     oracle = oracle_rows(cfg, values, range(base_seed, base_seed + cfg.points))
     with pytest.MonkeyPatch.context() as mp:
@@ -1484,10 +1595,16 @@ def assert_all_pairs_scan(cfg, base_seed):
         serial = serial_thresholds(cfg, base_seed, oracle_crossings(oracle))
     assert repr(result.points) == repr(oracle)
     assert exact((result.nonlinear, result.bell)) == exact(serial)
+    crossings = grid_crossings(cfg, base_seed)
+    windows = root_windows(cfg, crossings)
     for ((field, value, seed, d),) in rounds:
-        got = solved[field, value, seed]
-        assert got == d if d > TAU_DETECT else got <= d <= TAU_DETECT
-    return grid_crossings(cfg, base_seed)
+        if (field, value, seed) in solved:
+            got = solved[field, value, seed]
+            assert got == d if d > TAU_DETECT else got <= d <= TAU_DETECT
+        else:  # decided by the bracket's root: outside its window, on the side the all-pairs probe takes
+            a, b = windows[field]
+            assert value > b if d > TAU_DETECT else value < a
+    return crossings
 
 
 class TestPrunedSolves:
@@ -1612,7 +1729,7 @@ def captured(argv):
 class TestValueByValueScan:
     """A scan off the affine path builds and checks each value on its own, in grid order:
     with one faulty state and one build error in its grid it raises what the first
-    failing value raises alone, after the rows of the stacks already completed."""
+    failing value raises alone, after the rows of every value before it."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(2, 150), st.sampled_from(("nan", "hermiticity", "trace", "psd")), st.data())
@@ -1631,7 +1748,7 @@ class TestValueByValueScan:
                 "--points", str(points)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setitem(states._FAMILIES, "rho_a_mix", (("a", "p"), family, "p"))
-            mp.setattr(scan, "_STACK_BLOCKS", 64 * 9)  # stacks of 64 states, so that completed stacks print
+            mp.setattr(scan, "_STACK_BLOCKS", 64 * 9)  # stacks of 64 states, so that a failing value may end one partway
             got = raised(lambda: run_scan(cfg)), captured(argv)
             mp.setattr(scan, "_validated_stacks", per_value_stacks)
             want = raised(lambda: run_scan(cfg)), captured(argv)
@@ -1640,10 +1757,8 @@ class TestValueByValueScan:
         first = min(j, k)
         assert (error[0] is ValueError and error[1].startswith("no state")) == (j <= k)
         assert code == 3 and err == f"error: {error[1]}\n"
-        rows = first // 64 * 64  # the stack that holds the first failing value prints none of its rows
-        assert len(out.splitlines()) == (rows and 1 + rows)
-        # stacks of one print every row before the first failing value, and the same rows
-        assert len(want_out.splitlines()) == (first and 1 + first) and want_out.startswith(out)
+        # every row before the first failing value prints, as stacks of one print them
+        assert len(out.splitlines()) == (first and 1 + first) and out == want_out
 
 
 class TestScanCsvApi:
