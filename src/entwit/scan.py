@@ -10,8 +10,8 @@ in one broadcast, and once its two range ends pass validation at half the
 tolerances, the states between them skip it.  On such a scan each onset is
 computed as the root of its bracket's kept pairs (_onsets), and every serial
 midpoint farther than a rounding margin from it takes its decision from it
-unsolved: the README scan solves no probe.  Every other bracket is bisected
-in speculative rounds, one stacked evaluation each.
+unsolved: the README scan solves no probe.  Every other midpoint is solved,
+one per bracket and round, all of a round's in one stacked evaluation.
 
 Sweeps emit violation-positive differences so that "curve above zero" means
 "detected": nonlinear_D = max_ab nonlinear_max - 1, and bell_D =
@@ -293,30 +293,23 @@ def _scan_chunks(cfg: SweepConfig, base_seed: int, crossings: dict):
     _scan_points), each stack built and evaluated in full before it is
     yielded; the grid values are made lazily, so a grid of any size streams.
     The first grid crossing of each detection difference goes into
-    `crossings` as (last value below, first value above, pairs, *samples),
-    pairs being those that can decide a probe between the two
-    (_bracket_pairs) and the samples the (value, difference) of those two
-    grid points and of the next two: all that bisection needs of the grid
-    (see _thresholds)."""
-    prev, tails = None, dict.fromkeys(_FIELDS, 2)  # prev: (point, reach) of the last point before the stack
+    `crossings` as (last value below, first value above, pairs), pairs being
+    those that can decide a probe between the two (_bracket_pairs): all that
+    bisection needs of the grid (see _thresholds).  A crossing at the first
+    grid point reads (None, its value, None)."""
+    prev = None  # (point, reach) of the last point before the stack
     for chunk, reach in _scan_points(cfg, _grid_values(cfg), range(base_seed, base_seed + cfg.points)):
         for k, field in enumerate(_FIELDS):
-            at = 0  # the stack's first point past the crossing
-            if field not in crossings:  # one search per stack until the crossing is found
-                at = next((i for i, pt in enumerate(chunk) if getattr(pt, field) > TAU_DETECT), None)
-                if at is None:
-                    continue
-                pt, below = chunk[at], (chunk[at - 1], reach[at - 1]) if at else prev
-                sample = (pt.param, getattr(pt, field))
-                if below is None:
-                    crossings[field] = (None, pt.param, None, sample)
-                else:
-                    pairs = _bracket_pairs(cfg, below[1][k], reach[at][k])
-                    crossings[field] = (below[0].param, pt.param, pairs, (below[0].param, getattr(below[0], field)), sample)
-                at += 1
-            tail = chunk[at : at + tails[field]]
-            crossings[field] += tuple((pt.param, getattr(pt, field)) for pt in tail)
-            tails[field] -= len(tail)
+            if field in crossings:  # one search per stack until the crossing is found
+                continue
+            at = next((i for i, pt in enumerate(chunk) if getattr(pt, field) > TAU_DETECT), None)
+            if at is None:
+                continue
+            below = (chunk[at - 1], reach[at - 1]) if at else prev
+            if below is None:
+                crossings[field] = (None, chunk[at].param, None)
+            else:
+                crossings[field] = (below[0].param, chunk[at].param, _bracket_pairs(cfg, below[1][k], reach[at][k]))
         prev = chunk[-1], reach[-1]
         yield chunk
 
@@ -424,7 +417,7 @@ def _onsets(cfg: SweepConfig, crossings: dict) -> dict:
     margin from [a, b] takes the decision the onset gives it (see
     _ROOT_ERR).  The brackets' ends are built in one broadcast, bitwise
     the grid's states, and their kept pairs read from one gather."""
-    ends = {f: (lo, hi, pairs) for f, (lo, hi, pairs, *_) in crossings.items() if lo is not None and pairs}
+    ends = {f: (lo, hi, pairs) for f, (lo, hi, pairs) in crossings.items() if lo is not None and pairs}
     if not ends:
         return {}
     stack, dims = _point_spec(cfg, cfg.lo, 0).matrix([t for lo, hi, _ in ends.values() for t in (lo, hi)])
@@ -456,88 +449,32 @@ def _midpoint(lo: float, hi: float, tol: float) -> float | None:
 
 @dataclass
 class _Bracket:
-    """One onset's bisection: its bracket, the serial steps taken (depth), the
-    probes solved off the serial path (waste) and every solved (value,
-    difference) sample of its field.  On a certified bracket with a root
-    (_onsets), window is the values whose decision the root leaves open:
-    the serial midpoints outside it are decided by the root, unsolved."""
+    """One onset's serial bisection: its bracket and the serial steps taken
+    (depth).  The window is the values whose decision the bracket's root
+    (_onsets) leaves open: the serial midpoints outside it take the root's
+    decision unsolved.  A bracket without a root has the window (-inf, inf)."""
 
     lo: float
     hi: float
-    samples: list
-    pairs: tuple | None = None  # the pairs its probes solve (_bracket_pairs); None for all
-    window: tuple | None = None  # (a, b): the midpoints in [a, b] are solved, one per round
+    window: tuple
     depth: int = 0
-    waste: int = 0
 
-    def guess(self) -> float | None:
-        """The onset: the middle of the window, else predicted from the
-        samples nearest the bracket, those at or above hi (the violating
-        side) first: the inverse quadratic interpolation of value against
-        difference at TAU_DETECT through three of them, else the secant
-        through two; clamped to [lo, hi], and None without a window or two
-        samples of distinct differences."""
-        if self.window is not None:
-            return min(max(0.5 * (self.window[0] + self.window[1]), self.lo), self.hi)
-        near = sorted(s for s in self.samples if s[0] >= self.hi)
-        near += sorted((s for s in self.samples if s[0] <= self.lo), reverse=True)
-        for n in (3, 2):
-            pts = near[:n]
-            if len(pts) == n and len({d for _, d in pts}) == n:
-                x = sum(
-                    xi * math.prod((TAU_DETECT - dj) / (di - dj) for j, (_, dj) in enumerate(pts) if j != i)
-                    for i, (xi, di) in enumerate(pts)
-                )
-                if math.isfinite(x):
-                    return min(max(x, self.lo), self.hi)
-        return None
+    def advance(self, tol: float) -> float | None:
+        """Take the serial steps the root decides, and return the next serial
+        midpoint, in the window and to be solved; None once the bracket has
+        no midpoint left (_midpoint)."""
+        a, b = self.window
+        while (mid := _midpoint(self.lo, self.hi, tol)) is not None and not a <= mid <= b:
+            self.step(mid, mid > b)
+        return mid
 
-    def path(self, tol: float, cap: int) -> list[tuple[float, bool, bool]]:
-        """The serial midpoints from the bracket, each with the decision
-        (violating) that the guessed onset gives it and whether it is
-        solved: the path a serial bisection takes if the guess is right, up
-        to its cap-th solved midpoint.  Without a window every midpoint is
-        solved; with one, those outside it are decided by the root and at
-        most one is solved, so each solved midpoint is a serial one.
-        Without a guess, one midpoint."""
-        guess, (a, b), lo, hi, path = self.guess(), self.window or (-math.inf, math.inf), self.lo, self.hi, []
-        if self.window is not None:
-            cap = 1
-        elif guess is None:
-            guess, cap = hi, 1  # the one midpoint is decisive whatever its guess
-        while cap and (mid := _midpoint(lo, hi, tol)) is not None:
-            path.append((mid, mid >= guess, a <= mid <= b))
-            cap -= path[-1][2]
-            lo, hi = (lo, mid) if path[-1][1] else (mid, hi)
-        return path
-
-    def max_path(self, tol: float) -> int:
-        """The most midpoints this round may solve: one, plus twice a floor
-        on the onset's serial steps less its waste so far, so that the
-        waste stays at most twice the serial steps.  The floor is the steps
-        taken plus a lower bound on those left: the halvings of the width
-        before it falls to tol or to a few float spacings at its ends."""
-        ratio = (self.hi - self.lo) / (2.0 * tol + 8.0 * math.ulp(max(-self.lo, self.hi)))
-        left = max(1, int(math.log2(ratio))) if ratio > 1 else 1
-        return 1 + max(0, 2 * (self.depth + left) - self.waste)
-
-    def walk(self, path, diffs) -> None:
-        """Take the serial steps of a path, reading its solved midpoints'
-        differences from the iterator diffs in path order: each midpoint's
-        decision, the solved one where it was solved, up to and including
-        the first that the guess got wrong."""
-        solved = [next(diffs) if solve else None for _, _, solve in path]
-        for step, ((mid, guessed, _), d) in enumerate(zip(path, solved), 1):
-            violating = guessed if d is None else d > TAU_DETECT
-            if violating:  # a violating midpoint becomes hi
-                self.hi = mid
-            else:
-                self.lo = mid
-            if violating != guessed:
-                break
-        self.samples += [(mid, d) for (mid, _, _), d in zip(path, solved) if d is not None]
-        self.depth += step
-        self.waste += sum(d is not None for d in solved[step:])
+    def step(self, mid: float, violating: bool) -> None:
+        """The serial step to midpoint mid: a violating midpoint becomes hi, any other lo."""
+        if violating:
+            self.hi = mid
+        else:
+            self.lo = mid
+        self.depth += 1
 
 
 def _thresholds(cfg: SweepConfig, base_seed: int, crossings: dict):
@@ -545,57 +482,25 @@ def _thresholds(cfg: SweepConfig, base_seed: int, crossings: dict):
     decisions are those of a serial bisection of each onset: the probe at
     step k is the bracket's midpoint with seed base_seed + cfg.points + k, so
     the thresholds are bitwise the serial ones.  They are taken in rounds.
-    On a certified bracket with a root (_onsets), a round takes every serial
-    step the root decides, up to and including the first midpoint in its
-    window, which it solves: the README scan solves no probe and ends in one
-    round with no stacked call.  On every other bracket, a round predicts
-    the onset from its field's solved samples (_Bracket.guess), lays out
-    the serial midpoints toward it (_Bracket.path) and walks the path with
-    their solved decisions up to its first wrong guess; the probes past it
-    are waste.  Each path is capped so that an onset's waste stays within
-    twice its serial steps (_Bracket.max_path).  A round solves every
-    path's midpoints in one _probe_differences call, each on the pairs its
-    bracket keeps (_bracket_pairs), which decide as all the pairs do, and
-    takes at least one step of every open bracket, so no scan solves more
-    than 3 times the serial probes or runs more rounds than the serial
-    bisection.  If a round fails to build a state (a scan validated one
-    state at a time, which has no root), the rest runs one level at a time,
-    the shallowest brackets' midpoints in one call, so the first serial
-    probe that fails raises its own error.  A crossing at the first grid
-    point has no bracket."""
+    Each round, every open bracket takes the serial steps its root decides
+    (_onsets, _Bracket.advance) and then solves its next midpoint, on the
+    pairs the bracket keeps (_bracket_pairs), which decide as all the pairs
+    do; the brackets' midpoints go into one _probe_differences call, in
+    _FIELDS order.  The README scan's roots decide all its steps: it solves
+    no probe.  A bracket without a root solves every midpoint, one level per
+    round, so the first probe in level order that fails to build raises its
+    own error.  A crossing at the first grid point has no bracket."""
     if not cfg.bisect:
         return None, None
     tol, seed = cfg.bisect_tol, base_seed + cfg.points
-    windows = {f: (a - margin, b + margin) for f, (a, b, margin) in _onsets(cfg, crossings).items()}
-    brackets = {
-        f: _Bracket(lo, hi, list(samples), pairs, windows.get(f))
-        for f, (lo, hi, pairs, *samples) in crossings.items()
-        if lo is not None
-    }
-    speculate = True
-    while live := {f: b for f in _FIELDS if (b := brackets.get(f)) and _midpoint(b.lo, b.hi, tol) is not None}:
-        if not speculate:
-            level = min(b.depth for b in live.values())
-            live = {f: b for f, b in live.items() if b.depth == level}
-        paths = {f: b.path(tol, b.max_path(tol) if speculate else 1) for f, b in live.items()}
-        probes = [
-            (f, mid, seed + live[f].depth + k)
-            for f, path in paths.items()
-            for k, (mid, _, solved) in enumerate(path)
-            if solved
-        ]
-        try:
-            diffs = []
-            if probes:  # (field, value, seed) columns
-                diffs = _probe_differences(cfg, *map(list, zip(*probes)), {f: b.pairs for f, b in live.items()})
-        except _BUILD_ERRORS:
-            if not speculate:
-                raise
-            speculate = False
-            continue
-        diffs = iter(diffs)  # each walk takes its own path's solved differences, in order
-        for f, path in paths.items():
-            live[f].walk(path, diffs)
+    windows = dict.fromkeys(_FIELDS, (-math.inf, math.inf))
+    windows.update((f, (a - margin, b + margin)) for f, (a, b, margin) in _onsets(cfg, crossings).items())
+    brackets = {f: _Bracket(*crossings[f][:2], windows[f]) for f in _FIELDS if crossings.get(f, (None,))[0] is not None}
+    pairs = {f: crossing[2] for f, crossing in crossings.items()}  # the pairs each bracket's probes solve
+    while probes := [(f, mid, seed + b.depth) for f, b in brackets.items() if (mid := b.advance(tol)) is not None]:
+        diffs = _probe_differences(cfg, *map(list, zip(*probes)), pairs)  # (field, value, seed) columns
+        for (f, mid, _), d in zip(probes, diffs):
+            brackets[f].step(mid, d > TAU_DETECT)
     found = {f: Threshold(0.5 * (b.lo + b.hi), "ok") for f, b in brackets.items()}
     return tuple(found.get(f, Threshold(None, "no threshold in range")) for f in _FIELDS)
 
@@ -604,13 +509,10 @@ def run_scan(cfg: SweepConfig, base_seed: int = 0) -> ScanResult:
     """Evaluate the sweep grid one kernel stack at a time (see _scan_chunks)
     and optionally bisect both detection thresholds (see _thresholds): on a
     certified bracket the onset's root decides every serial midpoint but
-    those within its margin, which are solved one per round; every other
-    bracket runs speculative rounds, each of which predicts the onset,
-    solves the serial midpoints toward it in one stacked call and keeps the
-    serial decisions up to the first wrong guess, with a capped waste and,
-    after a failed build, one level per round.  The thresholds, and the
-    values and seeds of the probes solved, are those of a serial bisection.
-    Deterministic for fixed cfg and base_seed."""
+    those within its margin, and every other midpoint is solved, one per
+    bracket and round.  The thresholds, and the values and seeds of the
+    probes solved, are those of a serial bisection.  Deterministic for fixed
+    cfg and base_seed."""
     crossings = {}
     points = [pt for chunk in _scan_chunks(cfg, base_seed, crossings) for pt in chunk]
     return ScanResult(points, *_thresholds(cfg, base_seed, crossings))

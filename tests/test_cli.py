@@ -900,10 +900,7 @@ class TestChunkedScan:
         pts = result.points
         assert pts[STACK - 1].param < 0.25 < pts[STACK].param
         # above the onset only the three pairs with alpha = beta violate, so the bracket keeps those
-        assert crossings["nonlinear_d"] == (
-            pts[STACK - 1].param, pts[STACK].param, (0, 4, 8),
-            *[(pt.param, pt.nonlinear_d) for pt in pts[STACK - 1 : STACK + 3]],
-        )
+        assert crossings["nonlinear_d"] == (pts[STACK - 1].param, pts[STACK].param, (0, 4, 8))
         assert crossings["nonlinear_d"][0] <= result.nonlinear.value <= crossings["nonlinear_d"][1]
         assert abs(result.nonlinear.value - 0.25) < 1e-5
         # the Bell onset lies beyond the range
@@ -976,7 +973,7 @@ class TestChunkedScan:
 
 
 def serial_bisect_threshold(cfg, base_seed, crossing, field):
-    """Oracle: the serial bisection of one onset that the speculative rounds replaced,
+    """Oracle: the serial bisection of one onset, whose decisions the rounds of _thresholds take,
     one probe state per _probe_differences call (looked up on the module, so a spy sees it),
     each on the pairs the crossing keeps for its bracket."""
     if crossing is None or crossing[0] is None:
@@ -1039,14 +1036,13 @@ def root_windows(cfg, crossings):
 
 
 def assert_serial_decisions(cfg, base_seed, crossings):
-    """_thresholds gives the serial thresholds bitwise.  On a bracket with a
-    root (scan._onsets) every solved probe is a serial one, with its seed and
-    its difference, and so is every serial probe inside the root's window;
-    the root decides the others.  On every other bracket every serial probe
-    is among the solved ones, so a serial walk over them reads exactly the
-    serial ones, and they are at most 3 times the serial probes.  The rounds
-    are at most the serial steps of the longer onset.  Returns (the probes
-    of each round, the serial probes), both in probe_calls form."""
+    """_thresholds gives the serial thresholds bitwise.  Each bracket's solved
+    probes are exactly its serial probes inside its root's window (scan._onsets),
+    in order, with their seeds and differences; the root decides the others.  A
+    bracket without a root has the window (-inf, inf): it solves every serial
+    probe.  A round holds at most one probe of each onset, in field order, and
+    the rounds are the solved probes of the onset that solves more.  Returns
+    (the probes of each round, the serial probes), both in probe_calls form."""
     with pytest.MonkeyPatch.context() as mp:
         calls = probe_calls(mp)
         got = _thresholds(cfg, base_seed, crossings)
@@ -1056,14 +1052,13 @@ def assert_serial_decisions(cfg, base_seed, crossings):
     solved, probes = [probe for call in rounds for probe in call], [probe for (probe,) in calls]
     assert exact(got) == exact(serial)
     windows = root_windows(cfg, crossings)
-    for field in ("nonlinear_d", "bell_d"):
+    for field in scan._FIELDS:
+        a, b = windows.get(field, (-math.inf, math.inf))
         mine, theirs = ([probe for probe in ps if probe[0] == field] for ps in (solved, probes))
-        if field in windows:
-            a, b = windows[field]
-            assert set(mine) <= set(theirs) and {p for p in theirs if a <= p[1] <= b} <= set(mine)
-        else:
-            assert set(theirs) <= set(mine) and len(mine) <= 3 * len(theirs)
-    assert len(rounds) <= max(Counter(field for field, *_ in probes).values(), default=0)
+        assert mine == [probe for probe in theirs if a <= probe[1] <= b]
+    for fields in ([field for field, *_ in call] for call in rounds):
+        assert fields == sorted(set(fields), key=scan._FIELDS.index)
+    assert len(rounds) == max(Counter(field for field, *_ in solved).values(), default=0)
     return rounds, probes
 
 
@@ -1145,7 +1140,7 @@ class TestLockstepBisection:
 
         monkeypatch.setattr(scan, "_validated_stacks", spy)
         rounds, probes = assert_serial_decisions(cfg, 7, crossings)
-        # the states built are the solved probes (the decisive serial ones and the rest), then the serial ones
+        # the states built are the solved probes, then the serial ones
         assert built == [(value, seed) for call in rounds + [probes] for _, value, seed, _ in call]
         result = run_scan(cfg, base_seed=7)
         assert exact((result.nonlinear, result.bell)) == exact(serial_thresholds(cfg, 7, crossings))
@@ -1162,7 +1157,7 @@ class TestLockstepBisection:
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.sampled_from(sorted(FAMILIES)), st.data())
-    def test_speculative_rounds_take_the_serial_decisions(self, key, data):
+    def test_rounds_solve_exactly_the_serial_probes_the_roots_leave_open(self, key, data):
         low, high = self.FAMILIES[key]
         # lo in the lower half of the domain and hi in the upper half, so that most ranges hold an onset
         lo = data.draw(st.floats(low, 0.5 * (low + high)), "lo")
@@ -1173,7 +1168,8 @@ class TestLockstepBisection:
         cfg = SweepConfig(family, dict(fixed), param, lo, hi, points, bisect=True, bisect_tol=tol)
         with pytest.MonkeyPatch.context() as mp:
             # a certified scan's brackets take their roots, and assert_serial_decisions holds their solved
-            # probes to serial ones; a scan validated state by state has none and keeps the rounds
+            # probes to the serial ones in the roots' windows; a scan validated state by state has no root
+            # and solves every serial probe
             if data.draw(st.booleans(), "validated state by state"):
                 mp.setattr(scan, "_CERT_MARGIN", -1.0)  # no trace deviation is below a negative tolerance
             assert_serial_decisions(cfg, 3, grid_crossings(cfg, 3))
@@ -1188,15 +1184,12 @@ class TestLockstepBisection:
 
     def test_a_narrower_bracket_drops_out_of_later_rounds(self, monkeypatch):
         cfg = SweepConfig(bisect=True, **self.SCANS["isotropic_d3_7_points"])
-        crossings = {"nonlinear_d": (0.2, 0.3, None), "bell_d": (0.3, 0.9, None)}  # 10 steps and 13 steps, no grid samples
+        crossings = {"nonlinear_d": (0.2, 0.3, None), "bell_d": (0.3, 0.9, None)}  # 10 steps and 13 steps, no root
         rounds, probes = assert_serial_decisions(cfg, 0, crossings)
-        fields = [{field for field, *_ in call} for call in rounds]
-        # without samples, a round takes one step of each bracket until two solved probes give a guess;
-        # once the nonlinear bracket closes, the later rounds hold only Bell probes
-        assert fields[0] == fields[1] == {"nonlinear_d", "bell_d"} and fields[-1] == {"bell_d"}
-        last = max(i for i, f in enumerate(fields) if "nonlinear_d" in f)
-        assert all(f == {"nonlinear_d", "bell_d"} for f in fields[: last + 1])
-        assert [len(call) for call in rounds[:2]] == [2, 2] and len(probes) == 10 + 13
+        # a round takes one step of each bracket; once the nonlinear bracket closes, the later rounds
+        # hold only Bell probes
+        assert [[field for field, *_ in call] for call in rounds] == [["nonlinear_d", "bell_d"]] * 10 + [["bell_d"]] * 3
+        assert len(probes) == 10 + 13
 
     def test_a_tolerance_below_the_float_spacing_ends(self, monkeypatch):
         # once lo and hi are adjacent floats their midpoint rounds to one of them
@@ -1222,11 +1215,11 @@ class TestLockstepBisection:
         rounds, probes = assert_serial_decisions(cfg, 0, crossings)
         assert rounds == [] and len(probes) == 28
         assert set(root_windows(cfg, crossings)) == {"nonlinear_d", "bell_d"}
-        # without the roots, the speculative rounds take them in at most 3 stacked calls
+        # without the roots, the rounds solve all 28, one step of each bracket per stacked call
         monkeypatch.setattr(scan, "_ROOT_ERR", math.inf)
         assert root_windows(cfg, crossings) == {}
         rounds, probes = assert_serial_decisions(cfg, 0, crossings)
-        assert 1 <= len(rounds) <= 3 and len(probes) == 28
+        assert len(rounds) == 14 and len(probes) == 28
 
     @pytest.mark.parametrize(
         "spec, crossings, solves, grams, kept",
@@ -1266,18 +1259,16 @@ class TestLockstepBisection:
         want = [(n[f], kept[f], side, side) for n in counts for f, side in (("nonlinear_d", 4), ("bell_d", 3)) if n[f]]
         assert sorted(calls["eigvalsh"]) == sorted(want) and calls["svd"] == []
         nonlinear, bell = (sum(n[f] for n in counts) for f in ("nonlinear_d", "bell_d"))
-        assert solves <= nonlinear <= 3 * solves and grams <= bell <= 3 * grams
+        assert (nonlinear, bell) == (solves, grams)
 
-    def test_a_failing_probe_raises_only_when_the_walk_reaches_it(self, capsys, monkeypatch):
+    def test_a_failing_probe_raises_the_serial_error(self, capsys, monkeypatch):
         # the README scan validated state by state, with a builder that fails at one chosen probe
         argv = ["scan", "--family", "bennett_mix", "--scan-param", "p", "--range", "0:1", "--points", "100",
                 "--bisect", "--tol", "1e-6"]
         cfg = SweepConfig(bisect=True, **README_SCAN)
         monkeypatch.setattr(scan, "_CERT_MARGIN", -1.0)
         crossings = grid_crossings(cfg, 0)
-        rounds, probes = assert_serial_decisions(cfg, 0, crossings)
-        decisive = [(value, seed) for _, value, seed, _ in probes]
-        off_path = [(value, seed) for call in rounds for _, value, seed, _ in call if (value, seed) not in decisive]
+        probes = assert_serial_decisions(cfg, 0, crossings)[1]
         whole = run_cli(capsys, argv)
         point_spec = scan._point_spec
 
@@ -1285,12 +1276,8 @@ class TestLockstepBisection:
             # p = 2 + value lies outside [0, 1], so the build raises, naming it
             return lambda cfg, value, seed: point_spec(cfg, 2.0 + value if (value, seed) == bad else value, seed)
 
-        assert off_path and whole[0] == 0
-        for bad in off_path[:1] + off_path[-1:]:  # never reached: nothing raises
-            monkeypatch.setattr(scan, "_point_spec", failing_at(bad))
-            assert exact(_thresholds(cfg, 0, crossings)) == exact(serial_thresholds(cfg, 0, crossings))
-            assert run_cli(capsys, argv) == whole
-        for bad in decisive[:1] + decisive[9:10] + decisive[-1:]:  # reached: the serial error
+        assert whole[0] == 0
+        for bad in [(value, seed) for _, value, seed, _ in probes[:1] + probes[9:10] + probes[-1:]]:
             monkeypatch.setattr(scan, "_point_spec", failing_at(bad))
             error = raised(lambda: serial_thresholds(cfg, 0, crossings))
             assert raised(lambda: _thresholds(cfg, 0, crossings)) == error
@@ -1334,19 +1321,23 @@ class TestLockstepBisection:
         assert ends == [((9, 9), scan._CERT_MARGIN)] * 2 and singles == []
 
 
+def isotropic_nonlinear_onset(d):
+    """The isotropic state's alpha = beta pairs read lambda_min = -x / d + (1 - x) / d^2 and
+    c = 2 x / d + 4 (1 - x) / d^2, so nonlinear_D reaches t = TAU_DETECT at
+    x = (1 + t) / (d + 1 + t (1 - d / 2)): the PPT boundary 1 / (d + 1), moved by less than t."""
+    return (1.0 + TAU_DETECT) / (d + 1.0 + TAU_DETECT * (1.0 - 0.5 * d))
+
+
 class TestOnsets:
     """On a certified scan each bracket's onset is the root of its kept pairs' levels
     (scan._onsets): it matches the closed forms and lies in the serial bisection's final
-    bracket.  A bracket without a root keeps the speculative rounds."""
+    bracket.  A bracket without a root solves every serial probe, one per round."""
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_isotropic_nonlinear_onset_is_its_closed_form(self, d):
-        # the isotropic state's alpha = beta pairs read lambda_min = -x / d + (1 - x) / d^2 and
-        # c = 2 x / d + 4 (1 - x) / d^2, so nonlinear_D reaches t = TAU_DETECT at
-        # x = (1 + t) / (d + 1 + t (1 - d / 2)): the PPT boundary 1 / (d + 1), moved by less than t
         cfg = SweepConfig("isotropic", {"d": d}, "x", 0.0, 1.0, 12, bisect=True)
         a, b, _ = scan._onsets(cfg, grid_crossings(cfg, 0))["nonlinear_d"]
-        x = (1.0 + TAU_DETECT) / (d + 1.0 + TAU_DETECT * (1.0 - 0.5 * d))
+        x = isotropic_nonlinear_onset(d)
         assert abs(a - x) <= 1e-12 and abs(b - x) <= 1e-12
         assert 0.0 < x - 1.0 / (d + 1.0) < TAU_DETECT
 
@@ -1386,7 +1377,7 @@ class TestOnsets:
         crossings = grid_crossings(cfg, 0)
         assert scan._onsets(cfg, crossings) == {}
         rounds, probes = assert_serial_decisions(cfg, 0, crossings)
-        assert 1 <= len(rounds) <= 3 and len(probes) == 28
+        assert len(rounds) == 14 and len(probes) == 28
 
     def test_a_kept_pair_not_live_at_an_end_leaves_its_bracket_without_a_root(self, monkeypatch):
         # (1 - p) |00><00| + p P_+ on two qutrits: pairs 2, 5, 6 and 7 carry no weight at p = 0
@@ -1402,6 +1393,41 @@ class TestOnsets:
         assert scan._onsets(cfg, crossings) == {}
         rounds, probes = assert_serial_decisions(cfg, 0, crossings)
         assert rounds and {field for field, *_ in probes} == set(scan._FIELDS)
+
+    def test_a_two_point_tiles_scan_agrees_with_the_readme_scans_roots(self):
+        # p = 0 and p = 1 bracket both onsets.  Both brackets have roots, but at p = 0 a kept pair's
+        # nonlinear level is within rounding of 0, so the nonlinear root's margin is about 1.4e-4 wide and
+        # the rounds solve its serial probes inside it, one per round; the thresholds lie within the
+        # tolerance of the README scan's roots
+        cfg = SweepConfig(bisect=True, **{**README_SCAN, "points": 2, "bisect_tol": 1e-9})
+        crossings = grid_crossings(cfg, 0)
+        assert [crossings[f][:2] for f in scan._FIELDS] == [(0.0, 1.0)] * 2
+        windows = root_windows(cfg, crossings)
+        assert windows["nonlinear_d"][1] - windows["nonlinear_d"][0] > 1e-4
+        assert windows["bell_d"][1] - windows["bell_d"][0] < 1e-11
+        rounds, probes = assert_serial_decisions(cfg, 0, crossings)
+        assert len(rounds) > 10 and len(probes) > 50
+        readme = SweepConfig(bisect=True, **README_SCAN)
+        roots = scan._onsets(readme, grid_crossings(readme, 0))
+        for field, threshold in zip(scan._FIELDS, _thresholds(cfg, 0, crossings)):
+            a, b, _ = roots[field]
+            assert abs(threshold.value - a) <= 1e-9 and abs(threshold.value - b) <= 1e-9
+
+    def test_a_rootless_bell_bracket_agrees_with_a_finer_grids_root(self):
+        # 3 points over the whole d = 5 domain.  The nonlinear bracket has a root, which decides every
+        # step and lands within the tolerance of the closed form.  The Bell bracket ends at the pure state
+        # x = 1, where pairs carry no weight, so it has no root: the rounds solve every serial probe, and
+        # the threshold lies within the tolerance of the root of a 100-point grid's bracket
+        cfg = SweepConfig("isotropic", {"d": 5}, "x", -1.0 / 24.0, 1.0, 3, bisect=True)
+        crossings = grid_crossings(cfg, 0)
+        assert crossings["bell_d"][1] == 1.0 and list(scan._onsets(cfg, crossings)) == ["nonlinear_d"]
+        rounds = assert_serial_decisions(cfg, 0, crossings)[0]
+        assert {field for call in rounds for field, *_ in call} == {"bell_d"} and len(rounds) == 16
+        nonlinear, bell = _thresholds(cfg, 0, crossings)
+        assert abs(nonlinear.value - isotropic_nonlinear_onset(5)) <= cfg.bisect_tol
+        fine = SweepConfig("isotropic", {"d": 5}, "x", -1.0 / 24.0, 1.0, 100, bisect=True)
+        a, b, _ = scan._onsets(fine, grid_crossings(fine, 0))["bell_d"]
+        assert abs(bell.value - a) <= cfg.bisect_tol and abs(bell.value - b) <= cfg.bisect_tol
 
     def test_a_lower_end_without_a_cholesky_factor_has_no_root(self):
         cfg = SweepConfig(bisect=True, **README_SCAN)

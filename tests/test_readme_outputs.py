@@ -1,11 +1,12 @@
 """The README commands against golden outputs in tests/data, and the README's
 library examples against the values their comments state.
 
-The golden files are the outputs of the README commands.  Keys, headers, row
-counts, integers and strings must match exactly; floats match to 1e-10, so
-that another BLAS build or Python version does not fail the suite on
-rounding.  The scan's threshold line matches byte for byte.  For selftest the check names, tags and the summary line are
-pinned, not the rounding-level gaps in the details.
+The golden files are the outputs of the README commands and of a 2-point
+scan of the README family.  Keys, headers, row counts, integers and strings
+must match exactly; floats match to 1e-10, so that another BLAS build or
+Python version does not fail the suite on rounding.  The scans' threshold
+lines match byte for byte.  For selftest the check names, tags and the
+summary line are pinned, not the rounding-level gaps in the details.
 """
 
 import json
@@ -67,20 +68,33 @@ def test_bound_and_subspaces_csv(capsys, tmp_path):
     assert_same_csv(csv_path.read_text(), (DATA / "subspaces.csv").read_text(), int_columns=4)
 
 
-def test_bennett_mix_scan_and_bisection(capsys):
-    out = run(
-        capsys,
-        ["scan", "--family", "bennett_mix", "--scan-param", "p", "--range", "0:1",
-         "--points", "100", "--bisect", "--tol", "1e-6"],
-    )
-    want = (DATA / "scan_bennett_mix.txt").read_text()
-    csv_text, _, last = out.rstrip("\n").rpartition("\n")
-    want_csv, _, want_last = want.rstrip("\n").rpartition("\n")
+def assert_same_scan(capsys, argv, golden):
+    """The scan's CSV rows to 1e-10 and its threshold line byte for byte; returns that line."""
+    csv_text, _, last = run(capsys, ["scan", *argv]).rstrip("\n").rpartition("\n")
+    want_csv, _, want_last = (DATA / golden).read_text().rstrip("\n").rpartition("\n")
     assert_same_csv(csv_text + "\n", want_csv + "\n")
-    # the onsets are bisected on decisions far from rounding (their roots decide them): byte for byte
     assert last == want_last
+    return last
+
+
+def test_bennett_mix_scan_and_bisection(capsys):
+    # the onsets are bisected on decisions far from rounding (their roots decide them): byte for byte
+    last = assert_same_scan(
+        capsys,
+        ["--family", "bennett_mix", "--scan-param", "p", "--range", "0:1", "--points", "100", "--bisect", "--tol", "1e-6"],
+        "scan_bennett_mix.txt",
+    )
     assert json.loads(last)["nonlinear"]["threshold"] == pytest.approx(0.18220, abs=1e-5)
     assert json.loads(last)["bell"]["threshold"] == pytest.approx(0.57603, abs=1e-5)
+
+
+def test_two_point_bennett_mix_bisection(capsys):
+    # brackets as wide as the range, whose solved probes also decide far from rounding
+    assert_same_scan(
+        capsys,
+        ["--family", "bennett_mix", "--scan-param", "p", "--range", "0:1", "--points", "2", "--bisect", "--tol", "1e-9"],
+        "scan_bennett_mix_2_points.txt",
+    )
 
 
 def test_selftest_literal_min(capsys):
