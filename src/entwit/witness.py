@@ -32,7 +32,8 @@ partial transposes (_nonlinear_columns) and, for the Bell witness, one of
 their 3x3 real Gram matrices T^T T (_bell_maxima).  _violations, the
 default bound's entry, reads only the raw lambda_min of each pair: it
 gathers and solves only the blocks that the purity certificate leaves open,
-a rule explained at its constant, _PURITY_CERT.
+a rule explained at its constant, _PURITY_CERT, and returns its zeros before
+any gather when the certificate clears every pair.
 _pure_violations skips the kernel for a rank-one state (DensityMatrix.vec):
 each raw lambda_min is minus the modulus of a 2x2 minor of its coefficient
 matrix.
@@ -42,9 +43,10 @@ exactly Hermitian, so every gathered block is too.  rho.mat is read as
 stored: an exactly real state is gathered, compressed and solved in float64,
 which agrees with the complex solve to rounding.  Block rows come from one
 (4, P) table, _pair_rows, built once per dims; a pair's column is its
-_pair_position.  The weight c of a pair and its empty rule c <= TAU_C are
-read from the diagonal of the state in one place (_weights); c divides the
-columns, never a block.
+_pair_position.  The purities read one (4, C(dim, 2)) table of pair corners
+per party, _pair_corners, built once per dim.  The weight c of a pair and
+its empty rule c <= TAU_C are read from the diagonal of the state in one
+place (_weights); c divides the columns, never a block.
 The detection rule lives beside TAU_DETECT: detect_entanglement and the
 scan both test the differences _nonlinear_d and _bell_d against it.
 
@@ -98,14 +100,22 @@ def _bell_d(ratio: np.ndarray) -> np.ndarray:
 
 # signs of the two-party generator sandwich Y (x) Y on a reversed 4x4 block
 _YY_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0], [1.0, -1.0, -1.0, 1.0])
-# Re Tr(X s) = sum_ab (Re X_ab Re s_ba - Im X_ab Im s_ba) for s = sigma_i (x) sigma_j, sigma_0 = I:
-# rows 2(4a + b) and 2(4a + b) + 1, column 4i + j, hold Re s_ba and -Im s_ba, so a real matmul of
-# blocks viewed as (re, im) pairs gives their tables, 20 times faster than an einsum; real blocks
-# need only the even rows.
-_SIGMA_REAL = np.array(
-    [[np.kron(a, b) for b in (np.eye(2), *PAULI)] for a in (np.eye(2), *PAULI)]
-).transpose(3, 2, 0, 1).reshape(16, 16)
-_SIGMA_REAL = np.stack([_SIGMA_REAL.real, -_SIGMA_REAL.imag], axis=1).reshape(32, 16)
+
+
+@functools.cache
+def _sigma_real() -> np.ndarray:
+    """The (32, 16) real table of the Pauli products, built on first use and
+    read-only.  Re Tr(X s) = sum_ab (Re X_ab Re s_ba - Im X_ab Im s_ba) for
+    s = sigma_i (x) sigma_j, sigma_0 = I: rows 2(4a + b) and 2(4a + b) + 1,
+    column 4i + j, hold Re s_ba and -Im s_ba, so a real matmul of blocks viewed
+    as (re, im) pairs gives their tables, 20 times faster than an einsum; real
+    blocks need only the even rows."""
+    s = np.array(
+        [[np.kron(a, b) for b in (np.eye(2), *PAULI)] for a in (np.eye(2), *PAULI)]
+    ).transpose(3, 2, 0, 1).reshape(16, 16)
+    table = np.stack([s.real, -s.imag], axis=1).reshape(32, 16)
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -252,8 +262,8 @@ def _correlations(rho_ab: np.ndarray) -> np.ndarray:
     or a stack: T = [..., 1:, 1:] and the Bloch vectors r = [..., 1:, 0], s = [..., 0, 1:]."""
     flat = rho_ab.reshape(-1, 16)
     if np.iscomplexobj(flat):
-        return (flat.view(np.float64) @ _SIGMA_REAL).reshape(rho_ab.shape)
-    return (flat @ _SIGMA_REAL[0::2]).reshape(rho_ab.shape)
+        return (flat.view(np.float64) @ _sigma_real()).reshape(rho_ab.shape)
+    return (flat @ _sigma_real()[0::2]).reshape(rho_ab.shape)
 
 
 def _lambda_min(blk: np.ndarray) -> np.ndarray:
@@ -298,9 +308,21 @@ def _reports(stack: np.ndarray, dims: Dims, cols=slice(None)) -> _Columns:
 # Below 1/3 - 1e-9 the bound is at least 1.5e-9, far above the ~1e-15 error
 # of a 4x4 eigvalsh, so such a block's clipped violation is exactly 0 without
 # solving it, and the bound equals the all-blocks solve to the last bit.  The
-# purities are summed from the entries of rho (_purities), so a certified
-# block is never gathered.
+# purities are summed from the entries of rho, one gather per party through
+# its _pair_corners table (_purities), so a certified block is never gathered.
 _PURITY_CERT = 1.0 / 3.0 - 1e-9
+
+
+@functools.cache
+def _pair_corners(dim: int) -> np.ndarray:
+    """The (4, C(dim,2)) positions j*dim+j, j*dim+k, k*dim+j, k*dim+k of the
+    corners (j, j), (j, k), (k, j), (k, k) of every local pair (j, k), in
+    _local_pairs order, on one party's flattened (a, a') axis: the one table
+    of _purities' gathers.  Built once per dim, C-contiguous and read-only."""
+    j, k = _local_pairs(dim).T
+    corners = np.stack([j * dim + j, j * dim + k, k * dim + j, k * dim + k])
+    corners.setflags(write=False)
+    return corners
 
 
 def _purities(stack: np.ndarray, dims: Dims) -> np.ndarray:
@@ -309,28 +331,36 @@ def _purities(stack: np.ndarray, dims: Dims) -> np.ndarray:
     (N, mn, mn) of states without gathering a block: the block of (alpha,
     beta) holds the entries +-rho[(a,b),(a',b')] for a, a' in alpha and b, b'
     in beta, so q is a four-term sum per party over |rho|^2, first over
-    alpha's (a, a'), then over beta's (b, b')."""
+    alpha's corners (a, a'), then over beta's (b, b'), each summed left to
+    right in _pair_corners order, so every q is bitwise the same sum however
+    the corners are gathered.
+    Each party is one np.take along the leading axis of |rho|^2 laid out as
+    (a a', b b', N), then of the alpha sums laid out as (b b', alpha, N)."""
     m, n = dims.m, dims.n
-    ja, ka = _local_pairs(m).T
-    jb, kb = _local_pairs(n).T
     w = np.square(stack.real) + np.square(stack.imag) if np.iscomplexobj(stack) else np.square(stack)
-    w = w.reshape(-1, m, n, m, n).transpose(0, 1, 3, 2, 4)  # axes (a, a', b, b')
-    wa = w[:, ja, ja] + w[:, ja, ka] + w[:, ka, ja] + w[:, ka, ka]
-    q = wa[..., jb, jb] + wa[..., jb, kb] + wa[..., kb, jb] + wa[..., kb, kb]
-    return q.reshape(len(stack), -1)
+    w = w.reshape(-1, m, n, m, n).transpose(1, 3, 2, 4, 0).reshape(m * m, -1)
+    g = np.take(w, _pair_corners(m), axis=0)
+    for k in (1, 2, 3):  # corner sums in corner order, in place in the first corner's rows
+        g[0] += g[k]
+    g = np.take(g[0].reshape(-1, n * n, len(stack)).transpose(1, 0, 2), _pair_corners(n), axis=0)
+    for k in (1, 2, 3):
+        g[0] += g[k]
+    return g[0].transpose(2, 1, 0).reshape(len(stack), -1)
 
 
 def _violations(stack: np.ndarray, dims: Dims) -> np.ndarray:
     """Raw lambda_min, (N, P) in _pair_rows order, on a stack of states.
     Only the live blocks the purity certificate leaves open are gathered and
-    solved, in one eigensolve.  Every other pair reads 0, which the bound
-    clips to 0 as it does the positive value in the full _reports columns."""
+    solved, in one eigensolve; when it clears every pair, nothing is.  Every
+    other pair reads 0, which the bound clips to 0 as it does the positive
+    value in the full _reports columns."""
     c, live = _weights(stack, dims)
     raw = np.zeros_like(c)
     solve = live & (_purities(stack, dims) >= _PURITY_CERT * c**2)
+    if not solve.any():
+        return raw
     cols = np.flatnonzero(solve.any(axis=0))
-    if cols.size:
-        raw[solve] = _lambda_min(_blocks(stack, _pair_rows(dims)[:, cols])[solve[:, cols]])
+    raw[solve] = _lambda_min(_blocks(stack, _pair_rows(dims)[:, cols])[solve[:, cols]])
     return raw
 
 

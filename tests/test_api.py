@@ -45,6 +45,12 @@ def test_import_entwit_loads_no_numpy():
     assert fresh(f"import entwit; {LOADED}") == ["entwit"]
 
 
+def test_importing_the_kernel_builds_no_pauli_table():
+    # the correlation table is built on its first use, not at import
+    built = fresh("import json, entwit.witness as w; print(json.dumps(w._sigma_real.cache_info().currsize))")
+    assert built == 0
+
+
 def test_cli_re_exports_the_scan_api_from_its_home():
     names = ("SCAN_HEADER", "ScanPoint", "ScanResult", "SweepConfig", "Threshold", "run_scan", "scan_csv")
     same = fresh(

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from entwit.cren import (
     pure_sum_identity,
     report_to_json,
 )
-from entwit.generators import GeneratorPair
+from entwit.generators import GeneratorPair, _local_pairs
 from entwit.qstate import (
     TAU_HERM,
     TAU_TR,
@@ -49,6 +50,7 @@ from entwit.witness import (
     _PURITY_CERT,
     _blocks,
     _gather,
+    _pair_corners,
     _pair_position,
     _pair_rows,
     _pure_violations,
@@ -65,6 +67,20 @@ def all_pairs_index(dims: Dims) -> np.ndarray:
     """Oracle for the pair order of _pair_rows: (alpha.j, alpha.k, beta.j, beta.k) of every pair, lexicographic."""
     local_a, local_b = (list(itertools.combinations(range(dim), 2)) for dim in (dims.m, dims.n))
     return np.array([(*a, *b) for a in local_a for b in local_b])
+
+
+def eight_gather_purities(stack: np.ndarray, dims: Dims) -> np.ndarray:
+    """Oracle for _purities: the raw purity of every pair's block, (N, P), from
+    eight fancy gathers of |rho|^2 laid out as (a, a', b, b'), four over
+    alpha's corners, then four over beta's, each summed left to right."""
+    m, n = dims.m, dims.n
+    ja, ka = _local_pairs(m).T
+    jb, kb = _local_pairs(n).T
+    w = np.square(stack.real) + np.square(stack.imag) if np.iscomplexobj(stack) else np.square(stack)
+    w = w.reshape(-1, m, n, m, n).transpose(0, 1, 3, 2, 4)
+    wa = w[:, ja, ja] + w[:, ja, ka] + w[:, ka, ja] + w[:, ka, ka]
+    q = wa[..., jb, jb] + wa[..., jb, kb] + wa[..., kb, jb] + wa[..., kb, kb]
+    return q.reshape(len(stack), -1)
 
 
 def kernel(rho) -> tuple[float, float]:
@@ -181,6 +197,35 @@ class TestCertifiedSolve:
         assert np.array_equal(live, c > TAU_C)
         assert np.array_equal(_blocks(rho.mat[None], _pair_rows(rho.dims))[0], raw[:, ::-1, ::-1])
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(2, 8), st.integers(2, 8), st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_purities_are_bitwise_the_eight_gather_formula(self, m, n, count, real, seed):
+        # one take per party through _pair_corners, summed in corner order, adds the same
+        # entries in the same order as the eight gathers, on a stack of states of any rank,
+        # stored in complex128 or, when exactly real, in float64; a state alone reads its row
+        dims = Dims(m, n)
+        rng = np.random.default_rng(seed)
+        states = [random_density(dims, int(rng.integers(1, m * n + 1)), seed=int(rng.integers(2**32))) for _ in range(count)]
+        if real:
+            states = [validate_density(rho.mat.real, dims) for rho in states]
+        stack = np.stack([rho.mat for rho in states])
+        assert stack.dtype == (np.float64 if real else np.complex128)
+        q = _purities(stack, dims)
+        assert q.shape == (count, math.comb(m, 2) * math.comb(n, 2))
+        assert q.tobytes() == eight_gather_purities(stack, dims).tobytes()
+        for i, rho in enumerate(states):
+            assert _purities(rho.mat[None], dims).tobytes() == q[i : i + 1].tobytes()
+
+    def test_pair_corners_are_built_once_and_read_only(self):
+        corners = _pair_corners(5)
+        assert _pair_corners(5) is corners
+        assert not corners.flags.writeable and corners.flags.c_contiguous
+        with pytest.raises(ValueError):
+            corners[0, 0] = 1
+        # each local pair's corners (j, j), (j, k), (k, j), (k, k) on the flattened (a, a') axis, d = 5
+        j, k = np.array(list(itertools.combinations(range(5), 2))).T
+        assert corners.tolist() == np.stack([5 * j + j, 5 * j + k, 5 * k + j, 5 * k + k]).tolist()
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(3, 6), st.integers(3, 6), st.integers(0, 2**32 - 1))
     def test_weights_are_bitwise_the_gather_through_the_pair_rows(self, m, n, seed):
@@ -236,11 +281,20 @@ class TestCertifiedSolve:
         for rho in states:
             assert_bitwise_full_solve(rho)
 
-    @pytest.mark.parametrize("m, n, rank, solved", [(6, 12, 72, 0), (8, 8, 1, 784)])
+    @pytest.mark.parametrize("m, n, rank, solved", [
+        (6, 12, 72, 0),
+        (8, 8, 1, 784),
+        (4, 4, 16, 1),
+        (8, 8, 64, 0),
+        (16, 16, 256, 0),
+        (16, 16, 2, 14400),
+    ])
     def test_blocks_passed_to_the_eigensolver(self, monkeypatch, m, n, rank, solved):
-        # the kernel's bound (_violations; cren_lower_bound reads a pure state in closed form):
-        # a full-rank Ginibre state has every block certified; a pure state
-        # violates on every block, so all C(8,2)^2 = 784 are solved
+        # the kernel's bound (_violations; cren_lower_bound reads a pure state in closed form)
+        # on the benchmark's shapes: a full-rank Ginibre state of side 64 and up has every block
+        # certified and calls no eigensolver; at 4x4 one block stays open; a pure state
+        # violates on every block, so all C(8,2)^2 = 784 are solved, and so does a rank-2
+        # 16x16 state, whose C(16,2)^2 = 14,400 blocks are all open, in one eigensolve
         blocks = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -252,7 +306,7 @@ class TestCertifiedSolve:
         rho = random_density(Dims(m, n), rank, seed=11)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         _violations(rho.mat[None], rho.dims)
-        assert sum(blocks) == solved
+        assert blocks == ([solved] if solved else [])
         monkeypatch.undo()
         assert_bitwise_full_solve(rho)
 

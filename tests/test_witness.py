@@ -48,10 +48,12 @@ from entwit.witness import (
     _PURITY_CERT,
     _Columns,
     _bell_d,
+    _correlations,
     _gather,
     _pair_position,
     _pair_rows,
     _reports,
+    _sigma_real,
     _violations,
     bell_max,
     bell_value,
@@ -498,6 +500,24 @@ class TestKernel:
         # each pair's corner rows (ja jb), (ja kb), (ka jb), (ka kb) in the state, n = 4
         ja, ka, jb, kb = all_pairs_index(Dims(3, 4)).T
         assert rows.tolist() == np.stack([4 * ja + jb, 4 * ja + kb, 4 * ka + jb, 4 * ka + kb]).tolist()
+
+    def test_correlations_are_bitwise_the_pauli_table_formula(self):
+        # the table is built on first use, once, read-only; the correlations of complex and
+        # real blocks are bitwise one matmul with the table of the Pauli products,
+        # rebuilt here: rows 2(4a + b) and 2(4a + b) + 1, column 4i + j, hold Re and -Im of
+        # entry (b, a) of sigma_i (x) sigma_j
+        table = _sigma_real()
+        assert _sigma_real() is table and not table.flags.writeable and table.shape == (32, 16)
+        sig = [np.eye(2), *PAULI]
+        s = np.array([[np.kron(a, b) for b in sig] for a in sig]).transpose(3, 2, 0, 1).reshape(16, 16)
+        want = np.stack([s.real, -s.imag], axis=1).reshape(32, 16)
+        assert table.tobytes() == want.tobytes()
+        blk = rand_density(np.random.default_rng(3), 3, 4).mat[:4, :4]
+        for x in (blk, blk.real.copy()):
+            flat = x.reshape(-1, 16)
+            raw = flat.view(np.float64) @ want if np.iscomplexobj(x) else flat @ want[0::2]
+            assert _correlations(x).tobytes() == raw.reshape(4, 4).tobytes()
+            assert _correlations(np.stack([x, 2.0 * x])).tobytes() == np.stack([raw, 2.0 * raw]).reshape(2, 4, 4).tobytes()
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.integers(2, 6), st.integers(2, 6), st.integers(1, 36), st.integers(0, 2**32 - 1))
