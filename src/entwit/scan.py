@@ -8,10 +8,11 @@ onsets are bisected with the decisions of a serial bisection (see
 _thresholds).  A scan over its family's affine parameter builds each stack
 in one broadcast, and once its two range ends pass validation at half the
 tolerances, the states between them skip it.  On such a scan each onset is
-computed as the root of its bracket's kept pairs (_onsets), and every serial
+computed as the root of its bracket's kept pairs (_onset), and every serial
 midpoint farther than a rounding margin from it takes its decision from it
-unsolved: the README scan solves no probe.  Every other midpoint is solved,
-one per bracket and round, all of a round's in one stacked evaluation.
+unsolved: the README scan solves no probe.  Every other midpoint is solved
+on its own, one probe state per solve, the nonlinear onset's bisection to
+its end before the Bell onset's.
 
 Sweeps emit violation-positive differences so that "curve above zero" means
 "detected": nonlinear_D = max_ab nonlinear_max - 1, and bell_D =
@@ -263,29 +264,21 @@ def _scan_points(cfg: SweepConfig, values, seeds):
         yield list(map(ScanPoint, run, *(f.tolist() for f in figures))), reach
 
 
-def _probe_differences(cfg: SweepConfig, fields, values, seeds, pairs=None) -> list[float]:
-    """The detection difference fields[i] ("nonlinear_d" or "bell_d") of the
-    probe state at values[i] with seeds[i], built and validated as the grid
-    is (see _validated_stacks).  A probe solves its own witness only, on the
-    pairs that `pairs` names for its field (_bracket_pairs), or on every
-    pair: per stack, one partial-transpose eigensolve of the blocks of its
-    nonlinear probes and one Gram eigensolve of the correlation tables of its
-    Bell probes; no bound and no negativity.  A violating probe reads its
-    difference exactly; a non-violating one, the largest over its pairs."""
-    diffs, pairs = [], pairs or {}
-    for _, dims, stack in _validated_stacks(cfg, values, seeds):
-        nl = np.array([f == "nonlinear_d" for f in fields[len(diffs) : len(diffs) + len(stack)]])
-        d = np.empty(len(stack))
-        for field, at in zip(_FIELDS, (nl, ~nl)):
-            if at.any():
-                kept = pairs.get(field)
-                blk, c, live = _gather(stack[at], dims, slice(None) if kept is None else list(kept))
-                if field == "nonlinear_d":
-                    d[at] = _nonlinear_d(_nonlinear_columns(blk, c, live)[2])
-                else:  # empty pairs read bell_max = 0 and cannot raise the maximum
-                    d[at] = _bell_d(np.divide(_bell_maxima(blk, live), c, out=np.zeros_like(c), where=live))
-        diffs += d.tolist()
-    return diffs
+def _probe_difference(cfg: SweepConfig, field: str, value: float, seed: int, pairs) -> float:
+    """The detection difference `field` ("nonlinear_d" or "bell_d") of the
+    probe state at value with seed, built and validated as a grid point is
+    (see _validated_stacks).  A probe solves its own witness only, on the
+    pairs that `pairs` names (_bracket_pairs), or on every pair if None: one
+    partial-transpose eigensolve of its nonlinear blocks or one Gram
+    eigensolve of its Bell correlation tables; no bound and no negativity.
+    A violating probe reads its difference exactly; a non-violating one, the
+    largest over its pairs."""
+    [(_, dims, stack)] = _validated_stacks(cfg, [value], [seed])
+    blk, c, live = _gather(stack, dims, slice(None) if pairs is None else list(pairs))
+    if field == "nonlinear_d":
+        return _nonlinear_d(_nonlinear_columns(blk, c, live)[2]).item()
+    # empty pairs read bell_max = 0 and cannot raise the maximum
+    return _bell_d(np.divide(_bell_maxima(blk, live), c, out=np.zeros_like(c), where=live)).item()
 
 
 def _scan_chunks(cfg: SweepConfig, base_seed: int, crossings: dict):
@@ -333,7 +326,7 @@ def _scan_chunks(cfg: SweepConfig, base_seed: int, crossings: dict):
 # over the same slope g / V.  So a midpoint farther than _ROOT_ERR V / g
 # from the computed V, far above both errors, takes the decision V gives
 # it, bitwise the serial bisection's; a bracket with g <= _ROOT_ERR has no
-# root (_onsets).  In parameter units the margin also takes _ROOT_ULPS float
+# root (_onset).  In parameter units the margin also takes _ROOT_ULPS float
 # spacings of the bracket's ends, which hold the rounding of lo + s (hi - lo)
 # and of the window's edges.
 _ROOT_ERR = 1e-12
@@ -411,108 +404,78 @@ def _bell_root(blk: np.ndarray, c: np.ndarray, enough: float):
     return lower, upper, _ROOT_ERR * upper / g
 
 
-def _onsets(cfg: SweepConfig, crossings: dict) -> dict:
-    """field -> (a, b, margin) of each certified bracket with a root, in
-    parameter units: its onset lies in [a, b], and a value farther than
+def _onset(cfg: SweepConfig, field: str, crossing: tuple) -> tuple | None:
+    """(a, b, margin) of the onset of a certified bracket with a root, in
+    parameter units: the onset lies in [a, b], and a value farther than
     margin from [a, b] takes the decision the onset gives it (see
-    _ROOT_ERR).  The brackets' ends are built in one broadcast, bitwise
-    the grid's states, and their kept pairs read from one gather."""
-    ends = {f: (lo, hi, pairs) for f, (lo, hi, pairs) in crossings.items() if lo is not None and pairs}
-    if not ends:
-        return {}
-    stack, dims = _point_spec(cfg, cfg.lo, 0).matrix([t for lo, hi, _ in ends.values() for t in (lo, hi)])
-    cols = sorted({pair for _, _, pairs in ends.values() for pair in pairs})
-    blk, c, live = _gather(stack, dims, cols)
-    onsets = {}
-    for k, (field, (lo, hi, pairs)) in enumerate(ends.items()):
-        at = np.s_[2 * k : 2 * k + 2], [cols.index(pair) for pair in pairs]
-        if not live[at].all():
-            continue
-        width = hi - lo
-        if field == "nonlinear_d":
-            root = _nonlinear_root(blk[at], c[at])
+    _ROOT_ERR); else None.  The bracket's two ends are built in one
+    broadcast, bitwise the grid's states, and its kept pairs read from one
+    gather."""
+    lo, hi, pairs = crossing
+    if not pairs:
+        return None
+    stack, dims = _point_spec(cfg, cfg.lo, 0).matrix([lo, hi])
+    blk, c, live = _gather(stack, dims, list(pairs))
+    if not live.all():
+        return None
+    width = hi - lo
+    if field == "nonlinear_d":
+        root = _nonlinear_root(blk, c)
+    else:
+        root = _bell_root(blk, c, _NEWTON_STOP * cfg.bisect_tol / width)
+    if root is None:
+        return None
+    margin = root[2] * width + _ROOT_ULPS * math.ulp(max(abs(lo), abs(hi)))
+    return lo + root[0] * width, lo + root[1] * width, margin
+
+
+def _bisect(cfg: SweepConfig, field: str, crossing: tuple, seed: int) -> Threshold:
+    """The serial bisection of one onset's bracket, its probe at step k
+    seeded seed + k, until the bracket is no wider than the tolerance or its
+    ends are adjacent floats.  A midpoint outside the window that the
+    bracket's root leaves open (_onset) takes the root's decision unsolved;
+    one inside it, every midpoint of a bracket without a root, is solved on
+    the pairs the bracket keeps (_bracket_pairs), which decide as all the
+    pairs do."""
+    lo, hi, pairs = crossing
+    onset = _onset(cfg, field, crossing)
+    a, b = (-math.inf, math.inf) if onset is None else (onset[0] - onset[2], onset[1] + onset[2])
+    while hi - lo > cfg.bisect_tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if a <= mid <= b:
+            violating = _probe_difference(cfg, field, mid, seed, pairs) > TAU_DETECT
         else:
-            root = _bell_root(blk[at], c[at], _NEWTON_STOP * cfg.bisect_tol / width)
-        if root:
-            margin = root[2] * width + _ROOT_ULPS * math.ulp(max(abs(lo), abs(hi)))
-            onsets[field] = (lo + root[0] * width, lo + root[1] * width, margin)
-    return onsets
-
-
-def _midpoint(lo: float, hi: float, tol: float) -> float | None:
-    """The serial bisection's next probe value in (lo, hi), or None once the
-    bracket is no wider than tol or its ends are adjacent floats, with no
-    midpoint between them."""
-    mid = 0.5 * (lo + hi)
-    return mid if hi - lo > tol and lo < mid < hi else None
-
-
-@dataclass
-class _Bracket:
-    """One onset's serial bisection: its bracket and the serial steps taken
-    (depth).  The window is the values whose decision the bracket's root
-    (_onsets) leaves open: the serial midpoints outside it take the root's
-    decision unsolved.  A bracket without a root has the window (-inf, inf)."""
-
-    lo: float
-    hi: float
-    window: tuple
-    depth: int = 0
-
-    def advance(self, tol: float) -> float | None:
-        """Take the serial steps the root decides, and return the next serial
-        midpoint, in the window and to be solved; None once the bracket has
-        no midpoint left (_midpoint)."""
-        a, b = self.window
-        while (mid := _midpoint(self.lo, self.hi, tol)) is not None and not a <= mid <= b:
-            self.step(mid, mid > b)
-        return mid
-
-    def step(self, mid: float, violating: bool) -> None:
-        """The serial step to midpoint mid: a violating midpoint becomes hi, any other lo."""
-        if violating:
-            self.hi = mid
-        else:
-            self.lo = mid
-        self.depth += 1
+            violating = mid > b
+        lo, hi = (lo, mid) if violating else (mid, hi)
+        seed += 1
+    return Threshold(0.5 * (lo + hi), "ok")
 
 
 def _thresholds(cfg: SweepConfig, base_seed: int, crossings: dict):
-    """Both bisected thresholds, or (None, None) without cfg.bisect.  The
-    decisions are those of a serial bisection of each onset: the probe at
-    step k is the bracket's midpoint with seed base_seed + cfg.points + k, so
-    the thresholds are bitwise the serial ones.  They are taken in rounds.
-    Each round, every open bracket takes the serial steps its root decides
-    (_onsets, _Bracket.advance) and then solves its next midpoint, on the
-    pairs the bracket keeps (_bracket_pairs), which decide as all the pairs
-    do; the brackets' midpoints go into one _probe_differences call, in
-    _FIELDS order.  The README scan's roots decide all its steps: it solves
-    no probe.  A bracket without a root solves every midpoint, one level per
-    round, so the first probe in level order that fails to build raises its
-    own error.  A crossing at the first grid point has no bracket."""
+    """Both bisected thresholds, or (None, None) without cfg.bisect.  Each
+    onset's bracket takes the serial bisection's decisions (_bisect), its
+    probes seeded from base_seed + cfg.points, so the thresholds are bitwise
+    the serial ones.  The nonlinear onset is bisected to its end before the
+    Bell onset, so the first probe to fail to build in that order raises its
+    own error.  The README scan's roots decide all its steps: it solves no
+    probe.  A crossing at the first grid point has no bracket."""
     if not cfg.bisect:
         return None, None
-    tol, seed = cfg.bisect_tol, base_seed + cfg.points
-    windows = dict.fromkeys(_FIELDS, (-math.inf, math.inf))
-    windows.update((f, (a - margin, b + margin)) for f, (a, b, margin) in _onsets(cfg, crossings).items())
-    brackets = {f: _Bracket(*crossings[f][:2], windows[f]) for f in _FIELDS if crossings.get(f, (None,))[0] is not None}
-    pairs = {f: crossing[2] for f, crossing in crossings.items()}  # the pairs each bracket's probes solve
-    while probes := [(f, mid, seed + b.depth) for f, b in brackets.items() if (mid := b.advance(tol)) is not None]:
-        diffs = _probe_differences(cfg, *map(list, zip(*probes)), pairs)  # (field, value, seed) columns
-        for (f, mid, _), d in zip(probes, diffs):
-            brackets[f].step(mid, d > TAU_DETECT)
-    found = {f: Threshold(0.5 * (b.lo + b.hi), "ok") for f, b in brackets.items()}
-    return tuple(found.get(f, Threshold(None, "no threshold in range")) for f in _FIELDS)
+    return tuple(
+        _bisect(cfg, f, crossings[f], base_seed + cfg.points)
+        if crossings.get(f, (None,))[0] is not None
+        else Threshold(None, "no threshold in range")
+        for f in _FIELDS
+    )
 
 
 def run_scan(cfg: SweepConfig, base_seed: int = 0) -> ScanResult:
     """Evaluate the sweep grid one kernel stack at a time (see _scan_chunks)
     and optionally bisect both detection thresholds (see _thresholds): on a
     certified bracket the onset's root decides every serial midpoint but
-    those within its margin, and every other midpoint is solved, one per
-    bracket and round.  The thresholds, and the values and seeds of the
-    probes solved, are those of a serial bisection.  Deterministic for fixed
-    cfg and base_seed."""
+    those within its margin, and every other midpoint is solved, one probe
+    per solve, the nonlinear onset's before the Bell onset's.  The
+    thresholds, and the values and seeds of the probes solved, are those of
+    a serial bisection.  Deterministic for fixed cfg and base_seed."""
     crossings = {}
     points = [pt for chunk in _scan_chunks(cfg, base_seed, crossings) for pt in chunk]
     return ScanResult(points, *_thresholds(cfg, base_seed, crossings))

@@ -28,7 +28,7 @@ from entwit.scan import (
     _grid_values,
     _per_stack,
     _point_spec,
-    _probe_differences,
+    _probe_difference,
     _scan_chunks,
     _scan_points,
     _thresholds,
@@ -973,9 +973,9 @@ class TestChunkedScan:
 
 
 def serial_bisect_threshold(cfg, base_seed, crossing, field):
-    """Oracle: the serial bisection of one onset, whose decisions the rounds of _thresholds take,
-    one probe state per _probe_differences call (looked up on the module, so a spy sees it),
-    each on the pairs the crossing keeps for its bracket."""
+    """Oracle: the serial bisection of one onset, whose decisions _thresholds takes, every
+    midpoint solved by _probe_difference (looked up on the module, so a spy sees it), each on
+    the pairs the crossing keeps for its bracket."""
     if crossing is None or crossing[0] is None:
         # nothing violates, or everything does: no crossing inside the range
         return Threshold(None, "no threshold in range")
@@ -991,7 +991,7 @@ def serial_bracket(cfg, base_seed, crossing, field):
     seed = base_seed + cfg.points
     # a bracket whose ends are adjacent floats has no midpoint between them and stops too
     while hi - lo > cfg.bisect_tol and lo < (mid := 0.5 * (lo + hi)) < hi:
-        if scan._probe_differences(cfg, [field], [mid], [seed], {field: pairs})[0] > TAU_DETECT:
+        if scan._probe_difference(cfg, field, mid, seed, pairs) > TAU_DETECT:
             hi = mid
         else:
             lo = mid
@@ -1016,50 +1016,58 @@ def exact(thresholds):
 
 
 def probe_calls(monkeypatch, limit=1000):
-    """The probes of each _probe_differences call from here on, each as (field,
-    value, seed, difference); more than `limit` calls fail the test rather than run on."""
+    """The probe of each _probe_difference call from here on, as (field, value,
+    seed, difference); more than `limit` calls fail the test rather than run on."""
     calls = []
 
-    def spy(cfg, fields, values, seeds, pairs=None):
+    def spy(cfg, field, value, seed, pairs):
         assert len(calls) < limit, "the bisection does not end"
-        diffs = _probe_differences(cfg, fields, values, seeds, pairs)
-        calls.append(list(zip(fields, values, seeds, diffs)))
-        return diffs
+        assert type(value) is float and type(seed) is int, "one probe per call"
+        diff = _probe_difference(cfg, field, value, seed, pairs)
+        calls.append((field, value, seed, diff))
+        return diff
 
-    monkeypatch.setattr(scan, "_probe_differences", spy)
+    monkeypatch.setattr(scan, "_probe_difference", spy)
     return calls
 
 
+def onsets(cfg, crossings):
+    """field -> (a, b, margin) of each bracket with a root (scan._onset)."""
+    return {
+        field: onset
+        for field, crossing in crossings.items()
+        if crossing[0] is not None and (onset := scan._onset(cfg, field, crossing))
+    }
+
+
 def root_windows(cfg, crossings):
-    """field -> the values (a, b) whose decision the bracket's root leaves open (scan._onsets)."""
-    return {field: (a - margin, b + margin) for field, (a, b, margin) in scan._onsets(cfg, crossings).items()}
+    """field -> the values (a, b) whose decision the bracket's root leaves open (scan._onset)."""
+    return {field: (a - margin, b + margin) for field, (a, b, margin) in onsets(cfg, crossings).items()}
 
 
 def assert_serial_decisions(cfg, base_seed, crossings):
-    """_thresholds gives the serial thresholds bitwise.  Each bracket's solved
-    probes are exactly its serial probes inside its root's window (scan._onsets),
-    in order, with their seeds and differences; the root decides the others.  A
-    bracket without a root has the window (-inf, inf): it solves every serial
-    probe.  A round holds at most one probe of each onset, in field order, and
-    the rounds are the solved probes of the onset that solves more.  Returns
-    (the probes of each round, the serial probes), both in probe_calls form."""
+    """_thresholds gives the serial thresholds bitwise.  Each call solves one
+    probe, and the solved probes are exactly each onset's serial probes inside
+    its root's window (scan._onset), the nonlinear onset's and then the Bell
+    onset's, each in serial order, with their seeds and differences; the root
+    decides the others.  A bracket without a root has the window (-inf, inf):
+    it solves every serial probe.  Returns (the solved probes, the serial
+    probes), both in probe_calls form."""
     with pytest.MonkeyPatch.context() as mp:
         calls = probe_calls(mp)
         got = _thresholds(cfg, base_seed, crossings)
-        rounds = list(calls)
+        solved = list(calls)
         calls.clear()
         serial = serial_thresholds(cfg, base_seed, crossings)
-    solved, probes = [probe for call in rounds for probe in call], [probe for (probe,) in calls]
+    probes = list(calls)
     assert exact(got) == exact(serial)
     windows = root_windows(cfg, crossings)
+    want = []
     for field in scan._FIELDS:
         a, b = windows.get(field, (-math.inf, math.inf))
-        mine, theirs = ([probe for probe in ps if probe[0] == field] for ps in (solved, probes))
-        assert mine == [probe for probe in theirs if a <= probe[1] <= b]
-    for fields in ([field for field, *_ in call] for call in rounds):
-        assert fields == sorted(set(fields), key=scan._FIELDS.index)
-    assert len(rounds) == max(Counter(field for field, *_ in solved).values(), default=0)
-    return rounds, probes
+        want += [probe for probe in probes if probe[0] == field and a <= probe[1] <= b]
+    assert solved == want
+    return solved, probes
 
 
 README_SCAN = dict(family="bennett_mix", fixed={}, param_name="p", lo=0.0, hi=1.0, points=100, bisect_tol=1e-6)
@@ -1109,7 +1117,7 @@ def test_rho_a_scan_reports_the_bell_crossing_between_0_45_and_0_55():
     assert bell.value is not None and 0.45 <= bell.value <= 0.55
 
 
-class TestLockstepBisection:
+class TestSerialBisection:
     SCANS = {
         "readme_bennett_mix": README_SCAN,  # both onsets
         "rho_a_mix_over_p": dict(
@@ -1139,9 +1147,9 @@ class TestLockstepBisection:
             return stacks(cfg, values, seeds)
 
         monkeypatch.setattr(scan, "_validated_stacks", spy)
-        rounds, probes = assert_serial_decisions(cfg, 7, crossings)
+        solved, probes = assert_serial_decisions(cfg, 7, crossings)
         # the states built are the solved probes, then the serial ones
-        assert built == [(value, seed) for call in rounds + [probes] for _, value, seed, _ in call]
+        assert built == [(value, seed) for _, value, seed, _ in solved + probes]
         result = run_scan(cfg, base_seed=7)
         assert exact((result.nonlinear, result.bell)) == exact(serial_thresholds(cfg, 7, crossings))
 
@@ -1157,7 +1165,7 @@ class TestLockstepBisection:
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.sampled_from(sorted(FAMILIES)), st.data())
-    def test_rounds_solve_exactly_the_serial_probes_the_roots_leave_open(self, key, data):
+    def test_each_onset_solves_exactly_the_serial_probes_its_root_leaves_open(self, key, data):
         low, high = self.FAMILIES[key]
         # lo in the lower half of the domain and hi in the upper half, so that most ranges hold an onset
         lo = data.draw(st.floats(low, 0.5 * (low + high)), "lo")
@@ -1182,14 +1190,14 @@ class TestLockstepBisection:
             cases.add("first point" if any(lo is None for lo, *_ in crossings.values()) else "inside")
         assert cases == {0, 1, 2, "first point", "inside"}
 
-    def test_a_narrower_bracket_drops_out_of_later_rounds(self, monkeypatch):
+    def test_the_nonlinear_onset_is_bisected_to_its_end_before_the_bell_onset(self, monkeypatch):
         cfg = SweepConfig(bisect=True, **self.SCANS["isotropic_d3_7_points"])
         crossings = {"nonlinear_d": (0.2, 0.3, None), "bell_d": (0.3, 0.9, None)}  # 10 steps and 13 steps, no root
-        rounds, probes = assert_serial_decisions(cfg, 0, crossings)
-        # a round takes one step of each bracket; once the nonlinear bracket closes, the later rounds
-        # hold only Bell probes
-        assert [[field for field, *_ in call] for call in rounds] == [["nonlinear_d", "bell_d"]] * 10 + [["bell_d"]] * 3
-        assert len(probes) == 10 + 13
+        solved, probes = assert_serial_decisions(cfg, 0, crossings)
+        # without a root every serial probe is solved, one per call: the nonlinear bracket's 10 steps,
+        # then the Bell bracket's 13
+        assert [field for field, *_ in solved] == ["nonlinear_d"] * 10 + ["bell_d"] * 13
+        assert solved == probes
 
     def test_a_tolerance_below_the_float_spacing_ends(self, monkeypatch):
         # once lo and hi are adjacent floats their midpoint rounds to one of them
@@ -1198,28 +1206,28 @@ class TestLockstepBisection:
         cfg = SweepConfig(bisect=True, **{**spec, "bisect_tol": 1e-300})
         crossings = grid_crossings(cfg, 0)
         coarse = _thresholds(SweepConfig(bisect=True, **{**spec, "bisect_tol": 1e-12}), 0, crossings)[0]
-        rounds, probes = assert_serial_decisions(cfg, 0, crossings)
+        solved, probes = assert_serial_decisions(cfg, 0, crossings)
         nonlinear, bell = _thresholds(cfg, 0, crossings)
         lo, hi = crossings["nonlinear_d"][:2]
         assert nonlinear.status == "ok" and lo < nonlinear.value < hi
         assert bell.status == "no threshold in range" and len(probes) > 36  # tol 1e-12 stops at 36 steps
         assert abs(nonlinear.value - coarse.value) <= 1e-12
-        # the root decides the first steps; the last ones, within its margin, are solved one per round
-        assert len(probes) == 50 and 0 < len(rounds) < 25
-        assert rounds == [[probe] for probe in probes[-len(rounds) :]]
+        # the root decides the first steps; the last ones, within its margin, are solved one per call
+        assert len(probes) == 50 and 0 < len(solved) < 25
+        assert solved == probes[-len(solved) :]
 
     def test_readme_scan_solves_no_probe_in_place_of_28(self, monkeypatch):
         # both onsets are roots of their brackets, and no serial midpoint lies within the root's margin
         cfg = SweepConfig(bisect=True, **README_SCAN)
         crossings = grid_crossings(cfg, 0)
-        rounds, probes = assert_serial_decisions(cfg, 0, crossings)
-        assert rounds == [] and len(probes) == 28
+        solved, probes = assert_serial_decisions(cfg, 0, crossings)
+        assert solved == [] and len(probes) == 28
         assert set(root_windows(cfg, crossings)) == {"nonlinear_d", "bell_d"}
-        # without the roots, the rounds solve all 28, one step of each bracket per stacked call
+        # without the roots, all 28 are solved, one probe per call: 14 steps of each bracket in turn
         monkeypatch.setattr(scan, "_ROOT_ERR", math.inf)
         assert root_windows(cfg, crossings) == {}
-        rounds, probes = assert_serial_decisions(cfg, 0, crossings)
-        assert len(rounds) == 14 and len(probes) == 28
+        solved, probes = assert_serial_decisions(cfg, 0, crossings)
+        assert [field for field, *_ in solved] == ["nonlinear_d"] * 14 + ["bell_d"] * 14 and solved == probes
 
     @pytest.mark.parametrize(
         "spec, crossings, solves, grams, kept",
@@ -1233,10 +1241,10 @@ class TestLockstepBisection:
         ids=["readme", "narrower_bracket"],
     )
     def test_each_probe_solves_only_its_own_witness(self, monkeypatch, spec, crossings, solves, grams, kept):
-        # per round, the nonlinear probes eigensolve the partial transposes of their bracket's kept pairs in
-        # one batch, the Bell probes the Gram matrices of theirs in another; no SVD, bound or negativity.  The
-        # README scan keeps pairs 0 and 8 for its nonlinear onset and 0, 4 and 8 for its Bell onset; crossings
-        # given without their grid keep all 9
+        # a nonlinear probe eigensolves the partial transposes of its bracket's kept pairs in one batch, a
+        # Bell probe the Gram matrices of theirs; no SVD, bound or negativity.  The README scan keeps pairs
+        # 0 and 8 for its nonlinear onset and 0, 4 and 8 for its Bell onset; crossings given without their
+        # grid keep all 9
         cfg = SweepConfig(bisect=True, **spec)
         crossings = crossings or grid_crossings(cfg, 0)
         monkeypatch.setattr(scan, "_ROOT_ERR", math.inf)  # no bracket has a root: every midpoint is solved
@@ -1253,37 +1261,39 @@ class TestLockstepBisection:
 
         monkeypatch.setattr(scan, "_negativities", forbidden)
         monkeypatch.setattr(scan, "_bound", forbidden)
-        rounds = probe_calls(monkeypatch)
+        probes = probe_calls(monkeypatch)
         _thresholds(cfg, 0, crossings)
-        counts = [Counter(field for field, *_ in call) for call in rounds]
-        want = [(n[f], kept[f], side, side) for n in counts for f, side in (("nonlinear_d", 4), ("bell_d", 3)) if n[f]]
-        assert sorted(calls["eigvalsh"]) == sorted(want) and calls["svd"] == []
-        nonlinear, bell = (sum(n[f] for n in counts) for f in ("nonlinear_d", "bell_d"))
-        assert (nonlinear, bell) == (solves, grams)
+        side = {"nonlinear_d": 4, "bell_d": 3}
+        assert calls["eigvalsh"] == [(1, kept[f], side[f], side[f]) for f, *_ in probes] and calls["svd"] == []
+        counts = Counter(field for field, *_ in probes)
+        assert (counts["nonlinear_d"], counts["bell_d"]) == (solves, grams)
 
     def test_a_failing_probe_raises_the_serial_error(self, capsys, monkeypatch):
-        # the README scan validated state by state, with a builder that fails at one chosen probe
+        # the README scan validated state by state, with a builder that fails at chosen probes
         argv = ["scan", "--family", "bennett_mix", "--scan-param", "p", "--range", "0:1", "--points", "100",
                 "--bisect", "--tol", "1e-6"]
         cfg = SweepConfig(bisect=True, **README_SCAN)
         monkeypatch.setattr(scan, "_CERT_MARGIN", -1.0)
         crossings = grid_crossings(cfg, 0)
-        probes = assert_serial_decisions(cfg, 0, crossings)[1]
+        probes = [(value, seed) for _, value, seed, _ in assert_serial_decisions(cfg, 0, crossings)[1]]
         whole = run_cli(capsys, argv)
         point_spec = scan._point_spec
 
         def failing_at(bad):
             # p = 2 + value lies outside [0, 1], so the build raises, naming it
-            return lambda cfg, value, seed: point_spec(cfg, 2.0 + value if (value, seed) == bad else value, seed)
+            return lambda cfg, value, seed: point_spec(cfg, 2.0 + value if (value, seed) in bad else value, seed)
 
-        assert whole[0] == 0
-        for bad in [(value, seed) for _, value, seed, _ in probes[:1] + probes[9:10] + probes[-1:]]:
+        assert whole[0] == 0 and len(probes) == 14 + 14
+        # the nonlinear onset's 1st and 10th serial probes, the Bell onset's 14th, and the nonlinear
+        # onset's 10th with the Bell onset's 1st: the first to fail in serial order speaks
+        for bad in [probes[:1], probes[9:10], probes[-1:], [probes[9], probes[14]]]:
             monkeypatch.setattr(scan, "_point_spec", failing_at(bad))
             error = raised(lambda: serial_thresholds(cfg, 0, crossings))
             assert raised(lambda: _thresholds(cfg, 0, crossings)) == error
-            assert error[1] == f"p={2.0 + bad[0]} outside [0, 1]"
+            assert error[1] == f"p={2.0 + bad[0][0]} outside [0, 1]"
             code, out, err = run_cli(capsys, argv)
             assert code == 3 and err == f"error: {error[1]}\n" and out == whole[1].rsplit("\n", 2)[0] + "\n"
+        assert error[1] == "p=2.1822028882575757 outside [0, 1]"  # not the Bell probe's p=2.580808080808081
 
     @pytest.mark.parametrize(
         "family, fixed, param, values",
@@ -1294,16 +1304,15 @@ class TestLockstepBisection:
             ("random_density", {}, "d", [2.0, 3.0, 3.0, 5.0]),
         ],
     )
-    def test_probe_differences_are_the_scan_rows_fields(self, family, fixed, param, values):
+    def test_a_probe_difference_is_the_scan_rows_field(self, family, fixed, param, values):
         cfg = SweepConfig(family=family, fixed=fixed, param_name=param, lo=0.0, hi=10.0, points=3)
-        for fields in (["nonlinear_d"] * len(values), ["bell_d"] * len(values), ["nonlinear_d", "bell_d"] * 2):
-            fields = fields[: len(values)]
-            seeds = range(5, 5 + len(values))
-            want = [getattr(pt, f) for pt, f in zip(scan_rows(cfg, values, seeds)[0], fields)]
-            assert _probe_differences(cfg, fields, values, seeds) == want
+        seeds = range(5, 5 + len(values))
+        for pt, value, seed in zip(scan_rows(cfg, values, seeds)[0], values, seeds):
+            for field in scan._FIELDS:
+                assert _probe_difference(cfg, field, value, seed, None) == getattr(pt, field)
 
 
-    def test_readme_scan_builds_3_stacks_and_validates_only_its_range_ends(self, monkeypatch):
+    def test_readme_scan_builds_4_stacks_and_validates_only_its_range_ends(self, monkeypatch):
         run_scan(SweepConfig(bisect=True, **README_SCAN))  # the family's two constant states are validated once, here
         builds, ends, singles = [], [], []
         matrix = states.StateSpec.matrix
@@ -1316,8 +1325,8 @@ class TestLockstepBisection:
         monkeypatch.setattr(states, "validate_density", lambda *args: singles.append(args))
         run_scan(SweepConfig(bisect=True, **README_SCAN))
         # p = 0 and p = 1 are built together and checked one at a time; the 100 grid states, one stack,
-        # and the two brackets' four ends, for their roots, all in [0, 1], are only built; no probe is
-        assert builds == [2, 100, 4]
+        # and each bracket's two ends, for its root, all in [0, 1], are only built; no probe is
+        assert builds == [2, 100, 2, 2]
         assert ends == [((9, 9), scan._CERT_MARGIN)] * 2 and singles == []
 
 
@@ -1330,13 +1339,13 @@ def isotropic_nonlinear_onset(d):
 
 class TestOnsets:
     """On a certified scan each bracket's onset is the root of its kept pairs' levels
-    (scan._onsets): it matches the closed forms and lies in the serial bisection's final
-    bracket.  A bracket without a root solves every serial probe, one per round."""
+    (scan._onset): it matches the closed forms and lies in the serial bisection's final
+    bracket.  A bracket without a root solves every serial probe, one per call."""
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_isotropic_nonlinear_onset_is_its_closed_form(self, d):
         cfg = SweepConfig("isotropic", {"d": d}, "x", 0.0, 1.0, 12, bisect=True)
-        a, b, _ = scan._onsets(cfg, grid_crossings(cfg, 0))["nonlinear_d"]
+        a, b, _ = onsets(cfg, grid_crossings(cfg, 0))["nonlinear_d"]
         x = isotropic_nonlinear_onset(d)
         assert abs(a - x) <= 1e-12 and abs(b - x) <= 1e-12
         assert 0.0 < x - 1.0 / (d + 1.0) < TAU_DETECT
@@ -1344,40 +1353,40 @@ class TestOnsets:
     def test_two_qubit_isotropic_bell_onset_is_the_chsh_threshold(self):
         # T = x diag(1, -1, 1) and c = 1, so bell_D reaches t = TAU_DETECT at sqrt(2) x = 1 + t / 2
         cfg = SweepConfig("isotropic", {"d": 2}, "x", 0.0, 1.0, 12, bisect=True)
-        a, b, _ = scan._onsets(cfg, grid_crossings(cfg, 0))["bell_d"]
+        a, b, _ = onsets(cfg, grid_crossings(cfg, 0))["bell_d"]
         x = (1.0 + 0.5 * TAU_DETECT) / math.sqrt(2.0)
         assert abs(a - x) <= 1e-12 and abs(b - x) <= 1e-12
         assert 0.0 < x - 1.0 / math.sqrt(2.0) < TAU_DETECT
 
-    @pytest.mark.parametrize("name", TestLockstepBisection.SCANS)
+    @pytest.mark.parametrize("name", TestSerialBisection.SCANS)
     def test_each_onset_lies_in_its_final_bisection_bracket(self, name):
-        cfg = SweepConfig(bisect=True, **TestLockstepBisection.SCANS[name])
+        cfg = SweepConfig(bisect=True, **TestSerialBisection.SCANS[name])
         crossings = grid_crossings(cfg, 0)
-        onsets = scan._onsets(cfg, crossings)
+        roots = onsets(cfg, crossings)
         # every bracket of a certified scan has a root here; rho_a_mix over a is not certified
-        assert set(onsets) == {f for f, (lo, _, pairs, *_) in crossings.items() if lo is not None and pairs}
-        assert bool(onsets) is (name != "rho_a_mix_over_a")
-        for field, (a, b, _) in onsets.items():
+        assert set(roots) == {f for f, (lo, _, pairs, *_) in crossings.items() if lo is not None and pairs}
+        assert bool(roots) is (name != "rho_a_mix_over_a")
+        for field, (a, b, _) in roots.items():
             lo, hi = serial_bracket(cfg, 0, crossings[field], field)
             assert lo <= a <= b <= hi
 
     @pytest.mark.parametrize("name", ["readme_bennett_mix", "rho_a_mix_over_p", "isotropic_d4"])
     def test_a_bisection_at_tol_1e_12_agrees_with_the_onset_to_1e_11(self, name):
-        cfg = SweepConfig(bisect=True, **{**TestLockstepBisection.SCANS[name], "bisect_tol": 1e-12})
+        cfg = SweepConfig(bisect=True, **{**TestSerialBisection.SCANS[name], "bisect_tol": 1e-12})
         result = run_scan(cfg)
-        onsets = scan._onsets(cfg, grid_crossings(cfg, 0))
-        assert len(onsets) == 2
+        roots = onsets(cfg, grid_crossings(cfg, 0))
+        assert len(roots) == 2
         for field, threshold in zip(("nonlinear_d", "bell_d"), (result.nonlinear, result.bell)):
-            a, b, _ = onsets[field]
+            a, b, _ = roots[field]
             assert abs(threshold.value - a) <= 1e-11 and abs(threshold.value - b) <= 1e-11
 
     def test_a_scan_validated_state_by_state_has_no_root(self, monkeypatch):
         monkeypatch.setattr(scan, "_CERT_MARGIN", -1.0)  # the range ends fail the certificate
         cfg = SweepConfig(bisect=True, **README_SCAN)
         crossings = grid_crossings(cfg, 0)
-        assert scan._onsets(cfg, crossings) == {}
-        rounds, probes = assert_serial_decisions(cfg, 0, crossings)
-        assert len(rounds) == 14 and len(probes) == 28
+        assert onsets(cfg, crossings) == {}
+        solved, probes = assert_serial_decisions(cfg, 0, crossings)
+        assert solved == probes and len(probes) == 28
 
     def test_a_kept_pair_not_live_at_an_end_leaves_its_bracket_without_a_root(self, monkeypatch):
         # (1 - p) |00><00| + p P_+ on two qutrits: pairs 2, 5, 6 and 7 carry no weight at p = 0
@@ -1390,25 +1399,25 @@ class TestOnsets:
         cfg = SweepConfig("product_mix", {}, "p", 0.0, 0.5, 6, bisect=True, bisect_tol=1e-6)
         crossings = grid_crossings(cfg, 0)
         assert {f: crossing[2] for f, crossing in crossings.items()} == {f: (0, 2, 4, 5, 6, 7, 8) for f in scan._FIELDS}
-        assert scan._onsets(cfg, crossings) == {}
-        rounds, probes = assert_serial_decisions(cfg, 0, crossings)
-        assert rounds and {field for field, *_ in probes} == set(scan._FIELDS)
+        assert onsets(cfg, crossings) == {}
+        solved, probes = assert_serial_decisions(cfg, 0, crossings)
+        assert solved and {field for field, *_ in probes} == set(scan._FIELDS)
 
     def test_a_two_point_tiles_scan_agrees_with_the_readme_scans_roots(self):
         # p = 0 and p = 1 bracket both onsets.  Both brackets have roots, but at p = 0 a kept pair's
         # nonlinear level is within rounding of 0, so the nonlinear root's margin is about 1.4e-4 wide and
-        # the rounds solve its serial probes inside it, one per round; the thresholds lie within the
-        # tolerance of the README scan's roots
+        # its serial probes inside it are solved, one per call; the thresholds lie within the tolerance
+        # of the README scan's roots
         cfg = SweepConfig(bisect=True, **{**README_SCAN, "points": 2, "bisect_tol": 1e-9})
         crossings = grid_crossings(cfg, 0)
         assert [crossings[f][:2] for f in scan._FIELDS] == [(0.0, 1.0)] * 2
         windows = root_windows(cfg, crossings)
         assert windows["nonlinear_d"][1] - windows["nonlinear_d"][0] > 1e-4
         assert windows["bell_d"][1] - windows["bell_d"][0] < 1e-11
-        rounds, probes = assert_serial_decisions(cfg, 0, crossings)
-        assert len(rounds) > 10 and len(probes) > 50
+        solved, probes = assert_serial_decisions(cfg, 0, crossings)
+        assert len(solved) > 10 and len(probes) > 50
         readme = SweepConfig(bisect=True, **README_SCAN)
-        roots = scan._onsets(readme, grid_crossings(readme, 0))
+        roots = onsets(readme, grid_crossings(readme, 0))
         for field, threshold in zip(scan._FIELDS, _thresholds(cfg, 0, crossings)):
             a, b, _ = roots[field]
             assert abs(threshold.value - a) <= 1e-9 and abs(threshold.value - b) <= 1e-9
@@ -1416,17 +1425,17 @@ class TestOnsets:
     def test_a_rootless_bell_bracket_agrees_with_a_finer_grids_root(self):
         # 3 points over the whole d = 5 domain.  The nonlinear bracket has a root, which decides every
         # step and lands within the tolerance of the closed form.  The Bell bracket ends at the pure state
-        # x = 1, where pairs carry no weight, so it has no root: the rounds solve every serial probe, and
-        # the threshold lies within the tolerance of the root of a 100-point grid's bracket
+        # x = 1, where pairs carry no weight, so it has no root: every serial probe is solved, and the
+        # threshold lies within the tolerance of the root of a 100-point grid's bracket
         cfg = SweepConfig("isotropic", {"d": 5}, "x", -1.0 / 24.0, 1.0, 3, bisect=True)
         crossings = grid_crossings(cfg, 0)
-        assert crossings["bell_d"][1] == 1.0 and list(scan._onsets(cfg, crossings)) == ["nonlinear_d"]
-        rounds = assert_serial_decisions(cfg, 0, crossings)[0]
-        assert {field for call in rounds for field, *_ in call} == {"bell_d"} and len(rounds) == 16
+        assert crossings["bell_d"][1] == 1.0 and list(onsets(cfg, crossings)) == ["nonlinear_d"]
+        solved = assert_serial_decisions(cfg, 0, crossings)[0]
+        assert {field for field, *_ in solved} == {"bell_d"} and len(solved) == 16
         nonlinear, bell = _thresholds(cfg, 0, crossings)
         assert abs(nonlinear.value - isotropic_nonlinear_onset(5)) <= cfg.bisect_tol
         fine = SweepConfig("isotropic", {"d": 5}, "x", -1.0 / 24.0, 1.0, 100, bisect=True)
-        a, b, _ = scan._onsets(fine, grid_crossings(fine, 0))["bell_d"]
+        a, b, _ = onsets(fine, grid_crossings(fine, 0))["bell_d"]
         assert abs(bell.value - a) <= cfg.bisect_tol and abs(bell.value - b) <= cfg.bisect_tol
 
     def test_a_lower_end_without_a_cholesky_factor_has_no_root(self):
@@ -1459,10 +1468,10 @@ class TestAffineScan:
     builds each stack in one broadcast and skips validation once its two range ends pass it
     at half the tolerances; anything else keeps the per-value path."""
 
-    @pytest.mark.parametrize("name", TestLockstepBisection.SCANS)
+    @pytest.mark.parametrize("name", TestSerialBisection.SCANS)
     @pytest.mark.parametrize("base_seed", [0, 7])
     def test_rows_and_onsets_are_bitwise_the_per_value_scan(self, monkeypatch, name, base_seed):
-        spec = TestLockstepBisection.SCANS[name]
+        spec = TestSerialBisection.SCANS[name]
         got = run_scan(SweepConfig(bisect=True, **spec), base_seed)
         monkeypatch.setattr(scan, "_validated_stacks", per_value_stacks)
         assert repr(got) == repr(run_scan(SweepConfig(bisect=True, **spec), base_seed))
@@ -1564,18 +1573,24 @@ class TestAffineScan:
         monkeypatch.setattr(scan, "_validated_stacks", per_value_stacks)
         assert repr(run_scan(SweepConfig(**spec), base_seed=4)) == repr(result)
 
-    def test_probes_outside_the_range_are_built_one_by_one(self, monkeypatch):
+    def test_probes_outside_the_range_are_built_on_their_own(self, monkeypatch):
         cfg = SweepConfig(family="bennett_mix", fixed={}, param_name="p", lo=0.2, hi=0.8, points=3)
         values, fields = [0.1, 0.5, 0.55, 0.9, 0.3], ["nonlinear_d", "bell_d", "bell_d", "nonlinear_d", "bell_d"]
         assert cfg.certified_dims is not None
         built = []
         point_spec = scan._point_spec
-        monkeypatch.setattr(scan, "_point_spec", lambda cfg, value, seed: built.append(value) or point_spec(cfg, value, seed))
-        got = _probe_differences(cfg, fields, values, [5] * 5), scan_rows(cfg, values, [5] * 5)[0]
-        # a call with a value outside [lo, hi] builds every value on its own, one spec each
-        assert built == values * 2
+        monkeypatch.setattr(
+            scan, "_point_spec", lambda cfg, value, seed: built.append((value, seed)) or point_spec(cfg, value, seed)
+        )
+
+        def probes():
+            return [_probe_difference(cfg, field, value, 5, None) for field, value in zip(fields, values)]
+
+        got = probes()
+        # a probe outside [lo, hi] builds its own spec; one inside is broadcast from the spec at lo
+        assert built == [(0.1, 5), (0.2, 0), (0.2, 0), (0.9, 5), (0.2, 0)]
         monkeypatch.setattr(scan, "_validated_stacks", per_value_stacks)
-        assert repr(got) == repr((_probe_differences(cfg, fields, values, [5] * 5), scan_rows(cfg, values, [5] * 5)[0]))
+        assert repr(got) == repr(probes())
 
 
 def oracle_rows(cfg, values, seeds):
@@ -1614,16 +1629,16 @@ def assert_all_pairs_scan(cfg, base_seed):
     values = list(_grid_values(cfg))
     oracle = oracle_rows(cfg, values, range(base_seed, base_seed + cfg.points))
     with pytest.MonkeyPatch.context() as mp:
-        rounds = probe_calls(mp)
+        probes = probe_calls(mp)
         result = run_scan(cfg, base_seed)
-        solved = {(field, value, seed): d for call in rounds for field, value, seed, d in call}
-        rounds.clear()
+        solved = {(field, value, seed): d for field, value, seed, d in probes}
+        probes.clear()
         serial = serial_thresholds(cfg, base_seed, oracle_crossings(oracle))
     assert repr(result.points) == repr(oracle)
     assert exact((result.nonlinear, result.bell)) == exact(serial)
     crossings = grid_crossings(cfg, base_seed)
     windows = root_windows(cfg, crossings)
-    for ((field, value, seed, d),) in rounds:
+    for field, value, seed, d in probes:
         if (field, value, seed) in solved:
             got = solved[field, value, seed]
             assert got == d if d > TAU_DETECT else got <= d <= TAU_DETECT

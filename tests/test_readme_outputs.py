@@ -1,11 +1,11 @@
 """The README commands against golden outputs in tests/data, and the README's
 library examples against the values their comments state.
 
-The golden files are the outputs of the README commands and of a 2-point
-scan of the README family.  Keys, headers, row counts, integers and strings
-must match exactly; floats match to 1e-10, so that another BLAS build or
-Python version does not fail the suite on rounding.  The scans' threshold
-lines match byte for byte.  For selftest the check names, tags and the
+The golden files are the outputs of the README commands, of the README scan
+at --tol 1e-12 and of a 2-point scan of the README family.  Keys, headers,
+row counts, integers and strings must match exactly; floats match to 1e-10,
+so that another BLAS build or Python version does not fail the suite on
+rounding.  The scans' threshold lines match byte for byte.  For selftest the check names, tags and the
 summary line are pinned, not the rounding-level gaps in the details.
 """
 
@@ -94,6 +94,15 @@ def test_two_point_bennett_mix_bisection(capsys):
         capsys,
         ["--family", "bennett_mix", "--scan-param", "p", "--range", "0:1", "--points", "2", "--bisect", "--tol", "1e-9"],
         "scan_bennett_mix_2_points.txt",
+    )
+
+
+def test_bennett_mix_bisection_at_tol_1e_12(capsys):
+    # both onsets solve probes inside their roots' margins, 5 nonlinear and 3 Bell
+    assert_same_scan(
+        capsys,
+        ["--family", "bennett_mix", "--scan-param", "p", "--range", "0:1", "--points", "100", "--bisect", "--tol", "1e-12"],
+        "scan_bennett_mix_tol_1e-12.txt",
     )
 
 
