@@ -1589,8 +1589,12 @@ class TestAffineScan:
         got = probes()
         # a probe outside [lo, hi] builds its own spec; one inside is broadcast from the spec at lo
         assert built == [(0.1, 5), (0.2, 0), (0.2, 0), (0.9, 5), (0.2, 0)]
+        built.clear()
+        rows = scan_rows(cfg, values, [5] * 5)[0]
+        # a call with a value outside [lo, hi] builds every value on its own, one spec each
+        assert built == [(value, 5) for value in values]
         monkeypatch.setattr(scan, "_validated_stacks", per_value_stacks)
-        assert repr(got) == repr(probes())
+        assert repr((got, rows)) == repr((probes(), scan_rows(cfg, values, [5] * 5)[0]))
 
 
 def oracle_rows(cfg, values, seeds):
